@@ -21,7 +21,7 @@ import random
 import sys
 
 from . import embeddings, lorentz, qanorm, shapes, stepfn, witness as witness_mod
-from .errors import ToolkitError
+from .errors import SpecParseError, ToolkitError
 from .shapes import log_gamma, parse_shape, shape_to_json
 from .stepfn import StepFunction
 
@@ -52,6 +52,12 @@ def _function_arg(text: str) -> StepFunction:
     return StepFunction.from_json(_load_json_arg(text))
 
 
+def _require(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise SpecParseError(f"{what} needs a {key!r} key")
+    return obj[key]
+
+
 def _seq_arg(text: str, phi: shapes.ShapeFunction | None) -> embeddings.SequenceSpec:
     obj = _load_json_arg(text)
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -68,7 +74,7 @@ def _seq_arg(text: str, phi: shapes.ShapeFunction | None) -> embeddings.Sequence
             raise ToolkitError("gamma_exp sequence needs a phi (inline or via --phi)")
         return embeddings.gamma_exp(base)
     if kind == "samples":
-        return embeddings.sample_sequence(obj["points"])
+        return embeddings.sample_sequence(_require(obj, "points", "samples sequence"))
     raise ToolkitError(f"unknown sequence kind {kind!r}")
 
 
@@ -88,15 +94,16 @@ def _expr_arg(text: str):
         raise ToolkitError("expression must be an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "shape":
-        sh = parse_shape(obj["spec"], expected_kind="phi")
+        sh = parse_shape(_require(obj, "spec", "shape expression"), expected_kind="phi")
         return sh.eval, {"kind": "shape", "spec": shape_to_json(sh)}
     if kind in ("tau", "phi_s", "alpha_s"):
-        phi = parse_shape(obj["phi"], expected_kind="phi")
-        psi = parse_shape(obj["psi"], expected_kind="psi")
+        what = f"{kind} expression"
+        phi = parse_shape(_require(obj, "phi", what), expected_kind="phi")
+        psi = parse_shape(_require(obj, "psi", what), expected_kind="psi")
         echo = {"kind": kind, "phi": shape_to_json(phi), "psi": shape_to_json(psi)}
         if kind == "tau":
             return (lambda t: embeddings.tau(phi, psi, t)), echo
-        seq = _seq_arg(json.dumps(obj["seq"]), phi)
+        seq = _seq_arg(json.dumps(_require(obj, "seq", what)), phi)
         echo["seq"] = _seq_echo(seq)
         if kind == "phi_s":
             n_max = int(obj.get("n_max", 10_000))
@@ -104,7 +111,10 @@ def _expr_arg(text: str):
             return (lambda t: embeddings.phi_s(phi, psi, seq, t, n_max=n_max).value), echo
         return (lambda t: embeddings.alpha_s(phi, psi, seq, t)), echo
     if kind == "iterated_log":
-        a, b, g = float(obj["alpha"]), float(obj["beta"]), float(obj["exponent"])
+        a, b, g = (
+            float(_require(obj, key, "iterated_log expression"))
+            for key in ("alpha", "beta", "exponent")
+        )
         fn = embeddings.iterated_log_profile(a, b, g)
         return fn, {"kind": "iterated_log", "alpha": a, "beta": b, "exponent": g}
     raise ToolkitError(f"unknown expression kind {kind!r}")
@@ -167,11 +177,7 @@ def _cmd_qa_bounds(args) -> int:
     phi = _shape_arg(args.phi, "phi")
     psi = _shape_arg(args.psi, "psi")
     f = _function_arg(args.input)
-    strategy = _STRATEGY_ALIASES[args.strategy]
-    if strategy == "auto":
-        bounds = qanorm.qa_bounds(f, phi, psi)
-    else:
-        bounds = qanorm.qa_upper(f, phi, psi, strategy=strategy)
+    bounds = qanorm.qa_upper(f, phi, psi, strategy=_STRATEGY_ALIASES[args.strategy])
     config = {
         "subcommand": "qa-bounds",
         "phi": shape_to_json(phi),

@@ -131,7 +131,10 @@ class SequenceSpec:
         if self.kind == "reciprocal":
             return -math.log(x)
         if self.kind == "gamma_exp":
-            return log_gamma_inv(self.phi, x - 1.0)
+            # s is 1 up to x = 1 + log gamma(1); x - 1 there can round a few
+            # ulp past log gamma(1), the least target the inverse accepts
+            g1 = log_gamma(self.phi, 0.0)
+            return log_gamma_inv(self.phi, g1 if x <= 1.0 + g1 else x - 1.0)
         return math.log(self.value(x))
 
     def inverse(self, t: float) -> float:
@@ -165,7 +168,7 @@ def reciprocal() -> SequenceSpec:
 
 
 def gamma_exp(phi: ShapeFunction) -> SequenceSpec:
-    start = max(1.0, 1.0 + math.log(phi.eval(1.0)))
+    start = max(1.0, 1.0 + log_gamma(phi, 0.0))
     return SequenceSpec("gamma_exp", phi=phi, domain_start=start)
 
 
@@ -226,6 +229,8 @@ def phi_s(
         raise DomainError("phi_s needs t in [0,1]")
     lt = math.log(t)
     n_start, rows = _term_table(phi, psi, seq, n_max)
+    if n_max < n_start:
+        raise DomainError(f"n_max {n_max} is below the sequence's first index {n_start}")
     best = math.inf
     best_n = n_start
     worse = 0

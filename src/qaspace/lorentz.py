@@ -39,7 +39,7 @@ def lorentz_norm(f: StepFunction, phi: ShapeFunction) -> LorentzNorm:
     if stepfn.linf_norm(g) == 0.0:
         return LorentzNorm(0.0, 0.0, 0.0)
     nf = stepfn.nested_form(g)
-    value = math.fsum(
+    value = nonneg_fsum(
         b * phi.eval(float(m)) for b, m in zip(nf.levels, nf.measures)
     )
     jump = stepfn.linf_norm(g) * phi.zero_limit()
@@ -54,6 +54,15 @@ def fundamental(phi: ShapeFunction, t) -> float:
     if tf == 0.0:
         return 0.0
     return phi.eval(tf)
+
+
+def nonneg_fsum(terms) -> float:
+    """fsum of non-negative terms: with none negative, fsum's OverflowError
+    means the sum itself is beyond the float range, so it is inf."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def weighted_sup_bound(linf: float, ratio: float, phi: ShapeFunction) -> float:

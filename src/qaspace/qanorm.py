@@ -18,8 +18,14 @@ Strategies: "singleton" covers |f| by itself; "layers" uses one piece per
 layer; "local_search" greedily merges adjacent groups while the total cost
 strictly decreases (first improving merge in a left-to-right scan, re-sorted
 after each merge); "exhaustive" tries all 2^(k-1) consecutive groupings of k
-layers and is capped at 10 layers.  Every strategy also considers the weaker
+layers and is capped at 10 layers; "auto" runs "exhaustive" up to the cap
+and "local_search" beyond it.  Every strategy also considers the weaker
 candidates, so upper bounds can only improve from singleton downward.
+
+One optimizer, _search, runs every strategy; it sees a grouping only through
+its price.  qa_upper prices groupings in floats (fsum of psi(n) * weight, inf
+past the float range), grouped_log_cost in logs (logsumexp of log psi(n) +
+log weight), for layers far beyond the float range.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from fractions import Fraction
 from . import stepfn
 from .errors import NegativePiece, TooManyLayers
 from .logs import LOG_ZERO, logdiffexp, logsumexp
-from .lorentz import lorentz_norm, weighted_sup_bound
+from .lorentz import lorentz_norm, nonneg_fsum, weighted_sup_bound
 from .shapes import ShapeFunction
 from .stepfn import StepFunction
 
@@ -45,7 +51,7 @@ __all__ = [
     "STRATEGIES",
 ]
 
-STRATEGIES = ("singleton", "layers", "local_search", "exhaustive")
+STRATEGIES = ("singleton", "layers", "local_search", "exhaustive", "auto")
 
 _EXHAUSTIVE_CAP = 10
 
@@ -58,7 +64,7 @@ class Decomposition:
     cost: float
 
     def recomputed_cost(self, phi: ShapeFunction, psi: ShapeFunction) -> float:
-        return math.fsum(
+        return nonneg_fsum(
             piece_cost(g, n + 1, phi, psi) for n, g in enumerate(self.pieces)
         )
 
@@ -132,10 +138,6 @@ class _LayerTable:
         self.rings = [rings[v] for v in self.vals]
         self._weights: dict = {}
 
-    @property
-    def layers(self) -> int:
-        return len(self.vals)
-
     def weight(self, i: int, j: int) -> float:
         key = (i, j)
         got = self._weights.get(key)
@@ -160,31 +162,6 @@ class _LayerTable:
         return StepFunction(self.f_abs.breakpoints, vals).canonical()
 
 
-def _group_total(weights, psi_at) -> float:
-    ws = sorted(weights, reverse=True)
-    return math.fsum(p * w for p, w in zip(psi_at, ws))
-
-
-def _local_search(table: _LayerTable, psi_at) -> list:
-    groups = [(k, k) for k in range(table.layers)]
-    total = _group_total([table.weight(i, j) for i, j in groups], psi_at)
-    improved = True
-    while improved and len(groups) > 1:
-        improved = False
-        for idx in range(len(groups) - 1):
-            cand = (
-                groups[:idx]
-                + [(groups[idx][0], groups[idx + 1][1])]
-                + groups[idx + 2 :]
-            )
-            t = _group_total([table.weight(i, j) for i, j in cand], psi_at)
-            if t < total:
-                groups, total = cand, t
-                improved = True
-                break
-    return groups
-
-
 def _compositions(n: int):
     """All partitions of layers 0..n-1 into consecutive groups."""
     for mask in range(1 << (n - 1)):
@@ -198,55 +175,80 @@ def _compositions(n: int):
         yield groups
 
 
+def _search(n: int, total, strategy: str) -> tuple:
+    """Best consecutive grouping of layers 0..n-1 under the pricing `total`.
+
+    total(groups) prices a grouping, a list of inclusive (i, j) layer ranges;
+    it is all that the float and the log-domain searches differ in.  The
+    candidates come in a fixed order (one piece, the layer split, then the
+    strategy's own) and the first strict minimum wins.  Returns
+    (best total, best groups).
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+    if strategy == "auto":
+        strategy = "exhaustive" if n <= _EXHAUSTIVE_CAP else "local_search"
+    if n == 0:
+        return total([]), []
+    layers = [(k, k) for k in range(n)]
+    candidates = [[(0, n - 1)], layers]
+    if strategy == "exhaustive":
+        if n > _EXHAUSTIVE_CAP:
+            raise TooManyLayers(
+                f"{n} layers exceed the exhaustive cap {_EXHAUSTIVE_CAP}; use local_search"
+            )
+        candidates.extend(_compositions(n))
+    elif strategy == "local_search":
+        groups, cost = layers, total(layers)
+        improved = True
+        while improved and len(groups) > 1:
+            improved = False
+            for idx in range(len(groups) - 1):
+                cand = (
+                    groups[:idx]
+                    + [(groups[idx][0], groups[idx + 1][1])]
+                    + groups[idx + 2 :]
+                )
+                t = total(cand)
+                if t < cost:
+                    groups, cost = cand, t
+                    improved = True
+                    break
+        candidates.append(groups)
+
+    best = None
+    for groups in candidates:
+        t = total(groups)
+        if best is None or t < best[0]:
+            best = (t, groups)
+    return best
+
+
 def qa_upper(
     f: StepFunction,
     phi: ShapeFunction,
     psi: ShapeFunction,
     strategy: str = "layers",
-    max_layers: int = _EXHAUSTIVE_CAP,
 ) -> NormBounds:
     """Upper bound from the requested search strategy, with the lower bound attached."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     lower, source = _lower_detail(f, phi, psi)
     table = _LayerTable(stepfn.abs_(f), phi)
-    n = table.layers
-    if n == 0:
-        return NormBounds(lower, 0.0, source, Decomposition((), 0.0))
-
+    n = len(table.vals)
     psi_at = [psi.eval(float(r + 1)) for r in range(n)]
-    candidates = [[(0, n - 1)], [(k, k) for k in range(n)]]
-    if strategy == "local_search":
-        candidates.append(_local_search(table, psi_at))
-    elif strategy == "exhaustive":
-        cap = min(max_layers, _EXHAUSTIVE_CAP)
-        if n > cap:
-            raise TooManyLayers(
-                f"{n} layers exceed the exhaustive cap {cap}; use local_search"
-            )
-        candidates.extend(_compositions(n))
 
-    best_total = math.inf
-    best_groups = None
-    for groups in candidates:
-        total = _group_total([table.weight(i, j) for i, j in groups], psi_at)
-        if total < best_total:
-            best_total, best_groups = total, groups
+    def total(groups) -> float:
+        ws = sorted([table.weight(i, j) for i, j in groups], reverse=True)
+        return nonneg_fsum([p * w for p, w in zip(psi_at, ws)])
 
-    ordered = sorted(
-        best_groups, key=lambda ij: (-table.weight(*ij), ij[0])
-    )
+    best_total, best_groups = _search(n, total, strategy)
+    ordered = sorted(best_groups, key=lambda ij: (-table.weight(*ij), ij[0]))
     pieces = tuple(table.materialize(i, j) for i, j in ordered)
-    witness = Decomposition(pieces, best_total)
-    return NormBounds(lower, best_total, source, witness)
+    return NormBounds(lower, best_total, source, Decomposition(pieces, best_total))
 
 
 def qa_bounds(f: StepFunction, phi: ShapeFunction, psi: ShapeFunction) -> NormBounds:
-    """Best available bounds: exhaustive when the layer count permits."""
-    f_abs = stepfn.abs_(f)
-    distinct = len({v for v in f_abs.values if v > 0.0})
-    strategy = "exhaustive" if distinct <= _EXHAUSTIVE_CAP else "local_search"
-    return qa_upper(f, phi, psi, strategy=strategy)
+    """Best available bounds: qa_upper with the "auto" strategy."""
+    return qa_upper(f, phi, psi, strategy="auto")
 
 
 def log_layer_weight(log_vals, log_rings, log_masses, i: int, j: int, phi: ShapeFunction) -> float:
@@ -287,8 +289,8 @@ def grouped_log_cost(
 
     log_vals: descending logs of the distinct values; log_rings: logs of the
     ring measures; log_masses: logs of their products, carried separately
-    (see log_layer_weight).  Returns the log of the best total cost.  One
-    optimizer, two number representations.
+    (see log_layer_weight).  Returns the log of the best total cost; the
+    search itself is _search, shared with qa_upper.
     """
     n = len(log_vals)
     weights: dict = {}
@@ -304,33 +306,7 @@ def grouped_log_cost(
     log_psi_at = [math.log(psi.eval(float(r + 1))) for r in range(n)]
 
     def total(groups) -> float:
-        ws = sorted((weight(i, j) for i, j in groups), reverse=True)
+        ws = sorted([weight(i, j) for i, j in groups], reverse=True)
         return logsumexp([p + w for p, w in zip(log_psi_at, ws)])
 
-    candidates = [[(0, n - 1)], [(k, k) for k in range(n)]]
-    if strategy == "auto":
-        strategy = "exhaustive" if n <= _EXHAUSTIVE_CAP else "local_search"
-    if strategy == "exhaustive":
-        if n > _EXHAUSTIVE_CAP:
-            raise TooManyLayers(f"{n} layers exceed the exhaustive cap")
-        candidates.extend(_compositions(n))
-    elif strategy == "local_search":
-        groups = [(k, k) for k in range(n)]
-        best = total(groups)
-        improved = True
-        while improved and len(groups) > 1:
-            improved = False
-            for idx in range(len(groups) - 1):
-                cand = (
-                    groups[:idx]
-                    + [(groups[idx][0], groups[idx + 1][1])]
-                    + groups[idx + 2 :]
-                )
-                t = total(cand)
-                if t < best:
-                    groups, best = cand, t
-                    improved = True
-                    break
-        candidates.append(groups)
-
-    return min(total(groups) for groups in candidates)
+    return _search(n, total, strategy)[0]

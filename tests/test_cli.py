@@ -25,6 +25,18 @@ QA_PHI = '{"family": "qa_phi"}'
 QA_PSI = '{"family": "qa_psi"}'
 
 
+PHI, PSI = json.loads(QA_PHI), json.loads(QA_PSI)
+
+
+def equivalence_argv(expr_a):
+    """equivalence of expr_a against qa_phi over a short grid."""
+    return [
+        "equivalence", "--a", json.dumps(expr_a),
+        "--b", json.dumps({"kind": "shape", "spec": PHI}),
+        "--tmin", "1e-6", "--tmax", "0.5", "--points", "5",
+    ]
+
+
 def run_cli(*args, env_extra=None, check=True):
     env = dict(os.environ)
     if env_extra:
@@ -233,6 +245,30 @@ class TestErrors:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["check-seq", "--seq", '{"kind": "samples"}', "--phi", QA_PHI,
+              "--psi", QA_PSI], "'points'"),
+            (equivalence_argv({"kind": "shape"}), "'spec'"),
+            (equivalence_argv({"kind": "tau", "psi": PSI}), "'phi'"),
+            (equivalence_argv({"kind": "tau", "phi": PHI}), "'psi'"),
+            (equivalence_argv({"kind": "alpha_s", "phi": PHI, "psi": PSI}), "'seq'"),
+            (equivalence_argv({"kind": "iterated_log", "beta": 1, "exponent": 1}), "'alpha'"),
+            (equivalence_argv({"kind": "iterated_log", "alpha": 0.5, "exponent": 1}), "'beta'"),
+            (equivalence_argv({"kind": "iterated_log", "alpha": 0.5, "beta": 1}), "'exponent'"),
+            (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
+                               "seq": {"kind": "reciprocal"}, "n_max": -5}), "n_max -5"),
+        ],
+    )
+    def test_bad_specs_exit_2_with_one_json_line(self, capsys, argv, names):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert names in json.loads(lines[0])["error"]["message"]
+
     def test_main_in_process(self, capsys):
         code = main(["qa-bounds", "--phi", '{"family": "nope"}', "--psi", QA_PSI, "--input", F3])
         assert code == 2
@@ -254,3 +290,22 @@ class TestOutputRouting:
             env_extra={"QASPACE_OUT_DIR": str(tmp_path)},
         )
         assert (tmp_path / "routed.json").exists()
+
+
+class TestBeyondFloatRange:
+    HUGE = '{"breakpoints": [0, 0.5, 1], "values": [1.7e308, 1e308]}'
+    SQRT_LOG = '{"family": "alpha_beta", "alpha": 0.5, "beta": 1}'
+
+    def test_overflowing_candidate_loses_to_a_finite_one(self, capsys):
+        assert main(["qa-bounds", "--phi", QA_PHI, "--psi", QA_PSI, "--input", self.HUGE]) == 0
+        out = json.loads(capsys.readouterr().out)["result"]
+        assert out["upper"] == 1.6612069391259734e308
+        assert math.isfinite(out["lower"])
+
+    def test_overflowing_sums_print_as_infinity(self, capsys):
+        argv = ["--phi", self.SQRT_LOG, "--input", self.HUGE]
+        assert main(["qa-bounds", *argv, "--psi", QA_PSI]) == 0
+        text = capsys.readouterr().out
+        assert '"lower": Infinity' in text and '"upper": Infinity' in text
+        assert main(["lorentz-norm", *argv]) == 0
+        assert '"value": Infinity' in capsys.readouterr().out

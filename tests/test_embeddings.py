@@ -90,6 +90,19 @@ class TestSequences:
                 x - 1.0, rel=1e-11, abs=1e-11
             )
 
+    def test_gamma_exp_starts_at_one(self):
+        # x - 1 at the domain start can round past log gamma(1); s is 1 there
+        grid = [round(0.05 * k, 2) for k in range(21)]
+        for a in grid[1:]:
+            for b in grid:
+                s = gamma_exp(alpha_beta(a, b))
+                if (a, b) == (1.0, 0.0):
+                    # gamma == 1 is flat, so it has no inverse
+                    with pytest.raises(NotInvertible):
+                        s.log_value(s.domain_start)
+                else:
+                    assert s.log_value(s.domain_start) == 0.0, (a, b)
+
     def test_gamma_exp_inverse(self):
         phi = qa_phi()
         s = gamma_exp(phi)
@@ -153,6 +166,10 @@ class TestPhiS:
     def test_domain(self):
         with pytest.raises(DomainError):
             phi_s(qa_phi(), qa_psi(), reciprocal(), 1.5)
+
+    def test_n_max_below_the_first_index(self):
+        with pytest.raises(DomainError, match="n_max -5"):
+            phi_s(qa_phi(), qa_psi(), reciprocal(), 0.5, n_max=-5)
 
 
 class TestAlphaS:

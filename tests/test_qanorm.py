@@ -8,8 +8,10 @@ from qaspace import (
     NegativePiece,
     StepFunction,
     TooManyLayers,
+    WitnessSpec,
     add,
     alpha_beta,
+    build_witness,
     constant,
     constant_one,
     identity,
@@ -25,6 +27,7 @@ from qaspace import (
     qa_psi,
     qa_upper,
     rearrange,
+    witness_qa_upper,
 )
 from qaspace.qanorm import grouped_log_cost
 from conftest import brute_force_upper, layer_corpus, step_functions
@@ -106,6 +109,11 @@ class TestUpper:
         with pytest.raises(ValueError):
             qa_upper(three_layer(), qa_phi(), qa_psi(), strategy="annealing")
 
+    def test_unknown_strategy_in_the_log_domain(self):
+        w = build_witness(WitnessSpec(qa_phi(), qa_psi(), N=4, c=0.5, p=1.0))
+        with pytest.raises(ValueError):
+            witness_qa_upper(w, qa_phi(), qa_psi(), strategy="annealing")
+
     def test_exhaustive_layer_cap(self):
         vals = tuple(float(k) for k in range(1, 13))
         bps = tuple(F(k, 12) for k in range(13))
@@ -116,10 +124,12 @@ class TestUpper:
         assert qa_upper(f, qa_phi(), qa_psi(), strategy="local_search").upper > 0.0
 
     def test_auto_choice(self):
-        f = three_layer()
-        assert qa_bounds(f, qa_phi(), qa_psi()).upper == qa_upper(
-            f, qa_phi(), qa_psi(), strategy="exhaustive"
-        ).upper
+        vals = tuple(float(k) for k in range(1, 13))
+        wide = StepFunction(tuple(F(k, 12) for k in range(13)), vals)
+        for f, strategy in ((three_layer(), "exhaustive"), (wide, "local_search")):
+            auto = qa_upper(f, qa_phi(), qa_psi(), strategy="auto")
+            assert auto == qa_upper(f, qa_phi(), qa_psi(), strategy=strategy)
+            assert auto == qa_bounds(f, qa_phi(), qa_psi())
 
     def test_ratio_property(self):
         got = qa_bounds(three_layer(), qa_phi(), qa_psi())
@@ -209,3 +219,23 @@ class TestLogDomainMirror:
             got = math.exp(grouped_log_cost(lv, lr, lm, qa_phi(), qa_psi(), strategy))
             want = qa_upper(three_layer(), qa_phi(), qa_psi(), strategy=strategy).upper
             assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestBeyondFloatRange:
+    """Sums past the float range come out as inf, never as OverflowError."""
+
+    F_HUGE = StepFunction((F(0), F(1, 2), F(1)), (1.7e308, 1e308))
+
+    def test_overflowing_candidate_loses_to_a_finite_one(self):
+        # the layer split's total overflows; the one-piece cover does not
+        got = qa_bounds(self.F_HUGE, qa_phi(), qa_psi())
+        assert got.upper == 1.6612069391259734e308
+        assert len(got.upper_witness.pieces) == 1
+        assert got.lower == lorentz_norm(self.F_HUGE, qa_phi()).value < got.upper
+
+    def test_overflowing_norms_are_inf(self):
+        phi = alpha_beta(0.5, 1.0)
+        assert lorentz_norm(self.F_HUGE, phi).value == math.inf
+        got = qa_bounds(self.F_HUGE, phi, qa_psi())
+        assert got.lower == got.upper == math.inf
+        assert got.upper_witness.recomputed_cost(phi, qa_psi()) == math.inf
