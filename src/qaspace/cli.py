@@ -21,7 +21,7 @@ import random
 import sys
 
 from . import embeddings, lorentz, qanorm, shapes, stepfn, witness as witness_mod
-from .errors import SpecParseError, ToolkitError
+from .errors import DomainError, SpecParseError, ToolkitError
 from .shapes import log_gamma, parse_shape, shape_to_json
 from .stepfn import StepFunction
 
@@ -58,6 +58,13 @@ def _require(obj: dict, key: str, what: str):
     return obj[key]
 
 
+def _convert(convert, value, key: str, what: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecParseError(f"{what} has a malformed {key!r}: {exc}") from exc
+
+
 def _seq_arg(text: str, phi: shapes.ShapeFunction | None) -> embeddings.SequenceSpec:
     obj = _load_json_arg(text)
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -74,7 +81,8 @@ def _seq_arg(text: str, phi: shapes.ShapeFunction | None) -> embeddings.Sequence
             raise ToolkitError("gamma_exp sequence needs a phi (inline or via --phi)")
         return embeddings.gamma_exp(base)
     if kind == "samples":
-        return embeddings.sample_sequence(_require(obj, "points", "samples sequence"))
+        points = _require(obj, "points", "samples sequence")
+        return _convert(embeddings.sample_sequence, points, "points", "samples sequence")
     raise ToolkitError(f"unknown sequence kind {kind!r}")
 
 
@@ -106,13 +114,14 @@ def _expr_arg(text: str):
         seq = _seq_arg(json.dumps(_require(obj, "seq", what)), phi)
         echo["seq"] = _seq_echo(seq)
         if kind == "phi_s":
-            n_max = int(obj.get("n_max", 10_000))
+            n_max = _convert(int, obj.get("n_max", 10_000), "n_max", what)
             echo["n_max"] = n_max
             return (lambda t: embeddings.phi_s(phi, psi, seq, t, n_max=n_max).value), echo
         return (lambda t: embeddings.alpha_s(phi, psi, seq, t)), echo
     if kind == "iterated_log":
+        what = "iterated_log expression"
         a, b, g = (
-            float(_require(obj, key, "iterated_log expression"))
+            _convert(float, _require(obj, key, what), key, what)
             for key in ("alpha", "beta", "exponent")
         )
         fn = embeddings.iterated_log_profile(a, b, g)
@@ -228,6 +237,8 @@ def _cmd_check_seq(args) -> int:
     phi = _shape_arg(args.phi, "phi")
     psi = _shape_arg(args.psi, "psi")
     seq = _seq_arg(args.seq, phi)
+    if args.points < 3:
+        raise DomainError(f"check-seq needs at least 3 points, got {args.points}")
     xmin = max(args.xmin, seq.domain_start)
     xs = [
         xmin + (args.xmax - xmin) * i / (args.points - 1) for i in range(args.points)

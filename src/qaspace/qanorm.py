@@ -113,10 +113,10 @@ def _lower_detail(f: StepFunction, phi: ShapeFunction, psi: ShapeFunction) -> tu
 
 
 class _LayerTable:
-    """Distinct layer values of |f| with exact ring measures and cached group weights.
+    """Cached group weights and pieces over the layer cake of |f|.
 
-    vals: distinct positive values, descending.  cum[k]: exact measure of
-    {|f| >= vals[k]}.  weight(i, j) is the psi-free cost of collapsing layers
+    vals and rings are the heights and ring measures of stepfn.nested_form(|f|),
+    empty for f == 0.  weight(i, j) is the psi-free cost of collapsing layers
     i..j into one piece; its l1 uses the same floats as the materialized
     piece, so costs recompute bit for bit from the pieces.
     """
@@ -124,18 +124,8 @@ class _LayerTable:
     def __init__(self, f_abs: StepFunction, phi: ShapeFunction):
         self.f_abs = f_abs
         self.phi = phi
-        rings = {}
-        for v, m in zip(f_abs.values, f_abs.piece_measures()):
-            if v > 0.0:
-                rings[v] = rings.get(v, Fraction(0)) + m
-        self.vals = sorted(rings, reverse=True)
-        cum = []
-        acc = Fraction(0)
-        for v in self.vals:
-            acc += rings[v]
-            cum.append(acc)
-        self.cum = cum
-        self.rings = [rings[v] for v in self.vals]
+        cake = stepfn.nested_form(f_abs) if stepfn.linf_norm(f_abs) > 0.0 else None
+        self.vals, self.rings = (cake.heights, cake.rings) if cake else ((), ())
         self._weights: dict = {}
 
     def weight(self, i: int, j: int) -> float:

@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import NegativePiece, SpecParseError, ZeroFunction
 
@@ -125,59 +126,58 @@ class StepFunction:
 
 @dataclass(frozen=True)
 class NestedForm:
-    """Layer representation sum_k levels[k] * indicator([0, measures[k])).
+    """The layer cake of a non-negative step function: the one float layer
+    representation, read by lorentz_norm and by the bounds engine's search.
 
-    levels are positive floats, measures strictly increasing Fractions.
-    heights, when given, are the distinct positive values of f* from the top
-    down, and levels[k] is the rounded difference heights[k] - heights[k+1]
-    (taking 0 below the last height).
-
-    reconstruct() reads heights when they are given, so for a form built by
-    nested_form(f) it returns rearrange(f) bitwise.  A form built from levels
-    alone rebuilds height k as the correctly rounded layer sum
-    fsum(levels[k:]), which can sit an ulp away from the value the rounded
-    differences came from.
+    heights: the distinct positive values of f*, strictly decreasing.
+    measures: Fractions, measures[k] the exact measure of {f >= heights[k]}.
+    The layer-cake sum is sum_k levels[k] * indicator([0, measures[k])),
+    with levels[k] the rounded difference heights[k] - heights[k+1] (0 below
+    the last height) and rings[k] the exact measure of {f == heights[k]}.
+    reconstruct() rebuilds f* from the heights, so it returns rearrange(f)
+    bitwise for a form built by nested_form(f).
     """
 
-    levels: tuple
+    heights: tuple
     measures: tuple
-    heights: tuple | None = None
 
     def __post_init__(self):
-        levels = tuple(float(b) for b in self.levels)
+        heights = tuple(float(h) for h in self.heights)
         measures = tuple(m if isinstance(m, Fraction) else Fraction(m) for m in self.measures)
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "heights", heights)
         object.__setattr__(self, "measures", measures)
-        if len(levels) != len(measures) or not levels:
-            raise ValueError("levels and measures must be non-empty and equal length")
-        if self.heights is not None:
-            heights = tuple(float(v) for v in self.heights)
-            object.__setattr__(self, "heights", heights)
-            if len(heights) != len(levels):
-                raise ValueError("heights and levels must be equal length")
-        if any(b <= 0 for b in levels):
-            raise ValueError("levels must be positive")
-        for a, b in zip(measures, measures[1:]):
-            if not a < b:
-                raise ValueError("measures must be strictly increasing")
+        if len(heights) != len(measures) or not heights:
+            raise ValueError("heights and measures must be non-empty and equal length")
+        if not all(a > b for a, b in zip(heights, (*heights[1:], 0.0))):
+            raise ValueError("heights must be positive and strictly decreasing")
+        if not all(a < b for a, b in zip(measures, measures[1:])):
+            raise ValueError("measures must be strictly increasing")
         if measures[-1] > 1:
             raise ValueError("measures cannot exceed 1")
 
     @property
     def layers(self) -> int:
-        return len(self.levels)
+        return len(self.heights)
+
+    @property
+    def levels(self) -> tuple:
+        """Rounded layer thicknesses heights[k] - heights[k+1]."""
+        return tuple(a - b for a, b in zip(self.heights, (*self.heights[1:], 0.0)))
+
+    @property
+    def rings(self) -> tuple:
+        """Exact level-set measures measures[k] - measures[k-1]."""
+        return tuple(b - a for a, b in zip((_ZERO, *self.measures), self.measures))
 
     def reconstruct(self) -> StepFunction:
-        """Rebuild the decreasing step function, from heights when given."""
-        if self.heights is not None:
-            vals = list(self.heights)
-        else:
-            vals = [math.fsum(self.levels[k:]) for k in range(len(self.levels))]
+        """Rebuild the decreasing step function; the heights are distinct and
+        positive, so it is canonical as built."""
         bps = [_ZERO, *self.measures]
+        vals = list(self.heights)
         if self.measures[-1] != _ONE:
             bps.append(_ONE)
             vals.append(0.0)
-        return StepFunction(tuple(bps), tuple(vals)).canonical()
+        return StepFunction(tuple(bps), tuple(vals))
 
 
 def indicator(a, b, height: float = 1.0) -> StepFunction:
@@ -232,25 +232,18 @@ def rearrange(f: StepFunction) -> StepFunction:
 
 
 def nested_form(f: StepFunction) -> NestedForm:
-    """Layer-cake form of a non-negative f: levels between consecutive
-    distinct values, measures of the superlevel sets."""
+    """Layer cake of a non-negative f, read off its value distribution: the
+    distinct positive values as heights, the superlevel-set measures exact."""
     if any(v < 0 for v in f.values):
         raise NegativePiece("nested form needs f >= 0")
-    star = rearrange(f)
-    vals = [v for v in star.values if v > 0]
-    if not vals:
-        raise ZeroFunction("nested form is undefined for f == 0")
-    cum = []
-    acc = _ZERO
-    for v, m in zip(star.values, star.piece_measures()):
+    dist = {}
+    for v, m in zip(f.values, f.piece_measures()):
         if v > 0:
-            acc += m
-            cum.append(acc)
-    levels = []
-    for k, v in enumerate(vals):
-        nxt = vals[k + 1] if k + 1 < len(vals) else 0.0
-        levels.append(v - nxt)
-    return NestedForm(tuple(levels), tuple(cum), tuple(vals))
+            dist[v] = dist.get(v, _ZERO) + m
+    if not dist:
+        raise ZeroFunction("nested form is undefined for f == 0")
+    heights = sorted(dist, reverse=True)
+    return NestedForm(tuple(heights), tuple(accumulate(dist[v] for v in heights)))
 
 
 def l1_norm_exact(f: StepFunction) -> Fraction:

@@ -2,13 +2,14 @@
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from qaspace import StepFunction, abs_
 from qaspace.lorentz import weighted_sup_bound
+
+from corpora import layer_corpus, random_functions  # noqa: F401
 
 # breakpoints live on this grid so exact arithmetic stays cheap
 _DEN = 64
@@ -34,41 +35,6 @@ def step_functions(draw, max_pieces=8, signed=False, vmax=8.0):
         )
         vals = [-v if f else v for v, f in zip(vals, flips)]
     return StepFunction(tuple(bps), tuple(vals))
-
-
-def random_functions(seed, count, signed=False, rng_kwargs=None):
-    """Seeded stream of step functions for the fixed-count sweeps."""
-    from qaspace import random_step_function
-
-    rng = random.Random(seed)
-    kwargs = dict(rng_kwargs or {})
-    out = []
-    while len(out) < count:
-        f = random_step_function(rng, signed=signed, **kwargs)
-        if any(v != 0.0 for v in f.values):
-            out.append(f)
-    return out
-
-
-def layer_corpus(count=50, seed=2024):
-    """Functions with 3 to 6 distinct positive values, some with a zero piece."""
-    rng = random.Random(seed)
-    corpus = []
-    while len(corpus) < count:
-        k = rng.randint(3, 6)
-        pool = set()
-        while len(pool) < k:
-            pool.add(rng.randint(20, 950) / 100.0)
-        pool = sorted(pool)
-        extra = rng.randint(0, 4)
-        vals = list(pool) + [rng.choice(pool) for _ in range(extra)]
-        if rng.random() < 0.3:
-            vals.append(0.0)
-        rng.shuffle(vals)
-        cuts = sorted(rng.sample(range(1, 120), len(vals) - 1))
-        bps = [Fraction(0), *(Fraction(c, 120) for c in cuts), Fraction(1)]
-        corpus.append(StepFunction(tuple(bps), tuple(vals)))
-    return corpus
 
 
 def brute_force_upper(f, phi, psi):

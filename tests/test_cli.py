@@ -259,6 +259,14 @@ class TestErrors:
             (equivalence_argv({"kind": "iterated_log", "alpha": 0.5, "beta": 1}), "'exponent'"),
             (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
                                "seq": {"kind": "reciprocal"}, "n_max": -5}), "n_max -5"),
+            (["check-seq", "--seq", '{"kind": "samples", "points": 5}', "--phi", QA_PHI,
+              "--psi", QA_PSI], "'points'"),
+            (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
+                               "seq": {"kind": "reciprocal"}, "n_max": None}), "'n_max'"),
+            (equivalence_argv({"kind": "iterated_log", "alpha": None, "beta": 1,
+                               "exponent": 1}), "'alpha'"),
+            (["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI,
+              "--psi", QA_PSI, "--points", "1"], "at least 3 points"),
         ],
     )
     def test_bad_specs_exit_2_with_one_json_line(self, capsys, argv, names):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qaspace import (
     NegativePiece,
+    NestedForm,
     SpecParseError,
     StepFunction,
     ZeroFunction,
@@ -149,9 +150,14 @@ class TestRearrange:
 class TestNestedForm:
     def test_hand_case(self):
         nf = nested_form(three_layer())
+        assert nf.heights == (3.0, 2.0, 1.0)
         assert nf.levels == (1.0, 1.0, 1.0)
         assert nf.measures == (F(1, 4), F(3, 4), F1)
         assert nf.layers == 3
+        nf = NestedForm((3.0, 1.0), (F(1, 4), F1))
+        assert nf.levels == (2.0, 1.0)
+        assert nf.rings == (F(1, 4), F(3, 4))
+        assert nf.reconstruct().values == (3.0, 1.0)
 
     def test_reconstruct_matches_rearrangement(self):
         # Both seeded corpora hold functions whose rounded level differences
@@ -181,12 +187,14 @@ class TestNestedForm:
             nested_form(constant(0.0))
 
     def test_validation(self):
-        from qaspace import NestedForm
-
         with pytest.raises(ValueError):
             NestedForm((1.0, -1.0), (F(1, 4), F(1, 2)))
         with pytest.raises(ValueError):
             NestedForm((1.0,), (F(3, 2),))
+        with pytest.raises(ValueError):
+            NestedForm((1.0, 2.0), (F(1, 4), F(1, 2)))
+        with pytest.raises(ValueError):
+            NestedForm((2.0, 2.0), (F(1, 4), F(1, 2)))
 
 
 def nf_roundtrip(f):
