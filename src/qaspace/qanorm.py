@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import stepfn
 from .errors import NegativePiece, TooManyLayers
@@ -115,32 +116,48 @@ def _lower_detail(f: StepFunction, phi: ShapeFunction, psi: ShapeFunction) -> tu
 class _LayerTable:
     """Cached group weights and pieces over the layer cake of |f|.
 
-    vals and rings are the heights and ring measures of stepfn.nested_form(|f|),
-    empty for f == 0.  weight(i, j) is the psi-free cost of collapsing layers
-    i..j into one piece; its l1 uses the same floats as the materialized
-    piece, so costs recompute bit for bit from the pieces.
+    vals are the heights of stepfn.nested_form(|f|), empty for f == 0.
+    weight(i, j) is the psi-free cost of collapsing layers i..j into one
+    piece.  Its l1 is summed in exact integers: the ring measures over their
+    least common denominator den, and each rounded float difference
+    fl(v - floor) as an integer multiple of 2^-shift, shift being the
+    largest power-of-two exponent of the heights' denominators (the
+    difference of two such floats rounds to a multiple of it).  l1/linf is
+    then one correctly rounded integer division, the same float as
+    float(Fraction(l1) / Fraction(linf)).  The l1 uses the same rounded
+    differences as the materialized piece, so costs recompute bit for bit
+    from the pieces.
     """
 
     def __init__(self, f_abs: StepFunction, phi: ShapeFunction):
         self.f_abs = f_abs
         self.phi = phi
         cake = stepfn.nested_form(f_abs) if stepfn.linf_norm(f_abs) > 0.0 else None
-        self.vals, self.rings = (cake.heights, cake.rings) if cake else ((), ())
+        self.vals, rings = (cake.heights, cake.rings) if cake else ((), ())
+        self._den = math.lcm(*(r.denominator for r in rings))
+        self._rings = [r.numerator * (self._den // r.denominator) for r in rings]
+        self._above = [0, *accumulate(self._rings)]  # _above[i]: rings 0..i-1
+        self._shift = max((h.as_integer_ratio()[1].bit_length() - 1 for h in self.vals), default=0)
         self._weights: dict = {}
+
+    def _scaled(self, d: float) -> int:
+        """d * 2^shift, exact."""
+        num, den = d.as_integer_ratio()
+        return num << (self._shift + 1 - den.bit_length())
 
     def weight(self, i: int, j: int) -> float:
         key = (i, j)
         got = self._weights.get(key)
         if got is not None:
             return got
-        floor = self.vals[j + 1] if j + 1 < len(self.vals) else 0.0
-        linf = self.vals[i] - floor
-        total = Fraction(0)
-        for l in range(j + 1):
-            ring_value = self.vals[max(l, i)] - floor
-            total += Fraction(ring_value) * self.rings[l]
-        ratio = float(total / Fraction(linf))
-        w = weighted_sup_bound(linf, ratio, self.phi)
+        vals, rings, scaled = self.vals, self._rings, self._scaled
+        floor = vals[j + 1] if j + 1 < len(vals) else 0.0
+        linf = vals[i] - floor
+        top = scaled(linf)
+        # l1 * den * 2^shift: the rings above i at the full height, then i..j
+        l1 = top * self._above[i]
+        l1 += sum(scaled(vals[l] - floor) * rings[l] for l in range(i, j + 1))
+        w = weighted_sup_bound(linf, l1 / (top * self._den), self.phi)
         self._weights[key] = w
         return w
 
@@ -148,8 +165,8 @@ class _LayerTable:
         """The group piece on f's own grid: clamp(|f| - floor, 0, height)."""
         floor = self.vals[j + 1] if j + 1 < len(self.vals) else 0.0
         height = self.vals[i] - floor
-        vals = tuple(min(max(v - floor, 0.0), height) for v in self.f_abs.values)
-        return StepFunction(self.f_abs.breakpoints, vals).canonical()
+        vals = [min(max(v - floor, 0.0), height) for v in self.f_abs.values]
+        return stepfn._canonical(self.f_abs.breakpoints, vals)
 
 
 def _compositions(n: int):

@@ -76,15 +76,7 @@ class StepFunction:
 
     def canonical(self) -> "StepFunction":
         """Merge adjacent pieces that carry the same value."""
-        bps = [self.breakpoints[0]]
-        vals = []
-        for i, v in enumerate(self.values):
-            if vals and v == vals[-1]:
-                bps[-1] = self.breakpoints[i + 1]
-                continue
-            vals.append(v)
-            bps.append(self.breakpoints[i + 1])
-        return StepFunction(tuple(bps), tuple(vals))
+        return _canonical(self.breakpoints, self.values)
 
     def eval_at(self, x) -> float:
         """Value at x in [0,1]; the right endpoint belongs to the last piece."""
@@ -122,6 +114,23 @@ class StepFunction:
             return cls(tuple(bps), tuple(vals))
         except ValueError as exc:
             raise SpecParseError(str(exc)) from exc
+
+
+def _canonical(breakpoints, values) -> StepFunction:
+    """StepFunction(breakpoints, values).canonical(), validated once.
+
+    Only for a grid that is increasing by construction and float values:
+    the unmerged function is never built, so nothing checks it.
+    """
+    bps = [breakpoints[0]]
+    vals = []
+    for b, v in zip(breakpoints[1:], values):
+        if vals and v == vals[-1]:
+            bps[-1] = b
+            continue
+        vals.append(v)
+        bps.append(b)
+    return StepFunction(tuple(bps), tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,7 @@ def indicator(a, b, height: float = 1.0) -> StepFunction:
     if bf < 1:
         bps.append(_ONE)
         vals.append(0.0)
-    return StepFunction(tuple(bps), tuple(vals)).canonical()
+    return _canonical(bps, vals)
 
 
 def constant(c: float) -> StepFunction:
@@ -228,7 +237,7 @@ def rearrange(f: StepFunction) -> StepFunction:
         acc += m
         bps.append(acc)
         vals.append(v)
-    return StepFunction(tuple(bps), tuple(vals)).canonical()
+    return _canonical(bps, vals)
 
 
 def nested_form(f: StepFunction) -> NestedForm:
@@ -280,15 +289,15 @@ def add(f: StepFunction, g: StepFunction) -> StepFunction:
         while g.breakpoints[gi + 1] <= left:
             gi += 1
         vals.append(f.values[fi] + g.values[gi])
-    return StepFunction(tuple(grid), tuple(vals)).canonical()
+    return _canonical(grid, vals)
 
 
 def scale(f: StepFunction, a: float) -> StepFunction:
-    return StepFunction(f.breakpoints, tuple(float(a) * v for v in f.values)).canonical()
+    return _canonical(f.breakpoints, [float(a) * v for v in f.values])
 
 
 def abs_(f: StepFunction) -> StepFunction:
-    return StepFunction(f.breakpoints, tuple(abs(v) for v in f.values)).canonical()
+    return _canonical(f.breakpoints, [abs(v) for v in f.values])
 
 
 def random_step_function(
@@ -312,4 +321,4 @@ def random_step_function(
         if signed and rng.random() < 0.5:
             v = -v
         vals.append(v)
-    return StepFunction(tuple(bps), tuple(vals)).canonical()
+    return _canonical(bps, vals)

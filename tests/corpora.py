@@ -1,4 +1,4 @@
-"""The two seeded step-function corpora that the sweeps share.
+"""The seeded step-function corpora that the sweeps share.
 
 Standard library and qaspace only, so tools outside the test suite (such as
 tools/answers_digest.py) can draw the same inputs.
@@ -39,5 +39,31 @@ def layer_corpus(count=50, seed=2024):
         rng.shuffle(vals)
         cuts = sorted(rng.sample(range(1, 120), len(vals) - 1))
         bps = [Fraction(0), *(Fraction(c, 120) for c in cuts), Fraction(1)]
+        corpus.append(StepFunction(tuple(bps), tuple(vals)))
+    return corpus
+
+
+def deep_corpus(count=20, seed=5):
+    """Functions with 50 to 200 distinct magnitudes, for the long searches.
+
+    Even entries spread their magnitudes over one decade, odd ones over
+    10^-15 to 10^15; every function repeats half as many magnitudes again,
+    has a zero piece, and random signs.  Breakpoints lie on the 2^-20 grid.
+    """
+    rng = random.Random(seed)
+    den = 1 << 20
+    corpus = []
+    for idx in range(count):
+        k = rng.randint(50, 200)
+        lo, hi = (0.0, 1.0) if idx % 2 == 0 else (-15.0, 15.0)
+        pool = set()
+        while len(pool) < k:
+            pool.add(10.0 ** rng.uniform(lo, hi))
+        pool = sorted(pool)
+        vals = [*pool, *(rng.choice(pool) for _ in range(k // 2)), 0.0]
+        vals = [-v if rng.random() < 0.5 else v for v in vals]
+        rng.shuffle(vals)
+        cuts = sorted(rng.sample(range(1, den), len(vals) - 1))
+        bps = [Fraction(0), *(Fraction(c, den) for c in cuts), Fraction(1)]
         corpus.append(StepFunction(tuple(bps), tuple(vals)))
     return corpus

@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 from fractions import Fraction as F
 
 import pytest
@@ -26,11 +28,14 @@ from qaspace import (
     qa_phi,
     qa_psi,
     qa_upper,
+    random_step_function,
     rearrange,
     witness_qa_upper,
 )
-from qaspace.qanorm import grouped_log_cost
-from conftest import brute_force_upper, layer_corpus, step_functions
+from qaspace.lorentz import weighted_sup_bound
+from qaspace.qanorm import _LayerTable, grouped_log_cost
+from qaspace.stepfn import abs_, nested_form
+from conftest import brute_force_upper, layer_corpus, random_functions, step_functions
 
 
 def three_layer():
@@ -149,6 +154,59 @@ class TestAgainstBruteForce:
             ex = qa_upper(f, phi, psi, strategy="exhaustive").upper
             ls = qa_upper(f, phi, psi, strategy="local_search").upper
             assert ls >= ex
+
+
+def fraction_weight(table, rings, i, j):
+    """Reference group weight: the l1 summed as Fractions, term by term."""
+    vals = table.vals
+    floor = vals[j + 1] if j + 1 < len(vals) else 0.0
+    linf = vals[i] - floor
+    total = F(0)
+    for l in range(j + 1):
+        ring_value = vals[max(l, i)] - floor
+        total += F(ring_value) * rings[l]
+    ratio = float(total / F(linf))
+    return weighted_sup_bound(linf, ratio, table.phi)
+
+
+EXTREME_VALUES = (5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 1.7e308)
+
+
+def edge_corpus(seed, value_pool=None):
+    """Signed functions on non-dyadic grids: denominators 3, 7 and 999983, each x 64."""
+    rng = random.Random(seed)
+    return [
+        random_step_function(rng, denominator=den, value_pool=value_pool, signed=True)
+        for den in (3 * 64, 7 * 64, 999983 * 64)
+        for _ in range(40)
+    ]
+
+
+class TestLayerWeights:
+    """The integer group weights equal the Fraction reference bitwise."""
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            lambda: [*random_functions(11, 300), *layer_corpus(100, seed=7)],
+            lambda: edge_corpus(31),
+            lambda: edge_corpus(32, value_pool=EXTREME_VALUES),
+        ],
+        ids=["random+layers", "non-dyadic-grids", "extreme-values"],
+    )
+    def test_matches_fraction_reference(self, corpus):
+        pairs = 0
+        for phi in (qa_phi(), alpha_beta(0.5, 0.7)):
+            for f in corpus():
+                table = _LayerTable(abs_(f), phi)
+                n = len(table.vals)
+                rings = nested_form(table.f_abs).rings if n else ()
+                for i in range(n):
+                    for j in range(i, n):
+                        got, want = table.weight(i, j), fraction_weight(table, rings, i, j)
+                        assert struct.pack("<d", got) == struct.pack("<d", want), (f, i, j)
+                        pairs += 1
+        assert pairs > 1000, pairs
 
 
 class TestStructuralInequalities:

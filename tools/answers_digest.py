@@ -4,8 +4,9 @@
 
 The answers are computed by the qaspace package of the checkout this script
 sits in, on fixed seeded inputs: the corpora random_functions(11, 500) and
-layer_corpus(200, seed=7) from tests/corpora.py, a grid of witness specs, and
-a fixed list of CLI argvs (exit code, stdout and stderr).  Every float is hashed through repr, every
+layer_corpus(200, seed=7) from tests/corpora.py, the 50-200 layer functions of
+deep_corpus(20) for the long searches, a grid of witness specs, and a fixed
+list of CLI argvs (exit code, stdout and stderr).  Every float is hashed through repr, every
 Fraction exactly, so a digest stays the same only if every answer in its
 group is bitwise the same.  Run it in two checkouts and diff the output.
 Standard library only; takes no options.
@@ -23,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from corpora import layer_corpus, random_functions  # noqa: E402
+from corpora import deep_corpus, layer_corpus, random_functions  # noqa: E402
 from qaspace import lorentz_norm, nested_form, qa_bounds, qa_upper  # noqa: E402
 from qaspace.cli import main as cli_main  # noqa: E402
 from qaspace.errors import ToolkitError  # noqa: E402
@@ -32,6 +33,7 @@ from qaspace.witness import WitnessSpec, build_witness, witness_qa_upper  # noqa
 
 SHAPE_PAIRS = [(qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4))]
 UPPER_STRATEGIES = ("singleton", "layers", "local_search", "exhaustive", "auto")
+DEEP_STRATEGIES = ("layers", "local_search", "auto")
 WITNESS_PHIS = (qa_phi(), alpha_beta(0.5, 0.7), alpha_beta(0.8, 0.3))
 WITNESS_PSIS = (qa_psi(), psi_gamma(0.4))
 
@@ -106,6 +108,12 @@ def groups():
         _answer(lambda: _bounds(qa_bounds(f, phi, psi)))
         for phi, psi in SHAPE_PAIRS
         for f in corpus
+    ]
+    phi, psi = SHAPE_PAIRS[0]
+    yield "qa_upper.deep", [
+        _bounds(qa_upper(f, phi, psi, strategy=strategy))
+        for f in deep_corpus(20)
+        for strategy in DEEP_STRATEGIES
     ]
     yield "witness_qa_upper", [
         _answer(lambda: _witness_upper(phi, psi, n, c, strategy))
