@@ -14,13 +14,18 @@ on the value distribution.  Searching consecutive groupings does not certify
 the true infimum; the results are upper bounds, paired with the rigorous
 lower bound max(psi(1) * lorentz, phi(1)psi(1) * l1).
 
-Strategies: "singleton" covers |f| by itself; "layers" uses one piece per
-layer; "local_search" greedily merges adjacent groups while the total cost
-strictly decreases (first improving merge in a left-to-right scan, re-sorted
-after each merge); "exhaustive" tries all 2^(k-1) consecutive groupings of k
-layers and is capped at 10 layers; "auto" runs "exhaustive" up to the cap
-and "local_search" beyond it.  Every strategy also considers the weaker
-candidates, so upper bounds can only improve from singleton downward.
+Strategies: "singleton" covers |f| by itself, one piece and nothing else;
+"layers" uses one piece per layer; "local_search" greedily merges adjacent
+groups while the total cost strictly decreases (first improving merge in a
+left-to-right scan, re-sorted after each merge); "exhaustive" tries all
+2^(k-1) consecutive groupings of k layers and is capped at 10 layers; "auto"
+runs "exhaustive" up to the cap and "local_search" beyond it.  Every strategy
+but "singleton" also considers the one piece and the layer split, so its
+upper bound is never above either.
+
+Group weights are exact: each group's l1 is summed in integers and divided
+by its height once (see _LayerTable), so the search is cheap per weight and
+every cost recomputes bit for bit from the materialized pieces.
 
 One optimizer, _search, runs every strategy; it sees a grouping only through
 its price.  qa_upper prices groupings in floats (fsum of psi(n) * weight, inf
@@ -186,7 +191,8 @@ def _search(n: int, total, strategy: str) -> tuple:
     """Best consecutive grouping of layers 0..n-1 under the pricing `total`.
 
     total(groups) prices a grouping, a list of inclusive (i, j) layer ranges;
-    it is all that the float and the log-domain searches differ in.  The
+    it is all that the float and the log-domain searches differ in.
+    "singleton" prices the one piece alone.  For every other strategy the
     candidates come in a fixed order (one piece, the layer split, then the
     strategy's own) and the first strict minimum wins.  Returns
     (best total, best groups).
@@ -197,8 +203,11 @@ def _search(n: int, total, strategy: str) -> tuple:
         strategy = "exhaustive" if n <= _EXHAUSTIVE_CAP else "local_search"
     if n == 0:
         return total([]), []
+    one = [(0, n - 1)]
+    if strategy == "singleton":
+        return total(one), one
     layers = [(k, k) for k in range(n)]
-    candidates = [[(0, n - 1)], layers]
+    candidates = [one, layers]
     if strategy == "exhaustive":
         if n > _EXHAUSTIVE_CAP:
             raise TooManyLayers(

@@ -32,7 +32,7 @@ from qaspace import (
     rearrange,
     witness_qa_upper,
 )
-from qaspace.lorentz import weighted_sup_bound
+from qaspace.lorentz import fact_bound, weighted_sup_bound
 from qaspace.qanorm import _LayerTable, grouped_log_cost
 from qaspace.stepfn import abs_, nested_form
 from conftest import brute_force_upper, layer_corpus, random_functions, step_functions
@@ -135,6 +135,16 @@ class TestUpper:
             auto = qa_upper(f, qa_phi(), qa_psi(), strategy="auto")
             assert auto == qa_upper(f, qa_phi(), qa_psi(), strategy=strategy)
             assert auto == qa_bounds(f, qa_phi(), qa_psi())
+
+    def test_singleton_is_the_one_piece_cover(self):
+        corpus = [*random_functions(11, 100, signed=True), *layer_corpus(50, seed=7)]
+        for phi, psi in ((qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4))):
+            for f in corpus:
+                got = qa_upper(f, phi, psi, strategy="singleton")
+                want = psi.eval(1.0) * fact_bound(abs_(f), phi)
+                assert struct.pack("<d", got.upper) == struct.pack("<d", want)
+                assert got.upper_witness.pieces == (abs_(f),)
+                assert got.upper >= qa_upper(f, phi, psi, strategy="layers").upper
 
     def test_ratio_property(self):
         got = qa_bounds(three_layer(), qa_phi(), qa_psi())
