@@ -65,6 +65,14 @@ def _convert(convert, value, key: str, what: str):
         raise SpecParseError(f"{what} has a malformed {key!r}: {exc}") from exc
 
 
+def _whole(value) -> int:
+    """int(value), refusing a float with a fractional part instead of truncating it."""
+    n = int(value)
+    if isinstance(value, float) and n != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return n
+
+
 def _seq_arg(text: str, phi: shapes.ShapeFunction | None) -> embeddings.SequenceSpec:
     obj = _load_json_arg(text)
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -114,7 +122,7 @@ def _expr_arg(text: str):
         seq = _seq_arg(json.dumps(_require(obj, "seq", what)), phi)
         echo["seq"] = _seq_echo(seq)
         if kind == "phi_s":
-            n_max = _convert(int, obj.get("n_max", 10_000), "n_max", what)
+            n_max = _convert(_whole, obj.get("n_max", 10_000), "n_max", what)
             echo["n_max"] = n_max
             return (lambda t: embeddings.phi_s(phi, psi, seq, t, n_max=n_max).value), echo
         return (lambda t: embeddings.alpha_s(phi, psi, seq, t)), echo

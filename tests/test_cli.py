@@ -263,6 +263,9 @@ class TestErrors:
               "--psi", QA_PSI], "'points'"),
             (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
                                "seq": {"kind": "reciprocal"}, "n_max": None}), "'n_max'"),
+            (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
+                               "seq": {"kind": "reciprocal"}, "n_max": 2.9}),
+             "'n_max': 2.9 is not a whole number"),
             (equivalence_argv({"kind": "iterated_log", "alpha": None, "beta": 1,
                                "exponent": 1}), "'alpha'"),
             (["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI,
