@@ -23,9 +23,8 @@ runs "exhaustive" up to the cap and "local_search" beyond it.  Every strategy
 but "singleton" also considers the one piece and the layer split, so its
 upper bound is never above either.
 
-Group weights are exact: each group's l1 is summed in integers and divided
-by its height once (see _LayerTable), so the search is cheap per weight and
-every cost recomputes bit for bit from the materialized pieces.
+Group weights are exact: _LayerTable sums each group's l1 in integers and
+divides by the group's height once.
 
 One optimizer, _search, runs every strategy; it sees a grouping only through
 its price.  qa_upper prices groupings in floats (fsum of psi(n) * weight, inf
@@ -119,7 +118,7 @@ def _lower_detail(f: StepFunction, phi: ShapeFunction, psi: ShapeFunction) -> tu
 
 
 class _LayerTable:
-    """Cached group weights and pieces over the layer cake of |f|.
+    """Group weights and pieces over the layer cake of |f|.
 
     vals are the heights of stepfn.nested_form(|f|), empty for f == 0.
     weight(i, j) is the psi-free cost of collapsing layers i..j into one
@@ -143,7 +142,6 @@ class _LayerTable:
         self._rings = [r.numerator * (self._den // r.denominator) for r in rings]
         self._above = [0, *accumulate(self._rings)]  # _above[i]: rings 0..i-1
         self._shift = max((h.as_integer_ratio()[1].bit_length() - 1 for h in self.vals), default=0)
-        self._weights: dict = {}
 
     def _scaled(self, d: float) -> int:
         """d * 2^shift, exact."""
@@ -151,10 +149,6 @@ class _LayerTable:
         return num << (self._shift + 1 - den.bit_length())
 
     def weight(self, i: int, j: int) -> float:
-        key = (i, j)
-        got = self._weights.get(key)
-        if got is not None:
-            return got
         vals, rings, scaled = self.vals, self._rings, self._scaled
         floor = vals[j + 1] if j + 1 < len(vals) else 0.0
         linf = vals[i] - floor
@@ -162,9 +156,7 @@ class _LayerTable:
         # l1 * den * 2^shift: the rings above i at the full height, then i..j
         l1 = top * self._above[i]
         l1 += sum(scaled(vals[l] - floor) * rings[l] for l in range(i, j + 1))
-        w = weighted_sup_bound(linf, l1 / (top * self._den), self.phi)
-        self._weights[key] = w
-        return w
+        return weighted_sup_bound(linf, l1 / (top * self._den), self.phi)
 
     def materialize(self, i: int, j: int) -> StepFunction:
         """The group piece on f's own grid: clamp(|f| - floor, 0, height)."""
@@ -172,6 +164,18 @@ class _LayerTable:
         height = self.vals[i] - floor
         vals = [min(max(v - floor, 0.0), height) for v in self.f_abs.values]
         return stepfn._canonical(self.f_abs.breakpoints, vals)
+
+
+class _Memo(dict):
+    """Weights by (i, j) group, each computed by weight(i, j) on first use."""
+
+    def __init__(self, weight):
+        super().__init__()
+        self.weight = weight
+
+    def __missing__(self, key):
+        value = self[key] = self.weight(*key)
+        return value
 
 
 def _compositions(n: int):
@@ -251,13 +255,14 @@ def qa_upper(
     table = _LayerTable(stepfn.abs_(f), phi)
     n = len(table.vals)
     psi_at = [psi.eval(float(r + 1)) for r in range(n)]
+    weights = _Memo(table.weight)
 
     def total(groups) -> float:
-        ws = sorted([table.weight(i, j) for i, j in groups], reverse=True)
+        ws = sorted([weights[g] for g in groups], reverse=True)
         return nonneg_fsum([p * w for p, w in zip(psi_at, ws)])
 
     best_total, best_groups = _search(n, total, strategy)
-    ordered = sorted(best_groups, key=lambda ij: (-table.weight(*ij), ij[0]))
+    ordered = sorted(best_groups, key=lambda ij: (-weights[ij], ij[0]))
     pieces = tuple(table.materialize(i, j) for i, j in ordered)
     return NormBounds(lower, best_total, source, Decomposition(pieces, best_total))
 
@@ -309,20 +314,11 @@ def grouped_log_cost(
     search itself is _search, shared with qa_upper.
     """
     n = len(log_vals)
-    weights: dict = {}
-
-    def weight(i: int, j: int) -> float:
-        key = (i, j)
-        got = weights.get(key)
-        if got is None:
-            got = log_layer_weight(log_vals, log_rings, log_masses, i, j, phi)
-            weights[key] = got
-        return got
-
+    weights = _Memo(lambda i, j: log_layer_weight(log_vals, log_rings, log_masses, i, j, phi))
     log_psi_at = [math.log(psi.eval(float(r + 1))) for r in range(n)]
 
     def total(groups) -> float:
-        ws = sorted([weight(i, j) for i, j in groups], reverse=True)
+        ws = sorted([weights[g] for g in groups], reverse=True)
         return logsumexp([p + w for p, w in zip(log_psi_at, ws)])
 
     return _search(n, total, strategy)[0]
