@@ -263,13 +263,13 @@ class TestErrors:
               "--psi", QA_PSI], "'points'"),
             (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
                                "seq": {"kind": "reciprocal"}, "n_max": None}), "'n_max'"),
-            (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
-                               "seq": {"kind": "reciprocal"}, "n_max": 2.9}),
-             "'n_max': 2.9 is not a whole number"),
             (equivalence_argv({"kind": "iterated_log", "alpha": None, "beta": 1,
                                "exponent": 1}), "'alpha'"),
             (["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI,
               "--psi", QA_PSI, "--points", "1"], "at least 3 points"),
+            (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
+                               "seq": {"kind": "reciprocal"}, "n_max": 2.9}),
+             "'n_max': 2.9 is not a whole number"),
         ],
     )
     def test_bad_specs_exit_2_with_one_json_line(self, capsys, argv, names):
