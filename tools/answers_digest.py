@@ -5,7 +5,9 @@
 The answers are computed by the qaspace package of the checkout this script
 sits in, on fixed seeded inputs: the corpora random_functions(11, 500) and
 layer_corpus(200, seed=7) from tests/corpora.py, the 50-200 layer functions of
-deep_corpus(20) for the long searches, a grid of witness specs, and a fixed
+deep_corpus(20) for the long searches, a grid of witness specs, every shape
+family in both domains on fixed argument grids (with the error of each
+malformed shape spec), the gamma_exp profiles of three phi shapes, and a fixed
 list of CLI argvs (exit code, stdout and stderr).  Every float is hashed through repr, every
 Fraction exactly, so a digest stays the same only if every answer in its
 group is bitwise the same.  Run it in two checkouts and diff the output.
@@ -18,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,10 +28,21 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from corpora import deep_corpus, layer_corpus, random_functions  # noqa: E402
-from qaspace import lorentz_norm, nested_form, qa_bounds, qa_upper  # noqa: E402
+from qaspace import embeddings, lorentz_norm, nested_form, qa_bounds, qa_upper  # noqa: E402
 from qaspace.cli import main as cli_main  # noqa: E402
 from qaspace.errors import ToolkitError  # noqa: E402
-from qaspace.shapes import alpha_beta, psi_gamma, qa_phi, qa_psi  # noqa: E402
+from qaspace.shapes import (  # noqa: E402
+    ShapeFunction,
+    alpha_beta,
+    constant_one,
+    identity,
+    log_gamma_inv,
+    parse_shape,
+    piecewise,
+    psi_gamma,
+    qa_phi,
+    qa_psi,
+)
 from qaspace.witness import WitnessSpec, build_witness, witness_qa_upper  # noqa: E402
 
 SHAPE_PAIRS = [(qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4))]
@@ -36,6 +50,62 @@ UPPER_STRATEGIES = ("singleton", "layers", "local_search", "exhaustive", "auto")
 DEEP_STRATEGIES = ("layers", "local_search", "auto")
 WITNESS_PHIS = (qa_phi(), alpha_beta(0.5, 0.7), alpha_beta(0.8, 0.3))
 WITNESS_PSIS = (qa_psi(), psi_gamma(0.4))
+
+# every family in both domains, with the parameters at and inside their edges
+SHAPES = [
+    *(ShapeFunction("alpha_beta", alpha=a, beta=b, domain_kind=kind)
+      for a, b in ((0.5, 0.7), (1.0, 1.0), (1.0, 0.6), (1.0, 0.0), (0.3, 0.0), (0.8, 0.3))
+      for kind in ("phi", "psi")),
+    *(ShapeFunction("psi_gamma", exponent=g, domain_kind=kind)
+      for g in (0.0, 0.4, 1.0) for kind in ("psi", "phi")),
+    *(ShapeFunction(family, domain_kind=kind)
+      for family in ("qa_phi", "qa_psi", "identity", "constant_one")
+      for kind in ("phi", "psi")),
+    piecewise([(0, 0), (0.25, 0.5), (0.5, 0.75), (1, 1)]),
+    piecewise([(0, 0), (0.5, 1.0), (1, 1.5)], kind="psi"),
+    piecewise([(0, 0), (1, 1), (4, 2), (10, 2.5)], kind="psi"),
+    piecewise([(0, 0)]),
+]
+EVAL_ARGS = (-0.0, 0.0, 5e-324, 1e-300, 1e-9, 0.1, 0.25, 1 / math.e, 0.5, 0.9, 1.0,
+             1.5, math.e, 10.0, 1e10, 1e300, -1e-9, -1.7e308, math.inf, math.nan)
+LOG_ARGS = (-0.0, 0.0, -1.7e308, -1e300, -1e15, -1e9, -745.0, -40.0, -3.0, -1.0, -0.5,
+            -1e-9, 1e-9, 0.5, 1.0, 2.0, 50.0, 1e300, -math.inf, math.inf, math.nan)
+INV_TARGETS = (-1.0, 0.0, 1e-9, 0.5, 1.0, 3.0, 40.0, 700.0, 1e5)
+INV_LOG_HI = {"phi": (0.0, -3.0), "psi": (0.0, -3.0, 2.0)}
+BAD_SPECS = [
+    "qa_phi",
+    {},
+    {"family": "nope"},
+    {"family": ["qa_phi"]},
+    {"family": "qa_phi", "alpha": 1.0},
+    {"family": "qa_psi", "gamma": 1.0},
+    {"family": "identity", "points": []},
+    {"family": "alpha_beta", "alpha": 0.5},
+    {"family": "alpha_beta", "alpha": "x", "beta": 0.5},
+    {"family": "alpha_beta", "alpha": 0.0, "beta": 0.5},
+    {"family": "alpha_beta", "alpha": 2.0, "beta": 0.5},
+    {"family": "alpha_beta", "alpha": 0.5, "beta": -0.1},
+    {"family": "alpha_beta", "alpha": 0.5, "beta": 0.5, "gamma": 1},
+    {"family": "psi_gamma"},
+    {"family": "psi_gamma", "gamma": 1.5},
+    {"family": "psi_gamma", "gamma": [1]},
+    {"family": "piecewise"},
+    {"family": "piecewise", "points": []},
+    {"family": "piecewise", "points": 5},
+    {"family": "piecewise", "points": [[0, 0, 1]]},
+    {"family": "piecewise", "points": [[0.1, 0], [1, 1]]},
+    {"family": "piecewise", "points": [[0, 0], [0.5, 1], [0.5, 1.2]]},
+    {"family": "piecewise", "points": [[0, 0], [0.5, -1]]},
+    {"family": "piecewise", "points": [[0, 0], [0.5, 1], [1, 0.5]]},
+    {"family": "piecewise", "points": [[0, 0], [0.5, 0.1], [1, 1]]},
+    {"family": "piecewise", "points": [[0, 0], [0.5, 1], [2, 1.5]]},
+    {"family": "qa_phi", "domain": "theta"},
+    {"family": "qa_phi", "domain": ["phi"]},
+    {"family": "alpha_beta", "alpha": "x", "beta": 0.5, "domain": "theta"},
+]
+PROFILE_PHIS = (qa_phi(), alpha_beta(0.5, 0.7), alpha_beta(1.0, 0.6))
+PROFILE_TS = (1e-300, 1e-100, 1e-20, 1e-6, 0.01, 0.2, 0.5, 1.0)
+PROFILE_N_MAX = 300
 
 QA_PHI = '{"family": "qa_phi"}'
 QA_PSI = '{"family": "qa_psi"}'
@@ -75,12 +145,17 @@ def _bounds(b) -> tuple:
     return b.lower, b.upper, b.lower_source, tuple(_fn(g) for g in b.upper_witness.pieces)
 
 
-def _answer(compute) -> tuple:
+def _answer(compute, errors=ToolkitError) -> tuple:
     """compute()'s answer, or the error it raised, as a record."""
     try:
         return ("ok", compute())
-    except ToolkitError as exc:
+    except errors as exc:
         return ("error", type(exc).__name__, str(exc))
+
+
+def _shape_answer(compute) -> tuple:
+    # a formula used outside its range can also fail in the math module
+    return _answer(compute, (ToolkitError, ArithmeticError, ValueError))
 
 
 def _cli(argv) -> tuple:
@@ -123,7 +198,44 @@ def groups():
         for c in (0.5, 0.7, 0.9)
         for strategy in UPPER_STRATEGIES
     ]
+    yield "shapes", [
+        *map(_shape, SHAPES),
+        *(_shape_answer(lambda: parse_shape(spec).to_json()) for spec in BAD_SPECS),
+    ]
+    yield "profiles", [_profile(phi, psi) for phi in PROFILE_PHIS for psi in WITNESS_PSIS]
     yield "cli", [_cli(argv) for argv in CLI_ARGVS]
+
+
+def _shape(shape) -> tuple:
+    return (
+        repr(shape),
+        shape.to_json(),
+        tuple(_shape_answer(lambda: shape.eval(t)) for t in EVAL_ARGS),
+        tuple(_shape_answer(lambda: shape.log_eval(x)) for x in LOG_ARGS),
+        tuple(_shape_answer(lambda: shape.log_gamma_eval(x)) for x in LOG_ARGS),
+        tuple(
+            _shape_answer(lambda: log_gamma_inv(shape, y, log_hi=hi))
+            for hi in INV_LOG_HI[shape.domain_kind]
+            for y in INV_TARGETS
+        ),
+    )
+
+
+def _profile(phi, psi) -> tuple:
+    """The gamma_exp profiles of (phi, psi), each phi_s from a cold table."""
+    seq = embeddings.gamma_exp(phi)
+    phi_s = []
+    for t in PROFILE_TS:
+        embeddings._term_table.cache_clear()
+        phi_s.append(_answer(lambda: embeddings.phi_s(phi, psi, seq, t, n_max=PROFILE_N_MAX)))
+    xs = [seq.domain_start + 40.0 * i / 19 for i in range(20)]
+    return (
+        seq.domain_start,
+        tuple(phi_s),
+        tuple(_answer(lambda: embeddings.tau(phi, psi, t)) for t in PROFILE_TS),
+        tuple(_answer(lambda: embeddings.alpha_s(phi, psi, seq, t)) for t in PROFILE_TS),
+        _answer(lambda: embeddings.check_seq_conditions(phi, psi, seq, xs)),
+    )
 
 
 def _lorentz(f, phi) -> tuple:
