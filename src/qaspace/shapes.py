@@ -20,14 +20,18 @@ Families (JSON `family` tag in parentheses):
 `log_eval` evaluates log(shape(e^x)) directly from x = log t, exact to
 relative 1e-12 down to x = -1e9 and far beyond for the analytic families;
 deep arguments like these arise from the extremal construction.
+
+Each family is one entry of `_TABLE` (default domain, parameters and their
+JSON keys, validation, formulas); adding a family means adding one entry.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
+from typing import Callable, NamedTuple
 
 from .errors import (
     DomainError,
@@ -60,12 +64,16 @@ __all__ = [
     "shape_to_json",
 ]
 
-_FAMILIES = ("alpha_beta", "psi_gamma", "qa_phi", "qa_psi", "identity", "constant_one", "piecewise")
-
 
 @dataclass(frozen=True)
 class ShapeFunction:
-    """One member of a shape family; immutable and hashable."""
+    """One member of a shape family; immutable and hashable.
+
+    eval(t), log_eval(log_t) = log(self(e^log_t)) and log_gamma_eval(log_t) =
+    log(self(t)/t) are bound to the member's constants when it is built.  The
+    latter is formed per family: log_eval(log_t) - log_t cancels to zero once
+    |log_t| dwarfs the ratio's log.
+    """
 
     family: str
     alpha: float | None = None
@@ -75,153 +83,174 @@ class ShapeFunction:
     domain_kind: str = "phi"
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _TABLE:
             raise IllegalSpec(f"unknown family {self.family!r}")
         if self.domain_kind not in ("phi", "psi"):
             raise IllegalSpec("domain_kind must be 'phi' or 'psi'")
-        if self.family == "alpha_beta":
-            a, b = self.alpha, self.beta
-            if a is None or b is None or not (0 < a <= 1) or not (0 <= b <= 1):
-                raise IllegalSpec("alpha_beta needs alpha in (0,1], beta in [0,1]")
-        elif self.family == "psi_gamma":
-            g = self.exponent
-            if g is None or not (0 <= g <= 1):
-                raise IllegalSpec("psi_gamma needs exponent in [0,1]")
-        elif self.family == "piecewise":
-            pts = self.points
-            if not pts:
-                raise IllegalSpec("piecewise needs sample points")
-            pts = tuple((float(t), float(y)) for t, y in pts)
-            object.__setattr__(self, "points", pts)
-            if pts[0] != (0.0, 0.0):
-                raise IllegalSpec("piecewise samples must start at (0, 0)")
-            ts = [t for t, _ in pts]
-            ys = [y for _, y in pts]
-            if any(not tb > ta for ta, tb in zip(ts, ts[1:])):
-                raise IllegalSpec("piecewise sample abscissae must strictly increase")
-            if any(y < 0 for y in ys):
-                raise IllegalSpec("piecewise samples must be non-negative")
-            if any(yb < ya for ya, yb in zip(ys, ys[1:])):
-                raise IllegalSpec("piecewise samples must be non-decreasing")
-            if not is_concave(pts):
-                raise IllegalSpec("piecewise samples must be concave")
-            if self.domain_kind == "phi" and ts[-1] > 1.0:
-                raise IllegalSpec("phi-kind piecewise samples must stay within [0,1]")
+        formulas = _TABLE[self.family].build(self, 0.0 if self.domain_kind == "phi" else math.inf)
+        for name, formula in zip(("eval", "log_eval", "log_gamma_eval"), formulas):
+            object.__setattr__(self, name, formula)
 
-    # threshold above which the alpha_beta formula is replaced by its max;
-    # with beta = 0 the formula is increasing everywhere and never flattens
-    def _flat_log_t(self) -> float:
-        if not self.beta:
-            return math.inf
-        return 1.0 - self.beta / self.alpha
+    def __call__(self, t: float) -> float:
+        return self.eval(t)
+
+    def __reduce__(self):
+        # the bound formulas are closures: pickle the fields and rebuild them
+        return ShapeFunction, tuple(getattr(self, f.name) for f in fields(self))
 
     def zero_limit(self) -> float:
         """Limit from the right at 0 (nonzero only for constant_one)."""
-        return 1.0 if self.family == "constant_one" else 0.0
+        return _TABLE[self.family].zero_limit
 
-    def _check_domain(self, t: float):
+    def to_json(self) -> dict:
+        return shape_to_json(self)
+
+
+def _on_domain(formula, log_hi: float):
+    """eval from the formula for t > 0: 0 at 0, DomainError off [0, e^log_hi]."""
+    t_hi = math.exp(log_hi)
+
+    def eval_(t):
+        t = float(t)
         if t < 0 or not math.isfinite(t):
             raise DomainError(f"argument {t!r} outside domain")
-        if self.domain_kind == "phi" and t > 1:
+        if t > t_hi:
             raise DomainError(f"phi-kind shapes live on [0,1], got {t!r}")
-
-    def eval(self, t: float) -> float:
-        t = float(t)
-        self._check_domain(t)
-        fam = self.family
         if t == 0.0:
             return 0.0
-        if fam == "identity":
-            return t
-        if fam == "constant_one":
-            return 1.0
-        if fam == "qa_phi":
-            return t * (1.0 - math.log(t))
-        if fam == "alpha_beta":
-            lt = math.log(t)
-            if lt >= self._flat_log_t():
-                b_over_a = self.beta / self.alpha
-                return math.exp(self.alpha - self.beta) * b_over_a**self.beta
-            return t**self.alpha * (1.0 - lt) ** self.beta
-        if fam in ("psi_gamma", "qa_psi"):
-            g = 1.0 if fam == "qa_psi" else self.exponent
-            if t < 1.0:
-                return t
-            return (1.0 + math.log(t)) ** g
-        # piecewise
-        ts = [p[0] for p in self.points]
+        return formula(t)
+
+    return eval_
+
+
+def _log_domain(formula, log_hi: float):
+    """The formula of log t, refusing log t > log_hi."""
+    def checked(log_t):
+        if log_t > log_hi:
+            raise DomainError("phi-kind shapes live on [0,1]")
+        return formula(log_t)
+    return checked
+
+
+def _formulas(log_hi: float, formula, log_eval, log_gamma_eval) -> tuple:
+    """eval, log_eval and log_gamma_eval from formulas that trust their argument."""
+    return (_on_domain(formula, log_hi), _log_domain(log_eval, log_hi),
+            _log_domain(log_gamma_eval, log_hi))
+
+
+def _alpha_beta(a, b, log_hi: float) -> tuple:
+    if a is None or b is None or not (0 < a <= 1) or not (0 <= b <= 1):
+        raise IllegalSpec("alpha_beta needs alpha in (0,1], beta in [0,1]")
+    am1 = a - 1.0
+    # with b = 0 the formula increases everywhere and never flattens
+    flat = top = log_top = math.inf
+    if b:
+        flat = 1.0 - b / a
+        top = math.exp(a - b) * (b / a) ** b
+        log_top = (a - b) + b * math.log(b / a)
+
+    def formula(t):
+        lt = math.log(t)
+        if lt >= flat:
+            return top
+        return t**a * (1.0 - lt) ** b
+
+    def log_eval(log_t):
+        if log_t >= flat:
+            return log_top
+        out = a * log_t
+        if b:
+            out += b * math.log(1.0 - log_t)
+        return out
+
+    # log_gamma_inv bisects on this: no _log_domain, whose call would cost more
+    def log_gamma_eval(log_t):
+        if log_t > log_hi:
+            raise DomainError("phi-kind shapes live on [0,1]")
+        if log_t >= flat:
+            return log_top - log_t
+        out = am1 * log_t
+        if b:
+            out += b * math.log(1.0 - log_t)
+        return out
+
+    return _on_domain(formula, log_hi), _log_domain(log_eval, log_hi), log_gamma_eval
+
+
+def _psi_gamma(g, log_hi: float) -> tuple:
+    if g is None or not (0 <= g <= 1):
+        raise IllegalSpec("psi_gamma needs exponent in [0,1]")
+    formula = lambda t: t if t < 1.0 else (1.0 + math.log(t)) ** g  # noqa: E731
+    log_eval = lambda x: x if x < 0.0 else (g * math.log1p(x) if g else 0.0)  # noqa: E731
+    return _formulas(log_hi, formula, log_eval, lambda x: 0.0 if x < 0.0 else log_eval(x) - x)
+
+
+def _float_points(points) -> tuple:
+    return tuple((float(t), float(y)) for t, y in points)
+
+
+def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
+    if not shape.points:
+        raise IllegalSpec("piecewise needs sample points")
+    pts = _float_points(shape.points)
+    object.__setattr__(shape, "points", pts)
+    if pts[0] != (0.0, 0.0):
+        raise IllegalSpec("piecewise samples must start at (0, 0)")
+    ts = [t for t, _ in pts]
+    ys = [y for _, y in pts]
+    if any(not tb > ta for ta, tb in zip(ts, ts[1:])):
+        raise IllegalSpec("piecewise sample abscissae must strictly increase")
+    if any(y < 0 for y in ys):
+        raise IllegalSpec("piecewise samples must be non-negative")
+    if any(yb < ya for ya, yb in zip(ys, ys[1:])):
+        raise IllegalSpec("piecewise samples must be non-decreasing")
+    if not is_concave(pts):
+        raise IllegalSpec("piecewise samples must be concave")
+    if shape.domain_kind == "phi" and ts[-1] > 1.0:
+        raise IllegalSpec("phi-kind piecewise samples must stay within [0,1]")
+    first_pos = next((t for t in ts if t > 0), None)
+
+    def formula(t):
         if t > ts[-1]:
             raise DomainError(f"piecewise shape sampled only up to {ts[-1]}, got {t!r}")
         i = bisect_right(ts, t) - 1
         if i == len(ts) - 1:
-            return self.points[-1][1]
-        (t0, y0), (t1, y1) = self.points[i], self.points[i + 1]
+            return ys[-1]
+        (t0, y0), (t1, y1) = pts[i], pts[i + 1]
         return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
 
-    __call__ = eval
+    eval_ = _on_domain(formula, log_hi)
 
-    def log_eval(self, log_t: float) -> float:
-        """log(self(exp(log_t))), stable for arbitrarily deep log_t."""
-        fam = self.family
-        if self.domain_kind == "phi" and log_t > 0.0:
-            raise DomainError("phi-kind shapes live on [0,1]")
-        if fam == "identity":
-            return log_t
-        if fam == "constant_one":
-            return 0.0
-        if fam == "qa_phi":
-            return log_t + math.log(1.0 - log_t)
-        if fam == "alpha_beta":
-            if log_t >= self._flat_log_t():
-                b_over_a = self.beta / self.alpha
-                return (self.alpha - self.beta) + self.beta * math.log(b_over_a)
-            out = self.alpha * log_t
-            if self.beta:
-                out += self.beta * math.log(1.0 - log_t)
-            return out
-        if fam in ("psi_gamma", "qa_psi"):
-            g = 1.0 if fam == "qa_psi" else self.exponent
-            if log_t < 0.0:
-                return log_t
-            return g * math.log1p(log_t) if g else 0.0
-        # piecewise: only meaningful at or above the first positive sample
-        first_pos = next((t for t, _ in self.points if t > 0), None)
+    def log_eval(log_t):
+        # only meaningful at or above the first positive sample
         if first_pos is None or log_t < math.log(first_pos):
             raise UnsupportedFamily("piecewise shapes cannot be evaluated below their samples")
-        return math.log(self.eval(math.exp(log_t)))
+        return math.log(eval_(math.exp(log_t)))
 
-    def log_gamma_eval(self, log_t: float) -> float:
-        """log(self(t)/t) at t = exp(log_t), formed per family.
+    return eval_, _log_domain(log_eval, log_hi), _log_domain(lambda x: log_eval(x) - x, log_hi)
 
-        Never computed as log_eval(log_t) - log_t: once |log_t| dwarfs the
-        ratio's log, that subtraction cancels to zero and the ratio is lost.
-        """
-        fam = self.family
-        if self.domain_kind == "phi" and log_t > 0.0:
-            raise DomainError("phi-kind shapes live on [0,1]")
-        if fam == "identity":
-            return 0.0
-        if fam == "constant_one":
-            return -log_t
-        if fam == "qa_phi":
-            return math.log(1.0 - log_t)
-        if fam == "alpha_beta":
-            if log_t >= self._flat_log_t():
-                b_over_a = self.beta / self.alpha
-                return (self.alpha - self.beta) + self.beta * math.log(b_over_a) - log_t
-            out = (self.alpha - 1.0) * log_t
-            if self.beta:
-                out += self.beta * math.log(1.0 - log_t)
-            return out
-        if fam in ("psi_gamma", "qa_psi"):
-            g = 1.0 if fam == "qa_psi" else self.exponent
-            if log_t < 0.0:
-                return 0.0
-            return (g * math.log1p(log_t) if g else 0.0) - log_t
-        return self.log_eval(log_t) - log_t
 
-    def to_json(self) -> dict:
-        return shape_to_json(self)
+class _Family(NamedTuple):
+    kind: str  # the default domain kind
+    params: tuple  # (ShapeFunction field, JSON key, conversion of the JSON value)
+    build: Callable  # (shape, log_hi) -> (eval, log_eval, log_gamma_eval), or IllegalSpec
+    zero_limit: float = 0.0  # the limit at 0 from the right
+
+
+_TABLE = {
+    "alpha_beta": _Family(
+        "phi", (("alpha", "alpha", float), ("beta", "beta", float)),
+        lambda s, hi: _alpha_beta(s.alpha, s.beta, hi)),
+    "qa_phi": _Family("phi", (), lambda s, hi: _alpha_beta(1.0, 1.0, hi)),
+    "psi_gamma": _Family(
+        "psi", (("exponent", "gamma", float),), lambda s, hi: _psi_gamma(s.exponent, hi)),
+    "qa_psi": _Family("psi", (), lambda s, hi: _psi_gamma(1.0, hi)),
+    "identity": _Family(
+        "phi", (), lambda s, hi: _formulas(hi, lambda t: t, lambda x: x, lambda x: 0.0)),
+    "constant_one": _Family(
+        "phi", (), lambda s, hi: _formulas(hi, lambda t: 1.0, lambda x: 0.0, lambda x: -x), 1.0),
+    "piecewise": _Family("phi", (("points", "points", _float_points),), _piecewise),
+}
 
 
 def alpha_beta(alpha: float, beta: float) -> ShapeFunction:
@@ -271,30 +300,32 @@ def log_gamma_inv(shape: ShapeFunction, target: float, log_hi: float = 0.0) -> f
     """Solve log_gamma(shape, x) == target for x <= log_hi by bisection.
 
     log_gamma must be strictly decreasing on the bracket; a flat probe raises
-    NotInvertible.  Accuracy: the bracket is shrunk to width
-    1e-12 + 4*eps*|x|, so the answer is exact to a few ulp even when
-    |x| is astronomically large.
+    NotInvertible.  Accuracy: the answer is the midpoint of a final bracket at
+    most 1e-12 + 4 ulp(x) wide, so it lies within about 5e-13 + 2 ulp(x) of
+    where the computed log_gamma crosses target: a few ulp only once |x| is
+    above about 1e3, and some 1e12 ulp near x = -1e-9.
     """
-    g_hi = log_gamma(shape, log_hi)
+    log_gamma = shape.log_gamma_eval  # bound once: the loop calls it ~100 times
+    g_hi = log_gamma(log_hi)
     if target < g_hi:
         raise NotInvertible(f"target {target!r} below attainable minimum {g_hi!r}")
     if target == g_hi:
-        if log_gamma(shape, log_hi - 1.0) <= g_hi:
+        if log_gamma(log_hi - 1.0) <= g_hi:
             raise NotInvertible("shape(t)/t is not strictly decreasing here")
         return log_hi
     offset = 1.0
     lo = log_hi - offset
-    while log_gamma(shape, lo) < target:
+    while log_gamma(lo) < target:
         offset *= 2.0
         if offset > _EXPAND_LIMIT:
             raise NotInvertible(f"target {target!r} not reached within float range")
         lo = log_hi - offset
     hi = log_hi
     mid = 0.5 * (lo + hi)
-    if not log_gamma(shape, lo) > log_gamma(shape, mid) > g_hi:
+    if not log_gamma(lo) > log_gamma(mid) > g_hi:
         raise NotInvertible("shape(t)/t is not strictly decreasing on the bracket")
     while (hi - lo) > 1e-12 + 4.0 * math.ulp(abs(mid)):
-        if log_gamma(shape, mid) >= target:
+        if log_gamma(mid) >= target:
             lo = mid
         else:
             hi = mid
@@ -449,17 +480,6 @@ def check_assumptions(
     )
 
 
-_KIND_DEFAULT = {
-    "alpha_beta": "phi",
-    "qa_phi": "phi",
-    "psi_gamma": "psi",
-    "qa_psi": "psi",
-    "identity": "phi",
-    "constant_one": "phi",
-    "piecewise": "phi",
-}
-
-
 def parse_shape(obj, expected_kind: str | None = None) -> ShapeFunction:
     """Build a ShapeFunction from its JSON object form.
 
@@ -469,48 +489,28 @@ def parse_shape(obj, expected_kind: str | None = None) -> ShapeFunction:
     if not isinstance(obj, dict):
         raise SpecParseError("shape spec must be an object")
     family = obj.get("family")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _TABLE:
         raise SpecParseError(f"unknown shape family {family!r}")
-    allowed = {"family", "domain"}
-    params: dict = {}
-    if family == "alpha_beta":
-        allowed |= {"alpha", "beta"}
-        params["alpha"] = obj.get("alpha")
-        params["beta"] = obj.get("beta")
-    elif family == "psi_gamma":
-        allowed |= {"gamma"}
-        params["exponent"] = obj.get("gamma")
-    elif family == "piecewise":
-        allowed |= {"points"}
-        params["points"] = obj.get("points")
-    extra = set(obj) - allowed
+    entry = _TABLE[family]
+    extra = set(obj) - {"family", "domain", *(key for _, key, _ in entry.params)}
     if extra:
         raise SpecParseError(f"unknown keys for {family}: {sorted(extra)}")
-    kind = obj.get("domain", expected_kind or _KIND_DEFAULT[family])
+    kind = obj.get("domain", expected_kind or entry.kind)
     if expected_kind is not None and obj.get("domain") not in (None, expected_kind):
         raise SpecParseError(f"shape domain {obj['domain']!r} conflicts with expected {expected_kind!r}")
     try:
-        if family == "alpha_beta":
-            return ShapeFunction("alpha_beta", alpha=float(params["alpha"]), beta=float(params["beta"]), domain_kind=kind)
-        if family == "psi_gamma":
-            return ShapeFunction("psi_gamma", exponent=float(params["exponent"]), domain_kind=kind)
-        if family == "piecewise":
-            pts = tuple((float(t), float(y)) for t, y in params["points"])
-            return ShapeFunction("piecewise", points=pts, domain_kind=kind)
-        return ShapeFunction(family, domain_kind=kind)
+        values = {field: load(obj.get(key)) for field, key, load in entry.params}
+        return ShapeFunction(family, domain_kind=kind, **values)
     except (IllegalSpec, TypeError, ValueError) as exc:
         raise SpecParseError(f"bad {family} spec: {exc}") from exc
 
 
 def shape_to_json(shape: ShapeFunction) -> dict:
+    entry = _TABLE[shape.family]
     out: dict = {"family": shape.family}
-    if shape.family == "alpha_beta":
-        out["alpha"] = shape.alpha
-        out["beta"] = shape.beta
-    elif shape.family == "psi_gamma":
-        out["gamma"] = shape.exponent
-    elif shape.family == "piecewise":
-        out["points"] = [[t, y] for t, y in shape.points]
-    if shape.domain_kind != _KIND_DEFAULT[shape.family]:
+    for field, key, _ in entry.params:
+        value = getattr(shape, field)
+        out[key] = [list(p) for p in value] if isinstance(value, tuple) else value
+    if shape.domain_kind != entry.kind:
         out["domain"] = shape.domain_kind
     return out

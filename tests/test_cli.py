@@ -104,6 +104,20 @@ class TestQaBounds:
         )
         assert json.loads(proc.stdout)["result"]["upper"] > 0.0
 
+    def test_qa_phi_as_psi_weight_is_alpha_beta_one_one(self, capsys):
+        # qa_phi is the a = b = 1 member of alpha_beta, so as a psi weight it
+        # holds its maximum past t = 1 and the bounds stay ordered
+        f5 = '{"breakpoints": [0, 0.2, 0.4, 0.6, 0.8, 1], "values": [5, 4, 3, 2, 1]}'
+        outputs = []
+        for psi in ('{"family": "qa_phi"}', '{"family": "alpha_beta", "alpha": 1, "beta": 1}'):
+            assert main(["qa-bounds", "--phi", QA_PHI, "--psi", psi, "--input", f5]) == 0
+            outputs.append(capsys.readouterr().out)
+        # the config echoes each psi spec; everything from the result on is the same bytes
+        qa_out, ab_out = (out[out.index('"result"'):] for out in outputs)
+        assert qa_out == ab_out
+        result = json.loads(outputs[0])["result"]
+        assert result["upper"] == result["lower"] == 4.173414090547444
+
 
 class TestTauCurve:
     args = (

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from qaspace import (
     qa_psi,
     shape_to_json,
 )
+from qaspace import shapes as shapes_module
 from qaspace.shapes import log_gamma, log_gamma_inv
 
 moderate_t = st.floats(1e-6, 1.0, allow_nan=False)
@@ -297,3 +299,76 @@ class TestJsonForms:
             parse_shape({"family": "alpha_beta", "alpha": 2.0, "beta": 0.5})
         with pytest.raises(SpecParseError):
             parse_shape({"family": "psi_gamma"})
+
+
+def _outcome(f, x):
+    """f(x) as a comparable record: repr of the value, or the error raised."""
+    try:
+        return repr(f(x))
+    except Exception as exc:  # the records of both sides are compared whole
+        return type(exc).__name__, str(exc)
+
+
+class TestFamilyTable:
+    # one member per family and domain; every family in the table must appear
+    MEMBERS = {
+        "alpha_beta": [dict(alpha=0.5, beta=0.7), dict(alpha=1.0, beta=0.0)],
+        "qa_phi": [{}],
+        "psi_gamma": [dict(exponent=0.4), dict(exponent=0.0)],
+        "qa_psi": [{}],
+        "identity": [{}],
+        "constant_one": [{}],
+        "piecewise": [dict(points=((0.0, 0.0), (0.5, 1.0), (1.0, 1.5)))],
+    }
+    PSI_ONLY = [ShapeFunction("piecewise", points=((0, 0), (1, 1), (4, 2)), domain_kind="psi")]
+    LOG_GRID = (-0.0, 0.0, -1.7e308, -1e15, -40.0, -1.0, -1e-9, 1e-9, 0.5, 2.0, 50.0, 1e300)
+    T_GRID = (-0.0, 0.0, 1e-300, 0.25, 1.0, 1.5, math.e, 1e10, 1e300)
+
+    def members(self):
+        for family, params in self.MEMBERS.items():
+            for p in params:
+                for kind in ("phi", "psi"):
+                    yield ShapeFunction(family, domain_kind=kind, **p)
+        yield from self.PSI_ONLY
+
+    def test_covers_every_family(self):
+        assert set(self.MEMBERS) == set(shapes_module._TABLE)
+
+    def test_json_round_trip_in_each_domain(self):
+        for shape in self.members():
+            spec = shape_to_json(shape)
+            assert parse_shape(spec) == shape
+            assert parse_shape(spec, expected_kind=shape.domain_kind) == shape
+            # a spec without its domain key takes the expected kind
+            spec.pop("domain", None)
+            assert parse_shape(spec, expected_kind=shape.domain_kind) == shape
+
+    def test_unknown_keys_rejected(self):
+        for shape in self.members():
+            with pytest.raises(SpecParseError, match="unknown keys"):
+                parse_shape({**shape_to_json(shape), "bogus": 1})
+
+    def test_pickle_round_trip(self):
+        for shape in self.members():
+            back = pickle.loads(pickle.dumps(shape))
+            assert back == shape and hash(back) == hash(shape) and repr(back) == repr(shape)
+            for x in self.LOG_GRID:
+                assert _outcome(back.log_gamma_eval, x) == _outcome(shape.log_gamma_eval, x)
+            for t in self.T_GRID:
+                assert _outcome(back, t) == _outcome(shape.eval, t)
+
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_qa_phi_is_alpha_beta_one_one_bitwise(self, kind):
+        qa = ShapeFunction("qa_phi", domain_kind=kind)
+        ab = ShapeFunction("alpha_beta", alpha=1.0, beta=1.0, domain_kind=kind)
+        for t in self.T_GRID:
+            assert _outcome(qa.eval, t) == _outcome(ab.eval, t)
+        for x in self.LOG_GRID:
+            assert _outcome(qa.log_eval, x) == _outcome(ab.log_eval, x)
+            assert _outcome(qa.log_gamma_eval, x) == _outcome(ab.log_gamma_eval, x)
+
+    def test_qa_phi_as_psi_holds_its_maximum(self):
+        psi = parse_shape({"family": "qa_phi"}, expected_kind="psi")
+        assert psi.log_eval(2.0) == 0.0
+        assert psi.eval(10.0) == 1.0
+        assert psi.log_gamma_eval(3.0) == -3.0
