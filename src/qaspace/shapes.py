@@ -208,6 +208,8 @@ def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
         raise IllegalSpec("piecewise samples must be concave")
     if shape.domain_kind == "phi" and ts[-1] > 1.0:
         raise IllegalSpec("phi-kind piecewise samples must stay within [0,1]")
+    if not all(map(math.isfinite, ts + ys)):  # NaN passes every comparison above
+        raise IllegalSpec("piecewise samples must be finite")
     first_pos = next((t for t in ts if t > 0), None)
 
     def formula(t):
@@ -501,7 +503,7 @@ def parse_shape(obj, expected_kind: str | None = None) -> ShapeFunction:
     try:
         values = {field: load(obj.get(key)) for field, key, load in entry.params}
         return ShapeFunction(family, domain_kind=kind, **values)
-    except (IllegalSpec, TypeError, ValueError) as exc:
+    except (IllegalSpec, TypeError, ValueError, OverflowError) as exc:
         raise SpecParseError(f"bad {family} spec: {exc}") from exc
 
 

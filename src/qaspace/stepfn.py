@@ -108,7 +108,7 @@ class StepFunction:
         try:
             bps = [Fraction(float(b)) for b in obj["breakpoints"]]
             vals = [float(v) for v in obj["values"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecParseError(f"malformed step function spec: {exc}") from exc
         try:
             return cls(tuple(bps), tuple(vals))

@@ -284,6 +284,17 @@ class TestErrors:
             (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
                                "seq": {"kind": "reciprocal"}, "n_max": 2.9}),
              "'n_max': 2.9 is not a whole number"),
+            (["lorentz-norm", "--phi", '{"family": "piecewise", "points": [[0, 0], [0.5, NaN], [1, 1]]}',
+              "--input", '{"breakpoints": [0, 0.5, 1], "values": [2, 1]}'], "must be finite"),
+            (["lorentz-norm", "--phi",
+              '{"family": "piecewise", "points": [[0, 0], [0.5, Infinity], [1, Infinity]]}',
+              "--input", '{"breakpoints": [0, 0.5, 1], "values": [2, 1]}'], "must be finite"),
+            (["lorentz-norm", "--phi", QA_PHI, "--input",
+              '{"breakpoints": ["0", "1e999"], "values": [1]}'], "Infinity"),
+            (["lorentz-norm", "--phi", QA_PHI, "--input",
+              '{"breakpoints": [0, 1%s], "values": [1]}' % ("0" * 400)], "too large"),
+            (["lorentz-norm", "--phi", '{"family": "alpha_beta", "alpha": 1%s, "beta": 1}' % ("0" * 400),
+              "--input", F3], "too large"),
         ],
     )
     def test_bad_specs_exit_2_with_one_json_line(self, capsys, argv, names):

@@ -124,6 +124,22 @@ class TestPiecewise:
         with pytest.raises(IllegalSpec):
             piecewise([(0, 0), (0.5, 1.0), (1.0, 0.5)])
 
+    @pytest.mark.parametrize(
+        "points, kind",
+        [
+            ([(0, 0), (0.5, math.nan), (1, 1)], "phi"),
+            ([(0, 0), (0.5, math.inf), (1, math.inf)], "phi"),
+            ([(0, 0), (1, 1), (math.inf, 2)], "psi"),
+            ([(0, 0), (1, 1), (2, math.nan)], "psi"),
+        ],
+    )
+    def test_rejects_non_finite_samples(self, points, kind):
+        with pytest.raises(IllegalSpec, match="must be finite"):
+            piecewise(points, kind=kind)
+        spec = {"family": "piecewise", "points": [list(p) for p in points], "domain": kind}
+        with pytest.raises(SpecParseError, match="must be finite"):
+            parse_shape(spec)
+
     def test_rejects_samples_beyond_domain(self):
         with pytest.raises(DomainError):
             piecewise([(0, 0), (0.5, 1.0), (1.0, 1.5)]).eval(1.0 + 1e-9)
