@@ -235,7 +235,7 @@ def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
 class _Family(NamedTuple):
     kind: str  # the default domain kind
     params: tuple  # (ShapeFunction field, JSON key, conversion of the JSON value)
-    build: Callable  # (shape, log_hi) -> (eval, log_eval, log_gamma_eval), or IllegalSpec
+    build: Callable  # (shape, log_hi) -> (eval, log_eval, log_gamma_eval); raises IllegalSpec
     zero_limit: float = 0.0  # the limit at 0 from the right
 
 
