@@ -67,3 +67,16 @@ def deep_corpus(count=20, seed=5):
         bps = [Fraction(0), *(Fraction(c, den) for c in cuts), Fraction(1)]
         corpus.append(StepFunction(tuple(bps), tuple(vals)))
     return corpus
+
+
+EXTREME_VALUES = (5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 1.7e308)
+
+
+def edge_corpus(seed, value_pool=None):
+    """Signed functions on non-dyadic grids: denominators 3, 7 and 999983, each x 64."""
+    rng = random.Random(seed)
+    return [
+        random_step_function(rng, denominator=den, value_pool=value_pool, signed=True)
+        for den in (3 * 64, 7 * 64, 999983 * 64)
+        for _ in range(40)
+    ]

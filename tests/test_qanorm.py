@@ -1,5 +1,4 @@
 import math
-import random
 import struct
 from fractions import Fraction as F
 
@@ -28,7 +27,6 @@ from qaspace import (
     qa_phi,
     qa_psi,
     qa_upper,
-    random_step_function,
     rearrange,
     witness_qa_upper,
 )
@@ -36,6 +34,7 @@ from qaspace.lorentz import fact_bound, weighted_sup_bound
 from qaspace.qanorm import _LayerTable, grouped_log_cost
 from qaspace.stepfn import abs_, nested_form
 from conftest import brute_force_upper, layer_corpus, random_functions, step_functions
+from corpora import EXTREME_VALUES, edge_corpus
 
 
 def three_layer():
@@ -177,19 +176,6 @@ def fraction_weight(table, rings, i, j):
         total += F(ring_value) * rings[l]
     ratio = float(total / F(linf))
     return weighted_sup_bound(linf, ratio, table.phi)
-
-
-EXTREME_VALUES = (5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 1.7e308)
-
-
-def edge_corpus(seed, value_pool=None):
-    """Signed functions on non-dyadic grids: denominators 3, 7 and 999983, each x 64."""
-    rng = random.Random(seed)
-    return [
-        random_step_function(rng, denominator=den, value_pool=value_pool, signed=True)
-        for den in (3 * 64, 7 * 64, 999983 * 64)
-        for _ in range(40)
-    ]
 
 
 class TestLayerWeights:

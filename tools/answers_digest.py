@@ -5,7 +5,8 @@
 The answers are computed by the qaspace package of the checkout this script
 sits in, on fixed seeded inputs: the corpora random_functions(11, 500) and
 layer_corpus(200, seed=7) from tests/corpora.py, the 50-200 layer functions of
-deep_corpus(20) for the long searches, a grid of witness specs, every shape
+deep_corpus(20) for the long searches, the two edge_corpus sets (non-dyadic
+grids, and values from 5e-324 to 1.7e308), a grid of witness specs, every shape
 family in both domains on fixed argument grids (with the error of each
 malformed shape spec), the gamma_exp profiles of three phi shapes, and a fixed
 list of CLI argvs (exit code, stdout and stderr).  Every float is hashed through repr, every
@@ -27,7 +28,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from corpora import deep_corpus, layer_corpus, random_functions  # noqa: E402
+from corpora import (  # noqa: E402
+    EXTREME_VALUES,
+    deep_corpus,
+    edge_corpus,
+    layer_corpus,
+    random_functions,
+)
 from qaspace import embeddings, lorentz_norm, nested_form, qa_bounds, qa_upper  # noqa: E402
 from qaspace.cli import main as cli_main  # noqa: E402
 from qaspace.errors import ToolkitError  # noqa: E402
@@ -189,6 +196,11 @@ def groups():
         _bounds(qa_upper(f, phi, psi, strategy=strategy))
         for f in deep_corpus(20)
         for strategy in DEEP_STRATEGIES
+    ]
+    yield "qa_bounds.edge", [
+        _bounds(qa_bounds(f, phi, psi))
+        for phi, psi in SHAPE_PAIRS
+        for f in [*edge_corpus(31), *edge_corpus(32, value_pool=EXTREME_VALUES)]
     ]
     yield "witness_qa_upper", [
         _answer(lambda: _witness_upper(phi, psi, n, c, strategy))
