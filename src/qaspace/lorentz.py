@@ -35,15 +35,17 @@ class LorentzNorm:
 
 def lorentz_norm(f: StepFunction, phi: ShapeFunction) -> LorentzNorm:
     """Layer-cake sum sum_k levels[k] * phi(measures[k]) over |f|."""
-    g = stepfn.abs_(f)
-    if stepfn.linf_norm(g) == 0.0:
+    if not any(f.values):
         return LorentzNorm(0.0, 0.0, 0.0)
-    nf = stepfn.nested_form(g)
-    value = nonneg_fsum(
-        b * phi.eval(float(m)) for b, m in zip(nf.levels, nf.measures)
-    )
-    jump = stepfn.linf_norm(g) * phi.zero_limit()
+    nf = stepfn.nested_form(stepfn.abs_(f))
+    value = cake_sum(nf, phi)
+    jump = nf.heights[0] * phi.zero_limit()
     return LorentzNorm(value=value, jump_part=jump, integral_part=value - jump)
+
+
+def cake_sum(nf: stepfn.NestedForm, phi: ShapeFunction) -> float:
+    """sum_k levels[k] * phi(measures[k]), the one sum lorentz_norm and qa_lower share."""
+    return nonneg_fsum(b * phi.eval(float(m)) for b, m in zip(nf.levels, nf.measures))
 
 
 def fundamental(phi: ShapeFunction, t) -> float:

@@ -23,8 +23,8 @@ runs "exhaustive" up to the cap and "local_search" beyond it.  Every strategy
 but "singleton" also considers the one piece and the layer split, so its
 upper bound is never above either.
 
-Group weights are exact: _LayerTable sums each group's l1 in integers and
-divides by the group's height once.
+Group weights and the lower bound read one _LayerTable.  Every l1 is summed
+in integers and divided once, so the lower bound's l1 is l1_norm(f) bitwise.
 
 One optimizer, _search, runs every strategy; it sees a grouping only through
 its price.  qa_upper prices groupings in floats (fsum of psi(n) * weight, inf
@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
 from . import stepfn
 from .errors import NegativePiece, TooManyLayers
 from .logs import LOG_ZERO, logdiffexp, logsumexp
-from .lorentz import lorentz_norm, nonneg_fsum, weighted_sup_bound
+from .lorentz import cake_sum, fact_bound, nonneg_fsum, weighted_sup_bound
 from .shapes import ShapeFunction
 from .stepfn import StepFunction
 
@@ -96,31 +96,20 @@ def piece_cost(g: StepFunction, n: int, phi: ShapeFunction, psi: ShapeFunction) 
         raise ValueError("slot n must be a positive integer")
     if any(v < 0 for v in g.values):
         raise NegativePiece("decomposition pieces must be non-negative")
-    linf = stepfn.linf_norm(g)
-    if linf == 0.0:
+    if not any(g.values):
         return 0.0
-    ratio = float(stepfn.l1_norm_exact(g) / Fraction(linf))
-    return psi.eval(float(n)) * weighted_sup_bound(linf, ratio, phi)
+    return psi.eval(float(n)) * fact_bound(g, phi)
 
 
 def qa_lower(f: StepFunction, phi: ShapeFunction, psi: ShapeFunction) -> float:
     """Rigorous lower bound: max of the Lorentz route and the l1 route."""
-    return _lower_detail(f, phi, psi)[0]
-
-
-def _lower_detail(f: StepFunction, phi: ShapeFunction, psi: ShapeFunction) -> tuple:
-    psi1 = psi.eval(1.0)
-    via_lorentz = psi1 * lorentz_norm(f, phi).value
-    via_l1 = phi.eval(1.0) * psi1 * stepfn.l1_norm(f)
-    if via_l1 > via_lorentz:
-        return via_l1, "l1"
-    return via_lorentz, "lorentz"
+    return _LayerTable(stepfn.abs_(f), phi).lower(psi)[0]
 
 
 class _LayerTable:
     """Group weights and pieces over the layer cake of |f|.
 
-    vals are the heights of stepfn.nested_form(|f|), empty for f == 0.
+    vals are the heights of stepfn.nested_form(|f|) (the cake), empty for f == 0.
     weight(i, j) is the psi-free cost of collapsing layers i..j into one
     piece.  Its l1 is summed in exact integers: the ring measures over their
     least common denominator den, and each rounded float difference
@@ -136,7 +125,7 @@ class _LayerTable:
     def __init__(self, f_abs: StepFunction, phi: ShapeFunction):
         self.f_abs = f_abs
         self.phi = phi
-        cake = stepfn.nested_form(f_abs) if stepfn.linf_norm(f_abs) > 0.0 else None
+        self.cake = cake = stepfn.nested_form(f_abs) if any(f_abs.values) else None
         self.vals, rings = (cake.heights, cake.rings) if cake else ((), ())
         self._den = math.lcm(*(r.denominator for r in rings))
         self._rings = [r.numerator * (self._den // r.denominator) for r in rings]
@@ -147,6 +136,14 @@ class _LayerTable:
         """d * 2^shift, exact."""
         num, den = d.as_integer_ratio()
         return num << (self._shift + 1 - den.bit_length())
+
+    def lower(self, psi: ShapeFunction) -> tuple:
+        """(max(psi(1) * lorentz, phi(1)psi(1) * l1), the route that won)."""
+        psi1 = psi.eval(1.0)
+        via_lorentz = psi1 * (cake_sum(self.cake, self.phi) if self.cake else 0.0)
+        l1 = sum(map(mul, map(self._scaled, self.vals), self._rings)) / (self._den << self._shift)
+        via_l1 = self.phi.eval(1.0) * psi1 * l1
+        return (via_l1, "l1") if via_l1 > via_lorentz else (via_lorentz, "lorentz")
 
     def weight(self, i: int, j: int) -> float:
         vals, rings, scaled = self.vals, self._rings, self._scaled
@@ -251,8 +248,8 @@ def qa_upper(
     strategy: str = "layers",
 ) -> NormBounds:
     """Upper bound from the requested search strategy, with the lower bound attached."""
-    lower, source = _lower_detail(f, phi, psi)
     table = _LayerTable(stepfn.abs_(f), phi)
+    lower, source = table.lower(psi)
     n = len(table.vals)
     psi_at = [psi.eval(float(r + 1)) for r in range(n)]
     weights = _Memo(table.weight)
