@@ -210,6 +210,8 @@ def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
         raise IllegalSpec("phi-kind piecewise samples must stay within [0,1]")
     if not all(map(math.isfinite, ts + ys)):  # NaN passes every comparison above
         raise IllegalSpec("piecewise samples must be finite")
+    if any(y <= 0 for y in ys[1:]):  # with the checks above, one zero makes the shape 0
+        raise IllegalSpec("piecewise samples after (0, 0) must be positive")
     first_pos = next((t for t in ts if t > 0), None)
 
     def formula(t):

@@ -295,6 +295,14 @@ class TestErrors:
               '{"breakpoints": [0, 1%s], "values": [1]}' % ("0" * 400)], "too large"),
             (["lorentz-norm", "--phi", '{"family": "alpha_beta", "alpha": 1%s, "beta": 1}' % ("0" * 400),
               "--input", F3], "too large"),
+            (["tau", "--phi", '{"family": "piecewise", "points": [[0, 0], [0.5, 0], [1, 0]]}',
+              "--psi", QA_PSI, "--tmin", "0.6", "--tmax", "0.9", "--points", "3"],
+             "after (0, 0) must be positive"),
+            (["witness", "--phi", QA_PHI, "--psi",
+              '{"family": "piecewise", "points": [[0, 0], [50, 0]], "domain": "psi"}',
+              "--c", "0.5", "--N", "4"], "after (0, 0) must be positive"),
+            (["lorentz-norm", "--phi", '{"family": "piecewise", "points": [[0, 0], [1, 0]]}',
+              "--input", F3], "after (0, 0) must be positive"),
         ],
     )
     def test_bad_specs_exit_2_with_one_json_line(self, capsys, argv, names):

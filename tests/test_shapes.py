@@ -140,6 +140,22 @@ class TestPiecewise:
         with pytest.raises(SpecParseError, match="must be finite"):
             parse_shape(spec)
 
+    @pytest.mark.parametrize(
+        "points, kind",
+        [
+            ([(0, 0), (0.5, 0), (1, 0)], "phi"),
+            ([(0, 0), (1, 0)], "phi"),
+            ([(0, 0), (50, 0)], "psi"),
+        ],
+    )
+    def test_rejects_zero_samples_after_the_origin(self, points, kind):
+        # concave and non-decreasing from (0, 0): one zero makes the whole shape 0
+        with pytest.raises(IllegalSpec, match=r"after \(0, 0\) must be positive"):
+            piecewise(points, kind=kind)
+        spec = {"family": "piecewise", "points": [list(p) for p in points], "domain": kind}
+        with pytest.raises(SpecParseError, match=r"after \(0, 0\) must be positive"):
+            parse_shape(spec)
+
     def test_rejects_samples_beyond_domain(self):
         with pytest.raises(DomainError):
             piecewise([(0, 0), (0.5, 1.0), (1.0, 1.5)]).eval(1.0 + 1e-9)
