@@ -96,9 +96,7 @@ def piece_cost(g: StepFunction, n: int, phi: ShapeFunction, psi: ShapeFunction) 
         raise ValueError("slot n must be a positive integer")
     if any(v < 0 for v in g.values):
         raise NegativePiece("decomposition pieces must be non-negative")
-    if not any(g.values):
-        return 0.0
-    return psi.eval(float(n)) * fact_bound(g, phi)
+    return psi.eval(float(n)) * fact_bound(g, phi) if any(g.values) else 0.0
 
 
 def qa_lower(f: StepFunction, phi: ShapeFunction, psi: ShapeFunction) -> float:
