@@ -44,7 +44,7 @@ def lorentz_norm(f: StepFunction, phi: ShapeFunction) -> LorentzNorm:
 
 
 def cake_sum(nf: stepfn.NestedForm, phi: ShapeFunction) -> float:
-    """sum_k levels[k] * phi(measures[k]), the one sum lorentz_norm and qa_lower share."""
+    """sum_k levels[k] * phi(measures[k]); lorentz_norm and qanorm's lower bound both use it."""
     return nonneg_fsum(b * phi.eval(float(m)) for b, m in zip(nf.levels, nf.measures))
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
 
 from . import stepfn
 from .errors import NegativePiece, TooManyLayers
@@ -139,8 +138,8 @@ class _LayerTable:
         """(max(psi(1) * lorentz, phi(1)psi(1) * l1), the route that won)."""
         psi1 = psi.eval(1.0)
         via_lorentz = psi1 * (cake_sum(self.cake, self.phi) if self.cake else 0.0)
-        l1 = sum(map(mul, map(self._scaled, self.vals), self._rings)) / (self._den << self._shift)
-        via_l1 = self.phi.eval(1.0) * psi1 * l1
+        scaled_l1 = sum(self._scaled(h) * r for h, r in zip(self.vals, self._rings))
+        via_l1 = self.phi.eval(1.0) * psi1 * (scaled_l1 / (self._den << self._shift))
         return (via_l1, "l1") if via_l1 > via_lorentz else (via_lorentz, "lorentz")
 
     def weight(self, i: int, j: int) -> float:
