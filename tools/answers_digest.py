@@ -77,7 +77,10 @@ EVAL_ARGS = (-0.0, 0.0, 5e-324, 1e-300, 1e-9, 0.1, 0.25, 1 / math.e, 0.5, 0.9, 1
              1.5, math.e, 10.0, 1e10, 1e300, -1e-9, -1.7e308, math.inf, math.nan)
 LOG_ARGS = (-0.0, 0.0, -1.7e308, -1e300, -1e15, -1e9, -745.0, -40.0, -3.0, -1.0, -0.5,
             -1e-9, 1e-9, 0.5, 1.0, 2.0, 50.0, 1e300, -math.inf, math.inf, math.nan)
-INV_TARGETS = (-1.0, 0.0, 1e-9, 0.5, 1.0, 3.0, 40.0, 700.0, 1e5)
+# the float-range edge of qa_phi (709.78...) lies between 709.5 and 710.0; 0.2,
+# 0.6, -0.3 and -1.0 fall inside the segments of the piecewise SHAPES
+INV_TARGETS = (-1.0, -0.3, 0.0, 1e-9, 0.2, 0.5, 0.6, 1.0, 3.0, 40.0, 700.0, 709.0, 709.5,
+               710.0, 1e5)
 INV_LOG_HI = {"phi": (0.0, -3.0), "psi": (0.0, -3.0, 2.0)}
 BAD_SPECS = [
     "qa_phi",
