@@ -22,12 +22,14 @@ relative 1e-12 down to x = -1e9 and far beyond for the analytic families;
 deep arguments like these arise from the extremal construction.
 
 Each family is one entry of `_TABLE` (default domain, parameters and their
-JSON keys, validation, formulas); adding a family means adding one entry.
+JSON keys, validation, formulas, and the closed-form inverse of log(phi(t)/t));
+adding a family means adding one entry.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from itertools import product
@@ -69,10 +71,12 @@ __all__ = [
 class ShapeFunction:
     """One member of a shape family; immutable and hashable.
 
-    eval(t), log_eval(log_t) = log(self(e^log_t)) and log_gamma_eval(log_t) =
-    log(self(t)/t) are bound to the member's constants when it is built.  The
-    latter is formed per family: log_eval(log_t) - log_t cancels to zero once
-    |log_t| dwarfs the ratio's log.
+    eval(t), log_eval(log_t) = log(self(e^log_t)), log_gamma_eval(log_t) =
+    log(self(t)/t) and its inverse log_gamma_inv(target, log_hi) are bound to
+    the member's constants when it is built.  log_gamma_eval is formed per
+    family: log_eval(log_t) - log_t cancels to zero once |log_t| dwarfs the
+    ratio's log.  log_gamma_inv is the closed-form solve behind the module's
+    `log_gamma_inv`, which checks log_hi and the target first.
     """
 
     family: str
@@ -88,7 +92,8 @@ class ShapeFunction:
         if self.domain_kind not in ("phi", "psi"):
             raise IllegalSpec("domain_kind must be 'phi' or 'psi'")
         formulas = _TABLE[self.family].build(self, 0.0 if self.domain_kind == "phi" else math.inf)
-        for name, formula in zip(("eval", "log_eval", "log_gamma_eval"), formulas):
+        for name, formula in zip(("eval", "log_eval", "log_gamma_eval", "log_gamma_inv"),
+                                 formulas):
             object.__setattr__(self, name, formula)
 
     def __call__(self, t: float) -> float:
@@ -132,10 +137,38 @@ def _log_domain(formula, log_hi: float):
     return checked
 
 
-def _formulas(log_hi: float, formula, log_eval, log_gamma_eval) -> tuple:
-    """eval, log_eval and log_gamma_eval from formulas that trust their argument."""
+def _formulas(log_hi: float, formula, log_eval, log_gamma_eval, log_gamma_inv) -> tuple:
+    """eval, log_eval, log_gamma_eval and log_gamma_inv from formulas that trust
+    their argument."""
     return (_on_domain(formula, log_hi), _log_domain(log_eval, log_hi),
-            _log_domain(log_gamma_eval, log_hi))
+            _log_domain(log_gamma_eval, log_hi), log_gamma_inv)
+
+
+_LOG_T_MIN = -sys.float_info.max  # the deepest log t a float holds
+_LOG_MAX = math.log(sys.float_info.max)  # expm1 of anything above overflows
+
+
+def _product_error(p: float, q: float) -> float:
+    """p * q minus its rounded product, exactly (Dekker's two-product, Numer.
+    Math. 18, 1971); 0.0 once |p| or |q| reaches 1e300, where splitting overflows."""
+    if not max(abs(p), abs(q)) < 1e300:
+        return 0.0
+    sp, sq = 134217729.0 * p, 134217729.0 * q  # 2^27 + 1: split off the high 26 bits
+    ph, qh = sp - (sp - p), sq - (sq - q)
+    pl, ql = p - ph, q - qh
+    return ((ph * qh - p * q) + ph * ql + pl * qh) + pl * ql
+
+
+def _flat(target, log_hi):
+    """The inverse where the ratio is constant on every log t <= log_hi."""
+    raise NotInvertible(f"shape(t)/t is constant below log t = {log_hi!r}, so it has no inverse")
+
+
+def _beyond_float_range(target: float, edge: float) -> NotInvertible:
+    return NotInvertible(
+        f"target {target!r} beyond the largest invertible target {edge!r}"
+        f" (log gamma at log t = {_LOG_T_MIN!r})"
+    )
 
 
 def _alpha_beta(a, b, log_hi: float) -> tuple:
@@ -144,10 +177,12 @@ def _alpha_beta(a, b, log_hi: float) -> tuple:
     am1 = a - 1.0
     # with b = 0 the formula increases everywhere and never flattens
     flat = top = log_top = math.inf
+    g_flat = -math.inf  # log gamma at the flat point
     if b:
         flat = 1.0 - b / a
         top = math.exp(a - b) * (b / a) ** b
         log_top = (a - b) + b * math.log(b / a)
+        g_flat = log_top - flat
 
     def formula(t):
         lt = math.log(t)
@@ -163,18 +198,49 @@ def _alpha_beta(a, b, log_hi: float) -> tuple:
             out += b * math.log(1.0 - log_t)
         return out
 
-    # log_gamma_inv bisects on this: no _log_domain, whose call would cost more
     def log_gamma_eval(log_t):
-        if log_t > log_hi:
-            raise DomainError("phi-kind shapes live on [0,1]")
-        if log_t >= flat:
+        if b and log_t >= flat:  # b = 0 never flattens: at +inf, inf - inf is nan
             return log_top - log_t
-        out = am1 * log_t
+        out = am1 * log_t if am1 else 0.0  # at a = 1, 0 * -inf is nan
         if b:
             out += b * math.log(1.0 - log_t)
         return out
 
-    return _on_domain(formula, log_hi), _log_domain(log_eval, log_hi), log_gamma_eval
+    edge = log_gamma_eval(_LOG_T_MIN)
+    c = (1.0 - a) / b if b else 0.0
+    log_c = math.log(c) if c else 0.0
+
+    def log_gamma_inv(target, _log_hi):
+        if target <= g_flat:  # past the flat point gamma = top / t
+            return log_top - target
+        if target > edge:
+            raise _beyond_float_range(target, edge)
+        if not am1:  # b log(1 - x) = target; target / b rounds off |target / b| / 2
+            # ulp of x, so the quotient's exact remainder r enters as e^r = 1 + r
+            q = min(target / b, _LOG_MAX)
+            x = -math.expm1(q)
+            r = (target - q * b - _product_error(q, b)) / b
+            return max(x - (1.0 - x) * r, _LOG_T_MIN)
+        if not b:
+            return max(target / am1, _LOG_T_MIN)
+        # with u = 1 - x, c u + log u = y; w = c u solves w + log w = log c + y
+        # (Lambert W), by Newton's method from below, where w + log w is concave
+        z = log_c + (target + 1.0 - a) / b
+        if z == math.inf:  # y overflows; the log term is negligible there
+            x = target / am1
+        else:
+            w = z - math.log(z) if z > 1.0 else math.exp(z - 1.0)
+            while (nxt := w - (w + math.log(w) - z) / (1.0 + 1.0 / w)) > w:
+                w = nxt
+            x = max(1.0 - w / c, _LOG_T_MIN)
+        # 1 - w/c cancels near x = 0: one Newton step in x, with log1p and the
+        # exact rounding error of am1 * x in its residual, restores it
+        residual = am1 * x - target + _product_error(am1, x) + b * math.log1p(-x)
+        x -= residual / (am1 - b / (1.0 - x))
+        return max(x, _LOG_T_MIN)
+
+    return _formulas(log_hi, formula, log_eval, log_gamma_eval,
+                     log_gamma_inv if am1 or b else _flat)
 
 
 def _psi_gamma(g, log_hi: float) -> tuple:
@@ -182,7 +248,29 @@ def _psi_gamma(g, log_hi: float) -> tuple:
         raise IllegalSpec("psi_gamma needs exponent in [0,1]")
     formula = lambda t: t if t < 1.0 else (1.0 + math.log(t)) ** g  # noqa: E731
     log_eval = lambda x: x if x < 0.0 else (g * math.log1p(x) if g else 0.0)  # noqa: E731
-    return _formulas(log_hi, formula, log_eval, lambda x: 0.0 if x < 0.0 else log_eval(x) - x)
+
+    def log_gamma_inv(target, log_hi):
+        # the ratio is 1 up to t = 1, then falls: log gamma = g log1p(x) - x
+        if target > 0.0:
+            raise NotInvertible(f"target {target!r} above 0.0, the largest log gamma")
+        if not target:
+            return 0.0 if log_hi > 0.0 else _flat(target, log_hi)
+        if not g:
+            return -target
+        # x - g log1p(x) + target is convex and increasing for x > 0, and this
+        # start solves a quadratic below it (log1p(x) <= x (2 + x) / (2 + 2x)),
+        # so after one Newton step the iterates fall to the root
+        p = 2.0 - 2.0 * g + 2.0 * target
+        d = math.hypot(p, math.sqrt(-8.0 * target * (2.0 - g)))
+        x = -4.0 * target / (p + d) if p >= 0.0 else (d - p) / (4.0 - 2.0 * g)
+        step = lambda x: x - (x - g * math.log1p(x) + target) * (1.0 + x) / (1.0 + x - g)  # noqa: E731
+        x = step(x)
+        while (nxt := step(x)) < x:
+            x = nxt
+        return x
+
+    return _formulas(log_hi, formula, log_eval, lambda x: 0.0 if x < 0.0 else log_eval(x) - x,
+                     log_gamma_inv)
 
 
 def _float_points(points) -> tuple:
@@ -231,13 +319,47 @@ def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
             raise UnsupportedFamily("piecewise shapes cannot be evaluated below their samples")
         return math.log(eval_(math.exp(log_t)))
 
-    return eval_, _log_domain(log_eval, log_hi), _log_domain(lambda x: log_eval(x) - x, log_hi)
+    # gamma = s + c/t on a segment of slope s and intercept c; concavity makes c
+    # grow along the samples, so gamma is flat where c = 0 (from the origin
+    # out) and strictly decreasing after.  Each segment is anchored at its
+    # point nearest t = 1, so that its answers near log t = 0 do not cancel.
+    ratios = [-math.log(y / t) for t, y in pts[1:]]  # non-decreasing
+    anchors = []
+    for (ta, ya), (tb, yb) in zip(pts[1:], pts[2:]):
+        s = (yb - ya) / (tb - ta)
+        c = ya - s * ta
+        tk, yk = (tb, yb) if tb <= 1.0 else (ta, ya) if ta >= 1.0 else (1.0, ya + s * (1.0 - ta))
+        anchors.append((math.log(tk), math.log(yk / tk), yk / c) if c > 0 else None)
+
+    def log_gamma_inv(target, log_hi):
+        m = bisect_right(ratios, -target)  # samples 1..m have log gamma >= target
+        if not m:
+            raise NotInvertible(f"target {target!r} above {-ratios[0]!r}, the largest log gamma")
+        if -ratios[m - 1] == target:
+            x = math.log(pts[m][0])  # gamma is flat before sample m if m is on the first chord
+            return _flat(target, log_hi) if ratios[0] == ratios[m - 1] and x >= log_hi else x
+        if m == len(ratios):
+            raise NotInvertible(f"target {target!r} below {-ratios[-1]!r}, the least log gamma")
+        if anchors[m - 1] is None:  # samples collinear with the origin up to rounding
+            raise NotInvertible("shape(t)/t is not strictly decreasing between the samples")
+        # t = c / (e^target - s), written about the anchor (log t_k, log gamma_k, y_k / c)
+        log_tk, g_k, q = anchors[m - 1]
+        return log_tk - math.log1p(math.expm1(target - g_k) * q)
+
+    return (eval_, _log_domain(log_eval, log_hi),
+            _log_domain(lambda x: log_eval(x) - x, log_hi), log_gamma_inv)
+
+
+def _constant_one_inv(target, _log_hi):
+    if target > sys.float_info.max:
+        raise _beyond_float_range(target, sys.float_info.max)
+    return -target
 
 
 class _Family(NamedTuple):
     kind: str  # the default domain kind
     params: tuple  # (ShapeFunction field, JSON key, conversion of the JSON value)
-    build: Callable  # (shape, log_hi) -> (eval, log_eval, log_gamma_eval); raises IllegalSpec
+    build: Callable  # (shape, log_hi) -> (eval, log_eval, log_gamma_eval, log_gamma_inv)
     zero_limit: float = 0.0  # the limit at 0 from the right
 
 
@@ -250,9 +372,11 @@ _TABLE = {
         "psi", (("exponent", "gamma", float),), lambda s, hi: _psi_gamma(s.exponent, hi)),
     "qa_psi": _Family("psi", (), lambda s, hi: _psi_gamma(1.0, hi)),
     "identity": _Family(
-        "phi", (), lambda s, hi: _formulas(hi, lambda t: t, lambda x: x, lambda x: 0.0)),
+        "phi", (), lambda s, hi: _formulas(hi, lambda t: t, lambda x: x, lambda x: 0.0, _flat)),
     "constant_one": _Family(
-        "phi", (), lambda s, hi: _formulas(hi, lambda t: 1.0, lambda x: 0.0, lambda x: -x), 1.0),
+        "phi", (),
+        lambda s, hi: _formulas(hi, lambda t: 1.0, lambda x: 0.0, lambda x: -x, _constant_one_inv),
+        1.0),
     "piecewise": _Family("phi", (("points", "points", _float_points),), _piecewise),
 }
 
@@ -297,44 +421,27 @@ def log_gamma(shape: ShapeFunction, log_t: float) -> float:
     return shape.log_gamma_eval(log_t)
 
 
-_EXPAND_LIMIT = 1.0e308
-
-
 def log_gamma_inv(shape: ShapeFunction, target: float, log_hi: float = 0.0) -> float:
-    """Solve log_gamma(shape, x) == target for x <= log_hi by bisection.
+    """The largest x <= log_hi with log_gamma(shape, x) == target.
 
-    log_gamma must be strictly decreasing on the bracket; a flat probe raises
-    NotInvertible.  Accuracy: the answer is the midpoint of a final bracket at
-    most 1e-12 + 4 ulp(x) wide, so it lies within about 5e-13 + 2 ulp(x) of
-    where the computed log_gamma crosses target: a few ulp only once |x| is
-    above about 1e3, and some 1e12 ulp near x = -1e-9.
+    Every family inverts its ratio in closed form (`ShapeFunction.log_gamma_inv`,
+    bound when the shape is built); alpha_beta with 0 < a < 1 and b > 0 solves
+    a Lambert-W equation by Newton's method and psi_gamma used as a psi solves
+    g log1p(x) - x = target the same way.  For qa_phi, alpha_beta, constant_one
+    and piecewise phis the answer is within 4 ulp of the exact inverse of
+    log_gamma_eval's formulas (tests/test_shapes.py checks it against a
+    60-digit oracle for targets from 1e-12 to 709.5).
+
+    NotInvertible: target below log_gamma(shape, log_hi), or above every value
+    of the ratio's log; a ratio constant on the whole domain (identity,
+    alpha_beta(1, 0), psi_gamma as a phi); or an answer below the most negative
+    float, where the message names the largest invertible target.
     """
-    log_gamma = shape.log_gamma_eval  # bound once: the loop calls it ~100 times
-    g_hi = log_gamma(log_hi)
-    if target < g_hi:
+    g_hi = shape.log_gamma_eval(log_hi)
+    if not target >= g_hi:
         raise NotInvertible(f"target {target!r} below attainable minimum {g_hi!r}")
-    if target == g_hi:
-        if log_gamma(log_hi - 1.0) <= g_hi:
-            raise NotInvertible("shape(t)/t is not strictly decreasing here")
-        return log_hi
-    offset = 1.0
-    lo = log_hi - offset
-    while log_gamma(lo) < target:
-        offset *= 2.0
-        if offset > _EXPAND_LIMIT:
-            raise NotInvertible(f"target {target!r} not reached within float range")
-        lo = log_hi - offset
-    hi = log_hi
-    mid = 0.5 * (lo + hi)
-    if not log_gamma(lo) > log_gamma(mid) > g_hi:
-        raise NotInvertible("shape(t)/t is not strictly decreasing on the bracket")
-    while (hi - lo) > 1e-12 + 4.0 * math.ulp(abs(mid)):
-        if log_gamma(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    x = shape.log_gamma_inv(target, log_hi)
+    return log_hi if target == g_hi else min(x, log_hi)
 
 
 def gamma_inv(shape: ShapeFunction, y: float) -> float:

@@ -1,5 +1,8 @@
 import math
 import pickle
+import re
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,8 @@ from qaspace import (
     NotInvertible,
     ShapeFunction,
     SpecParseError,
+    ToolkitError,
+    UnsupportedFamily,
     alpha_beta,
     check_assumptions,
     constant_one,
@@ -160,6 +165,31 @@ class TestPiecewise:
         with pytest.raises(DomainError):
             piecewise([(0, 0), (0.5, 1.0), (1.0, 1.5)]).eval(1.0 + 1e-9)
 
+    # gamma falls from 2 at t = 0.25 to 1 at t = 1, and is 2 on all of (0, 0.25]
+    TWO_CHORDS = [(0, 0), (0.25, 0.5), (1, 1)]
+
+    @pytest.mark.parametrize("target", [math.log(2.0) - 1e-9, 0.6, 0.5, 0.46])
+    def test_inverse_on_the_segment_past_the_first_sample(self, target):
+        # these answers lie in [0.25, 1], but a bracket from log t = 0 down probes
+        # below the first sample, where the shape cannot be evaluated
+        phi = piecewise(self.TWO_CHORDS)
+        x = log_gamma_inv(phi, target)
+        assert math.log(0.25) < x < -1.0
+        # on this segment phi(t) = 1/3 + 2t/3, so gamma(t) = e^target at t = (1/3) / (e^target - 2/3)
+        assert x == pytest.approx(math.log((1 / 3) / (math.exp(target) - 2 / 3)), rel=1e-14)
+        assert log_gamma(phi, x) == pytest.approx(target, rel=1e-14)
+
+    def test_inverse_at_and_above_the_first_chord(self):
+        phi = piecewise(self.TWO_CHORDS)
+        top = math.log(0.5 / 0.25)
+        assert top == math.log(2.0)
+        # gamma is 2 on all of (0, 0.25]: the largest solution is the sample itself
+        assert log_gamma_inv(phi, top) == math.log(0.25)
+        with pytest.raises(NotInvertible, match="constant below log t"):
+            log_gamma_inv(phi, top, log_hi=math.log(0.25))
+        with pytest.raises(NotInvertible, match="above 0.6931471805599453, the largest log gamma"):
+            log_gamma_inv(phi, math.nextafter(top, math.inf))
+
 
 class TestLogEval:
     families = [
@@ -223,6 +253,20 @@ class TestLogGammaEval:
         lt = 3.0
         assert qa_psi().log_gamma_eval(lt) == math.log1p(lt) - lt
 
+    @pytest.mark.parametrize(
+        "shape, log_t, limit",
+        [
+            (qa_phi(), -math.inf, math.inf),  # 0 * -inf in the (a - 1) log t term
+            (alpha_beta(1.0, 0.5), -math.inf, math.inf),
+            (alpha_beta(1.0, 0.0), -math.inf, 0.0),
+            # b = 0 has no flat branch: inf - inf there
+            (ShapeFunction("alpha_beta", alpha=0.5, beta=0.0, domain_kind="psi"), math.inf, -math.inf),
+            (ShapeFunction("alpha_beta", alpha=1.0, beta=0.0, domain_kind="psi"), math.inf, 0.0),
+        ],
+    )
+    def test_infinite_arguments_take_their_limits(self, shape, log_t, limit):
+        assert shape.log_gamma_eval(log_t) == limit
+
 
 class TestGammaInverse:
     def test_gamma_is_ratio(self):
@@ -243,6 +287,167 @@ class TestGammaInverse:
     def test_flat_gamma_not_invertible(self):
         with pytest.raises(NotInvertible):
             gamma_inv(identity(), 2.0)
+
+
+def _bisection_log_gamma_inv(shape, target, log_hi=0.0):
+    """The bisection that the closed forms replaced, kept as the reference that
+    they must never be less accurate than."""
+    log_gamma = shape.log_gamma_eval
+    g_hi = log_gamma(log_hi)
+    if target < g_hi:
+        raise NotInvertible(f"target {target!r} below attainable minimum {g_hi!r}")
+    if target == g_hi:
+        if log_gamma(log_hi - 1.0) <= g_hi:
+            raise NotInvertible("shape(t)/t is not strictly decreasing here")
+        return log_hi
+    offset = 1.0
+    lo = log_hi - offset
+    while log_gamma(lo) < target:
+        offset *= 2.0
+        if offset > 1.0e308:
+            raise NotInvertible(f"target {target!r} not reached within float range")
+        lo = log_hi - offset
+    hi = log_hi
+    mid = 0.5 * (lo + hi)
+    if not log_gamma(lo) > log_gamma(mid) > g_hi:
+        raise NotInvertible("shape(t)/t is not strictly decreasing on the bracket")
+    while (hi - lo) > 1e-12 + 4.0 * math.ulp(abs(mid)):
+        if log_gamma(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+def _exact_log_gamma_inv(shape, target):
+    """The largest log t with log_gamma_eval(log t) == target, to 60 digits.
+
+    The formulas of log_gamma_eval are evaluated exactly, with the float
+    constants the shape holds (a - 1, b, the flat point and log of the top
+    value of alpha_beta; the samples of piecewise).  Standard library only.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        T = Decimal(target)
+        if shape.family == "constant_one":
+            return -T
+        if shape.family == "piecewise":
+            pts = [(Decimal(t), Decimal(y)) for t, y in shape.points[1:]]
+            ratios = [(y / t).ln() for t, y in pts]
+            k = max(i for i, r in enumerate(ratios) if r >= T)
+            if ratios[k] == T:
+                return pts[k][0].ln()
+            (ta, ya), (tb, yb) = pts[k], pts[k + 1]
+            s = (yb - ya) / (tb - ta)
+            return ((ya - s * ta) / (T.exp() - s)).ln()
+        a, b = (1.0, 1.0) if shape.family == "qa_phi" else (shape.alpha, shape.beta)
+        x = Decimal(0)
+        if b:
+            flat = Decimal(1.0 - b / a)
+            log_top = Decimal((a - b) + b * math.log(b / a))
+            if T <= log_top - flat:
+                return log_top - T
+            x = min(x, flat)
+        am1, b = Decimal(a - 1.0), Decimal(b)
+        if not am1:
+            return 1 - (T / b).exp()
+        if not b:
+            return T / am1
+        # the formula is concave and decreasing, and x starts right of the root
+        # (target > 0 = its value at 0), so Newton's iterates fall to the root
+        for _ in range(200):
+            step = (am1 * x + b * (1 - x).ln() - T) / (am1 - b / (1 - x))
+            x -= step
+            if abs(step) <= Decimal("1e-55") * max(1, abs(x)):
+                return x
+        raise AssertionError("the oracle did not converge")
+
+
+class TestClosedFormInverse:
+    PHIS = [
+        qa_phi(),
+        alpha_beta(1.0, 0.4),
+        alpha_beta(1.0, 0.05),
+        # b in {0.7, 1} with a = 0.3 and b = 1 with a = 0.8 flatten: b > a
+        *(alpha_beta(a, b) for a in (0.3, 0.8) for b in (0.0, 0.05, 0.3, 0.7, 1.0)),
+        constant_one(),
+        piecewise([(0, 0), (0.01, 0.1), (0.25, 0.5), (0.5, 0.75), (1, 1)]),
+    ]
+    # 1e-12 to 10^2.75 in eighth decades, the float-range edge of qa_phi, and
+    # targets inside every piecewise segment
+    TARGETS = (*(10.0 ** (k / 8) for k in range(-96, 23)), 0.35, 0.6, 1.0, 2.0, 709.0, 709.5)
+
+    @pytest.mark.parametrize("phi", PHIS, ids=lambda p: f"{p.family}({p.alpha},{p.beta})")
+    def test_within_4_ulp_of_the_oracle_and_never_behind_the_bisection(self, phi):
+        compared = 0
+        for log_hi in (0.0, -3.0):
+            for target in self.TARGETS:
+                try:
+                    x = log_gamma_inv(phi, target, log_hi)
+                except NotInvertible:
+                    continue
+                exact = min(_exact_log_gamma_inv(phi, target), Decimal(log_hi))
+                error = abs(Decimal(x) - exact)
+                assert error <= 4 * Decimal(math.ulp(float(exact))), (target, log_hi, x, exact)
+                try:
+                    old = _bisection_log_gamma_inv(phi, target, log_hi)
+                except ToolkitError:  # piecewise: its bracket probes below the samples
+                    continue
+                assert error <= abs(Decimal(old) - exact), (target, log_hi, x, old, exact)
+                compared += 1
+        assert compared >= 20
+
+    def test_round_trip_over_every_family_and_domain(self):
+        targets = (-50.0, -3.0, -1.0, -0.3, -1e-6, 0.0, 1e-9, 0.2, 0.6, 1.0, 3.0, 40.0, 700.0)
+        inverted = set()
+        for shape in TestFamilyTable().members():
+            for log_hi in (0.0, -3.0) + ((2.0,) if shape.domain_kind == "psi" else ()):
+                for target in targets:
+                    try:
+                        x = log_gamma_inv(shape, target, log_hi)
+                    except (NotInvertible, UnsupportedFamily, DomainError):
+                        continue
+                    assert x <= log_hi
+                    assert log_gamma(shape, x) == pytest.approx(target, rel=1e-13, abs=1e-15)
+                    inverted.add(shape.family)
+        # identity's ratio is constant, and alpha_beta(1, 0) is identity
+        assert inverted == set(shapes_module._TABLE) - {"identity"}
+
+    @pytest.mark.parametrize("phi", [qa_phi(), alpha_beta(1.0, 0.4)], ids=["qa_phi", "ab(1,0.4)"])
+    def test_float_range_edge_is_named(self, phi):
+        edge = log_gamma(phi, -sys.float_info.max)
+        assert -sys.float_info.max <= log_gamma_inv(phi, edge) < -1e307
+        over = math.nextafter(edge, math.inf)
+        message = (
+            f"target {over!r} beyond the largest invertible target {edge!r}"
+            f" (log gamma at log t = {-sys.float_info.max!r})"
+        )
+        with pytest.raises(NotInvertible, match=re.escape(message)):
+            log_gamma_inv(phi, over)
+        # the bisection's bracket stopped at log t = -2^1023; the targets up to
+        # the edge have answers below it, and now return them
+        deepest = log_gamma(phi, -(2.0**1023))
+        between = 0.5 * (deepest + edge)
+        with pytest.raises(NotInvertible, match="not reached within float range"):
+            _bisection_log_gamma_inv(phi, between)
+        assert log_gamma_inv(phi, between) < -(2.0**1023)
+
+    @pytest.mark.parametrize(
+        "shape, target, message",
+        [
+            (identity(), 0.0, "constant below log t = 0.0"),
+            (identity(), 2.0, "constant below log t = 0.0"),
+            (alpha_beta(1.0, 0.0), 0.0, "constant below log t = 0.0"),
+            (psi_gamma(0.5), 0.0, "constant below log t = 0.0"),
+            (qa_phi(), -1.0, "below attainable minimum 0.0"),
+            (qa_phi(), math.nan, "target nan below attainable minimum"),
+            (constant_one(), math.inf, "target inf beyond the largest invertible target"),
+        ],
+    )
+    def test_refusals_name_their_reason(self, shape, target, message):
+        with pytest.raises(NotInvertible, match=re.escape(message)):
+            log_gamma_inv(shape, target)
 
 
 class TestConcavityHelpers:
