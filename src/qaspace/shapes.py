@@ -257,14 +257,15 @@ def _psi_gamma(g, log_hi: float) -> tuple:
             return 0.0 if log_hi > 0.0 else _flat(target, log_hi)
         if not g:
             return -target
-        # x - g log1p(x) + target is convex and increasing for x > 0, and this
-        # start solves a quadratic below it (log1p(x) <= x (2 + x) / (2 + 2x)),
-        # so after one Newton step the iterates fall to the root
-        p = 2.0 - 2.0 * g + 2.0 * target
-        d = math.hypot(p, math.sqrt(-8.0 * target * (2.0 - g)))
-        x = -4.0 * target / (p + d) if p >= 0.0 else (d - p) / (4.0 - 2.0 * g)
-        step = lambda x: x - (x - g * math.log1p(x) + target) * (1.0 + x) / (1.0 + x - g)  # noqa: E731
-        x = step(x)
+        # x - g log1p(x) + target is convex and increasing for x > 0, so after
+        # one Newton step the iterates fall to the root.  The start solves the
+        # quadratic (1 - g/2) x^2 + (1 - g + target) x + target = 0 that lies
+        # below it (log1p(x) <= x (2 + x) / (2 + 2x)); -target if that overflows
+        p = 1.0 - g + target
+        d = math.hypot(p, 2.0 * math.sqrt((0.5 * g - 1.0) * target))
+        x = -2.0 * target / (p + d) if p >= 0.0 else (d - p) / (2.0 - g)
+        step = lambda x: x - (x - g * math.log1p(x) + target) / (((1.0 - g) + x) / (1.0 + x))  # noqa: E731
+        x = step(x if x < math.inf else -target)
         while (nxt := step(x)) < x:
             x = nxt
         return x

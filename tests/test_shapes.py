@@ -433,6 +433,16 @@ class TestClosedFormInverse:
             _bisection_log_gamma_inv(phi, between)
         assert log_gamma_inv(phi, between) < -(2.0**1023)
 
+    @pytest.mark.parametrize("g", [1.0, 0.4])
+    @pytest.mark.parametrize("target", [-1e-300, -1e-12, -5.0, -1e5, -1.7e308])
+    def test_psi_gamma_as_psi_from_the_origin_to_the_float_edge(self, g, target):
+        # near the origin g = 1 makes x - log1p(x) vanish to second order, and
+        # near the edge the start of the Newton solve overflows
+        psi = psi_gamma(g)
+        x = log_gamma_inv(psi, target, log_hi=sys.float_info.max)
+        assert 0.0 < x < math.inf
+        assert log_gamma(psi, x) == pytest.approx(target, rel=1e-9, abs=1e-20)
+
     @pytest.mark.parametrize(
         "shape, target, message",
         [
