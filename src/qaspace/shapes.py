@@ -72,11 +72,13 @@ class ShapeFunction:
     """One member of a shape family; immutable and hashable.
 
     eval(t), log_eval(log_t) = log(self(e^log_t)), log_gamma_eval(log_t) =
-    log(self(t)/t) and its inverse log_gamma_inv(target, log_hi) are bound to
-    the member's constants when it is built.  log_gamma_eval is formed per
+    log(self(t)/t) and its inverse log_gamma_inv(target, hi) are bound to the
+    member's constants when it is built.  log_gamma_eval is formed per
     family: log_eval(log_t) - log_t cancels to zero once |log_t| dwarfs the
-    ratio's log.  log_gamma_inv is the closed-form solve behind the module's
-    `log_gamma_inv`, which checks log_hi and the target first.
+    ratio's log.  log_gamma_inv returns, in closed form, the largest log t
+    where log_gamma_eval is target, and refuses a level on which the ratio is
+    constant below hi; the module's `log_gamma_inv` checks the target against
+    hi first.
     """
 
     family: str
@@ -159,9 +161,9 @@ def _product_error(p: float, q: float) -> float:
     return ((ph * qh - p * q) + ph * ql + pl * qh) + pl * ql
 
 
-def _flat(target, log_hi):
-    """The inverse where the ratio is constant on every log t <= log_hi."""
-    raise NotInvertible(f"shape(t)/t is constant below log t = {log_hi!r}, so it has no inverse")
+def _flat(target, hi):
+    """The inverse where the ratio is constant on every log t <= hi."""
+    raise NotInvertible(f"shape(t)/t is constant below log t = {hi!r}, so it has no inverse")
 
 
 def _beyond_float_range(target: float, edge: float) -> NotInvertible:
@@ -210,7 +212,7 @@ def _alpha_beta(a, b, log_hi: float) -> tuple:
     c = (1.0 - a) / b if b else 0.0
     log_c = math.log(c) if c else 0.0
 
-    def log_gamma_inv(target, _log_hi):
+    def log_gamma_inv(target, _hi):
         if target <= g_flat:  # past the flat point gamma = top / t
             return log_top - target
         if target > edge:
@@ -249,12 +251,12 @@ def _psi_gamma(g, log_hi: float) -> tuple:
     formula = lambda t: t if t < 1.0 else (1.0 + math.log(t)) ** g  # noqa: E731
     log_eval = lambda x: x if x < 0.0 else (g * math.log1p(x) if g else 0.0)  # noqa: E731
 
-    def log_gamma_inv(target, log_hi):
+    def log_gamma_inv(target, hi):
         # the ratio is 1 up to t = 1, then falls: log gamma = g log1p(x) - x
         if target > 0.0:
             raise NotInvertible(f"target {target!r} above 0.0, the largest log gamma")
         if not target:
-            return 0.0 if log_hi > 0.0 else _flat(target, log_hi)
+            return 0.0 if hi > 0.0 else _flat(target, hi)
         if not g:
             return -target
         # x - g log1p(x) + target is convex and increasing for x > 0, so after
@@ -332,13 +334,13 @@ def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
         tk, yk = (tb, yb) if tb <= 1.0 else (ta, ya) if ta >= 1.0 else (1.0, ya + s * (1.0 - ta))
         anchors.append((math.log(tk), math.log(yk / tk), yk / c) if c > 0 else None)
 
-    def log_gamma_inv(target, log_hi):
+    def log_gamma_inv(target, hi):
         m = bisect_right(ratios, -target)  # samples 1..m have log gamma >= target
         if not m:
             raise NotInvertible(f"target {target!r} above {-ratios[0]!r}, the largest log gamma")
         if -ratios[m - 1] == target:
             x = math.log(pts[m][0])  # gamma is flat before sample m if m is on the first chord
-            return _flat(target, log_hi) if ratios[0] == ratios[m - 1] and x >= log_hi else x
+            return _flat(target, hi) if ratios[0] == ratios[m - 1] and x >= hi else x
         if m == len(ratios):
             raise NotInvertible(f"target {target!r} below {-ratios[-1]!r}, the least log gamma")
         if anchors[m - 1] is None:  # samples collinear with the origin up to rounding
@@ -351,7 +353,7 @@ def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
             _log_domain(lambda x: log_eval(x) - x, log_hi), log_gamma_inv)
 
 
-def _constant_one_inv(target, _log_hi):
+def _constant_one_inv(target, _hi):
     if target > sys.float_info.max:
         raise _beyond_float_range(target, sys.float_info.max)
     return -target
