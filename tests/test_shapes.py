@@ -170,8 +170,8 @@ class TestPiecewise:
 
     @pytest.mark.parametrize("target", [math.log(2.0) - 1e-9, 0.6, 0.5, 0.46])
     def test_inverse_on_the_segment_past_the_first_sample(self, target):
-        # these answers lie in [0.25, 1], but a bracket from log t = 0 down probes
-        # below the first sample, where the shape cannot be evaluated
+        # the answers lie in [0.25, 1]; the shape cannot be evaluated below its
+        # first sample, so the inverse must not look there
         phi = piecewise(self.TWO_CHORDS)
         x = log_gamma_inv(phi, target)
         assert math.log(0.25) < x < -1.0
@@ -354,8 +354,8 @@ def _exact_log_gamma_inv(shape, target):
             return 1 - (T / b).exp()
         if not b:
             return T / am1
-        # the formula is concave and decreasing, and x starts right of the root
-        # (target > 0 = its value at 0), so Newton's iterates fall to the root
+        # the formula is concave and decreasing, and at the start (0, or the
+        # flat point) it is below target, so Newton's iterates fall to the root
         for _ in range(200):
             step = (am1 * x + b * (1 - x).ln() - T) / (am1 - b / (1 - x))
             x -= step
@@ -425,8 +425,8 @@ class TestClosedFormInverse:
         )
         with pytest.raises(NotInvertible, match=re.escape(message)):
             log_gamma_inv(phi, over)
-        # the bisection's bracket stopped at log t = -2^1023; the targets up to
-        # the edge have answers below it, and now return them
+        # the reference bisection's bracket stops at log t = -2^1023; targets
+        # between there and the edge still have float answers
         deepest = log_gamma(phi, -(2.0**1023))
         between = 0.5 * (deepest + edge)
         with pytest.raises(NotInvertible, match="not reached within float range"):
