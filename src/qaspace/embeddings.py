@@ -187,13 +187,19 @@ def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max
 
     gamma_exp indices whose s_n falls below every representable float keep a
     -inf sentinel; their per-measure cost is still exact since
-    log(gamma(s(x))) = x - 1 by construction.
+    log(gamma(s(x))) = x - 1 by construction.  So does an index whose inverse
+    is refused because gamma is constant on the whole domain (identity).  A
+    gamma_exp sequence ends before the first index whose e^(n-1) exceeds
+    gamma's largest value, its limit at t = 0: no s_n exists there.
     """
     n_start = max(1, math.ceil(seq.domain_start - 1e-12))
+    top = log_gamma(phi, -math.inf) if seq.kind == "gamma_exp" else None
     rows = []
     for n in range(n_start, n_max + 1):
         if seq.kind == "gamma_exp":
             lg = n - 1.0
+            if lg > top:
+                break
             try:
                 ls = seq.log_value(float(n))
             except NotInvertible:
@@ -231,6 +237,8 @@ def phi_s(
     n_start, rows = _term_table(phi, psi, seq, n_max)
     if n_max < n_start:
         raise DomainError(f"n_max {n_max} is below the sequence's first index {n_start}")
+    if not rows:
+        raise DomainError(f"the sequence has no value at an index from {n_start} to {n_max}")
     best = math.inf
     best_n = n_start
     worse = 0

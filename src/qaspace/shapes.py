@@ -71,14 +71,12 @@ __all__ = [
 class ShapeFunction:
     """One member of a shape family; immutable and hashable.
 
-    eval(t), log_eval(log_t) = log(self(e^log_t)), log_gamma_eval(log_t) =
-    log(self(t)/t) and its inverse log_gamma_inv(target, hi) are bound to the
-    member's constants when it is built.  log_gamma_eval is formed per
-    family: log_eval(log_t) - log_t cancels to zero once |log_t| dwarfs the
-    ratio's log.  log_gamma_inv returns, in closed form, the largest log t
-    where log_gamma_eval is target, and refuses a level on which the ratio is
-    constant below hi; the module's `log_gamma_inv` checks the target against
-    hi first.
+    eval(t), log_eval(log_t) = log(self(e^log_t)) and log_gamma_eval(log_t) =
+    log(self(t)/t) are bound to the member's constants when it is built, and
+    so is the private closed-form inverse behind the module's `log_gamma_inv`,
+    which alone checks the target against hi and clamps to it.
+    log_gamma_eval is formed per family: log_eval(log_t) - log_t cancels to
+    zero once |log_t| dwarfs the ratio's log.
     """
 
     family: str
@@ -94,7 +92,7 @@ class ShapeFunction:
         if self.domain_kind not in ("phi", "psi"):
             raise IllegalSpec("domain_kind must be 'phi' or 'psi'")
         formulas = _TABLE[self.family].build(self, 0.0 if self.domain_kind == "phi" else math.inf)
-        for name, formula in zip(("eval", "log_eval", "log_gamma_eval", "log_gamma_inv"),
+        for name, formula in zip(("eval", "log_eval", "log_gamma_eval", "_log_gamma_inv"),
                                  formulas):
             object.__setattr__(self, name, formula)
 
@@ -303,7 +301,10 @@ def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
         raise IllegalSpec("piecewise samples must be finite")
     if any(y <= 0 for y in ys[1:]):  # with the checks above, one zero makes the shape 0
         raise IllegalSpec("piecewise samples after (0, 0) must be positive")
-    first_pos = next((t for t in ts if t > 0), None)
+    # below the first positive sample the shape is the chord from the origin,
+    # so gamma is y1/t1 there, down to t = 0
+    log_first = math.log(ts[1]) if len(ts) > 1 else -math.inf
+    log_first_gamma = math.log(ys[1] / ts[1]) if len(ts) > 1 else None
 
     def formula(t):
         if t > ts[-1]:
@@ -317,10 +318,14 @@ def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
     eval_ = _on_domain(formula, log_hi)
 
     def log_eval(log_t):
-        # only meaningful at or above the first positive sample
-        if first_pos is None or log_t < math.log(first_pos):
+        if log_t < log_first:
+            return log_t + log_first_gamma
+        if log_first_gamma is None:  # the zero shape: no positive sample
             raise UnsupportedFamily("piecewise shapes cannot be evaluated below their samples")
         return math.log(eval_(math.exp(log_t)))
+
+    def log_gamma_eval(log_t):
+        return log_first_gamma if log_t < log_first else log_eval(log_t) - log_t
 
     # gamma = s + c/t on a segment of slope s and intercept c; concavity makes c
     # grow along the samples, so gamma is flat where c = 0 (from the origin
@@ -350,7 +355,7 @@ def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
         return log_tk - math.log1p(math.expm1(target - g_k) * q)
 
     return (eval_, _log_domain(log_eval, log_hi),
-            _log_domain(lambda x: log_eval(x) - x, log_hi), log_gamma_inv)
+            _log_domain(log_gamma_eval, log_hi), log_gamma_inv)
 
 
 def _constant_one_inv(target, _hi):
@@ -362,7 +367,7 @@ def _constant_one_inv(target, _hi):
 class _Family(NamedTuple):
     kind: str  # the default domain kind
     params: tuple  # (ShapeFunction field, JSON key, conversion of the JSON value)
-    build: Callable  # (shape, log_hi) -> (eval, log_eval, log_gamma_eval, log_gamma_inv)
+    build: Callable  # (shape, log_hi) -> (eval, log_eval, log_gamma_eval, _log_gamma_inv)
     zero_limit: float = 0.0  # the limit at 0 from the right
 
 
@@ -427,13 +432,13 @@ def log_gamma(shape: ShapeFunction, log_t: float) -> float:
 def log_gamma_inv(shape: ShapeFunction, target: float, log_hi: float = 0.0) -> float:
     """The largest x <= log_hi with log_gamma(shape, x) == target.
 
-    Every family inverts its ratio in closed form (`ShapeFunction.log_gamma_inv`,
-    bound when the shape is built); alpha_beta with 0 < a < 1 and b > 0 solves
-    a Lambert-W equation by Newton's method and psi_gamma used as a psi solves
-    g log1p(x) - x = target the same way.  For qa_phi, alpha_beta, constant_one
-    and piecewise phis the answer is within 4 ulp of the exact inverse of
-    log_gamma_eval's formulas (tests/test_shapes.py checks it against a
-    60-digit oracle for targets from 1e-12 to 709.5).
+    Every family inverts its ratio in closed form (bound when the shape is
+    built); alpha_beta with 0 < a < 1 and b > 0 solves a Lambert-W equation
+    by Newton's method and psi_gamma used as a psi solves g log1p(x) - x =
+    target the same way.  For qa_phi, alpha_beta, constant_one and piecewise
+    phis the answer is within 4 ulp of the exact inverse of log_gamma_eval's
+    formulas (tests/test_shapes.py checks it against a 60-digit oracle for
+    targets from 1e-12 to 709.5).
 
     NotInvertible: target below log_gamma(shape, log_hi), or above every value
     of the ratio's log; a ratio constant on the whole domain (identity,
@@ -443,7 +448,7 @@ def log_gamma_inv(shape: ShapeFunction, target: float, log_hi: float = 0.0) -> f
     g_hi = shape.log_gamma_eval(log_hi)
     if not target >= g_hi:
         raise NotInvertible(f"target {target!r} below attainable minimum {g_hi!r}")
-    x = shape.log_gamma_inv(target, log_hi)
+    x = shape._log_gamma_inv(target, log_hi)
     return log_hi if target == g_hi else min(x, log_hi)
 
 

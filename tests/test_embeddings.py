@@ -20,13 +20,15 @@ from qaspace import (
     log_tau,
     omega_n,
     phi_s,
+    piecewise,
     qa_phi,
     qa_psi,
     reciprocal,
     sample_sequence,
     tau,
 )
-from qaspace.embeddings import log_grid
+from qaspace.embeddings import _term_table, log_grid
+from qaspace.logs import LOG_ZERO
 from qaspace.shapes import log_gamma
 
 
@@ -170,6 +172,28 @@ class TestPhiS:
     def test_n_max_below_the_first_index(self):
         with pytest.raises(DomainError, match="n_max -5"):
             phi_s(qa_phi(), qa_psi(), reciprocal(), 0.5, n_max=-5)
+
+    def test_gamma_exp_ends_where_a_bounded_ratio_tops_out(self):
+        # gamma is at most 2, so only n = 1 (s_1 = 1) has an s_n with
+        # gamma(s_n) = e^(n-1); later indices would price terms of no s_n
+        phi = piecewise([(0, 0), (0.25, 0.5), (1, 1)])
+        seq = gamma_exp(phi)
+        assert phi_s(phi, qa_psi(), seq, 0.01, n_max=50) == (1.0, 1)
+        assert _term_table(phi, qa_psi(), seq, 50)[1] == ((0.0, 0.0),)
+
+    def test_gamma_exp_without_an_index_is_refused(self):
+        # gamma stays below 1 = e^(1-1), so the sequence has no value at all
+        phi = piecewise([(0, 0), (0.5, 0.3), (1, 0.4)])
+        with pytest.raises(DomainError, match="no value at an index from 1 to 50"):
+            phi_s(phi, qa_psi(), gamma_exp(phi), 0.01, n_max=50)
+
+    def test_gamma_exp_indices_past_the_float_range_underflow(self):
+        # s_n exists for every n, but below every float once n - 1 > 709.78
+        phi = qa_phi()
+        n_start, rows = _term_table(phi, qa_psi(), gamma_exp(phi), 800)
+        assert len(rows) == 800
+        assert rows[709][0] > LOG_ZERO and rows[710][0] == LOG_ZERO  # targets 709 and 710
+        assert rows[799][1] == 799.0 + math.log(qa_psi().eval(800.0))
 
 
 class TestAlphaS:

@@ -14,7 +14,6 @@ from qaspace import (
     NotInvertible,
     ShapeFunction,
     SpecParseError,
-    ToolkitError,
     UnsupportedFamily,
     alpha_beta,
     check_assumptions,
@@ -170,8 +169,7 @@ class TestPiecewise:
 
     @pytest.mark.parametrize("target", [math.log(2.0) - 1e-9, 0.6, 0.5, 0.46])
     def test_inverse_on_the_segment_past_the_first_sample(self, target):
-        # the answers lie in [0.25, 1]; the shape cannot be evaluated below its
-        # first sample, so the inverse must not look there
+        # the answers lie in [0.25, 1], on the second chord
         phi = piecewise(self.TWO_CHORDS)
         x = log_gamma_inv(phi, target)
         assert math.log(0.25) < x < -1.0
@@ -189,6 +187,22 @@ class TestPiecewise:
             log_gamma_inv(phi, top, log_hi=math.log(0.25))
         with pytest.raises(NotInvertible, match="above 0.6931471805599453, the largest log gamma"):
             log_gamma_inv(phi, math.nextafter(top, math.inf))
+
+    @pytest.mark.parametrize("log_t", [math.log(0.25) - 1e-9, -10.0, -1e300, -math.inf])
+    def test_log_forms_below_the_first_sample_follow_the_first_chord(self, log_t):
+        # phi(t) = 2t on [0, 0.25], so log gamma is log 2 there, to t = 0
+        phi = piecewise(self.TWO_CHORDS)
+        assert phi.log_gamma_eval(log_t) == math.log(2.0)
+        assert phi.log_eval(log_t) == log_t + math.log(2.0)
+        if log_t > -700:  # where e^log_t is still a normal float
+            direct = math.log(phi.eval(math.exp(log_t)))
+            assert phi.log_eval(log_t) == pytest.approx(direct, rel=1e-14)
+
+    def test_log_forms_of_the_zero_shape_are_refused(self):
+        with pytest.raises(UnsupportedFamily):
+            piecewise([(0, 0)]).log_eval(-1.0)
+        with pytest.raises(UnsupportedFamily):
+            piecewise([(0, 0)]).log_gamma_eval(-1.0)
 
 
 class TestLogEval:
@@ -392,7 +406,7 @@ class TestClosedFormInverse:
                 assert error <= 4 * Decimal(math.ulp(float(exact))), (target, log_hi, x, exact)
                 try:
                     old = _bisection_log_gamma_inv(phi, target, log_hi)
-                except ToolkitError:  # piecewise: its bracket probes below the samples
+                except NotInvertible:  # 709.5 for qa_phi: past where its bracket stopped
                     continue
                 assert error <= abs(Decimal(old) - exact), (target, log_hi, x, old, exact)
                 compared += 1
