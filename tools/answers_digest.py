@@ -8,8 +8,8 @@ layer_corpus(200, seed=7) from tests/corpora.py, the 50-200 layer functions of
 deep_corpus(20) for the long searches, the two edge_corpus sets (non-dyadic
 grids, and values from 5e-324 to 1.7e308), a grid of witness specs, every shape
 family in both domains on fixed argument grids (with the error of each
-malformed shape spec), the gamma_exp profiles of three phi shapes, and a fixed
-list of CLI argvs (exit code, stdout and stderr).  Every float is hashed through repr, every
+malformed shape spec), the profiles of three phi shapes on a gamma_exp, a
+reciprocal and a sampled sequence, and a fixed list of CLI argvs (exit code, stdout and stderr).  Every float is hashed through repr, every
 Fraction exactly, so a digest stays the same only if every answer in its
 group is bitwise the same.  Run it in two checkouts and diff the output.
 Standard library only; takes no options.
@@ -114,7 +114,9 @@ BAD_SPECS = [
     {"family": "alpha_beta", "alpha": "x", "beta": 0.5, "domain": "theta"},
 ]
 PROFILE_PHIS = (qa_phi(), alpha_beta(0.5, 0.7), alpha_beta(1.0, 0.6))
-PROFILE_TS = (1e-300, 1e-100, 1e-20, 1e-6, 0.01, 0.2, 0.5, 1.0)
+PROFILE_TS = (5e-324, 1e-300, 1e-100, 1e-20, 1e-6, 0.01, 0.2, 0.5, 1.0)
+# decreasing, and reaching below 1e-200 only past PROFILE_N_MAX
+PROFILE_SAMPLES = ((1.0, 0.9), (10.0, 0.01), (400.0, 1e-200))
 PROFILE_N_MAX = 300
 
 QA_PHI = '{"family": "qa_phi"}'
@@ -217,7 +219,13 @@ def groups():
         *map(_shape, SHAPES),
         *(_shape_answer(lambda: parse_shape(spec).to_json()) for spec in BAD_SPECS),
     ]
-    yield "profiles", [_profile(phi, psi) for phi in PROFILE_PHIS for psi in WITNESS_PSIS]
+    yield "profiles", [
+        _profile(phi, psi, seq)
+        for phi in PROFILE_PHIS
+        for psi in WITNESS_PSIS
+        for seq in (embeddings.gamma_exp(phi), embeddings.reciprocal(),
+                    embeddings.sample_sequence(PROFILE_SAMPLES))
+    ]
     yield "cli", [_cli(argv) for argv in CLI_ARGVS]
 
 
@@ -236,9 +244,8 @@ def _shape(shape) -> tuple:
     )
 
 
-def _profile(phi, psi) -> tuple:
-    """The gamma_exp profiles of (phi, psi), each phi_s from a cold table."""
-    seq = embeddings.gamma_exp(phi)
+def _profile(phi, psi, seq) -> tuple:
+    """The profiles of (phi, psi) on seq, each phi_s from a cold table."""
     phi_s = []
     for t in PROFILE_TS:
         embeddings._term_table.cache_clear()
