@@ -122,7 +122,10 @@ class SequenceSpec:
             raise DomainError(f"sample sequence ends at {pts[-1][0]}, got {x!r}")
         for (x0, s0), (x1, s1) in zip(pts, pts[1:]):
             if x <= x1:
-                return s0 + (s1 - s0) * (x - x0) / (x1 - x0)
+                # monotone in x, but it can round below the lower sample (to 0
+                # beside a tiny one): it is held there, and is s1 at x1
+                s = s0 + (s1 - s0) * (x - x0) / (x1 - x0)
+                return s1 if x == x1 else max(s, min(s0, s1))
         return pts[-1][1]
 
     def log_value(self, x: float) -> float:

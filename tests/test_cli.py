@@ -162,6 +162,15 @@ class TestCheckSeq:
         assert rep["step_ratio_constant"] == pytest.approx(math.e, rel=1e-9)
 
 
+    def test_samples_reaching_a_tiny_value(self, capsys):
+        # the last knot's sample used to interpolate to 0.0 and fail in log
+        seq = {"kind": "samples", "points": [[1, 0.9], [10, 0.01], [400, 1e-200]]}
+        assert main(["check-seq", "--seq", json.dumps(seq), "--phi", QA_PHI, "--psi", QA_PSI,
+                     "--xmin", "1", "--xmax", "400", "--points", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["monotone_decreasing"] is True
+        assert main(equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI, "seq": seq})) == 0
+
+
 class TestEquivalence:
     def test_matches_library(self):
         proc = run_cli(

@@ -123,6 +123,15 @@ class TestSequences:
         with pytest.raises(DomainError):
             s.inverse(0.05)
 
+    def test_samples_keep_each_knot_and_stay_positive(self):
+        # s0 + (s1 - s0) * 1 rounds 0.01 + (1e-200 - 0.01) to 0.0
+        s = sample_sequence([(1, 0.9), (10, 0.01), (400, 1e-200)])
+        assert (s.value(1.0), s.value(10.0), s.value(400.0)) == (0.9, 0.01, 1e-200)
+        assert s.log_value(400.0) == math.log(1e-200)
+        values = [s.value(x) for x in (*range(1, 401), math.nextafter(400.0, 0.0))]
+        assert min(values) == 1e-200
+        assert all(b <= a for a, b in zip(values, values[1:-1]))
+
     def test_samples_validation(self):
         with pytest.raises(Exception):
             sample_sequence([(1.0, 0.5)])
