@@ -15,7 +15,10 @@ A decreasing sequence s gives two more profiles:
 
 which agree with tau up to constants for good sequences; the sequence
 s(x) = gamma_inv(e^{x-1}) makes alpha_s and tau coincide wherever
-phi(t)/t >= 1.  `check_seq_conditions` reports grid evidence for the four
+phi(t)/t >= 1.  s_n does not increase, phi(t)/t does not increase and psi does
+not decrease, so the truncated phi_s is in closed form: with k the first index
+where s_k < t, the least of the terms before k and t * gamma(s_k) * psi(k).
+`check_seq_conditions` reports grid evidence for the four
 conditions a sequence must satisfy, including the empirical step-growth
 constant for phi(s_n)/s_n.
 """
@@ -23,6 +26,7 @@ constant for phi(s_n)/s_n.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -186,18 +190,20 @@ class PhiSValue(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max: int):
-    """Per-index data (log s_n, log(gamma(s_n) * psi(n))) for n up to n_max.
+    """phi_s's columns for n from n_start up to n_max: rows of (log s_n, base_n),
+    base_n = log(gamma(s_n) * psi(n)); -log s_n, for bisect; and head[r], the
+    least log s_n + base_n over the first r rows with its row (the first on ties).
 
-    gamma_exp indices whose s_n falls below every representable float keep a
-    -inf sentinel; their per-measure cost is still exact since
-    log(gamma(s(x))) = x - 1 by construction.  So does an index whose inverse
-    is refused because gamma is constant on the whole domain (identity).  A
-    gamma_exp sequence ends before the first index whose e^(n-1) exceeds
-    gamma's largest value, its limit at t = 0: no s_n exists there.
+    A sequence whose s_n rises is refused.  The table ends at the first s_n below
+    the least positive float: every float t > 0 exceeds it, and later rows have
+    no smaller base.  A gamma_exp s_n below every float keeps a -inf sentinel, as
+    does one whose inverse is refused because gamma is constant (identity); its
+    log(gamma(s_n)) = n - 1 stays exact.  A gamma_exp sequence ends before the
+    first index whose e^(n-1) exceeds gamma's largest value: no s_n exists there.
     """
     n_start = max(1, math.ceil(seq.domain_start - 1e-12))
     top = log_gamma(phi, -math.inf) if seq.kind == "gamma_exp" else None
-    rows = []
+    rows, head = [], [(math.inf, 0)]
     for n in range(n_start, n_max + 1):
         if seq.kind == "gamma_exp":
             lg = n - 1.0
@@ -213,8 +219,13 @@ def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max
             except DomainError:
                 break
             lg = log_gamma(phi, ls)
+        if rows and ls > rows[-1][0]:
+            raise DomainError(f"phi_s needs a non-increasing sequence, but s rises at index {n}")
         rows.append((ls, lg + math.log(psi.eval(float(n)))))
-    return n_start, tuple(rows)
+        head.append(min(head[-1], (ls + rows[-1][1], len(rows) - 1)))
+        if ls < math.log(5e-324):
+            break
+    return n_start, tuple(rows), tuple(-ls for ls, _ in rows), tuple(head)
 
 
 def phi_s(
@@ -224,12 +235,11 @@ def phi_s(
     t: float,
     n_max: int = 10_000,
 ) -> PhiSValue:
-    """Truncated infimum over n <= n_max of max{s_n, t} * gamma(s_n) * psi(n).
+    """Infimum over n <= n_max of max{s_n, t} * gamma(s_n) * psi(n), exactly.
 
-    Returns the value and the achieving index.  The scan stops early once the
-    sequence has dropped below t and the terms have been non-decreasing for 32
-    consecutive indices; the truncation is trustworthy once n_max reaches past
-    the crossover s_n ~ t.
+    Returns the value and the least achieving index: one bisection finds k,
+    the first index with s_k < t, and the answer is the least of the terms
+    before k and t * gamma(s_k) * psi(k), past which no term is smaller.
     """
     t = float(t)
     if t == 0.0:
@@ -237,26 +247,14 @@ def phi_s(
     if not 0.0 < t <= 1.0:
         raise DomainError("phi_s needs t in [0,1]")
     lt = math.log(t)
-    n_start, rows = _term_table(phi, psi, seq, n_max)
+    n_start, rows, neg_log_s, head = _term_table(phi, psi, seq, n_max)
     if n_max < n_start:
         raise DomainError(f"n_max {n_max} is below the sequence's first index {n_start}")
     if not rows:
         raise DomainError(f"the sequence has no value at an index from {n_start} to {n_max}")
-    best = math.inf
-    best_n = n_start
-    worse = 0
-    for r, (ls, base) in enumerate(rows):
-        term = max(ls, lt) + base
-        if term < best:
-            best, best_n = term, n_start + r
-            worse = 0
-        elif ls < lt:
-            worse += 1
-            if worse >= 32:
-                break
-        else:
-            worse = 0
-    return PhiSValue(math.exp(best), best_n)
+    k = bisect_right(neg_log_s, -lt)
+    best, r = min(head[k], (lt + rows[k][1], k)) if k < len(rows) else head[k]
+    return PhiSValue(math.exp(best), n_start + r)
 
 
 def alpha_s(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, t: float) -> float:

@@ -293,6 +293,8 @@ class TestErrors:
             (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
                                "seq": {"kind": "reciprocal"}, "n_max": 2.9}),
              "'n_max': 2.9 is not a whole number"),
+            (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI, "seq": {
+                "kind": "samples", "points": [[1, 0.5], [2, 0.6], [3, 0.1]]}}), "rises at index 2"),
             (["lorentz-norm", "--phi", '{"family": "piecewise", "points": [[0, 0], [0.5, NaN], [1, 1]]}',
               "--input", '{"breakpoints": [0, 0.5, 1], "values": [2, 1]}'], "must be finite"),
             (["lorentz-norm", "--phi",

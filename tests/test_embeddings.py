@@ -21,6 +21,7 @@ from qaspace import (
     omega_n,
     phi_s,
     piecewise,
+    psi_gamma,
     qa_phi,
     qa_psi,
     reciprocal,
@@ -28,7 +29,6 @@ from qaspace import (
     tau,
 )
 from qaspace.embeddings import _term_table, log_grid
-from qaspace.logs import LOG_ZERO
 from qaspace.shapes import log_gamma
 
 
@@ -146,6 +146,31 @@ class TestSequences:
             s.inverse(0.3)
 
 
+def brute_phi_s(phi, psi, seq, t, n_max):
+    """phi_s's value and index from every term max{s_n, t} gamma(s_n) psi(n), n by n."""
+    lt, top = math.log(t), log_gamma(phi, -math.inf)
+    best = (math.inf, 0)
+    for n in range(max(1, math.ceil(seq.domain_start - 1e-12)), n_max + 1):
+        if seq.kind == "gamma_exp":
+            if n - 1.0 > top:  # no s_n has gamma(s_n) = e^(n-1)
+                break
+            lg = n - 1.0  # log gamma(s_n), by the sequence's definition
+            try:
+                ls = seq.log_value(float(n))
+            except NotInvertible:  # s_n below every float, or gamma constant
+                ls = -math.inf
+        else:
+            try:
+                ls = seq.log_value(float(n))
+            except DomainError:  # past the last sample
+                break
+            lg = log_gamma(phi, ls)
+        term = max(ls, lt) + (lg + math.log(psi.eval(float(n))))
+        if term < best[0]:
+            best = (term, n)
+    return math.exp(best[0]), best[1]
+
+
 class TestPhiS:
     def test_zero(self):
         got = phi_s(qa_phi(), qa_psi(), reciprocal(), 0.0)
@@ -196,13 +221,37 @@ class TestPhiS:
         with pytest.raises(DomainError, match="no value at an index from 1 to 50"):
             phi_s(phi, qa_psi(), gamma_exp(phi), 0.01, n_max=50)
 
-    def test_gamma_exp_indices_past_the_float_range_underflow(self):
-        # s_n exists for every n, but below every float once n - 1 > 709.78
-        phi = qa_phi()
-        n_start, rows = _term_table(phi, qa_psi(), gamma_exp(phi), 800)
-        assert len(rows) == 800
-        assert rows[709][0] > LOG_ZERO and rows[710][0] == LOG_ZERO  # targets 709 and 710
-        assert rows[799][1] == 799.0 + math.log(qa_psi().eval(800.0))
+    def test_gamma_exp_table_ends_below_the_float_range(self):
+        # log s_n = 1 - e^(n-1) for qa_phi: s_8 is below every float t, and from
+        # n = 711 (e^710 overflows) log s_n itself is, so brute_phi_s takes -inf
+        phi, psi = qa_phi(), qa_psi()
+        seq = gamma_exp(phi)
+        rows = _term_table(phi, psi, seq, 800)[1]
+        assert len(rows) == 8
+        assert rows[-1][0] < math.log(5e-324) <= rows[-2][0]
+        for t in (5e-324, 1e-300, 1e-20, 0.01, 1.0):
+            assert phi_s(phi, psi, seq, t, n_max=800) == brute_phi_s(phi, psi, seq, t, 800)
+
+    @pytest.mark.parametrize("phi, psi, seq", [
+        (qa_phi(), qa_psi(), gamma_exp(qa_phi())),
+        (alpha_beta(0.5, 0.7), psi_gamma(0.4), gamma_exp(alpha_beta(0.5, 0.7))),
+        (alpha_beta(1.0, 0.6), qa_psi(), gamma_exp(alpha_beta(1.0, 0.6))),
+        (alpha_beta(1.0, 0.001), qa_psi(), gamma_exp(alpha_beta(1.0, 0.001))),
+        (identity(), qa_psi(), gamma_exp(identity())),
+        (qa_phi(), qa_psi(), reciprocal()),
+        (alpha_beta(0.5, 0.7), psi_gamma(0.4), reciprocal()),
+        (qa_phi(), psi_gamma(0.4),
+         sample_sequence([(1, 0.9), (3, 0.5), (50, 1e-3), (290, 1e-30)])),
+        (alpha_beta(0.5, 0.7), qa_psi(), sample_sequence([(1, 1.0), (20, 1e-6), (40, 1e-300)])),
+    ])
+    @pytest.mark.parametrize("t", [5e-324, 1e-300, 1e-20, 1e-3, 0.3, 1.0])
+    def test_equals_the_least_term_over_every_index(self, phi, psi, seq, t):
+        assert phi_s(phi, psi, seq, t, n_max=300) == brute_phi_s(phi, psi, seq, t, 300)
+
+    def test_rising_sequence_is_refused(self):
+        seq = sample_sequence([(1.0, 0.5), (2.0, 0.6), (3.0, 0.1)])
+        with pytest.raises(DomainError, match="rises at index 2"):
+            phi_s(qa_phi(), qa_psi(), seq, 0.01, n_max=3)
 
 
 class TestAlphaS:
