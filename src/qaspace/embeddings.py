@@ -326,12 +326,8 @@ def check_seq_conditions(
     n_hi = math.floor(xs[-1] + 1e-12) - 1
     constant = math.nan
     if n_hi >= n_lo:
-        ratios = []
-        for n in range(n_lo, n_hi + 1):
-            g0 = log_gamma(phi, seq.log_value(float(n)))
-            g1 = log_gamma(phi, seq.log_value(float(n + 1)))
-            ratios.append(math.exp(g1 - g0))
-        constant = max(ratios)
+        lg = [log_gamma(phi, seq.log_value(float(n))) for n in range(n_lo, n_hi + 2)]
+        constant = max(math.exp(g1 - g0) for g0, g1 in zip(lg, lg[1:]))
 
     return SeqConditionReport(
         monotone_decreasing=dec,
