@@ -194,7 +194,7 @@ def _alpha_beta(a, b, log_hi: float) -> tuple:
         if log_t >= flat:
             return log_top
         out = a * log_t
-        if b:
+        if b and out > -math.inf:  # at log t = -inf, -inf + inf is nan
             out += b * math.log(1.0 - log_t)
         return out
 
@@ -270,8 +270,9 @@ def _psi_gamma(g, log_hi: float) -> tuple:
             x = nxt
         return x
 
-    return _formulas(log_hi, formula, log_eval, lambda x: 0.0 if x < 0.0 else log_eval(x) - x,
-                     log_gamma_inv)
+    # log gamma is g log1p(x) - x above 1; at x = inf that is inf - inf, so take its limit
+    log_gamma_eval = lambda x: 0.0 if x < 0.0 else -math.inf if x == math.inf else log_eval(x) - x  # noqa: E731
+    return _formulas(log_hi, formula, log_eval, log_gamma_eval, log_gamma_inv)
 
 
 def _float_points(points) -> tuple:

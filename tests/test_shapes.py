@@ -281,6 +281,18 @@ class TestLogGammaEval:
     def test_infinite_arguments_take_their_limits(self, shape, log_t, limit):
         assert shape.log_gamma_eval(log_t) == limit
 
+    @pytest.mark.parametrize(
+        "shape, form, log_t",
+        [
+            (qa_phi(), "log_eval", -math.inf),  # -inf + inf in a log t + b log(1 - log t)
+            (alpha_beta(0.5, 0.7), "log_eval", -math.inf),
+            (qa_psi(), "log_gamma_eval", math.inf),  # inf - inf in g log1p(x) - x
+            (psi_gamma(0.4), "log_gamma_eval", math.inf),
+        ],
+    )
+    def test_infinite_arguments_reach_minus_infinity(self, shape, form, log_t):
+        assert getattr(shape, form)(log_t) == -math.inf
+
 
 class TestGammaInverse:
     def test_gamma_is_ratio(self):
