@@ -18,9 +18,9 @@ s(x) = gamma_inv(e^{x-1}) makes alpha_s and tau coincide wherever
 phi(t)/t >= 1.  s_n does not increase, phi(t)/t does not increase and psi does
 not decrease, so the truncated phi_s is in closed form: with k the first index
 where s_k < t, the least of the terms before k and t * gamma(s_k) * psi(k).
-`check_seq_conditions` reports grid evidence for the four
-conditions a sequence must satisfy, including the empirical step-growth
-constant for phi(s_n)/s_n.
+`check_seq_conditions` reports grid evidence for the four conditions a
+sequence must satisfy, including the empirical step-growth constant for
+phi(s_n)/s_n.
 """
 
 from __future__ import annotations
@@ -221,8 +221,9 @@ def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max
             lg = log_gamma(phi, ls)
         if rows and ls > rows[-1][0]:
             raise DomainError(f"phi_s needs a non-increasing sequence, but s rises at index {n}")
-        rows.append((ls, lg + math.log(psi.eval(float(n)))))
-        head.append(min(head[-1], (ls + rows[-1][1], len(rows) - 1)))
+        base = lg + math.log(psi.eval(float(n)))
+        head.append(min(head[-1], (ls + base, len(rows))))
+        rows.append((ls, base))
         if ls < math.log(5e-324):
             break
     return n_start, tuple(rows), tuple(-ls for ls, _ in rows), tuple(head)
