@@ -161,7 +161,6 @@ class TestCheckSeq:
         assert rep["passed"] is True
         assert rep["step_ratio_constant"] == pytest.approx(math.e, rel=1e-9)
 
-
     def test_samples_reaching_a_tiny_value(self, capsys):
         # the last knot's sample used to interpolate to 0.0 and fail in log
         seq = {"kind": "samples", "points": [[1, 0.9], [10, 0.01], [400, 1e-200]]}
