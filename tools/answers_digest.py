@@ -9,10 +9,11 @@ deep_corpus(20) for the long searches, the two edge_corpus sets (non-dyadic
 grids, and values from 5e-324 to 1.7e308), a grid of witness specs, every shape
 family in both domains on fixed argument grids (with the error of each
 malformed shape spec), the profiles of three phi shapes on a gamma_exp, a
-reciprocal and a sampled sequence, and a fixed list of CLI argvs (exit code, stdout and stderr).  Every float is hashed through repr, every
-Fraction exactly, so a digest stays the same only if every answer in its
-group is bitwise the same.  Run it in two checkouts and diff the output.
-Standard library only; takes no options.
+reciprocal and a sampled sequence (also with a psi sampled only up to 10), and
+a fixed list of CLI argvs (exit code, stdout and stderr).  Every float is
+hashed through repr, every Fraction exactly, so a digest stays the same only
+if every answer in its group is bitwise the same.  Run it in two checkouts and
+diff the output.  Standard library only; takes no options.
 """
 
 from __future__ import annotations
@@ -118,6 +119,12 @@ PROFILE_TS = (5e-324, 1e-300, 1e-100, 1e-20, 1e-6, 0.01, 0.2, 0.5, 1.0)
 # decreasing, and reaching below 1e-200 only past PROFILE_N_MAX
 PROFILE_SAMPLES = ((1.0, 0.9), (10.0, 0.01), (400.0, 1e-200))
 PROFILE_N_MAX = 300
+# a psi that ends at 10, below where the sequences reach every PROFILE_TS
+PROFILE_SAMPLED_PSI = piecewise([(0, 0), (1, 1), (10, 2)], kind="psi")
+PROFILE_PAIRS = [
+    *((phi, psi) for phi in PROFILE_PHIS for psi in WITNESS_PSIS),
+    *((phi, PROFILE_SAMPLED_PSI) for phi in PROFILE_PHIS),
+]
 
 QA_PHI = '{"family": "qa_phi"}'
 QA_PSI = '{"family": "qa_psi"}'
@@ -221,8 +228,7 @@ def groups():
     ]
     yield "profiles", [
         _profile(phi, psi, seq)
-        for phi in PROFILE_PHIS
-        for psi in WITNESS_PSIS
+        for phi, psi in PROFILE_PAIRS
         for seq in (embeddings.gamma_exp(phi), embeddings.reciprocal(),
                     embeddings.sample_sequence(PROFILE_SAMPLES))
     ]
