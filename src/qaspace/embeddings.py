@@ -200,10 +200,13 @@ def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max
     does one whose inverse is refused because gamma is constant (identity); its
     log(gamma(s_n)) = n - 1 stays exact.  A gamma_exp sequence ends before the
     first index whose e^(n-1) exceeds gamma's largest value: no s_n exists there.
+    A psi that refuses n (one sampled only up to some x < n) ends the table at
+    that row, and the DomainError it raised is kept as the table's cut (None
+    when the table ends otherwise).
     """
     n_start = max(1, math.ceil(seq.domain_start - 1e-12))
     top = log_gamma(phi, -math.inf) if seq.kind == "gamma_exp" else None
-    rows, head = [], [(math.inf, 0)]
+    rows, head, cut = [], [(math.inf, 0)], None
     for n in range(n_start, n_max + 1):
         if seq.kind == "gamma_exp":
             lg = n - 1.0
@@ -221,12 +224,16 @@ def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max
             lg = log_gamma(phi, ls)
         if rows and ls > rows[-1][0]:
             raise DomainError(f"phi_s needs a non-increasing sequence, but s rises at index {n}")
-        base = lg + math.log(psi.eval(float(n)))
+        try:
+            base = lg + math.log(psi.eval(float(n)))
+        except DomainError as exc:
+            cut = exc
+            break
         head.append(min(head[-1], (ls + base, len(rows))))
         rows.append((ls, base))
         if ls < math.log(5e-324):
             break
-    return n_start, tuple(rows), tuple(-ls for ls, _ in rows), tuple(head)
+    return n_start, tuple(rows), tuple(-ls for ls, _ in rows), tuple(head), cut
 
 
 def phi_s(
@@ -241,6 +248,7 @@ def phi_s(
     Returns the value and the least achieving index: one bisection finds k,
     the first index with s_k < t, and the answer is the least of the terms
     before k and t * gamma(s_k) * psi(k), past which no term is smaller.
+    A psi that refuses an index is an error only when k reaches that index.
     """
     t = float(t)
     if t == 0.0:
@@ -248,12 +256,14 @@ def phi_s(
     if not 0.0 < t <= 1.0:
         raise DomainError("phi_s needs t in [0,1]")
     lt = math.log(t)
-    n_start, rows, neg_log_s, head = _term_table(phi, psi, seq, n_max)
+    n_start, rows, neg_log_s, head, cut = _term_table(phi, psi, seq, n_max)
     if n_max < n_start:
         raise DomainError(f"n_max {n_max} is below the sequence's first index {n_start}")
+    k = bisect_right(neg_log_s, -lt)
+    if k == len(rows) and cut is not None:
+        raise cut.with_traceback(None)
     if not rows:
         raise DomainError(f"the sequence has no value at an index from {n_start} to {n_max}")
-    k = bisect_right(neg_log_s, -lt)
     best, r = min(head[k], (lt + rows[k][1], k)) if k < len(rows) else head[k]
     return PhiSValue(math.exp(best), n_start + r)
 

@@ -253,6 +253,15 @@ class TestPhiS:
         with pytest.raises(DomainError, match="rises at index 2"):
             phi_s(qa_phi(), qa_psi(), seq, 0.01, n_max=3)
 
+    def test_psi_sampled_short_is_refused_only_past_its_end(self):
+        # psi ends at 10 and s_n = 1/n: t = 0.5 reads the terms up to k = 3,
+        # t = 0.01 needs the one at n = 101, which psi cannot price
+        phi, seq = qa_phi(), reciprocal()
+        psi = piecewise([(0, 0), (1, 1), (10, 2)], kind="psi")
+        assert phi_s(phi, psi, seq, 0.5, n_max=50) == brute_phi_s(phi, psi, seq, 0.5, 10)
+        with pytest.raises(DomainError, match=r"sampled only up to 10\.0, got 11\.0"):
+            phi_s(phi, psi, seq, 0.01, n_max=50)
+
 
 class TestAlphaS:
     def test_gamma_exp_reproduces_tau_bitwise(self):
