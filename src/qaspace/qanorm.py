@@ -128,6 +128,9 @@ class _LayerTable:
         self._rings = [r.numerator * (self._den // r.denominator) for r in rings]
         self._above = [0, *accumulate(self._rings)]  # _above[i]: rings 0..i-1
         self._shift = max((h.as_integer_ratio()[1].bit_length() - 1 for h in self.vals), default=0)
+        layer = {v: l for l, v in enumerate(self.vals)}
+        # each piece's layer in f_abs; zero pieces one past the last layer
+        self._rank = [layer.get(v, len(self.vals)) for v in f_abs.values]
 
     def _scaled(self, d: float) -> int:
         """d * 2^shift, exact."""
@@ -153,11 +156,18 @@ class _LayerTable:
         return weighted_sup_bound(linf, l1 / (top * self._den), self.phi)
 
     def materialize(self, i: int, j: int) -> StepFunction:
-        """The group piece on f's own grid: clamp(|f| - floor, 0, height)."""
-        floor = self.vals[j + 1] if j + 1 < len(self.vals) else 0.0
-        height = self.vals[i] - floor
-        vals = [min(max(v - floor, 0.0), height) for v in self.f_abs.values]
-        return stepfn._canonical(self.f_abs.breakpoints, vals)
+        """The group piece on f's own grid: clamp(|f| - floor, 0, height).
+
+        Each piece of f takes its layer's value: the height on layers 0..i,
+        vals[l] - floor on layers i+1..j, and 0.0 below j and on f's zeros.
+        Rounding is monotone, so these are the clamp's floats bit for bit.
+        """
+        vals = self.vals
+        floor = vals[j + 1] if j + 1 < len(vals) else 0.0
+        height = vals[i] - floor
+        by_layer = [height] * (i + 1) + [v - floor for v in vals[i + 1 : j + 1]]
+        by_layer += [0.0] * (len(vals) - j)
+        return stepfn._canonical(self.f_abs.breakpoints, [by_layer[r] for r in self._rank])
 
 
 class _Memo(dict):

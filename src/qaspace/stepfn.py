@@ -49,6 +49,9 @@ class StepFunction:
 
     breakpoints: m+1 strictly increasing Fractions from 0 to 1.
     values: m finite floats, values[i] taken on [breakpoints[i], breakpoints[i+1]).
+    The constructor (and from_json) converts and validates both in full; the
+    functions this module returns are built on grids it already checked, and
+    only their values are checked again.
     """
 
     breakpoints: tuple
@@ -117,10 +120,13 @@ class StepFunction:
 
 
 def _canonical(breakpoints, values) -> StepFunction:
-    """StepFunction(breakpoints, values).canonical(), validated once.
+    """StepFunction(breakpoints, values).canonical(), checked only for finite values.
 
-    Only for a grid that is increasing by construction and float values:
-    the unmerged function is never built, so nothing checks it.
+    Only for a grid that the library built: Fractions from 0 to 1, increasing
+    by construction (f's own grid, a sorted set, cumulative positive measures),
+    with one float per piece.  The grid is trusted and the instance is built
+    without __post_init__; the values are still checked, since a scale or a
+    sum can overflow.
     """
     bps = [breakpoints[0]]
     vals = []
@@ -130,7 +136,12 @@ def _canonical(breakpoints, values) -> StepFunction:
             continue
         vals.append(v)
         bps.append(b)
-    return StepFunction(tuple(bps), tuple(vals))
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("values must be finite")
+    g = object.__new__(StepFunction)
+    object.__setattr__(g, "breakpoints", tuple(bps))
+    object.__setattr__(g, "values", tuple(vals))
+    return g
 
 
 @dataclass(frozen=True)

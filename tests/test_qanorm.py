@@ -189,6 +189,44 @@ class TestUpper:
         assert got.ratio == got.upper / got.lower
 
 
+class TestPieces:
+    """Every witness piece is the clamp of |f| on f's grid, as the validating
+    constructor builds it, bit for bit."""
+
+    @pytest.mark.parametrize("strategy", ["layers", "local_search", "exhaustive", "auto"])
+    def test_equal_the_validated_clamp(self, monkeypatch, strategy):
+        built = {}
+        materialize = _LayerTable.materialize
+
+        def spy(table, i, j):
+            g = materialize(table, i, j)
+            built[id(g)] = (g, table, i, j)
+            return g
+
+        monkeypatch.setattr(_LayerTable, "materialize", spy)
+        phi, psi = qa_phi(), qa_psi()
+        pieces = 0
+        for f in lower_corpus():
+            built.clear()
+            try:
+                got = qa_upper(f, phi, psi, strategy=strategy)
+            except TooManyLayers:
+                continue
+            for g in got.upper_witness.pieces:
+                _, table, i, j = built[id(g)]
+                vals, f_abs = table.vals, table.f_abs
+                floor = vals[j + 1] if j + 1 < len(vals) else 0.0
+                height = vals[i] - floor
+                want = StepFunction(
+                    f_abs.breakpoints, [min(max(v - floor, 0.0), height) for v in f_abs.values]
+                ).canonical()
+                assert g.breakpoints == want.breakpoints, (f, i, j)
+                assert list(map(bits, g.values)) == list(map(bits, want.values)), (f, i, j)
+                assert StepFunction(g.breakpoints, g.values) == g
+                pieces += 1
+        assert pieces > 500, pieces
+
+
 class TestAgainstBruteForce:
     def test_exhaustive_matches_independent_enumerator(self):
         phi, psi = qa_phi(), qa_psi()

@@ -224,6 +224,21 @@ class TestArithmetic:
         assert abs_(f).values == (2.0, 1.0)
         assert scale(f, 0.0) == constant(0.0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: scale(constant(10.0), 1e308),
+            lambda: add(constant(1e308), constant(1e308)),
+            lambda: indicator(0, F(1, 2), height=math.inf),
+            lambda: indicator(0, F(1, 2), height=math.nan),
+        ],
+        ids=["scale-overflow", "add-overflow", "indicator-inf", "indicator-nan"],
+    )
+    def test_built_values_must_be_finite(self, build):
+        # the grid these build on is trusted; the values are still checked
+        with pytest.raises(ValueError, match="values must be finite"):
+            build()
+
 
 class TestJson:
     def test_roundtrip(self):
