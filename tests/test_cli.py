@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaspace import (
     StepFunction,
@@ -328,6 +332,72 @@ class TestErrors:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SpecParseError"
+
+
+# JSON tokens that no grid or value may carry: NaN, +-1.8e308 (inf once
+# parsed) and non-numbers; and tokens that are odd but fine as values
+BAD_TOKENS = ("NaN", "1.8e308", "-1.8e308", '"x"', "null", "[]", "{}")
+ODD_TOKENS = ("5e-324", "-5e-324", "2.5e-310", "-0.0", "true")
+GRID_FAULTS = ("repeated", "reversed", "not from 0 to 1", "wrong length", "bad breakpoint")
+INPUT_PREFIXES = [
+    ["rearrange"],
+    ["lorentz-norm", "--phi", QA_PHI],
+    *(["qa-bounds", "--phi", QA_PHI, "--psi", QA_PSI, "--strategy", s]
+      for s in ("auto", "layers", "local", "exhaustive")),
+]
+
+
+@st.composite
+def function_texts(draw):
+    """(JSON text of a step function, whether it must be refused): often with
+    one grid fault, and values that include NaN, overflow, subnormals and
+    non-numbers."""
+    m = draw(st.integers(1, 6))
+    cuts = draw(st.lists(st.integers(1, 63), min_size=m - 1, max_size=m - 1, unique=True))
+    bps = ["0", *(repr(c / 64) for c in sorted(cuts)), "1"]
+    value = st.one_of(
+        st.floats(-8.0, 8.0, allow_nan=False).map(repr),
+        st.sampled_from(ODD_TOKENS),
+        st.sampled_from(BAD_TOKENS),
+    )
+    vals = draw(st.lists(value, min_size=m, max_size=m))
+    fault = draw(st.sampled_from((None, *GRID_FAULTS)))
+    if fault == "repeated":
+        i = draw(st.integers(0, m - 1))
+        bps[i + 1] = bps[i]
+    elif fault == "reversed":
+        bps.reverse()
+    elif fault == "not from 0 to 1":
+        end = draw(st.sampled_from((0, -1)))
+        bps[end] = draw(st.sampled_from(("-0.5", "0.25", "0.75", "1.5", "5e-324")))
+    elif fault == "wrong length":
+        vals = vals[:-1] if draw(st.booleans()) else [*vals, "1.0"]
+    elif fault == "bad breakpoint":
+        bps[draw(st.integers(0, m))] = draw(st.sampled_from(BAD_TOKENS))
+    text = '{"breakpoints": [%s], "values": [%s]}' % (", ".join(bps), ", ".join(vals))
+    return text, fault is not None or any(v in BAD_TOKENS for v in vals)
+
+
+class TestExitContract:
+    """User grids are validated in full: every input exits 0, or 2 with one
+    JSON error line on stderr, and a malformed one always exits 2."""
+
+    @given(st.sampled_from(INPUT_PREFIXES), function_texts())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_function_inputs_exit_0_or_2(self, prefix, case):
+        text, malformed = case
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*prefix, "--input", text])
+        if code == 0 and not malformed:
+            assert err.getvalue() == ""
+            json.loads(out.getvalue())
+            return
+        assert code == 2, (code, text)
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])["error"]) == {"type", "message"}
 
 
 class TestOutputRouting:
