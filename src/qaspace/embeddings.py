@@ -200,9 +200,8 @@ def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max
     does one whose inverse is refused because gamma is constant (identity); its
     log(gamma(s_n)) = n - 1 stays exact.  A gamma_exp sequence ends before the
     first index whose e^(n-1) exceeds gamma's largest value: no s_n exists there.
-    A psi that refuses n (one sampled only up to some x < n) ends the table at
-    that row, and the DomainError it raised is kept as the table's cut (None
-    when the table ends otherwise).
+    A DomainError from psi(n) (a psi sampled only up to some x < n) ends the
+    table there and is returned as its cut, else None.
     """
     n_start = max(1, math.ceil(seq.domain_start - 1e-12))
     top = log_gamma(phi, -math.inf) if seq.kind == "gamma_exp" else None

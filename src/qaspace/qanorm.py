@@ -156,11 +156,9 @@ class _LayerTable:
         return weighted_sup_bound(linf, l1 / (top * self._den), self.phi)
 
     def materialize(self, i: int, j: int) -> StepFunction:
-        """The group piece on f's own grid: clamp(|f| - floor, 0, height).
-
-        Each piece of f takes its layer's value: the height on layers 0..i,
-        vals[l] - floor on layers i+1..j, and 0.0 below j and on f's zeros.
-        Rounding is monotone, so these are the clamp's floats bit for bit.
+        """The group piece on f's own grid, clamp(|f| - floor, 0, height), read
+        off each piece's layer: the height on layers 0..i, vals[l] - floor on
+        i+1..j, 0.0 below j; rounding is monotone, so these are the clamp's floats.
         """
         vals = self.vals
         floor = vals[j + 1] if j + 1 < len(vals) else 0.0

@@ -49,9 +49,8 @@ class StepFunction:
 
     breakpoints: m+1 strictly increasing Fractions from 0 to 1.
     values: m finite floats, values[i] taken on [breakpoints[i], breakpoints[i+1]).
-    The constructor (and from_json) converts and validates both in full; the
-    functions this module returns are built on grids it already checked, and
-    only their values are checked again.
+    The constructor (and so from_json) validates both in full; what the library
+    builds on a grid it already checked is checked only for finite values.
     """
 
     breakpoints: tuple
@@ -120,13 +119,10 @@ class StepFunction:
 
 
 def _canonical(breakpoints, values) -> StepFunction:
-    """StepFunction(breakpoints, values).canonical(), checked only for finite values.
-
-    Only for a grid that the library built: Fractions from 0 to 1, increasing
-    by construction (f's own grid, a sorted set, cumulative positive measures),
-    with one float per piece.  The grid is trusted and the instance is built
-    without __post_init__; the values are still checked, since a scale or a
-    sum can overflow.
+    """StepFunction(breakpoints, values).canonical(), checking only that the
+    values are finite (a scale or a sum can overflow).  Only for Fractions from
+    0 to 1 that are increasing by construction and one float per piece: the
+    grid is trusted, and __post_init__ does not run.
     """
     bps = [breakpoints[0]]
     vals = []

@@ -119,7 +119,7 @@ PROFILE_TS = (5e-324, 1e-300, 1e-100, 1e-20, 1e-6, 0.01, 0.2, 0.5, 1.0)
 # decreasing, and reaching below 1e-200 only past PROFILE_N_MAX
 PROFILE_SAMPLES = ((1.0, 0.9), (10.0, 0.01), (400.0, 1e-200))
 PROFILE_N_MAX = 300
-# a psi that ends at 10, below where the sequences reach every PROFILE_TS
+# sampled only up to 10: phi_s answers a t only while s_n < t for some n <= 10
 PROFILE_SAMPLED_PSI = piecewise([(0, 0), (1, 1), (10, 2)], kind="psi")
 PROFILE_PAIRS = [
     *((phi, psi) for phi in PROFILE_PHIS for psi in WITNESS_PSIS),
