@@ -9,8 +9,11 @@ deep_corpus(20) for the long searches, the two edge_corpus sets (non-dyadic
 grids, and values from 5e-324 to 1.7e308), a grid of witness specs, every shape
 family in both domains on fixed argument grids (with the error of each
 malformed shape spec), the profiles of three phi shapes on a gamma_exp, a
-reciprocal and a sampled sequence (also with a psi sampled only up to 10), and
-a fixed list of CLI argvs (exit code, stdout and stderr).  Every float is
+reciprocal and a sampled sequence (also with a psi sampled only up to 10), a
+fixed list of CLI argvs (exit code, stdout and stderr), the echo of accepted
+specs of every type (step function, shape in both domains, the three sequence
+kinds and the five expression kinds, the last two read through `check-seq`
+and `equivalence`), and the error type each malformed spec gets.  Every float is
 hashed through repr, every Fraction exactly, so a digest stays the same only
 if every answer in its group is bitwise the same.  Run it in two checkouts and
 diff the output.  Standard library only; takes no options.
@@ -51,6 +54,7 @@ from qaspace.shapes import (  # noqa: E402
     qa_phi,
     qa_psi,
 )
+from qaspace.stepfn import StepFunction  # noqa: E402
 from qaspace.witness import WitnessSpec, build_witness, witness_qa_upper  # noqa: E402
 
 SHAPE_PAIRS = [(qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4))]
@@ -155,6 +159,97 @@ CLI_ARGVS = [
     ["selftest", "--seed", "7"],
 ]
 
+QA = {"family": "qa_phi"}
+QA_PSI_SPEC = {"family": "qa_psi"}
+SAMPLES = {"kind": "samples", "points": [[1, 0.9], [10, 0.01], [400, 1e-200]]}
+FUNCTION_SPECS = [
+    {"breakpoints": [0, 1], "values": [2]},
+    {"breakpoints": [0, 0.25, 0.5, 1], "values": [3, -1, 2.5]},
+    {"breakpoints": [0.0, 1e-300, 1.0], "values": [-0.0, 5e-324]},
+    {"breakpoints": [0, 0.1, 0.7, 1], "values": [1.7e308, 0, -1e-300]},
+]
+# read in both domains; the last two carry their own
+SHAPE_SPECS = [
+    QA,
+    QA_PSI_SPEC,
+    {"family": "identity"},
+    {"family": "constant_one"},
+    {"family": "alpha_beta", "alpha": 0.5, "beta": 1},
+    {"family": "alpha_beta", "alpha": 1, "beta": 0.0},
+    {"family": "psi_gamma", "gamma": 0.4},
+    {"family": "psi_gamma", "gamma": 1},
+    {"family": "piecewise", "points": [[0, 0], [0.25, 0.5], [1, 1]]},
+    {"family": "qa_phi", "domain": "psi"},
+    {"family": "piecewise", "points": [[0, 0], [1, 1], [4, 2.5]], "domain": "psi"},
+]
+SEQUENCE_SPECS = [
+    {"kind": "reciprocal"},
+    {"kind": "gamma_exp"},
+    {"kind": "gamma_exp", "phi": {"family": "alpha_beta", "alpha": 0.5, "beta": 0.7}},
+    SAMPLES,
+    {"kind": "samples", "points": [[1.5, 1], [3, 0.5]]},
+]
+EXPRESSION_SPECS = [
+    {"kind": "shape", "spec": {"family": "alpha_beta", "alpha": 0.5, "beta": 1}},
+    {"kind": "tau", "phi": QA, "psi": {"family": "psi_gamma", "gamma": 0.4}},
+    {"kind": "phi_s", "phi": QA, "psi": QA_PSI_SPEC, "seq": {"kind": "reciprocal"}, "n_max": 50},
+    {"kind": "phi_s", "phi": QA, "psi": QA_PSI_SPEC, "seq": {"kind": "gamma_exp"}},
+    {"kind": "phi_s", "phi": QA, "psi": QA_PSI_SPEC, "seq": SAMPLES, "n_max": 300.0},
+    {"kind": "alpha_s", "phi": QA, "psi": QA_PSI_SPEC, "seq": {"kind": "gamma_exp"}},
+    {"kind": "alpha_s", "phi": QA, "psi": QA_PSI_SPEC, "seq": SAMPLES},
+    {"kind": "iterated_log", "alpha": 0.5, "beta": 1, "exponent": 1},
+]
+BAD_FUNCTION_SPECS = [
+    [[0, 1], [1]],
+    {"breakpoints": [0, 1]},
+    {"breakpoints": [0, 1], "values": [1], "bogus": 0},
+    {"breakpoints": [False, "0.5", True], "values": [True, "2"]},
+    {"breakpoints": "01", "values": [1]},
+    {"breakpoints": [0, 1], "values": 1},
+    {"breakpoints": [0, 1], "values": [None]},
+    {"breakpoints": [0, [1]], "values": [1]},
+    {"breakpoints": [0, math.inf], "values": [1]},
+    {"breakpoints": [0, 1], "values": [math.nan]},
+    {"breakpoints": [0, 0.5], "values": [1]},
+]
+BAD_SHAPE_SPECS = [
+    {"family": True},
+    {"family": "alpha_beta", "alpha": "0.5", "beta": 1},
+    {"family": "alpha_beta", "alpha": True, "beta": 1},
+    {"family": "psi_gamma", "gamma": False},
+    {"family": "piecewise", "points": [[0, 0], [0.5, True], [1, 1]]},
+    {"family": "piecewise", "points": [[0, 0], ["0.5", "0.75"], [1, 1]]},
+    {"family": "piecewise", "points": "01"},
+    {"family": "piecewise", "points": [[0, 0], [[0.5], 0.75], [1, 1]]},
+]
+BAD_SEQUENCE_SPECS = [
+    ["reciprocal"],
+    {"kind": "nope"},
+    {"kind": "reciprocal", "bogus": 1},
+    {"kind": "reciprocal", "phi": {"family": "nope"}},
+    {"kind": "reciprocal", "points": [[1, 0.5], [2, 0.25]]},
+    {"kind": "gamma_exp", "phi": "qa_phi"},
+    {"kind": "samples", "points": [[1, 0.5], [2, True]]},
+    {"kind": "samples", "points": [["1", 0.5], [2, 0.25]]},
+    {"kind": "samples", "points": [[1, 0.5, 0], [2, 0.25]]},
+    {"kind": "samples", "points": "01"},
+]
+BAD_EXPRESSION_SPECS = [
+    {"kind": True},
+    {"kind": "tau", "phi": QA, "psi": QA_PSI_SPEC, "bogus": 1},
+    {"kind": "tau", "phi": QA, "psi": QA_PSI_SPEC, "seq": {"kind": "reciprocal"}},
+    {"kind": "shape", "spec": QA, "phi": QA},
+    {"kind": "shape", "spec": [QA]},
+    {"kind": "phi_s", "phi": QA, "psi": QA_PSI_SPEC, "seq": {"kind": "reciprocal"}, "n_max": True},
+    {"kind": "phi_s", "phi": QA, "psi": QA_PSI_SPEC, "seq": {"kind": "reciprocal"}, "n_max": "50"},
+    {"kind": "phi_s", "phi": QA, "psi": QA_PSI_SPEC, "seq": {"kind": "reciprocal"}, "n_max": 2.5},
+    {"kind": "alpha_s", "phi": QA, "psi": QA_PSI_SPEC, "seq": "reciprocal"},
+    {"kind": "alpha_s", "phi": QA, "psi": QA_PSI_SPEC,
+     "seq": {"kind": "samples", "points": [[1, 0.5], [2, "0.25"]]}},
+    {"kind": "iterated_log", "alpha": "0.5", "beta": 1, "exponent": 1},
+    {"kind": "iterated_log", "alpha": 0.5, "beta": [1], "exponent": 1},
+]
+
 
 def _fn(f) -> tuple:
     return tuple(str(b) for b in f.breakpoints), f.values
@@ -233,6 +328,19 @@ def groups():
                     embeddings.sample_sequence(PROFILE_SAMPLES))
     ]
     yield "cli", [_cli(argv) for argv in CLI_ARGVS]
+    yield "specs", [
+        *(StepFunction.from_json(spec).to_json() for spec in FUNCTION_SPECS),
+        *(_shape_echo(spec, kind) for spec in SHAPE_SPECS[:-2] for kind in ("phi", "psi")),
+        *(_shape_echo(spec, None) for spec in SHAPE_SPECS[-2:]),
+        *(_seq_cli(json.dumps(spec), "seq") for spec in SEQUENCE_SPECS),
+        *(_expr_cli(json.dumps(spec), "a") for spec in EXPRESSION_SPECS),
+    ]
+    yield "specs.refused", [
+        *(_refused(lambda: StepFunction.from_json(spec)) for spec in BAD_FUNCTION_SPECS),
+        *(_refused(lambda: parse_shape(spec)) for spec in BAD_SHAPE_SPECS),
+        *(_seq_cli(json.dumps(spec), None) for spec in BAD_SEQUENCE_SPECS),
+        *(_expr_cli(json.dumps(spec), None) for spec in BAD_EXPRESSION_SPECS),
+    ]
 
 
 def _shape(shape) -> tuple:
@@ -248,6 +356,42 @@ def _shape(shape) -> tuple:
             for y in INV_TARGETS
         ),
     )
+
+
+def _shape_echo(spec, kind) -> tuple:
+    shape = parse_shape(spec, expected_kind=kind)
+    return repr(shape), shape.to_json()
+
+
+def _refused(decode) -> tuple:
+    """The error type decode() raises; ("accepted",) if it raises none."""
+    try:
+        decode()
+    except Exception as exc:  # a malformed spec may fail in any way; its type is the record
+        return ("error", type(exc).__name__)
+    return ("accepted",)
+
+
+def _seq_cli(text, role):
+    return _spec_cli(["check-seq", "--seq", text, "--phi", QA_PHI, "--psi", QA_PSI,
+                      "--xmin", "1", "--xmax", "3", "--points", "3"], role)
+
+
+def _expr_cli(text, role):
+    return _spec_cli(["equivalence", "--a", text, "--b", json.dumps({"kind": "shape", "spec": QA}),
+                      "--tmin", "1e-6", "--tmax", "0.5", "--points", "3"], role)
+
+
+def _spec_cli(argv, role):
+    """The config echo of argv's spec under role; with role None, the error
+    type the CLI reports for it (("accepted",) if it exits 0)."""
+    try:
+        code, out, err = _cli(argv)
+    except Exception as exc:  # an escaped exception is recorded like a reported one
+        return ("error", "escaped", type(exc).__name__)
+    if role is not None:
+        return json.dumps(json.loads(out)["config"][role], sort_keys=True)
+    return ("accepted",) if code == 0 else ("error", code, json.loads(err)["error"]["type"])
 
 
 def _profile(phi, psi, seq) -> tuple:
