@@ -19,10 +19,13 @@ import math
 import os
 import random
 import sys
+from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 from . import embeddings, lorentz, qanorm, shapes, stepfn, witness as witness_mod
-from .errors import DomainError, SpecParseError, ToolkitError
-from .shapes import log_gamma, parse_shape, shape_to_json
+from .embeddings import SequenceSpec
+from .errors import DomainError, ToolkitError, spec_kind, spec_number, spec_read, spec_whole
+from .shapes import log_gamma, parse_shape
 from .stepfn import StepFunction
 
 OUT_DIR_VAR = "QASPACE_OUT_DIR"
@@ -35,276 +38,168 @@ _STRATEGY_ALIASES = {
 }
 
 
-def _load_json_arg(text: str):
-    """Inline JSON if the argument looks like it, else a file path."""
-    stripped = text.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        return json.loads(stripped)
-    with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+class _Profile(NamedTuple):
+    """A positive function of t for `equivalence`, with its expression's echo."""
+
+    fn: Callable
+    echo: dict
+
+    def to_json(self) -> dict:
+        return self.echo
 
 
-def _shape_arg(text: str, kind: str) -> shapes.ShapeFunction:
-    return parse_shape(_load_json_arg(text), expected_kind=kind)
+# the JSON keys of each expression kind besides "kind": (required, optional)
+_EXPRESSION_KEYS = {
+    "shape": (("spec",), ()),
+    "tau": (("phi", "psi"), ()),
+    "phi_s": (("phi", "psi", "seq"), ("n_max",)),
+    "alpha_s": (("phi", "psi", "seq"), ()),
+    "iterated_log": (("alpha", "beta", "exponent"), ()),
+}
 
 
-def _function_arg(text: str) -> StepFunction:
-    return StepFunction.from_json(_load_json_arg(text))
-
-
-def _require(obj: dict, key: str, what: str):
-    if key not in obj:
-        raise SpecParseError(f"{what} needs a {key!r} key")
-    return obj[key]
-
-
-def _convert(convert, value, key: str, what: str):
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecParseError(f"{what} has a malformed {key!r}: {exc}") from exc
-
-
-def _whole(value) -> int:
-    """int(value), refusing a float with a fractional part instead of truncating it."""
-    n = int(value)
-    if isinstance(value, float) and n != value:
-        raise ValueError(f"{value!r} is not a whole number")
-    return n
-
-
-def _seq_arg(text: str, phi: shapes.ShapeFunction | None) -> embeddings.SequenceSpec:
-    obj = _load_json_arg(text)
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ToolkitError("sequence spec must be an object with a 'kind' key")
-    kind = obj["kind"]
-    extra = set(obj) - {"kind", "phi", "points"}
-    if extra:
-        raise ToolkitError(f"unknown sequence spec keys: {sorted(extra)}")
-    if kind == "reciprocal":
-        return embeddings.reciprocal()
-    if kind == "gamma_exp":
-        base = parse_shape(obj["phi"], expected_kind="phi") if "phi" in obj else phi
-        if base is None:
-            raise ToolkitError("gamma_exp sequence needs a phi (inline or via --phi)")
-        return embeddings.gamma_exp(base)
-    if kind == "samples":
-        points = _require(obj, "points", "samples sequence")
-        return _convert(embeddings.sample_sequence, points, "points", "samples sequence")
-    raise ToolkitError(f"unknown sequence kind {kind!r}")
-
-
-def _seq_echo(seq: embeddings.SequenceSpec) -> dict:
-    out: dict = {"kind": seq.kind}
-    if seq.phi is not None:
-        out["phi"] = shape_to_json(seq.phi)
-    if seq.samples is not None:
-        out["points"] = [list(p) for p in seq.samples]
-    return out
-
-
-def _expr_arg(text: str):
-    """A positive function of t for `equivalence`: (callable, echo dict)."""
-    obj = _load_json_arg(text)
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ToolkitError("expression must be an object with a 'kind' key")
-    kind = obj["kind"]
+def _expression(obj) -> _Profile:
+    kind = spec_kind(obj, "expression", "kind", _EXPRESSION_KEYS)
     if kind == "shape":
-        sh = parse_shape(_require(obj, "spec", "shape expression"), expected_kind="phi")
-        return sh.eval, {"kind": "shape", "spec": shape_to_json(sh)}
-    if kind in ("tau", "phi_s", "alpha_s"):
-        what = f"{kind} expression"
-        phi = parse_shape(_require(obj, "phi", what), expected_kind="phi")
-        psi = parse_shape(_require(obj, "psi", what), expected_kind="psi")
-        echo = {"kind": kind, "phi": shape_to_json(phi), "psi": shape_to_json(psi)}
-        if kind == "tau":
-            return (lambda t: embeddings.tau(phi, psi, t)), echo
-        seq = _seq_arg(json.dumps(_require(obj, "seq", what)), phi)
-        echo["seq"] = _seq_echo(seq)
-        if kind == "phi_s":
-            n_max = _convert(_whole, obj.get("n_max", 10_000), "n_max", what)
-            echo["n_max"] = n_max
-            return (lambda t: embeddings.phi_s(phi, psi, seq, t, n_max=n_max).value), echo
-        return (lambda t: embeddings.alpha_s(phi, psi, seq, t)), echo
+        sh = spec_read(obj, "spec", parse_shape, "phi")
+        return _Profile(sh.eval, {"kind": "shape", "spec": sh.to_json()})
     if kind == "iterated_log":
-        what = "iterated_log expression"
-        a, b, g = (
-            _convert(float, _require(obj, key, what), key, what)
-            for key in ("alpha", "beta", "exponent")
-        )
-        fn = embeddings.iterated_log_profile(a, b, g)
-        return fn, {"kind": "iterated_log", "alpha": a, "beta": b, "exponent": g}
-    raise ToolkitError(f"unknown expression kind {kind!r}")
+        params = {key: spec_read(obj, key, spec_number) for key in ("alpha", "beta", "exponent")}
+        return _Profile(embeddings.iterated_log_profile(**params), {"kind": kind, **params})
+    phi = spec_read(obj, "phi", parse_shape, "phi")
+    psi = spec_read(obj, "psi", parse_shape, "psi")
+    echo = {"kind": kind, "phi": phi.to_json(), "psi": psi.to_json()}
+    if kind == "tau":
+        return _Profile(lambda t: embeddings.tau(phi, psi, t), echo)
+    seq = spec_read(obj, "seq", SequenceSpec.from_json, phi)
+    echo["seq"] = seq.to_json()
+    if kind == "alpha_s":
+        return _Profile(lambda t: embeddings.alpha_s(phi, psi, seq, t), echo)
+    n_max = echo["n_max"] = spec_read(obj, "n_max", spec_whole) if "n_max" in obj else 10_000
+    return _Profile(lambda t: embeddings.phi_s(phi, psi, seq, t, n_max=n_max).value, echo)
+
+
+# each spec argument's decoder, given the arguments decoded before it
+_SPEC_ARGS = {
+    "phi": lambda obj, args: parse_shape(obj, "phi"),
+    "psi": lambda obj, args: parse_shape(obj, "psi"),
+    "input": lambda obj, args: StepFunction.from_json(obj),
+    "seq": lambda obj, args: SequenceSpec.from_json(obj, args.phi),
+    "a": lambda obj, args: _expression(obj),
+    "b": lambda obj, args: _expression(obj),
+    "phi_x": lambda obj, args: parse_shape(obj, "phi"),
+}
+
+
+def _decode_specs(args):
+    """Replace each JSON spec argument (inline, or the file it names) by the
+    object it decodes to; phi comes first, since a gamma_exp sequence without
+    its own phi takes it."""
+    for dest, decode in _SPEC_ARGS.items():
+        text = vars(args).get(dest)
+        if text is None:
+            continue
+        if text.strip().startswith(("{", "[")):
+            obj = json.loads(text)
+        else:
+            with open(text, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        setattr(args, dest, decode(obj, args))
+
+
+def _config(args) -> dict:
+    """The resolved configuration a report echoes: every argument but the
+    output routing, each decoded spec as its to_json echo."""
+    return {
+        key: value.to_json() if hasattr(value, "to_json") else value
+        for key, value in vars(args).items()
+        if key not in ("run", "out", "output")
+    }
 
 
 def _emit(args, text: str):
+    text = text if text.endswith("\n") else text + "\n"
     dest = getattr(args, "output", None)
     if dest in (None, "-"):
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     base = os.environ.get(OUT_DIR_VAR)
     if base and not os.path.isabs(dest):
         dest = os.path.join(base, dest)
     with open(dest, "w", encoding="utf-8") as fh:
         fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
 
 
-def _emit_json(args, config: dict, result: dict):
-    _emit(args, json.dumps({"config": config, "result": result}, sort_keys=True, indent=2))
-
-
-def _decomposition_json(dec: qanorm.Decomposition) -> list:
-    return [g.to_json() for g in dec.pieces]
+def _emit_json(args, result: dict):
+    text = json.dumps({"config": _config(args), "result": result}, sort_keys=True, indent=2)
+    _emit(args, text)
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def _cmd_rearrange(args) -> int:
-    f = _function_arg(args.input)
-    g = stepfn.rearrange(f)
-    config = {"subcommand": "rearrange", "input": f.to_json()}
-    _emit_json(args, config, g.to_json())
+    _emit_json(args, stepfn.rearrange(args.input).to_json())
     return 0
 
 
 def _cmd_lorentz(args) -> int:
-    phi = _shape_arg(args.phi, "phi")
-    f = _function_arg(args.input)
-    val = lorentz.lorentz_norm(f, phi)
-    config = {
-        "subcommand": "lorentz-norm",
-        "phi": shape_to_json(phi),
-        "input": f.to_json(),
-    }
-    result = {
-        "value": val.value,
-        "jump_part": val.jump_part,
-        "integral_part": val.integral_part,
-    }
-    _emit_json(args, config, result)
+    _emit_json(args, asdict(lorentz.lorentz_norm(args.input, args.phi)))
     return 0
 
 
 def _cmd_qa_bounds(args) -> int:
-    phi = _shape_arg(args.phi, "phi")
-    psi = _shape_arg(args.psi, "psi")
-    f = _function_arg(args.input)
-    bounds = qanorm.qa_upper(f, phi, psi, strategy=_STRATEGY_ALIASES[args.strategy])
-    config = {
-        "subcommand": "qa-bounds",
-        "phi": shape_to_json(phi),
-        "psi": shape_to_json(psi),
-        "strategy": args.strategy,
-        "input": f.to_json(),
-    }
+    strategy = _STRATEGY_ALIASES[args.strategy]
+    bounds = qanorm.qa_upper(args.input, args.phi, args.psi, strategy=strategy)
     result = {
         "lower": bounds.lower,
         "upper": bounds.upper,
         "ratio": bounds.ratio,
         "lower_source": bounds.lower_source,
-        "witness": _decomposition_json(bounds.upper_witness),
+        "witness": [g.to_json() for g in bounds.upper_witness.pieces],
     }
-    _emit_json(args, config, result)
+    _emit_json(args, result)
     return 0
 
 
 def _cmd_tau(args) -> int:
-    phi = _shape_arg(args.phi, "phi")
-    psi = _shape_arg(args.psi, "psi")
-    grid = embeddings.log_grid(args.tmin, args.tmax, args.points)
-    config = {
-        "subcommand": "tau",
-        "phi": shape_to_json(phi),
-        "psi": shape_to_json(psi),
-        "tmin": args.tmin,
-        "tmax": args.tmax,
-        "points": args.points,
-    }
-    if args.out == "csv":
-        lines = ["# config: " + json.dumps(config, sort_keys=True)]
-        lines.append("t,tau,phi,ratio")
-        for t in grid:
-            tv, pv = embeddings.tau(phi, psi, t), phi.eval(t)
-            lines.append(f"{t!r},{tv!r},{pv!r},{tv / pv!r}")
-        _emit(args, "\n".join(lines))
-    else:
-        rows = []
-        for t in grid:
-            tv, pv = embeddings.tau(phi, psi, t), phi.eval(t)
-            rows.append({"t": t, "tau": tv, "phi": pv, "ratio": tv / pv})
-        _emit_json(args, config, {"rows": rows})
+    rows = []
+    for t in embeddings.log_grid(args.tmin, args.tmax, args.points):
+        tv, pv = embeddings.tau(args.phi, args.psi, t), args.phi.eval(t)
+        rows.append({"t": t, "tau": tv, "phi": pv, "ratio": tv / pv})
+    if args.out == "json":
+        _emit_json(args, {"rows": rows})
+        return 0
+    lines = ["# config: " + json.dumps(_config(args), sort_keys=True), "t,tau,phi,ratio"]
+    lines += [f"{r['t']!r},{r['tau']!r},{r['phi']!r},{r['ratio']!r}" for r in rows]
+    _emit(args, "\n".join(lines))
     return 0
 
 
 def _cmd_check_seq(args) -> int:
-    phi = _shape_arg(args.phi, "phi")
-    psi = _shape_arg(args.psi, "psi")
-    seq = _seq_arg(args.seq, phi)
     if args.points < 3:
         raise DomainError(f"check-seq needs at least 3 points, got {args.points}")
-    xmin = max(args.xmin, seq.domain_start)
-    xs = [
-        xmin + (args.xmax - xmin) * i / (args.points - 1) for i in range(args.points)
-    ]
-    report = embeddings.check_seq_conditions(phi, psi, seq, xs)
-    config = {
-        "subcommand": "check-seq",
-        "phi": shape_to_json(phi),
-        "psi": shape_to_json(psi),
-        "seq": _seq_echo(seq),
-        "xmin": xmin,
-        "xmax": args.xmax,
-        "points": args.points,
-    }
-    result = {
-        "monotone_decreasing": report.monotone_decreasing,
-        "tends_to_zero": report.tends_to_zero,
-        "product_tends_to_zero": report.product_tends_to_zero,
-        "product_tail_start": report.product_tail_start,
-        "product_tail_monotone": report.product_tail_monotone,
-        "step_ratio_constant": report.step_ratio_constant,
-        "passed": report.passed,
-    }
-    _emit_json(args, config, result)
+    xmin = args.xmin = max(args.xmin, args.seq.domain_start)
+    xs = [xmin + (args.xmax - xmin) * i / (args.points - 1) for i in range(args.points)]
+    report = embeddings.check_seq_conditions(args.phi, args.psi, args.seq, xs)
+    result = {**asdict(report), "passed": report.passed}
+    del result["grid"]
+    _emit_json(args, result)
     return 0
 
 
 def _cmd_equivalence(args) -> int:
-    fn_a, echo_a = _expr_arg(args.a)
-    fn_b, echo_b = _expr_arg(args.b)
     report = embeddings.equivalence(
-        fn_a, fn_b, args.tmin, args.tmax, args.points, threshold=args.threshold
+        args.a.fn, args.b.fn, args.tmin, args.tmax, args.points, threshold=args.threshold
     )
-    config = {
-        "subcommand": "equivalence",
-        "a": echo_a,
-        "b": echo_b,
-        "tmin": args.tmin,
-        "tmax": args.tmax,
-        "points": args.points,
-        "threshold": args.threshold,
-    }
-    result = {
-        "ratio_min": report.ratio_min,
-        "ratio_max": report.ratio_max,
-        "spread": report.spread,
-        "equivalent": report.equivalent,
-    }
-    _emit_json(args, config, result)
+    result = {**asdict(report), "spread": report.spread}
+    del result["grid"]
+    _emit_json(args, result)
     return 0
 
 
 def _witness_from_args(args):
-    phi = _shape_arg(args.phi, "phi")
-    psi = _shape_arg(args.psi, "psi")
-    spec = witness_mod.WitnessSpec(
-        phi=phi, psi=psi, N=args.N, c=args.c, p=args.p, mu1=args.mu1
-    )
+    spec = witness_mod.WitnessSpec(args.phi, args.psi, args.N, args.c, args.p, args.mu1)
     return spec, witness_mod.build_witness(spec)
 
 
@@ -314,15 +209,6 @@ def _cmd_witness(args) -> int:
     upper = witness_mod.witness_qa_upper(w, spec.phi, spec.psi)
     floor = witness_mod.lower_bound_value(spec)
     psi_n = spec.psi.eval(float(spec.N))
-    config = {
-        "subcommand": "witness",
-        "phi": shape_to_json(spec.phi),
-        "psi": shape_to_json(spec.psi),
-        "N": spec.N,
-        "c": spec.c,
-        "p": spec.p,
-        "mu1": spec.mu1,
-    }
     result = {
         "log_mu": list(w.log_mu),
         "log_a": list(w.log_a),
@@ -335,31 +221,20 @@ def _cmd_witness(args) -> int:
             "qa_upper_over_psi_at_N": upper / psi_n,
         },
     }
-    _emit_json(args, config, result)
+    _emit_json(args, result)
     return 0
 
 
 def _cmd_omega(args) -> int:
     spec, w = _witness_from_args(args)
-    phi_x = _shape_arg(args.phi_x, "phi")
-    value = embeddings.omega_n(phi_x, spec.phi, w)
+    value = embeddings.omega_n(args.phi_x, spec.phi, w)
     psi_n = spec.psi.eval(float(spec.N))
-    config = {
-        "subcommand": "omega",
-        "phi_x": shape_to_json(phi_x),
-        "phi": shape_to_json(spec.phi),
-        "psi": shape_to_json(spec.psi),
-        "N": spec.N,
-        "c": spec.c,
-        "p": spec.p,
-        "mu1": spec.mu1,
-    }
     result = {
         "omega_N": value,
         "psi_at_N": psi_n,
         "normalized": value / psi_n,
     }
-    _emit_json(args, config, result)
+    _emit_json(args, result)
     return 0
 
 
@@ -508,9 +383,8 @@ def _cmd_selftest(args) -> int:
         runs, fails = fn(rng)
         total_fails += fails
         families.append({"name": name, "runs": runs, "failures": fails})
-    config = {"subcommand": "selftest", "seed": args.seed}
     result = {"families": families, "passed": total_fails == 0}
-    _emit_json(args, config, result)
+    _emit_json(args, result)
     return 0 if total_fails == 0 else 1
 
 
@@ -610,6 +484,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _decode_specs(args)
         return args.run(args)
     except (ToolkitError, ValueError, OSError, json.JSONDecodeError) as exc:
         diagnostic = {"error": {"type": type(exc).__name__, "message": str(exc)}}

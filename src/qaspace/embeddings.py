@@ -32,8 +32,9 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, NonPositiveValue, NotInvertible, SpecParseError
+from .errors import spec_kind, spec_pairs, spec_read
 from .logs import LOG_ZERO
-from .shapes import ShapeFunction, log_gamma, log_gamma_inv
+from .shapes import ShapeFunction, log_gamma, log_gamma_inv, parse_shape
 
 __all__ = [
     "tau",
@@ -110,6 +111,29 @@ class SequenceSpec:
                 raise SpecParseError("sample values must lie in (0,1]")
             object.__setattr__(self, "domain_start", xs[0])
 
+    @classmethod
+    def from_json(cls, obj, phi: ShapeFunction | None = None) -> "SequenceSpec":
+        """A sequence from its JSON object form; a gamma_exp without its own
+        "phi" takes phi (on the command line, the subcommand's phi)."""
+        kind = spec_kind(obj, "sequence", "kind", _SEQUENCE_KEYS)
+        if kind == "samples":
+            return spec_read(obj, "points", lambda points: sample_sequence(spec_pairs(points)))
+        if kind == "reciprocal":
+            return reciprocal()
+        if "phi" in obj:
+            phi = spec_read(obj, "phi", parse_shape, "phi")
+        if phi is None:
+            raise SpecParseError("missing from the gamma_exp sequence spec", "phi")
+        return gamma_exp(phi)
+
+    def to_json(self) -> dict:
+        out: dict = {"kind": self.kind}
+        if self.phi is not None:
+            out["phi"] = self.phi.to_json()
+        if self.samples is not None:
+            out["points"] = [list(p) for p in self.samples]
+        return out
+
     def _check_x(self, x: float):
         if x < self.domain_start - 1e-12:
             raise DomainError(f"sequence defined from {self.domain_start}, got {x!r}")
@@ -168,6 +192,11 @@ class SequenceSpec:
             if t >= s1:
                 return x0 + (x1 - x0) * (s0 - t) / (s0 - s1)
         return pts[-1][0]
+
+
+# the JSON keys of each sequence kind besides "kind": (required, optional)
+_SEQUENCE_KEYS = {"reciprocal": ((), ()), "gamma_exp": ((), ("phi",)), "samples": (("points",), ())}
+_N_MAX_CAP = 1_000_000  # phi_s's cap on n_max: a reciprocal term table this long takes about 3.7 s
 
 
 def reciprocal() -> SequenceSpec:
@@ -248,7 +277,10 @@ def phi_s(
     the first index with s_k < t, and the answer is the least of the terms
     before k and t * gamma(s_k) * psi(k), past which no term is smaller.
     A psi that refuses an index is an error only when k reaches that index.
+    An n_max above 1,000,000 is refused before any term is built.
     """
+    if n_max > _N_MAX_CAP:
+        raise DomainError(f"n_max is capped at {_N_MAX_CAP} terms")
     t = float(t)
     if t == 0.0:
         return PhiSValue(0.0, 0)

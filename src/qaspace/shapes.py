@@ -42,6 +42,10 @@ from .errors import (
     NotInvertible,
     SpecParseError,
     UnsupportedFamily,
+    spec_kind,
+    spec_number,
+    spec_pairs,
+    spec_read,
 )
 
 __all__ = [
@@ -275,14 +279,10 @@ def _psi_gamma(g, log_hi: float) -> tuple:
     return _formulas(log_hi, formula, log_eval, log_gamma_eval, log_gamma_inv)
 
 
-def _float_points(points) -> tuple:
-    return tuple((float(t), float(y)) for t, y in points)
-
-
 def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
     if not shape.points:
         raise IllegalSpec("piecewise needs sample points")
-    pts = _float_points(shape.points)
+    pts = tuple((float(t), float(y)) for t, y in shape.points)
     object.__setattr__(shape, "points", pts)
     if pts[0] != (0.0, 0.0):
         raise IllegalSpec("piecewise samples must start at (0, 0)")
@@ -367,18 +367,18 @@ def _constant_one_inv(target, _hi):
 
 class _Family(NamedTuple):
     kind: str  # the default domain kind
-    params: tuple  # (ShapeFunction field, JSON key, conversion of the JSON value)
+    params: tuple  # (ShapeFunction field, JSON key, reader of the JSON value)
     build: Callable  # (shape, log_hi) -> (eval, log_eval, log_gamma_eval, _log_gamma_inv)
     zero_limit: float = 0.0  # the limit at 0 from the right
 
 
 _TABLE = {
     "alpha_beta": _Family(
-        "phi", (("alpha", "alpha", float), ("beta", "beta", float)),
+        "phi", (("alpha", "alpha", spec_number), ("beta", "beta", spec_number)),
         lambda s, hi: _alpha_beta(s.alpha, s.beta, hi)),
     "qa_phi": _Family("phi", (), lambda s, hi: _alpha_beta(1.0, 1.0, hi)),
     "psi_gamma": _Family(
-        "psi", (("exponent", "gamma", float),), lambda s, hi: _psi_gamma(s.exponent, hi)),
+        "psi", (("exponent", "gamma", spec_number),), lambda s, hi: _psi_gamma(s.exponent, hi)),
     "qa_psi": _Family("psi", (), lambda s, hi: _psi_gamma(1.0, hi)),
     "identity": _Family(
         "phi", (), lambda s, hi: _formulas(hi, lambda t: t, lambda x: x, lambda x: 0.0, _flat)),
@@ -386,7 +386,11 @@ _TABLE = {
         "phi", (),
         lambda s, hi: _formulas(hi, lambda t: 1.0, lambda x: 0.0, lambda x: -x, _constant_one_inv),
         1.0),
-    "piecewise": _Family("phi", (("points", "points", _float_points),), _piecewise),
+    "piecewise": _Family("phi", (("points", "points", spec_pairs),), _piecewise),
+}
+# the JSON keys of each family: its parameters, and an optional domain
+_KEYS = {
+    name: (tuple(key for _, key, _ in fam.params), ("domain",)) for name, fam in _TABLE.items()
 }
 
 
@@ -606,22 +610,15 @@ def parse_shape(obj, expected_kind: str | None = None) -> ShapeFunction:
     expected_kind ('phi' or 'psi') fixes the domain for the families that can
     serve as either; a conflicting explicit "domain" key is rejected.
     """
-    if not isinstance(obj, dict):
-        raise SpecParseError("shape spec must be an object")
-    family = obj.get("family")
-    if not isinstance(family, str) or family not in _TABLE:
-        raise SpecParseError(f"unknown shape family {family!r}")
+    family = spec_kind(obj, "shape", "family", _KEYS)
     entry = _TABLE[family]
-    extra = set(obj) - {"family", "domain", *(key for _, key, _ in entry.params)}
-    if extra:
-        raise SpecParseError(f"unknown keys for {family}: {sorted(extra)}")
     kind = obj.get("domain", expected_kind or entry.kind)
-    if expected_kind is not None and obj.get("domain") not in (None, expected_kind):
-        raise SpecParseError(f"shape domain {obj['domain']!r} conflicts with expected {expected_kind!r}")
+    if expected_kind and kind != expected_kind:
+        raise SpecParseError(f"{kind!r} conflicts with the expected {expected_kind!r}", "domain")
+    values = {field: spec_read(obj, key, read) for field, key, read in entry.params}
     try:
-        values = {field: load(obj.get(key)) for field, key, load in entry.params}
         return ShapeFunction(family, domain_kind=kind, **values)
-    except (IllegalSpec, TypeError, ValueError, OverflowError) as exc:
+    except (IllegalSpec, ValueError, OverflowError) as exc:
         raise SpecParseError(f"bad {family} spec: {exc}") from exc
 
 

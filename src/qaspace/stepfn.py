@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import NegativePiece, SpecParseError, ZeroFunction
+from .errors import spec_keys, spec_list, spec_number, spec_read
 
 __all__ = [
     "StepFunction",
@@ -102,18 +103,10 @@ class StepFunction:
 
     @classmethod
     def from_json(cls, obj) -> "StepFunction":
-        if not isinstance(obj, dict):
-            raise SpecParseError("step function spec must be an object")
-        extra = set(obj) - {"breakpoints", "values"}
-        if extra:
-            raise SpecParseError(f"unknown step function keys: {sorted(extra)}")
+        keys = ("breakpoints", "values")
+        spec_keys(obj, "step function", keys)
         try:
-            bps = [Fraction(float(b)) for b in obj["breakpoints"]]
-            vals = [float(v) for v in obj["values"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SpecParseError(f"malformed step function spec: {exc}") from exc
-        try:
-            return cls(tuple(bps), tuple(vals))
+            return cls(*(spec_read(obj, key, spec_list, spec_number) for key in keys))
         except ValueError as exc:
             raise SpecParseError(str(exc)) from exc
 

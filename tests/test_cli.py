@@ -1,10 +1,12 @@
 import contextlib
+import copy
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -304,7 +306,7 @@ class TestErrors:
               '{"family": "piecewise", "points": [[0, 0], [0.5, Infinity], [1, Infinity]]}',
               "--input", '{"breakpoints": [0, 0.5, 1], "values": [2, 1]}'], "must be finite"),
             (["lorentz-norm", "--phi", QA_PHI, "--input",
-              '{"breakpoints": ["0", "1e999"], "values": [1]}'], "Infinity"),
+              '{"breakpoints": [0, 1e999], "values": [1]}'], "Infinity"),
             (["lorentz-norm", "--phi", QA_PHI, "--input",
               '{"breakpoints": [0, 1%s], "values": [1]}' % ("0" * 400)], "too large"),
             (["lorentz-norm", "--phi", '{"family": "alpha_beta", "alpha": 1%s, "beta": 1}' % ("0" * 400),
@@ -317,6 +319,9 @@ class TestErrors:
               "--c", "0.5", "--N", "4"], "after (0, 0) must be positive"),
             (["lorentz-norm", "--phi", '{"family": "piecewise", "points": [[0, 0], [1, 0]]}',
               "--input", F3], "after (0, 0) must be positive"),
+            (["lorentz-norm", "--phi", QA_PHI, "--input",
+              '{"breakpoints": ["0", "1"], "values": [1]}'],
+             '\'breakpoints[0]\': expected a number, got "0"'),
         ],
     )
     def test_bad_specs_exit_2_with_one_json_line(self, capsys, argv, names):
@@ -327,6 +332,66 @@ class TestErrors:
         assert len(lines) == 1
         assert names in json.loads(lines[0])["error"]["message"]
 
+    # JSON numbers only, and only the keys a kind allows: each of these once
+    # exited 0 (or 2 with another error type), taking a bool, a string or a
+    # foreign key as if it were meant
+    @pytest.mark.parametrize(
+        "argv, kind, message",
+        [
+            (["rearrange", "--input",
+              '{"breakpoints": [false, "0.5", true], "values": [true, "2"]}'],
+             "SpecParseError", "'breakpoints[0]': expected a number, got false"),
+            (["rearrange", "--input", '{"breakpoints": "01", "values": [1]}'],
+             "SpecParseError", "'breakpoints': expected a list, got \"01\""),
+            (["rearrange", "--input", '{"breakpoints": [0, 1], "values": [true]}'],
+             "SpecParseError", "'values[0]': expected a number, got true"),
+            (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
+                               "seq": {"kind": "reciprocal"}, "n_max": True}),
+             "SpecParseError", "'n_max': expected a number, got true"),
+            (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
+                               "seq": {"kind": "reciprocal"}, "n_max": "50"}),
+             "SpecParseError", "'n_max': expected a number, got \"50\""),
+            (equivalence_argv({"kind": "iterated_log", "alpha": "0.5", "beta": 1,
+                               "exponent": 1}),
+             "SpecParseError", "'alpha': expected a number, got \"0.5\""),
+            (["lorentz-norm", "--phi", '{"family": "alpha_beta", "alpha": "0.5", "beta": 1}',
+              "--input", F3], "SpecParseError", "'alpha': expected a number, got \"0.5\""),
+            (["lorentz-norm", "--phi",
+              '{"family": "piecewise", "points": [[0, 0], [0.5, true], [1, 1]]}',
+              "--input", F3], "SpecParseError", "'points[1][1]': expected a number, got true"),
+            (["check-seq", "--seq", '{"kind": "reciprocal", "phi": {"family": "nope"}}',
+              "--phi", QA_PHI, "--psi", QA_PSI],
+             "SpecParseError", "unknown keys for the reciprocal sequence spec: ['phi']"),
+            (equivalence_argv({"kind": "alpha_s", "phi": PHI, "psi": PSI,
+                               "seq": {"kind": "reciprocal", "points": [[1, 0.5], [2, 0.25]]}}),
+             "SpecParseError", "'seq': unknown keys for the reciprocal sequence spec: ['points']"),
+            (equivalence_argv({"kind": "alpha_s", "phi": PHI, "psi": PSI, "seq": "reciprocal"}),
+             "SpecParseError", "'seq': sequence spec must be an object, got \"reciprocal\""),
+            (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
+                               "seq": {"kind": "samples", "points": [[1, 0.5], [True, 0.25]]}}),
+             "SpecParseError", "'seq.points[1][0]': expected a number, got true"),
+            (equivalence_argv({"kind": "tau", "phi": PHI, "psi": PSI, "bogus": 1}),
+             "SpecParseError", "unknown keys for the tau expression spec: ['bogus']"),
+            # falsifying examples of the exit-contract properties below
+            (["rearrange", "--input", '{"breakpoints": [0, 0.015625, true], "values": [0.0, 0.0]}'],
+             "SpecParseError", "'breakpoints[2]': expected a number, got true"),
+            (equivalence_argv({"kind": "shape", "spec": {"family": "alpha_beta", "alpha": 0.5,
+                                                         "beta": 1}, "bogus": 1}),
+             "SpecParseError", "unknown keys for the shape expression spec: ['bogus']"),
+            (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
+                               "seq": {"kind": "reciprocal"}, "n_max": 1e300}),
+             "DomainError", "n_max is capped at 1000000 terms"),
+        ],
+    )
+    def test_malformed_specs_name_their_key_path(self, capsys, argv, kind, message):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == {"type": kind, "message": message}
+
     def test_main_in_process(self, capsys):
         code = main(["qa-bounds", "--phi", '{"family": "nope"}', "--psi", QA_PSI, "--input", F3])
         assert code == 2
@@ -336,8 +401,8 @@ class TestErrors:
 
 # JSON tokens that no grid or value may carry: NaN, +-1.8e308 (inf once
 # parsed) and non-numbers; and tokens that are odd but fine as values
-BAD_TOKENS = ("NaN", "1.8e308", "-1.8e308", '"x"', "null", "[]", "{}")
-ODD_TOKENS = ("5e-324", "-5e-324", "2.5e-310", "-0.0", "true")
+BAD_TOKENS = ("NaN", "1.8e308", "-1.8e308", '"x"', "null", "[]", "{}", "true")
+ODD_TOKENS = ("5e-324", "-5e-324", "2.5e-310", "-0.0")
 GRID_FAULTS = ("repeated", "reversed", "not from 0 to 1", "wrong length", "bad breakpoint")
 INPUT_PREFIXES = [
     ["rearrange"],
@@ -378,6 +443,116 @@ def function_texts(draw):
     return text, fault is not None or any(v in BAD_TOKENS for v in vals)
 
 
+# the keys each spec kind allows besides its tag (and a shape's "domain"),
+# written out here as the contract the decoders must keep
+SHAPE_KEYS = {"qa_phi": (), "qa_psi": (), "identity": (), "constant_one": (),
+              "alpha_beta": ("alpha", "beta"), "psi_gamma": ("gamma",), "piecewise": ("points",)}
+SEQUENCE_KEYS = {"reciprocal": (), "gamma_exp": ("phi",), "samples": ("points",)}
+EXPRESSION_KEYS = {"shape": ("spec",), "tau": ("phi", "psi"), "phi_s": ("phi", "psi", "seq", "n_max"),
+                   "alpha_s": ("phi", "psi", "seq"), "iterated_log": ("alpha", "beta", "exponent")}
+# a well-formed value for every key, so that a foreign key is the only fault
+KEY_VALUES = {"alpha": 0.5, "beta": 1, "gamma": 0.5, "points": [[1, 0.5], [2, 0.25]],
+              "phi": PHI, "psi": PSI, "spec": PHI, "seq": {"kind": "reciprocal"},
+              "n_max": 50, "exponent": 1}
+PHI_SPECS = [PHI, {"family": "alpha_beta", "alpha": 0.5, "beta": 1}, {"family": "identity"},
+             {"family": "piecewise", "points": [[0, 0], [0.25, 0.5], [1, 1]]}]
+PSI_SPECS = [PSI, {"family": "psi_gamma", "gamma": 0.5}, {"family": "constant_one", "domain": "psi"}]
+SAMPLES = {"kind": "samples", "points": [[1, 0.9], [10, 0.01], [400, 1e-200]]}
+SEQUENCE_SPECS = [{"kind": "reciprocal"}, {"kind": "gamma_exp"}, SAMPLES,
+                  {"kind": "gamma_exp", "phi": {"family": "alpha_beta", "alpha": 0.5, "beta": 0.7}}]
+EXPRESSION_SPECS = [
+    {"kind": "shape", "spec": PHI_SPECS[1]},
+    {"kind": "tau", "phi": PHI_SPECS[1], "psi": PSI_SPECS[1]},
+    {"kind": "phi_s", "phi": PHI, "psi": PSI, "seq": {"kind": "reciprocal"}, "n_max": 50},
+    {"kind": "phi_s", "phi": PHI, "psi": PSI, "seq": SAMPLES},
+    {"kind": "alpha_s", "phi": PHI, "psi": PSI, "seq": {"kind": "gamma_exp"}},
+    {"kind": "iterated_log", "alpha": 0.5, "beta": 1, "exponent": 1},
+]
+WITNESS = ["--c", "0.5", "--N", "2"]
+CHECK_SEQ = ["--xmax", "5", "--points", "3"]
+GRID = ["--tmin", "1e-6", "--tmax", "0.5", "--points", "3"]
+# every subcommand slot that reads a spec: argv with the spec's text for "S"
+SLOTS = [
+    (["lorentz-norm", "--phi", "S", "--input", F3], PHI_SPECS),
+    (["qa-bounds", "--phi", "S", "--psi", QA_PSI, "--input", F3], PHI_SPECS),
+    (["qa-bounds", "--phi", QA_PHI, "--psi", "S", "--input", F3], PSI_SPECS),
+    (["tau", "--phi", "S", "--psi", QA_PSI, *GRID, "--out", "json"], PHI_SPECS),
+    (["tau", "--phi", QA_PHI, "--psi", "S", *GRID, "--out", "json"], PSI_SPECS),
+    (["check-seq", "--seq", "S", "--phi", QA_PHI, "--psi", QA_PSI, *CHECK_SEQ], SEQUENCE_SPECS),
+    (["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", "S", "--psi", QA_PSI,
+      *CHECK_SEQ], PHI_SPECS),
+    (["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI, "--psi", "S",
+      *CHECK_SEQ], PSI_SPECS),
+    (["equivalence", "--a", "S", "--b", json.dumps(EXPRESSION_SPECS[0]), *GRID],
+     EXPRESSION_SPECS),
+    (["equivalence", "--a", json.dumps(EXPRESSION_SPECS[0]), "--b", "S", *GRID],
+     EXPRESSION_SPECS),
+    (["witness", "--phi", "S", "--psi", QA_PSI, *WITNESS], PHI_SPECS),
+    (["witness", "--phi", QA_PHI, "--psi", "S", *WITNESS], PSI_SPECS),
+    (["omega", "--phi-x", "S", "--phi", QA_PHI, "--psi", QA_PSI, *WITNESS], PHI_SPECS),
+    (["omega", "--phi-x", QA_PHI, "--phi", "S", "--psi", QA_PSI, *WITNESS], PHI_SPECS),
+]
+
+
+def _nodes(node, path=()):
+    """(path, node) for node and everything nested in it."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, (*path, key))
+
+
+def _foreign_keys(node: dict) -> list:
+    """The keys that belong to another kind of node's type, but not to its own."""
+    for tag, table in (("family", SHAPE_KEYS), ("kind", SEQUENCE_KEYS), ("kind", EXPRESSION_KEYS)):
+        if node.get(tag) in table:
+            every = {key for keys in table.values() for key in keys}
+            return sorted(every - set(table[node[tag]]))
+    raise AssertionError(node)
+
+
+def _faults(path, node) -> list:
+    """Every replacement of node that the decoders must refuse: a bool, a numeric
+    string, null, a string where a list belongs, wrong nesting, and unknown or
+    foreign keys."""
+    if isinstance(node, dict):
+        out = [{**node, "bogus": 1}, [node]]
+        out += [{**node, key: KEY_VALUES[key]} for key in _foreign_keys(node)]
+        return out + (["x"] if path else [])  # a bare string names a file
+    if isinstance(node, list):
+        out = ["01", 1, {}, [node]]
+        if node and all(isinstance(item, list) for item in node):
+            out.append([x for item in node for x in item])
+        return out
+    if isinstance(node, str):
+        return [True, 1, "nope", [node]]
+    return [True, False, "0.5", None, [node], {}]
+
+
+def _replaced(spec, path, value):
+    if not path:
+        return value
+    spec = copy.deepcopy(spec)
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return spec
+
+
+@st.composite
+def spec_argvs(draw):
+    """(argv, whether its spec is malformed): a well-formed spec in a slot of a
+    subcommand that reads it, often with one fault somewhere inside."""
+    template, specs = draw(st.sampled_from(SLOTS))
+    spec = draw(st.sampled_from(specs))
+    malformed = draw(st.booleans())
+    if malformed:
+        path, node = draw(st.sampled_from(list(_nodes(spec))))
+        spec = _replaced(spec, path, draw(st.sampled_from(_faults(path, node))))
+    return [json.dumps(spec) if arg == "S" else arg for arg in template], malformed
+
+
 class TestExitContract:
     """User grids are validated in full: every input exits 0, or 2 with one
     JSON error line on stderr, and a malformed one always exits 2."""
@@ -398,6 +573,24 @@ class TestExitContract:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])["error"]) == {"type", "message"}
+
+    @given(spec_argvs())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_shape_sequence_and_expression_specs_exit_0_or_2(self, case):
+        argv, malformed = case
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0 and not malformed:
+            assert err.getvalue() == ""
+            json.loads(out.getvalue())
+            return
+        assert code == 2, (code, argv)
+        assert out.getvalue() == ""
+        (line,) = err.getvalue().splitlines()
+        error = json.loads(line)["error"]
+        # a well-formed spec may still fail in the answer, but never in the decoder
+        assert (error["type"] == "SpecParseError") == malformed, (error, argv)
 
 
 class TestOutputRouting:

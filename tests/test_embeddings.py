@@ -8,6 +8,8 @@ from qaspace import (
     DomainError,
     NonPositiveValue,
     NotInvertible,
+    SequenceSpec,
+    SpecParseError,
     alpha_beta,
     alpha_s,
     check_seq_conditions,
@@ -75,6 +77,41 @@ class TestTau:
 
 
 class TestSequences:
+    @pytest.mark.parametrize("spec", [
+        {"kind": "reciprocal"},
+        {"kind": "gamma_exp", "phi": {"family": "alpha_beta", "alpha": 0.5, "beta": 0.7}},
+        {"kind": "samples", "points": [[1, 0.9], [2.5, 0.5], [10, 1e-3]]},
+    ])
+    def test_json_round_trip(self, spec):
+        seq = SequenceSpec.from_json(spec)
+        assert SequenceSpec.from_json(seq.to_json()) == seq
+        assert seq.to_json() == SequenceSpec.from_json(spec, phi=qa_phi()).to_json()
+
+    def test_gamma_exp_json_takes_the_given_phi(self):
+        assert SequenceSpec.from_json({"kind": "gamma_exp"}, qa_phi()) == gamma_exp(qa_phi())
+        with pytest.raises(SpecParseError, match="'phi': missing from the gamma_exp"):
+            SequenceSpec.from_json({"kind": "gamma_exp"})
+
+    @pytest.mark.parametrize("spec, message", [
+        ("reciprocal", 'sequence spec must be an object, got "reciprocal"'),
+        ({"kind": "nope"}, "'kind': unknown sequence kind \"nope\""),
+        ({"kind": "reciprocal", "phi": {"family": "qa_phi"}},
+         "unknown keys for the reciprocal sequence spec: ['phi']"),
+        ({"kind": "samples"}, "'points': missing from the samples sequence spec"),
+        ({"kind": "samples", "points": [[1, 0.5], [2, False]]},
+         "'points[1][1]': expected a number, got false"),
+        ({"kind": "samples", "points": [[1, 0.5, 0], [2, 0.25]]},
+         "'points[0]': expected an [x, y] pair, got [1, 0.5, 0]"),
+        ({"kind": "samples", "points": [[1, 0.5], [2, 1.5]]},
+         "'points': sample values must lie in (0,1]"),
+        ({"kind": "gamma_exp", "phi": {"family": "alpha_beta", "alpha": "1", "beta": 1}},
+         "'phi.alpha': expected a number, got \"1\""),
+    ])
+    def test_json_refusals_name_the_key_path(self, spec, message):
+        with pytest.raises(SpecParseError) as info:
+            SequenceSpec.from_json(spec, qa_phi())
+        assert str(info.value) == message
+
     def test_reciprocal(self):
         s = reciprocal()
         assert s.value(4.0) == 0.25
@@ -172,6 +209,14 @@ def brute_phi_s(phi, psi, seq, t, n_max):
 
 
 class TestPhiS:
+    @pytest.mark.parametrize("n_max", [1_000_001, 10**300])
+    def test_n_max_above_the_cap_is_refused_before_the_table(self, n_max):
+        # a reciprocal table is built out to n_max: 10^300 rows would never end
+        _term_table.cache_clear()
+        with pytest.raises(DomainError, match="n_max is capped at 1000000 terms"):
+            phi_s(qa_phi(), qa_psi(), reciprocal(), 0.5, n_max=n_max)
+        assert _term_table.cache_info().currsize == 0
+
     def test_zero(self):
         got = phi_s(qa_phi(), qa_psi(), reciprocal(), 0.0)
         assert got.value == 0.0 and got.n == 0

@@ -567,6 +567,20 @@ class TestJsonForms:
         with pytest.raises(SpecParseError):
             parse_shape("qa_phi")
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"family": "alpha_beta", "alpha": True, "beta": 1}, "'alpha': expected a number, got true"),
+        ({"family": "psi_gamma", "gamma": "0.5"}, "'gamma': expected a number, got \"0.5\""),
+        ({"family": "piecewise", "points": [[0, 0], [0.5, None]]},
+         "'points[1][1]': expected a number, got null"),
+        ({"family": "piecewise", "points": [0, 0, 1, 1]}, "'points[0]': expected a list, got 0"),
+        ({"family": True}, "'family': unknown shape family true"),
+        ({"family": "identity", "domain": "phi"}, "'domain': 'phi' conflicts with the expected 'psi'"),
+    ])
+    def test_parameters_are_json_numbers(self, spec, message):
+        with pytest.raises(SpecParseError) as info:
+            parse_shape(spec, expected_kind="psi")
+        assert str(info.value) == message
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(SpecParseError):
             parse_shape({"family": "alpha_beta", "alpha": 2.0, "beta": 0.5})

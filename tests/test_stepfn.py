@@ -260,6 +260,26 @@ class TestJson:
         with pytest.raises(SpecParseError):
             StepFunction.from_json({"breakpoints": [0, 0.5], "values": [1.0]})
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"breakpoints": [0, True], "values": [1]}, "'breakpoints[1]': expected a number, got true"),
+        ({"breakpoints": [0, 1], "values": ["2"]}, "'values[0]': expected a number, got \"2\""),
+        ({"breakpoints": "01", "values": [1]}, "'breakpoints': expected a list, got \"01\""),
+        ({"breakpoints": [0, [1]], "values": [1]}, "'breakpoints[1]': expected a number, got [1]"),
+        ({"breakpoints": [0, 1], "values": [math.nan]}, "'values[0]': must be finite, got NaN"),
+        ({"breakpoints": [0, 10**400], "values": [1]},
+         "'breakpoints[1]': int too large to convert to float"),
+        ({"values": [1], "breakpoints": [0, 1]}, None),
+        ({"breakpoints": [0, 1]}, "'values': missing from the step function spec"),
+    ])
+    def test_json_numbers_only(self, spec, message):
+        # booleans and numeric strings were once read as numbers
+        if message is None:
+            assert StepFunction.from_json(spec) == StepFunction((F(0), F(1)), (1.0,))
+            return
+        with pytest.raises(SpecParseError) as info:
+            StepFunction.from_json(spec)
+        assert str(info.value) == message
+
 
 class TestRandomGenerator:
     def test_deterministic(self):
