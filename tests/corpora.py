@@ -69,6 +69,43 @@ def deep_corpus(count=20, seed=5):
     return corpus
 
 
+def group_sample(n, count=200, seed=0):
+    """Groups (i, j) of n layers: every (0, j), which the long searches price
+    most, then count seeded random ones."""
+    rng = random.Random(seed)
+    groups = [(0, j) for j in range(n)]
+    for _ in range(count):
+        i = rng.randrange(n)
+        groups.append((i, rng.randrange(i, n)))
+    return groups
+
+
+_MAX = 1.7976931348623157e308
+
+# value sets at the float edges of a group weight: heights above max/2 (so
+# twice the floor overflows), subnormal heights, heights exactly twice the
+# next one down, and lone heights whose only floor is 0
+FLOAT_EDGE_VALUES = (
+    (_MAX, 1.5e308, 1e308, 9e307, _MAX / 2, 3.0, 1.0 + 2**-52),
+    (1e-300, 2.2250738585072014e-308, 1e-310, 3e-322, 1.5e-323, 5e-324),
+    (4.0, 3.0, 2.0000000000000004, 2.0, 1.0 + 2**-52, 1.0, 0.6, 0.5, 0.3, 0.15, 0.1),
+    (_MAX, 1.0, 5e-324, 0.0, -1e-310, -1.0),
+    (0.7, 0.0, -0.7),
+    (5e-324,),
+)
+
+
+def float_edge_corpus():
+    """FLOAT_EDGE_VALUES on the grid k^2/m^2 (m pieces), so that the ring
+    measures differ and have a non-dyadic denominator."""
+    corpus = []
+    for vals in FLOAT_EDGE_VALUES:
+        m = len(vals)
+        bps = tuple(Fraction(k * k, m * m) for k in range(m + 1))
+        corpus.append(StepFunction(bps, vals))
+    return corpus
+
+
 EXTREME_VALUES = (5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 1.7e308)
 
 

@@ -34,7 +34,13 @@ from qaspace.lorentz import fact_bound, weighted_sup_bound
 from qaspace.qanorm import _LayerTable, grouped_log_cost
 from qaspace.stepfn import abs_, nested_form
 from conftest import brute_force_upper, layer_corpus, random_functions, step_functions
-from corpora import EXTREME_VALUES, deep_corpus, edge_corpus
+from corpora import (
+    EXTREME_VALUES,
+    deep_corpus,
+    edge_corpus,
+    float_edge_corpus,
+    group_sample,
+)
 
 
 def bits(x: float) -> bytes:
@@ -255,31 +261,36 @@ def fraction_weight(table, rings, i, j):
     return weighted_sup_bound(linf, ratio, table.phi)
 
 
+def all_groups(n):
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
 class TestLayerWeights:
     """The integer group weights equal the Fraction reference bitwise."""
 
     @pytest.mark.parametrize(
-        "corpus",
+        "corpus, groups, least",
         [
-            lambda: [*random_functions(11, 300), *layer_corpus(100, seed=7)],
-            lambda: edge_corpus(31),
-            lambda: edge_corpus(32, value_pool=EXTREME_VALUES),
+            (lambda: [*random_functions(11, 300), *layer_corpus(100, seed=7)], all_groups, 1000),
+            (lambda: edge_corpus(31), all_groups, 1000),
+            (lambda: edge_corpus(32, value_pool=EXTREME_VALUES), all_groups, 1000),
+            (lambda: deep_corpus(4), group_sample, 1000),
+            (float_edge_corpus, all_groups, 250),
         ],
-        ids=["random+layers", "non-dyadic-grids", "extreme-values"],
+        ids=["random+layers", "non-dyadic-grids", "extreme-values", "deep", "float-edge"],
     )
-    def test_matches_fraction_reference(self, corpus):
+    def test_matches_fraction_reference(self, corpus, groups, least):
         pairs = 0
         for phi in (qa_phi(), alpha_beta(0.5, 0.7)):
             for f in corpus():
                 table = _LayerTable(abs_(f), phi)
                 n = len(table.vals)
                 rings = nested_form(table.f_abs).rings if n else ()
-                for i in range(n):
-                    for j in range(i, n):
-                        got, want = table.weight(i, j), fraction_weight(table, rings, i, j)
-                        assert struct.pack("<d", got) == struct.pack("<d", want), (f, i, j)
-                        pairs += 1
-        assert pairs > 1000, pairs
+                for i, j in groups(n):
+                    got, want = table.weight(i, j), fraction_weight(table, rings, i, j)
+                    assert struct.pack("<d", got) == struct.pack("<d", want), (f, i, j)
+                    pairs += 1
+        assert pairs > least, pairs
 
 
 class TestStructuralInequalities:

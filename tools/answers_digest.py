@@ -6,7 +6,9 @@ The answers are computed by the qaspace package of the checkout this script
 sits in, on fixed seeded inputs: the corpora random_functions(11, 500) and
 layer_corpus(200, seed=7) from tests/corpora.py, the 50-200 layer functions of
 deep_corpus(20) for the long searches, the two edge_corpus sets (non-dyadic
-grids, and values from 5e-324 to 1.7e308), a grid of witness specs, every shape
+grids, and values from 5e-324 to 1.7e308), the bounds engine's group weights
+(every group of layer_corpus(200, seed=7) and float_edge_corpus(), and the
+group_sample of deep_corpus(4)), a grid of witness specs, every shape
 family in both domains on fixed argument grids (with the error of each
 malformed shape spec), the profiles of three phi shapes on a gamma_exp, a
 reciprocal and a sampled sequence (also with a psi sampled only up to 10), a
@@ -36,12 +38,15 @@ from corpora import (  # noqa: E402
     EXTREME_VALUES,
     deep_corpus,
     edge_corpus,
+    float_edge_corpus,
+    group_sample,
     layer_corpus,
     random_functions,
 )
 from qaspace import embeddings, lorentz_norm, nested_form, qa_bounds, qa_upper  # noqa: E402
 from qaspace.cli import main as cli_main  # noqa: E402
 from qaspace.errors import ToolkitError  # noqa: E402
+from qaspace.qanorm import _LayerTable  # noqa: E402
 from qaspace.shapes import (  # noqa: E402
     ShapeFunction,
     alpha_beta,
@@ -54,7 +59,7 @@ from qaspace.shapes import (  # noqa: E402
     qa_phi,
     qa_psi,
 )
-from qaspace.stepfn import StepFunction  # noqa: E402
+from qaspace.stepfn import StepFunction, abs_  # noqa: E402
 from qaspace.witness import WitnessSpec, build_witness, witness_qa_upper  # noqa: E402
 
 SHAPE_PAIRS = [(qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4))]
@@ -298,6 +303,11 @@ def groups():
         for phi, psi in SHAPE_PAIRS
         for f in corpus
     ]
+    yield "weights", [
+        *(_weights(f, phi, _all_groups) for phi, _ in SHAPE_PAIRS
+          for f in [*layer_corpus(200, seed=7), *float_edge_corpus()]),
+        *(_weights(f, phi, group_sample) for phi, _ in SHAPE_PAIRS for f in deep_corpus(4)),
+    ]
     phi, psi = SHAPE_PAIRS[0]
     yield "qa_upper.deep", [
         _bounds(qa_upper(f, phi, psi, strategy=strategy))
@@ -408,6 +418,16 @@ def _profile(phi, psi, seq) -> tuple:
         tuple(_answer(lambda: embeddings.alpha_s(phi, psi, seq, t)) for t in PROFILE_TS),
         _answer(lambda: embeddings.check_seq_conditions(phi, psi, seq, xs)),
     )
+
+
+def _all_groups(n) -> list:
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def _weights(f, phi, groups) -> tuple:
+    """The bounds engine's group weights of |f| over groups(layer count)."""
+    table = _LayerTable(abs_(f), phi)
+    return tuple(table.weight(i, j) for i, j in groups(len(table.vals)))
 
 
 def _lorentz(f, phi) -> tuple:
