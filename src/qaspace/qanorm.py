@@ -25,18 +25,25 @@ upper bound is never above either.
 
 Group weights and the lower bound read one _LayerTable.  Every l1 is summed
 in integers and divided once, so the lower bound's l1 is l1_norm(f) bitwise.
+A group's l1 comes from prefix sums over the layers, less the exact rounding
+error (Fast2Sum) of each difference v - floor that rounds; by Sterbenz's
+lemma only heights above twice the floor can round, so a weight costs
+O(rounded terms), not O(layers).
 
 One optimizer, _search, runs every strategy; it sees a grouping only through
-its price.  qa_upper prices groupings in floats (fsum of psi(n) * weight, inf
-past the float range), grouped_log_cost in logs (logsumexp of log psi(n) +
-log weight), for layers far beyond the float range.
+its group weights and a price for a list of them, given in any order.
+qa_upper prices in floats (fsum of psi(n) * weight over the weights sorted
+descending, inf past the float range), grouped_log_cost in logs (logsumexp
+of log psi(n) + log weight), for layers far beyond the float range.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add, mul
 
 from . import stepfn
 from .errors import NegativePiece, TooManyLayers
@@ -108,11 +115,17 @@ class _LayerTable:
 
     vals are the heights of stepfn.nested_form(|f|) (the cake), empty for f == 0.
     weight(i, j) is the psi-free cost of collapsing layers i..j into one
-    piece.  Its l1 is summed in exact integers: the ring measures over their
-    least common denominator den, and each rounded float difference
-    fl(v - floor) as an integer multiple of 2^-shift, shift being the
+    piece.  Its l1 is the sum of ring * fl(v - floor) over the layers, in
+    exact integers: the ring measures over their least common denominator
+    den, and every float as an integer multiple of 2^-shift, shift being the
     largest power-of-two exponent of the heights' denominators (the
-    difference of two such floats rounds to a multiple of it).  l1/linf is
+    difference of two such floats rounds to a multiple of it).  The sum is
+    not taken term by term: _mass holds the prefix sums of the scaled
+    heights times the rings, which give the exact differences v - floor, and
+    each layer whose difference rounds then gives back its error
+    err = -floor - (fl(v - floor) - v), exact by Fast2Sum since v >= floor.
+    By Sterbenz's lemma no v <= 2 * floor rounds, and those layers are found
+    by bisection (where 2 * floor overflows, none can round).  l1/linf is
     then one correctly rounded integer division, the same float as
     float(Fraction(l1) / Fraction(linf)).  The l1 uses the same rounded
     differences as the materialized piece, so costs recompute bit for bit
@@ -128,6 +141,9 @@ class _LayerTable:
         self._rings = [r.numerator * (self._den // r.denominator) for r in rings]
         self._above = [0, *accumulate(self._rings)]  # _above[i]: rings 0..i-1
         self._shift = max((h.as_integer_ratio()[1].bit_length() - 1 for h in self.vals), default=0)
+        # _mass[i]: scaled heights times rings over layers 0..i-1
+        self._mass = [0, *accumulate(self._scaled(h) * r for h, r in zip(self.vals, self._rings))]
+        self._neg_heights = [-h for h in self.vals]  # ascending, for bisect
         layer = {v: l for l, v in enumerate(self.vals)}
         # each piece's layer in f_abs; zero pieces one past the last layer
         self._rank = [layer.get(v, len(self.vals)) for v in f_abs.values]
@@ -141,18 +157,23 @@ class _LayerTable:
         """(max(psi(1) * lorentz, phi(1)psi(1) * l1), the route that won)."""
         psi1 = psi.eval(1.0)
         via_lorentz = psi1 * (cake_sum(self.cake, self.phi) if self.cake else 0.0)
-        scaled_l1 = sum(self._scaled(h) * r for h, r in zip(self.vals, self._rings))
-        via_l1 = self.phi.eval(1.0) * psi1 * (scaled_l1 / (self._den << self._shift))
+        via_l1 = self.phi.eval(1.0) * psi1 * (self._mass[-1] / (self._den << self._shift))
         return (via_l1, "l1") if via_l1 > via_lorentz else (via_lorentz, "lorentz")
 
     def weight(self, i: int, j: int) -> float:
-        vals, rings, scaled = self.vals, self._rings, self._scaled
+        vals, above, mass, scaled = self.vals, self._above, self._mass, self._scaled
         floor = vals[j + 1] if j + 1 < len(vals) else 0.0
         linf = vals[i] - floor
         top = scaled(linf)
-        # l1 * den * 2^shift: the rings above i at the full height, then i..j
-        l1 = top * self._above[i]
-        l1 += sum(scaled(vals[l] - floor) * rings[l] for l in range(i, j + 1))
+        # l1 * den * 2^shift: the rings above i at the full height, then the
+        # exact differences v - floor on i..j, less what rounding took off each
+        l1 = top * above[i] + mass[j + 1] - mass[i] - scaled(floor) * (above[j + 1] - above[i])
+        # only the layers above 2 * floor can round (Sterbenz)
+        for l in range(i, bisect_left(self._neg_heights, -2.0 * floor, i, j + 1)):
+            v = vals[l]
+            err = -floor - ((v - floor) - v)
+            if err:
+                l1 -= scaled(err) * self._rings[l]
         return weighted_sup_bound(linf, l1 / (top * self._den), self.phi)
 
     def materialize(self, i: int, j: int) -> StepFunction:
@@ -193,25 +214,26 @@ def _compositions(n: int):
         yield groups
 
 
-def _search(n: int, total, strategy: str) -> tuple:
-    """Best consecutive grouping of layers 0..n-1 under the pricing `total`.
+def _search(n: int, weights, price, strategy: str) -> tuple:
+    """Best consecutive grouping of layers 0..n-1.
 
-    total(groups) prices a grouping, a list of inclusive (i, j) layer ranges;
-    it is all that the float and the log-domain searches differ in.
-    "singleton" prices the one piece alone.  For every other strategy the
-    candidates come in a fixed order (one piece, the layer split, then the
-    strategy's own) and the first strict minimum wins.  Returns
-    (best total, best groups).
+    weights[i, j] is the weight of the group of layers i..j (inclusive);
+    price(ws) prices a grouping from the list of its group weights, given in
+    any order.  The two are all that the float and the log-domain searches
+    differ in.  "singleton" prices the one piece alone.  For every other
+    strategy the candidates come in a fixed order (one piece, the layer
+    split, then the strategy's own) and the first strict minimum wins.
+    Returns (best price, best groups).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     if strategy == "auto":
         strategy = "exhaustive" if n <= _EXHAUSTIVE_CAP else "local_search"
     if n == 0:
-        return total([]), []
+        return price([]), []
     one = [(0, n - 1)]
     if strategy == "singleton":
-        return total(one), one
+        return price([weights[0, n - 1]]), one
     layers = [(k, k) for k in range(n)]
     candidates = [one, layers]
     if strategy == "exhaustive":
@@ -221,26 +243,28 @@ def _search(n: int, total, strategy: str) -> tuple:
             )
         candidates.extend(_compositions(n))
     elif strategy == "local_search":
-        groups, cost = layers, total(layers)
+        # one weight per current group, kept beside the groups, so that a
+        # candidate merge is priced without looking its groups up again
+        groups = layers
+        ws = [weights[g] for g in groups]
+        cost = price(ws)
         improved = True
         while improved and len(groups) > 1:
             improved = False
             for idx in range(len(groups) - 1):
-                cand = (
-                    groups[:idx]
-                    + [(groups[idx][0], groups[idx + 1][1])]
-                    + groups[idx + 2 :]
-                )
-                t = total(cand)
+                merged = (groups[idx][0], groups[idx + 1][1])
+                cand = ws[:idx] + [weights[merged]] + ws[idx + 2 :]
+                t = price(cand)
                 if t < cost:
-                    groups, cost = cand, t
+                    groups = groups[:idx] + [merged] + groups[idx + 2 :]
+                    ws, cost = cand, t
                     improved = True
                     break
         candidates.append(groups)
 
     best = None
     for groups in candidates:
-        t = total(groups)
+        t = price([weights[g] for g in groups])
         if best is None or t < best[0]:
             best = (t, groups)
     return best
@@ -259,11 +283,10 @@ def qa_upper(
     psi_at = [psi.eval(float(r + 1)) for r in range(n)]
     weights = _Memo(table.weight)
 
-    def total(groups) -> float:
-        ws = sorted([weights[g] for g in groups], reverse=True)
-        return nonneg_fsum([p * w for p, w in zip(psi_at, ws)])
+    def price(ws) -> float:
+        return nonneg_fsum(map(mul, psi_at, sorted(ws, reverse=True)))
 
-    best_total, best_groups = _search(n, total, strategy)
+    best_total, best_groups = _search(n, weights, price, strategy)
     ordered = sorted(best_groups, key=lambda ij: (-weights[ij], ij[0]))
     pieces = tuple(table.materialize(i, j) for i, j in ordered)
     return NormBounds(lower, best_total, source, Decomposition(pieces, best_total))
@@ -319,8 +342,7 @@ def grouped_log_cost(
     weights = _Memo(lambda i, j: log_layer_weight(log_vals, log_rings, log_masses, i, j, phi))
     log_psi_at = [math.log(psi.eval(float(r + 1))) for r in range(n)]
 
-    def total(groups) -> float:
-        ws = sorted([weights[g] for g in groups], reverse=True)
-        return logsumexp([p + w for p, w in zip(log_psi_at, ws)])
+    def price(ws) -> float:
+        return logsumexp(map(add, log_psi_at, sorted(ws, reverse=True)))
 
-    return _search(n, total, strategy)[0]
+    return _search(n, weights, price, strategy)[0]

@@ -1,4 +1,6 @@
 import math
+import operator
+import random
 import struct
 from fractions import Fraction as F
 
@@ -30,8 +32,9 @@ from qaspace import (
     rearrange,
     witness_qa_upper,
 )
-from qaspace.lorentz import fact_bound, weighted_sup_bound
-from qaspace.qanorm import _LayerTable, grouped_log_cost
+from qaspace.logs import LOG_ZERO, logsumexp
+from qaspace.lorentz import fact_bound, nonneg_fsum, weighted_sup_bound
+from qaspace.qanorm import _LayerTable, _search, grouped_log_cost
 from qaspace.stepfn import abs_, nested_form
 from conftest import brute_force_upper, layer_corpus, random_functions, step_functions
 from corpora import (
@@ -231,6 +234,83 @@ class TestPieces:
                 assert StepFunction(g.breakpoints, g.values) == g
                 pieces += 1
         assert pieces > 500, pieces
+
+
+def group_list_greedy(n, total):
+    """The local search as a loop over group lists, each candidate priced by
+    total(groups); returns (best total, best groups) over the one piece, the
+    layer split and the greedy's end point, first strict minimum first."""
+    layers = [(k, k) for k in range(n)]
+    groups, cost = layers, total(layers)
+    improved = True
+    while improved and len(groups) > 1:
+        improved = False
+        for idx in range(len(groups) - 1):
+            cand = groups[:idx] + [(groups[idx][0], groups[idx + 1][1])] + groups[idx + 2 :]
+            t = total(cand)
+            if t < cost:
+                groups, cost = cand, t
+                improved = True
+                break
+    best = None
+    for groups in ([(0, n - 1)], layers, groups):
+        t = total(groups)
+        if best is None or t < best[0]:
+            best = (t, groups)
+    return best
+
+
+class TestGreedy:
+    """The weight-list local search ends where the group-list loop ends, at
+    the same total bit for bit, under both pricings."""
+
+    @staticmethod
+    def tables(log):
+        """Seeded weight tables over 11 to 40 layers: grid values (so totals
+        tie), some inf, and in the log domain some -inf."""
+        rng = random.Random(1301 + log)
+        for _ in range(60):
+            n = rng.randint(11, 40)
+            slope = rng.uniform(0.2, 1.1)
+            weights = {}
+            for i in range(n):
+                for j in range(i, n):
+                    u = rng.random()
+                    w = round(4 * (j - i + 1) ** slope * rng.uniform(0.5, 1.5)) / 4
+                    if log:
+                        w = LOG_ZERO if u < 0.03 else math.log(w) if w else LOG_ZERO
+                    weights[i, j] = math.inf if u > 0.97 else w
+            yield n, weights
+
+    def test_matches_the_group_list_loop(self):
+        psi_at = [1.0 + math.log(r) for r in range(1, 41)]
+        log_psi_at = [math.log(p) for p in psi_at]
+        pricings = {
+            False: (
+                lambda ws: nonneg_fsum(map(operator.mul, psi_at, sorted(ws, reverse=True))),
+                lambda ws: nonneg_fsum([p * w for p, w in zip(psi_at, ws)]),
+            ),
+            True: (
+                lambda ws: logsumexp(map(operator.add, log_psi_at, sorted(ws, reverse=True))),
+                lambda ws: logsumexp([p + w for p, w in zip(log_psi_at, ws)]),
+            ),
+        }
+        ends = set()
+        for log, (price, sorted_price) in pricings.items():
+            for n, weights in self.tables(log):
+
+                def total(groups):
+                    return sorted_price(sorted([weights[g] for g in groups], reverse=True))
+
+                want_total, want_groups = group_list_greedy(n, total)
+                got_total, got_groups = _search(n, weights, price, "local_search")
+                assert got_groups == want_groups, (log, n)
+                assert bits(got_total) == bits(want_total), (log, n)
+                ends.add((log, 1 < len(got_groups) < n, math.isinf(got_total)))
+        # both pricings reach groupings strictly between the one piece and
+        # the layer split, and totals that are inf
+        assert {(log, True, False) for log in pricings} <= ends, ends
+        assert any(end[2] for end in ends), ends
 
 
 class TestAgainstBruteForce:
