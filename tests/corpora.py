@@ -69,6 +69,11 @@ def deep_corpus(count=20, seed=5):
     return corpus
 
 
+def all_groups(n):
+    """Every group (i, j) of n layers, i <= j."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
 def group_sample(n, count=200, seed=0):
     """Groups (i, j) of n layers: every (0, j), which the long searches price
     most, then count seeded random ones."""

@@ -36,6 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from corpora import (  # noqa: E402
     EXTREME_VALUES,
+    all_groups,
     deep_corpus,
     edge_corpus,
     float_edge_corpus,
@@ -304,7 +305,7 @@ def groups():
         for f in corpus
     ]
     yield "weights", [
-        *(_weights(f, phi, _all_groups) for phi, _ in SHAPE_PAIRS
+        *(_weights(f, phi, all_groups) for phi, _ in SHAPE_PAIRS
           for f in [*layer_corpus(200, seed=7), *float_edge_corpus()]),
         *(_weights(f, phi, group_sample) for phi, _ in SHAPE_PAIRS for f in deep_corpus(4)),
     ]
@@ -418,10 +419,6 @@ def _profile(phi, psi, seq) -> tuple:
         tuple(_answer(lambda: embeddings.alpha_s(phi, psi, seq, t)) for t in PROFILE_TS),
         _answer(lambda: embeddings.check_seq_conditions(phi, psi, seq, xs)),
     )
-
-
-def _all_groups(n) -> list:
-    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 def _weights(f, phi, groups) -> tuple:
