@@ -25,10 +25,8 @@ upper bound is never above either.
 
 Group weights and the lower bound read one _LayerTable.  Every l1 is summed
 in integers and divided once, so the lower bound's l1 is l1_norm(f) bitwise.
-A group's l1 comes from prefix sums over the layers, less the exact rounding
-error (Fast2Sum) of each difference v - floor that rounds; by Sterbenz's
-lemma only heights above twice the floor can round, so a weight costs
-O(rounded terms), not O(layers).
+A group's l1 comes from prefix sums, less the exact error of each difference
+that rounds (see _LayerTable), so a weight costs O(rounded terms).
 
 One optimizer, _search, runs every strategy; it sees a grouping only through
 its group weights and a price for a list of them, given in any order.
@@ -124,8 +122,8 @@ class _LayerTable:
     heights times the rings, which give the exact differences v - floor, and
     each layer whose difference rounds then gives back its error
     err = -floor - (fl(v - floor) - v), exact by Fast2Sum since v >= floor.
-    By Sterbenz's lemma no v <= 2 * floor rounds, and those layers are found
-    by bisection (where 2 * floor overflows, none can round).  l1/linf is
+    By Sterbenz's lemma no v <= 2 * floor rounds, so a bisection bounds the
+    layers that can (none can where 2 * floor overflows).  l1/linf is
     then one correctly rounded integer division, the same float as
     float(Fraction(l1) / Fraction(linf)).  The l1 uses the same rounded
     differences as the materialized piece, so costs recompute bit for bit
@@ -166,9 +164,9 @@ class _LayerTable:
         linf = vals[i] - floor
         top = scaled(linf)
         # l1 * den * 2^shift: the rings above i at the full height, then the
-        # exact differences v - floor on i..j, less what rounding took off each
+        # exact differences v - floor on i..j, less the error of each that
+        # rounds; only the layers above 2 * floor can round (Sterbenz)
         l1 = top * above[i] + mass[j + 1] - mass[i] - scaled(floor) * (above[j + 1] - above[i])
-        # only the layers above 2 * floor can round (Sterbenz)
         for l in range(i, bisect_left(self._neg_heights, -2.0 * floor, i, j + 1)):
             v = vals[l]
             err = -floor - ((v - floor) - v)

@@ -88,8 +88,8 @@ def group_sample(n, count=200, seed=0):
 _MAX = 1.7976931348623157e308
 
 # value sets at the float edges of a group weight: heights above max/2 (so
-# twice the floor overflows), subnormal heights, heights exactly twice the
-# next one down, and lone heights whose only floor is 0
+# twice the floor overflows), subnormal heights, heights exactly twice a
+# lower one, and lone heights whose only floor is 0
 FLOAT_EDGE_VALUES = (
     (_MAX, 1.5e308, 1e308, 9e307, _MAX / 2, 3.0, 1.0 + 2**-52),
     (1e-300, 2.2250738585072014e-308, 1e-310, 3e-322, 1.5e-323, 5e-324),
