@@ -3,7 +3,10 @@
     python3 tools/answers_digest.py
 
 The answers are computed by the qaspace package of the checkout this script
-sits in, on fixed seeded inputs: the corpora random_functions(11, 500) and
+sits in, on fixed seeded inputs: the step-function operations (rearrange,
+l1_norm_exact, distribution at fixed levels, and the canonical forms of abs_,
+scale and add) on random_functions(11, 500) and both edge_corpus sets, the
+corpora random_functions(11, 500) and
 layer_corpus(200, seed=7) from tests/corpora.py, the 50-200 layer functions of
 deep_corpus(20) for the long searches, the two edge_corpus sets (non-dyadic
 grids, and values from 5e-324 to 1.7e308), the bounds engine's group weights
@@ -60,12 +63,22 @@ from qaspace.shapes import (  # noqa: E402
     qa_phi,
     qa_psi,
 )
-from qaspace.stepfn import StepFunction, abs_  # noqa: E402
+from qaspace.stepfn import (  # noqa: E402
+    StepFunction,
+    abs_,
+    add,
+    distribution,
+    l1_norm_exact,
+    rearrange,
+    scale,
+)
 from qaspace.witness import WitnessSpec, build_witness, witness_qa_upper  # noqa: E402
 
 SHAPE_PAIRS = [(qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4))]
 UPPER_STRATEGIES = ("singleton", "layers", "local_search", "exhaustive", "auto")
 DEEP_STRATEGIES = ("layers", "local_search", "auto")
+DIST_LEVELS = (0.0, 5e-324, 1e-300, 0.5, 2.0, 7.5, 1e300)
+SCALE_FACTORS = (2.0, -0.5, 0.0, 1e-300, 1e300)
 WITNESS_PHIS = (qa_phi(), alpha_beta(0.5, 0.7), alpha_beta(0.8, 0.3))
 WITNESS_PSIS = (qa_psi(), psi_gamma(0.4))
 
@@ -287,6 +300,8 @@ def _cli(argv) -> tuple:
 
 def groups():
     """(group name, list of answer records) in a fixed order."""
+    edges = [*edge_corpus(31), *edge_corpus(32, value_pool=EXTREME_VALUES)]
+    yield "stepfn", list(map(_stepfn, [*random_functions(11, 500), *edges]))
     corpus = [*random_functions(11, 500), *layer_corpus(200, seed=7)]
     yield "nested_form", [
         (nf.heights, nf.levels, tuple(str(m) for m in nf.measures), _fn(nf.reconstruct()))
@@ -318,7 +333,7 @@ def groups():
     yield "qa_bounds.edge", [
         _bounds(qa_bounds(f, phi, psi))
         for phi, psi in SHAPE_PAIRS
-        for f in [*edge_corpus(31), *edge_corpus(32, value_pool=EXTREME_VALUES)]
+        for f in edges
     ]
     yield "witness_qa_upper", [
         _answer(lambda: _witness_upper(phi, psi, n, c, strategy))
@@ -418,6 +433,20 @@ def _profile(phi, psi, seq) -> tuple:
         tuple(_answer(lambda: embeddings.tau(phi, psi, t)) for t in PROFILE_TS),
         tuple(_answer(lambda: embeddings.alpha_s(phi, psi, seq, t)) for t in PROFILE_TS),
         _answer(lambda: embeddings.check_seq_conditions(phi, psi, seq, xs)),
+    )
+
+
+def _stepfn(f) -> tuple:
+    """f's step-function answers; add pairs f with its reversal, so that the
+    grids merge, and scale may overflow."""
+    g = StepFunction(tuple(1 - b for b in reversed(f.breakpoints)), f.values[::-1])
+    return (
+        _fn(rearrange(f)),
+        str(l1_norm_exact(f)),
+        tuple(distribution(f, s) for s in DIST_LEVELS),
+        _fn(abs_(f)),
+        tuple(_answer(lambda: _fn(scale(f, a)), ValueError) for a in SCALE_FACTORS),
+        _answer(lambda: _fn(add(f, g)), ValueError),
     )
 
 
