@@ -40,8 +40,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, mul
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 from . import stepfn
 from .errors import NegativePiece, TooManyLayers
@@ -114,18 +114,19 @@ class _LayerTable:
     vals are the heights of stepfn.nested_form(|f|) (the cake), empty for f == 0.
     weight(i, j) is the psi-free cost of collapsing layers i..j into one
     piece.  Its l1 is the sum of ring * fl(v - floor) over the layers, in
-    exact integers: the ring measures over their least common denominator
-    den, and every float as an integer multiple of 2^-shift, shift being the
-    largest power-of-two exponent of the heights' denominators (the
-    difference of two such floats rounds to a multiple of it).  The sum is
-    not taken term by term: _mass holds the prefix sums of the scaled
-    heights times the rings, which give the exact differences v - floor, and
-    each layer whose difference rounds then gives back its error
-    err = -floor - (fl(v - floor) - v), exact by Fast2Sum since v >= floor.
+    exact integers: the ring measures as differences of the measures' ticks
+    over their common denominator den (stepfn._ticks), and every float as an
+    integer multiple of 2^-shift, shift being the largest power-of-two
+    exponent of the heights' denominators (the difference of two such floats
+    rounds to a multiple of it).  The sum is not taken term by term: _mass
+    holds the prefix sums of the scaled heights _sv times the rings, which
+    give the exact differences v - floor, and each layer whose difference
+    rounds then gives back its error err = -floor - (fl(v - floor) - v),
+    exact by Fast2Sum since v >= floor.
     By Sterbenz's lemma no v <= 2 * floor rounds, so a bisection bounds the
     layers that can (none can where 2 * floor overflows).  l1/linf is
     then one correctly rounded integer division, the same float as
-    float(Fraction(l1) / Fraction(linf)).  The l1 uses the same rounded
+    float(Fraction(l1) / Fraction(linf)) over any common denominator.  The l1 uses the same rounded
     differences as the materialized piece, so costs recompute bit for bit
     from the pieces.
     """
@@ -134,22 +135,18 @@ class _LayerTable:
         self.f_abs = f_abs
         self.phi = phi
         self.cake = cake = stepfn.nested_form(f_abs) if any(f_abs.values) else None
-        self.vals, rings = (cake.heights, cake.rings) if cake else ((), ())
-        self._den = math.lcm(*(r.denominator for r in rings))
-        self._rings = [r.numerator * (self._den // r.denominator) for r in rings]
-        self._above = [0, *accumulate(self._rings)]  # _above[i]: rings 0..i-1
-        self._shift = max((h.as_integer_ratio()[1].bit_length() - 1 for h in self.vals), default=0)
+        self.vals, measures = (cake.heights, cake.measures) if cake else ((), ())
+        self._den, ticks = stepfn._ticks((stepfn._ZERO, *measures))
+        self._rings = list(map(sub, ticks[1:], ticks))
+        self._above = ticks  # _above[i]: rings 0..i-1
+        self._shift, sv = stepfn._dyadic(self.vals)
         # _mass[i]: scaled heights times rings over layers 0..i-1
-        self._mass = [0, *accumulate(self._scaled(h) * r for h, r in zip(self.vals, self._rings))]
+        self._mass = [0, *accumulate(map(mul, sv, self._rings))]
+        self._sv = [*sv, 0]  # _sv[j + 1]: the scaled floor below layer j
         self._neg_heights = [-h for h in self.vals]  # ascending, for bisect
         layer = {v: l for l, v in enumerate(self.vals)}
         # each piece's layer in f_abs; zero pieces one past the last layer
-        self._rank = [layer.get(v, len(self.vals)) for v in f_abs.values]
-
-    def _scaled(self, d: float) -> int:
-        """d * 2^shift, exact."""
-        num, den = d.as_integer_ratio()
-        return num << (self._shift + 1 - den.bit_length())
+        self._rank = list(map(layer.get, f_abs.values, repeat(len(self.vals))))
 
     def lower(self, psi: ShapeFunction) -> tuple:
         """(max(psi(1) * lorentz, phi(1)psi(1) * l1), the route that won)."""
@@ -159,19 +156,21 @@ class _LayerTable:
         return (via_l1, "l1") if via_l1 > via_lorentz else (via_lorentz, "lorentz")
 
     def weight(self, i: int, j: int) -> float:
-        vals, above, mass, scaled = self.vals, self._above, self._mass, self._scaled
+        vals, above, mass, shift = self.vals, self._above, self._mass, self._shift
         floor = vals[j + 1] if j + 1 < len(vals) else 0.0
         linf = vals[i] - floor
-        top = scaled(linf)
+        num, d = linf.as_integer_ratio()
+        top = num << (shift + 1 - d.bit_length())
         # l1 * den * 2^shift: the rings above i at the full height, then the
         # exact differences v - floor on i..j, less the error of each that
         # rounds; only the layers above 2 * floor can round (Sterbenz)
-        l1 = top * above[i] + mass[j + 1] - mass[i] - scaled(floor) * (above[j + 1] - above[i])
+        l1 = top * above[i] + mass[j + 1] - mass[i] - self._sv[j + 1] * (above[j + 1] - above[i])
         for l in range(i, bisect_left(self._neg_heights, -2.0 * floor, i, j + 1)):
             v = vals[l]
             err = -floor - ((v - floor) - v)
             if err:
-                l1 -= scaled(err) * self._rings[l]
+                num, d = err.as_integer_ratio()
+                l1 -= (num << (shift + 1 - d.bit_length())) * self._rings[l]
         return weighted_sup_bound(linf, l1 / (top * self._den), self.phi)
 
     def materialize(self, i: int, j: int) -> StepFunction:
@@ -184,7 +183,8 @@ class _LayerTable:
         height = vals[i] - floor
         by_layer = [height] * (i + 1) + [v - floor for v in vals[i + 1 : j + 1]]
         by_layer += [0.0] * (len(vals) - j)
-        return stepfn._canonical(self.f_abs.breakpoints, [by_layer[r] for r in self._rank])
+        values = list(map(by_layer.__getitem__, self._rank))
+        return stepfn._canonical(self.f_abs.breakpoints, values)
 
 
 class _Memo(dict):

@@ -6,6 +6,10 @@ constant values, with the last piece closed at 1.  Breakpoints are stored as
 lossless and measures, merged grids, and rearrangements come out exact.
 Values are plain floats.
 
+Exact measures are computed on integers: _ticks writes a grid as integer
+ticks over its least common denominator, so a measure is a sum of tick
+differences, and a Fraction is built only for an answer.
+
 Operations return canonical functions (adjacent equal values merged), so
 comparing canonical forms is a meaningful equality test, and anything that
 depends only on the value distribution is reproducible bit for bit across
@@ -18,7 +22,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import lt, mul, ne, sub
 
 from .errors import NegativePiece, SpecParseError, ZeroFunction
 from .errors import spec_keys, spec_list, spec_number, spec_read
@@ -66,12 +71,11 @@ class StepFunction:
             raise ValueError("need m+1 breakpoints for m values, m >= 1")
         if bps[0] != _ZERO or bps[-1] != _ONE:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        for a, b in zip(bps, bps[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError("values must be finite")
+        ticks = _ticks(bps)[1]
+        if not all(map(lt, ticks, ticks[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("values must be finite")
 
     @property
     def pieces(self) -> int:
@@ -111,26 +115,53 @@ class StepFunction:
             raise SpecParseError(str(exc)) from exc
 
 
+def _ticks(bps) -> tuple:
+    """(den, ints): the Fractions bps as integers over their least common
+    denominator, bps[k] == ints[k] / den."""
+    den = math.lcm(*(b.denominator for b in bps))
+    return den, [b.numerator * (den // b.denominator) for b in bps]
+
+
+def _dyadic(values) -> tuple:
+    """(shift, ints): the floats values as integers over 2^shift, the least
+    power of two that holds them all, values[k] == ints[k] / 2^shift."""
+    ratios = [v.as_integer_ratio() for v in values]
+    shift = max((d.bit_length() for _, d in ratios), default=1) - 1
+    return shift, [n << (shift + 1 - d.bit_length()) for n, d in ratios]
+
+
+def _trusted(cls, *values):
+    """cls(*values) for a frozen dataclass, from fields the library built and
+    checked: __post_init__ does not run."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _canonical(breakpoints, values) -> StepFunction:
     """StepFunction(breakpoints, values).canonical(), checking only that the
     values are finite (a scale or a sum can overflow).  Only for Fractions from
     0 to 1 that are increasing by construction and one float per piece: the
-    grid is trusted, and __post_init__ does not run.
+    grid is trusted, and __post_init__ does not run.  A run of equal values
+    keeps its first value (0.0 == -0.0) and the breakpoint where it starts.
     """
-    bps = [breakpoints[0]]
-    vals = []
-    for b, v in zip(breakpoints[1:], values):
-        if vals and v == vals[-1]:
-            bps[-1] = b
-            continue
-        vals.append(v)
-        bps.append(b)
+    starts = [True, *map(ne, values[1:], values)]
+    vals = tuple(compress(values, starts))
     if not all(map(math.isfinite, vals)):
         raise ValueError("values must be finite")
-    g = object.__new__(StepFunction)
-    object.__setattr__(g, "breakpoints", tuple(bps))
-    object.__setattr__(g, "values", tuple(vals))
-    return g
+    return _trusted(StepFunction, (*compress(breakpoints, starts), breakpoints[-1]), vals)
+
+
+def _layers(values, breakpoints) -> tuple:
+    """(den, heights, cum): the distinct values, descending, and cum[k] the
+    measure of the pieces whose value is at least heights[k], in ticks over den."""
+    den, ticks = _ticks(breakpoints)
+    mass = {}
+    for v, w in zip(values, map(sub, ticks[1:], ticks)):
+        mass[v] = mass.get(v, 0) + w
+    heights = sorted(mass, reverse=True)
+    return den, heights, list(accumulate(map(mass.__getitem__, heights)))
 
 
 @dataclass(frozen=True)
@@ -212,11 +243,9 @@ def constant(c: float) -> StepFunction:
 
 
 def _distribution_exact(f: StepFunction, s: float) -> Fraction:
-    total = _ZERO
-    for v, m in zip(f.values, f.piece_measures()):
-        if abs(v) > s:
-            total += m
-    return total
+    den, ticks = _ticks(f.breakpoints)
+    above = (b - a for v, a, b in zip(f.values, ticks, ticks[1:]) if abs(v) > s)
+    return Fraction(sum(above), den)
 
 
 def distribution(f: StepFunction, s: float) -> float:
@@ -226,42 +255,30 @@ def distribution(f: StepFunction, s: float) -> float:
 
 def rearrange(f: StepFunction) -> StepFunction:
     """Decreasing rearrangement: same value distribution, sorted descending."""
-    pairs = sorted(
-        zip((abs(v) for v in f.values), f.piece_measures()),
-        key=lambda p: -p[0],
-    )
-    bps = [_ZERO]
-    vals = []
-    acc = _ZERO
-    for v, m in pairs:
-        acc += m
-        bps.append(acc)
-        vals.append(v)
-    return _canonical(bps, vals)
+    den, heights, cum = _layers(map(abs, f.values), f.breakpoints)
+    # distinct finite values: canonical as built
+    return _trusted(StepFunction, (_ZERO, *(Fraction(c, den) for c in cum)), tuple(heights))
 
 
 def nested_form(f: StepFunction) -> NestedForm:
     """Layer cake of a non-negative f, read off its value distribution: the
     distinct positive values as heights, the superlevel-set measures exact."""
-    if any(v < 0 for v in f.values):
+    if min(f.values) < 0:
         raise NegativePiece("nested form needs f >= 0")
-    dist = {}
-    for v, m in zip(f.values, f.piece_measures()):
-        if v > 0:
-            dist[v] = dist.get(v, _ZERO) + m
-    if not dist:
+    den, heights, cum = _layers(f.values, f.breakpoints)
+    if not heights[-1]:
+        del heights[-1], cum[-1]
+    if not heights:
         raise ZeroFunction("nested form is undefined for f == 0")
-    heights = sorted(dist, reverse=True)
-    return NestedForm(tuple(heights), tuple(accumulate(dist[v] for v in heights)))
+    # strictly decreasing positive heights, strictly increasing measures up to 1
+    return _trusted(NestedForm, tuple(heights), tuple(Fraction(c, den) for c in cum))
 
 
 def l1_norm_exact(f: StepFunction) -> Fraction:
     """Integral of |f| as an exact rational (values are dyadic too)."""
-    total = _ZERO
-    for v, m in zip(f.values, f.piece_measures()):
-        if v:
-            total += Fraction(abs(v)) * m
-    return total
+    den, ticks = _ticks(f.breakpoints)
+    shift, scaled = _dyadic(map(abs, f.values))
+    return Fraction(sum(map(mul, scaled, map(sub, ticks[1:], ticks))), den << shift)
 
 
 def l1_norm(f: StepFunction) -> float:

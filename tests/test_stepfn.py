@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,9 @@ from qaspace import (
     rearrange,
     scale,
 )
+from qaspace.stepfn import _canonical, _distribution_exact
 from conftest import layer_corpus, random_functions, step_functions
+from corpora import EXTREME_VALUES, deep_corpus, edge_corpus, float_edge_corpus
 
 F0, F1 = F(0), F(1)
 
@@ -50,6 +53,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StepFunction((F0, F(1, 2), F(1, 2), F1), (1.0, 2.0, 3.0))
 
+    def test_increasing_across_types_on_a_non_dyadic_grid(self):
+        # 0.3333333333333333 lies just below 1/3 and 0.33333333333333337 just
+        # above it; the grid's common denominator is 3 * 2^54
+        with pytest.raises(ValueError, match="strictly increasing"):
+            StepFunction((0, F(1, 3), 0.3333333333333333, 1), (1.0, 2.0, 3.0))
+        f = StepFunction((0, F(1, 3), 0.33333333333333337, 1), (1.0, 2.0, 3.0))
+        assert f.piece_measures()[1] == F(0.33333333333333337) - F(1, 3) > 0
+
     def test_needs_matching_lengths(self):
         with pytest.raises(ValueError):
             StepFunction((F0, F1), (1.0, 2.0))
@@ -66,6 +77,28 @@ class TestConstruction:
         assert g.breakpoints == (F0, F(1, 2), F1)
         assert g.values == (2.0, 1.0)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_canonical_matches_the_merging_loop(self, seed):
+        # runs of +-0.0 and of repeated values; a run keeps its first value
+        # (and so its sign) and the breakpoint where it starts
+        rng = random.Random(seed)
+        pool = (0.0, -0.0, 1.0, -1.0, 2.5, 5e-324)
+        for _ in range(50):
+            m = rng.randint(1, 30)
+            values = [rng.choice(pool) for _ in range(m)]
+            bps = [F(k * k, m * m) for k in range(m + 1)]
+            got = _canonical(bps, values)
+            want_bps, want_vals = old_canonical(bps, values)
+            assert got.breakpoints == want_bps
+            assert list(map(repr, got.values)) == list(map(repr, want_vals))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_canonical_refuses_non_finite(self, bad):
+        for values in ([bad], [1.0, bad], [bad, bad, 1.0], [0.0, -0.0, bad]):
+            bps = [F(k, len(values)) for k in range(len(values) + 1)]
+            with pytest.raises(ValueError, match="values must be finite"):
+                _canonical(bps, values)
+
     def test_eval_at(self):
         f = three_layer()
         assert f.eval_at(0) == 3.0
@@ -77,6 +110,56 @@ class TestConstruction:
 
     def test_piece_measures_exact(self):
         assert three_layer().piece_measures() == (F(1, 4), F(1, 4), F(1, 2))
+
+
+def old_canonical(breakpoints, values):
+    """The merging loop that _canonical replaced, kept as its reference."""
+    bps, vals = [breakpoints[0]], []
+    for b, v in zip(breakpoints[1:], values):
+        if vals and v == vals[-1]:
+            bps[-1] = b
+            continue
+        vals.append(v)
+        bps.append(b)
+    return tuple(bps), tuple(vals)
+
+
+def exact_corpora():
+    """Layered, deep, non-dyadic, extreme-valued and float-edge inputs."""
+    return {
+        "layer": layer_corpus(200, seed=7),
+        "deep": deep_corpus(4),
+        "edge": edge_corpus(31),
+        "edge-extreme": edge_corpus(32, value_pool=EXTREME_VALUES),
+        "float-edge": float_edge_corpus(),
+    }
+
+
+EXACT_CORPORA = exact_corpora()
+
+
+def fraction_measures(f):
+    """Piece measures by Fraction differences, the reference for the ticks."""
+    return [b - a for a, b in zip(f.breakpoints, f.breakpoints[1:])]
+
+
+class TestExactMeasures:
+    @pytest.mark.parametrize("name", EXACT_CORPORA)
+    def test_norm_and_distribution_match_fraction_sums(self, name):
+        for f in EXACT_CORPORA[name]:
+            pairs = list(zip(f.values, fraction_measures(f)))
+            assert l1_norm_exact(f) == sum(F(abs(v)) * m for v, m in pairs)
+            for s in (0.0, *sorted({abs(v) for v in f.values})):
+                want = sum((m for v, m in pairs if abs(v) > s), F0)
+                assert _distribution_exact(f, s) == want
+
+    @pytest.mark.parametrize("name", EXACT_CORPORA)
+    def test_rearrange_matches_fraction_sums(self, name):
+        for f in EXACT_CORPORA[name]:
+            pairs = sorted(zip(map(abs, f.values), fraction_measures(f)), key=lambda p: -p[0])
+            bps, vals = old_canonical([F0, *accumulate(m for _, m in pairs)], [v for v, _ in pairs])
+            r = rearrange(f)
+            assert r.breakpoints == bps and r.values == vals
 
 
 class TestBuilders:
@@ -179,6 +262,24 @@ class TestNestedForm:
         if all(v == 0.0 for v in f.values):
             return
         assert nf_roundtrip(f) == rearrange(f)
+
+    @pytest.mark.parametrize("name", EXACT_CORPORA)
+    def test_matches_fraction_reference(self, name):
+        for f in EXACT_CORPORA[name]:
+            fa = abs_(f)
+            if not any(fa.values):
+                continue
+            mass = {}
+            for v, m in zip(fa.values, fraction_measures(fa)):
+                if v > 0:
+                    mass[v] = mass.get(v, F0) + m
+            heights = sorted(mass, reverse=True)
+            nf = nested_form(fa)
+            assert nf.heights == tuple(heights)
+            assert nf.measures == tuple(accumulate(mass[v] for v in heights))
+            assert all(type(m) is F for m in nf.measures)
+            # the form is built trusted; the validating constructor agrees
+            assert NestedForm(nf.heights, nf.measures) == nf
 
     def test_rejects_negative_and_zero(self):
         with pytest.raises(NegativePiece):
