@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -110,6 +110,15 @@ class SequenceSpec:
             if any(not 0.0 < s <= 1.0 for _, s in pts):
                 raise SpecParseError("sample values must lie in (0,1]")
             object.__setattr__(self, "domain_start", xs[0])
+        # hashed once, as a ShapeFunction is: _term_table's cache key hashes it per call
+        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # pickle the fields, so that the hash is recomputed where it is loaded
+        return SequenceSpec, tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def from_json(cls, obj, phi: ShapeFunction | None = None) -> "SequenceSpec":

@@ -99,6 +99,11 @@ class ShapeFunction:
         for name, formula in zip(("eval", "log_eval", "log_gamma_eval", "_log_gamma_inv"),
                                  formulas):
             object.__setattr__(self, name, formula)
+        # hashed once: the generated __hash__ rebuilds the field tuple per call
+        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
+
+    def __hash__(self):
+        return self._hash
 
     def __call__(self, t: float) -> float:
         return self.eval(t)

@@ -1,4 +1,8 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +90,34 @@ class TestSequences:
         seq = SequenceSpec.from_json(spec)
         assert SequenceSpec.from_json(seq.to_json()) == seq
         assert seq.to_json() == SequenceSpec.from_json(spec, phi=qa_phi()).to_json()
+
+    SPECS = (
+        {"kind": "reciprocal"},
+        {"kind": "gamma_exp", "phi": {"family": "alpha_beta", "alpha": 0.5, "beta": 0.7}},
+        {"kind": "samples", "points": [[1, 0.9], [2.5, 0.5], [10, 1e-3]]},
+    )
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_hash_is_kept_by_equality_and_pickle(self, spec):
+        seq = SequenceSpec.from_json(spec)
+        twin = SequenceSpec.from_json(spec)
+        assert twin == seq and twin is not seq and hash(twin) == hash(seq)
+        back = pickle.loads(pickle.dumps(seq))
+        assert back == seq and hash(back) == hash(seq)
+
+    def test_pickled_hash_follows_the_loading_process(self):
+        # string hashes differ between processes, so a pickle must not carry
+        # the hash computed where it was dumped
+        payload = pickle.dumps([SequenceSpec.from_json(spec) for spec in self.SPECS])
+        code = (
+            "import pickle, sys\n"
+            "from qaspace import SequenceSpec\n"
+            "back = pickle.loads(sys.stdin.buffer.read())\n"
+            f"fresh = [SequenceSpec.from_json(s) for s in {self.SPECS!r}]\n"
+            "assert [hash(b) for b in back] == [hash(f) for f in fresh]\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], input=payload, env=env, check=True)
 
     def test_gamma_exp_json_takes_the_given_phi(self):
         assert SequenceSpec.from_json({"kind": "gamma_exp"}, qa_phi()) == gamma_exp(qa_phi())

@@ -635,6 +635,13 @@ class TestFamilyTable:
             with pytest.raises(SpecParseError, match="unknown keys"):
                 parse_shape({**shape_to_json(shape), "bogus": 1})
 
+    def test_equal_members_hash_equal(self):
+        for shape in self.members():
+            twin = parse_shape(shape_to_json(shape), expected_kind=shape.domain_kind)
+            assert twin == shape and twin is not shape
+            # the hash is computed once, from the same fields as equality
+            assert hash(twin) == hash(shape) == hash(shape.__reduce__()[1])
+
     def test_pickle_round_trip(self):
         for shape in self.members():
             back = pickle.loads(pickle.dumps(shape))
