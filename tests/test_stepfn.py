@@ -124,18 +124,14 @@ def old_canonical(breakpoints, values):
     return tuple(bps), tuple(vals)
 
 
-def exact_corpora():
-    """Layered, deep, non-dyadic, extreme-valued and float-edge inputs."""
-    return {
-        "layer": layer_corpus(200, seed=7),
-        "deep": deep_corpus(4),
-        "edge": edge_corpus(31),
-        "edge-extreme": edge_corpus(32, value_pool=EXTREME_VALUES),
-        "float-edge": float_edge_corpus(),
-    }
-
-
-EXACT_CORPORA = exact_corpora()
+# layered, deep, non-dyadic, extreme-valued and float-edge inputs
+EXACT_CORPORA = {
+    "layer": layer_corpus(200, seed=7),
+    "deep": deep_corpus(4),
+    "edge": edge_corpus(31),
+    "edge-extreme": edge_corpus(32, value_pool=EXTREME_VALUES),
+    "float-edge": float_edge_corpus(),
+}
 
 
 def fraction_measures(f):

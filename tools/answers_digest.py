@@ -6,10 +6,10 @@ The answers are computed by the qaspace package of the checkout this script
 sits in, on fixed seeded inputs: the step-function operations (rearrange,
 l1_norm_exact, distribution at fixed levels, and the canonical forms of abs_,
 scale and add) on random_functions(11, 500) and both edge_corpus sets, the
-corpora random_functions(11, 500) and
-layer_corpus(200, seed=7) from tests/corpora.py, the 50-200 layer functions of
-deep_corpus(20) for the long searches, the two edge_corpus sets (non-dyadic
-grids, and values from 5e-324 to 1.7e308), the bounds engine's group weights
+corpora random_functions(11, 500) and layer_corpus(200, seed=7) from
+tests/corpora.py, the 50-200 layer functions of deep_corpus(20) for the long
+searches, the two edge_corpus sets (non-dyadic grids, and values from 5e-324
+to 1.7e308), the bounds engine's group weights
 (every group of layer_corpus(200, seed=7) and float_edge_corpus(), and the
 group_sample of deep_corpus(4)), a grid of witness specs, every shape
 family in both domains on fixed argument grids (with the error of each
