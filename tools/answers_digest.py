@@ -15,10 +15,12 @@ group_sample of deep_corpus(4)), a grid of witness specs, every shape
 family in both domains on fixed argument grids (with the error of each
 malformed shape spec), the profiles of three phi shapes on a gamma_exp, a
 reciprocal and a sampled sequence (also with a psi sampled only up to 10), a
-fixed list of CLI argvs (exit code, stdout and stderr), the echo of accepted
-specs of every type (step function, shape in both domains, the three sequence
-kinds and the five expression kinds, the last two read through `check-seq`
-and `equivalence`), and the error type each malformed spec gets.  Every float is
+fixed list of CLI argvs (exit code, stdout and stderr), `selftest` at three
+seeds, lorentz_norm, qa_bounds and rearrange on functions that are only
+0.0 and -0.0 or carry -0.0 pieces, the echo of accepted specs of every type
+(step function, shape in both domains, the three sequence kinds and the five
+expression kinds, the last two read through `check-seq` and `equivalence`),
+and the error type each malformed spec gets.  Every float is
 hashed through repr, every Fraction exactly, so a digest stays the same only
 if every answer in its group is bitwise the same.  Run it in two checkouts and
 diff the output.  Standard library only; takes no options.
@@ -32,6 +34,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +70,7 @@ from qaspace.stepfn import (  # noqa: E402
     StepFunction,
     abs_,
     add,
+    constant,
     distribution,
     l1_norm_exact,
     rearrange,
@@ -176,6 +180,30 @@ CLI_ARGVS = [
     ["omega", "--phi-x", '{"family": "identity"}', "--phi", QA_PHI, "--psi", QA_PSI,
      "--c", "0.5", "--N", "3"],
     ["selftest", "--seed", "7"],
+]
+SELFTEST_SEEDS = (0, 7, 123)
+
+
+def _equal_pieces(*values) -> StepFunction:
+    """values on len(values) equal pieces, adjacent equal values not merged."""
+    m = len(values)
+    return StepFunction(tuple(Fraction(k, m) for k in range(m + 1)), values)
+
+
+# +-0.0 only, then -0.0 pieces beside zero, positive and negative ones
+ZERO_FUNCTIONS = [
+    constant(0.0),
+    constant(-0.0),
+    _equal_pieces(0.0, -0.0),
+    _equal_pieces(-0.0, 0.0, -0.0),
+    _equal_pieces(-0.0, -0.0, -0.0, -0.0),
+    _equal_pieces(3.0, -0.0, 2.0),
+    _equal_pieces(-0.0, 1.0),
+    _equal_pieces(1.0, -0.0),
+    _equal_pieces(-0.0, -1.5, 0.0, 1.5),
+    _equal_pieces(2.0, -2.0, -0.0, 0.0, 2.0),
+    _equal_pieces(-0.0, 5e-324, 0.0, -5e-324, 1.7e308),
+    StepFunction((0, Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), 1), (-0.0, 0.25, -0.0, -0.25)),
 ]
 
 QA = {"family": "qa_phi"}
@@ -354,6 +382,12 @@ def groups():
                     embeddings.sample_sequence(PROFILE_SAMPLES))
     ]
     yield "cli", [_cli(argv) for argv in CLI_ARGVS]
+    yield "selftest", [_cli(["selftest", "--seed", str(seed)]) for seed in SELFTEST_SEEDS]
+    yield "zeros", [
+        *(_fn(rearrange(f)) for f in ZERO_FUNCTIONS),
+        *(_lorentz(f, phi) for phi, _ in SHAPE_PAIRS for f in ZERO_FUNCTIONS),
+        *(_bounds(qa_bounds(f, phi, psi)) for phi, psi in SHAPE_PAIRS for f in ZERO_FUNCTIONS),
+    ]
     yield "specs", [
         *(StepFunction.from_json(spec).to_json() for spec in FUNCTION_SPECS),
         *(_shape_echo(spec, kind) for spec in SHAPE_SPECS[:-2] for kind in ("phi", "psi")),
