@@ -6,8 +6,8 @@ the jump of phi at 0 (nonzero only for constant_one):
 
     value = linf(f) * phi(0+)  +  integral of the rearrangement against phi'.
 
-Both parts are reported.  Everything is computed from the nested form, so the
-result is bit-identical across rearrangement.
+Both parts are reported.  Everything is computed from the layer cake of |f|
+(stepfn._layers), so the result is bit-identical across rearrangement.
 """
 
 from __future__ import annotations
@@ -35,17 +35,17 @@ class LorentzNorm:
 
 def lorentz_norm(f: StepFunction, phi: ShapeFunction) -> LorentzNorm:
     """Layer-cake sum sum_k levels[k] * phi(measures[k]) over |f|."""
-    if not any(f.values):
-        return LorentzNorm(0.0, 0.0, 0.0)
-    nf = stepfn.nested_form(stepfn.abs_(f))
-    value = cake_sum(nf, phi)
-    jump = nf.heights[0] * phi.zero_limit()
+    den, heights, cum = stepfn._layers(map(abs, f.values), f.breakpoints)
+    value = cake_sum(heights, den, cum, phi)
+    jump = heights[0] * phi.zero_limit() if heights else 0.0
     return LorentzNorm(value=value, jump_part=jump, integral_part=value - jump)
 
 
-def cake_sum(nf: stepfn.NestedForm, phi: ShapeFunction) -> float:
-    """sum_k levels[k] * phi(measures[k]); lorentz_norm and qanorm's lower bound both use it."""
-    return nonneg_fsum(b * phi.eval(float(m)) for b, m in zip(nf.levels, nf.measures))
+def cake_sum(heights, den, cum, phi: ShapeFunction) -> float:
+    """sum_k (heights[k] - heights[k+1]) * phi(cum[k] / den), 0 below the last height;
+    lorentz_norm and qanorm's lower bound both use it."""
+    floors = [*heights[1:], 0.0]
+    return nonneg_fsum((a - b) * phi.eval(c / den) for a, b, c in zip(heights, floors, cum))
 
 
 def fundamental(phi: ShapeFunction, t) -> float:

@@ -105,17 +105,17 @@ def piece_cost(g: StepFunction, n: int, phi: ShapeFunction, psi: ShapeFunction) 
 
 def qa_lower(f: StepFunction, phi: ShapeFunction, psi: ShapeFunction) -> float:
     """Rigorous lower bound: max of the Lorentz route and the l1 route."""
-    return _LayerTable(stepfn.abs_(f), phi).lower(psi)[0]
+    return _LayerTable(f, phi).lower(psi)[0]
 
 
 class _LayerTable:
     """Group weights and pieces over the layer cake of |f|.
 
-    vals are the heights of stepfn.nested_form(|f|) (the cake), empty for f == 0.
-    weight(i, j) is the psi-free cost of collapsing layers i..j into one
-    piece.  Its l1 is the sum of ring * fl(v - floor) over the layers, in
-    exact integers: the ring measures as differences of the measures' ticks
-    over their common denominator den (stepfn._ticks), and every float as an
+    vals and den come from stepfn._layers(|f|), the layer cake: vals are its
+    heights, empty for f == 0, and the ring measures are differences of its
+    ticks over den.  weight(i, j) is the psi-free cost of collapsing layers
+    i..j into one piece.  Its l1 is the sum of ring * fl(v - floor) over the
+    layers, in exact integers: the rings in ticks, and every float as an
     integer multiple of 2^-shift, shift being the largest power-of-two
     exponent of the heights' denominators (the difference of two such floats
     rounds to a multiple of it).  The sum is not taken term by term: _mass
@@ -131,27 +131,25 @@ class _LayerTable:
     from the pieces.
     """
 
-    def __init__(self, f_abs: StepFunction, phi: ShapeFunction):
-        self.f_abs = f_abs
+    def __init__(self, f: StepFunction, phi: ShapeFunction):
+        self.f = f
         self.phi = phi
-        self.cake = cake = stepfn.nested_form(f_abs) if any(f_abs.values) else None
-        self.vals, measures = (cake.heights, cake.measures) if cake else ((), ())
-        self._den, ticks = stepfn._ticks((stepfn._ZERO, *measures))
-        self._rings = list(map(sub, ticks[1:], ticks))
-        self._above = ticks  # _above[i]: rings 0..i-1
+        self._den, self.vals, cum = stepfn._layers(map(abs, f.values), f.breakpoints)
+        self._above = above = [0, *cum]  # _above[i]: rings 0..i-1
+        self._rings = list(map(sub, above[1:], above))
         self._shift, sv = stepfn._dyadic(self.vals)
         # _mass[i]: scaled heights times rings over layers 0..i-1
         self._mass = [0, *accumulate(map(mul, sv, self._rings))]
         self._sv = [*sv, 0]  # _sv[j + 1]: the scaled floor below layer j
         self._neg_heights = [-h for h in self.vals]  # ascending, for bisect
         layer = {v: l for l, v in enumerate(self.vals)}
-        # each piece's layer in f_abs; zero pieces one past the last layer
-        self._rank = list(map(layer.get, f_abs.values, repeat(len(self.vals))))
+        # each piece's layer by |value|; zero pieces one past the last layer
+        self._rank = list(map(layer.get, map(abs, f.values), repeat(len(self.vals))))
 
     def lower(self, psi: ShapeFunction) -> tuple:
         """(max(psi(1) * lorentz, phi(1)psi(1) * l1), the route that won)."""
         psi1 = psi.eval(1.0)
-        via_lorentz = psi1 * (cake_sum(self.cake, self.phi) if self.cake else 0.0)
+        via_lorentz = psi1 * cake_sum(self.vals, self._den, self._above[1:], self.phi)
         via_l1 = self.phi.eval(1.0) * psi1 * (self._mass[-1] / (self._den << self._shift))
         return (via_l1, "l1") if via_l1 > via_lorentz else (via_lorentz, "lorentz")
 
@@ -184,7 +182,7 @@ class _LayerTable:
         by_layer = [height] * (i + 1) + [v - floor for v in vals[i + 1 : j + 1]]
         by_layer += [0.0] * (len(vals) - j)
         values = list(map(by_layer.__getitem__, self._rank))
-        return stepfn._canonical(self.f_abs.breakpoints, values)
+        return stepfn._canonical(self.f.breakpoints, values)
 
 
 class _Memo(dict):
@@ -275,7 +273,7 @@ def qa_upper(
     strategy: str = "layers",
 ) -> NormBounds:
     """Upper bound from the requested search strategy, with the lower bound attached."""
-    table = _LayerTable(stepfn.abs_(f), phi)
+    table = _LayerTable(f, phi)
     lower, source = table.lower(psi)
     n = len(table.vals)
     psi_at = [psi.eval(float(r + 1)) for r in range(n)]

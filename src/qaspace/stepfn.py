@@ -154,20 +154,21 @@ def _canonical(breakpoints, values) -> StepFunction:
 
 
 def _layers(values, breakpoints) -> tuple:
-    """(den, heights, cum): the distinct values, descending, and cum[k] the
-    measure of the pieces whose value is at least heights[k], in ticks over den."""
+    """(den, heights, cum): the one layer cake, which every reader uses.  heights
+    are the distinct nonzero values, descending, and cum[k] the measure of the
+    pieces whose value is at least heights[k], in ticks over den."""
     den, ticks = _ticks(breakpoints)
     mass = {}
     for v, w in zip(values, map(sub, ticks[1:], ticks)):
         mass[v] = mass.get(v, 0) + w
+    mass.pop(0.0, None)  # the zero level, also when it is -0.0
     heights = sorted(mass, reverse=True)
     return den, heights, list(accumulate(map(mass.__getitem__, heights)))
 
 
 @dataclass(frozen=True)
 class NestedForm:
-    """The layer cake of a non-negative step function: the one float layer
-    representation, read by lorentz_norm and by the bounds engine's search.
+    """The layer cake of a non-negative step function, the public exact view.
 
     heights: the distinct positive values of f*, strictly decreasing.
     measures: Fractions, measures[k] the exact measure of {f >= heights[k]}.
@@ -256,6 +257,9 @@ def distribution(f: StepFunction, s: float) -> float:
 def rearrange(f: StepFunction) -> StepFunction:
     """Decreasing rearrangement: same value distribution, sorted descending."""
     den, heights, cum = _layers(map(abs, f.values), f.breakpoints)
+    if not cum or cum[-1] != den:
+        heights.append(0.0)
+        cum.append(den)
     # distinct finite values: canonical as built
     return _trusted(StepFunction, (_ZERO, *(Fraction(c, den) for c in cum)), tuple(heights))
 
@@ -266,8 +270,6 @@ def nested_form(f: StepFunction) -> NestedForm:
     if min(f.values) < 0:
         raise NegativePiece("nested form needs f >= 0")
     den, heights, cum = _layers(f.values, f.breakpoints)
-    if not heights[-1]:
-        del heights[-1], cum[-1]
     if not heights:
         raise ZeroFunction("nested form is undefined for f == 0")
     # strictly decreasing positive heights, strictly increasing measures up to 1

@@ -224,7 +224,7 @@ class TestPieces:
                 continue
             for g in got.upper_witness.pieces:
                 _, table, i, j = built[id(g)]
-                vals, f_abs = table.vals, table.f_abs
+                vals, f_abs = table.vals, abs_(table.f)
                 floor = vals[j + 1] if j + 1 < len(vals) else 0.0
                 height = vals[i] - floor
                 want = StepFunction(
@@ -362,7 +362,7 @@ class TestLayerWeights:
             for f in corpus():
                 table = _LayerTable(abs_(f), phi)
                 n = len(table.vals)
-                rings = nested_form(table.f_abs).rings if n else ()
+                rings = nested_form(abs_(table.f)).rings if n else ()
                 for i, j in groups(n):
                     got, want = table.weight(i, j), fraction_weight(table, rings, i, j)
                     assert struct.pack("<d", got) == struct.pack("<d", want), (f, i, j)
