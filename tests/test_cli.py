@@ -24,6 +24,7 @@ from qaspace import (
     tau,
     witness_qa_upper,
 )
+from qaspace import cli
 from qaspace.cli import main
 
 F3 = '{"breakpoints": [0, 0.25, 0.5, 1], "values": [3, 1, 2]}'
@@ -241,6 +242,33 @@ class TestSelftest:
     def test_deterministic_bytes(self):
         a = run_cli("selftest", "--seed", "7").stdout
         assert a == run_cli("selftest", "--seed", "7").stdout
+
+    def test_families_and_runs(self):
+        out = json.loads(run_cli("selftest", "--seed", "7").stdout)["result"]
+        assert [(fam["name"], fam["runs"]) for fam in out["families"]] == [
+            ("rearrangement-equimeasurable", 30),
+            ("lorentz-rearrangement-invariant", 25),
+            ("bounds-sandwich", 25),
+            ("upper-equals-witness-cost", 20),
+            ("psi-one-collapse", 25),
+            ("quasi-triangle", 25),
+            ("tau-compositional", 40),
+            ("witness-build", 2),
+        ]
+
+    def test_a_failing_sample_exits_one(self, monkeypatch, capsys):
+        # the check still draws its sample, so the other families see the
+        # same rng stream and pass
+        table = list(cli._INVARIANTS)
+        name, runs, check = table[2]
+        table[2] = (name, runs, lambda rng, i: check(rng, i) and i != 0)
+        monkeypatch.setattr(cli, "_INVARIANTS", table)
+        assert main(["selftest", "--seed", "7"]) == 1
+        out = json.loads(capsys.readouterr().out)["result"]
+        assert out["passed"] is False
+        assert {fam["name"]: fam["failures"] for fam in out["families"] if fam["failures"]} == {
+            "bounds-sandwich": 1
+        }
 
 
 class TestErrors:

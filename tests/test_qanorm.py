@@ -370,6 +370,52 @@ class TestLayerWeights:
         assert pairs > least, pairs
 
 
+def merged_by_abs_corpus():
+    """Signed functions, grids where abs_ merges runs (v beside -v, 0.0 beside
+    -0.0), and f == 0 with either sign of zero."""
+    quarters = tuple(F(k, 4) for k in range(5))
+    return [
+        *random_functions(11, 300, signed=True),
+        *edge_corpus(31),
+        *float_edge_corpus(),
+        StepFunction(quarters, (2.5, -2.5, 1.0, -1.0)),
+        StepFunction(quarters, (-1.5, 1.5, 0.0, -0.0)),
+        StepFunction(quarters, (0.0, -0.0, 3.0, -0.0)),
+        StepFunction(quarters, (-0.0, 0.0, -0.0, 0.0)),
+        constant(0.0),
+        constant(-0.0),
+    ]
+
+
+class TestLayerTableReadsF:
+    """_LayerTable(f) reads the cake of |f| off f's own grid, with no abs_
+    copy, and answers bitwise what _LayerTable(abs_(f)) answers."""
+
+    def test_same_as_the_table_of_abs(self):
+        pieces = 0
+        for phi, psi in ((qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4))):
+            for f in merged_by_abs_corpus():
+                got, want = _LayerTable(f, phi), _LayerTable(abs_(f), phi)
+                assert list(map(bits, got.vals)) == list(map(bits, want.vals)), f
+                (lo, source), (want_lo, want_source) = got.lower(psi), want.lower(psi)
+                assert (bits(lo), source) == (bits(want_lo), want_source), f
+                for i, j in all_groups(len(want.vals)):
+                    assert bits(got.weight(i, j)) == bits(want.weight(i, j)), (f, i, j)
+                    g, h = got.materialize(i, j), want.materialize(i, j)
+                    assert g.breakpoints == h.breakpoints, (f, i, j)
+                    assert list(map(bits, g.values)) == list(map(bits, h.values)), (f, i, j)
+                    pieces += 1
+        assert pieces > 10_000, pieces
+
+    def test_zero_function_has_no_layers(self):
+        for f in (constant(0.0), constant(-0.0)):
+            assert _LayerTable(f, qa_phi()).vals == []
+            got = qa_bounds(f, qa_phi(), qa_psi())
+            assert (bits(got.lower), bits(got.upper)) == (bits(0.0), bits(0.0))
+            assert got.lower_source == "lorentz"
+            assert got.upper_witness.pieces == ()
+
+
 class TestStructuralInequalities:
     @given(step_functions(signed=True))
     @settings(max_examples=60, deadline=None)

@@ -298,6 +298,40 @@ def nf_roundtrip(f):
     return nested_form(f).reconstruct()
 
 
+def signed_layer_corpus():
+    """Signed functions, some with 0.0 or -0.0 pieces (scale by -1 turns a
+    0.0 piece into -0.0), on dyadic and non-dyadic grids."""
+    quarters = (F0, F(1, 4), F(1, 2), F(3, 4), F1)
+    layers = layer_corpus(200, seed=7)
+    return [
+        *random_functions(11, 300, signed=True),
+        *layers,
+        *(scale(f, -1.0) for f in layers),
+        *edge_corpus(31),
+        *float_edge_corpus(),
+        StepFunction(quarters, (3.0, -0.0, 2.0, 0.0)),
+        StepFunction(quarters, (-0.0, -1.5, 0.0, 1.5)),
+        StepFunction(quarters, (2.5, -2.5, 1.0, -1.0)),
+    ]
+
+
+class TestRearrangeIsTheNestedView:
+    """rearrange appends the zero level that _layers leaves out, exactly where
+    NestedForm.reconstruct does."""
+
+    @pytest.mark.parametrize("zeros", [True, False], ids=["zero-pieces", "no-zero-piece"])
+    def test_matches_reconstruct_bitwise(self, zeros):
+        count = 0
+        for f in signed_layer_corpus():
+            if (0.0 in f.values) != zeros:
+                continue
+            got, want = rearrange(f), nf_roundtrip(abs_(f))
+            assert got.breakpoints == want.breakpoints, f
+            assert [v.hex() for v in got.values] == [v.hex() for v in want.values], f
+            count += 1
+        assert count > 50, count
+
+
 class TestArithmetic:
     def test_add_on_merged_grid(self):
         f = indicator(0, F(1, 2), height=1.0)
