@@ -56,24 +56,14 @@ class TestLorentzNorm:
         assert got.integral_part == 0.0
 
     def test_zero_function(self):
-        got = lorentz_norm(constant(0.0), qa_phi())
-        assert (got.value, got.jump_part, got.integral_part) == (0.0, 0.0, 0.0)
-
-    @pytest.mark.parametrize(
-        "f",
-        [
-            constant(0.0),
-            constant(-0.0),
-            StepFunction((F(0), F(1, 3), F(1, 2), F(1)), (-0.0, 0.0, -0.0)),
-        ],
-        ids=["zero", "minus-zero", "mixed"],
-    )
-    def test_zero_function_gives_positive_zeros(self, f):
-        for phi in (qa_phi(), constant_one()):
-            got = lorentz_norm(f, phi)
-            parts = (got.value, got.jump_part, got.integral_part)
-            assert [math.copysign(1.0, x) for x in parts] == [1.0, 1.0, 1.0], parts
-            assert parts == (0.0, 0.0, 0.0)
+        # positive zeros, also where f is -0.0
+        mixed = StepFunction((F(0), F(1, 3), F(1, 2), F(1)), (-0.0, 0.0, -0.0))
+        for f in (constant(0.0), constant(-0.0), mixed):
+            for phi in (qa_phi(), constant_one()):
+                got = lorentz_norm(f, phi)
+                parts = (got.value, got.jump_part, got.integral_part)
+                assert parts == (0.0, 0.0, 0.0)
+                assert [math.copysign(1.0, x) for x in parts] == [1.0, 1.0, 1.0], (f, parts)
 
     def test_against_extended_precision(self):
         # independent Riemann-Stieltjes evaluation of the layer sum

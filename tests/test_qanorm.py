@@ -154,9 +154,11 @@ class TestUpper:
         assert total == rearrange(f) or total == f
 
     def test_zero_function(self):
-        got = qa_upper(constant(0.0), qa_phi(), qa_psi())
-        assert got.lower == got.upper == 0.0
-        assert got.upper_witness.pieces == ()
+        mixed = StepFunction((F(0), F(1, 3), F(1)), (-0.0, 0.0))
+        for f in (constant(0.0), constant(-0.0), mixed):
+            got = qa_upper(f, qa_phi(), qa_psi())
+            assert (bits(got.lower), bits(got.upper)) == (bits(0.0), bits(0.0))
+            assert got.upper_witness.pieces == ()
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -406,14 +408,6 @@ class TestLayerTableReadsF:
                     assert list(map(bits, g.values)) == list(map(bits, h.values)), (f, i, j)
                     pieces += 1
         assert pieces > 10_000, pieces
-
-    def test_zero_function_has_no_layers(self):
-        for f in (constant(0.0), constant(-0.0)):
-            assert _LayerTable(f, qa_phi()).vals == []
-            got = qa_bounds(f, qa_phi(), qa_psi())
-            assert (bits(got.lower), bits(got.upper)) == (bits(0.0), bits(0.0))
-            assert got.lower_source == "lorentz"
-            assert got.upper_witness.pieces == ()
 
 
 class TestStructuralInequalities:

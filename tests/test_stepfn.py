@@ -239,11 +239,18 @@ class TestNestedForm:
         assert nf.reconstruct().values == (3.0, 1.0)
 
     def test_reconstruct_matches_rearrangement(self):
-        # Both seeded corpora hold functions whose rounded level differences
+        # The seeded corpora hold functions whose rounded level differences
         # do not fsum back to their top value, so an inexact rebuild fails here
-        # on every run, whatever hypothesis draws.
-        for f in [three_layer(), *random_functions(11, 500), *layer_corpus(200, seed=7)]:
-            assert nf_roundtrip(f) == rearrange(f)
+        # on every run, whatever hypothesis draws.  rearrange appends the zero
+        # level that the layer cake leaves out, as 0.0 also where f has -0.0,
+        # just where reconstruct does: the signed corpus has both cases.
+        zero_pieces = {True: 0, False: 0}
+        for f in [three_layer(), *random_functions(11, 500), *signed_layer_corpus()]:
+            got, want = rearrange(f), nf_roundtrip(abs_(f))
+            assert got.breakpoints == want.breakpoints, f
+            assert [v.hex() for v in got.values] == [v.hex() for v in want.values], f
+            zero_pieces[0.0 in f.values] += 1
+        assert min(zero_pieces.values()) > 50, zero_pieces
 
     @given(step_functions())
     @example(StepFunction((F0, F(1, 64), F1), (1.7930279632133748, 5.945792950634114)))
@@ -314,22 +321,6 @@ def signed_layer_corpus():
         StepFunction(quarters, (2.5, -2.5, 1.0, -1.0)),
     ]
 
-
-class TestRearrangeIsTheNestedView:
-    """rearrange appends the zero level that _layers leaves out, exactly where
-    NestedForm.reconstruct does."""
-
-    @pytest.mark.parametrize("zeros", [True, False], ids=["zero-pieces", "no-zero-piece"])
-    def test_matches_reconstruct_bitwise(self, zeros):
-        count = 0
-        for f in signed_layer_corpus():
-            if (0.0 in f.values) != zeros:
-                continue
-            got, want = rearrange(f), nf_roundtrip(abs_(f))
-            assert got.breakpoints == want.breakpoints, f
-            assert [v.hex() for v in got.values] == [v.hex() for v in want.values], f
-            count += 1
-        assert count > 50, count
 
 
 class TestArithmetic:
