@@ -43,7 +43,7 @@ def lorentz_norm(f: StepFunction, phi: ShapeFunction) -> LorentzNorm:
 
 def cake_sum(heights, den, cum, phi: ShapeFunction) -> float:
     """sum_k (heights[k] - heights[k+1]) * phi(cum[k] / den), 0 below the last height;
-    lorentz_norm and qanorm's lower bound both use it."""
+    its terms are the layer weights of qanorm's layer table, bit for bit."""
     floors = [*heights[1:], 0.0]
     return nonneg_fsum((a - b) * phi.eval(c / den) for a, b, c in zip(heights, floors, cum))
 

@@ -17,7 +17,7 @@ lower bound max(psi(1) * lorentz, phi(1)psi(1) * l1).
 Strategies: "singleton" covers |f| by itself, one piece and nothing else;
 "layers" uses one piece per layer; "local_search" greedily merges adjacent
 groups while the total cost strictly decreases (first improving merge in a
-left-to-right scan, re-sorted after each merge); "exhaustive" tries all
+left-to-right scan, rescanned after each merge); "exhaustive" tries all
 2^(k-1) consecutive groupings of k layers and is capped at 10 layers; "auto"
 runs "exhaustive" up to the cap and "local_search" beyond it.  Every strategy
 but "singleton" also considers the one piece and the layer split, so its
@@ -28,25 +28,32 @@ in integers and divided once, so the lower bound's l1 is l1_norm(f) bitwise.
 A group's l1 comes from prefix sums, less the exact error of each difference
 that rounds (see _LayerTable), so a weight costs O(rounded terms).
 
+The weight of a single layer is the layer's Lorentz term, so the layer split's
+weights are priced once, with the table, and the lower bound sums them.
+
 One optimizer, _search, runs every strategy; it sees a grouping only through
-its group weights and a price for a list of them, given in any order.
-qa_upper prices in floats (fsum of psi(n) * weight over the weights sorted
-descending, inf past the float range), grouped_log_cost in logs (logsumexp
-of log psi(n) + log weight), for layers far beyond the float range.
+its group weights and a price for a list of them, given in descending order,
+so that a price pairs the n-th weight with psi(n) as it reads them.  The
+greedy keeps its current weights sorted and builds each candidate from them
+by removing the two merged weights and inserting the merged one, not by a
+sort.
+qa_upper prices in floats (fsum of psi(n) * weight, inf past the float
+range), grouped_log_cost in logs (logsumexp of log psi(n) + log weight), for
+layers far beyond the float range.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, neg, sub
 
 from . import stepfn
 from .errors import NegativePiece, TooManyLayers
 from .logs import LOG_ZERO, logdiffexp, logsumexp
-from .lorentz import cake_sum, fact_bound, nonneg_fsum, weighted_sup_bound
+from .lorentz import fact_bound, nonneg_fsum, weighted_sup_bound
 from .shapes import ShapeFunction
 from .stepfn import StepFunction
 
@@ -129,12 +136,22 @@ class _LayerTable:
     float(Fraction(l1) / Fraction(linf)) over any common denominator.  The l1 uses the same rounded
     differences as the materialized piece, so costs recompute bit for bit
     from the pieces.
+
+    layer_weights[k] is weight(k, k), computed once with the table.  A single
+    layer's piece is its height on the top cum[k] ticks, so its l1/linf is
+    cum[k] / den, one rounding, and its weight is the k-th term of the
+    Lorentz sum (lorentz.cake_sum) bit for bit; lower() sums them.
     """
 
     def __init__(self, f: StepFunction, phi: ShapeFunction):
         self.f = f
         self.phi = phi
         self._den, self.vals, cum = stepfn._layers(map(abs, f.values), f.breakpoints)
+        floors = [*self.vals[1:], 0.0]
+        self.layer_weights = [
+            weighted_sup_bound(v - floor, c / self._den, phi)
+            for v, floor, c in zip(self.vals, floors, cum)
+        ]
         self._above = above = [0, *cum]  # _above[i]: rings 0..i-1
         self._rings = list(map(sub, above[1:], above))
         self._shift, sv = stepfn._dyadic(self.vals)
@@ -144,16 +161,23 @@ class _LayerTable:
         self._neg_heights = [-h for h in self.vals]  # ascending, for bisect
         layer = {v: l for l, v in enumerate(self.vals)}
         # each piece's layer by |value|; zero pieces one past the last layer
-        self._rank = list(map(layer.get, map(abs, f.values), repeat(len(self.vals))))
+        rank = list(map(layer.get, map(abs, f.values), repeat(len(self.vals))))
+        # _by_rank(by_layer): the pieces' values, each read off its layer (an
+        # itemgetter of one index returns the bare item, not a 1-tuple)
+        self._by_rank = (
+            itemgetter(*rank) if len(rank) > 1 else lambda by_layer: (by_layer[rank[0]],)
+        )
 
     def lower(self, psi: ShapeFunction) -> tuple:
         """(max(psi(1) * lorentz, phi(1)psi(1) * l1), the route that won)."""
         psi1 = psi.eval(1.0)
-        via_lorentz = psi1 * cake_sum(self.vals, self._den, self._above[1:], self.phi)
+        via_lorentz = psi1 * nonneg_fsum(self.layer_weights)
         via_l1 = self.phi.eval(1.0) * psi1 * (self._mass[-1] / (self._den << self._shift))
         return (via_l1, "l1") if via_l1 > via_lorentz else (via_lorentz, "lorentz")
 
     def weight(self, i: int, j: int) -> float:
+        if i == j:
+            return self.layer_weights[i]
         vals, above, mass, shift = self.vals, self._above, self._mass, self._shift
         floor = vals[j + 1] if j + 1 < len(vals) else 0.0
         linf = vals[i] - floor
@@ -181,8 +205,7 @@ class _LayerTable:
         height = vals[i] - floor
         by_layer = [height] * (i + 1) + [v - floor for v in vals[i + 1 : j + 1]]
         by_layer += [0.0] * (len(vals) - j)
-        values = list(map(by_layer.__getitem__, self._rank))
-        return stepfn._canonical(self.f.breakpoints, values)
+        return stepfn._canonical(self.f.breakpoints, self._by_rank(by_layer))
 
 
 class _Memo(dict):
@@ -215,10 +238,16 @@ def _search(n: int, weights, price, strategy: str) -> tuple:
 
     weights[i, j] is the weight of the group of layers i..j (inclusive);
     price(ws) prices a grouping from the list of its group weights, given in
-    any order.  The two are all that the float and the log-domain searches
+    descending order, so a price reads the slot of each weight off its
+    position.  The two are all that the float and the log-domain searches
     differ in.  "singleton" prices the one piece alone.  For every other
     strategy the candidates come in a fixed order (one piece, the layer
     split, then the strategy's own) and the first strict minimum wins.
+    The greedy keeps its current weights sorted beside them, and a candidate
+    merge is that sorted list less the two merged weights, with the merged
+    group's weight inserted in order.  Equal weights are equal floats, or
+    zeros of either sign that no price tells apart, so which of them a
+    removal takes does not change the price.
     Returns (best price, best groups).
     """
     if strategy not in STRATEGIES:
@@ -240,27 +269,34 @@ def _search(n: int, weights, price, strategy: str) -> tuple:
         candidates.extend(_compositions(n))
     elif strategy == "local_search":
         # one weight per current group, kept beside the groups, so that a
-        # candidate merge is priced without looking its groups up again
+        # candidate merge is priced without looking its groups up again,
+        # and the same weights sorted descending, for the price
         groups = layers
         ws = [weights[g] for g in groups]
-        cost = price(ws)
+        desc = sorted(ws, reverse=True)
+        cost = price(desc)
         improved = True
         while improved and len(groups) > 1:
             improved = False
             for idx in range(len(groups) - 1):
                 merged = (groups[idx][0], groups[idx + 1][1])
-                cand = ws[:idx] + [weights[merged]] + ws[idx + 2 :]
+                w = weights[merged]
+                cand = desc.copy()
+                cand.remove(ws[idx])
+                cand.remove(ws[idx + 1])
+                insort(cand, w, key=neg)
                 t = price(cand)
                 if t < cost:
                     groups = groups[:idx] + [merged] + groups[idx + 2 :]
-                    ws, cost = cand, t
+                    ws = ws[:idx] + [w] + ws[idx + 2 :]
+                    desc, cost = cand, t
                     improved = True
                     break
         candidates.append(groups)
 
     best = None
     for groups in candidates:
-        t = price([weights[g] for g in groups])
+        t = price(sorted([weights[g] for g in groups], reverse=True))
         if best is None or t < best[0]:
             best = (t, groups)
     return best
@@ -280,7 +316,7 @@ def qa_upper(
     weights = _Memo(table.weight)
 
     def price(ws) -> float:
-        return nonneg_fsum(map(mul, psi_at, sorted(ws, reverse=True)))
+        return nonneg_fsum(map(mul, psi_at, ws))
 
     best_total, best_groups = _search(n, weights, price, strategy)
     ordered = sorted(best_groups, key=lambda ij: (-weights[ij], ij[0]))
@@ -339,6 +375,6 @@ def grouped_log_cost(
     log_psi_at = [math.log(psi.eval(float(r + 1))) for r in range(n)]
 
     def price(ws) -> float:
-        return logsumexp(map(add, log_psi_at, sorted(ws, reverse=True)))
+        return logsumexp(map(add, log_psi_at, ws))
 
     return _search(n, weights, price, strategy)[0]

@@ -22,7 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import lt, mul, ne, sub
 
 from .errors import NegativePiece, SpecParseError, ZeroFunction
@@ -146,7 +146,7 @@ def _canonical(breakpoints, values) -> StepFunction:
     grid is trusted, and __post_init__ does not run.  A run of equal values
     keeps its first value (0.0 == -0.0) and the breakpoint where it starts.
     """
-    starts = [True, *map(ne, values[1:], values)]
+    starts = list(map(ne, values, chain((None,), values)))
     vals = tuple(compress(values, starts))
     if not all(map(math.isfinite, vals)):
         raise ValueError("values must be finite")

@@ -1,3 +1,4 @@
+import bisect
 import math
 import operator
 import random
@@ -32,6 +33,7 @@ from qaspace import (
     rearrange,
     witness_qa_upper,
 )
+from qaspace import stepfn
 from qaspace.logs import LOG_ZERO, logsumexp
 from qaspace.lorentz import fact_bound, nonneg_fsum, weighted_sup_bound
 from qaspace.qanorm import _LayerTable, _search, grouped_log_cost
@@ -265,7 +267,8 @@ def group_list_greedy(n, total):
 
 class TestGreedy:
     """The weight-list local search ends where the group-list loop ends, at
-    the same total bit for bit, under both pricings."""
+    the same total bit for bit, under both pricings, and hands every price
+    its weights in descending order."""
 
     @staticmethod
     def tables(log):
@@ -289,31 +292,38 @@ class TestGreedy:
         psi_at = [1.0 + math.log(r) for r in range(1, 41)]
         log_psi_at = [math.log(p) for p in psi_at]
         pricings = {
-            False: (
-                lambda ws: nonneg_fsum(map(operator.mul, psi_at, sorted(ws, reverse=True))),
-                lambda ws: nonneg_fsum([p * w for p, w in zip(psi_at, ws)]),
-            ),
-            True: (
-                lambda ws: logsumexp(map(operator.add, log_psi_at, sorted(ws, reverse=True))),
-                lambda ws: logsumexp([p + w for p, w in zip(log_psi_at, ws)]),
-            ),
+            False: lambda ws: nonneg_fsum([p * w for p, w in zip(psi_at, ws)]),
+            True: lambda ws: logsumexp([p + w for p, w in zip(log_psi_at, ws)]),
         }
-        ends = set()
-        for log, (price, sorted_price) in pricings.items():
+        ends, seen = set(), set()
+
+        def descending(price):
+            def checked(ws):
+                assert all(map(operator.ge, ws, ws[1:])), ws
+                if len(set(ws)) < len(ws):
+                    seen.add("tie")
+                seen.update(w for w in ws if math.isinf(w))
+                return price(ws)
+
+            return checked
+
+        for log, price in pricings.items():
             for n, weights in self.tables(log):
 
                 def total(groups):
-                    return sorted_price(sorted([weights[g] for g in groups], reverse=True))
+                    return price(sorted([weights[g] for g in groups], reverse=True))
 
                 want_total, want_groups = group_list_greedy(n, total)
-                got_total, got_groups = _search(n, weights, price, "local_search")
+                got_total, got_groups = _search(n, weights, descending(price), "local_search")
                 assert got_groups == want_groups, (log, n)
                 assert bits(got_total) == bits(want_total), (log, n)
                 ends.add((log, 1 < len(got_groups) < n, math.isinf(got_total)))
         # both pricings reach groupings strictly between the one piece and
-        # the layer split, and totals that are inf
+        # the layer split, and totals that are inf; the sorted lists that the
+        # greedy edits hold equal and infinite weights
         assert {(log, True, False) for log in pricings} <= ends, ends
         assert any(end[2] for end in ends), ends
+        assert seen == {"tie", math.inf, LOG_ZERO}, seen
 
 
 class TestAgainstBruteForce:
@@ -408,6 +418,46 @@ class TestLayerTableReadsF:
                     assert list(map(bits, g.values)) == list(map(bits, h.values)), (f, i, j)
                     pieces += 1
         assert pieces > 10_000, pieces
+
+
+def integer_weight(table, i, j):
+    """Reference group weight: the general integer formula of
+    _LayerTable.weight, also on a single layer, where the table reads its
+    stored layer weight instead."""
+    vals, above, mass, shift = table.vals, table._above, table._mass, table._shift
+    floor = vals[j + 1] if j + 1 < len(vals) else 0.0
+    linf = vals[i] - floor
+    num, d = linf.as_integer_ratio()
+    top = num << (shift + 1 - d.bit_length())
+    l1 = top * above[i] + mass[j + 1] - mass[i] - table._sv[j + 1] * (above[j + 1] - above[i])
+    for l in range(i, bisect.bisect_left(table._neg_heights, -2.0 * floor, i, j + 1)):
+        v = vals[l]
+        err = -floor - ((v - floor) - v)
+        if err:
+            num, d = err.as_integer_ratio()
+            l1 -= (num << (shift + 1 - d.bit_length())) * table._rings[l]
+    return weighted_sup_bound(linf, l1 / (top * table._den), table.phi)
+
+
+class TestLayerWeightsAreLorentzTerms:
+    """A single layer's weight is its term of the Lorentz sum, bit for bit:
+    what the layer split and the lower bound both read."""
+
+    def test_equal_the_cake_terms_and_the_integer_formula(self):
+        layers = 0
+        for phi in (qa_phi(), alpha_beta(0.5, 0.7)):
+            for f in (*merged_by_abs_corpus(), *float_edge_corpus(), *deep_corpus(4)):
+                table = _LayerTable(f, phi)
+                den, heights, cum = stepfn._layers(map(abs, f.values), f.breakpoints)
+                floors = [*heights[1:], 0.0]
+                terms = [(a - b) * phi.eval(c / den) for a, b, c in zip(heights, floors, cum)]
+                assert list(map(bits, table.layer_weights)) == list(map(bits, terms)), f
+                for k, w in enumerate(table.layer_weights):
+                    assert bits(w) == bits(integer_weight(table, k, k)), (f, k)
+                value = nonneg_fsum(table.layer_weights)
+                assert bits(lorentz_norm(f, phi).value) == bits(value), f
+                layers += len(terms)
+        assert layers > 2000, layers
 
 
 class TestStructuralInequalities:
