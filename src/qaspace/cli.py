@@ -180,7 +180,7 @@ def _cmd_check_seq(args) -> int:
     if args.points < 3:
         raise DomainError(f"check-seq needs at least 3 points, got {args.points}")
     xmin = args.xmin = max(args.xmin, args.seq.domain_start)
-    xs = [xmin + (args.xmax - xmin) * i / (args.points - 1) for i in range(args.points)]
+    xs = [xmin + (args.xmax - xmin) * (i / (args.points - 1)) for i in range(args.points)]
     report = embeddings.check_seq_conditions(args.phi, args.psi, args.seq, xs)
     result = {**asdict(report), "passed": report.passed}
     del result["grid"]

@@ -37,6 +37,9 @@ __all__ = [
 
 _HALVING_SLACK = 1e-9
 _RESIDUAL_TOL = 1e-8
+# the cap on N: `witness --N 500` takes about 1.5 s, most of it the grouping
+# search over the 2N layers, which grows faster than N^2
+_N_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,8 @@ class WitnessSpec:
 
     c in (0,1) and p in (0,1] are the shape hypotheses' constants; mu1 is the
     starting measure (None selects it automatically as the largest probe
-    point <= p/2 where gamma certifies as strictly decreasing).
+    point <= p/2 where gamma certifies as strictly decreasing).  N is an
+    integer from 2 to 500; a larger one is refused before any work.
     """
 
     phi: ShapeFunction
@@ -58,6 +62,8 @@ class WitnessSpec:
     def __post_init__(self):
         if not isinstance(self.N, int) or self.N < 2:
             raise IllegalSpec("N must be an integer >= 2")
+        if self.N > _N_CAP:
+            raise IllegalSpec(f"N is capped at {_N_CAP}, got {self.N}")
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "p", float(self.p))
         if not 0.0 < self.c < 1.0:

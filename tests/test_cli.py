@@ -401,6 +401,15 @@ class TestErrors:
             (equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI,
                                "seq": {"kind": "reciprocal"}, "n_max": 1e300}),
              "DomainError", "n_max is capped at 1000000 terms"),
+            # the grid step is (xmax - xmin) * (i / (points - 1)): the product
+            # with i first overflowed to inf and was refused as a bad grid
+            (["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI, "--psi", QA_PSI,
+              "--xmax", "1e308", "--points", "5"], "DomainError",
+             "the step-ratio scan is capped at 1000000 integers; the grid runs from 1 to 1e+308"),
+            (["witness", "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5", "--N", "2000000000"],
+             "IllegalSpec", "N is capped at 500, got 2000000000"),
+            (["omega", "--phi-x", QA_PHI, "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5",
+              "--N", "501"], "IllegalSpec", "N is capped at 500, got 501"),
         ],
     )
     def test_malformed_specs_name_their_key_path(self, capsys, argv, kind, message):

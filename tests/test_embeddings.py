@@ -392,6 +392,16 @@ class TestSeqConditions:
         with pytest.raises(ValueError):
             check_seq_conditions(qa_phi(), qa_psi(), reciprocal(), [1.0, 3.0, 2.0])
 
+    @pytest.mark.parametrize("xmax", [1_000_001.0, 1e308, math.inf])
+    def test_long_step_ratio_scan_is_refused_before_any_term(self, monkeypatch, xmax):
+        # one log_gamma per integer up to xmax: 1e308 of them would never end
+        def unread(self, x):
+            raise AssertionError("a term was evaluated")
+
+        monkeypatch.setattr(SequenceSpec, "log_value", unread)
+        with pytest.raises(DomainError, match="step-ratio scan is capped at 1000000 integers"):
+            check_seq_conditions(qa_phi(), qa_psi(), reciprocal(), [1.0, 2.0, xmax])
+
 
 class TestEquivalence:
     def test_identical_functions(self):

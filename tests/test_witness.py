@@ -55,6 +55,17 @@ class TestSpecValidation:
         with pytest.raises(IllegalSpec):
             WitnessSpec(qa_phi(), qa_psi(), N=2, c=0.5, mu1=0.6)
 
+    @pytest.mark.parametrize("n", [501, 2_000_000_000])
+    def test_n_above_the_cap_is_refused_before_any_work(self, n):
+        # build_witness iterates 2N steps: N = 2e9 once grew to gigabytes
+        class Unread:
+            def eval(self, x):
+                raise AssertionError("psi was evaluated")
+
+        with pytest.raises(IllegalSpec, match=f"N is capped at 500, got {n}"):
+            WitnessSpec(qa_phi(), Unread(), N=n, c=0.5)
+        assert WitnessSpec(qa_phi(), qa_psi(), N=500, c=0.5).N == 500
+
     def test_flat_ratio_is_rejected_at_build(self):
         with pytest.raises(NotInvertible):
             build_witness(WitnessSpec(identity(), qa_psi(), N=2, c=0.5))
