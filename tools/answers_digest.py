@@ -11,7 +11,8 @@ tests/corpora.py, the 50-200 layer functions of deep_corpus(20) for the long
 searches, the two edge_corpus sets (non-dyadic grids, and values from 5e-324
 to 1.7e308), the bounds engine's group weights
 (every group of layer_corpus(200, seed=7) and float_edge_corpus(), and the
-group_sample of deep_corpus(4)), a grid of witness specs, every shape
+group_sample of deep_corpus(4)), a grid of witness specs and two deep ones
+(their upper bounds, Lorentz norms and log-domain group weights), every shape
 family in both domains on fixed argument grids (with the error of each
 malformed shape spec), the profiles of three phi shapes on a gamma_exp, a
 reciprocal and a sampled sequence (also with a psi sampled only up to 10), a
@@ -53,7 +54,7 @@ from corpora import (  # noqa: E402
 from qaspace import embeddings, lorentz_norm, nested_form, qa_bounds, qa_upper  # noqa: E402
 from qaspace.cli import main as cli_main  # noqa: E402
 from qaspace.errors import ToolkitError  # noqa: E402
-from qaspace.qanorm import _LayerTable  # noqa: E402
+from qaspace.qanorm import _LayerTable, log_layer_weight  # noqa: E402
 from qaspace.shapes import (  # noqa: E402
     ShapeFunction,
     alpha_beta,
@@ -76,7 +77,13 @@ from qaspace.stepfn import (  # noqa: E402
     rearrange,
     scale,
 )
-from qaspace.witness import WitnessSpec, build_witness, witness_qa_upper  # noqa: E402
+from qaspace.witness import (  # noqa: E402
+    WitnessSpec,
+    _descending_layers,
+    build_witness,
+    witness_lorentz_norm,
+    witness_qa_upper,
+)
 
 SHAPE_PAIRS = [(qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4))]
 UPPER_STRATEGIES = ("singleton", "layers", "local_search", "exhaustive", "auto")
@@ -85,6 +92,15 @@ DIST_LEVELS = (0.0, 5e-324, 1e-300, 0.5, 2.0, 7.5, 1e300)
 SCALE_FACTORS = (2.0, -0.5, 0.0, 1e-300, 1e300)
 WITNESS_PHIS = (qa_phi(), alpha_beta(0.5, 0.7), alpha_beta(0.8, 0.3))
 WITNESS_PSIS = (qa_psi(), psi_gamma(0.4))
+WITNESS_GRID = [
+    (phi, psi, n, c)
+    for phi in WITNESS_PHIS
+    for psi in WITNESS_PSIS
+    for n in range(2, 11)
+    for c in (0.5, 0.7, 0.9)
+]
+# 100 and 400 layers; qa_phi's measures leave the float range before N = 50
+WITNESS_DEEP = [(alpha_beta(0.7, 0.75), qa_psi(), n, 0.5) for n in (50, 200)]
 
 # every family in both domains, with the parameters at and inside their edges
 SHAPES = [
@@ -364,12 +380,23 @@ def groups():
         for f in edges
     ]
     yield "witness_qa_upper", [
-        _answer(lambda: _witness_upper(phi, psi, n, c, strategy))
-        for phi in WITNESS_PHIS
-        for psi in WITNESS_PSIS
-        for n in range(2, 11)
-        for c in (0.5, 0.7, 0.9)
+        _answer(lambda: _witness_upper(*spec, strategy))
+        for spec in WITNESS_GRID
         for strategy in UPPER_STRATEGIES
+    ]
+    yield "witness_qa_upper.deep", [
+        _answer(lambda: _witness_upper(*spec, strategy), (ToolkitError, ArithmeticError))
+        for spec in WITNESS_DEEP
+        for strategy in UPPER_STRATEGIES
+        if strategy != "exhaustive"
+    ]
+    yield "witness_lorentz_norm", [
+        _answer(lambda: witness_lorentz_norm(_witness(*spec), spec[0]))
+        for spec in [*WITNESS_GRID, *WITNESS_DEEP]
+    ]
+    yield "witness.weights", [
+        *(_answer(lambda: _log_weights(*spec, all_groups)) for spec in WITNESS_GRID),
+        *(_answer(lambda: _log_weights(*spec, group_sample)) for spec in WITNESS_DEEP),
     ]
     yield "shapes", [
         *map(_shape, SHAPES),
@@ -495,9 +522,18 @@ def _lorentz(f, phi) -> tuple:
     return v.value, v.jump_part, v.integral_part
 
 
+def _witness(phi, psi, n, c):
+    return build_witness(WitnessSpec(phi=phi, psi=psi, N=n, c=c))
+
+
 def _witness_upper(phi, psi, n, c, strategy) -> float:
-    w = build_witness(WitnessSpec(phi=phi, psi=psi, N=n, c=c))
-    return witness_qa_upper(w, phi, psi, strategy=strategy)
+    return witness_qa_upper(_witness(phi, psi, n, c), phi, psi, strategy=strategy)
+
+
+def _log_weights(phi, psi, n, c, groups) -> tuple:
+    """The log-domain group weights of a witness over groups(layer count)."""
+    cake = _descending_layers(_witness(phi, psi, n, c))
+    return tuple(log_layer_weight(*cake, i, j, phi) for i, j in groups(len(cake[0])))
 
 
 def main() -> int:
