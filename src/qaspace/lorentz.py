@@ -7,7 +7,9 @@ the jump of phi at 0 (nonzero only for constant_one):
     value = linf(f) * phi(0+)  +  integral of the rearrangement against phi'.
 
 Both parts are reported.  Everything is computed from the layer cake of |f|
-(stepfn._layers), so the result is bit-identical across rearrangement.
+(stepfn._layers), so the result is bit-identical across rearrangement.  The
+terms of the sum come from layer_weights, which qanorm's layer table also
+keeps as the weights of its single layers, so the two read the same floats.
 """
 
 from __future__ import annotations
@@ -36,16 +38,17 @@ class LorentzNorm:
 def lorentz_norm(f: StepFunction, phi: ShapeFunction) -> LorentzNorm:
     """Layer-cake sum sum_k levels[k] * phi(measures[k]) over |f|."""
     den, heights, cum = stepfn._layers(map(abs, f.values), f.breakpoints)
-    value = cake_sum(heights, den, cum, phi)
+    value = nonneg_fsum(layer_weights(heights, den, cum, phi))
     jump = heights[0] * phi.zero_limit() if heights else 0.0
     return LorentzNorm(value=value, jump_part=jump, integral_part=value - jump)
 
 
-def cake_sum(heights, den, cum, phi: ShapeFunction) -> float:
-    """sum_k (heights[k] - heights[k+1]) * phi(cum[k] / den), 0 below the last height;
-    its terms are the layer weights of qanorm's layer table, bit for bit."""
+def layer_weights(heights, den, cum, phi: ShapeFunction) -> list:
+    """The terms (heights[k] - heights[k+1]) * phi(cum[k] / den) of the layer-cake
+    sum, 0 below the last height; qanorm's layer table keeps them as the
+    weights of its single layers."""
     floors = [*heights[1:], 0.0]
-    return nonneg_fsum((a - b) * phi.eval(c / den) for a, b, c in zip(heights, floors, cum))
+    return [weighted_sup_bound(a - b, c / den, phi) for a, b, c in zip(heights, floors, cum)]
 
 
 def fundamental(phi: ShapeFunction, t) -> float:

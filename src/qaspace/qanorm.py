@@ -28,18 +28,20 @@ in integers and divided once, so the lower bound's l1 is l1_norm(f) bitwise.
 A group's l1 comes from prefix sums, less the exact error of each difference
 that rounds (see _LayerTable), so a weight costs O(rounded terms).
 
-The weight of a single layer is the layer's Lorentz term, so the layer split's
-weights are priced once, with the table, and the lower bound sums them.
+The weight of a single layer is the layer's Lorentz term
+(lorentz.layer_weights), so the layer split's weights are priced once, with
+the table, and the lower bound sums them.
 
-One optimizer, _search, runs every strategy; it sees a grouping only through
-its group weights and a price for a list of them, given in descending order,
-so that a price pairs the n-th weight with psi(n) as it reads them.  The
-greedy keeps its current weights sorted and builds each candidate from them
-by removing the two merged weights and inserting the merged one, not by a
-sort.
-qa_upper prices in floats (fsum of psi(n) * weight, inf past the float
-range), grouped_log_cost in logs (logsumexp of log psi(n) + log weight), for
-layers far beyond the float range.
+One optimizer, _search, runs every strategy over a layer table: any object
+with layer_weights, the weights of its n single layers, and weight(i, j), the
+weight of the group of layers i..j.  It sees a grouping only through its
+group weights and a price for a list of them, given in descending order, so
+that a price pairs the n-th weight with psi(n) as it reads them.  The greedy
+keeps its current weights sorted and builds each candidate from them by
+removing the two merged weights and inserting the merged one, not by a sort.
+qa_upper prices _LayerTable's weights in floats (fsum of psi(n) * weight, inf
+past the float range); the witness module prices its log-domain table, for
+layers far beyond the float range, in logs.
 """
 
 from __future__ import annotations
@@ -48,12 +50,11 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, itemgetter, mul, neg, sub
+from operator import itemgetter, mul, neg, sub
 
 from . import stepfn
 from .errors import NegativePiece, TooManyLayers
-from .logs import LOG_ZERO, logdiffexp, logsumexp
-from .lorentz import fact_bound, nonneg_fsum, weighted_sup_bound
+from .lorentz import fact_bound, layer_weights, nonneg_fsum, weighted_sup_bound
 from .shapes import ShapeFunction
 from .stepfn import StepFunction
 
@@ -140,18 +141,14 @@ class _LayerTable:
     layer_weights[k] is weight(k, k), computed once with the table.  A single
     layer's piece is its height on the top cum[k] ticks, so its l1/linf is
     cum[k] / den, one rounding, and its weight is the k-th term of the
-    Lorentz sum (lorentz.cake_sum) bit for bit; lower() sums them.
+    Lorentz sum (lorentz.layer_weights) bit for bit; lower() sums them.
     """
 
     def __init__(self, f: StepFunction, phi: ShapeFunction):
         self.f = f
         self.phi = phi
         self._den, self.vals, cum = stepfn._layers(map(abs, f.values), f.breakpoints)
-        floors = [*self.vals[1:], 0.0]
-        self.layer_weights = [
-            weighted_sup_bound(v - floor, c / self._den, phi)
-            for v, floor, c in zip(self.vals, floors, cum)
-        ]
+        self.layer_weights = layer_weights(self.vals, self._den, cum, phi)
         self._above = above = [0, *cum]  # _above[i]: rings 0..i-1
         self._rings = list(map(sub, above[1:], above))
         self._shift, sv = stepfn._dyadic(self.vals)
@@ -176,8 +173,6 @@ class _LayerTable:
         return (via_l1, "l1") if via_l1 > via_lorentz else (via_lorentz, "lorentz")
 
     def weight(self, i: int, j: int) -> float:
-        if i == j:
-            return self.layer_weights[i]
         vals, above, mass, shift = self.vals, self._above, self._mass, self._shift
         floor = vals[j + 1] if j + 1 < len(vals) else 0.0
         linf = vals[i] - floor
@@ -209,11 +204,12 @@ class _LayerTable:
 
 
 class _Memo(dict):
-    """Weights by (i, j) group, each computed by weight(i, j) on first use."""
+    """A table's weights by (i, j) group: the single layers' read off its
+    layer_weights, every other computed by its weight(i, j) on first use."""
 
-    def __init__(self, weight):
-        super().__init__()
-        self.weight = weight
+    def __init__(self, table):
+        super().__init__(((k, k), w) for k, w in enumerate(table.layer_weights))
+        self.weight = table.weight
 
     def __missing__(self, key):
         value = self[key] = self.weight(*key)
@@ -233,25 +229,29 @@ def _compositions(n: int):
         yield groups
 
 
-def _search(n: int, weights, price, strategy: str) -> tuple:
-    """Best consecutive grouping of layers 0..n-1.
+def _search(table, price, strategy: str) -> tuple:
+    """Best consecutive grouping of the table's layers 0..n-1.
 
-    weights[i, j] is the weight of the group of layers i..j (inclusive);
-    price(ws) prices a grouping from the list of its group weights, given in
-    descending order, so a price reads the slot of each weight off its
-    position.  The two are all that the float and the log-domain searches
-    differ in.  "singleton" prices the one piece alone.  For every other
-    strategy the candidates come in a fixed order (one piece, the layer
-    split, then the strategy's own) and the first strict minimum wins.
+    The table gives the weight of each group of layers i..j (inclusive), and
+    is asked for each at most once; price(ws) prices a grouping from the
+    list of its group weights, given in descending order, so a price reads
+    the slot of each weight off its position.  The two are all that the
+    float and the log-domain searches differ in.  "singleton" prices the one
+    piece alone.  For every other strategy the candidates come in a fixed
+    order (one piece, the layer split, then the strategy's own) and the
+    first strict minimum wins.
     The greedy keeps its current weights sorted beside them, and a candidate
     merge is that sorted list less the two merged weights, with the merged
     group's weight inserted in order.  Equal weights are equal floats, or
     zeros of either sign that no price tells apart, so which of them a
     removal takes does not change the price.
-    Returns (best price, best groups).
+    Returns (best price, best groups), the groups in slot order: weight
+    descending, ties to the first layer.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+    weights = _Memo(table)
+    n = len(table.layer_weights)
     if strategy == "auto":
         strategy = "exhaustive" if n <= _EXHAUSTIVE_CAP else "local_search"
     if n == 0:
@@ -299,7 +299,8 @@ def _search(n: int, weights, price, strategy: str) -> tuple:
         t = price(sorted([weights[g] for g in groups], reverse=True))
         if best is None or t < best[0]:
             best = (t, groups)
-    return best
+    # every candidate lists its groups in layer order, and the sort is stable
+    return best[0], sorted(best[1], key=lambda g: -weights[g])
 
 
 def qa_upper(
@@ -311,70 +312,16 @@ def qa_upper(
     """Upper bound from the requested search strategy, with the lower bound attached."""
     table = _LayerTable(f, phi)
     lower, source = table.lower(psi)
-    n = len(table.vals)
-    psi_at = [psi.eval(float(r + 1)) for r in range(n)]
-    weights = _Memo(table.weight)
+    psi_at = [psi.eval(float(r + 1)) for r in range(len(table.vals))]
 
     def price(ws) -> float:
         return nonneg_fsum(map(mul, psi_at, ws))
 
-    best_total, best_groups = _search(n, weights, price, strategy)
-    ordered = sorted(best_groups, key=lambda ij: (-weights[ij], ij[0]))
-    pieces = tuple(table.materialize(i, j) for i, j in ordered)
+    best_total, best_groups = _search(table, price, strategy)
+    pieces = tuple(table.materialize(i, j) for i, j in best_groups)
     return NormBounds(lower, best_total, source, Decomposition(pieces, best_total))
 
 
 def qa_bounds(f: StepFunction, phi: ShapeFunction, psi: ShapeFunction) -> NormBounds:
     """Best available bounds: qa_upper with the "auto" strategy."""
     return qa_upper(f, phi, psi, strategy="auto")
-
-
-def log_layer_weight(log_vals, log_rings, log_masses, i: int, j: int, phi: ShapeFunction) -> float:
-    """Log cost of merging descending-value layers i..j into one piece.
-
-    log_masses[l] is log(value_l * ring_l), supplied separately because at
-    extreme depth log_vals[l] and log_rings[l] are rounded to exact negatives
-    of each other and their sum no longer knows the product.  Shared by the
-    log-domain grouping search and the extremal-function Lorentz evaluation,
-    so that the psi == 1 coincidence of the two is exact rather than close.
-
-    The cost linf * phi(l1/linf) is assembled as l1 * (phi/id)(l1/linf): the
-    ratio's log may lose its l1 part to absorption once linf is e^1e17 or so,
-    but it only enters through the slowly varying per-measure cost, while in
-    the direct form the same absorption corrupts the leading factor.
-    """
-    n = len(log_vals)
-    lfloor = log_vals[j + 1] if j + 1 < n else LOG_ZERO
-    terms = []
-    for l in range(j + 1):
-        m = max(l, i)
-        # log((vals[m] - floor) * ring_l), mass-based to survive depth
-        base = log_masses[m] if l >= i else log_masses[i] + (log_rings[l] - log_rings[i])
-        damp = math.log1p(-math.exp(lfloor - log_vals[m])) if lfloor > LOG_ZERO else 0.0
-        terms.append(base + damp)
-    log_l1 = logsumexp(terms)
-    if log_l1 == LOG_ZERO:
-        return LOG_ZERO
-    log_linf = logdiffexp(log_vals[i], lfloor)
-    log_ratio = min(0.0, log_l1 - log_linf)
-    return log_l1 + phi.log_gamma_eval(log_ratio)
-
-
-def grouped_log_cost(
-    log_vals, log_rings, log_masses, phi, psi, strategy: str = "auto"
-) -> float:
-    """The same grouping search over layers carried in the log domain.
-
-    log_vals: descending logs of the distinct values; log_rings: logs of the
-    ring measures; log_masses: logs of their products, carried separately
-    (see log_layer_weight).  Returns the log of the best total cost; the
-    search itself is _search, shared with qa_upper.
-    """
-    n = len(log_vals)
-    weights = _Memo(lambda i, j: log_layer_weight(log_vals, log_rings, log_masses, i, j, phi))
-    log_psi_at = [math.log(psi.eval(float(r + 1))) for r in range(n)]
-
-    def price(ws) -> float:
-        return logsumexp(map(add, log_psi_at, ws))
-
-    return _search(n, weights, price, strategy)[0]

@@ -11,7 +11,10 @@ least (2^c - 1)/8 * psi(N), so the family separates the two scales as N grows.
 With stock shape families the measures fall below every representable float
 within a few steps, so the sequence is built and evaluated entirely in the
 log domain; materializing an actual step function is offered only for
-shallow instances.
+shallow instances.  The function's layer cake is kept in logs as well
+(_LogLayerTable): the Lorentz norm sums its single-layer weights, and the
+upper bound runs qanorm's grouping search over it, as qa_upper does over a
+step function's layer table.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import stepfn
 from .errors import DomainError, IllegalSpec, NotInvertible
-from .logs import logsumexp
-from .qanorm import grouped_log_cost, log_layer_weight
+from .logs import LOG_ZERO, logdiffexp, logsumexp
+from .qanorm import _search
 from .shapes import ShapeFunction, log_gamma, log_gamma_inv
 
 __all__ = [
@@ -204,33 +208,69 @@ def build_witness(spec: WitnessSpec) -> WitnessFunction:
     )
 
 
-def _descending_layers(w: WitnessFunction):
-    """(log values desc, log ring measures, log layer masses) of the function.
+class _LogLayerTable:
+    """The layer cake of a built function in the log domain: the layer table
+    that qanorm._search reads for it, as it reads qanorm._LayerTable for a
+    step function.
 
-    The mass of layer j is a_j * mu_j = 1/(2N gamma(mu_j)), formed from the
-    stored gamma targets; summing the stored logs instead loses it entirely
-    once they exceed 1e16 or so.
+    log_vals are the descending logs of the distinct values, log_rings the
+    logs of the ring measures and log_masses the logs of their products,
+    carried separately because at extreme depth log_vals[l] and log_rings[l]
+    are rounded to exact negatives of each other and their sum no longer
+    knows the product.  layer_weights[k] is weight(k, k), computed once: the
+    Lorentz norm sums them and the grouping search reads them, so that the
+    psi == 1 coincidence of the two is exact rather than close.
     """
-    log_vals = list(reversed(w.log_a))
-    log_rings = list(reversed(w.log_mu))
-    norm = math.log(2.0 * w.N)
-    log_masses = [-norm - lg for lg in reversed(w.log_gamma)]
-    return log_vals, log_rings, log_masses
+
+    def __init__(self, log_vals, log_rings, log_masses, phi: ShapeFunction):
+        self.log_vals, self.log_rings, self.log_masses = log_vals, log_rings, log_masses
+        self.phi = phi
+        self.layer_weights = [self.weight(k, k) for k in range(len(log_vals))]
+
+    @classmethod
+    def from_witness(cls, w: WitnessFunction, phi: ShapeFunction) -> _LogLayerTable:
+        """The table of the built function.  The mass of layer j is a_j * mu_j
+        = 1/(2N gamma(mu_j)), formed from the stored gamma targets; summing
+        the stored logs instead loses it entirely once they exceed 1e16 or so.
+        """
+        norm = math.log(2.0 * w.N)
+        log_masses = [-norm - lg for lg in reversed(w.log_gamma)]
+        return cls(list(reversed(w.log_a)), list(reversed(w.log_mu)), log_masses, phi)
+
+    def weight(self, i: int, j: int) -> float:
+        """Log cost of merging layers i..j into one piece.
+
+        The cost linf * phi(l1/linf) is assembled as l1 * (phi/id)(l1/linf):
+        the ratio's log may lose its l1 part to absorption once linf is e^1e17
+        or so, but it only enters through the slowly varying per-measure cost,
+        while in the direct form the same absorption corrupts the leading
+        factor.
+        """
+        log_vals, log_rings, log_masses = self.log_vals, self.log_rings, self.log_masses
+        lfloor = log_vals[j + 1] if j + 1 < len(log_vals) else LOG_ZERO
+        terms = []
+        for l in range(j + 1):
+            m = max(l, i)
+            # log((vals[m] - floor) * ring_l), mass-based to survive depth
+            base = log_masses[m] if l >= i else log_masses[i] + (log_rings[l] - log_rings[i])
+            damp = math.log1p(-math.exp(lfloor - log_vals[m])) if lfloor > LOG_ZERO else 0.0
+            terms.append(base + damp)
+        log_l1 = logsumexp(terms)
+        if log_l1 == LOG_ZERO:
+            return LOG_ZERO
+        log_linf = logdiffexp(log_vals[i], lfloor)
+        log_ratio = min(0.0, log_l1 - log_linf)
+        return log_l1 + self.phi.log_gamma_eval(log_ratio)
 
 
 def witness_lorentz_norm(w: WitnessFunction, phi: ShapeFunction) -> float:
     """Lorentz norm of the built function: sum over layers of the level
     height times phi of the tail measure, assembled with log-sum-exp.
 
-    Uses the same per-layer weight as the log-domain grouping search, so the
-    psi == 1 decomposition value coincides with this bit for bit.
+    Sums the single-layer weights that the log-domain grouping search reads,
+    so the psi == 1 decomposition value coincides with this bit for bit.
     """
-    log_vals, log_rings, log_masses = _descending_layers(w)
-    terms = [
-        log_layer_weight(log_vals, log_rings, log_masses, k, k, phi)
-        for k in range(len(log_vals))
-    ]
-    return math.exp(logsumexp(terms))
+    return math.exp(logsumexp(_LogLayerTable.from_witness(w, phi).layer_weights))
 
 
 def witness_qa_upper(
@@ -240,11 +280,16 @@ def witness_qa_upper(
     strategy: str = "auto",
 ) -> float:
     """Best layer-grouping upper bound on the decomposition quasi-norm of the
-    built function, computed in the log domain."""
-    log_vals, log_rings, log_masses = _descending_layers(w)
-    return math.exp(
-        grouped_log_cost(log_vals, log_rings, log_masses, phi, psi, strategy=strategy)
-    )
+    built function, computed in the log domain: qanorm's search over its
+    _LogLayerTable, a grouping priced as the logsumexp of log psi(n) plus
+    the log weight of its n-th group."""
+    table = _LogLayerTable.from_witness(w, phi)
+    log_psi_at = [math.log(psi.eval(float(r + 1))) for r in range(len(table.layer_weights))]
+
+    def price(ws) -> float:
+        return logsumexp(map(add, log_psi_at, ws))
+
+    return math.exp(_search(table, price, strategy)[0])
 
 
 def lower_bound_value(spec: WitnessSpec) -> float:

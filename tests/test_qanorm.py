@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import struct
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -36,8 +37,9 @@ from qaspace import (
 from qaspace import stepfn
 from qaspace.logs import LOG_ZERO, logsumexp
 from qaspace.lorentz import fact_bound, nonneg_fsum, weighted_sup_bound
-from qaspace.qanorm import _LayerTable, _search, grouped_log_cost
+from qaspace.qanorm import STRATEGIES, _LayerTable, _search
 from qaspace.stepfn import abs_, nested_form
+from qaspace.witness import _LogLayerTable
 from conftest import brute_force_upper, layer_corpus, random_functions, step_functions
 from corpora import (
     EXTREME_VALUES,
@@ -241,6 +243,33 @@ class TestPieces:
         assert pieces > 500, pieces
 
 
+class CountingTable:
+    """A layer table over group weights that counts the groups it is asked
+    for: weights is a dict of them, or a layer table to read them from."""
+
+    def __init__(self, n, weights):
+        self.weights = weights
+        self.layer_weights = [self.read(k, k) for k in range(n)]
+        self.asked = Counter()
+
+    def read(self, i, j):
+        return self.weights[i, j] if isinstance(self.weights, dict) else self.weights.weight(i, j)
+
+    def weight(self, i, j):
+        self.asked[i, j] += 1
+        return self.read(i, j)
+
+
+def float_price(psi, n):
+    psi_at = [psi.eval(float(r + 1)) for r in range(n)]
+    return lambda ws: nonneg_fsum(map(operator.mul, psi_at, ws))
+
+
+def log_price(psi, n):
+    log_psi_at = [math.log(psi.eval(float(r + 1))) for r in range(n)]
+    return lambda ws: logsumexp(map(operator.add, log_psi_at, ws))
+
+
 def group_list_greedy(n, total):
     """The local search as a loop over group lists, each candidate priced by
     total(groups); returns (best total, best groups) over the one piece, the
@@ -314,8 +343,10 @@ class TestGreedy:
                     return price(sorted([weights[g] for g in groups], reverse=True))
 
                 want_total, want_groups = group_list_greedy(n, total)
-                got_total, got_groups = _search(n, weights, descending(price), "local_search")
-                assert got_groups == want_groups, (log, n)
+                table = CountingTable(n, weights)
+                got_total, got_groups = _search(table, descending(price), "local_search")
+                assert sorted(got_groups) == want_groups, (log, n)
+                assert got_groups == sorted(want_groups, key=lambda g: -weights[g]), (log, n)
                 assert bits(got_total) == bits(want_total), (log, n)
                 ends.add((log, 1 < len(got_groups) < n, math.isinf(got_total)))
         # both pricings reach groupings strictly between the one piece and
@@ -324,6 +355,40 @@ class TestGreedy:
         assert {(log, True, False) for log in pricings} <= ends, ends
         assert any(end[2] for end in ends), ends
         assert seen == {"tie", math.inf, LOG_ZERO}, seen
+
+
+class TestSearchAsksOnce:
+    """On every strategy, in both domains, _search asks its table for each
+    group's weight at most once, and never for a single layer's, which it
+    reads off layer_weights."""
+
+    def test_each_group_at_most_once(self):
+        float_tables = [
+            (_LayerTable(f, phi), psi)
+            for phi, psi in ((qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4)))
+            for f in (*layer_corpus(20, seed=7), *deep_corpus(2))
+        ]
+        log_tables = [
+            (_LogLayerTable.from_witness(build_witness(WitnessSpec(phi, psi, N=n, c=0.5)), phi), psi)
+            for phi, psi in ((qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4)))
+            for n in (2, 5, 8)
+        ]
+        asked = Counter()
+        for log, tables in ((False, float_tables), (True, log_tables)):
+            for inner, psi in tables:
+                n = len(inner.layer_weights)
+                price = (log_price if log else float_price)(psi, n)
+                for strategy in STRATEGIES:
+                    if strategy == "exhaustive" and n > 10:
+                        continue
+                    table = CountingTable(n, inner)
+                    _search(table, price, strategy)
+                    assert set(table.asked.values()) <= {1}, (log, strategy, table.asked)
+                    assert not any(i == j for i, j in table.asked), (log, strategy)
+                    asked[log, strategy] += len(table.asked)
+        # every strategy asks for merged groups in both domains (at least the one piece)
+        every = {(log, s) for log in (False, True) for s in STRATEGIES}
+        assert {key for key, count in asked.items() if count} == every, asked
 
 
 class TestAgainstBruteForce:
@@ -421,9 +486,7 @@ class TestLayerTableReadsF:
 
 
 def integer_weight(table, i, j):
-    """Reference group weight: the general integer formula of
-    _LayerTable.weight, also on a single layer, where the table reads its
-    stored layer weight instead."""
+    """Reference group weight: the integer formula of _LayerTable.weight."""
     vals, above, mass, shift = table.vals, table._above, table._mass, table._shift
     floor = vals[j + 1] if j + 1 < len(vals) else 0.0
     linf = vals[i] - floor
@@ -524,10 +587,13 @@ class TestLogDomainMirror:
         lv = [math.log(v) for v in vals]
         lr = [math.log(float(r)) for r in rings]
         lm = [math.log(v * float(r)) for v, r in zip(vals, rings)]
+        table = _LogLayerTable(lv, lr, lm, qa_phi())
         for strategy in ("exhaustive", "local_search"):
-            got = math.exp(grouped_log_cost(lv, lr, lm, qa_phi(), qa_psi(), strategy))
+            got = math.exp(_search(table, log_price(qa_psi(), 3), strategy)[0])
             want = qa_upper(three_layer(), qa_phi(), qa_psi(), strategy=strategy).upper
             assert got == pytest.approx(want, rel=1e-12)
+        lorentz = math.exp(logsumexp(table.layer_weights))
+        assert lorentz == pytest.approx(lorentz_norm(three_layer(), qa_phi()).value, rel=1e-12)
 
 
 class TestBeyondFloatRange:

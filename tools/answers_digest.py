@@ -54,7 +54,7 @@ from corpora import (  # noqa: E402
 from qaspace import embeddings, lorentz_norm, nested_form, qa_bounds, qa_upper  # noqa: E402
 from qaspace.cli import main as cli_main  # noqa: E402
 from qaspace.errors import ToolkitError  # noqa: E402
-from qaspace.qanorm import _LayerTable, log_layer_weight  # noqa: E402
+from qaspace.qanorm import _LayerTable  # noqa: E402
 from qaspace.shapes import (  # noqa: E402
     ShapeFunction,
     alpha_beta,
@@ -79,7 +79,7 @@ from qaspace.stepfn import (  # noqa: E402
 )
 from qaspace.witness import (  # noqa: E402
     WitnessSpec,
-    _descending_layers,
+    _LogLayerTable,
     build_witness,
     witness_lorentz_norm,
     witness_qa_upper,
@@ -532,8 +532,8 @@ def _witness_upper(phi, psi, n, c, strategy) -> float:
 
 def _log_weights(phi, psi, n, c, groups) -> tuple:
     """The log-domain group weights of a witness over groups(layer count)."""
-    cake = _descending_layers(_witness(phi, psi, n, c))
-    return tuple(log_layer_weight(*cake, i, j, phi) for i, j in groups(len(cake[0])))
+    table = _LogLayerTable.from_witness(_witness(phi, psi, n, c), phi)
+    return tuple(table.weight(i, j) for i, j in groups(len(table.layer_weights)))
 
 
 def main() -> int:
