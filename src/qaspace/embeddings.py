@@ -29,6 +29,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import pairwise
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, NonPositiveValue, NotInvertible, SpecParseError
@@ -390,8 +391,9 @@ def check_seq_conditions(
     n_hi = math.floor(xs[-1] + 1e-12) - 1
     constant = math.nan
     if n_hi >= n_lo:
-        lg = [log_gamma(phi, seq.log_value(float(n))) for n in range(n_lo, n_hi + 2)]
-        constant = max(math.exp(g1 - g0) for g0, g1 in zip(lg, lg[1:]))
+        # a running maximum over neighbouring terms, which holds two at a time
+        lg = (log_gamma(phi, seq.log_value(float(n))) for n in range(n_lo, n_hi + 2))
+        constant = max(math.exp(g1 - g0) for g0, g1 in pairwise(lg))
 
     return SeqConditionReport(
         monotone_decreasing=dec,
