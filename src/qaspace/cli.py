@@ -79,6 +79,18 @@ def _expression(obj) -> _Profile:
     return _Profile(lambda t: embeddings.phi_s(phi, psi, seq, t, n_max=n_max).value, echo)
 
 
+# the float flags that must be finite: argparse reads "inf" and "nan" as
+# floats, and downstream they break a grid or a comparison without naming the flag
+_FINITE_FLAGS = ("xmin", "xmax", "tmin", "tmax", "threshold")
+
+
+def _check_finite(args):
+    for dest in _FINITE_FLAGS:
+        value = vars(args).get(dest)
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"--{dest} must be finite, got {value!r}")
+
+
 # each spec argument's decoder, given the arguments decoded before it
 _SPEC_ARGS = {
     "phi": lambda obj, args: parse_shape(obj, "phi"),
@@ -436,6 +448,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         _decode_specs(args)
         return args.run(args)
     except (ToolkitError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -441,6 +441,8 @@ def equivalence(
     points: int = 200,
     threshold: float | None = None,
 ) -> EquivalenceReport:
+    if threshold is not None and math.isnan(threshold):
+        raise DomainError("the equivalence threshold is nan")
     grid = log_grid(t_min, t_max, points)
     ratios = []
     for t in grid:

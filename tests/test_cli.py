@@ -421,6 +421,29 @@ class TestErrors:
         (line,) = captured.err.splitlines()
         assert json.loads(line)["error"] == {"type": kind, "message": message}
 
+    # argparse reads "inf" and "nan" as floats: each non-finite grid or
+    # threshold flag is refused by name, before it can break a grid or turn
+    # a verdict false (equivalence with --threshold nan exited 0)
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            *((["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI, "--psi", QA_PSI,
+                "--points", "5"], flag) for flag in ("xmin", "xmax")),
+            *((["tau", "--phi", QA_PHI, "--psi", QA_PSI, "--tmin", "1e-6", "--tmax", "0.5",
+                "--points", "5"], flag) for flag in ("tmin", "tmax")),
+            *((equivalence_argv({"kind": "shape", "spec": PHI}), flag)
+              for flag in ("tmin", "tmax", "threshold")),
+        ],
+    )
+    def test_non_finite_flags_are_refused_by_name(self, capsys, argv, flag, value):
+        assert main([*argv, f"--{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        want = f"--{flag} must be finite, got {float(value)!r}"
+        assert json.loads(line)["error"] == {"type": "DomainError", "message": want}
+
     def test_main_in_process(self, capsys):
         code = main(["qa-bounds", "--phi", '{"family": "nope"}', "--psi", QA_PSI, "--input", F3])
         assert code == 2

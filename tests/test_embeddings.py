@@ -431,6 +431,8 @@ class TestEquivalence:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             equivalence(math.sqrt, math.sqrt, 0.5, 0.1)
+        with pytest.raises(DomainError, match="threshold is nan"):
+            equivalence(math.sqrt, math.sqrt, 1e-6, 1.0, threshold=math.nan)
 
 
 class TestIteratedLogProfile:
