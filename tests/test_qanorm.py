@@ -244,16 +244,12 @@ class TestPieces:
 
 
 class CountingTable:
-    """A layer table over group weights that counts the groups it is asked
-    for: weights is a dict of them, or a layer table to read them from."""
+    """A layer table that counts the groups it is asked for."""
 
-    def __init__(self, n, weights):
-        self.weights = weights
-        self.layer_weights = [self.read(k, k) for k in range(n)]
+    def __init__(self, layer_weights, weight):
+        self.layer_weights = layer_weights
+        self.read = weight
         self.asked = Counter()
-
-    def read(self, i, j):
-        return self.weights[i, j] if isinstance(self.weights, dict) else self.weights.weight(i, j)
 
     def weight(self, i, j):
         self.asked[i, j] += 1
@@ -343,11 +339,12 @@ class TestGreedy:
                     return price(sorted([weights[g] for g in groups], reverse=True))
 
                 want_total, want_groups = group_list_greedy(n, total)
-                table = CountingTable(n, weights)
+                table = CountingTable([weights[k, k] for k in range(n)], lambda i, j: weights[i, j])
                 got_total, got_groups = _search(table, descending(price), "local_search")
                 assert sorted(got_groups) == want_groups, (log, n)
                 assert got_groups == sorted(want_groups, key=lambda g: -weights[g]), (log, n)
                 assert bits(got_total) == bits(want_total), (log, n)
+                assert set(table.asked.values()) <= {1}, (log, n)
                 ends.add((log, 1 < len(got_groups) < n, math.isinf(got_total)))
         # both pricings reach groupings strictly between the one piece and
         # the layer split, and totals that are inf; the sorted lists that the
@@ -381,7 +378,7 @@ class TestSearchAsksOnce:
                 for strategy in STRATEGIES:
                     if strategy == "exhaustive" and n > 10:
                         continue
-                    table = CountingTable(n, inner)
+                    table = CountingTable(inner.layer_weights, inner.weight)
                     _search(table, price, strategy)
                     assert set(table.asked.values()) <= {1}, (log, strategy, table.asked)
                     assert not any(i == j for i, j in table.asked), (log, strategy)
