@@ -4,6 +4,7 @@ Standard library and qaspace only, so tools outside the test suite (such as
 tools/answers_digest.py) can draw the same inputs.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -122,3 +123,74 @@ def edge_corpus(seed, value_pool=None):
         for den in (3 * 64, 7 * 64, 999983 * 64)
         for _ in range(40)
     ]
+
+
+def _binade(rng, count, exp):
+    """count floats drawn from the binade [2^(exp+52), 2^(exp+53)), whose ulp is 2^exp."""
+    return [math.ldexp(rng.randrange(1 << 52, 1 << 53), exp) for _ in range(count)]
+
+
+def _on_square_grid(heights, rng):
+    """The heights, each once and shuffled, on the grid k^2/m^2 (m pieces)."""
+    vals = list(heights)
+    rng.shuffle(vals)
+    m = len(vals)
+    return StepFunction(tuple(Fraction(k * k, m * m) for k in range(m + 1)), tuple(vals))
+
+
+def tie_corpus(seed=17):
+    """Layer tables where v - floor rounds half to even, and runs of one error.
+
+    Each block has a floor that is an odd multiple of 2^e (a short mantissa,
+    or a full one, so that 2 * floor reaches into the next binade), layers
+    drawn from the binade whose ulp is 2^(e+1), where the exact v - floor lies
+    half way between two floats, layers from the four binades above it, and
+    layers far above, where fl(v - floor) is v and every error is -floor.
+    Then a table over 32 decades and one from subnormals to 1e300.
+    """
+    rng = random.Random(seed)
+    corpus = []
+    for exps in ((0,), (-60, 10), (-1074, -1000, -900), (-52, -20, 30), (800, 880)):
+        heights = set()
+        for n, e in enumerate(exps):
+            odd = rng.randrange(1, 1 << 20) if n % 2 == 0 else rng.randrange(1 << 51, 1 << 52)
+            heights.add(math.ldexp(2 * odd + 1, e))
+            heights.update(_binade(rng, 6, e + 1))
+            for k in range(2, 6):
+                heights.update(_binade(rng, 1, e + k))
+            heights.update(_binade(rng, 3, e + rng.randint(8, 60)))
+        corpus.append(_on_square_grid(heights, rng))
+    wide = {10.0 ** rng.uniform(-16.0, 16.0) for _ in range(64)}
+    corpus.append(_on_square_grid(wide, rng))
+    tiny = {5e-324, 3e-322, 1e-310, 2.2250738585072014e-308}
+    tiny.update(10.0 ** rng.uniform(-300.0, 300.0) for _ in range(30))
+    corpus.append(_on_square_grid(tiny, rng))
+    return corpus
+
+
+# JSON breakpoints at the float edges: the least subnormal, the float just
+# below 1, and decimal fractions, whose binary expansions run to 2^-55 and beyond
+JSON_EDGE_SPECS = [
+    {"breakpoints": [0, 1], "values": [2]},
+    {"breakpoints": [0.0, 5e-324, 1.0], "values": [1.0, 2.0]},
+    {"breakpoints": [0.0, 1 - 2**-53, 1.0], "values": [3.0, -1e-300]},
+    {"breakpoints": [0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.1, 1 / 3, 0.5,
+                     1 - 2**-53, 1],
+     "values": [1.7e308, -5e-324, 0.0, 2.5, 2.5, -1e-300, 0.1, 1e300, -0.0]},
+    {"breakpoints": [0.0, 0.1, 0.2, 0.30000000000000004, 0.7, 1.0], "values": [1, -1, 1, 0, 1]},
+]
+
+
+def json_edge_specs(seed=19, count=60):
+    """JSON_EDGE_SPECS, then seeded JSON step functions whose breakpoints are
+    c / den for dens 3, 7, 999983 and 2^20, as floats."""
+    rng = random.Random(seed)
+    specs = list(JSON_EDGE_SPECS)
+    pool = (*EXTREME_VALUES, 0.0, 0.1, 1.0, 2.5, 1e-5)
+    for idx in range(count):
+        den = (3, 7, 999983, 1 << 20)[idx % 4]
+        m = rng.randint(1, min(den, 12))
+        cuts = sorted(rng.sample(range(1, den), m - 1))
+        vals = [rng.choice(pool) * rng.choice((1.0, -1.0)) for _ in range(m)]
+        specs.append({"breakpoints": [0.0, *(c / den for c in cuts), 1.0], "values": vals})
+    return specs

@@ -48,6 +48,7 @@ from corpora import (
     edge_corpus,
     float_edge_corpus,
     group_sample,
+    tie_corpus,
 )
 
 
@@ -427,8 +428,9 @@ class TestLayerWeights:
             (lambda: edge_corpus(32, value_pool=EXTREME_VALUES), all_groups, 1000),
             (lambda: deep_corpus(4), group_sample, 1000),
             (float_edge_corpus, all_groups, 250),
+            (tie_corpus, all_groups, 5000),
         ],
-        ids=["random+layers", "non-dyadic-grids", "extreme-values", "deep", "float-edge"],
+        ids=["random+layers", "non-dyadic-grids", "extreme-values", "deep", "float-edge", "ties"],
     )
     def test_matches_fraction_reference(self, corpus, groups, least):
         pairs = 0
@@ -442,6 +444,21 @@ class TestLayerWeights:
                     assert struct.pack("<d", got) == struct.pack("<d", want), (f, i, j)
                     pairs += 1
         assert pairs > least, pairs
+
+    def test_tie_corpus_ties_and_repeats_its_errors(self):
+        # the corpus reaches what it is for: differences v - floor exactly half
+        # an ulp from both neighbours, and layers whose error is -floor
+        ties = floors = 0
+        for f in tie_corpus():
+            vals = _LayerTable(f, qa_phi()).vals
+            for floor in vals:
+                for v in vals:
+                    if v <= 2.0 * floor:
+                        break
+                    d = v - floor
+                    ties += abs(F(v) - F(floor) - F(d)) == F(math.ulp(d)) / 2
+                    floors += d == v
+        assert ties > 100 and floors > 1000, (ties, floors)
 
 
 def merged_by_abs_corpus():

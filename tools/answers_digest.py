@@ -6,12 +6,14 @@ The answers are computed by the qaspace package of the checkout this script
 sits in, on fixed seeded inputs: the step-function operations (rearrange,
 l1_norm_exact, distribution at fixed levels, and the canonical forms of abs_,
 scale and add) on random_functions(11, 500) and both edge_corpus sets, the
-corpora random_functions(11, 500) and layer_corpus(200, seed=7) from
-tests/corpora.py, the 50-200 layer functions of deep_corpus(20) for the long
+functions read from json_edge_specs() (breakpoints, to_json, rearrange and
+l1_norm_exact), the corpora random_functions(11, 500) and
+layer_corpus(200, seed=7) from tests/corpora.py, the 50-200 layer functions of deep_corpus(20) for the long
 searches, the two edge_corpus sets (non-dyadic grids, and values from 5e-324
 to 1.7e308), the bounds engine's group weights
 (every group of layer_corpus(200, seed=7) and float_edge_corpus(), and the
-group_sample of deep_corpus(4)), a grid of witness specs and two deep ones
+group_sample of deep_corpus(4)), every group of tie_corpus(), where the
+rounded differences tie, a grid of witness specs and two deep ones
 (their upper bounds, Lorentz norms and log-domain group weights), every shape
 family in both domains on fixed argument grids (with the error of each
 malformed shape spec), the profiles of three phi shapes on a gamma_exp, a
@@ -48,8 +50,10 @@ from corpora import (  # noqa: E402
     edge_corpus,
     float_edge_corpus,
     group_sample,
+    json_edge_specs,
     layer_corpus,
     random_functions,
+    tie_corpus,
 )
 from qaspace import embeddings, lorentz_norm, nested_form, qa_bounds, qa_upper  # noqa: E402
 from qaspace.cli import main as cli_main  # noqa: E402
@@ -346,6 +350,7 @@ def groups():
     """(group name, list of answer records) in a fixed order."""
     edges = [*edge_corpus(31), *edge_corpus(32, value_pool=EXTREME_VALUES)]
     yield "stepfn", list(map(_stepfn, [*random_functions(11, 500), *edges]))
+    yield "stepfn.json", list(map(_json_stepfn, json_edge_specs()))
     corpus = [*random_functions(11, 500), *layer_corpus(200, seed=7)]
     yield "nested_form", [
         (nf.heights, nf.levels, tuple(str(m) for m in nf.measures), _fn(nf.reconstruct()))
@@ -368,6 +373,7 @@ def groups():
           for f in [*layer_corpus(200, seed=7), *float_edge_corpus()]),
         *(_weights(f, phi, group_sample) for phi, _ in SHAPE_PAIRS for f in deep_corpus(4)),
     ]
+    yield "weights.ties", [_weights(f, phi, all_groups) for phi, _ in SHAPE_PAIRS for f in tie_corpus()]
     phi, psi = SHAPE_PAIRS[0]
     yield "qa_upper.deep", [
         _bounds(qa_upper(f, phi, psi, strategy=strategy))
@@ -509,6 +515,13 @@ def _stepfn(f) -> tuple:
         tuple(_answer(lambda: _fn(scale(f, a)), ValueError) for a in SCALE_FACTORS),
         _answer(lambda: _fn(add(f, g)), ValueError),
     )
+
+
+def _json_stepfn(spec) -> tuple:
+    """The function read from a JSON spec: its breakpoints, its JSON, its
+    rearrangement and its exact l1."""
+    f = StepFunction.from_json(spec)
+    return _fn(f), f.to_json(), _fn(rearrange(f)), str(l1_norm_exact(f))
 
 
 def _weights(f, phi, groups) -> tuple:
