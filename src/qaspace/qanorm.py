@@ -132,11 +132,18 @@ class _LayerTable:
     rounds then gives back its error err = -floor - (fl(v - floor) - v),
     exact by Fast2Sum since v >= floor.
     By Sterbenz's lemma no v <= 2 * floor rounds, so a bisection bounds the
-    layers that can (none can where 2 * floor overflows).  l1/linf is
-    then one correctly rounded integer division, the same float as
-    float(Fraction(l1) / Fraction(linf)) over any common denominator.  The l1 uses the same rounded
-    differences as the materialized piece, so costs recompute bit for bit
-    from the pieces.
+    layers that can (none can where 2 * floor overflows).  Their errors come
+    in runs: every such v is a multiple of u = ulp(v - floor), so v - floor
+    is -floor modulo u, and the error takes one value across a binade of
+    v - floor, but for the one binade where v - floor ties and rounds by v's
+    parity.  So the loop keeps a running error and the first layer of its
+    run, and scales an error to an integer, times the run's rings (from the
+    prefix sums _above), once per run: the same integer sum, regrouped, and
+    exact however the runs fall.  l1/linf is then one correctly rounded
+    integer division, the same float as float(Fraction(l1) / Fraction(linf))
+    over any common denominator.  The l1 uses the same rounded differences
+    as the materialized piece, so costs recompute bit for bit from the
+    pieces.
 
     layer_weights[k] is weight(k, k), computed once with the table.  A single
     layer's piece is its height on the top cum[k] ticks, so its l1/linf is
@@ -150,10 +157,10 @@ class _LayerTable:
         self._den, self.vals, cum = stepfn._layers(map(abs, f.values), f.breakpoints)
         self.layer_weights = layer_weights(self.vals, self._den, cum, phi)
         self._above = above = [0, *cum]  # _above[i]: rings 0..i-1
-        self._rings = list(map(sub, above[1:], above))
+        rings = map(sub, above[1:], above)
         self._shift, sv = stepfn._dyadic(self.vals)
         # _mass[i]: scaled heights times rings over layers 0..i-1
-        self._mass = [0, *accumulate(map(mul, sv, self._rings))]
+        self._mass = [0, *accumulate(map(mul, sv, rings))]
         self._sv = [*sv, 0]  # _sv[j + 1]: the scaled floor below layer j
         self._neg_heights = [-h for h in self.vals]  # ascending, for bisect
         layer = {v: l for l, v in enumerate(self.vals)}
@@ -182,12 +189,19 @@ class _LayerTable:
         # exact differences v - floor on i..j, less the error of each that
         # rounds; only the layers above 2 * floor can round (Sterbenz)
         l1 = top * above[i] + mass[j + 1] - mass[i] - self._sv[j + 1] * (above[j + 1] - above[i])
-        for l in range(i, bisect_left(self._neg_heights, -2.0 * floor, i, j + 1)):
-            v = vals[l]
+        hi = bisect_left(self._neg_heights, -2.0 * floor, i, j + 1)
+        # one correction per run of equal errors, its err times the run's rings
+        run, start = 0.0, i
+        for l, v in enumerate(vals[i:hi], i):
             err = -floor - ((v - floor) - v)
-            if err:
-                num, d = err.as_integer_ratio()
-                l1 -= (num << (shift + 1 - d.bit_length())) * self._rings[l]
+            if err != run:
+                if run:
+                    num, d = run.as_integer_ratio()
+                    l1 -= (num << (shift + 1 - d.bit_length())) * (above[l] - above[start])
+                run, start = err, l
+        if run:
+            num, d = run.as_integer_ratio()
+            l1 -= (num << (shift + 1 - d.bit_length())) * (above[hi] - above[start])
         return weighted_sup_bound(linf, l1 / (top * self._den), self.phi)
 
     def materialize(self, i: int, j: int) -> StepFunction:

@@ -512,7 +512,7 @@ def integer_weight(table, i, j):
         err = -floor - ((v - floor) - v)
         if err:
             num, d = err.as_integer_ratio()
-            l1 -= (num << (shift + 1 - d.bit_length())) * table._rings[l]
+            l1 -= (num << (shift + 1 - d.bit_length())) * (above[l + 1] - above[l])
     return weighted_sup_bound(linf, l1 / (top * table._den), table.phi)
 
 
