@@ -37,7 +37,7 @@ class LorentzNorm:
 
 def lorentz_norm(f: StepFunction, phi: ShapeFunction) -> LorentzNorm:
     """Layer-cake sum sum_k levels[k] * phi(measures[k]) over |f|."""
-    den, heights, cum = stepfn._layers(map(abs, f.values), f.breakpoints)
+    den, heights, cum = stepfn._layers(map(abs, f.values), f._grid)
     value = nonneg_fsum(layer_weights(heights, den, cum, phi))
     jump = heights[0] * phi.zero_limit() if heights else 0.0
     return LorentzNorm(value=value, jump_part=jump, integral_part=value - jump)

@@ -154,7 +154,7 @@ class _LayerTable:
     def __init__(self, f: StepFunction, phi: ShapeFunction):
         self.f = f
         self.phi = phi
-        self._den, self.vals, cum = stepfn._layers(map(abs, f.values), f.breakpoints)
+        self._den, self.vals, cum = stepfn._layers(map(abs, f.values), f._grid)
         self.layer_weights = layer_weights(self.vals, self._den, cum, phi)
         self._above = above = [0, *cum]  # _above[i]: rings 0..i-1
         rings = map(sub, above[1:], above)
@@ -214,7 +214,7 @@ class _LayerTable:
         height = vals[i] - floor
         by_layer = [height] * (i + 1) + [v - floor for v in vals[i + 1 : j + 1]]
         by_layer += [0.0] * (len(vals) - j)
-        return stepfn._canonical(self.f.breakpoints, self._by_rank(by_layer))
+        return stepfn._canonical(self.f._grid, self._by_rank(by_layer))
 
 
 class _Memo(dict):

@@ -1,14 +1,17 @@
 """Step functions on [0,1] with exact breakpoint arithmetic.
 
 A step function is a finite list of half-open pieces [t_{i-1}, t_i) carrying
-constant values, with the last piece closed at 1.  Breakpoints are stored as
-`fractions.Fraction`: every float is a dyadic rational, so conversion is
-lossless and measures, merged grids, and rearrangements come out exact.
-Values are plain floats.
+constant values, with the last piece closed at 1.  Breakpoints are exact
+rationals, kept as integer ticks over a common denominator: every float is a
+dyadic rational, so conversion is lossless, and measures, merged grids and
+rearrangements come out exact.  Values are plain floats.
 
-Exact measures are computed on integers: _ticks writes a grid as integer
-ticks over its least common denominator, so a measure is a sum of tick
-differences, and a Fraction is built only for an answer.
+A function computes its ticks once, when it is built.  from_json reads the
+JSON floats straight into ticks over their largest power-of-two denominator
+(float.as_integer_ratio and a shift, _dyadic); the constructor writes the
+Fractions it is given over their least common denominator (_ticks).  A
+measure is a sum of tick differences, `breakpoints` is a Fraction view built
+on first read, and a Fraction is otherwise built only for an answer.
 
 Operations return canonical functions (adjacent equal values merged), so
 comparing canonical forms is a meaningful equality test, and anything that
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import lt, mul, ne, sub
@@ -49,7 +52,6 @@ _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant function on [0,1].
 
@@ -57,25 +59,46 @@ class StepFunction:
     values: m finite floats, values[i] taken on [breakpoints[i], breakpoints[i+1]).
     The constructor (and so from_json) validates both in full; what the library
     builds on a grid it already checked is checked only for finite values.
+
+    The grid is kept as integer ticks, _grid = (den, ticks), breakpoints[k] ==
+    ticks[k] / den, computed once per function; breakpoints is a view of it,
+    built on first read.  Equality, hashing and repr are those of the frozen
+    (breakpoints, values) pair, whatever den the ticks are kept over.
     """
 
-    breakpoints: tuple
-    values: tuple
+    __slots__ = ("_grid", "values", "_breakpoints")
 
-    def __post_init__(self):
-        bps = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
-        if len(bps) < 2 or len(vals) != len(bps) - 1:
-            raise ValueError("need m+1 breakpoints for m values, m >= 1")
-        if bps[0] != _ZERO or bps[-1] != _ONE:
-            raise ValueError("breakpoints must start at 0 and end at 1")
-        ticks = _ticks(bps)[1]
-        if not all(map(lt, ticks, ticks[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("values must be finite")
+    def __init__(self, breakpoints, values):
+        bps = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in breakpoints)
+        _check(self, _ticks(bps), tuple(float(v) for v in values))
+        object.__setattr__(self, "_breakpoints", bps)
+
+    @property
+    def breakpoints(self) -> tuple:
+        if self._breakpoints is None:
+            den, ticks = self._grid
+            object.__setattr__(self, "_breakpoints", tuple(Fraction(t, den) for t in ticks))
+        return self._breakpoints
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.breakpoints, self.values) == (other.breakpoints, other.values)
+
+    def __hash__(self):
+        return hash((self.breakpoints, self.values))
+
+    def __repr__(self):
+        return f"StepFunction(breakpoints={self.breakpoints!r}, values={self.values!r})"
+
+    def __reduce__(self):
+        return StepFunction, (self.breakpoints, self.values)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def pieces(self) -> int:
@@ -83,7 +106,7 @@ class StepFunction:
 
     def canonical(self) -> "StepFunction":
         """Merge adjacent pieces that carry the same value."""
-        return _canonical(self.breakpoints, self.values)
+        return _canonical(self._grid, self.values)
 
     def eval_at(self, x) -> float:
         """Value at x in [0,1]; the right endpoint belongs to the last piece."""
@@ -97,22 +120,51 @@ class StepFunction:
 
     def piece_measures(self) -> tuple:
         """Exact lengths of the pieces, as Fractions."""
-        return tuple(b - a for a, b in zip(self.breakpoints, self.breakpoints[1:]))
+        den, ticks = self._grid
+        return tuple(Fraction(b - a, den) for a, b in zip(ticks, ticks[1:]))
 
     def to_json(self) -> dict:
-        return {
-            "breakpoints": [float(b) for b in self.breakpoints],
-            "values": list(self.values),
-        }
+        den, ticks = self._grid
+        # int / int is correctly rounded: float(Fraction(t, den)) bit for bit
+        return {"breakpoints": [t / den for t in ticks], "values": list(self.values)}
 
     @classmethod
     def from_json(cls, obj) -> "StepFunction":
+        """The function of a JSON spec.  JSON breakpoints are floats, dyadic
+        rationals, so their ticks come straight from their integer ratios over
+        the largest power-of-two denominator (_dyadic), and no Fraction is built."""
         keys = ("breakpoints", "values")
         spec_keys(obj, "step function", keys)
+        bps, vals = (spec_read(obj, key, spec_list, spec_number) for key in keys)
+        shift, ticks = _dyadic(bps)
         try:
-            return cls(*(spec_read(obj, key, spec_list, spec_number) for key in keys))
+            return _check(object.__new__(cls), (1 << shift, ticks), tuple(vals))
         except ValueError as exc:
             raise SpecParseError(str(exc)) from exc
+
+
+def _check(f, grid, values) -> StepFunction:
+    """f on grid = (den, ticks) with values, once the constructor's checks hold."""
+    den, ticks = grid
+    if len(ticks) < 2 or len(values) != len(ticks) - 1:
+        raise ValueError("need m+1 breakpoints for m values, m >= 1")
+    if ticks[0] != 0 or ticks[-1] != den:
+        raise ValueError("breakpoints must start at 0 and end at 1")
+    if not all(map(lt, ticks, ticks[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("values must be finite")
+    return _on_grid(grid, values, f)
+
+
+def _on_grid(grid, values, f=None) -> StepFunction:
+    """The StepFunction on grid = (den, ticks) with values, from fields the
+    library built and checked: no check runs."""
+    f = object.__new__(StepFunction) if f is None else f
+    object.__setattr__(f, "_grid", grid)
+    object.__setattr__(f, "values", values)
+    object.__setattr__(f, "_breakpoints", None)
+    return f
 
 
 def _ticks(bps) -> tuple:
@@ -139,25 +191,27 @@ def _trusted(cls, *values):
     return obj
 
 
-def _canonical(breakpoints, values) -> StepFunction:
-    """StepFunction(breakpoints, values).canonical(), checking only that the
-    values are finite (a scale or a sum can overflow).  Only for Fractions from
-    0 to 1 that are increasing by construction and one float per piece: the
-    grid is trusted, and __post_init__ does not run.  A run of equal values
-    keeps its first value (0.0 == -0.0) and the breakpoint where it starts.
+def _canonical(grid, values) -> StepFunction:
+    """The canonical StepFunction on grid = (den, ticks) with values, checking
+    only that the values are finite (a scale or a sum can overflow).  Only for
+    ticks from 0 to den that are increasing by construction and one float per
+    piece: the grid is trusted.  A run of equal values keeps its first value
+    (0.0 == -0.0) and the tick where it starts.
     """
     starts = list(map(ne, values, chain((None,), values)))
     vals = tuple(compress(values, starts))
     if not all(map(math.isfinite, vals)):
         raise ValueError("values must be finite")
-    return _trusted(StepFunction, (*compress(breakpoints, starts), breakpoints[-1]), vals)
+    den, ticks = grid
+    return _on_grid((den, (*compress(ticks, starts), ticks[-1])), vals)
 
 
-def _layers(values, breakpoints) -> tuple:
+def _layers(values, grid) -> tuple:
     """(den, heights, cum): the one layer cake, which every reader uses.  heights
     are the distinct nonzero values, descending, and cum[k] the measure of the
-    pieces whose value is at least heights[k], in ticks over den."""
-    den, ticks = _ticks(breakpoints)
+    pieces whose value is at least heights[k], in ticks over den, the grid's
+    (den, ticks)."""
+    den, ticks = grid
     mass = {}
     for v, w in zip(values, map(sub, ticks[1:], ticks)):
         mass[v] = mass.get(v, 0) + w
@@ -236,7 +290,7 @@ def indicator(a, b, height: float = 1.0) -> StepFunction:
     if bf < 1:
         bps.append(_ONE)
         vals.append(0.0)
-    return _canonical(bps, vals)
+    return _canonical(_ticks(bps), vals)
 
 
 def constant(c: float) -> StepFunction:
@@ -244,7 +298,7 @@ def constant(c: float) -> StepFunction:
 
 
 def _distribution_exact(f: StepFunction, s: float) -> Fraction:
-    den, ticks = _ticks(f.breakpoints)
+    den, ticks = f._grid
     above = (b - a for v, a, b in zip(f.values, ticks, ticks[1:]) if abs(v) > s)
     return Fraction(sum(above), den)
 
@@ -256,12 +310,12 @@ def distribution(f: StepFunction, s: float) -> float:
 
 def rearrange(f: StepFunction) -> StepFunction:
     """Decreasing rearrangement: same value distribution, sorted descending."""
-    den, heights, cum = _layers(map(abs, f.values), f.breakpoints)
+    den, heights, cum = _layers(map(abs, f.values), f._grid)
     if not cum or cum[-1] != den:
         heights.append(0.0)
         cum.append(den)
     # distinct finite values: canonical as built
-    return _trusted(StepFunction, (_ZERO, *(Fraction(c, den) for c in cum)), tuple(heights))
+    return _on_grid((den, (0, *cum)), tuple(heights))
 
 
 def nested_form(f: StepFunction) -> NestedForm:
@@ -269,7 +323,7 @@ def nested_form(f: StepFunction) -> NestedForm:
     distinct positive values as heights, the superlevel-set measures exact."""
     if min(f.values) < 0:
         raise NegativePiece("nested form needs f >= 0")
-    den, heights, cum = _layers(f.values, f.breakpoints)
+    den, heights, cum = _layers(f.values, f._grid)
     if not heights:
         raise ZeroFunction("nested form is undefined for f == 0")
     # strictly decreasing positive heights, strictly increasing measures up to 1
@@ -278,7 +332,7 @@ def nested_form(f: StepFunction) -> NestedForm:
 
 def l1_norm_exact(f: StepFunction) -> Fraction:
     """Integral of |f| as an exact rational (values are dyadic too)."""
-    den, ticks = _ticks(f.breakpoints)
+    den, ticks = f._grid
     shift, scaled = _dyadic(map(abs, f.values))
     return Fraction(sum(map(mul, scaled, map(sub, ticks[1:], ticks))), den << shift)
 
@@ -292,31 +346,31 @@ def linf_norm(f: StepFunction) -> float:
     return max(abs(v) for v in f.values)
 
 
-def _merged_grid(f: StepFunction, g: StepFunction) -> list:
-    merged = sorted(set(f.breakpoints) | set(g.breakpoints))
-    return merged
-
-
 def add(f: StepFunction, g: StepFunction) -> StepFunction:
-    """Pointwise sum on the merged breakpoint grid."""
-    grid = _merged_grid(f, g)
+    """Pointwise sum on the merged breakpoint grid, in ticks over the lcm of
+    the two grids' denominators."""
+    (fden, fticks), (gden, gticks) = f._grid, g._grid
+    den = math.lcm(fden, gden)
+    fticks = [t * (den // fden) for t in fticks]
+    gticks = [t * (den // gden) for t in gticks]
+    grid = sorted(set(fticks).union(gticks))
     vals = []
     fi = gi = 0
     for left in grid[:-1]:
-        while f.breakpoints[fi + 1] <= left:
+        while fticks[fi + 1] <= left:
             fi += 1
-        while g.breakpoints[gi + 1] <= left:
+        while gticks[gi + 1] <= left:
             gi += 1
         vals.append(f.values[fi] + g.values[gi])
-    return _canonical(grid, vals)
+    return _canonical((den, grid), vals)
 
 
 def scale(f: StepFunction, a: float) -> StepFunction:
-    return _canonical(f.breakpoints, [float(a) * v for v in f.values])
+    return _canonical(f._grid, [float(a) * v for v in f.values])
 
 
 def abs_(f: StepFunction) -> StepFunction:
-    return _canonical(f.breakpoints, [abs(v) for v in f.values])
+    return _canonical(f._grid, [abs(v) for v in f.values])
 
 
 def random_step_function(
@@ -330,9 +384,9 @@ def random_step_function(
     """Seeded random step function; breakpoints on a uniform rational grid."""
     m = rng.randint(1, max_pieces)
     cuts = sorted(rng.sample(range(1, denominator), min(m - 1, denominator - 1)))
-    bps = [_ZERO, *(Fraction(c, denominator) for c in cuts), _ONE]
+    ticks = [0, *cuts, denominator]
     vals = []
-    for _ in range(len(bps) - 1):
+    for _ in range(len(ticks) - 1):
         if value_pool is not None:
             v = float(rng.choice(value_pool))
         else:
@@ -340,4 +394,4 @@ def random_step_function(
         if signed and rng.random() < 0.5:
             v = -v
         vals.append(v)
-    return _canonical(bps, vals)
+    return _canonical((denominator, ticks), vals)

@@ -525,7 +525,7 @@ class TestLayerWeightsAreLorentzTerms:
         for phi in (qa_phi(), alpha_beta(0.5, 0.7)):
             for f in (*merged_by_abs_corpus(), *float_edge_corpus(), *deep_corpus(4)):
                 table = _LayerTable(f, phi)
-                den, heights, cum = stepfn._layers(map(abs, f.values), f.breakpoints)
+                den, heights, cum = stepfn._layers(map(abs, f.values), f._grid)
                 floors = [*heights[1:], 0.0]
                 terms = [(a - b) * phi.eval(c / den) for a, b, c in zip(heights, floors, cum)]
                 assert list(map(bits, table.layer_weights)) == list(map(bits, terms)), f

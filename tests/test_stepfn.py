@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from itertools import accumulate
 
@@ -26,9 +28,16 @@ from qaspace import (
     rearrange,
     scale,
 )
-from qaspace.stepfn import _canonical, _distribution_exact
+from qaspace import stepfn
+from qaspace.stepfn import _canonical, _distribution_exact, _ticks
 from conftest import layer_corpus, random_functions, step_functions
-from corpora import EXTREME_VALUES, deep_corpus, edge_corpus, float_edge_corpus
+from corpora import (
+    EXTREME_VALUES,
+    deep_corpus,
+    edge_corpus,
+    float_edge_corpus,
+    json_edge_specs,
+)
 
 F0, F1 = F(0), F(1)
 
@@ -87,7 +96,7 @@ class TestConstruction:
             m = rng.randint(1, 30)
             values = [rng.choice(pool) for _ in range(m)]
             bps = [F(k * k, m * m) for k in range(m + 1)]
-            got = _canonical(bps, values)
+            got = _canonical(_ticks(bps), values)
             want_bps, want_vals = old_canonical(bps, values)
             assert got.breakpoints == want_bps
             assert list(map(repr, got.values)) == list(map(repr, want_vals))
@@ -97,7 +106,7 @@ class TestConstruction:
         for values in ([bad], [1.0, bad], [bad, bad, 1.0], [0.0, -0.0, bad]):
             bps = [F(k, len(values)) for k in range(len(values) + 1)]
             with pytest.raises(ValueError, match="values must be finite"):
-                _canonical(bps, values)
+                _canonical(_ticks(bps), values)
 
     def test_eval_at(self):
         f = three_layer()
@@ -401,6 +410,75 @@ class TestJson:
         with pytest.raises(SpecParseError) as info:
             StepFunction.from_json(spec)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("bps, values", [
+        ([0, 1], [1, 2]),
+        ([0], []),
+        ([], []),
+        ([0.25, 1], [1]),
+        ([0, 0.75], [1]),
+        ([-0.5, 1], [1]),
+        ([0, 0.5, 0.5, 1], [1, 2, 3]),
+        ([0, 0.75, 0.5, 1], [1, 2, 3]),
+    ])
+    def test_refuses_a_bad_grid_as_the_constructor_does(self, bps, values):
+        with pytest.raises(ValueError) as built:
+            StepFunction(bps, values)
+        with pytest.raises(SpecParseError) as read:
+            StepFunction.from_json({"breakpoints": bps, "values": values})
+        assert str(read.value) == str(built.value)
+
+
+class TestIntegerGrid:
+    """A function keeps its grid as integer ticks; from_json builds them from
+    the floats, with no Fraction, and answers as the Fraction path does."""
+
+    def test_json_ticks_are_the_ticks_of_the_fractions(self):
+        for spec in json_edge_specs():
+            den, ticks = StepFunction.from_json(spec)._grid
+            assert (den, list(ticks)) == _ticks([F(b) for b in spec["breakpoints"]]), spec
+
+    def test_json_function_equals_and_hashes_like_the_fraction_one(self):
+        for spec in json_edge_specs():
+            f = StepFunction.from_json(spec)
+            g = StepFunction(tuple(map(F, spec["breakpoints"])), spec["values"])
+            assert f == g and hash(f) == hash(g) and repr(f) == repr(g), spec
+            assert hash(f) == hash((g.breakpoints, g.values))
+            assert f.breakpoints == g.breakpoints and f.piece_measures() == g.piece_measures()
+            assert all(f.eval_at(b) == g.eval_at(b) for b in g.breakpoints)
+
+    def test_to_json_round_trips_the_float_edges(self):
+        spec = {"breakpoints": [0.0, 5e-324, 0.5, 1 - 2**-53, 1.0], "values": [1.0, -0.0, 2.5, 5e-324]}
+        back = StepFunction.from_json(spec).to_json()
+        assert list(map(repr, back["breakpoints"])) == list(map(repr, spec["breakpoints"]))
+        assert list(map(repr, back["values"])) == list(map(repr, spec["values"]))
+        for spec in json_edge_specs():
+            f = StepFunction.from_json(spec)
+            assert f.to_json() == {"breakpoints": [float(b) for b in f.breakpoints],
+                                   "values": list(f.values)}
+
+    def test_from_json_builds_no_fraction(self, monkeypatch):
+        class Counting(F):
+            made = 0
+
+            def __new__(cls, *args, **kwargs):
+                Counting.made += 1
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(stepfn, "Fraction", Counting)
+        fs = [StepFunction.from_json(spec) for spec in json_edge_specs()]
+        assert Counting.made == 0
+        fs[3].breakpoints  # the view is built on first read, by the patched name
+        assert Counting.made == len(fs[3].values) + 1
+
+    def test_frozen_and_picklable(self):
+        f = StepFunction.from_json(json_edge_specs()[3])
+        with pytest.raises(FrozenInstanceError):
+            f.values = (1.0,)
+        with pytest.raises(FrozenInstanceError):
+            del f.values
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and back.breakpoints == f.breakpoints
 
 
 class TestRandomGenerator:
