@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 from .errors import DomainError, NonPositiveValue, NotInvertible, SpecParseError
 from .errors import spec_kind, spec_pairs, spec_read
-from .logs import LOG_ZERO
+from .logs import LOG_ZERO, exp_or_inf
 from .shapes import ShapeFunction, log_gamma, log_gamma_inv, parse_shape
 
 __all__ = [
@@ -467,10 +467,7 @@ def omega_n(phi_x: ShapeFunction, phi: ShapeFunction, witness) -> float:
     best = max(
         phi_x.log_gamma_eval(lm) - phi.log_gamma_eval(lm) for lm in witness.log_mu
     )
-    try:
-        return math.exp(best)
-    except OverflowError:
-        return math.inf
+    return exp_or_inf(best)
 
 
 def iterated_log_profile(alpha: float, beta: float, exponent: float) -> Callable[[float], float]:

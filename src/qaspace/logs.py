@@ -28,6 +28,14 @@ def logsumexp(values) -> float:
     return m + math.log1p(tail + (len(xs) - 1))
 
 
+def exp_or_inf(x: float) -> float:
+    """exp(x), inf where it lies past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def logdiffexp(x: float, y: float) -> float:
     """log(exp(x) - exp(y)) for x >= y; equal arguments give -inf."""
     if y == LOG_ZERO:

@@ -26,7 +26,7 @@ from operator import add
 
 from . import stepfn
 from .errors import DomainError, IllegalSpec, NotInvertible
-from .logs import LOG_ZERO, logdiffexp, logsumexp
+from .logs import LOG_ZERO, exp_or_inf, logdiffexp, logsumexp
 from .qanorm import _search
 from .shapes import ShapeFunction, log_gamma, log_gamma_inv
 
@@ -268,9 +268,10 @@ def witness_lorentz_norm(w: WitnessFunction, phi: ShapeFunction) -> float:
     height times phi of the tail measure, assembled with log-sum-exp.
 
     Sums the single-layer weights that the log-domain grouping search reads,
-    so the psi == 1 decomposition value coincides with this bit for bit.
+    so the psi == 1 decomposition value coincides with this bit for bit; inf
+    past the float range.
     """
-    return math.exp(logsumexp(_LogLayerTable.from_witness(w, phi).layer_weights))
+    return exp_or_inf(logsumexp(_LogLayerTable.from_witness(w, phi).layer_weights))
 
 
 def witness_qa_upper(
@@ -282,14 +283,14 @@ def witness_qa_upper(
     """Best layer-grouping upper bound on the decomposition quasi-norm of the
     built function, computed in the log domain: qanorm's search over its
     _LogLayerTable, a grouping priced as the logsumexp of log psi(n) plus
-    the log weight of its n-th group."""
+    the log weight of its n-th group; inf past the float range, as qa_upper."""
     table = _LogLayerTable.from_witness(w, phi)
     log_psi_at = [math.log(psi.eval(float(r + 1))) for r in range(len(table.layer_weights))]
 
     def price(ws) -> float:
         return logsumexp(map(add, log_psi_at, ws))
 
-    return math.exp(_search(table, price, strategy)[0])
+    return exp_or_inf(_search(table, price, strategy)[0])
 
 
 def lower_bound_value(spec: WitnessSpec) -> float:

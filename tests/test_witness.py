@@ -218,6 +218,17 @@ class TestDeepFamily:
         assert auto == ex
         assert loc >= ex
 
+    def test_bounds_past_the_float_range_are_inf(self):
+        # the one piece's log cost is 1842.35 and the heights reach e^6131;
+        # the grouped bound stays finite
+        phi = alpha_beta(0.7, 0.75)
+        w = build_witness(WitnessSpec(phi, qa_psi(), N=50, c=0.5))
+        assert witness_qa_upper(w, phi, qa_psi(), strategy="singleton") == math.inf
+        assert math.isfinite(witness_qa_upper(w, phi, qa_psi()))
+        # with a flat phi the Lorentz norm is the top height
+        assert witness_lorentz_norm(w, constant_one()) == math.inf
+        assert witness_lorentz_norm(w, phi) == pytest.approx(1.0)
+
 
 class TestSerialization:
     def test_floor_value(self):
