@@ -248,13 +248,16 @@ class _LogLayerTable:
         """
         log_vals, log_rings, log_masses = self.log_vals, self.log_rings, self.log_masses
         lfloor = log_vals[j + 1] if j + 1 < len(log_vals) else LOG_ZERO
-        terms = []
-        for l in range(j + 1):
-            m = max(l, i)
-            # log((vals[m] - floor) * ring_l), mass-based to survive depth
-            base = log_masses[m] if l >= i else log_masses[i] + (log_rings[l] - log_rings[i])
-            damp = math.log1p(-math.exp(lfloor - log_vals[m])) if lfloor > LOG_ZERO else 0.0
-            terms.append(base + damp)
+        # log(1 - floor / vals[m]) for the layers m = i..j; the rings l < i
+        # sit at the height of layer i and share its damping
+        if lfloor > LOG_ZERO:
+            damps = [math.log1p(-math.exp(lfloor - lv)) for lv in log_vals[i : j + 1]]
+        else:
+            damps = [0.0] * (j + 1 - i)
+        # log((vals[max(l, i)] - floor) * ring_l), mass-based to survive depth
+        head, ring, damp = log_masses[i], log_rings[i], damps[0]
+        terms = [head + (lr - ring) + damp for lr in log_rings[:i]]
+        terms += map(add, log_masses[i : j + 1], damps)
         log_l1 = logsumexp(terms)
         if log_l1 == LOG_ZERO:
             return LOG_ZERO

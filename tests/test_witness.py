@@ -1,5 +1,7 @@
 import json
 import math
+import operator
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -24,6 +26,9 @@ from qaspace import (
     witness_lorentz_norm,
     witness_qa_upper,
 )
+from qaspace.logs import LOG_ZERO, logdiffexp, logsumexp
+from qaspace.witness import _LogLayerTable
+from corpora import all_groups, group_sample
 
 PSI1 = constant_one("psi")
 
@@ -228,6 +233,53 @@ class TestDeepFamily:
         # with a flat phi the Lorentz norm is the top height
         assert witness_lorentz_norm(w, constant_one()) == math.inf
         assert witness_lorentz_norm(w, phi) == pytest.approx(1.0)
+
+
+def per_term_log_weight(table, i, j):
+    """Reference log group weight: every term with its own damping, as the
+    weight was first written."""
+    log_vals, log_rings, log_masses = table.log_vals, table.log_rings, table.log_masses
+    lfloor = log_vals[j + 1] if j + 1 < len(log_vals) else LOG_ZERO
+    terms = []
+    for l in range(j + 1):
+        m = max(l, i)
+        base = log_masses[m] if l >= i else log_masses[i] + (log_rings[l] - log_rings[i])
+        damp = math.log1p(-math.exp(lfloor - log_vals[m])) if lfloor > LOG_ZERO else 0.0
+        terms.append(base + damp)
+    log_l1 = logsumexp(terms)
+    if log_l1 == LOG_ZERO:
+        return LOG_ZERO
+    log_ratio = min(0.0, log_l1 - logdiffexp(log_vals[i], lfloor))
+    return log_l1 + table.phi.log_gamma_eval(log_ratio)
+
+
+class TestLogLayerWeights:
+    def test_match_the_per_term_reference_bitwise(self):
+        tables = [
+            (_LogLayerTable.from_witness(build_witness(WitnessSpec(phi, psi, N=n, c=0.5)), phi),
+             all_groups)
+            for phi in (qa_phi(), alpha_beta(0.5, 0.7))
+            for psi in (qa_psi(), PSI1)
+            for n in (2, 5, 10)
+        ]
+        phi = alpha_beta(0.7, 0.75)
+        deep = build_witness(WitnessSpec(phi, qa_psi(), N=50, c=0.5))
+        tables.append((_LogLayerTable.from_witness(deep, phi), group_sample))
+        # a witness's rings shrink so fast that the terms below i vanish in
+        # the sum; with rings of one size they weigh in
+        rng = random.Random(3)
+        for phi in (qa_phi(), alpha_beta(0.5, 0.7)):
+            for _ in range(10):
+                lv = sorted((rng.uniform(-5.0, 5.0) for _ in range(12)), reverse=True)
+                lr = [rng.uniform(-3.0, -2.0) for _ in lv]
+                tables.append((_LogLayerTable(lv, lr, list(map(operator.add, lv, lr)), phi), all_groups))
+        weights = 0
+        for table, groups in tables:
+            for i, j in groups(len(table.layer_weights)):
+                got, want = table.weight(i, j), per_term_log_weight(table, i, j)
+                assert got.hex() == want.hex(), (table.log_vals, i, j)
+                weights += 1
+        assert weights > 2000, weights
 
 
 class TestSerialization:
