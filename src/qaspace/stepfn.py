@@ -68,10 +68,11 @@ class StepFunction:
 
     __slots__ = ("_grid", "values", "_breakpoints")
 
-    def __init__(self, breakpoints, values):
+    def __new__(cls, breakpoints, values):
         bps = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in breakpoints)
-        _check(self, _ticks(bps), tuple(float(v) for v in values))
-        object.__setattr__(self, "_breakpoints", bps)
+        grid, vals = _ticks(bps), tuple(float(v) for v in values)
+        _check(grid, vals)
+        return _on_grid(grid, vals, bps)
 
     @property
     def breakpoints(self) -> tuple:
@@ -137,14 +138,16 @@ class StepFunction:
         spec_keys(obj, "step function", keys)
         bps, vals = (spec_read(obj, key, spec_list, spec_number) for key in keys)
         shift, ticks = _dyadic(bps)
+        grid, vals = (1 << shift, ticks), tuple(vals)
         try:
-            return _check(object.__new__(cls), (1 << shift, ticks), tuple(vals))
+            _check(grid, vals)
         except ValueError as exc:
             raise SpecParseError(str(exc)) from exc
+        return _on_grid(grid, vals)
 
 
-def _check(f, grid, values) -> StepFunction:
-    """f on grid = (den, ticks) with values, once the constructor's checks hold."""
+def _check(grid, values) -> None:
+    """The constructor's checks of a grid = (den, ticks) and its values."""
     den, ticks = grid
     if len(ticks) < 2 or len(values) != len(ticks) - 1:
         raise ValueError("need m+1 breakpoints for m values, m >= 1")
@@ -154,16 +157,16 @@ def _check(f, grid, values) -> StepFunction:
         raise ValueError("breakpoints must be strictly increasing")
     if not all(map(math.isfinite, values)):
         raise ValueError("values must be finite")
-    return _on_grid(grid, values, f)
 
 
-def _on_grid(grid, values, f=None) -> StepFunction:
+def _on_grid(grid, values, breakpoints=None) -> StepFunction:
     """The StepFunction on grid = (den, ticks) with values, from fields the
-    library built and checked: no check runs."""
-    f = object.__new__(StepFunction) if f is None else f
+    library built and checked: no check runs.  breakpoints, when given, are
+    the Fractions of the grid, kept as its view."""
+    f = object.__new__(StepFunction)
     object.__setattr__(f, "_grid", grid)
     object.__setattr__(f, "values", values)
-    object.__setattr__(f, "_breakpoints", None)
+    object.__setattr__(f, "_breakpoints", breakpoints)
     return f
 
 

@@ -41,7 +41,7 @@ __all__ = [
 
 _HALVING_SLACK = 1e-9
 _RESIDUAL_TOL = 1e-8
-# the cap on N: `witness --N 500` takes about 1.5 s, most of it the grouping
+# the cap on N: `witness --N 500` takes about 0.7 s, most of it the grouping
 # search over the 2N layers, which grows faster than N^2
 _N_CAP = 500
 
