@@ -448,7 +448,8 @@ class TestIntegerGrid:
             assert all(f.eval_at(b) == g.eval_at(b) for b in g.breakpoints)
 
     def test_to_json_round_trips_the_float_edges(self):
-        spec = {"breakpoints": [0.0, 5e-324, 0.5, 1 - 2**-53, 1.0], "values": [1.0, -0.0, 2.5, 5e-324]}
+        spec = {"breakpoints": [0.0, 5e-324, 0.5, 1 - 2**-53, 1.0],
+                "values": [1.0, -0.0, 2.5, 5e-324]}
         back = StepFunction.from_json(spec).to_json()
         assert list(map(repr, back["breakpoints"])) == list(map(repr, spec["breakpoints"]))
         assert list(map(repr, back["values"])) == list(map(repr, spec["values"]))

@@ -272,7 +272,8 @@ class TestLogLayerWeights:
             for _ in range(10):
                 lv = sorted((rng.uniform(-5.0, 5.0) for _ in range(12)), reverse=True)
                 lr = [rng.uniform(-3.0, -2.0) for _ in lv]
-                tables.append((_LogLayerTable(lv, lr, list(map(operator.add, lv, lr)), phi), all_groups))
+                lm = list(map(operator.add, lv, lr))
+                tables.append((_LogLayerTable(lv, lr, lm, phi), all_groups))
         weights = 0
         for table, groups in tables:
             for i, j in groups(len(table.layer_weights)):

@@ -8,12 +8,12 @@ l1_norm_exact, distribution at fixed levels, and the canonical forms of abs_,
 scale and add) on random_functions(11, 500) and both edge_corpus sets, the
 functions read from json_edge_specs() (breakpoints, to_json, rearrange and
 l1_norm_exact), the corpora random_functions(11, 500) and
-layer_corpus(200, seed=7) from tests/corpora.py, the 50-200 layer functions of deep_corpus(20) for the long
-searches, the two edge_corpus sets (non-dyadic grids, and values from 5e-324
-to 1.7e308), the bounds engine's group weights
-(every group of layer_corpus(200, seed=7) and float_edge_corpus(), and the
-group_sample of deep_corpus(4)), every group of tie_corpus(), where the
-rounded differences tie, a grid of witness specs and two deep ones
+layer_corpus(200, seed=7) from tests/corpora.py, the 50-200 layer functions
+of deep_corpus(20) for the long searches, the two edge_corpus sets
+(non-dyadic grids, and values from 5e-324 to 1.7e308), the bounds engine's
+group weights (every group of layer_corpus(200, seed=7) and
+float_edge_corpus(), and the group_sample of deep_corpus(4)), every group of
+tie_corpus(), where the rounded differences tie, a grid of witness specs and two deep ones
 (their upper bounds, Lorentz norms and log-domain group weights), every shape
 family in both domains on fixed argument grids (with the error of each
 malformed shape spec), the profiles of three phi shapes on a gamma_exp, a
@@ -373,7 +373,9 @@ def groups():
           for f in [*layer_corpus(200, seed=7), *float_edge_corpus()]),
         *(_weights(f, phi, group_sample) for phi, _ in SHAPE_PAIRS for f in deep_corpus(4)),
     ]
-    yield "weights.ties", [_weights(f, phi, all_groups) for phi, _ in SHAPE_PAIRS for f in tie_corpus()]
+    yield "weights.ties", [
+        _weights(f, phi, all_groups) for phi, _ in SHAPE_PAIRS for f in tie_corpus()
+    ]
     phi, psi = SHAPE_PAIRS[0]
     yield "qa_upper.deep", [
         _bounds(qa_upper(f, phi, psi, strategy=strategy))
