@@ -13,165 +13,111 @@ and three layers of machinery on top:
 
 Everything is pure and deterministic; the `qaspace` CLI exposes each piece
 as a batch subcommand.
+
+`import qaspace` loads none of these modules: each exported name imports
+its home module on first use (PEP 562), so a CLI process that runs one
+subcommand compiles only the modules it runs.
 """
 
-from .embeddings import (
-    EquivalenceReport,
-    PhiSValue,
-    SeqConditionReport,
-    SequenceSpec,
-    alpha_s,
-    check_seq_conditions,
-    equivalence,
-    gamma_exp,
-    iterated_log_profile,
-    log_tau,
-    omega_n,
-    phi_s,
-    reciprocal,
-    sample_sequence,
-    tau,
-)
-from .errors import (
-    DomainError,
-    EmptyInput,
-    IllegalSpec,
-    NegativePiece,
-    NonPositiveValue,
-    NotInvertible,
-    SpecParseError,
-    TooManyLayers,
-    ToolkitError,
-    UnsupportedFamily,
-    ZeroFunction,
-)
-from .lorentz import LorentzNorm, fact_bound, fundamental, lorentz_norm
-from .qanorm import (
-    Decomposition,
-    NormBounds,
-    piece_cost,
-    qa_bounds,
-    qa_lower,
-    qa_upper,
-)
-from .shapes import (
-    AssumptionReport,
-    ShapeFunction,
-    alpha_beta,
-    check_assumptions,
-    constant_one,
-    gamma,
-    gamma_inv,
-    identity,
-    is_concave,
-    is_quasiconcave,
-    least_concave_majorant,
-    parse_shape,
-    piecewise,
-    psi_gamma,
-    qa_phi,
-    qa_psi,
-    shape_to_json,
-)
-from .stepfn import (
-    NestedForm,
-    StepFunction,
-    abs_,
-    add,
-    constant,
-    distribution,
-    indicator,
-    l1_norm,
-    l1_norm_exact,
-    linf_norm,
-    nested_form,
-    random_step_function,
-    rearrange,
-    scale,
-)
-from .witness import (
-    WitnessFunction,
-    WitnessSpec,
-    build_witness,
-    lower_bound_value,
-    witness_lorentz_norm,
-    witness_qa_upper,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionReport",
-    "Decomposition",
-    "DomainError",
-    "EmptyInput",
-    "EquivalenceReport",
-    "IllegalSpec",
-    "LorentzNorm",
-    "NegativePiece",
-    "NestedForm",
-    "NonPositiveValue",
-    "NormBounds",
-    "NotInvertible",
-    "PhiSValue",
-    "SeqConditionReport",
-    "SequenceSpec",
-    "ShapeFunction",
-    "SpecParseError",
-    "StepFunction",
-    "TooManyLayers",
-    "ToolkitError",
-    "UnsupportedFamily",
-    "WitnessFunction",
-    "WitnessSpec",
-    "ZeroFunction",
-    "abs_",
-    "add",
-    "alpha_beta",
-    "alpha_s",
-    "build_witness",
-    "check_assumptions",
-    "check_seq_conditions",
-    "constant",
-    "constant_one",
-    "distribution",
-    "equivalence",
-    "fact_bound",
-    "fundamental",
-    "gamma",
-    "gamma_exp",
-    "gamma_inv",
-    "identity",
-    "indicator",
-    "is_concave",
-    "is_quasiconcave",
-    "iterated_log_profile",
-    "l1_norm",
-    "l1_norm_exact",
-    "least_concave_majorant",
-    "linf_norm",
-    "log_tau",
-    "lorentz_norm",
-    "lower_bound_value",
-    "nested_form",
-    "omega_n",
-    "parse_shape",
-    "phi_s",
-    "piece_cost",
-    "piecewise",
-    "psi_gamma",
-    "qa_bounds",
-    "qa_lower",
-    "qa_phi",
-    "qa_psi",
-    "qa_upper",
-    "random_step_function",
-    "rearrange",
-    "reciprocal",
-    "sample_sequence",
-    "scale",
-    "shape_to_json",
-    "tau",
-    "witness_lorentz_norm",
-    "witness_qa_upper",
-]
+# each library module, and the names the package exports from it
+_EXPORTS = {
+    "embeddings": (
+        "EquivalenceReport",
+        "PhiSValue",
+        "SeqConditionReport",
+        "SequenceSpec",
+        "alpha_s",
+        "check_seq_conditions",
+        "equivalence",
+        "gamma_exp",
+        "iterated_log_profile",
+        "log_tau",
+        "omega_n",
+        "phi_s",
+        "reciprocal",
+        "sample_sequence",
+        "tau",
+    ),
+    "errors": (
+        "DomainError",
+        "EmptyInput",
+        "IllegalSpec",
+        "NegativePiece",
+        "NonPositiveValue",
+        "NotInvertible",
+        "SpecParseError",
+        "TooManyLayers",
+        "ToolkitError",
+        "UnsupportedFamily",
+        "ZeroFunction",
+    ),
+    "logs": (),
+    "lorentz": ("LorentzNorm", "fact_bound", "fundamental", "lorentz_norm"),
+    "qanorm": ("Decomposition", "NormBounds", "piece_cost", "qa_bounds", "qa_lower", "qa_upper"),
+    "shapes": (
+        "AssumptionReport",
+        "ShapeFunction",
+        "alpha_beta",
+        "check_assumptions",
+        "constant_one",
+        "gamma",
+        "gamma_inv",
+        "identity",
+        "is_concave",
+        "is_quasiconcave",
+        "least_concave_majorant",
+        "parse_shape",
+        "piecewise",
+        "psi_gamma",
+        "qa_phi",
+        "qa_psi",
+        "shape_to_json",
+    ),
+    "stepfn": (
+        "NestedForm",
+        "StepFunction",
+        "abs_",
+        "add",
+        "constant",
+        "distribution",
+        "indicator",
+        "l1_norm",
+        "l1_norm_exact",
+        "linf_norm",
+        "nested_form",
+        "random_step_function",
+        "rearrange",
+        "scale",
+    ),
+    "witness": (
+        "WitnessFunction",
+        "WitnessSpec",
+        "build_witness",
+        "lower_bound_value",
+        "witness_lorentz_norm",
+        "witness_qa_upper",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """Import a library module, or an exported name's home module, on first
+    read; the name is then a plain global."""
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qaspace
 from qaspace import (
     StepFunction,
     lorentz_norm,
@@ -678,3 +680,67 @@ class TestBeyondFloatRange:
         assert '"lower": Infinity' in text and '"upper": Infinity' in text
         assert main(["lorentz-norm", *argv]) == 0
         assert '"value": Infinity' in capsys.readouterr().out
+
+
+def fresh_python(*args):
+    """A fresh interpreter with the qaspace under test first on its path."""
+    src = os.path.dirname(os.path.dirname(qaspace.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, check=False)
+
+
+# the package's exported names, each loaded from its home module on first use
+PUBLIC = [
+    "AssumptionReport", "Decomposition", "DomainError", "EmptyInput", "EquivalenceReport",
+    "IllegalSpec", "LorentzNorm", "NegativePiece", "NestedForm", "NonPositiveValue",
+    "NormBounds", "NotInvertible", "PhiSValue", "SeqConditionReport", "SequenceSpec",
+    "ShapeFunction", "SpecParseError", "StepFunction", "TooManyLayers", "ToolkitError",
+    "UnsupportedFamily", "WitnessFunction", "WitnessSpec", "ZeroFunction", "abs_", "add",
+    "alpha_beta", "alpha_s", "build_witness", "check_assumptions", "check_seq_conditions",
+    "constant", "constant_one", "distribution", "equivalence", "fact_bound", "fundamental",
+    "gamma", "gamma_exp", "gamma_inv", "identity", "indicator", "is_concave",
+    "is_quasiconcave", "iterated_log_profile", "l1_norm", "l1_norm_exact",
+    "least_concave_majorant", "linf_norm", "log_tau", "lorentz_norm", "lower_bound_value",
+    "nested_form", "omega_n", "parse_shape", "phi_s", "piece_cost", "piecewise", "psi_gamma",
+    "qa_bounds", "qa_lower", "qa_phi", "qa_psi", "qa_upper", "random_step_function",
+    "rearrange", "reciprocal", "sample_sequence", "scale", "shape_to_json", "tau",
+    "witness_lorentz_norm", "witness_qa_upper",
+]
+
+
+# in a fresh interpreter: the submodules a bare import loads, qaspace.stepfn,
+# and what `from qaspace import *` binds
+LAZY_SURFACE = """
+import json, sys, qaspace
+loaded = [m for m in sys.modules if m.startswith("qaspace.")]
+stepfn = qaspace.stepfn.__name__
+ns = {}
+exec("from qaspace import *", ns)
+print(json.dumps({"loaded": loaded, "stepfn": stepfn, "star": sorted(set(ns) - {"__builtins__"})}))
+"""
+
+
+class TestPackageSurface:
+    def test_all_is_pinned(self):
+        assert qaspace.__all__ == PUBLIC
+
+    def test_each_name_is_its_home_modules_object(self):
+        for name in PUBLIC:
+            obj = getattr(qaspace, name)
+            assert obj.__module__.startswith("qaspace."), name
+            assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+    def test_dir_lists_every_name(self):
+        assert set(PUBLIC) <= set(dir(qaspace))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            qaspace.no_such_name
+        with pytest.raises(ImportError):
+            from qaspace import no_such_name  # noqa: F401
+
+    def test_names_load_on_first_use(self):
+        proc = fresh_python("-c", LAZY_SURFACE)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"loaded": [], "stepfn": "qaspace.stepfn", "star": PUBLIC}
