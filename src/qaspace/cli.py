@@ -9,6 +9,9 @@ files are self-describing and byte-reproducible.
 Shape and function arguments accept either inline JSON or a path to a JSON
 file.  Exit codes: 0 success, 1 invariant failure (selftest), 2 bad usage or
 invalid specs.
+
+Each subcommand, and each spec decoder, imports the library module it runs
+when it runs, so one CLI process loads only the modules its subcommand needs.
 """
 
 from __future__ import annotations
@@ -17,16 +20,12 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple
 
-from . import embeddings, lorentz, qanorm, shapes, stepfn, witness as witness_mod
-from .embeddings import SequenceSpec
-from .errors import DomainError, ToolkitError, spec_kind, spec_number, spec_read, spec_whole
-from .shapes import log_gamma, parse_shape
-from .stepfn import StepFunction
+from .errors import DomainError, ToolkitError
+from .errors import spec_kind, spec_number, spec_read, spec_whole
 
 OUT_DIR_VAR = "QASPACE_OUT_DIR"
 
@@ -58,20 +57,28 @@ _EXPRESSION_KEYS = {
 }
 
 
+def _shape(obj, domain: str):
+    from .shapes import parse_shape
+
+    return parse_shape(obj, domain)
+
+
 def _expression(obj) -> _Profile:
+    from . import embeddings
+
     kind = spec_kind(obj, "expression", "kind", _EXPRESSION_KEYS)
     if kind == "shape":
-        sh = spec_read(obj, "spec", parse_shape, "phi")
+        sh = spec_read(obj, "spec", _shape, "phi")
         return _Profile(sh.eval, {"kind": "shape", "spec": sh.to_json()})
     if kind == "iterated_log":
         params = {key: spec_read(obj, key, spec_number) for key in ("alpha", "beta", "exponent")}
         return _Profile(embeddings.iterated_log_profile(**params), {"kind": kind, **params})
-    phi = spec_read(obj, "phi", parse_shape, "phi")
-    psi = spec_read(obj, "psi", parse_shape, "psi")
+    phi = spec_read(obj, "phi", _shape, "phi")
+    psi = spec_read(obj, "psi", _shape, "psi")
     echo = {"kind": kind, "phi": phi.to_json(), "psi": psi.to_json()}
     if kind == "tau":
         return _Profile(lambda t: embeddings.tau(phi, psi, t), echo)
-    seq = spec_read(obj, "seq", SequenceSpec.from_json, phi)
+    seq = spec_read(obj, "seq", embeddings.SequenceSpec.from_json, phi)
     echo["seq"] = seq.to_json()
     if kind == "alpha_s":
         return _Profile(lambda t: embeddings.alpha_s(phi, psi, seq, t), echo)
@@ -91,15 +98,27 @@ def _check_finite(args):
             raise DomainError(f"--{dest} must be finite, got {value!r}")
 
 
+def _step_function(obj, args):
+    from .stepfn import StepFunction
+
+    return StepFunction.from_json(obj)
+
+
+def _sequence(obj, args):
+    from .embeddings import SequenceSpec
+
+    return SequenceSpec.from_json(obj, args.phi)
+
+
 # each spec argument's decoder, given the arguments decoded before it
 _SPEC_ARGS = {
-    "phi": lambda obj, args: parse_shape(obj, "phi"),
-    "psi": lambda obj, args: parse_shape(obj, "psi"),
-    "input": lambda obj, args: StepFunction.from_json(obj),
-    "seq": lambda obj, args: SequenceSpec.from_json(obj, args.phi),
+    "phi": lambda obj, args: _shape(obj, "phi"),
+    "psi": lambda obj, args: _shape(obj, "psi"),
+    "input": _step_function,
+    "seq": _sequence,
     "a": lambda obj, args: _expression(obj),
     "b": lambda obj, args: _expression(obj),
-    "phi_x": lambda obj, args: parse_shape(obj, "phi"),
+    "phi_x": lambda obj, args: _shape(obj, "phi"),
 }
 
 
@@ -151,16 +170,22 @@ def _emit_json(args, result: dict):
 
 
 def _cmd_rearrange(args) -> int:
+    from . import stepfn
+
     _emit_json(args, stepfn.rearrange(args.input).to_json())
     return 0
 
 
 def _cmd_lorentz(args) -> int:
+    from . import lorentz
+
     _emit_json(args, asdict(lorentz.lorentz_norm(args.input, args.phi)))
     return 0
 
 
 def _cmd_qa_bounds(args) -> int:
+    from . import qanorm
+
     strategy = _STRATEGY_ALIASES[args.strategy]
     bounds = qanorm.qa_upper(args.input, args.phi, args.psi, strategy=strategy)
     result = {
@@ -175,6 +200,8 @@ def _cmd_qa_bounds(args) -> int:
 
 
 def _cmd_tau(args) -> int:
+    from . import embeddings
+
     rows = []
     for t in embeddings.log_grid(args.tmin, args.tmax, args.points):
         tv, pv = embeddings.tau(args.phi, args.psi, t), args.phi.eval(t)
@@ -189,6 +216,8 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_check_seq(args) -> int:
+    from . import embeddings
+
     if args.points < 3:
         raise DomainError(f"check-seq needs at least 3 points, got {args.points}")
     xmin = args.xmin = max(args.xmin, args.seq.domain_start)
@@ -201,6 +230,8 @@ def _cmd_check_seq(args) -> int:
 
 
 def _cmd_equivalence(args) -> int:
+    from . import embeddings
+
     report = embeddings.equivalence(
         args.a.fn, args.b.fn, args.tmin, args.tmax, args.points, threshold=args.threshold
     )
@@ -211,15 +242,19 @@ def _cmd_equivalence(args) -> int:
 
 
 def _witness_from_args(args):
-    spec = witness_mod.WitnessSpec(args.phi, args.psi, args.N, args.c, args.p, args.mu1)
-    return spec, witness_mod.build_witness(spec)
+    from . import witness
+
+    spec = witness.WitnessSpec(args.phi, args.psi, args.N, args.c, args.p, args.mu1)
+    return spec, witness.build_witness(spec)
 
 
 def _cmd_witness(args) -> int:
+    from . import witness
+
     spec, w = _witness_from_args(args)
-    lor = witness_mod.witness_lorentz_norm(w, spec.phi)
-    upper = witness_mod.witness_qa_upper(w, spec.phi, spec.psi)
-    floor = witness_mod.lower_bound_value(spec)
+    lor = witness.witness_lorentz_norm(w, spec.phi)
+    upper = witness.witness_qa_upper(w, spec.phi, spec.psi)
+    floor = witness.lower_bound_value(spec)
     psi_n = spec.psi.eval(float(spec.N))
     result = {
         "log_mu": list(w.log_mu),
@@ -238,6 +273,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    from . import embeddings
+
     spec, w = _witness_from_args(args)
     value = embeddings.omega_n(args.phi_x, spec.phi, w)
     psi_n = spec.psi.eval(float(spec.N))
@@ -250,103 +287,10 @@ def _cmd_omega(args) -> int:
     return 0
 
 
-# ------------------------------------------------------------------ selftest
-
-
-_PHI, _PSI, _PSI_ONE = shapes.qa_phi(), shapes.qa_psi(), shapes.constant_one("psi")
-
-
-def _random_fn(rng: random.Random, signed: bool = False) -> StepFunction:
-    return stepfn.random_step_function(rng, max_pieces=8, signed=signed)
-
-
-def _inv_rearrangement(rng, i) -> bool:
-    f = _random_fn(rng, signed=True)
-    g = stepfn.rearrange(f)
-    levels = sorted({abs(v) for v in f.values} | {0.0})
-    mids = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
-    return (
-        stepfn.l1_norm_exact(f) == stepfn.l1_norm_exact(g)
-        and stepfn.linf_norm(f) == stepfn.linf_norm(g)
-        and all(stepfn.distribution(f, s) == stepfn.distribution(g, s) for s in levels + mids)
-        and all(a >= b for a, b in zip(g.values, g.values[1:]))
-    )
-
-
-def _inv_lorentz_rearranged(rng, i) -> bool:
-    f = _random_fn(rng, signed=True)
-    g = stepfn.rearrange(f)
-    return lorentz.lorentz_norm(f, _PHI).value == lorentz.lorentz_norm(g, _PHI).value
-
-
-def _inv_sandwich(rng, i) -> bool:
-    f = _random_fn(rng)
-    b = qanorm.qa_bounds(f, _PHI, _PSI)
-    scale = _PHI.eval(1.0) * _PSI.eval(1.0)
-    lo, hi = scale * stepfn.l1_norm(f), scale * stepfn.linf_norm(f)
-    return lo <= b.lower * (1 + 1e-12) and b.lower <= b.upper <= hi * (1 + 1e-12)
-
-
-def _inv_witness_cost(rng, i) -> bool:
-    b = qanorm.qa_bounds(_random_fn(rng, signed=True), _PHI, _PSI)
-    return b.upper_witness.recomputed_cost(_PHI, _PSI) == b.upper
-
-
-def _inv_psi_one(rng, i) -> bool:
-    f = _random_fn(rng)
-    b = qanorm.qa_upper(f, _PHI, _PSI_ONE, strategy="layers")
-    lam = lorentz.lorentz_norm(f, _PHI).value
-    tol = 1e-9 * max(lam, b.upper, b.lower, 1e-300)
-    return abs(b.upper - lam) <= tol and abs(b.lower - lam) <= tol
-
-
-def _inv_quasi_triangle(rng, i) -> bool:
-    f, g = _random_fn(rng, signed=True), _random_fn(rng, signed=True)
-    lhs = qanorm.qa_lower(stepfn.add(f, g), _PHI, _PSI)
-    rhs = qanorm.qa_bounds(f, _PHI, _PSI).upper + qanorm.qa_bounds(g, _PHI, _PSI).upper
-    return not lhs > 4.0 * rhs * (1 + 1e-12)
-
-
-def _inv_tau_identity(rng, i) -> bool:
-    t = math.exp(rng.uniform(math.log(1e-15), 0.0))
-    expected = _PHI.eval(t) * _PSI.eval(1.0 + max(0.0, log_gamma(_PHI, math.log(t))))
-    return embeddings.tau(_PHI, _PSI, t) == expected
-
-
-def _inv_witness_build(rng, i) -> bool:
-    n = 2 + i
-    norm = math.log(2.0 * n)
-    spec = witness_mod.WitnessSpec(phi=_PHI, psi=_PSI, N=n, c=0.5, p=1.0)
-    w = witness_mod.build_witness(spec)
-    lor = witness_mod.witness_lorentz_norm(w, _PHI)
-    upper = witness_mod.witness_qa_upper(w, _PHI, _PSI)
-    return (
-        all(b <= a - math.log(2.0) + 1e-9 for a, b in zip(w.log_mu, w.log_mu[1:]))
-        and all(la == -norm - _PHI.log_eval(lm) for la, lm in zip(w.log_a, w.log_mu))
-        and _PSI.eval(1.0) * lor <= upper * (1 + 1e-12)
-        and upper >= witness_mod.lower_bound_value(spec)
-    )
-
-
-# (name, runs, check): check(rng, i) draws sample i from rng and says whether it holds
-_INVARIANTS = [
-    ("rearrangement-equimeasurable", 30, _inv_rearrangement),
-    ("lorentz-rearrangement-invariant", 25, _inv_lorentz_rearranged),
-    ("bounds-sandwich", 25, _inv_sandwich),
-    ("upper-equals-witness-cost", 20, _inv_witness_cost),
-    ("psi-one-collapse", 25, _inv_psi_one),
-    ("quasi-triangle", 25, _inv_quasi_triangle),
-    ("tau-compositional", 40, _inv_tau_identity),
-    ("witness-build", 2, _inv_witness_build),
-]
-
-
 def _cmd_selftest(args) -> int:
-    rng = random.Random(args.seed)
-    families = [
-        {"name": name, "runs": runs, "failures": sum(not check(rng, i) for i in range(runs))}
-        for name, runs, check in _INVARIANTS
-    ]
+    from . import selftest
+
+    families = selftest.run(args.seed)
     passed = not any(family["failures"] for family in families)
     _emit_json(args, {"families": families, "passed": passed})
     return 0 if passed else 1

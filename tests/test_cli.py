@@ -26,7 +26,7 @@ from qaspace import (
     tau,
     witness_qa_upper,
 )
-from qaspace import cli
+from qaspace import cli, selftest
 from qaspace.cli import main
 
 F3 = '{"breakpoints": [0, 0.25, 0.5, 1], "values": [3, 1, 2]}'
@@ -253,10 +253,10 @@ class TestSelftest:
     def test_a_failing_sample_exits_one(self, monkeypatch, capsys):
         # the check still draws its sample, so the other families see the
         # same rng stream and pass
-        table = list(cli._INVARIANTS)
+        table = list(selftest._INVARIANTS)
         name, runs, check = table[2]
         table[2] = (name, runs, lambda rng, i: check(rng, i) and i != 0)
-        monkeypatch.setattr(cli, "_INVARIANTS", table)
+        monkeypatch.setattr(selftest, "_INVARIANTS", table)
         assert main(["selftest", "--seed", "7"]) == 1
         out = json.loads(capsys.readouterr().out)["result"]
         assert out["passed"] is False
@@ -682,12 +682,79 @@ class TestBeyondFloatRange:
         assert '"value": Infinity' in capsys.readouterr().out
 
 
+# one argv per subcommand, drawn as the cli workload draws them
+ENTRY_F = '{"breakpoints": [0, 0.125, 0.5, 0.75, 1], "values": [-4.5, 0, 7.25, 1.5]}'
+ENTRY_PHI = '{"family": "alpha_beta", "alpha": 0.75, "beta": 0.8}'
+ENTRY_PSI = '{"family": "psi_gamma", "gamma": 0.5}'
+ENTRY_WITNESS = ["--phi", ENTRY_PHI, "--psi", ENTRY_PSI, "--c", "0.700", "--N", "4"]
+ENTRY_ARGVS = {
+    "rearrange": ["--input", ENTRY_F],
+    "lorentz-norm": ["--phi", ENTRY_PHI, "--input", ENTRY_F],
+    "qa-bounds": ["--phi", ENTRY_PHI, "--psi", ENTRY_PSI, "--input", ENTRY_F],
+    "tau": ["--phi", ENTRY_PHI, "--psi", ENTRY_PSI, "--tmin", "1e-30", "--tmax", "0.5",
+            "--points", "50"],
+    "check-seq": ["--seq", '{"kind": "gamma_exp"}', "--phi", ENTRY_PHI, "--psi", ENTRY_PSI,
+                  "--points", "50"],
+    "equivalence": ["--a", json.dumps({"kind": "tau", "phi": json.loads(ENTRY_PHI),
+                                       "psi": json.loads(ENTRY_PSI)}),
+                    "--b", json.dumps({"kind": "alpha_s", "phi": json.loads(ENTRY_PHI),
+                                       "psi": json.loads(ENTRY_PSI),
+                                       "seq": {"kind": "gamma_exp"}}),
+                    "--tmin", "1e-30", "--tmax", "0.3", "--points", "50"],
+    "witness": ENTRY_WITNESS,
+    "omega": ["--phi-x", '{"family": "alpha_beta", "alpha": 0.9, "beta": 0.2}', *ENTRY_WITNESS],
+    "selftest": ["--seed", "7"],
+}
+
+# after running main in-process (stdout discarded), print the exit status and
+# every qaspace submodule loaded; runpy.run_module is what `python -m` calls
+FOOTPRINT = """
+import contextlib, io, runpy, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("qaspace", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith("qaspace.")))
+"""
+
+
 def fresh_python(*args):
     """A fresh interpreter with the qaspace under test first on its path."""
     src = os.path.dirname(os.path.dirname(qaspace.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True, env=env, check=False)
+
+
+class TestEntryPoint:
+    """`python -m qaspace`, through the package's __init__ and __main__."""
+
+    @pytest.mark.parametrize("sub", list(ENTRY_ARGVS))
+    def test_module_run_prints_what_main_prints(self, capsys, sub):
+        argv = [sub, *ENTRY_ARGVS[sub]]
+        proc = fresh_python("-m", "qaspace", *argv)
+        assert main(argv) == 0
+        assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out.encode())
+
+    def test_bare_import_loads_no_submodule(self):
+        code = "import sys, qaspace; print(*[m for m in sys.modules if m.startswith('qaspace.')])"
+        proc = fresh_python("-c", code)
+        assert (proc.returncode, proc.stdout.split()) == (0, [])
+
+    @pytest.mark.parametrize(
+        "sub, unloaded",
+        [
+            ("rearrange", {"shapes", "lorentz", "qanorm", "embeddings", "witness", "selftest"}),
+            *((sub, {"stepfn", "lorentz", "qanorm", "witness", "selftest"})
+              for sub in ("tau", "check-seq", "equivalence")),
+        ],
+    )
+    def test_a_subcommand_loads_only_its_modules(self, sub, unloaded):
+        proc = fresh_python("-c", FOOTPRINT, sub, *ENTRY_ARGVS[sub])
+        code, *loaded = proc.stdout.decode().split()
+        assert code == "0", proc.stderr
+        assert {m.removeprefix("qaspace.") for m in loaded}.isdisjoint(unloaded), loaded
 
 
 # the package's exported names, each loaded from its home module on first use
