@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, ToolkitError
+from .errors import DomainError, SpecParseError, ToolkitError
 from .errors import spec_kind, spec_number, spec_read, spec_whole
 
 OUT_DIR_VAR = "QASPACE_OUT_DIR"
@@ -130,11 +130,15 @@ def _decode_specs(args):
         text = vars(args).get(dest)
         if text is None:
             continue
-        if text.strip().startswith(("{", "[")):
-            obj = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+        try:
+            if text.strip().startswith(("{", "[")):
+                obj = json.loads(text)
+            else:
+                with open(text, "r", encoding="utf-8") as fh:
+                    obj = json.load(fh)
+        except RecursionError:
+            flag = "--" + dest.replace("_", "-")
+            raise SpecParseError(f"{flag}: the JSON nests too deeply to read") from None
         setattr(args, dest, decode(obj, args))
 
 

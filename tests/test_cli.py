@@ -344,6 +344,9 @@ class TestErrors:
             (["lorentz-norm", "--phi", QA_PHI, "--input",
               '{"breakpoints": ["0", "1"], "values": [1]}'],
              '\'breakpoints[0]\': expected a number, got "0"'),
+            # the JSON reader recursed past the interpreter's limit and exited 1
+            (["rearrange", "--input", "[" * 5000 + "]" * 5000],
+             "--input: the JSON nests too deeply to read"),
         ],
     )
     def test_bad_specs_exit_2_with_one_json_line(self, capsys, argv, names):
