@@ -64,7 +64,10 @@ class NonPositiveValue(ToolkitError):
 
 
 def _show(value) -> str:
-    return json.dumps(value, default=repr)
+    try:
+        return json.dumps(value, default=repr)
+    except RecursionError:
+        return "a value that nests too deeply to show"
 
 
 def spec_read(obj, key, read, *args):

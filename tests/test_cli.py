@@ -26,7 +26,7 @@ from qaspace import (
     tau,
     witness_qa_upper,
 )
-from qaspace import cli, selftest
+from qaspace import selftest
 from qaspace.cli import main
 
 F3 = '{"breakpoints": [0, 0.25, 0.5, 1], "values": [3, 1, 2]}'

@@ -3,6 +3,7 @@ import pickle
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from functools import reduce
 from itertools import accumulate
 
 import pytest
@@ -401,6 +402,9 @@ class TestJson:
          "'breakpoints[1]': int too large to convert to float"),
         ({"values": [1], "breakpoints": [0, 1]}, None),
         ({"breakpoints": [0, 1]}, "'values': missing from the step function spec"),
+        # echoing the value recursed past the interpreter's limit
+        ({"breakpoints": [0, reduce(lambda v, _: [v], range(5000), [])], "values": [1]},
+         "'breakpoints[1]': expected a number, got a value that nests too deeply to show"),
     ])
     def test_json_numbers_only(self, spec, message):
         # booleans and numeric strings were once read as numbers
