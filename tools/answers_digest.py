@@ -23,7 +23,9 @@ seeds, lorentz_norm, qa_bounds and rearrange on functions that are only
 0.0 and -0.0 or carry -0.0 pieces, the echo of accepted specs of every type
 (step function, shape in both domains, the three sequence kinds and the five
 expression kinds, the last two read through `check-seq` and `equivalence`),
-and the error type each malformed spec gets.  Every float is
+the error type each malformed spec gets, and the error (type and message)
+of each library constructor call that passes a parameter its shape family or
+sequence kind does not take, or leaves out one it needs.  Every float is
 hashed through repr, every Fraction exactly, so a digest stays the same only
 if every answer in its group is bitwise the same.  Run it in two checkouts and
 diff the output.  Standard library only; takes no options.
@@ -57,9 +59,11 @@ from corpora import (  # noqa: E402
 )
 from qaspace import embeddings, lorentz_norm, nested_form, qa_bounds, qa_upper  # noqa: E402
 from qaspace.cli import main as cli_main  # noqa: E402
+from qaspace.embeddings import SequenceSpec  # noqa: E402
 from qaspace.errors import ToolkitError  # noqa: E402
 from qaspace.qanorm import _LayerTable  # noqa: E402
 from qaspace.shapes import (  # noqa: E402
+    _TABLE,
     ShapeFunction,
     alpha_beta,
     constant_one,
@@ -317,6 +321,27 @@ BAD_EXPRESSION_SPECS = [
     {"kind": "iterated_log", "alpha": 0.5, "beta": [1], "exponent": 1},
 ]
 
+# a valid set of parameters for each shape family and sequence kind, and a
+# value for every parameter that some other family or kind takes
+SHAPE_PARAMS = {"alpha_beta": {"alpha": 0.5, "beta": 0.7}, "psi_gamma": {"exponent": 0.4},
+                "piecewise": {"points": ((0, 0), (0.5, 0.75), (1, 1))}}
+SHAPE_EXTRAS = {"alpha": 0.3, "beta": 0.3, "exponent": 0.3, "points": ((0, 0), (1, 1))}
+SEQUENCE_PARAMS = {"reciprocal": {}, "gamma_exp": {"phi": qa_phi()},
+                   "samples": {"samples": ((1, 0.5), (2, 0.25))}}
+SEQUENCE_EXTRAS = {"phi": qa_phi(), "samples": ((1, 0.5), (2, 0.25)), "domain_start": 0.5}
+BAD_CONSTRUCTORS = [
+    *((ShapeFunction, (family,), {**SHAPE_PARAMS.get(family, {}), name: value})
+      for family in _TABLE
+      for name, value in SHAPE_EXTRAS.items()
+      if name not in SHAPE_PARAMS.get(family, {})),
+    *((SequenceSpec, (kind,), {**params, name: value})
+      for kind, params in SEQUENCE_PARAMS.items()
+      for name, value in SEQUENCE_EXTRAS.items()
+      if name not in params),
+    (SequenceSpec, ("gamma_exp",), {}),
+    (SequenceSpec, ("samples",), {}),
+]
+
 
 def _fn(f) -> tuple:
     return tuple(str(b) for b in f.breakpoints), f.values
@@ -435,6 +460,8 @@ def groups():
         *(_refused(lambda: parse_shape(spec)) for spec in BAD_SHAPE_SPECS),
         *(_seq_cli(json.dumps(spec), None) for spec in BAD_SEQUENCE_SPECS),
         *(_expr_cli(json.dumps(spec), None) for spec in BAD_EXPRESSION_SPECS),
+        *(_answer(lambda: repr(cls(*args, **kwargs)), (ToolkitError, TypeError))
+          for cls, args, kwargs in BAD_CONSTRUCTORS),
     ]
 
 
