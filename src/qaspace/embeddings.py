@@ -83,22 +83,24 @@ class SequenceSpec:
     """A decreasing sequence of measures in (0,1], evaluated on [domain_start, inf).
 
     kinds: "reciprocal" is s(x) = 1/x; "gamma_exp" is s(x) = gamma_inv(e^{x-1})
-    for the attached phi (so log(phi(s)/s) at s(x) is exactly x-1); "samples"
-    interpolates explicit (x, s) pairs.  Sample sequences are not required to
-    decrease at construction time, the condition check reports that instead;
-    inverse() does require strict decrease.
+    for its phi, which it alone takes (so log(phi(s)/s) at s(x) is exactly x-1);
+    "samples" interpolates its samples, (x, s) pairs.  domain_start is derived:
+    1, max(1, 1 + log gamma(1)), or the first sample's x.  The samples need not
+    decrease (the condition check reports that); inverse() needs strict decrease.
     """
 
     kind: str
     phi: ShapeFunction | None = None
     samples: tuple | None = None
-    domain_start: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("reciprocal", "gamma_exp", "samples"):
             raise SpecParseError(f"unknown sequence kind {self.kind!r}")
-        if self.kind == "gamma_exp" and self.phi is None:
-            raise SpecParseError("gamma_exp needs its phi shape")
+        for name, owner in (("phi", "gamma_exp"), ("samples", "samples")):
+            if (getattr(self, name) is None) == (self.kind == owner):
+                verb = "needs" if self.kind == owner else "takes no"
+                raise SpecParseError(f"a {self.kind} sequence {verb} {name}")
+        start = max(1.0, 1.0 + log_gamma(self.phi, 0.0)) if self.kind == "gamma_exp" else 1.0
         if self.kind == "samples":
             pts = self.samples
             if not pts or len(pts) < 2:
@@ -110,7 +112,8 @@ class SequenceSpec:
                 raise SpecParseError("sample abscissae must strictly increase")
             if any(not 0.0 < s <= 1.0 for _, s in pts):
                 raise SpecParseError("sample values must lie in (0,1]")
-            object.__setattr__(self, "domain_start", xs[0])
+            start = xs[0]
+        object.__setattr__(self, "domain_start", start)
         # hashed once, as a ShapeFunction is: _term_table's cache key hashes it per call
         object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
 
@@ -216,8 +219,7 @@ def reciprocal() -> SequenceSpec:
 
 
 def gamma_exp(phi: ShapeFunction) -> SequenceSpec:
-    start = max(1.0, 1.0 + log_gamma(phi, 0.0))
-    return SequenceSpec("gamma_exp", phi=phi, domain_start=start)
+    return SequenceSpec("gamma_exp", phi=phi)
 
 
 def sample_sequence(pairs) -> SequenceSpec:

@@ -75,6 +75,7 @@ __all__ = [
 class ShapeFunction:
     """One member of a shape family; immutable and hashable.
 
+    Only the parameters that the family's `_TABLE` entry lists may be set.
     eval(t), log_eval(log_t) = log(self(e^log_t)) and log_gamma_eval(log_t) =
     log(self(t)/t) are bound to the member's constants when it is built, and
     so is the private closed-form inverse behind the module's `log_gamma_inv`,
@@ -95,6 +96,8 @@ class ShapeFunction:
             raise IllegalSpec(f"unknown family {self.family!r}")
         if self.domain_kind not in ("phi", "psi"):
             raise IllegalSpec("domain_kind must be 'phi' or 'psi'")
+        if stray := [name for name in _UNREAD[self.family] if getattr(self, name) is not None]:
+            raise IllegalSpec(f"the {self.family} family takes no {' or '.join(stray)}")
         formulas = _TABLE[self.family].build(self, 0.0 if self.domain_kind == "phi" else math.inf)
         for name, formula in zip(("eval", "log_eval", "log_gamma_eval", "_log_gamma_inv"),
                                  formulas):
@@ -397,6 +400,9 @@ _TABLE = {
 _KEYS = {
     name: (tuple(key for _, key, _ in fam.params), ("domain",)) for name, fam in _TABLE.items()
 }
+# the parameter fields that each family leaves unset: those only other families read
+_UNREAD = {name: sorted({field for fam in _TABLE.values() for field, _, _ in fam.params}
+                        - {field for field, _, _ in own.params}) for name, own in _TABLE.items()}
 
 
 def alpha_beta(alpha: float, beta: float) -> ShapeFunction:

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from qaspace import (
     sample_sequence,
     tau,
 )
-from qaspace.embeddings import _term_table, log_grid
+from qaspace.embeddings import _SEQUENCE_KEYS, _term_table, log_grid
 from qaspace.shapes import log_gamma
 
 
@@ -143,6 +144,50 @@ class TestSequences:
         with pytest.raises(SpecParseError) as info:
             SequenceSpec.from_json(spec, qa_phi())
         assert str(info.value) == message
+
+    # each constructor parameter by the JSON key that carries it, with a value;
+    # this phi has log gamma(1) > 0, so its gamma_exp sequence starts above 1
+    PARAMS = {"phi": ("phi", alpha_beta(0.5, 0.9)),
+              "points": ("samples", ((1.5, 0.9), (2.5, 0.5), (10.0, 1e-3)))}
+
+    def taken(self, kind):
+        """The constructor parameters of kind, from its JSON keys."""
+        required, optional = _SEQUENCE_KEYS[kind]
+        return dict(self.PARAMS[key] for key in (*required, *optional))
+
+    def test_params_cover_every_field(self):
+        names = {name for name, _ in self.PARAMS.values()}
+        assert {f.name for f in fields(SequenceSpec)} == {"kind", *names}
+
+    @pytest.mark.parametrize("kind", list(_SEQUENCE_KEYS))
+    def test_parameters_the_kind_does_not_take_are_refused(self, kind):
+        taken = self.taken(kind)
+        for name, value in self.PARAMS.values():
+            if name in taken:
+                rest = {k: v for k, v in taken.items() if k != name}
+                with pytest.raises(SpecParseError, match=f"^a {kind} sequence needs {name}$"):
+                    SequenceSpec(kind, **rest)
+            else:
+                with pytest.raises(SpecParseError, match=f"^a {kind} sequence takes no {name}$"):
+                    SequenceSpec(kind, **taken, **{name: value})
+
+    @pytest.mark.parametrize("kind", list(_SEQUENCE_KEYS))
+    def test_domain_start_is_derived_not_set(self, kind):
+        with pytest.raises(TypeError, match="domain_start"):
+            SequenceSpec(kind, **self.taken(kind), domain_start=1.0)
+
+    @pytest.mark.parametrize("kind", list(_SEQUENCE_KEYS))
+    def test_constructor_built_specs_round_trip(self, kind):
+        seq = SequenceSpec(kind, **self.taken(kind))
+        for back in (SequenceSpec.from_json(seq.to_json()), pickle.loads(pickle.dumps(seq))):
+            assert back == seq and hash(back) == hash(seq)
+            assert back.domain_start == seq.domain_start
+
+    def test_gamma_exp_spec_is_the_factorys(self):
+        phi = alpha_beta(0.5, 0.9)
+        seq = SequenceSpec("gamma_exp", phi=phi)
+        assert seq == gamma_exp(phi) and seq.domain_start == 1.129007998411907
+        assert phi_s(phi, qa_psi(), seq, 0.01) == (1.424704826452518, 5)
 
     def test_reciprocal(self):
         s = reciprocal()

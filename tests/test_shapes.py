@@ -2,6 +2,7 @@ import math
 import pickle
 import re
 import sys
+from dataclasses import fields
 from decimal import Decimal, localcontext
 
 import pytest
@@ -620,6 +621,18 @@ class TestFamilyTable:
 
     def test_covers_every_family(self):
         assert set(self.MEMBERS) == set(shapes_module._TABLE)
+
+    def test_parameters_the_family_does_not_take_are_refused(self):
+        # a value for every parameter, from the members of the families that take it
+        values = {k: v for params in self.MEMBERS.values() for p in params for k, v in p.items()}
+        assert set(values) == {f.name for f in fields(ShapeFunction)} - {"family", "domain_kind"}
+        for family, entry in shapes_module._TABLE.items():
+            own = self.MEMBERS[family][0]
+            assert set(own) == {field for field, _, _ in entry.params}
+            for name in values.keys() - own.keys():
+                for kind in ("phi", "psi"):
+                    with pytest.raises(IllegalSpec, match=f"^the {family} family takes no {name}$"):
+                        ShapeFunction(family, domain_kind=kind, **own, **{name: values[name]})
 
     def test_json_round_trip_in_each_domain(self):
         for shape in self.members():
