@@ -148,7 +148,7 @@ class SequenceSpec:
         return out
 
     def _check_x(self, x: float):
-        if x < self.domain_start - 1e-12:
+        if not x >= self.domain_start - 1e-12:  # NaN too
             raise DomainError(f"sequence defined from {self.domain_start}, got {x!r}")
 
     def value(self, x: float) -> float:

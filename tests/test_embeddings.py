@@ -197,6 +197,14 @@ class TestSequences:
         with pytest.raises(DomainError):
             s.value(0.5)
 
+    @pytest.mark.parametrize("seq", [
+        reciprocal(), gamma_exp(qa_phi()), sample_sequence([(1, 0.9), (2, 0.5), (10, 1e-3)]),
+    ])
+    def test_nan_is_outside_the_domain(self, seq):
+        for evaluate in (seq.value, seq.log_value):
+            with pytest.raises(DomainError, match="got nan"):
+                evaluate(math.nan)
+
     def test_gamma_exp_hits_exact_ratio_targets(self):
         phi = qa_phi()
         s = gamma_exp(phi)
