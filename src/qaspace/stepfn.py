@@ -185,15 +185,6 @@ def _dyadic(values) -> tuple:
     return shift, [n << (shift + 1 - d.bit_length()) for n, d in ratios]
 
 
-def _trusted(cls, *values):
-    """cls(*values) for a frozen dataclass, from fields the library built and
-    checked: __post_init__ does not run."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def _canonical(grid, values) -> StepFunction:
     """The canonical StepFunction on grid = (den, ticks) with values, checking
     only that the values are finite (a scale or a sum can overflow).  Only for
@@ -329,8 +320,7 @@ def nested_form(f: StepFunction) -> NestedForm:
     den, heights, cum = _layers(f.values, f._grid)
     if not heights:
         raise ZeroFunction("nested form is undefined for f == 0")
-    # strictly decreasing positive heights, strictly increasing measures up to 1
-    return _trusted(NestedForm, tuple(heights), tuple(Fraction(c, den) for c in cum))
+    return NestedForm(tuple(heights), tuple(Fraction(c, den) for c in cum))
 
 
 def l1_norm_exact(f: StepFunction) -> Fraction:
