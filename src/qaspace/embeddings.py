@@ -103,7 +103,7 @@ class SequenceSpec:
         start = max(1.0, 1.0 + log_gamma(self.phi, 0.0)) if self.kind == "gamma_exp" else 1.0
         if self.kind == "samples":
             pts = self.samples
-            if not pts or len(pts) < 2:
+            if len(pts) < 2:
                 raise SpecParseError("sample sequences need at least two points")
             pts = tuple((float(x), float(s)) for x, s in pts)
             object.__setattr__(self, "samples", pts)
