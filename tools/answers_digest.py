@@ -20,12 +20,15 @@ malformed shape spec), the profiles of three phi shapes on a gamma_exp, a
 reciprocal and a sampled sequence (also with a psi sampled only up to 10), a
 fixed list of CLI argvs (exit code, stdout and stderr), `selftest` at three
 seeds, lorentz_norm, qa_bounds and rearrange on functions that are only
-0.0 and -0.0 or carry -0.0 pieces, the echo of accepted specs of every type
+0.0 and -0.0 or carry -0.0 pieces, the ladders gamma_exp(phi) priced by another phi
+and by their own (phi_s, the ladder's values around where it ends, and
+`check-seq` past that end), the echo of accepted specs of every type
 (step function, shape in both domains, the three sequence kinds and the five
 expression kinds, the last two read through `check-seq` and `equivalence`),
 the error type each malformed spec gets, and the error (type and message)
 of each library constructor call that passes a parameter its shape family or
-sequence kind does not take, or leaves out one it needs.  Every float is
+sequence kind does not take, or leaves out one it needs, or that passes one
+of the wrong type.  Every float is
 hashed through repr, every Fraction exactly, so a digest stays the same only
 if every answer in its group is bitwise the same.  Run it in two checkouts and
 diff the output.  Standard library only; takes no options.
@@ -172,6 +175,12 @@ PROFILE_SAMPLES = ((1.0, 0.9), (10.0, 0.01), (400.0, 1e-200))
 PROFILE_N_MAX = 300
 # sampled only up to 10: phi_s answers a t only while s_n < t for some n <= 10
 PROFILE_SAMPLED_PSI = piecewise([(0, 0), (1, 1), (10, 2)], kind="psi")
+# gamma is at most 5 for LADDER_P, so its ladder ends at 1 + log 5; each pair is
+# (the phi priced, the phi whose ladder gamma_exp(phi) supplies s_n)
+LADDER_P = piecewise([(0, 0), (0.1, 0.5), (1, 1)])
+LADDER_PAIRS = [(alpha_beta(0.5, 0.5), qa_phi()), (qa_phi(), LADDER_P), (LADDER_P, qa_phi()),
+                (LADDER_P, LADDER_P)]
+LADDER_XS = (2.0, 2.6, 2.7, 5.0)
 PROFILE_PAIRS = [
     *((phi, psi) for phi in PROFILE_PHIS for psi in WITNESS_PSIS),
     *((phi, PROFILE_SAMPLED_PSI) for phi in PROFILE_PHIS),
@@ -205,6 +214,8 @@ CLI_ARGVS = [
      "--c", "0.5", "--N", "3"],
     ["selftest", "--seed", "7"],
 ]
+LADDER_ARGV = ["check-seq", "--seq", '{"kind": "gamma_exp"}', "--phi",
+               json.dumps(LADDER_P.to_json()), "--psi", QA_PSI, "--xmax", "10"]
 SELFTEST_SEEDS = (0, 7, 123)
 
 
@@ -341,6 +352,21 @@ BAD_CONSTRUCTORS = [
     (SequenceSpec, ("gamma_exp",), {}),
     (SequenceSpec, ("samples",), {}),
 ]
+# constructor calls that pass a parameter of the wrong type
+MISTYPED_CONSTRUCTORS = [
+    (SequenceSpec, ("gamma_exp",), {"phi": "qa_phi"}),
+    (SequenceSpec, ("samples",), {"samples": ((1, 0.5), (2, "x"))}),
+    (SequenceSpec, ("samples",), {"samples": 5}),
+    (ShapeFunction, ("alpha_beta",), {"alpha": "0.5", "beta": 1}),
+    (ShapeFunction, ("alpha_beta",), {"alpha": 0.5, "beta": True}),
+    (ShapeFunction, ("psi_gamma",), {"exponent": [0.5], "domain_kind": "psi"}),
+    (ShapeFunction, ("piecewise",), {"points": 5}),
+    (ShapeFunction, ("piecewise",), {"points": ((0, 0), ("0.5", 0.75), (1, 1))}),
+    (WitnessSpec, ("qa_phi", qa_psi(), 3, 0.5), {}),
+    (WitnessSpec, (qa_phi(), "qa_psi", 3, 0.5), {}),
+    (WitnessSpec, (qa_phi(), qa_psi(), 3, "0.5"), {}),
+    (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5), {"mu1": "0.25"}),
+]
 
 
 def _fn(f) -> tuple:
@@ -462,6 +488,17 @@ def groups():
         *(_expr_cli(json.dumps(spec), None) for spec in BAD_EXPRESSION_SPECS),
         *(_answer(lambda: repr(cls(*args, **kwargs)), (ToolkitError, TypeError))
           for cls, args, kwargs in BAD_CONSTRUCTORS),
+        # a mistyped parameter may fail in any way; the error is the record
+        *(_answer(lambda: repr(cls(*args, **kwargs)), Exception)
+          for cls, args, kwargs in MISTYPED_CONSTRUCTORS),
+    ]
+    yield "profiles.ladders", [
+        *(_ladder_phi_s(phi, ladder_phi) for phi, ladder_phi in LADDER_PAIRS),
+        *(_answer(lambda: evaluate(x))
+          for evaluate in (embeddings.gamma_exp(LADDER_P).value,
+                           embeddings.gamma_exp(LADDER_P).log_value)
+          for x in LADDER_XS),
+        _cli(LADDER_ARGV),
     ]
 
 
@@ -530,6 +567,16 @@ def _profile(phi, psi, seq) -> tuple:
         tuple(_answer(lambda: embeddings.alpha_s(phi, psi, seq, t)) for t in PROFILE_TS),
         _answer(lambda: embeddings.check_seq_conditions(phi, psi, seq, xs)),
     )
+
+
+def _ladder_phi_s(phi, ladder_phi) -> tuple:
+    """phi_s of (phi, qa_psi) on the ladder of ladder_phi, each from a cold table."""
+    seq = embeddings.gamma_exp(ladder_phi)
+    out = []
+    for t in PROFILE_TS:
+        embeddings._term_table.cache_clear()
+        out.append(_answer(lambda: embeddings.phi_s(phi, qa_psi(), seq, t)))
+    return tuple(out)
 
 
 def _stepfn(f) -> tuple:
