@@ -80,13 +80,16 @@ def log_tau(phi: ShapeFunction, psi: ShapeFunction, log_t: float) -> float:
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """A decreasing sequence of measures in (0,1], evaluated on [domain_start, inf).
+    """A decreasing sequence of measures in (0,1], evaluated on [domain_start, domain_end].
 
     kinds: "reciprocal" is s(x) = 1/x; "gamma_exp" is s(x) = gamma_inv(e^{x-1})
     for its phi, which it alone takes (so log(phi(s)/s) at s(x) is exactly x-1);
-    "samples" interpolates its samples, (x, s) pairs.  domain_start is derived:
-    1, max(1, 1 + log gamma(1)), or the first sample's x.  The samples need not
-    decrease (the condition check reports that); inverse() needs strict decrease.
+    "samples" interpolates its samples, (x, s) pairs.  Both ends are derived,
+    and an x past either is a DomainError: domain_start is 1, max(1, 1 + log
+    gamma(1)) or the first sample's x; domain_end is inf, 1 + log gamma(0+) (no
+    s(x) once x - 1 passes gamma's largest log) or the last sample's x.  The
+    samples need not decrease (the condition check reports that); inverse()
+    needs strict decrease.
     """
 
     kind: str
@@ -100,7 +103,11 @@ class SequenceSpec:
             if (getattr(self, name) is None) == (self.kind == owner):
                 verb = "needs" if self.kind == owner else "takes no"
                 raise SpecParseError(f"a {self.kind} sequence {verb} {name}")
-        start = max(1.0, 1.0 + log_gamma(self.phi, 0.0)) if self.kind == "gamma_exp" else 1.0
+        start, end = 1.0, math.inf
+        if self.kind == "gamma_exp":
+            start, top = max(1.0, 1.0 + log_gamma(self.phi, 0.0)), log_gamma(self.phi, -math.inf)
+            # the last x with x - 1 <= top: 1 + top, rounded down if it rounded up
+            end = math.nextafter(1.0 + top, 0.0) if (1.0 + top) - 1.0 > top else 1.0 + top
         if self.kind == "samples":
             pts = self.samples
             if len(pts) < 2:
@@ -112,8 +119,9 @@ class SequenceSpec:
                 raise SpecParseError("sample abscissae must strictly increase")
             if any(not 0.0 < s <= 1.0 for _, s in pts):
                 raise SpecParseError("sample values must lie in (0,1]")
-            start = xs[0]
+            start, end = xs[0], xs[-1]
         object.__setattr__(self, "domain_start", start)
+        object.__setattr__(self, "domain_end", end)
         # hashed once, as a ShapeFunction is: _term_table's cache key hashes it per call
         object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
 
@@ -150,6 +158,8 @@ class SequenceSpec:
     def _check_x(self, x: float):
         if not x >= self.domain_start - 1e-12:  # NaN too
             raise DomainError(f"sequence defined from {self.domain_start}, got {x!r}")
+        if x > (end := self.domain_end):
+            raise DomainError(f"{self.kind.removesuffix('s')} sequence ends at {end}, got {x!r}")
 
     def value(self, x: float) -> float:
         x = float(x)
@@ -159,8 +169,6 @@ class SequenceSpec:
         if self.kind == "gamma_exp":
             return math.exp(self.log_value(x))
         pts = self.samples
-        if x > pts[-1][0]:
-            raise DomainError(f"sample sequence ends at {pts[-1][0]}, got {x!r}")
         for (x0, s0), (x1, s1) in zip(pts, pts[1:]):
             if x <= x1:
                 # monotone in x, but it can round below the lower sample (to 0
@@ -187,9 +195,7 @@ class SequenceSpec:
         if not 0.0 < t <= 1.0:
             raise DomainError("sequence values live in (0,1]")
         if self.kind == "reciprocal":
-            x = 1.0 / t
-            self._check_x(x)
-            return x
+            return 1.0 / t
         if self.kind == "gamma_exp":
             x = 1.0 + log_gamma(self.phi, math.log(t))
             if x < self.domain_start - 1e-9:
@@ -237,33 +243,26 @@ def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max
     base_n = log(gamma(s_n) * psi(n)); -log s_n, for bisect; and head[r], the
     least log s_n + base_n over the first r rows with its row (the first on ties).
 
-    A sequence whose s_n rises is refused.  The table ends at the first s_n below
-    the least positive float: every float t > 0 exceeds it, and later rows have
-    no smaller base.  A gamma_exp s_n below every float keeps a -inf sentinel, as
-    does one whose inverse is refused because gamma is constant (identity); its
-    log(gamma(s_n)) = n - 1 stays exact.  A gamma_exp sequence ends before the
-    first index whose e^(n-1) exceeds gamma's largest value: no s_n exists there.
-    A DomainError from psi(n) (a psi sampled only up to some x < n) ends the
-    table there and is returned as its cut, else None.
+    The table ends at the sequence's domain_end, and at the first s_n below the
+    least positive float: every float t > 0 exceeds it, and later rows have no
+    smaller base.  A ladder s_n below every float keeps a -inf sentinel, as does
+    one whose inverse is refused because gamma is constant (identity).  On
+    phi's own ladder log(gamma(s_n)) is exactly n - 1; any other sequence is
+    priced by phi's log gamma at log s_n.  A sequence whose s_n rises is
+    refused.  A DomainError from psi(n) (a psi sampled only up to some x < n)
+    ends the table there and is returned as its cut, else None.
     """
     n_start = max(1, math.ceil(seq.domain_start - 1e-12))
-    top = log_gamma(phi, -math.inf) if seq.kind == "gamma_exp" else None
+    own = seq.phi == phi  # a ladder built from phi: its log gamma(s_n) is n - 1
     rows, head, cut = [], [(math.inf, 0)], None
     for n in range(n_start, n_max + 1):
-        if seq.kind == "gamma_exp":
-            lg = n - 1.0
-            if lg > top:
-                break
-            try:
-                ls = seq.log_value(float(n))
-            except NotInvertible:
-                ls = LOG_ZERO
-        else:
-            try:
-                ls = seq.log_value(float(n))
-            except DomainError:
-                break
-            lg = log_gamma(phi, ls)
+        try:
+            ls = seq.log_value(float(n))
+        except NotInvertible:
+            ls = LOG_ZERO
+        except DomainError:
+            break
+        lg = n - 1.0 if own else log_gamma(phi, ls)
         if rows and ls > rows[-1][0]:
             raise DomainError(f"phi_s needs a non-increasing sequence, but s rises at index {n}")
         try:

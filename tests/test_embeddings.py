@@ -1,6 +1,8 @@
+import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -35,8 +37,15 @@ from qaspace import (
     sample_sequence,
     tau,
 )
+from qaspace.cli import main as cli_main
 from qaspace.embeddings import _SEQUENCE_KEYS, _term_table, log_grid
-from qaspace.shapes import log_gamma
+from qaspace.shapes import log_gamma, log_gamma_inv
+
+
+# gamma is at most 5, so the ladder gamma_exp(P) ends at x = 1 + log 5
+P = piecewise([(0, 0), (0.1, 0.5), (1, 1)])
+# (the phi priced, the phi whose ladder gives s_n): each ladder priced by another phi
+MISMATCHED = [(alpha_beta(0.5, 0.5), qa_phi()), (P, qa_phi()), (qa_phi(), P)]
 
 
 class TestTau:
@@ -182,6 +191,53 @@ class TestSequences:
         for back in (SequenceSpec.from_json(seq.to_json()), pickle.loads(pickle.dumps(seq))):
             assert back == seq and hash(back) == hash(seq)
             assert back.domain_start == seq.domain_start
+            assert back.domain_end == seq.domain_end
+
+    def ending(self, kind):
+        """The constructor parameters of kind, with a ladder on P, which ends."""
+        return {**self.taken(kind), **({"phi": P} if kind == "gamma_exp" else {})}
+
+    @pytest.mark.parametrize("kind", list(_SEQUENCE_KEYS))
+    def test_domain_end_is_derived_and_round_trips(self, kind):
+        taken = self.ending(kind)
+        seq = SequenceSpec(kind, **taken)
+        end = seq.domain_end
+        if "phi" in taken:  # the last x whose x - 1 is within phi's largest log gamma
+            top = log_gamma(taken["phi"], -math.inf)
+            assert end - 1.0 <= top < math.nextafter(end, math.inf) - 1.0
+        else:  # the last sample's x, or none
+            assert end == (taken["samples"][-1][0] if "samples" in taken else math.inf)
+        for back in (SequenceSpec.from_json(seq.to_json()), pickle.loads(pickle.dumps(seq))):
+            assert back.domain_end == seq.domain_end
+        with pytest.raises(TypeError, match="domain_end"):
+            SequenceSpec(kind, **taken, domain_end=1.0)
+
+    def test_ladder_ends(self):
+        # 1 + log 5 rounds up to 2.6094379124341005, past the ladder's last x
+        assert gamma_exp(P).domain_end == math.nextafter(1.0 + math.log(5.0), 0.0)
+        assert gamma_exp(qa_phi()).domain_end == gamma_exp(alpha_beta(0.5, 0.5)).domain_end
+        assert gamma_exp(qa_phi()).domain_end == math.inf
+        assert gamma_exp(identity()).domain_end == 1.0
+
+    @pytest.mark.parametrize("kind", list(_SEQUENCE_KEYS))
+    def test_past_the_end_is_a_domain_error_naming_x(self, kind):
+        seq = SequenceSpec(kind, **self.ending(kind))
+        end = seq.domain_end
+        for evaluate in (seq.value, seq.log_value):
+            evaluate(min(end, 1e6))
+            for x in (math.nextafter(end, math.inf), end + 1.0, 2.0 * end):
+                if x > end:  # nothing lies past an infinite end
+                    message = re.escape(f"sequence ends at {end}, got {x!r}")
+                    with pytest.raises(DomainError, match=f"{message}$"):
+                        evaluate(x)
+
+    def test_a_ladder_is_defined_up_to_its_end(self):
+        seq = gamma_exp(P)
+        assert seq.value(2.6) == 0.10106805736575207
+        assert seq.log_value(seq.domain_end) == log_gamma_inv(P, math.log(5.0)) == math.log(0.1)
+        message = r"^gamma_exp sequence ends at 2\.6094379124341, got 2\.7$"
+        with pytest.raises(DomainError, match=message):
+            seq.value(2.7)
 
     def test_gamma_exp_spec_is_the_factorys(self):
         phi = alpha_beta(0.5, 0.9)
@@ -270,23 +326,20 @@ class TestSequences:
 
 def brute_phi_s(phi, psi, seq, t, n_max):
     """phi_s's value and index from every term max{s_n, t} gamma(s_n) psi(n), n by n."""
-    lt, top = math.log(t), log_gamma(phi, -math.inf)
+    lt = math.log(t)
     best = (math.inf, 0)
     for n in range(max(1, math.ceil(seq.domain_start - 1e-12)), n_max + 1):
-        if seq.kind == "gamma_exp":
-            if n - 1.0 > top:  # no s_n has gamma(s_n) = e^(n-1)
-                break
-            lg = n - 1.0  # log gamma(s_n), by the sequence's definition
-            try:
-                ls = seq.log_value(float(n))
-            except NotInvertible:  # s_n below every float, or gamma constant
-                ls = -math.inf
-        else:
-            try:
-                ls = seq.log_value(float(n))
-            except DomainError:  # past the last sample
-                break
-            lg = log_gamma(phi, ls)
+        # a ladder has no s_n once e^(n-1) passes the largest gamma of its own phi
+        if seq.phi is not None and n - 1.0 > log_gamma(seq.phi, -math.inf):
+            break
+        try:
+            ls = seq.log_value(float(n))
+        except NotInvertible:  # s_n below every float, or gamma constant
+            ls = -math.inf
+        except DomainError:  # past the last sample
+            break
+        # on phi's own ladder log gamma(s_n) = n - 1, by the ladder's definition
+        lg = n - 1.0 if seq.phi == phi else log_gamma(phi, ls)
         term = max(ls, lt) + (lg + math.log(psi.eval(float(n))))
         if term < best[0]:
             best = (term, n)
@@ -345,6 +398,12 @@ class TestPhiS:
         assert phi_s(phi, qa_psi(), seq, 0.01, n_max=50) == (1.0, 1)
         assert _term_table(phi, qa_psi(), seq, 50)[1] == ((0.0, 0.0),)
 
+    def test_a_ladder_priced_by_its_own_bounded_phi_ends_with_it(self):
+        # gamma(s_3) = e^2 would pass gamma's largest value, 5
+        assert len(_term_table(P, qa_psi(), gamma_exp(P), 50)[1]) == 2
+        assert phi_s(P, qa_psi(), gamma_exp(P), 1e-12, n_max=50) == brute_phi_s(
+            P, qa_psi(), gamma_exp(P), 1e-12, 50)
+
     def test_gamma_exp_without_an_index_is_refused(self):
         # gamma stays below 1 = e^(1-1), so the sequence has no value at all
         phi = piecewise([(0, 0), (0.5, 0.3), (1, 0.4)])
@@ -377,6 +436,36 @@ class TestPhiS:
     @pytest.mark.parametrize("t", [5e-324, 1e-300, 1e-20, 1e-3, 0.3, 1.0])
     def test_equals_the_least_term_over_every_index(self, phi, psi, seq, t):
         assert phi_s(phi, psi, seq, t, n_max=300) == brute_phi_s(phi, psi, seq, t, 300)
+
+    @pytest.mark.parametrize("phi, ladder_phi", MISMATCHED)
+    @pytest.mark.parametrize("t", [10.0**-k for k in range(2, 13)])
+    def test_a_ladder_is_priced_by_the_phi_given(self, phi, ladder_phi, t):
+        # the ladder's s_n come from ladder_phi, each term's gamma from phi
+        seq = gamma_exp(ladder_phi)
+        got, want = phi_s(phi, qa_psi(), seq, t), brute_phi_s(phi, qa_psi(), seq, t, 10_000)
+        assert got.value == pytest.approx(want[0], rel=1e-12) and got.n == want[1]
+
+    def test_mismatched_ladder_answers(self):
+        seq = gamma_exp(qa_phi())
+        assert phi_s(alpha_beta(0.5, 0.5), qa_psi(), seq, 1e-3).value == pytest.approx(
+            0.2338087657597536, rel=1e-12)
+        assert phi_s(P, qa_psi(), seq, 1e-12).value == pytest.approx(1.3047189562170518e-11,
+                                                                     rel=1e-12)
+
+    @pytest.mark.parametrize("phi, ladder_phi", MISMATCHED)
+    def test_a_phi_s_expression_prices_its_own_seq_by_its_phi(self, capsys, phi, ladder_phi):
+        expr = {"kind": "phi_s", "phi": phi.to_json(), "psi": {"family": "qa_psi"},
+                "seq": {"kind": "gamma_exp", "phi": ladder_phi.to_json()}}
+        argv = ["equivalence", "--a", json.dumps(expr),
+                "--b", json.dumps({"kind": "shape", "spec": {"family": "qa_phi"}}),
+                "--tmin", "1e-12", "--tmax", "1e-2", "--points", "11"]
+        assert cli_main(argv) == 0
+        got = json.loads(capsys.readouterr().out)["result"]
+        seq = gamma_exp(ladder_phi)
+        want = equivalence(lambda t: brute_phi_s(phi, qa_psi(), seq, t, 10_000)[0],
+                           qa_phi().eval, 1e-12, 1e-2, points=11)
+        assert got["ratio_min"] == pytest.approx(want.ratio_min, rel=1e-12)
+        assert got["ratio_max"] == pytest.approx(want.ratio_max, rel=1e-12)
 
     def test_rising_sequence_is_refused(self):
         seq = sample_sequence([(1.0, 0.5), (2.0, 0.6), (3.0, 0.1)])
@@ -419,6 +508,16 @@ class TestSeqConditions:
         assert rep.passed
         # consecutive ratio targets differ by one, so the step constant is e
         assert rep.step_ratio_constant == pytest.approx(math.e, rel=1e-9)
+
+    def test_check_seq_past_a_ladders_end_exits_2(self, capsys):
+        argv = ["check-seq", "--seq", '{"kind": "gamma_exp"}', "--phi", json.dumps(P.to_json()),
+                "--psi", json.dumps(qa_psi().to_json()), "--xmax", "10"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        message = "gamma_exp sequence ends at 2.6094379124341, got 2.628140703517588"
+        assert json.loads(line)["error"] == {"type": "DomainError", "message": message}
 
     def test_reciprocal_needs_a_long_grid(self):
         # the product phi(1/x) decays like log(x)/x: ten-fold decay
