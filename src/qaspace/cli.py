@@ -226,6 +226,7 @@ def _cmd_check_seq(args) -> int:
         raise DomainError(f"check-seq needs at least 3 points, got {args.points}")
     xmin = args.xmin = max(args.xmin, args.seq.domain_start)
     xs = [xmin + (args.xmax - xmin) * (i / (args.points - 1)) for i in range(args.points)]
+    xs[-1] = args.xmax  # pinned, as log_grid pins its ends: the product can round past it
     report = embeddings.check_seq_conditions(args.phi, args.psi, args.seq, xs)
     result = {**asdict(report), "passed": report.passed}
     del result["grid"]

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 import qaspace
 from qaspace import (
+    SequenceSpec,
     StepFunction,
     lorentz_norm,
     equivalence,
     iterated_log_profile,
+    parse_shape,
     qa_phi,
     qa_psi,
     qa_upper,
@@ -177,6 +179,23 @@ class TestCheckSeq:
                      "--xmin", "1", "--xmax", "400", "--points", "5"]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["monotone_decreasing"] is True
         assert main(equivalence_argv({"kind": "phi_s", "phi": PHI, "psi": PSI, "seq": seq})) == 0
+
+    # xmin + (xmax - xmin) * 1.0 rounds past xmax for each pair: a grid that
+    # ends at a sequence's last sample, or a ladder's end, stepped past it
+    @pytest.mark.parametrize("xmin, xmax", [(2.98, 7.53), (3.64, 7.88), (1.81, 6.8)])
+    @pytest.mark.parametrize("points", ["3", "200"])
+    def test_grid_ends_at_xmax(self, capsys, xmin, xmax, points):
+        seq = {"kind": "samples", "points": [[xmin, 0.9], [5, 0.5], [xmax, 0.1]]}
+        assert main(["check-seq", "--seq", json.dumps(seq), "--phi", QA_PHI, "--psi", QA_PSI,
+                     "--xmin", str(xmin), "--xmax", str(xmax), "--points", points]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["xmax"] == xmax
+
+    def test_grid_ends_at_a_ladders_end(self, capsys):
+        phi = {"family": "piecewise", "points": [[0, 0], [0.1, 0.5], [1, 1]]}
+        end = SequenceSpec.from_json({"kind": "gamma_exp"}, parse_shape(phi)).domain_end
+        assert main(["check-seq", "--seq", '{"kind": "gamma_exp"}', "--phi", json.dumps(phi),
+                     "--psi", QA_PSI, "--xmax", repr(end), "--points", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["xmax"] == end
 
 
 class TestEquivalence:
