@@ -105,14 +105,15 @@ class SequenceSpec:
                 raise SpecParseError(f"a {self.kind} sequence {verb} {name}")
         start, end = 1.0, math.inf
         if self.kind == "gamma_exp":
+            if not isinstance(self.phi, ShapeFunction):
+                raise SpecParseError(f"expected a shape, got {self.phi!r}", "phi")
             start, top = max(1.0, 1.0 + log_gamma(self.phi, 0.0)), log_gamma(self.phi, -math.inf)
             # the last x with x - 1 <= top: 1 + top, rounded down if it rounded up
             end = math.nextafter(1.0 + top, 0.0) if (1.0 + top) - 1.0 > top else 1.0 + top
         if self.kind == "samples":
-            pts = self.samples
+            pts = spec_read(vars(self), "samples", spec_pairs)
             if len(pts) < 2:
                 raise SpecParseError("sample sequences need at least two points")
-            pts = tuple((float(x), float(s)) for x, s in pts)
             object.__setattr__(self, "samples", pts)
             xs = [x for x, _ in pts]
             if any(not b > a for a, b in zip(xs, xs[1:])):

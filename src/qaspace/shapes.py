@@ -75,7 +75,8 @@ __all__ = [
 class ShapeFunction:
     """One member of a shape family; immutable and hashable.
 
-    Only the parameters that the family's `_TABLE` entry lists may be set.
+    Only the parameters that the family's `_TABLE` entry lists may be set, each
+    of the type its JSON reader takes (IllegalSpec names one that is not).
     eval(t), log_eval(log_t) = log(self(e^log_t)) and log_gamma_eval(log_t) =
     log(self(t)/t) are bound to the member's constants when it is built, and
     so is the private closed-form inverse behind the module's `log_gamma_inv`,
@@ -98,6 +99,12 @@ class ShapeFunction:
             raise IllegalSpec("domain_kind must be 'phi' or 'psi'")
         if stray := [name for name in _UNREAD[self.family] if getattr(self, name) is not None]:
             raise IllegalSpec(f"the {self.family} family takes no {' or '.join(stray)}")
+        for name, _, read in _TABLE[self.family].params:
+            if getattr(self, name) is not None:  # its JSON reader checks it and makes floats
+                try:
+                    object.__setattr__(self, name, spec_read(vars(self), name, read))
+                except SpecParseError as exc:
+                    raise IllegalSpec(f"the {self.family} family's {exc}") from None
         formulas = _TABLE[self.family].build(self, 0.0 if self.domain_kind == "phi" else math.inf)
         for name, formula in zip(("eval", "log_eval", "log_gamma_eval", "_log_gamma_inv"),
                                  formulas):
@@ -290,8 +297,7 @@ def _psi_gamma(g, log_hi: float) -> tuple:
 def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
     if not shape.points:
         raise IllegalSpec("piecewise needs sample points")
-    pts = tuple((float(t), float(y)) for t, y in shape.points)
-    object.__setattr__(shape, "points", pts)
+    pts = shape.points
     if pts[0] != (0.0, 0.0):
         raise IllegalSpec("piecewise samples must start at (0, 0)")
     ts = [t for t, _ in pts]
@@ -306,8 +312,6 @@ def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
         raise IllegalSpec("piecewise samples must be concave")
     if shape.domain_kind == "phi" and ts[-1] > 1.0:
         raise IllegalSpec("phi-kind piecewise samples must stay within [0,1]")
-    if not all(map(math.isfinite, ts + ys)):  # NaN passes every comparison above
-        raise IllegalSpec("piecewise samples must be finite")
     if any(y <= 0 for y in ys[1:]):  # with the checks above, one zero makes the shape 0
         raise IllegalSpec("piecewise samples after (0, 0) must be positive")
     # below the first positive sample the shape is the chord from the origin,

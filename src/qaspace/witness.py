@@ -46,6 +46,13 @@ _RESIDUAL_TOL = 1e-8
 _N_CAP = 500
 
 
+def _number(name: str, value) -> float:
+    """value as a float, once it is an int or a float (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise IllegalSpec(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class WitnessSpec:
     """Parameters of the extremal construction.
@@ -53,7 +60,8 @@ class WitnessSpec:
     c in (0,1) and p in (0,1] are the shape hypotheses' constants; mu1 is the
     starting measure (None selects it automatically as the largest probe
     point <= p/2 where gamma certifies as strictly decreasing).  N is an
-    integer from 2 to 500; a larger one is refused before any work.
+    integer from 2 to 500; a larger one is refused before any work.  phi and
+    psi must be shapes, c, p and mu1 numbers: IllegalSpec names one that is not.
     """
 
     phi: ShapeFunction
@@ -68,14 +76,17 @@ class WitnessSpec:
             raise IllegalSpec("N must be an integer >= 2")
         if self.N > _N_CAP:
             raise IllegalSpec(f"N is capped at {_N_CAP}, got {self.N}")
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "p", float(self.p))
+        for name, value in (("phi", self.phi), ("psi", self.psi)):
+            if not isinstance(value, ShapeFunction):
+                raise IllegalSpec(f"{name} must be a shape, got {value!r}")
+        object.__setattr__(self, "c", _number("c", self.c))
+        object.__setattr__(self, "p", _number("p", self.p))
         if not 0.0 < self.c < 1.0:
             raise IllegalSpec("c must lie in (0,1)")
         if not 0.0 < self.p <= 1.0:
             raise IllegalSpec("p must lie in (0,1]")
         if self.mu1 is not None:
-            mu1 = float(self.mu1)
+            mu1 = _number("mu1", self.mu1)
             object.__setattr__(self, "mu1", mu1)
             if not 0.0 < mu1 <= self.p / 2.0:
                 raise IllegalSpec("mu1 must lie in (0, p/2]")

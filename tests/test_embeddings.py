@@ -239,6 +239,26 @@ class TestSequences:
         with pytest.raises(DomainError, match=message):
             seq.value(2.7)
 
+    # a value of the wrong type for each parameter, by the JSON key that carries it
+    MISTYPED = {"phi": ("qa_phi", "'phi': expected a shape, got 'qa_phi'"),
+                "points": (5, "'samples': expected a list, got 5")}
+
+    @pytest.mark.parametrize("kind", list(_SEQUENCE_KEYS))
+    def test_parameters_of_the_wrong_type_are_refused_by_name(self, kind):
+        required, optional = _SEQUENCE_KEYS[kind]
+        for key in (*required, *optional):
+            name = self.PARAMS[key][0]
+            value, message = self.MISTYPED[key]
+            with pytest.raises(SpecParseError) as info:
+                SequenceSpec(kind, **{**self.taken(kind), name: value})
+            assert str(info.value) == message
+
+    def test_samples_of_the_wrong_type_are_refused_by_index(self):
+        for bad, shown in (("x", '"x"'), (True, "true"), (None, "null")):
+            with pytest.raises(SpecParseError) as info:
+                sample_sequence([(1, 0.5), (2, bad)])
+            assert str(info.value) == f"'samples[1][1]': expected a number, got {shown}"
+
     def test_gamma_exp_spec_is_the_factorys(self):
         phi = alpha_beta(0.5, 0.9)
         seq = SequenceSpec("gamma_exp", phi=phi)

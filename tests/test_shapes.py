@@ -634,6 +634,21 @@ class TestFamilyTable:
                     with pytest.raises(IllegalSpec, match=f"^the {family} family takes no {name}$"):
                         ShapeFunction(family, domain_kind=kind, **own, **{name: values[name]})
 
+    # a value of the wrong type for each parameter some family takes
+    MISTYPED = {"alpha": "0.5", "beta": True, "exponent": [0.5], "points": 5}
+
+    def test_parameters_of_the_wrong_type_are_refused_by_name(self):
+        for family, entry in shapes_module._TABLE.items():
+            own = self.MEMBERS[family][0]
+            for name in own:
+                with pytest.raises(IllegalSpec, match=f"^the {family} family's '{name}': expected a"):
+                    ShapeFunction(family, **{**own, name: self.MISTYPED[name]})
+        with pytest.raises(IllegalSpec, match=r"'points\[1\]\[0\]': expected a number, got \"0.5\"$"):
+            ShapeFunction("piecewise", points=((0, 0), ("0.5", 0.75), (1, 1)))
+        # whole numbers are numbers, kept as floats
+        shape = ShapeFunction("alpha_beta", alpha=1, beta=0)
+        assert shape == alpha_beta(1.0, 0.0) and repr(shape) == repr(alpha_beta(1.0, 0.0))
+
     def test_json_round_trip_in_each_domain(self):
         for shape in self.members():
             spec = shape_to_json(shape)

@@ -60,6 +60,19 @@ class TestSpecValidation:
         with pytest.raises(IllegalSpec):
             WitnessSpec(qa_phi(), qa_psi(), N=2, c=0.5, mu1=0.6)
 
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (("qa_phi", qa_psi(), 3, 0.5), {}, "phi must be a shape, got 'qa_phi'"),
+        ((qa_phi(), "qa_psi", 3, 0.5), {}, "psi must be a shape, got 'qa_psi'"),
+        ((qa_phi(), qa_psi(), 3, "0.5"), {}, "c must be a number, got '0.5'"),
+        ((qa_phi(), qa_psi(), 3, None), {}, "c must be a number, got None"),
+        ((qa_phi(), qa_psi(), 3, 0.5), {"p": True}, "p must be a number, got True"),
+        ((qa_phi(), qa_psi(), 3, 0.5), {"mu1": "0.25"}, "mu1 must be a number, got '0.25'"),
+    ])
+    def test_parameters_of_the_wrong_type_are_refused_by_name(self, args, kwargs, message):
+        with pytest.raises(IllegalSpec) as info:
+            WitnessSpec(*args, **kwargs)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("n", [501, 2_000_000_000])
     def test_n_above_the_cap_is_refused_before_any_work(self, n):
         # build_witness iterates 2N steps: N = 2e9 once grew to gigabytes
