@@ -21,14 +21,15 @@ reciprocal and a sampled sequence (also with a psi sampled only up to 10), a
 fixed list of CLI argvs (exit code, stdout and stderr), `selftest` at three
 seeds, lorentz_norm, qa_bounds and rearrange on functions that are only
 0.0 and -0.0 or carry -0.0 pieces, the ladders gamma_exp(phi) priced by another phi
-and by their own (phi_s, the ladder's values around where it ends, and
-`check-seq` past that end), the echo of accepted specs of every type
+and by their own (phi_s, the ladder's values around where it ends, its
+inverse and alpha_s at and below its last value, and `check-seq` past that
+end), the echo of accepted specs of every type
 (step function, shape in both domains, the three sequence kinds and the five
 expression kinds, the last two read through `check-seq` and `equivalence`),
 the error type each malformed spec gets, and the error (type and message)
 of each library constructor call that passes a parameter its shape family or
 sequence kind does not take, or leaves out one it needs, or that passes one
-of the wrong type.  Every float is
+of the wrong type or a number past the float range.  Every float is
 hashed through repr, every Fraction exactly, so a digest stays the same only
 if every answer in its group is bitwise the same.  Run it in two checkouts and
 diff the output.  Standard library only; takes no options.
@@ -164,6 +165,8 @@ BAD_SPECS = [
     {"family": "piecewise", "points": [[0, 0], [0.5, 1], [1, 0.5]]},
     {"family": "piecewise", "points": [[0, 0], [0.5, 0.1], [1, 1]]},
     {"family": "piecewise", "points": [[0, 0], [0.5, 1], [2, 1.5]]},
+    # y/t of the last sample underflows to 0
+    {"family": "piecewise", "points": [[0, 0], [1, 5e-324], [2, 5e-324]], "domain": "psi"},
     {"family": "qa_phi", "domain": "theta"},
     {"family": "qa_phi", "domain": ["phi"]},
     {"family": "alpha_beta", "alpha": "x", "beta": 0.5, "domain": "theta"},
@@ -181,6 +184,9 @@ LADDER_P = piecewise([(0, 0), (0.1, 0.5), (1, 1)])
 LADDER_PAIRS = [(alpha_beta(0.5, 0.5), qa_phi()), (qa_phi(), LADDER_P), (LADDER_P, qa_phi()),
                 (LADDER_P, LADDER_P)]
 LADDER_XS = (2.0, 2.6, 2.7, 5.0)
+# the ladder's last value is 0.1: t at it and below it, for its inverse and alpha_s
+LADDER_INVERSE_TS = (0.1, 0.0999999, 0.01)
+LADDER_ALPHA_TS = (0.05, 0.01)
 PROFILE_PAIRS = [
     *((phi, psi) for phi in PROFILE_PHIS for psi in WITNESS_PSIS),
     *((phi, PROFILE_SAMPLED_PSI) for phi in PROFILE_PHIS),
@@ -367,6 +373,16 @@ MISTYPED_CONSTRUCTORS = [
     (WitnessSpec, (qa_phi(), qa_psi(), 3, "0.5"), {}),
     (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5), {"mu1": "0.25"}),
 ]
+# constructor calls whose numbers leave the float range: a sample ratio y/t
+# that underflows to 0, and an int past the largest float
+OUT_OF_RANGE_CONSTRUCTORS = [
+    (ShapeFunction, ("piecewise",),
+     {"points": ((0, 0), (1, 5e-324), (2, 5e-324)), "domain_kind": "psi"}),
+    (ShapeFunction, ("piecewise",), {"points": ((0, 0), (2, 5e-324)), "domain_kind": "psi"}),
+    (WitnessSpec, (qa_phi(), qa_psi(), 3, 10**400), {}),
+    (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5, 10**400), {}),
+    (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5), {"mu1": 10**400}),
+]
 
 
 def _fn(f) -> tuple:
@@ -490,7 +506,7 @@ def groups():
           for cls, args, kwargs in BAD_CONSTRUCTORS),
         # a mistyped parameter may fail in any way; the error is the record
         *(_answer(lambda: repr(cls(*args, **kwargs)), Exception)
-          for cls, args, kwargs in MISTYPED_CONSTRUCTORS),
+          for cls, args, kwargs in [*MISTYPED_CONSTRUCTORS, *OUT_OF_RANGE_CONSTRUCTORS]),
     ]
     yield "profiles.ladders", [
         *(_ladder_phi_s(phi, ladder_phi) for phi, ladder_phi in LADDER_PAIRS),
@@ -498,6 +514,9 @@ def groups():
           for evaluate in (embeddings.gamma_exp(LADDER_P).value,
                            embeddings.gamma_exp(LADDER_P).log_value)
           for x in LADDER_XS),
+        *(_answer(lambda: embeddings.gamma_exp(LADDER_P).inverse(t)) for t in LADDER_INVERSE_TS),
+        *(_answer(lambda: embeddings.alpha_s(LADDER_P, qa_psi(), embeddings.gamma_exp(LADDER_P), t))
+          for t in LADDER_ALPHA_TS),
         _cli(LADDER_ARGV),
     ]
 
