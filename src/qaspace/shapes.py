@@ -105,10 +105,13 @@ class ShapeFunction:
                     object.__setattr__(self, name, spec_read(vars(self), name, read))
                 except SpecParseError as exc:
                     raise IllegalSpec(f"the {self.family} family's {exc}") from None
-        formulas = _TABLE[self.family].build(self, 0.0 if self.domain_kind == "phi" else math.inf)
-        for name, formula in zip(("eval", "log_eval", "log_gamma_eval", "_log_gamma_inv"),
-                                 formulas):
-            object.__setattr__(self, name, formula)
+        # the one domain guard, around formulas that trust their argument
+        formula, log_eval, log_gamma_eval, inverse = _TABLE[self.family].build(self)
+        log_hi = 0.0 if self.domain_kind == "phi" else math.inf
+        object.__setattr__(self, "eval", _on_domain(formula, log_hi))
+        object.__setattr__(self, "log_eval", _log_domain(log_eval, log_hi))
+        object.__setattr__(self, "log_gamma_eval", _log_domain(log_gamma_eval, log_hi))
+        object.__setattr__(self, "_log_gamma_inv", inverse)
         # hashed once: the generated __hash__ rebuilds the field tuple per call
         object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
 
@@ -148,19 +151,13 @@ def _on_domain(formula, log_hi: float):
 
 
 def _log_domain(formula, log_hi: float):
-    """The formula of log t, refusing log t > log_hi."""
+    """The formula of log t, refusing NaN and log t > log_hi."""
     def checked(log_t):
-        if log_t > log_hi:
-            raise DomainError("phi-kind shapes live on [0,1]")
-        return formula(log_t)
+        if log_t <= log_hi:
+            return formula(log_t)
+        raise DomainError("phi-kind shapes live on [0,1]" if log_t > log_hi
+                          else "argument nan outside domain")
     return checked
-
-
-def _formulas(log_hi: float, formula, log_eval, log_gamma_eval, log_gamma_inv) -> tuple:
-    """eval, log_eval, log_gamma_eval and log_gamma_inv from formulas that trust
-    their argument."""
-    return (_on_domain(formula, log_hi), _log_domain(log_eval, log_hi),
-            _log_domain(log_gamma_eval, log_hi), log_gamma_inv)
 
 
 _LOG_T_MIN = -sys.float_info.max  # the deepest log t a float holds
@@ -190,7 +187,7 @@ def _beyond_float_range(target: float, edge: float) -> NotInvertible:
     )
 
 
-def _alpha_beta(a, b, log_hi: float) -> tuple:
+def _alpha_beta(a, b) -> tuple:
     if a is None or b is None or not (0 < a <= 1) or not (0 <= b <= 1):
         raise IllegalSpec("alpha_beta needs alpha in (0,1], beta in [0,1]")
     am1 = a - 1.0
@@ -258,11 +255,10 @@ def _alpha_beta(a, b, log_hi: float) -> tuple:
         x -= residual / (am1 - b / (1.0 - x))
         return max(x, _LOG_T_MIN)
 
-    return _formulas(log_hi, formula, log_eval, log_gamma_eval,
-                     log_gamma_inv if am1 or b else _flat)
+    return formula, log_eval, log_gamma_eval, log_gamma_inv if am1 or b else _flat
 
 
-def _psi_gamma(g, log_hi: float) -> tuple:
+def _psi_gamma(g) -> tuple:
     if g is None or not (0 <= g <= 1):
         raise IllegalSpec("psi_gamma needs exponent in [0,1]")
     formula = lambda t: t if t < 1.0 else (1.0 + math.log(t)) ** g  # noqa: E731
@@ -291,10 +287,10 @@ def _psi_gamma(g, log_hi: float) -> tuple:
 
     # log gamma is g log1p(x) - x above 1; at x = inf that is inf - inf, so take its limit
     log_gamma_eval = lambda x: 0.0 if x < 0.0 else -math.inf if x == math.inf else log_eval(x) - x  # noqa: E731
-    return _formulas(log_hi, formula, log_eval, log_gamma_eval, log_gamma_inv)
+    return formula, log_eval, log_gamma_eval, log_gamma_inv
 
 
-def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
+def _piecewise(shape: ShapeFunction) -> tuple:
     if not shape.points:
         raise IllegalSpec("piecewise needs sample points")
     pts = shape.points
@@ -328,14 +324,13 @@ def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
         (t0, y0), (t1, y1) = pts[i], pts[i + 1]
         return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
 
-    eval_ = _on_domain(formula, log_hi)
-
     def log_eval(log_t):
         if log_t < log_first:
             return log_t + log_first_gamma
         if log_first_gamma is None:  # the zero shape: no positive sample
             raise UnsupportedFamily("piecewise shapes cannot be evaluated below their samples")
-        return math.log(eval_(math.exp(log_t)))
+        # past the float range t is past every sample: formula refuses it as inf
+        return math.log(formula(math.exp(log_t) if log_t <= _LOG_MAX else math.inf))
 
     def log_gamma_eval(log_t):
         return log_first_gamma if log_t < log_first else log_eval(log_t) - log_t
@@ -367,8 +362,7 @@ def _piecewise(shape: ShapeFunction, log_hi: float) -> tuple:
         log_tk, g_k, q = anchors[m - 1]
         return log_tk - math.log1p(math.expm1(target - g_k) * q)
 
-    return (eval_, _log_domain(log_eval, log_hi),
-            _log_domain(log_gamma_eval, log_hi), log_gamma_inv)
+    return formula, log_eval, log_gamma_eval, log_gamma_inv
 
 
 def _constant_one_inv(target, _hi):
@@ -380,24 +374,21 @@ def _constant_one_inv(target, _hi):
 class _Family(NamedTuple):
     kind: str  # the default domain kind
     params: tuple  # (ShapeFunction field, JSON key, reader of the JSON value)
-    build: Callable  # (shape, log_hi) -> (eval, log_eval, log_gamma_eval, _log_gamma_inv)
+    build: Callable  # shape -> (formula, log_eval, log_gamma_eval, _log_gamma_inv)
     zero_limit: float = 0.0  # the limit at 0 from the right
 
 
 _TABLE = {
     "alpha_beta": _Family(
         "phi", (("alpha", "alpha", spec_number), ("beta", "beta", spec_number)),
-        lambda s, hi: _alpha_beta(s.alpha, s.beta, hi)),
-    "qa_phi": _Family("phi", (), lambda s, hi: _alpha_beta(1.0, 1.0, hi)),
+        lambda s: _alpha_beta(s.alpha, s.beta)),
+    "qa_phi": _Family("phi", (), lambda s: _alpha_beta(1.0, 1.0)),
     "psi_gamma": _Family(
-        "psi", (("exponent", "gamma", spec_number),), lambda s, hi: _psi_gamma(s.exponent, hi)),
-    "qa_psi": _Family("psi", (), lambda s, hi: _psi_gamma(1.0, hi)),
-    "identity": _Family(
-        "phi", (), lambda s, hi: _formulas(hi, lambda t: t, lambda x: x, lambda x: 0.0, _flat)),
+        "psi", (("exponent", "gamma", spec_number),), lambda s: _psi_gamma(s.exponent)),
+    "qa_psi": _Family("psi", (), lambda s: _psi_gamma(1.0)),
+    "identity": _Family("phi", (), lambda s: (lambda t: t, lambda x: x, lambda x: 0.0, _flat)),
     "constant_one": _Family(
-        "phi", (),
-        lambda s, hi: _formulas(hi, lambda t: 1.0, lambda x: 0.0, lambda x: -x, _constant_one_inv),
-        1.0),
+        "phi", (), lambda s: (lambda t: 1.0, lambda x: 0.0, lambda x: -x, _constant_one_inv), 1.0),
     "piecewise": _Family("phi", (("points", "points", spec_pairs),), _piecewise),
 }
 # the JSON keys of each family: its parameters, and an optional domain

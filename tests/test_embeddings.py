@@ -81,6 +81,10 @@ class TestTau:
         got = math.exp(log_tau(qa_phi(), qa_psi(), math.log(t)))
         assert got == pytest.approx(tau(qa_phi(), qa_psi(), t), rel=1e-12)
 
+    def test_log_form_refuses_nan(self):
+        with pytest.raises(DomainError, match="^argument nan outside domain$"):
+            log_tau(qa_phi(), qa_psi(), math.nan)
+
     def test_log_form_below_float_range(self):
         lt = -1e6
         got = log_tau(qa_phi(), qa_psi(), lt)

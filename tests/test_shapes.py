@@ -199,6 +199,14 @@ class TestPiecewise:
             direct = math.log(phi.eval(math.exp(log_t)))
             assert phi.log_eval(log_t) == pytest.approx(direct, rel=1e-14)
 
+    @pytest.mark.parametrize("log_t", [math.log(10.0) + 1e-9, 709.0, 710.0, 1e300, math.inf])
+    def test_psi_log_forms_past_the_last_sample_are_refused_by_name(self, log_t):
+        # past the float range too, where e^log_t itself would overflow
+        psi = piecewise([(0, 0), (1, 1), (10, 2)], kind="psi")
+        for form in (psi.log_eval, psi.log_gamma_eval):
+            with pytest.raises(DomainError, match=r"^piecewise shape sampled only up to 10.0, got "):
+                form(log_t)
+
     def test_log_forms_of_the_zero_shape_are_refused(self):
         with pytest.raises(UnsupportedFamily):
             piecewise([(0, 0)]).log_eval(-1.0)
@@ -648,6 +656,15 @@ class TestFamilyTable:
         # whole numbers are numbers, kept as floats
         shape = ShapeFunction("alpha_beta", alpha=1, beta=0)
         assert shape == alpha_beta(1.0, 0.0) and repr(shape) == repr(alpha_beta(1.0, 0.0))
+
+    def test_nan_log_arguments_are_refused_by_every_family(self):
+        # one guard for every family, so a family added to the table is covered
+        for family in shapes_module._TABLE:
+            for kind in ("phi", "psi"):
+                shape = ShapeFunction(family, domain_kind=kind, **self.MEMBERS[family][0])
+                for form in (shape.log_eval, shape.log_gamma_eval):
+                    with pytest.raises(DomainError, match="^argument nan outside domain$"):
+                        form(math.nan)
 
     def test_json_round_trip_in_each_domain(self):
         for shape in self.members():
