@@ -191,7 +191,9 @@ class SequenceSpec:
         return math.log(self.value(x))
 
     def inverse(self, t: float) -> float:
-        """x with s(x) = t; monotone inversion."""
+        """x with s(x) = t; monotone inversion.  DomainError when no x in the
+        domain has s(x) = t: t outside (0, 1], above the first value, or below
+        the last (a sampled sequence, or a ladder whose ratio is bounded)."""
         t = float(t)
         if not 0.0 < t <= 1.0:
             raise DomainError("sequence values live in (0,1]")
@@ -201,7 +203,9 @@ class SequenceSpec:
             x = 1.0 + log_gamma(self.phi, math.log(t))
             if x < self.domain_start - 1e-9:
                 raise DomainError(f"{t!r} is above the sequence's first value")
-            return max(x, self.domain_start)
+            x = max(x, self.domain_start)
+            self._check_x(x)  # a t below a bounded ladder's last value has no x
+            return x
         pts = self.samples
         ss = [s for _, s in pts]
         if any(not b < a for a, b in zip(ss, ss[1:])):

@@ -243,6 +243,15 @@ class TestSequences:
         with pytest.raises(DomainError, match=message):
             seq.value(2.7)
 
+    def test_a_ladder_inverts_only_its_own_values(self):
+        # P's ladder ends at s = 0.1; every t below it would need an x past the end
+        seq = gamma_exp(P)
+        assert seq.inverse(0.1) == seq.domain_end
+        for t in (0.0999999, 0.01):
+            message = r"^gamma_exp sequence ends at 2\.6094379124341, got 2\.6094379124341005$"
+            with pytest.raises(DomainError, match=message):
+                seq.inverse(t)
+
     # a value of the wrong type for each parameter, by the JSON key that carries it
     MISTYPED = {"phi": ("qa_phi", "'phi': expected a shape, got 'qa_phi'"),
                 "points": (5, "'samples': expected a list, got 5")}
@@ -517,6 +526,12 @@ class TestAlphaS:
         phi, psi = qa_phi(), qa_psi()
         t = 0.125
         assert alpha_s(phi, psi, reciprocal(), t) == phi.eval(t) * psi.eval(1.0 / t)
+
+    @pytest.mark.parametrize("t", [0.05, 0.01])
+    def test_a_t_below_the_ladders_last_value_is_refused(self, t):
+        # psi is not priced at an x past the ladder's end
+        with pytest.raises(DomainError, match="gamma_exp sequence ends at"):
+            alpha_s(P, qa_psi(), gamma_exp(P), t)
 
     def test_edges(self):
         assert alpha_s(qa_phi(), qa_psi(), reciprocal(), 0.0) == 0.0
