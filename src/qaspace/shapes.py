@@ -310,6 +310,9 @@ def _piecewise(shape: ShapeFunction) -> tuple:
         raise IllegalSpec("phi-kind piecewise samples must stay within [0,1]")
     if any(y <= 0 for y in ys[1:]):  # with the checks above, one zero makes the shape 0
         raise IllegalSpec("piecewise samples after (0, 0) must be positive")
+    for t, y in pts[1:]:  # gamma's log is taken at every sample
+        if not y / t:
+            raise IllegalSpec(f"piecewise sample ({t!r}, {y!r}) has y/t below the least float")
     # below the first positive sample the shape is the chord from the origin,
     # so gamma is y1/t1 there, down to t = 0
     log_first = math.log(ts[1]) if len(ts) > 1 else -math.inf

@@ -47,10 +47,13 @@ _N_CAP = 500
 
 
 def _number(name: str, value) -> float:
-    """value as a float, once it is an int or a float (a bool is not)."""
+    """value as a float, once it is an int or a float (a bool is not) in the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise IllegalSpec(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the largest float
+        raise IllegalSpec(f"{name} is an int too large for a float") from None
 
 
 @dataclass(frozen=True)

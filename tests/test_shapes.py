@@ -161,6 +161,16 @@ class TestPiecewise:
         with pytest.raises(SpecParseError, match=r"after \(0, 0\) must be positive"):
             parse_shape(spec)
 
+    @pytest.mark.parametrize("points", [[(0, 0), (1, 5e-324), (2, 5e-324)], [(0, 0), (2, 5e-324)]])
+    def test_rejects_a_sample_whose_ratio_underflows_by_name(self, points):
+        # 5e-324 / 2 rounds to 0, whose log gamma has no float
+        message = r"piecewise sample \(2\.0, 5e-324\) has y/t below the least float$"
+        with pytest.raises(IllegalSpec, match=f"^{message}"):
+            piecewise(points, kind="psi")
+        spec = {"family": "piecewise", "points": [list(p) for p in points], "domain": "psi"}
+        with pytest.raises(SpecParseError, match=message):
+            parse_shape(spec)
+
     def test_rejects_samples_beyond_domain(self):
         with pytest.raises(DomainError):
             piecewise([(0, 0), (0.5, 1.0), (1.0, 1.5)]).eval(1.0 + 1e-9)

@@ -73,6 +73,16 @@ class TestSpecValidation:
             WitnessSpec(*args, **kwargs)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("args, kwargs, name", [
+        ((qa_phi(), qa_psi(), 3, 10**400), {}, "c"),
+        ((qa_phi(), qa_psi(), 3, 0.5, 10**400), {}, "p"),
+        ((qa_phi(), qa_psi(), 3, 0.5), {"mu1": 10**400}, "mu1"),
+    ])
+    def test_ints_past_the_float_range_are_refused_by_name(self, args, kwargs, name):
+        with pytest.raises(IllegalSpec) as info:
+            WitnessSpec(*args, **kwargs)
+        assert str(info.value) == f"{name} is an int too large for a float"
+
     @pytest.mark.parametrize("n", [501, 2_000_000_000])
     def test_n_above_the_cap_is_refused_before_any_work(self, n):
         # build_witness iterates 2N steps: N = 2e9 once grew to gigabytes
