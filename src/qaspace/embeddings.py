@@ -170,13 +170,12 @@ class SequenceSpec:
         if self.kind == "gamma_exp":
             return math.exp(self.log_value(x))
         pts = self.samples
-        for (x0, s0), (x1, s1) in zip(pts, pts[1:]):
+        for (x0, s0), (x1, s1) in zip(pts, pts[1:]):  # _check_x put x in one of them
             if x <= x1:
                 # monotone in x, but it can round below the lower sample (to 0
                 # beside a tiny one): it is held there, and is s1 at x1
                 s = s0 + (s1 - s0) * (x - x0) / (x1 - x0)
                 return s1 if x == x1 else max(s, min(s0, s1))
-        return pts[-1][1]
 
     def log_value(self, x: float) -> float:
         x = float(x)
@@ -212,10 +211,9 @@ class SequenceSpec:
             raise NotInvertible("sample sequence is not strictly decreasing")
         if not ss[-1] <= t <= ss[0]:
             raise DomainError(f"{t!r} outside sampled range [{ss[-1]}, {ss[0]}]")
-        for (x0, s0), (x1, s1) in zip(pts, pts[1:]):
+        for (x0, s0), (x1, s1) in zip(pts, pts[1:]):  # t >= ss[-1]: one of them holds t
             if t >= s1:
                 return x0 + (x1 - x0) * (s0 - t) / (s0 - s1)
-        return pts[-1][0]
 
 
 # the JSON keys of each sequence kind besides "kind": (required, optional)

@@ -194,10 +194,8 @@ def build_witness(spec: WitnessSpec) -> WitnessFunction:
     so, which is why the iteration lives on log gamma values and only inverts
     back per index.
     """
-    phi, psi, n2 = spec.phi, spec.psi, 2 * spec.N
+    phi, n2 = spec.phi, 2 * spec.N
     step = spec.log_growth()
-    if step < math.log(2.0) / spec.c - 1e-12:
-        raise IllegalSpec("growth below the halving threshold")
 
     log_mu = [_resolve_log_mu1(spec)]
     lg1 = log_gamma(phi, log_mu[0])
