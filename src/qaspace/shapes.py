@@ -78,11 +78,12 @@ class ShapeFunction:
     Only the parameters that the family's `_TABLE` entry lists may be set, each
     of the type its JSON reader takes (IllegalSpec names one that is not).
     eval(t), log_eval(log_t) = log(self(e^log_t)) and log_gamma_eval(log_t) =
-    log(self(t)/t) are bound to the member's constants when it is built, and
-    so is the private closed-form inverse behind the module's `log_gamma_inv`,
-    which alone checks the target against hi and clamps to it.
-    log_gamma_eval is formed per family: log_eval(log_t) - log_t cancels to
-    zero once |log_t| dwarfs the ratio's log.
+    log(self(t)/t) are bound to the member's constants when it is built, each
+    behind the one domain guard (DomainError for NaN, and for t outside [0, 1]
+    or log t > 0 on a phi), and so is the private closed-form inverse behind
+    the module's `log_gamma_inv`, which alone checks the target against hi and
+    clamps to it.  log_gamma_eval is formed per family: log_eval(log_t) -
+    log_t cancels to zero once |log_t| dwarfs the ratio's log.
     """
 
     family: str
@@ -375,9 +376,11 @@ def _constant_one_inv(target, _hi):
 
 
 class _Family(NamedTuple):
+    """A family's row: build checks the shape's parameters and returns its raw
+    formulas, which trust their argument; ShapeFunction guards the domain."""
     kind: str  # the default domain kind
     params: tuple  # (ShapeFunction field, JSON key, reader of the JSON value)
-    build: Callable  # shape -> (formula, log_eval, log_gamma_eval, _log_gamma_inv)
+    build: Callable  # shape -> (eval for t > 0, log_eval, log_gamma_eval, _log_gamma_inv)
     zero_limit: float = 0.0  # the limit at 0 from the right
 
 
