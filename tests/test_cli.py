@@ -366,6 +366,10 @@ class TestErrors:
             # the JSON reader recursed past the interpreter's limit and exited 1
             (["rearrange", "--input", "[" * 5000 + "]" * 5000],
              "--input: the JSON nests too deeply to read"),
+            # the sample's y/t rounds to 0, where the message once said only "math domain error"
+            (["witness", "--phi", QA_PHI, "--psi",
+              '{"family": "piecewise", "points": [[0, 0], [1, 5e-324], [2, 5e-324]], "domain": "psi"}',
+              "--c", "0.5", "--N", "4"], "bad piecewise spec: piecewise sample (2.0, 5e-324) has y/t"),
         ],
     )
     def test_bad_specs_exit_2_with_one_json_line(self, capsys, argv, names):
@@ -375,14 +379,6 @@ class TestErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert names in json.loads(lines[0])["error"]["message"]
-
-    def test_a_sample_ratio_that_underflows_is_named(self, capsys):
-        # the sample's y/t rounds to 0; the CLI said only "math domain error"
-        psi = '{"family": "piecewise", "points": [[0, 0], [1, 5e-324], [2, 5e-324]], "domain": "psi"}'
-        assert main(["witness", "--phi", QA_PHI, "--psi", psi, "--c", "0.5", "--N", "4"]) == 2
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error["type"] == "SpecParseError"
-        assert error["message"].endswith("piecewise sample (2.0, 5e-324) has y/t below the least float")
 
     # JSON numbers only, and only the keys a kind allows: each of these once
     # exited 0 (or 2 with another error type), taking a bool, a string or a
