@@ -79,11 +79,11 @@ class ShapeFunction:
     of the type its JSON reader takes (IllegalSpec names one that is not).
     eval(t), log_eval(log_t) = log(self(e^log_t)) and log_gamma_eval(log_t) =
     log(self(t)/t) are bound to the member's constants when it is built, each
-    behind the one domain guard (DomainError for NaN, and for t outside [0, 1]
-    or log t > 0 on a phi), and so is the private closed-form inverse behind
-    the module's `log_gamma_inv`, which alone checks the target against hi and
-    clamps to it.  log_gamma_eval is formed per family: log_eval(log_t) -
-    log_t cancels to zero once |log_t| dwarfs the ratio's log.
+    behind the one domain guard (DomainError for NaN, a negative or infinite t,
+    and t > 1 or log t > 0 on a phi), and so is the private closed-form
+    inverse behind the module's `log_gamma_inv`, which alone checks the target
+    against hi and clamps to it.  log_gamma_eval is formed per family:
+    log_eval(log_t) - log_t cancels to zero once |log_t| dwarfs the ratio's log.
     """
 
     family: str

@@ -47,7 +47,7 @@ _N_CAP = 500
 
 
 def _number(name: str, value) -> float:
-    """value as a float, once it is an int or a float (a bool is not) in the float range."""
+    """value as a float, once it is an int or a float (a bool is not) that a float holds."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise IllegalSpec(f"{name} must be a number, got {value!r}")
     try:
