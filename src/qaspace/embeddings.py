@@ -37,24 +37,6 @@ from .errors import spec_kind, spec_pairs, spec_read
 from .logs import LOG_ZERO, exp_or_inf
 from .shapes import ShapeFunction, log_gamma, log_gamma_inv, parse_shape
 
-__all__ = [
-    "tau",
-    "log_tau",
-    "SequenceSpec",
-    "reciprocal",
-    "gamma_exp",
-    "sample_sequence",
-    "PhiSValue",
-    "phi_s",
-    "alpha_s",
-    "SeqConditionReport",
-    "check_seq_conditions",
-    "EquivalenceReport",
-    "equivalence",
-    "omega_n",
-    "iterated_log_profile",
-]
-
 
 def _psi_arg(phi: ShapeFunction, log_t: float) -> float:
     """1 + max(0, log(phi(t)/t)), the slot index priced into tau."""

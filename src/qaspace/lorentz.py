@@ -23,8 +23,6 @@ from .errors import ZeroFunction
 from .shapes import ShapeFunction
 from .stepfn import StepFunction
 
-__all__ = ["LorentzNorm", "lorentz_norm", "fundamental", "fact_bound"]
-
 
 @dataclass(frozen=True)
 class LorentzNorm:

@@ -58,16 +58,6 @@ from .lorentz import fact_bound, layer_weights, nonneg_fsum, weighted_sup_bound
 from .shapes import ShapeFunction
 from .stepfn import StepFunction
 
-__all__ = [
-    "Decomposition",
-    "NormBounds",
-    "piece_cost",
-    "qa_lower",
-    "qa_upper",
-    "qa_bounds",
-    "STRATEGIES",
-]
-
 STRATEGIES = ("singleton", "layers", "local_search", "exhaustive", "auto")
 
 _EXHAUSTIVE_CAP = 10

@@ -48,28 +48,6 @@ from .errors import (
     spec_read,
 )
 
-__all__ = [
-    "ShapeFunction",
-    "AssumptionReport",
-    "alpha_beta",
-    "psi_gamma",
-    "qa_phi",
-    "qa_psi",
-    "identity",
-    "constant_one",
-    "piecewise",
-    "gamma",
-    "log_gamma",
-    "gamma_inv",
-    "log_gamma_inv",
-    "least_concave_majorant",
-    "is_concave",
-    "is_quasiconcave",
-    "check_assumptions",
-    "parse_shape",
-    "shape_to_json",
-]
-
 
 @dataclass(frozen=True)
 class ShapeFunction:

@@ -31,23 +31,6 @@ from operator import lt, mul, ne, sub
 from .errors import NegativePiece, SpecParseError, ZeroFunction
 from .errors import spec_keys, spec_list, spec_number, spec_read
 
-__all__ = [
-    "StepFunction",
-    "NestedForm",
-    "indicator",
-    "constant",
-    "distribution",
-    "rearrange",
-    "nested_form",
-    "l1_norm",
-    "linf_norm",
-    "l1_norm_exact",
-    "add",
-    "scale",
-    "abs_",
-    "random_step_function",
-]
-
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 

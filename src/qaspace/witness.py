@@ -30,15 +30,6 @@ from .logs import LOG_ZERO, exp_or_inf, logdiffexp, logsumexp
 from .qanorm import _search
 from .shapes import ShapeFunction, log_gamma, log_gamma_inv
 
-__all__ = [
-    "WitnessSpec",
-    "WitnessFunction",
-    "build_witness",
-    "witness_lorentz_norm",
-    "witness_qa_upper",
-    "lower_bound_value",
-]
-
 _HALVING_SLACK = 1e-9
 _RESIDUAL_TOL = 1e-8
 # the cap on N: `witness --N 500` takes about 0.7 s, most of it the grouping
