@@ -29,7 +29,8 @@ expression kinds, the last two read through `check-seq` and `equivalence`),
 the error type each malformed spec gets, and the error (type and message)
 of each library constructor call that passes a parameter its shape family or
 sequence kind does not take, or leaves out one it needs, or that passes one
-of the wrong type or a number past the float range.  Every float is
+of the wrong type or a number past the float range, or builds the piecewise
+shape with no sample after the origin.  Every float is
 hashed through repr, every Fraction exactly, so a digest stays the same only
 if every answer in its group is bitwise the same.  Run it in two checkouts and
 diff the output.  Standard library only; takes no options.
@@ -127,7 +128,6 @@ SHAPES = [
     piecewise([(0, 0), (0.25, 0.5), (0.5, 0.75), (1, 1)]),
     piecewise([(0, 0), (0.5, 1.0), (1, 1.5)], kind="psi"),
     piecewise([(0, 0), (1, 1), (4, 2), (10, 2.5)], kind="psi"),
-    piecewise([(0, 0)]),
 ]
 EVAL_ARGS = (-0.0, 0.0, 5e-324, 1e-300, 1e-9, 0.1, 0.25, 1 / math.e, 0.5, 0.9, 1.0,
              1.5, math.e, 10.0, 1e10, 1e300, -1e-9, -1.7e308, math.inf, math.nan)
@@ -374,11 +374,16 @@ MISTYPED_CONSTRUCTORS = [
     (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5), {"mu1": "0.25"}),
 ]
 # constructor calls whose numbers leave the float range: a sample ratio y/t
-# that underflows to 0, and an int past the largest float
+# that underflows to 0 or overflows to inf, and an int past the largest float;
+# and the piecewise shape with no sample after the origin
 OUT_OF_RANGE_CONSTRUCTORS = [
     (ShapeFunction, ("piecewise",),
      {"points": ((0, 0), (1, 5e-324), (2, 5e-324)), "domain_kind": "psi"}),
     (ShapeFunction, ("piecewise",), {"points": ((0, 0), (2, 5e-324)), "domain_kind": "psi"}),
+    *((ShapeFunction, ("piecewise",), {"points": ((0, 0),), "domain_kind": kind})
+      for kind in ("phi", "psi")),
+    (ShapeFunction, ("piecewise",), {"points": ((0, 0), (5e-324, 1.0), (1, 1.0))}),
+    (ShapeFunction, ("piecewise",), {"points": ((0, 0), (0.5, 1e308), (1, 1.7e308))}),
     (WitnessSpec, (qa_phi(), qa_psi(), 3, 10**400), {}),
     (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5, 10**400), {}),
     (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5), {"mu1": 10**400}),
