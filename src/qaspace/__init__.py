@@ -52,7 +52,6 @@ _EXPORTS = {
         "SpecParseError",
         "TooManyLayers",
         "ToolkitError",
-        "UnsupportedFamily",
         "ZeroFunction",
     ),
     "logs": (),

@@ -18,10 +18,6 @@ class ZeroFunction(ToolkitError):
     """The operation is undefined for the identically-zero function."""
 
 
-class UnsupportedFamily(ToolkitError):
-    """The shape family cannot support the requested evaluation."""
-
-
 class NotInvertible(ToolkitError):
     """Monotone inversion failed: the function is flat or the target is out of range."""
 

@@ -41,7 +41,6 @@ from .errors import (
     IllegalSpec,
     NotInvertible,
     SpecParseError,
-    UnsupportedFamily,
     spec_kind,
     spec_number,
     spec_pairs,
@@ -287,15 +286,19 @@ def _piecewise(shape: ShapeFunction) -> tuple:
         raise IllegalSpec("piecewise samples must be concave")
     if shape.domain_kind == "phi" and ts[-1] > 1.0:
         raise IllegalSpec("phi-kind piecewise samples must stay within [0,1]")
+    if len(pts) < 2:
+        raise IllegalSpec("piecewise needs a sample after (0, 0)")
     if any(y <= 0 for y in ys[1:]):  # with the checks above, one zero makes the shape 0
         raise IllegalSpec("piecewise samples after (0, 0) must be positive")
     for t, y in pts[1:]:  # gamma's log is taken at every sample
         if not y / t:
             raise IllegalSpec(f"piecewise sample ({t!r}, {y!r}) has y/t below the least float")
+        if y / t == math.inf:
+            raise IllegalSpec(f"piecewise sample ({t!r}, {y!r}) has y/t above the largest float")
     # below the first positive sample the shape is the chord from the origin,
     # so gamma is y1/t1 there, down to t = 0
-    log_first = math.log(ts[1]) if len(ts) > 1 else -math.inf
-    log_first_gamma = math.log(ys[1] / ts[1]) if len(ts) > 1 else None
+    log_first = math.log(ts[1])
+    log_first_gamma = math.log(ys[1] / ts[1])
 
     def formula(t):
         if t > ts[-1]:
@@ -309,8 +312,6 @@ def _piecewise(shape: ShapeFunction) -> tuple:
     def log_eval(log_t):
         if log_t < log_first:
             return log_t + log_first_gamma
-        if log_first_gamma is None:  # the zero shape: no positive sample
-            raise UnsupportedFamily("piecewise shapes cannot be evaluated below their samples")
         # past the float range t is past every sample: formula refuses it as inf
         return math.log(formula(math.exp(log_t) if log_t <= _LOG_MAX else math.inf))
 

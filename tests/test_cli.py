@@ -438,6 +438,20 @@ class TestErrors:
              "IllegalSpec", "N is capped at 500, got 2000000000"),
             (["omega", "--phi-x", QA_PHI, "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5",
               "--N", "501"], "IllegalSpec", "N is capped at 500, got 501"),
+            # a sample's y/t overflows to inf: the ladder's inverse raised OverflowError
+            # and each of these exited 1 with a traceback
+            (equivalence_argv({"kind": "phi_s", "phi": {"family": "piecewise", "points": [
+                [0, 0], [5e-324, 1], [1, 1]]}, "psi": PSI, "seq": {"kind": "gamma_exp"}}),
+             "SpecParseError", "'phi': bad piecewise spec: piecewise sample (5e-324, 1.0)"
+             " has y/t above the largest float"),
+            (["check-seq", "--seq", '{"kind": "gamma_exp"}', "--phi",
+              '{"family": "piecewise", "points": [[0, 0], [0.5, 1e308], [1, 1.7e308]]}',
+              "--psi", QA_PSI], "SpecParseError",
+             "bad piecewise spec: piecewise sample (0.5, 1e+308) has y/t above the largest float"),
+            # no sample after the origin: the shape was built, and refused every t > 0
+            (["lorentz-norm", "--phi", '{"family": "piecewise", "points": [[0, 0]]}',
+              "--input", F3], "SpecParseError",
+             "bad piecewise spec: piecewise needs a sample after (0, 0)"),
         ],
     )
     def test_malformed_specs_name_their_key_path(self, capsys, argv, kind, message):
@@ -789,7 +803,7 @@ PUBLIC = [
     "IllegalSpec", "LorentzNorm", "NegativePiece", "NestedForm", "NonPositiveValue",
     "NormBounds", "NotInvertible", "PhiSValue", "SeqConditionReport", "SequenceSpec",
     "ShapeFunction", "SpecParseError", "StepFunction", "TooManyLayers", "ToolkitError",
-    "UnsupportedFamily", "WitnessFunction", "WitnessSpec", "ZeroFunction", "abs_", "add",
+    "WitnessFunction", "WitnessSpec", "ZeroFunction", "abs_", "add",
     "alpha_beta", "alpha_s", "build_witness", "check_assumptions", "check_seq_conditions",
     "constant", "constant_one", "distribution", "equivalence", "fact_bound", "fundamental",
     "gamma", "gamma_exp", "gamma_inv", "identity", "indicator", "is_concave",

@@ -15,7 +15,6 @@ from qaspace import (
     NotInvertible,
     ShapeFunction,
     SpecParseError,
-    UnsupportedFamily,
     alpha_beta,
     check_assumptions,
     constant_one,
@@ -171,6 +170,18 @@ class TestPiecewise:
         with pytest.raises(SpecParseError, match=message):
             parse_shape(spec)
 
+    @pytest.mark.parametrize(
+        "points", [[(0, 0), (5e-324, 1.0), (1, 1.0)], [(0, 0), (0.5, 1e308), (1, 1.7e308)]]
+    )
+    def test_rejects_a_sample_whose_ratio_overflows_by_name(self, points):
+        # y/t rounds to inf, whose log gamma has no float (the inverse raised OverflowError)
+        t, y = points[1]
+        message = re.escape(f"piecewise sample ({t!r}, {y!r}) has y/t above the largest float") + "$"
+        with pytest.raises(IllegalSpec, match=f"^{message}"):
+            piecewise(points)
+        with pytest.raises(SpecParseError, match=message):
+            parse_shape({"family": "piecewise", "points": [list(p) for p in points]})
+
     def test_rejects_samples_beyond_domain(self):
         with pytest.raises(DomainError):
             piecewise([(0, 0), (0.5, 1.0), (1.0, 1.5)]).eval(1.0 + 1e-9)
@@ -217,11 +228,14 @@ class TestPiecewise:
             with pytest.raises(DomainError, match=r"^piecewise shape sampled only up to 10.0, got "):
                 form(log_t)
 
-    def test_log_forms_of_the_zero_shape_are_refused(self):
-        with pytest.raises(UnsupportedFamily):
-            piecewise([(0, 0)]).log_eval(-1.0)
-        with pytest.raises(UnsupportedFamily):
-            piecewise([(0, 0)]).log_gamma_eval(-1.0)
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_log_forms_of_the_zero_shape_are_refused(self, kind):
+        # with no sample after the origin there is no log form: the shape does not build
+        message = r"piecewise needs a sample after \(0, 0\)$"
+        with pytest.raises(IllegalSpec, match=f"^{message}"):
+            piecewise([(0, 0)], kind=kind)
+        with pytest.raises(SpecParseError, match=message):
+            parse_shape({"family": "piecewise", "points": [[0, 0]], "domain": kind})
 
 
 class TestLogEval:
@@ -451,7 +465,7 @@ class TestClosedFormInverse:
                 for target in targets:
                     try:
                         x = log_gamma_inv(shape, target, log_hi)
-                    except (NotInvertible, UnsupportedFamily, DomainError):
+                    except (NotInvertible, DomainError):
                         continue
                     assert x <= log_hi
                     assert log_gamma(shape, x) == pytest.approx(target, rel=1e-13, abs=1e-15)
