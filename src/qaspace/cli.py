@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, SpecParseError, ToolkitError
@@ -314,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lorentz and decomposition-space calculator for step functions on [0,1]",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # subcommands take their flags in full too: argparse would read --out as --output
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=strict)
 
     p = sub.add_parser("rearrange", help="decreasing rearrangement of a step function")
     p.add_argument("--input", required=True, help="step function JSON (inline or path)")
@@ -375,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="build the extremal function and its bounds")
     add_witness_args(p)
-    p.add_argument("--out", choices=["json"], default="json")
     _add_output(p)
     p.set_defaults(run=_cmd_witness)
 

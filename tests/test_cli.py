@@ -486,6 +486,37 @@ class TestErrors:
         want = f"--{flag} must be finite, got {float(value)!r}"
         assert json.loads(line)["error"] == {"type": "DomainError", "message": want}
 
+    # every subcommand takes its flags in full: each abbreviation here was read as the
+    # flag it begins (rearrange's --out as --output wrote the report to a file named
+    # json), and witness's --out, which took only json and changed nothing, is gone
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rearrange", "--input", F3, "--out", "json"],
+            ["lorentz-norm", "--phi", QA_PHI, "--input", F3, "--outp", "-"],
+            ["qa-bounds", "--phi", QA_PHI, "--psi", QA_PSI, "--input", F3, "--strat", "local"],
+            ["tau", "--phi", QA_PHI, "--psi", QA_PSI, "--tmin", "0.1", "--tmax", "0.5",
+             "--point", "3"],
+            ["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI, "--psi", QA_PSI,
+             "--point", "3"],
+            [*equivalence_argv({"kind": "shape", "spec": PHI}), "--thresh", "2"],
+            ["witness", "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5", "--N", "4", "--mu", "0.1"],
+            ["witness", "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5", "--N", "4", "--out", "json"],
+            ["omega", "--phi-x", QA_PHI, "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5", "--N", "4",
+             "--mu", "0.1"],
+            ["selftest", "--se", "7"],
+        ],
+    )
+    def test_abbreviated_flags_exit_2(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_main_in_process(self, capsys):
         code = main(["qa-bounds", "--phi", '{"family": "nope"}', "--psi", QA_PSI, "--input", F3])
         assert code == 2
