@@ -5,9 +5,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -501,7 +503,8 @@ class TestErrors:
              "--point", "3"],
             [*equivalence_argv({"kind": "shape", "spec": PHI}), "--thresh", "2"],
             ["witness", "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5", "--N", "4", "--mu", "0.1"],
-            ["witness", "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5", "--N", "4", "--out", "json"],
+            ["witness", "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5", "--N", "4",
+             "--out", "json"],
             ["omega", "--phi-x", QA_PHI, "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5", "--N", "4",
              "--mu", "0.1"],
             ["selftest", "--se", "7"],
@@ -868,6 +871,12 @@ class TestPackageSurface:
             obj = getattr(qaspace, name)
             assert obj.__module__.startswith("qaspace."), name
             assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+    def test_no_library_module_restates_its_names(self):
+        # the package's export table is the one list of public names
+        for path in Path(qaspace.__file__).parent.glob("*.py"):
+            if path.name != "__init__.py":
+                assert not re.search(r"^__all__\b", path.read_text(), re.MULTILINE), path.name
 
     def test_dir_lists_every_name(self):
         assert set(PUBLIC) <= set(dir(qaspace))

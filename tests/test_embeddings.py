@@ -85,6 +85,11 @@ class TestTau:
         with pytest.raises(DomainError, match="^argument nan outside domain$"):
             log_tau(qa_phi(), qa_psi(), math.nan)
 
+    @pytest.mark.parametrize("log_t", [1e-9, 1.0, math.inf])
+    def test_log_form_refuses_t_above_one(self, log_t):
+        with pytest.raises(DomainError, match=r"^tau needs log_t <= 0$"):
+            log_tau(qa_phi(), qa_psi(), log_t)
+
     def test_log_form_below_float_range(self):
         lt = -1e6
         got = log_tau(qa_phi(), qa_psi(), lt)
@@ -251,6 +256,21 @@ class TestSequences:
             message = r"^gamma_exp sequence ends at 2\.6094379124341, got 2\.6094379124341005$"
             with pytest.raises(DomainError, match=message):
                 seq.inverse(t)
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, 1.5, math.nan])
+    @pytest.mark.parametrize("seq", [reciprocal(), gamma_exp(qa_phi()),
+                                     sample_sequence([(1.0, 0.8), (2.0, 0.4)])],
+                             ids=["reciprocal", "gamma_exp", "samples"])
+    def test_inverse_refuses_t_outside_the_unit_interval(self, seq, t):
+        with pytest.raises(DomainError, match=r"^sequence values live in \(0,1\]$"):
+            seq.inverse(t)
+
+    def test_inverse_refuses_t_above_a_ladders_first_value(self):
+        # phi(1) = 0.75 < 1, so the ladder starts at x = 1 with s = 0.625, not at s = 1
+        seq = gamma_exp(piecewise([(0, 0), (0.25, 0.5), (1, 0.75)]))
+        assert seq.inverse(seq.value(1.0)) == 1.0
+        with pytest.raises(DomainError, match=r"^0\.9 is above the sequence's first value$"):
+            seq.inverse(0.9)
 
     # a value of the wrong type for each parameter, by the JSON key that carries it
     MISTYPED = {"phi": ("qa_phi", "'phi': expected a shape, got 'qa_phi'"),

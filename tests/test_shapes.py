@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qaspace import (
     DomainError,
+    EmptyInput,
     IllegalSpec,
     NotInvertible,
     ShapeFunction,
@@ -176,11 +177,28 @@ class TestPiecewise:
     def test_rejects_a_sample_whose_ratio_overflows_by_name(self, points):
         # y/t rounds to inf, whose log gamma has no float (the inverse raised OverflowError)
         t, y = points[1]
-        message = re.escape(f"piecewise sample ({t!r}, {y!r}) has y/t above the largest float") + "$"
+        message = re.escape(f"piecewise sample ({t!r}, {y!r}) has y/t above the largest float")
+        message += "$"
         with pytest.raises(IllegalSpec, match=f"^{message}"):
             piecewise(points)
         with pytest.raises(SpecParseError, match=message):
             parse_shape({"family": "piecewise", "points": [list(p) for p in points]})
+
+    @pytest.mark.parametrize(
+        "points, kind, message",
+        [
+            ([(0, 0), (0.5, 1), (0.5, 1.2)], "phi",
+             "piecewise sample abscissae must strictly increase"),
+            ([(0, 0), (0.5, 1), (0.25, 1.2)], "psi",
+             "piecewise sample abscissae must strictly increase"),
+            ([(0, 0), (0.5, -1)], "phi", "piecewise samples must be non-negative"),
+            ([(0, 0), (0.5, 1), (2, 1.5)], "phi",
+             "phi-kind piecewise samples must stay within [0,1]"),
+        ],
+    )
+    def test_refusals_name_their_reason(self, points, kind, message):
+        with pytest.raises(IllegalSpec, match=f"^{re.escape(message)}$"):
+            piecewise(points, kind=kind)
 
     def test_rejects_samples_beyond_domain(self):
         with pytest.raises(DomainError):
@@ -228,14 +246,14 @@ class TestPiecewise:
             with pytest.raises(DomainError, match=r"^piecewise shape sampled only up to 10.0, got "):
                 form(log_t)
 
-    @pytest.mark.parametrize("kind", ["phi", "psi"])
-    def test_log_forms_of_the_zero_shape_are_refused(self, kind):
+    def test_log_forms_of_the_zero_shape_are_refused(self):
         # with no sample after the origin there is no log form: the shape does not build
         message = r"piecewise needs a sample after \(0, 0\)$"
-        with pytest.raises(IllegalSpec, match=f"^{message}"):
-            piecewise([(0, 0)], kind=kind)
-        with pytest.raises(SpecParseError, match=message):
-            parse_shape({"family": "piecewise", "points": [[0, 0]], "domain": kind})
+        for kind in ("phi", "psi"):
+            with pytest.raises(IllegalSpec, match=f"^{message}"):
+                piecewise([(0, 0)], kind=kind)
+            with pytest.raises(SpecParseError, match=message):
+                parse_shape({"family": "piecewise", "points": [[0, 0]], "domain": kind})
 
 
 class TestLogEval:
@@ -337,6 +355,16 @@ class TestGammaInverse:
     def test_roundtrip(self, t):
         y = gamma(qa_phi(), t)
         assert gamma_inv(qa_phi(), y) == pytest.approx(t, rel=1e-9)
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, 1.5, math.inf, math.nan])
+    def test_gamma_refuses_t_off_the_unit_interval(self, t):
+        with pytest.raises(DomainError, match=r"^gamma needs t in \(0, 1\]$"):
+            gamma(qa_phi(), t)
+
+    @pytest.mark.parametrize("y", [0.0, -1.0, math.inf, math.nan])
+    def test_gamma_inv_refuses_a_target_that_is_not_finite_and_positive(self, y):
+        with pytest.raises(DomainError, match="^gamma_inv needs a finite positive target$"):
+            gamma_inv(qa_phi(), y)
 
     def test_log_domain_roundtrip_deep(self):
         target = 40.0
@@ -537,6 +565,22 @@ class TestConcavityHelpers:
             assert hull.eval(t) >= y - 1e-12
         assert is_concave(hull.points)
 
+    @pytest.mark.parametrize(
+        "samples, error, message",
+        [
+            ([], EmptyInput, "no samples"),
+            ([(0.1, 0), (1, 1)], IllegalSpec, "samples must start at (0, 0)"),
+            ([(0, 0), (0.5, 1), (0.5, 1.2)], IllegalSpec,
+             "sample abscissae must strictly increase within [0,1]"),
+            ([(0, 0), (0.5, 1), (1.5, 1.2)], IllegalSpec,
+             "sample abscissae must strictly increase within [0,1]"),
+            ([(0, 0), (0.5, -1)], IllegalSpec, "samples must be non-negative"),
+        ],
+    )
+    def test_majorant_refusals_name_their_reason(self, samples, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            least_concave_majorant(samples)
+
     def test_majorant_of_quasiconcave_stays_within_double(self):
         pts = [(t / 40, qa_phi().eval(t / 40)) for t in range(0, 41)]
         hull = least_concave_majorant(pts)
@@ -568,6 +612,8 @@ class TestAssumptionChecks:
             check_assumptions(qa_phi(), qa_psi(), [], [0.5])
         with pytest.raises(ValueError):
             check_assumptions(qa_phi(), qa_psi(), [1.5], [0.5])
+        with pytest.raises(ValueError, match="^n_max must be at least 4$"):
+            check_assumptions(qa_phi(), qa_psi(), [0.5], [0.5], n_max=3)
 
 
 class TestJsonForms:

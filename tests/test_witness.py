@@ -271,6 +271,13 @@ def per_term_log_weight(table, i, j):
 
 
 class TestLogLayerWeights:
+    def test_the_log_sums_refuse_what_has_no_log(self):
+        # the empty sum is 0 and a negative difference has no real log
+        with pytest.raises(ValueError, match="^logsumexp needs at least one value$"):
+            logsumexp([])
+        with pytest.raises(ValueError, match=r"^logdiffexp needs x >= y, got x=0\.0 y=1\.0$"):
+            logdiffexp(0.0, 1.0)
+
     def test_match_the_per_term_reference_bitwise(self):
         tables = [
             (_LogLayerTable.from_witness(build_witness(WitnessSpec(phi, psi, N=n, c=0.5)), phi),
