@@ -309,19 +309,13 @@ class TestNestedForm:
             NestedForm((1.0, 2.0), (F(1, 4), F(1, 2)))
         with pytest.raises(ValueError):
             NestedForm((2.0, 2.0), (F(1, 4), F(1, 2)))
-
-    @pytest.mark.parametrize(
-        "heights, measures, message",
-        [
-            ((2.0, 1.0), (F(1, 4),), "heights and measures must be non-empty and equal length"),
-            ((), (), "heights and measures must be non-empty and equal length"),
-            ((2.0, 1.0), (F(1, 2), F(1, 4)), "measures must be strictly increasing"),
-            ((2.0, 1.0), (F(1, 2), F(1, 2)), "measures must be strictly increasing"),
-        ],
-    )
-    def test_refusals_name_their_reason(self, heights, measures, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            NestedForm(heights, measures)
+        unequal = "^heights and measures must be non-empty and equal length$"
+        for heights, measures in (((2.0, 1.0), (F(1, 4),)), ((), ())):
+            with pytest.raises(ValueError, match=unequal):
+                NestedForm(heights, measures)
+        for measures in ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2))):
+            with pytest.raises(ValueError, match="^measures must be strictly increasing$"):
+                NestedForm((2.0, 1.0), measures)
 
 
 def nf_roundtrip(f):
