@@ -274,6 +274,8 @@ def _piecewise(shape: ShapeFunction) -> tuple:
     pts = shape.points
     if pts[0] != (0.0, 0.0):
         raise IllegalSpec("piecewise samples must start at (0, 0)")
+    if len(pts) < 2:
+        raise IllegalSpec("piecewise needs a sample after (0, 0)")
     ts = [t for t, _ in pts]
     ys = [y for _, y in pts]
     if any(not tb > ta for ta, tb in zip(ts, ts[1:])):
@@ -286,8 +288,6 @@ def _piecewise(shape: ShapeFunction) -> tuple:
         raise IllegalSpec("piecewise samples must be concave")
     if shape.domain_kind == "phi" and ts[-1] > 1.0:
         raise IllegalSpec("phi-kind piecewise samples must stay within [0,1]")
-    if len(pts) < 2:
-        raise IllegalSpec("piecewise needs a sample after (0, 0)")
     if any(y <= 0 for y in ys[1:]):  # with the checks above, one zero makes the shape 0
         raise IllegalSpec("piecewise samples after (0, 0) must be positive")
     for t, y in pts[1:]:  # gamma's log is taken at every sample
