@@ -17,8 +17,10 @@ tie_corpus(), where the rounded differences tie, a grid of witness specs and two
 (their upper bounds, Lorentz norms and log-domain group weights), every shape
 family in both domains on fixed argument grids (with the error of each
 malformed shape spec), the profiles of three phi shapes on a gamma_exp, a
-reciprocal and a sampled sequence (also with a psi sampled only up to 10), a
-fixed list of CLI argvs (exit code, stdout and stderr), `selftest` at three
+reciprocal and a sampled sequence (also with a psi sampled only up to 10),
+iterated-log profiles, two of whose products leave the float range, a
+fixed list of CLI argvs (exit code, argparse's SystemExit code for a
+refused command line, stdout and stderr), `selftest` at three
 seeds, lorentz_norm, qa_bounds and rearrange on functions that are only
 0.0 and -0.0 or carry -0.0 pieces, the ladders gamma_exp(phi) priced by another phi
 and by their own (phi_s, the ladder's values around where it ends, its
@@ -128,6 +130,9 @@ SHAPES = [
     piecewise([(0, 0), (0.25, 0.5), (0.5, 0.75), (1, 1)]),
     piecewise([(0, 0), (0.5, 1.0), (1, 1.5)], kind="psi"),
     piecewise([(0, 0), (1, 1), (4, 2), (10, 2.5)], kind="psi"),
+    # log gamma falls from 706.9 to -29.2 along the second chord: expm1 of a
+    # target less its anchor, times the anchor's ratio, leaves the float range
+    piecewise([(0, 0), (1e-320, 1e-13), (1, 2e-13)]),
 ]
 EVAL_ARGS = (-0.0, 0.0, 5e-324, 1e-300, 1e-9, 0.1, 0.25, 1 / math.e, 0.5, 0.9, 1.0,
              1.5, math.e, 10.0, 1e10, 1e300, -1e-9, -1.7e308, math.inf, math.nan)
@@ -187,6 +192,8 @@ LADDER_XS = (2.0, 2.6, 2.7, 5.0)
 # the ladder's last value is 0.1: t at it and below it, for its inverse and alpha_s
 LADDER_INVERSE_TS = (0.1, 0.0999999, 0.01)
 LADDER_ALPHA_TS = (0.05, 0.01)
+# (alpha, beta, exponent) and t: the first two products overflow, the last is a control
+ITERATED_LOGS = [((1.0, 200, 1), 1e-300), ((0.5, 1e308, 1), 0.1), ((0.5, 1, 1), 0.1)]
 PROFILE_PAIRS = [
     *((phi, psi) for phi in PROFILE_PHIS for psi in WITNESS_PSIS),
     *((phi, PROFILE_SAMPLED_PSI) for phi in PROFILE_PHIS),
@@ -201,6 +208,7 @@ F12 = json.dumps({
 })
 CLI_ARGVS = [
     ["rearrange", "--input", F3],
+    ["rearrange", "--input", F3, "--out", "json"],  # a flag rearrange does not take
     ["lorentz-norm", "--phi", QA_PHI, "--input", F3],
     *(
         ["qa-bounds", "--phi", QA_PHI, "--psi", QA_PSI, "--input", f, "--strategy", s]
@@ -414,7 +422,10 @@ def _shape_answer(compute) -> tuple:
 def _cli(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(list(argv))
+        try:
+            code = cli_main(list(argv))
+        except SystemExit as exc:  # argparse's refusal of the command line
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -483,10 +494,13 @@ def groups():
         *(_shape_answer(lambda: parse_shape(spec).to_json()) for spec in BAD_SPECS),
     ]
     yield "profiles", [
-        _profile(phi, psi, seq)
-        for phi, psi in PROFILE_PAIRS
-        for seq in (embeddings.gamma_exp(phi), embeddings.reciprocal(),
-                    embeddings.sample_sequence(PROFILE_SAMPLES))
+        *(_profile(phi, psi, seq)
+          for phi, psi in PROFILE_PAIRS
+          for seq in (embeddings.gamma_exp(phi), embeddings.reciprocal(),
+                      embeddings.sample_sequence(PROFILE_SAMPLES))),
+        *(_answer(lambda: embeddings.iterated_log_profile(*params)(t),
+                  (ToolkitError, ArithmeticError))
+          for params, t in ITERATED_LOGS),
     ]
     yield "cli", [_cli(argv) for argv in CLI_ARGVS]
     yield "selftest", [_cli(["selftest", "--seed", str(seed)]) for seed in SELFTEST_SEEDS]
