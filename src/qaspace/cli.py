@@ -87,18 +87,6 @@ def _expression(obj) -> _Profile:
     return _Profile(lambda t: embeddings.phi_s(phi, psi, seq, t, n_max=n_max).value, echo)
 
 
-# the float flags that must be finite: argparse reads "inf" and "nan" as
-# floats, and downstream they break a grid or a comparison without naming the flag
-_FINITE_FLAGS = ("xmin", "xmax", "tmin", "tmax", "threshold")
-
-
-def _check_finite(args):
-    for dest in _FINITE_FLAGS:
-        value = vars(args).get(dest)
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"--{dest} must be finite, got {value!r}")
-
-
 def _step_function(obj, args):
     from .stepfn import StepFunction
 
@@ -111,45 +99,13 @@ def _sequence(obj, args):
     return SequenceSpec.from_json(obj, args.phi)
 
 
-# each spec argument's decoder, given the arguments decoded before it
-_SPEC_ARGS = {
-    "phi": lambda obj, args: _shape(obj, "phi"),
-    "psi": lambda obj, args: _shape(obj, "psi"),
-    "input": _step_function,
-    "seq": _sequence,
-    "a": lambda obj, args: _expression(obj),
-    "b": lambda obj, args: _expression(obj),
-    "phi_x": lambda obj, args: _shape(obj, "phi"),
-}
-
-
-def _decode_specs(args):
-    """Replace each JSON spec argument (inline, or the file it names) by the
-    object it decodes to; phi comes first, since a gamma_exp sequence without
-    its own phi takes it."""
-    for dest, decode in _SPEC_ARGS.items():
-        text = vars(args).get(dest)
-        if text is None:
-            continue
-        try:
-            if text.strip().startswith(("{", "[")):
-                obj = json.loads(text)
-            else:
-                with open(text, "r", encoding="utf-8") as fh:
-                    obj = json.load(fh)
-        except RecursionError:
-            flag = "--" + dest.replace("_", "-")
-            raise SpecParseError(f"{flag}: the JSON nests too deeply to read") from None
-        setattr(args, dest, decode(obj, args))
-
-
 def _config(args) -> dict:
     """The resolved configuration a report echoes: every argument but the
     output routing, each decoded spec as its to_json echo."""
     return {
         key: value.to_json() if hasattr(value, "to_json") else value
         for key, value in vars(args).items()
-        if key not in ("run", "out", "output")
+        if key not in ("out", "output")
     }
 
 
@@ -305,8 +261,87 @@ def _cmd_selftest(args) -> int:
 # --------------------------------------------------------------------- wiring
 
 
-def _add_output(p: argparse.ArgumentParser):
-    p.add_argument("--output", default=None, help="file path, or - for stdout")
+def _finite(option, value, args):
+    # argparse reads "inf" and "nan" as floats, and downstream they break a
+    # grid or a comparison without naming the flag
+    if not math.isfinite(value):
+        raise DomainError(f"{option} must be finite, got {value!r}")
+    return value
+
+
+def _spec(decode, option, text, args):
+    """Read a JSON spec flag, inline or the file it names, through decode,
+    which gets the JSON and the arguments read before it."""
+    try:
+        if text.strip().startswith(("{", "[")):
+            obj = json.loads(text)
+        else:
+            with open(text, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+    except RecursionError:
+        raise SpecParseError(f"{option}: the JSON nests too deeply to read") from None
+    return decode(obj, args)
+
+
+_PHI = ({"required": True}, partial(_spec, lambda obj, args: _shape(obj, "phi")))
+_EXPRESSION = partial(_spec, lambda obj, args: _expression(obj))
+
+# each flag once, as (argparse keywords, its reader after parsing or None).
+# _decode_specs runs the readers in this order: a non-finite float is reported
+# before any spec is read, and --phi is read before --seq (a gamma_exp
+# sequence without its own phi takes it)
+_FLAGS = {
+    "xmin": ({"type": float, "default": 1.0}, _finite),
+    "xmax": ({"type": float, "default": 40.0}, _finite),
+    "tmin": ({"type": float, "required": True}, _finite),
+    "tmax": ({"type": float, "required": True}, _finite),
+    "threshold": ({"type": float, "default": None}, _finite),
+    "phi": _PHI,
+    "psi": ({"required": True}, partial(_spec, lambda obj, args: _shape(obj, "psi"))),
+    "input": ({"required": True, "help": "step function JSON (inline or path)"},
+              partial(_spec, _step_function)),
+    "seq": ({"required": True, "help": '{"kind": reciprocal|gamma_exp|samples, ...}'},
+            partial(_spec, _sequence)),
+    "a": ({"required": True, "help": "expression JSON (inline or path)"}, _EXPRESSION),
+    "b": ({"required": True}, _EXPRESSION),
+    "phi-x": _PHI,
+    "points": ({"type": int, "default": 200}, None),
+    "strategy": ({"choices": sorted(_STRATEGY_ALIASES), "default": "auto"}, None),
+    "out": ({"choices": ["csv", "json"], "default": "csv"}, None),
+    "c": ({"type": float, "required": True}, None),
+    "p": ({"type": float, "default": 1.0}, None),
+    "N": ({"type": int, "required": True}, None),
+    "mu1": ({"type": float, "default": None}, None),
+    "seed": ({"type": int, "default": 0}, None),
+    "output": ({"default": None, "help": "file path, or - for stdout"}, None),
+}
+
+
+def _decode_specs(args):
+    """Run each flag's reader on its parsed value: check the floats that must
+    be finite, and replace each JSON spec by the object it decodes to."""
+    for name, (_, read) in _FLAGS.items():
+        dest = name.replace("-", "_")
+        value = vars(args).get(dest)
+        if read is not None and value is not None:
+            setattr(args, dest, read("--" + name, value, args))
+
+
+# each subcommand's (run function, help, _FLAGS names in usage order)
+_SUBCOMMANDS = {
+    "rearrange": (_cmd_rearrange, "decreasing rearrangement of a step function", "input"),
+    "lorentz-norm": (_cmd_lorentz, "exact Lorentz norm", "phi input"),
+    "qa-bounds": (_cmd_qa_bounds, "two-sided decomposition-norm bounds", "phi psi input strategy"),
+    "tau": (_cmd_tau, "comparison profile over a log grid", "phi psi tmin tmax points out"),
+    "check-seq": (_cmd_check_seq, "sequence conditions for the profile calculus",
+                  "seq phi psi xmin xmax points"),
+    "equivalence": (_cmd_equivalence, "ratio statistics of two profiles",
+                    "a b tmin tmax points threshold"),
+    "witness": (_cmd_witness, "build the extremal function and its bounds", "phi psi c p N mu1"),
+    "omega": (_cmd_omega, "fundamental-function obstruction on a witness",
+              "phi-x phi psi c p N mu1"),
+    "selftest": (_cmd_selftest, "run the randomized invariant suite", "seed"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,90 +353,18 @@ def build_parser() -> argparse.ArgumentParser:
     # subcommands take their flags in full too: argparse would read --out as --output
     strict = partial(argparse.ArgumentParser, allow_abbrev=False)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=strict)
-
-    p = sub.add_parser("rearrange", help="decreasing rearrangement of a step function")
-    p.add_argument("--input", required=True, help="step function JSON (inline or path)")
-    _add_output(p)
-    p.set_defaults(run=_cmd_rearrange)
-
-    p = sub.add_parser("lorentz-norm", help="exact Lorentz norm")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--input", required=True)
-    _add_output(p)
-    p.set_defaults(run=_cmd_lorentz)
-
-    p = sub.add_parser("qa-bounds", help="two-sided decomposition-norm bounds")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--psi", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--strategy", choices=sorted(_STRATEGY_ALIASES), default="auto")
-    _add_output(p)
-    p.set_defaults(run=_cmd_qa_bounds)
-
-    p = sub.add_parser("tau", help="comparison profile over a log grid")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--psi", required=True)
-    p.add_argument("--tmin", type=float, required=True)
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--out", choices=["csv", "json"], default="csv")
-    _add_output(p)
-    p.set_defaults(run=_cmd_tau)
-
-    p = sub.add_parser("check-seq", help="sequence conditions for the profile calculus")
-    p.add_argument("--seq", required=True, help='{"kind": reciprocal|gamma_exp|samples, ...}')
-    p.add_argument("--phi", required=True)
-    p.add_argument("--psi", required=True)
-    p.add_argument("--xmin", type=float, default=1.0)
-    p.add_argument("--xmax", type=float, default=40.0)
-    p.add_argument("--points", type=int, default=200)
-    _add_output(p)
-    p.set_defaults(run=_cmd_check_seq)
-
-    p = sub.add_parser("equivalence", help="ratio statistics of two profiles")
-    p.add_argument("--a", required=True, help="expression JSON (inline or path)")
-    p.add_argument("--b", required=True)
-    p.add_argument("--tmin", type=float, required=True)
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--threshold", type=float, default=None)
-    _add_output(p)
-    p.set_defaults(run=_cmd_equivalence)
-
-    def add_witness_args(p_):
-        p_.add_argument("--phi", required=True)
-        p_.add_argument("--psi", required=True)
-        p_.add_argument("--c", type=float, required=True)
-        p_.add_argument("--p", type=float, default=1.0)
-        p_.add_argument("--N", type=int, required=True)
-        p_.add_argument("--mu1", type=float, default=None)
-
-    p = sub.add_parser("witness", help="build the extremal function and its bounds")
-    add_witness_args(p)
-    _add_output(p)
-    p.set_defaults(run=_cmd_witness)
-
-    p = sub.add_parser("omega", help="fundamental-function obstruction on a witness")
-    p.add_argument("--phi-x", required=True, dest="phi_x")
-    add_witness_args(p)
-    _add_output(p)
-    p.set_defaults(run=_cmd_omega)
-
-    p = sub.add_parser("selftest", help="run the randomized invariant suite")
-    p.add_argument("--seed", type=int, default=0)
-    _add_output(p)
-    p.set_defaults(run=_cmd_selftest)
-
+    for name, (_, help_, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag in [*flags.split(), "output"]:  # every subcommand takes --output, last
+            p.add_argument("--" + flag, **_FLAGS[flag][0])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _check_finite(args)
         _decode_specs(args)
-        return args.run(args)
+        return _SUBCOMMANDS[args.subcommand][0](args)
     except (ToolkitError, ValueError, OSError, json.JSONDecodeError) as exc:
         diagnostic = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
