@@ -344,17 +344,27 @@ _SUBCOMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses an argument it does not take with its
+    own usage, which names its flags (the top-level usage names none)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(extra))
+        return args, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qaspace",
         description="Lorentz and decomposition-space calculator for step functions on [0,1]",
         allow_abbrev=False,
     )
-    # subcommands take their flags in full too: argparse would read --out as --output
-    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=strict)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_SubcommandParser)
     for name, (_, help_, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_)
+        # subcommands take their flags in full too: argparse would read --out as --output
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
         for flag in [*flags.split(), "output"]:  # every subcommand takes --output, last
             p.add_argument("--" + flag, **_FLAGS[flag][0])
     return parser

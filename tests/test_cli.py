@@ -517,6 +517,7 @@ class TestErrors:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith(f"usage: qaspace {argv[0]} ")
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
         assert list(tmp_path.iterdir()) == []
 
