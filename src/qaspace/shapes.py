@@ -343,7 +343,11 @@ def _piecewise(shape: ShapeFunction) -> tuple:
             raise NotInvertible("shape(t)/t is not strictly decreasing between the samples")
         # t = c / (e^target - s), written about the anchor (log t_k, log gamma_k, y_k / c)
         log_tk, g_k, q = anchors[m - 1]
-        return log_tk - math.log1p(math.expm1(target - g_k) * q)
+        d = target - g_k
+        if d <= _LOG_MAX and (eq := math.expm1(d) * q) < math.inf:
+            return log_tk - math.log1p(eq)
+        # expm1(d) q past the float range: its log1p is d + log q + log1p((1/q - 1) e^-d)
+        return log_tk - (d + math.log(q) + math.log1p((1.0 / q - 1.0) * math.exp(-d)))
 
     return formula, log_eval, log_gamma_eval, log_gamma_inv
 

@@ -200,6 +200,15 @@ class TestCheckSeq:
         assert json.loads(capsys.readouterr().out)["config"]["xmax"] == end
 
 
+    # log gamma falls past expm1's range along the ladder's second chord: the
+    # inverse overflowed, and this exited 1 with a traceback
+    def test_a_ladder_past_expm1s_range(self, capsys):
+        phi = {"family": "piecewise", "points": [[0, 0], [1e-320, 1e-13], [1, 2e-13]]}
+        assert main(["check-seq", "--seq", '{"kind": "gamma_exp"}', "--phi", json.dumps(phi),
+                     "--psi", QA_PSI, "--xmin", "1", "--xmax", "700", "--points", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["monotone_decreasing"] is True
+
+
 class TestEquivalence:
     def test_matches_library(self):
         proc = run_cli(

@@ -501,6 +501,17 @@ class TestClosedFormInverse:
         # identity's ratio is constant, and alpha_beta(1, 0) is identity
         assert inverted == set(shapes_module._TABLE) - {"identity"}
 
+    # log gamma falls from 706.9 to -29.2 along the second chord, anchored at
+    # t = 1: from target 680 on, expm1 of the target less the anchor's log
+    # gamma, times the anchor's ratio, leaves the float range (the answer was
+    # -inf, or OverflowError from 690)
+    def test_piecewise_inverse_past_expm1s_range(self):
+        phi = piecewise([(0, 0), (1e-320, 1e-13), (1, 2e-13)])
+        for target in (600.0, 679.0, 680.0, 690.0, 700.0, 706.0, 706.89):
+            x = log_gamma_inv(phi, target)
+            exact = _exact_log_gamma_inv(phi, target)
+            assert abs(Decimal(x) - exact) <= 4 * Decimal(math.ulp(float(exact))), (target, x)
+
     @pytest.mark.parametrize("phi", [qa_phi(), alpha_beta(1.0, 0.4)], ids=["qa_phi", "ab(1,0.4)"])
     def test_float_range_edge_is_named(self, phi):
         edge = log_gamma(phi, -sys.float_info.max)
