@@ -461,7 +461,8 @@ def iterated_log_profile(alpha: float, beta: float, exponent: float) -> Callable
 
     L is 1 + log(1/t).  For alpha < 1 the last factor uses the double log; at
     alpha = 1 (and beta != 0) it uses the triple log.  Matches the deep-t
-    behaviour of tau for the stock families.
+    behaviour of tau for the stock families.  Where the product leaves the
+    float range it is formed from its log: a value past the range is inf.
     """
     alpha, beta, exponent = float(alpha), float(beta), float(exponent)
     if not 0.0 < alpha <= 1.0:
@@ -476,10 +477,14 @@ def iterated_log_profile(alpha: float, beta: float, exponent: float) -> Callable
         if t == 0.0:
             return 0.0
         level1 = 1.0 - math.log(t)
-        level2 = 1.0 + math.log(level1)
-        if alpha < 1.0:
-            return t**alpha * level1**beta * level2**exponent
-        level3 = 1.0 + math.log(level2)
-        return t * level1**beta * level3**exponent
+        last = 1.0 + math.log(level1)
+        if alpha == 1.0:
+            last = 1.0 + math.log(last)
+        try:
+            if (value := t**alpha * level1**beta * last**exponent) < math.inf:
+                return value
+        except OverflowError:  # a factor past the float range
+            pass
+        return exp_or_inf(alpha * math.log(t) + beta * math.log(level1) + exponent * math.log(last))
 
     return profile

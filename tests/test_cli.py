@@ -459,6 +459,10 @@ class TestErrors:
               '{"family": "piecewise", "points": [[0, 0], [0.5, 1e308], [1, 1.7e308]]}',
               "--psi", QA_PSI], "SpecParseError",
              "bad piecewise spec: piecewise sample (0.5, 1e+308) has y/t above the largest float"),
+            # the product overflowed: this exited 1 with a traceback
+            (equivalence_argv({"kind": "iterated_log", "alpha": 0.5, "beta": 1e308,
+                               "exponent": 1}), "NonPositiveValue",
+             "need positive finite samples, got inf/1.4815510557964273e-05 at t=1e-06"),
             # no sample after the origin: the shape was built, and refused every t > 0
             (["lorentz-norm", "--phi", '{"family": "piecewise", "points": [[0, 0]]}',
               "--input", F3], "SpecParseError",

@@ -662,6 +662,22 @@ class TestIteratedLogProfile:
         want = t * level1 * (1.0 + math.log(level2))
         assert prof(t) == want
 
+    # each product overflowed, and the profile raised OverflowError
+    def test_past_the_float_range_against_mpmath(self):
+        import mpmath
+
+        with mpmath.workdps(60):
+            t = mpmath.mpf(1e-300)
+            level1 = 1 - mpmath.log(t)
+            want = t * level1**200 * (1 + mpmath.log(1 + mpmath.log(level1)))
+            assert want > 1e268
+            got = iterated_log_profile(1.0, 200.0, 1.0)(1e-300)
+            assert abs(got - want) <= 1e-12 * want
+            t = mpmath.mpf(0.1)
+            level1 = 1 - mpmath.log(t)
+            assert t**0.5 * level1**1e308 * (1 + mpmath.log(level1)) > sys.float_info.max
+        assert iterated_log_profile(0.5, 1e308, 1.0)(0.1) == math.inf
+
     def test_validation(self):
         with pytest.raises(ValueError):
             iterated_log_profile(1.5, 1.0, 1.0)
