@@ -375,7 +375,7 @@ def main(argv=None) -> int:
     try:
         _decode_specs(args)
         return _SUBCOMMANDS[args.subcommand][0](args)
-    except (ToolkitError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ToolkitError, ValueError, OSError) as exc:
         diagnostic = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
         return 2

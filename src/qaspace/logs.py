@@ -20,7 +20,7 @@ def logsumexp(values) -> float:
     if not xs:
         raise ValueError("logsumexp needs at least one value")
     m = max(xs)
-    if m == LOG_ZERO or math.isinf(m):
+    if math.isinf(m):
         return m
     # exp(x-m) = expm1(x-m) + 1; summing the expm1 parts keeps the terms
     # near zero where fsum is exact, then one log1p reassembles the total.

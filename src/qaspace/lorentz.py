@@ -54,8 +54,6 @@ def fundamental(phi: ShapeFunction, t) -> float:
     tf = float(t)
     if not 0.0 <= tf <= 1.0:
         raise ValueError("fundamental needs t in [0,1]")
-    if tf == 0.0:
-        return 0.0
     return phi.eval(tf)
 
 
