@@ -18,7 +18,8 @@ tie_corpus(), where the rounded differences tie, a grid of witness specs and two
 family in both domains on fixed argument grids (with the error of each
 malformed shape spec), the profiles of three phi shapes on a gamma_exp, a
 reciprocal and a sampled sequence (also with a psi sampled only up to 10),
-iterated-log profiles, two of whose products leave the float range, a
+iterated-log profiles, two of whose products leave the float range and two
+whose log terms overflow with opposite signs, a
 fixed list of CLI argvs (exit code, argparse's SystemExit code for a
 refused command line, stdout and stderr), `selftest` at three
 seeds, lorentz_norm, qa_bounds and rearrange on functions that are only
@@ -32,7 +33,9 @@ the error type each malformed spec gets, and the error (type and message)
 of each library constructor call that passes a parameter its shape family or
 sequence kind does not take, or leaves out one it needs, or that passes one
 of the wrong type or a number past the float range, or builds the piecewise
-shape with no sample after the origin.  Every float is
+shape with no sample after the origin, and of each step-function
+constructor, `indicator` and `eval_at` call given a number that is not
+finite.  Every float is
 hashed through repr, every Fraction exactly, so a digest stays the same only
 if every answer in its group is bitwise the same.  Run it in two checkouts and
 diff the output.  Standard library only; takes no options.
@@ -88,6 +91,7 @@ from qaspace.stepfn import (  # noqa: E402
     add,
     constant,
     distribution,
+    indicator,
     l1_norm_exact,
     rearrange,
     scale,
@@ -192,8 +196,11 @@ LADDER_XS = (2.0, 2.6, 2.7, 5.0)
 # the ladder's last value is 0.1: t at it and below it, for its inverse and alpha_s
 LADDER_INVERSE_TS = (0.1, 0.0999999, 0.01)
 LADDER_ALPHA_TS = (0.05, 0.01)
-# (alpha, beta, exponent) and t: the first two products overflow, the last is a control
-ITERATED_LOGS = [((1.0, 200, 1), 1e-300), ((0.5, 1e308, 1), 0.1), ((0.5, 1, 1), 0.1)]
+# (alpha, beta, exponent) and t: the first two products overflow, the next two
+# log terms overflow with opposite signs, the last is a control
+ITERATED_LOGS = [((1.0, 200, 1), 1e-300), ((0.5, 1e308, 1), 0.1),
+                 ((0.5, 1e308, -1e308), 1e-300), ((0.5, -1e308, 1e308), 1e-300),
+                 ((0.5, 1, 1), 0.1)]
 PROFILE_PAIRS = [
     *((phi, psi) for phi in PROFILE_PHIS for psi in WITNESS_PSIS),
     *((phi, PROFILE_SAMPLED_PSI) for phi in PROFILE_PHIS),
@@ -219,6 +226,10 @@ CLI_ARGVS = [
      "--points", "20"],
     ["check-seq", "--seq", '{"kind": "gamma_exp"}', "--phi", QA_PHI, "--psi", QA_PSI,
      "--points", "20"],
+    # empty ranges: --xmax at or below the sequence's start, and below --xmin
+    *(["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI, "--psi", QA_PSI,
+       "--xmin", xmin, "--xmax", xmax, "--points", "3"]
+      for xmin, xmax in (("0", "0.5"), ("5", "3"))),
     ["equivalence", "--a", json.dumps({"kind": "tau", "phi": {"family": "qa_phi"},
                                        "psi": {"family": "qa_psi"}}),
      "--b", json.dumps({"kind": "shape", "spec": {"family": "qa_phi"}}),
@@ -396,6 +407,15 @@ OUT_OF_RANGE_CONSTRUCTORS = [
     (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5, 10**400), {}),
     (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5), {"mu1": 10**400}),
 ]
+# step-function calls given a breakpoint or abscissa that is not finite
+NON_FINITE_STEPFN_CALLS = [
+    call
+    for x in (math.inf, -math.inf, math.nan)
+    for call in ((StepFunction, ((0, x, 1), (1.0, 2.0)), {}),
+                 (indicator, (0, x), {}),
+                 (indicator, (x, 1), {}),
+                 (StepFunction((0, 1), (1.0,)).eval_at, (x,), {}))
+]
 
 
 def _fn(f) -> tuple:
@@ -525,7 +545,8 @@ def groups():
           for cls, args, kwargs in BAD_CONSTRUCTORS),
         # a mistyped parameter may fail in any way; the error is the record
         *(_answer(lambda: repr(cls(*args, **kwargs)), Exception)
-          for cls, args, kwargs in [*MISTYPED_CONSTRUCTORS, *OUT_OF_RANGE_CONSTRUCTORS]),
+          for cls, args, kwargs in [*MISTYPED_CONSTRUCTORS, *OUT_OF_RANGE_CONSTRUCTORS,
+                                    *NON_FINITE_STEPFN_CALLS]),
     ]
     yield "profiles.ladders", [
         *(_ladder_phi_s(phi, ladder_phi) for phi, ladder_phi in LADDER_PAIRS),
