@@ -750,6 +750,24 @@ class TestOutputRouting:
         )
         assert (tmp_path / "routed.json").exists()
 
+    # an --output that cannot be written is refused like any other input
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["rearrange", "--input", '{"breakpoints": [0, 1], "values": [1]}'], "x.json"),
+            (["tau", "--phi", QA_PHI, "--psi", QA_PSI, "--tmin", "1e-6", "--tmax", "0.5",
+              "--points", "5"], "x.csv"),
+        ],
+    )
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, argv, name):
+        dest = tmp_path / "missing" / name
+        assert main([*argv, "--output", str(dest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"]["type"] == "FileNotFoundError"
+        assert not dest.parent.exists()
+
 
 class TestBeyondFloatRange:
     HUGE = '{"breakpoints": [0, 0.5, 1], "values": [1.7e308, 1e308]}'
