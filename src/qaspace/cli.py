@@ -7,8 +7,9 @@ curves are CSV; every run echoes its fully resolved configuration so output
 files are self-describing and byte-reproducible.
 
 Shape and function arguments accept either inline JSON or a path to a JSON
-file.  Exit codes: 0 success, 1 invariant failure (selftest), 2 bad usage or
-invalid specs.
+file.  Each subcommand returns its result, and `main` alone writes it and
+picks the exit code: 0 success, 1 invariant failure (selftest), 2 bad usage
+or invalid specs.
 
 Each subcommand, and each spec decoder, imports the library module it runs
 when it runs, so one CLI process loads only the modules its subcommand needs.
@@ -109,74 +110,58 @@ def _config(args) -> dict:
     }
 
 
-def _emit(args, text: str):
-    text = text if text.endswith("\n") else text + "\n"
-    dest = getattr(args, "output", None)
-    if dest in (None, "-"):
-        sys.stdout.write(text)
-        return
-    base = os.environ.get(OUT_DIR_VAR)
-    if base and not os.path.isabs(dest):
-        dest = os.path.join(base, dest)
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _emit_json(args, result: dict):
-    text = json.dumps({"config": _config(args), "result": result}, sort_keys=True, indent=2)
-    _emit(args, text)
+def _report(args, result: dict) -> str:
+    """The text of a result: its rows as CSV under --out csv, else the JSON
+    report; each starts from the resolved configuration."""
+    config = _config(args)
+    if vars(args).get("out") == "csv":
+        rows = result["rows"]
+        lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(rows[0])]
+        lines += [",".join(map(repr, row.values())) for row in rows]
+        return "\n".join(lines) + "\n"
+    return json.dumps({"config": config, "result": result}, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_rearrange(args) -> int:
+def _cmd_rearrange(args) -> dict:
     from . import stepfn
 
-    _emit_json(args, stepfn.rearrange(args.input).to_json())
-    return 0
+    return stepfn.rearrange(args.input).to_json()
 
 
-def _cmd_lorentz(args) -> int:
+def _cmd_lorentz(args) -> dict:
     from . import lorentz
 
-    _emit_json(args, asdict(lorentz.lorentz_norm(args.input, args.phi)))
-    return 0
+    return asdict(lorentz.lorentz_norm(args.input, args.phi))
 
 
-def _cmd_qa_bounds(args) -> int:
+def _cmd_qa_bounds(args) -> dict:
     from . import qanorm
 
     strategy = _STRATEGY_ALIASES[args.strategy]
     bounds = qanorm.qa_upper(args.input, args.phi, args.psi, strategy=strategy)
-    result = {
+    return {
         "lower": bounds.lower,
         "upper": bounds.upper,
         "ratio": bounds.ratio,
         "lower_source": bounds.lower_source,
         "witness": [g.to_json() for g in bounds.upper_witness.pieces],
     }
-    _emit_json(args, result)
-    return 0
 
 
-def _cmd_tau(args) -> int:
+def _cmd_tau(args) -> dict:
     from . import embeddings
 
     rows = []
     for t in embeddings.log_grid(args.tmin, args.tmax, args.points):
         tv, pv = embeddings.tau(args.phi, args.psi, t), args.phi.eval(t)
         rows.append({"t": t, "tau": tv, "phi": pv, "ratio": tv / pv})
-    if args.out == "json":
-        _emit_json(args, {"rows": rows})
-        return 0
-    lines = ["# config: " + json.dumps(_config(args), sort_keys=True), "t,tau,phi,ratio"]
-    lines += [f"{r['t']!r},{r['tau']!r},{r['phi']!r},{r['ratio']!r}" for r in rows]
-    _emit(args, "\n".join(lines))
-    return 0
+    return {"rows": rows}
 
 
-def _cmd_check_seq(args) -> int:
+def _cmd_check_seq(args) -> dict:
     from . import embeddings
 
     if args.points < 3:
@@ -187,11 +172,10 @@ def _cmd_check_seq(args) -> int:
     report = embeddings.check_seq_conditions(args.phi, args.psi, args.seq, xs)
     result = {**asdict(report), "passed": report.passed}
     del result["grid"]
-    _emit_json(args, result)
-    return 0
+    return result
 
 
-def _cmd_equivalence(args) -> int:
+def _cmd_equivalence(args) -> dict:
     from . import embeddings
 
     report = embeddings.equivalence(
@@ -199,8 +183,7 @@ def _cmd_equivalence(args) -> int:
     )
     result = {**asdict(report), "spread": report.spread}
     del result["grid"]
-    _emit_json(args, result)
-    return 0
+    return result
 
 
 def _witness_from_args(args):
@@ -210,7 +193,7 @@ def _witness_from_args(args):
     return spec, witness.build_witness(spec)
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> dict:
     from . import witness
 
     spec, w = _witness_from_args(args)
@@ -218,7 +201,7 @@ def _cmd_witness(args) -> int:
     upper = witness.witness_qa_upper(w, spec.phi, spec.psi)
     floor = witness.lower_bound_value(spec)
     psi_n = spec.psi.eval(float(spec.N))
-    result = {
+    return {
         "log_mu": list(w.log_mu),
         "log_a": list(w.log_a),
         "lorentz_norm": lor,
@@ -230,32 +213,26 @@ def _cmd_witness(args) -> int:
             "qa_upper_over_psi_at_N": upper / psi_n,
         },
     }
-    _emit_json(args, result)
-    return 0
 
 
-def _cmd_omega(args) -> int:
+def _cmd_omega(args) -> dict:
     from . import embeddings
 
     spec, w = _witness_from_args(args)
     value = embeddings.omega_n(args.phi_x, spec.phi, w)
     psi_n = spec.psi.eval(float(spec.N))
-    result = {
+    return {
         "omega_N": value,
         "psi_at_N": psi_n,
         "normalized": value / psi_n,
     }
-    _emit_json(args, result)
-    return 0
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> dict:
     from . import selftest
 
     families = selftest.run(args.seed)
-    passed = not any(family["failures"] for family in families)
-    _emit_json(args, {"families": families, "passed": passed})
-    return 0 if passed else 1
+    return {"families": families, "passed": not any(family["failures"] for family in families)}
 
 
 # --------------------------------------------------------------------- wiring
@@ -371,14 +348,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and write its result to stdout or --output (a
+    relative path under $QASPACE_OUT_DIR when set).  Returns 0, 1 for a
+    selftest that failed, or 2 with one JSON error line on stderr."""
     args = build_parser().parse_args(argv)
     try:
         _decode_specs(args)
-        return _SUBCOMMANDS[args.subcommand][0](args)
+        result = _SUBCOMMANDS[args.subcommand][0](args)
+        text = _report(args, result)
+        if args.output in (None, "-"):
+            sys.stdout.write(text)
+        else:  # join keeps an absolute path as it is
+            with open(os.path.join(os.environ.get(OUT_DIR_VAR, ""), args.output), "w",
+                      encoding="utf-8") as fh:
+                fh.write(text)
     except (ToolkitError, ValueError, OSError) as exc:
         diagnostic = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
         return 2
+    return 1 if args.subcommand == "selftest" and not result["passed"] else 0
 
 
 if __name__ == "__main__":
