@@ -462,7 +462,8 @@ def iterated_log_profile(alpha: float, beta: float, exponent: float) -> Callable
     L is 1 + log(1/t).  For alpha < 1 the last factor uses the double log; at
     alpha = 1 (and beta != 0) it uses the triple log.  Matches the deep-t
     behaviour of tau for the stock families.  Where the product leaves the
-    float range it is formed from its log: a value past the range is inf.
+    float range it is formed from its log: a value past the range is inf,
+    also where two of the log's terms overflow with opposite signs.
     """
     alpha, beta, exponent = float(alpha), float(beta), float(exponent)
     if not 0.0 < alpha <= 1.0:
@@ -485,6 +486,11 @@ def iterated_log_profile(alpha: float, beta: float, exponent: float) -> Callable
                 return value
         except OverflowError:  # a factor past the float range
             pass
-        return exp_or_inf(alpha * math.log(t) + beta * math.log(level1) + exponent * math.log(last))
+        log_l, log_last = math.log(level1), math.log(last)
+        log_value = alpha * math.log(t) + beta * log_l + exponent * log_last
+        if math.isnan(log_value):  # beta log L and exponent log(last) overflow, signs opposite
+            big = max(abs(beta), abs(exponent))
+            log_value = alpha * math.log(t) + big * (beta / big * log_l + exponent / big * log_last)
+        return exp_or_inf(log_value)
 
     return profile

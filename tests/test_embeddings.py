@@ -678,6 +678,24 @@ class TestIteratedLogProfile:
             assert t**0.5 * level1**1e308 * (1 + mpmath.log(level1)) > sys.float_info.max
         assert iterated_log_profile(0.5, 1e308, 1.0)(0.1) == math.inf
 
+    # beta log L and exponent log(last) overflowed with opposite signs, and
+    # the profile answered nan for a value past the float range either way
+    @pytest.mark.parametrize("beta, exponent, want", [(1e308, -1e308, math.inf),
+                                                      (-1e308, 1e308, 0.0)])
+    def test_log_terms_overflowing_with_opposite_signs_against_mpmath(self, beta, exponent, want):
+        import mpmath
+
+        with mpmath.workdps(60):
+            t = mpmath.mpf(1e-300)
+            level1 = 1 - mpmath.log(t)
+            log_value = (mpmath.log(t) / 2 + beta * mpmath.log(level1)
+                         + exponent * mpmath.log(1 + mpmath.log(level1)))
+            if want:
+                assert log_value > mpmath.log(sys.float_info.max)
+            else:  # below half the least subnormal, so 0.0
+                assert log_value < mpmath.log(mpmath.mpf(5e-324) / 2)
+        assert iterated_log_profile(0.5, beta, exponent)(1e-300) == want
+
     def test_validation(self):
         with pytest.raises(ValueError):
             iterated_log_profile(1.5, 1.0, 1.0)
