@@ -167,6 +167,9 @@ def _cmd_check_seq(args) -> dict:
     if args.points < 3:
         raise DomainError(f"check-seq needs at least 3 points, got {args.points}")
     xmin = args.xmin = max(args.xmin, args.seq.domain_start)
+    if not args.xmax > xmin:
+        raise DomainError(f"--xmax must exceed the grid's start {xmin!r} (the larger of --xmin "
+                          f"and the sequence's first x), got {args.xmax!r}")
     xs = [xmin + (args.xmax - xmin) * (i / (args.points - 1)) for i in range(args.points)]
     xs[-1] = args.xmax  # pinned, as log_grid pins its ends: the product can round past it
     report = embeddings.check_seq_conditions(args.phi, args.psi, args.seq, xs)

@@ -325,6 +325,19 @@ class TestErrors:
         )
         assert proc.returncode == 2
 
+    # an empty range was refused as "x_grid must be at least 3 strictly
+    # increasing points", which named neither flag nor where the grid starts
+    @pytest.mark.parametrize("xmin, xmax, start", [("0", "0.5", 1.0), ("5", "3", 5.0)])
+    def test_check_seq_empty_range_names_xmax(self, capsys, xmin, xmax, start):
+        argv = ["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI, "--psi", QA_PSI,
+                "--xmin", xmin, "--xmax", xmax, "--points", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = (f"--xmax must exceed the grid's start {start!r} (the larger of --xmin and the "
+                f"sequence's first x), got {float(xmax)!r}")
+        assert json.loads(captured.err) == {"error": {"type": "DomainError", "message": want}}
+
     @pytest.mark.parametrize(
         "argv, names",
         [
