@@ -491,19 +491,21 @@ def least_concave_majorant(samples) -> ShapeFunction:
 
 
 def is_concave(samples, tol: float = 1e-12) -> bool:
-    """Finite check: chord slopes non-increasing left to right."""
+    """Finite check: chord slopes non-increasing left to right.  Each comparison
+    must hold, and the first is with inf, so a NaN sample fails."""
     pts = [(float(t), float(y)) for t, y in samples]
     slopes = [
         (y1 - y0) / (t1 - t0) for (t0, y0), (t1, y1) in zip(pts, pts[1:])
     ]
-    for s0, s1 in zip(slopes, slopes[1:]):
-        if s1 > s0 + tol * max(1.0, abs(s0)):
+    for s0, s1 in zip([math.inf, *slopes], slopes):
+        if not s1 <= s0 + tol * max(1.0, abs(s0)):
             return False
     return True
 
 
 def is_quasiconcave(samples, tol: float = 1e-12) -> bool:
-    """Finite check: zero at 0, positive after, non-decreasing, y/t non-increasing."""
+    """Finite check: zero at 0, positive after, non-decreasing, y/t
+    non-increasing.  As in is_concave, a NaN sample fails."""
     pts = [(float(t), float(y)) for t, y in samples]
     ratios = []
     for t, y in pts:
@@ -511,15 +513,15 @@ def is_quasiconcave(samples, tol: float = 1e-12) -> bool:
             if y != 0.0:
                 return False
             continue
-        if y <= 0:
+        if not y > 0:
             return False
         ratios.append(y / t)
     ys = [y for _, y in pts]
     for y0, y1 in zip(ys, ys[1:]):
-        if y1 < y0 - tol * max(1.0, abs(y0)):
+        if not y1 >= y0 - tol * max(1.0, abs(y0)):
             return False
-    for r0, r1 in zip(ratios, ratios[1:]):
-        if r1 > r0 * (1.0 + tol):
+    for r0, r1 in zip([math.inf, *ratios], ratios):
+        if not r1 <= r0 * (1.0 + tol):
             return False
     return True
 

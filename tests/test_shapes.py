@@ -568,6 +568,25 @@ class TestConcavityHelpers:
         assert is_quasiconcave(pts)
         assert not is_quasiconcave([(0, 0), (0.5, 0.1), (1.0, 1.0)])
 
+    @pytest.mark.parametrize("samples", [
+        [(0, 0.5), (1.0, 1.0)],  # not zero at 0
+        [(0, 0), (0.5, 0.0), (1.0, 1.0)],  # not positive after 0
+        [(0, 0), (0.5, 1.0), (1.0, 0.5)],  # decreasing, though y/t does not increase
+    ])
+    def test_each_quasiconcave_condition_can_fail(self, samples):
+        assert not is_quasiconcave(samples)
+
+    # every comparison with NaN is false, and both checks answered True here
+    @pytest.mark.parametrize("samples", [
+        [(0, 0), (0.5, math.nan), (1.0, 1.0)],
+        [(0, 0), (0.5, 0.5), (1.0, math.nan)],
+        [(0, 0), (1.0, math.nan)],
+        [(0, 0), (math.nan, 1.0)],
+    ])
+    def test_a_nan_sample_fails_both_checks(self, samples):
+        assert not is_concave(samples)
+        assert not is_quasiconcave(samples)
+
     def test_majorant_dominates_and_is_concave(self):
         samples = [(0, 0), (0.25, 0.1), (0.5, 0.9), (1.0, 1.0)]
         hull = least_concave_majorant(samples)
