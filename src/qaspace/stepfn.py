@@ -52,7 +52,8 @@ class StepFunction:
     __slots__ = ("_grid", "values", "_breakpoints")
 
     def __new__(cls, breakpoints, values):
-        bps = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in breakpoints)
+        bps = tuple(b if isinstance(b, Fraction) else _fraction(b, "breakpoints must be finite")
+                    for b in breakpoints)
         grid, vals = _ticks(bps), tuple(float(v) for v in values)
         _check(grid, vals)
         return _on_grid(grid, vals, bps)
@@ -94,9 +95,10 @@ class StepFunction:
 
     def eval_at(self, x) -> float:
         """Value at x in [0,1]; the right endpoint belongs to the last piece."""
-        xf = x if isinstance(x, Fraction) else Fraction(x)
+        message = "step functions live on [0,1]"
+        xf = x if isinstance(x, Fraction) else _fraction(x, message)
         if xf < 0 or xf > 1:
-            raise ValueError("step functions live on [0,1]")
+            raise ValueError(message)
         if xf == _ONE:
             return self.values[-1]
         idx = bisect_right(self.breakpoints, xf) - 1
@@ -127,6 +129,14 @@ class StepFunction:
         except ValueError as exc:
             raise SpecParseError(str(exc)) from exc
         return _on_grid(grid, vals)
+
+
+def _fraction(x, message: str) -> Fraction:
+    """Fraction(x); a float that is not finite gets message, where Fraction
+    would raise an OverflowError or ValueError that names no argument."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(message)
+    return Fraction(x)
 
 
 def _check(grid, values) -> None:
@@ -254,9 +264,10 @@ class NestedForm:
 
 def indicator(a, b, height: float = 1.0) -> StepFunction:
     """height * indicator([a, b)) as a canonical step function."""
-    af, bf = Fraction(a), Fraction(b)
+    message = "need 0 <= a < b <= 1"
+    af, bf = _fraction(a, message), _fraction(b, message)
     if not 0 <= af < bf <= 1:
-        raise ValueError("need 0 <= a < b <= 1")
+        raise ValueError(message)
     bps = [_ZERO]
     vals = []
     if af > 0:

@@ -81,6 +81,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StepFunction((F0, F1), (math.nan,))
 
+    # Fraction's own conversion raised a bare OverflowError (inf) or a
+    # ValueError that named no argument (nan)
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_numbers_get_the_modules_messages(self, bad):
+        with pytest.raises(ValueError, match=r"^breakpoints must be finite$"):
+            StepFunction((0, bad, 1), (1.0, 2.0))
+        with pytest.raises(ValueError, match=r"^step functions live on \[0,1\]$"):
+            three_layer().eval_at(bad)
+        for a, b in ((0, bad), (bad, 1)):
+            with pytest.raises(ValueError, match=r"^need 0 <= a < b <= 1$"):
+                indicator(a, b)
+
     def test_canonical_merges_equal_neighbours(self):
         f = StepFunction((F0, F(1, 4), F(1, 2), F1), (2.0, 2.0, 1.0))
         g = f.canonical()
