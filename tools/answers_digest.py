@@ -13,14 +13,17 @@ of deep_corpus(20) for the long searches, the two edge_corpus sets
 (non-dyadic grids, and values from 5e-324 to 1.7e308), the bounds engine's
 group weights (every group of layer_corpus(200, seed=7) and
 float_edge_corpus(), and the group_sample of deep_corpus(4)), every group of
-tie_corpus(), where the rounded differences tie, a grid of witness specs and two deep ones
-(their upper bounds, Lorentz norms and log-domain group weights), every shape
-family in both domains on fixed argument grids (with the error of each
-malformed shape spec), the profiles of three phi shapes on a gamma_exp, a
+tie_corpus(), where the rounded differences tie, the groups every strategy
+picks on TIE_INPUT, where the one piece and the layer split cost the same, a
+grid of witness specs and two deep ones (their upper bounds, Lorentz norms and
+log-domain group weights), every shape family in both domains on fixed
+argument grids (with the error of each malformed shape spec, and the repr and
+value at 2.0, or the error, of the two psi families built with their default
+domain), the profiles of three phi shapes on a gamma_exp, a
 reciprocal and a sampled sequence (also with a psi sampled only up to 10),
 iterated-log profiles, two of whose products leave the float range and two
 whose log terms overflow with opposite signs, a
-fixed list of CLI argvs (exit code, argparse's SystemExit code for a
+fixed list of CLI argvs, among them ranges too narrow for their points (exit code, argparse's SystemExit code for a
 refused command line, stdout and stderr), `selftest` at three
 seeds, lorentz_norm, qa_bounds and rearrange on functions that are only
 0.0 and -0.0 or carry -0.0 pieces, the ladders gamma_exp(phi) priced by another phi
@@ -35,7 +38,7 @@ sequence kind does not take, or leaves out one it needs, or that passes one
 of the wrong type or a number past the float range, or builds the piecewise
 shape with no sample after the origin, and of each step-function
 constructor, `indicator` and `eval_at` call given a number that is not
-finite.  Every float is
+finite, and of the two witness specs that build_witness refuses.  Every float is
 hashed through repr, every Fraction exactly, so a digest stays the same only
 if every answer in its group is bitwise the same.  Run it in two checkouts and
 diff the output.  Standard library only; takes no options.
@@ -226,14 +229,23 @@ CLI_ARGVS = [
      "--points", "20"],
     ["check-seq", "--seq", '{"kind": "gamma_exp"}', "--phi", QA_PHI, "--psi", QA_PSI,
      "--points", "20"],
-    # empty ranges: --xmax at or below the sequence's start, and below --xmin
+    # empty ranges: --xmax at or below the sequence's start, and below --xmin;
+    # then a range one ulp wide, too narrow for its 200 points
     *(["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI, "--psi", QA_PSI,
-       "--xmin", xmin, "--xmax", xmax, "--points", "3"]
-      for xmin, xmax in (("0", "0.5"), ("5", "3"))),
+       "--xmin", xmin, "--xmax", xmax, "--points", points]
+      for xmin, xmax, points in (("0", "0.5", "3"), ("5", "3", "3"),
+                                 ("1", "1.0000000000000002", "200"))),
+    # a log range one ulp wide, too narrow for its 5 points
+    ["tau", "--phi", QA_PHI, "--psi", QA_PSI, "--tmin", "0.5", "--tmax", "0.5000000000000001",
+     "--points", "5"],
     ["equivalence", "--a", json.dumps({"kind": "tau", "phi": {"family": "qa_phi"},
                                        "psi": {"family": "qa_psi"}}),
      "--b", json.dumps({"kind": "shape", "spec": {"family": "qa_phi"}}),
      "--tmin", "1e-6", "--tmax", "0.5", "--points", "20"],
+    ["equivalence", "--a", json.dumps({"kind": "tau", "phi": {"family": "qa_phi"},
+                                       "psi": {"family": "qa_psi"}}),
+     "--b", json.dumps({"kind": "shape", "spec": {"family": "qa_phi"}}),
+     "--tmin", "0.5", "--tmax", "0.5000000000000001", "--points", "5"],
     ["witness", "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5", "--N", "4"],
     ["omega", "--phi-x", '{"family": "identity"}', "--phi", QA_PHI, "--psi", QA_PSI,
      "--c", "0.5", "--N", "3"],
@@ -242,6 +254,15 @@ CLI_ARGVS = [
 LADDER_ARGV = ["check-seq", "--seq", '{"kind": "gamma_exp"}', "--phi",
                json.dumps(LADDER_P.to_json()), "--psi", QA_PSI, "--xmax", "10"]
 SELFTEST_SEEDS = (0, 7, 123)
+# the one piece and the layer split both cost 1.5: weights (1.5,) and (1.0, 0.5)
+TIE_INPUT = StepFunction((0, Fraction(1, 2), 1), (2.0, 1.0))
+TIE_SHAPES = (identity(), constant_one("psi"))
+# the psi families built without a domain_kind, each by family name
+DEFAULT_DOMAIN_SHAPES = [("qa_psi", {}), ("psi_gamma", {"exponent": 0.4})]
+# build_witness refuses these: the heights of constant_one stay equal, and
+# identity's gamma is constant, so not decreasing at mu1
+WITNESS_REFUSALS = [WitnessSpec(constant_one(), qa_psi(), 3, 0.5),
+                    WitnessSpec(identity(), qa_psi(), 3, 0.5, mu1=0.25)]
 
 
 def _equal_pieces(*values) -> StepFunction:
@@ -479,6 +500,10 @@ def groups():
     yield "weights.ties", [
         _weights(f, phi, all_groups) for phi, _ in SHAPE_PAIRS for f in tie_corpus()
     ]
+    yield "qa_upper.ties", [
+        _bounds(qa_upper(TIE_INPUT, *TIE_SHAPES, strategy=strategy))
+        for strategy in UPPER_STRATEGIES
+    ]
     phi, psi = SHAPE_PAIRS[0]
     yield "qa_upper.deep", [
         _bounds(qa_upper(f, phi, psi, strategy=strategy))
@@ -512,6 +537,8 @@ def groups():
     yield "shapes", [
         *map(_shape, SHAPES),
         *(_shape_answer(lambda: parse_shape(spec).to_json()) for spec in BAD_SPECS),
+        *(_shape_answer(lambda: _default_domain(family, params))
+          for family, params in DEFAULT_DOMAIN_SHAPES),
     ]
     yield "profiles", [
         *(_profile(phi, psi, seq)
@@ -547,6 +574,7 @@ def groups():
         *(_answer(lambda: repr(cls(*args, **kwargs)), Exception)
           for cls, args, kwargs in [*MISTYPED_CONSTRUCTORS, *OUT_OF_RANGE_CONSTRUCTORS,
                                     *NON_FINITE_STEPFN_CALLS]),
+        *(_answer(lambda: repr(build_witness(spec))) for spec in WITNESS_REFUSALS),
     ]
     yield "profiles.ladders", [
         *(_ladder_phi_s(phi, ladder_phi) for phi, ladder_phi in LADDER_PAIRS),
@@ -574,6 +602,11 @@ def _shape(shape) -> tuple:
             for y in INV_TARGETS
         ),
     )
+
+
+def _default_domain(family, params) -> tuple:
+    shape = ShapeFunction(family, **params)
+    return repr(shape), shape.eval(2.0)
 
 
 def _shape_echo(spec, kind) -> tuple:
