@@ -201,6 +201,18 @@ class TestUpper:
                 assert got.upper_witness.pieces == (abs_(f),)
                 assert got.upper >= qa_upper(f, phi, psi, strategy="layers").upper
 
+    @pytest.mark.parametrize("strategy", ["layers", "local_search", "exhaustive", "auto"])
+    def test_a_tie_goes_to_the_one_piece(self, strategy):
+        # under a constant psi the one piece (weight 1.5) and the layer split
+        # (weights 0.5 and 1.0) both cost 1.5; the first of the cheapest wins,
+        # and exhaustive's mask order lists the layer split again, last
+        f = StepFunction((F(0), F(1, 2), F(1)), (2.0, 1.0))
+        table = _LayerTable(f, identity())
+        assert list(table.layer_weights) == [0.5, 1.0] and table.weight(0, 1) == 1.5
+        got = qa_upper(f, identity(), constant_one("psi"), strategy=strategy)
+        assert got.upper == 1.5
+        assert [g.values for g in got.upper_witness.pieces] == [(2.0, 1.0)]
+
     def test_ratio_property(self):
         got = qa_bounds(three_layer(), qa_phi(), qa_psi())
         assert got.ratio == got.upper / got.lower
