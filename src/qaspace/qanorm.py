@@ -240,10 +240,10 @@ def _search(table, price, strategy: str) -> tuple:
     is asked for each at most once; price(ws) prices a grouping from the
     list of its group weights, given in descending order, so a price reads
     the slot of each weight off its position.  The two are all that the
-    float and the log-domain searches differ in.  "singleton" prices the one
-    piece alone.  For every other strategy the candidates come in a fixed
-    order (one piece, the layer split, then the strategy's own) and the
-    first strict minimum wins.
+    float and the log-domain searches differ in.  Every strategy puts its
+    candidates in one list, "singleton" the one piece alone, every other the
+    one piece, the layer split, then its own; cost prices each, and the first
+    of the cheapest wins.
     The greedy keeps its current weights sorted beside them, and a candidate
     merge is that sorted list less the two merged weights, with the merged
     group's weight inserted in order.  Equal weights are equal floats, or
@@ -260,11 +260,12 @@ def _search(table, price, strategy: str) -> tuple:
         strategy = "exhaustive" if n <= _EXHAUSTIVE_CAP else "local_search"
     if n == 0:
         return price([]), []
-    one = [(0, n - 1)]
-    if strategy == "singleton":
-        return price([weights[0, n - 1]]), one
+
+    def cost(groups) -> float:
+        return price(sorted([weights[g] for g in groups], reverse=True))
+
     layers = [(k, k) for k in range(n)]
-    candidates = [one, layers]
+    candidates = [[(0, n - 1)]] if strategy == "singleton" else [[(0, n - 1)], layers]
     if strategy == "exhaustive":
         if n > _EXHAUSTIVE_CAP:
             raise TooManyLayers(
@@ -278,10 +279,8 @@ def _search(table, price, strategy: str) -> tuple:
         groups = layers
         ws = [weights[g] for g in groups]
         desc = sorted(ws, reverse=True)
-        cost = price(desc)
-        improved = True
-        while improved and len(groups) > 1:
-            improved = False
+        total = price(desc)
+        while len(groups) > 1:
             for idx in range(len(groups) - 1):
                 merged = (groups[idx][0], groups[idx + 1][1])
                 w = weights[merged]
@@ -290,21 +289,18 @@ def _search(table, price, strategy: str) -> tuple:
                 cand.remove(ws[idx + 1])
                 insort(cand, w, key=neg)
                 t = price(cand)
-                if t < cost:
+                if t < total:
                     groups = groups[:idx] + [merged] + groups[idx + 2 :]
                     ws = ws[:idx] + [w] + ws[idx + 2 :]
-                    desc, cost = cand, t
-                    improved = True
+                    desc, total = cand, t
                     break
+            else:
+                break
         candidates.append(groups)
 
-    best = None
-    for groups in candidates:
-        t = price(sorted([weights[g] for g in groups], reverse=True))
-        if best is None or t < best[0]:
-            best = (t, groups)
+    best = min(candidates, key=cost)
     # every candidate lists its groups in layer order, and the sort is stable
-    return best[0], sorted(best[1], key=lambda g: -weights[g])
+    return cost(best), sorted(best, key=lambda g: -weights[g])
 
 
 def qa_upper(
