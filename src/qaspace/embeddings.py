@@ -411,12 +411,16 @@ class EquivalenceReport:
 
 
 def log_grid(t_min: float, t_max: float, points: int) -> list:
-    if not (0.0 < t_min < t_max) or points < 2:
-        raise ValueError("need 0 < t_min < t_max and at least two points")
-    lo, hi = math.log(t_min), math.log(t_max)
-    grid = [math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
-    grid[0], grid[-1] = t_min, t_max
-    return grid
+    """points log-spaced from t_min to t_max, both ends exact; ValueError
+    unless they strictly increase (a range a few ulps wide repeats points)."""
+    if 0.0 < t_min < t_max and points >= 2:
+        lo, hi = math.log(t_min), math.log(t_max)
+        grid = [math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
+        grid[0], grid[-1] = t_min, t_max
+        if all(a < b for a, b in pairwise(grid)):
+            return grid
+    raise ValueError("need 0 < t_min < t_max and at least two points that strictly increase, "
+                     f"got t_min={t_min!r}, t_max={t_max!r}, points={points}")
 
 
 def equivalence(

@@ -325,6 +325,21 @@ class TestErrors:
         )
         assert proc.returncode == 2
 
+    # a log range one ulp wide gave 5 points, 4 of them equal, and exit 0
+    @pytest.mark.parametrize("head", [
+        ["tau", "--phi", QA_PHI, "--psi", QA_PSI],
+        ["equivalence", "--a", json.dumps({"kind": "tau", "phi": PHI, "psi": PSI}),
+         "--b", json.dumps({"kind": "shape", "spec": PHI})],
+    ])
+    def test_log_range_too_narrow_for_its_points(self, capsys, head):
+        argv = [*head, "--tmin", "0.5", "--tmax", "0.5000000000000001", "--points", "5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = ("need 0 < t_min < t_max and at least two points that strictly increase, "
+                "got t_min=0.5, t_max=0.5000000000000001, points=5")
+        assert json.loads(captured.err) == {"error": {"type": "ValueError", "message": want}}
+
     # an empty range was refused as "x_grid must be at least 3 strictly
     # increasing points", which named neither flag nor where the grid starts
     @pytest.mark.parametrize("xmin, xmax, start", [("0", "0.5", 1.0), ("5", "3", 5.0)])
