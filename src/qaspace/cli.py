@@ -167,11 +167,12 @@ def _cmd_check_seq(args) -> dict:
     if args.points < 3:
         raise DomainError(f"check-seq needs at least 3 points, got {args.points}")
     xmin = args.xmin = max(args.xmin, args.seq.domain_start)
-    if not args.xmax > xmin:
-        raise DomainError(f"--xmax must exceed the grid's start {xmin!r} (the larger of --xmin "
-                          f"and the sequence's first x), got {args.xmax!r}")
     xs = [xmin + (args.xmax - xmin) * (i / (args.points - 1)) for i in range(args.points)]
     xs[-1] = args.xmax  # pinned, as log_grid pins its ends: the product can round past it
+    if not all(a < b for a, b in zip(xs, xs[1:])):  # an empty range, or one ulps wide
+        raise DomainError(f"--xmax must exceed the grid's start {xmin!r} (the larger of --xmin "
+                          f"and the sequence's first x) by room for --points {args.points} "
+                          f"strictly increasing points, got {args.xmax!r}")
     report = embeddings.check_seq_conditions(args.phi, args.psi, args.seq, xs)
     result = {**asdict(report), "passed": report.passed}
     del result["grid"]

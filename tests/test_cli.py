@@ -340,18 +340,22 @@ class TestErrors:
                 "got t_min=0.5, t_max=0.5000000000000001, points=5")
         assert json.loads(captured.err) == {"error": {"type": "ValueError", "message": want}}
 
-    # an empty range was refused as "x_grid must be at least 3 strictly
-    # increasing points", which named neither flag nor where the grid starts
-    @pytest.mark.parametrize("xmin, xmax, start", [("0", "0.5", 1.0), ("5", "3", 5.0)])
+    # an empty range, and one an ulp wide, whose grid repeats a point, were
+    # refused as "x_grid must be at least 3 strictly increasing points", which
+    # named no flag and not where the grid starts
+    @pytest.mark.parametrize("xmin, xmax, start", [("0", "0.5", 1.0), ("5", "3", 5.0),
+                                                   ("1", "1.0000000000000002", 1.0)])
     def test_check_seq_empty_range_names_xmax(self, capsys, xmin, xmax, start):
-        argv = ["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI, "--psi", QA_PSI,
-                "--xmin", xmin, "--xmax", xmax, "--points", "3"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        want = (f"--xmax must exceed the grid's start {start!r} (the larger of --xmin and the "
-                f"sequence's first x), got {float(xmax)!r}")
-        assert json.loads(captured.err) == {"error": {"type": "DomainError", "message": want}}
+        for points in (3, 200):
+            argv = ["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI,
+                    "--psi", QA_PSI, "--xmin", xmin, "--xmax", xmax, "--points", str(points)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            want = (f"--xmax must exceed the grid's start {start!r} (the larger of --xmin and the "
+                    f"sequence's first x) by room for --points {points} strictly increasing "
+                    f"points, got {float(xmax)!r}")
+            assert json.loads(captured.err) == {"error": {"type": "DomainError", "message": want}}
 
     @pytest.mark.parametrize(
         "argv, names",
