@@ -53,7 +53,8 @@ class ShapeFunction:
     """One member of a shape family; immutable and hashable.
 
     Only the parameters that the family's `_TABLE` entry lists may be set, each
-    of the type its JSON reader takes (IllegalSpec names one that is not).
+    of the type its JSON reader takes (IllegalSpec names one that is not), and
+    domain_kind defaults to the family's own, as in its JSON form.
     eval(t), log_eval(log_t) = log(self(e^log_t)) and log_gamma_eval(log_t) =
     log(self(t)/t) are bound to the member's constants when it is built, each
     behind the one domain guard (DomainError for NaN, a negative or infinite t,
@@ -68,11 +69,13 @@ class ShapeFunction:
     beta: float | None = None
     exponent: float | None = None
     points: tuple | None = None
-    domain_kind: str = "phi"
+    domain_kind: str | None = None
 
     def __post_init__(self):
         if not isinstance(self.family, str) or self.family not in _TABLE:
             raise IllegalSpec(f"unknown family {self.family!r}")
+        if self.domain_kind is None:
+            object.__setattr__(self, "domain_kind", _TABLE[self.family].kind)
         if self.domain_kind not in ("phi", "psi"):
             raise IllegalSpec("domain_kind must be 'phi' or 'psi'")
         if stray := [name for name in _UNREAD[self.family] if getattr(self, name) is not None]:
@@ -394,7 +397,7 @@ def alpha_beta(alpha: float, beta: float) -> ShapeFunction:
 
 
 def psi_gamma(exponent: float) -> ShapeFunction:
-    return ShapeFunction("psi_gamma", exponent=float(exponent), domain_kind="psi")
+    return ShapeFunction("psi_gamma", exponent=float(exponent))
 
 
 def qa_phi() -> ShapeFunction:
@@ -402,7 +405,7 @@ def qa_phi() -> ShapeFunction:
 
 
 def qa_psi() -> ShapeFunction:
-    return ShapeFunction("qa_psi", domain_kind="psi")
+    return ShapeFunction("qa_psi")
 
 
 def identity(kind: str = "phi") -> ShapeFunction:

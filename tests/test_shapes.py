@@ -757,6 +757,20 @@ class TestFamilyTable:
         shape = ShapeFunction("alpha_beta", alpha=1, beta=0)
         assert shape == alpha_beta(1.0, 0.0) and repr(shape) == repr(alpha_beta(1.0, 0.0))
 
+    def test_the_default_domain_is_the_familys(self):
+        # domain_kind defaulted to "phi", so ShapeFunction("qa_psi") refused
+        # t = 2.0, where qa_psi() and {"family": "qa_psi"} answer
+        for family, entry in shapes_module._TABLE.items():
+            shape = ShapeFunction(family, **self.MEMBERS[family][0])
+            assert shape.domain_kind == entry.kind
+            assert "domain" not in shape_to_json(shape)
+            assert parse_shape(shape_to_json(shape)) == shape
+        for shape, factory, value in ((ShapeFunction("qa_psi"), qa_psi(), 1.6931471805599454),
+                                      (ShapeFunction("psi_gamma", exponent=0.4), psi_gamma(0.4),
+                                       1.234462451836975)):
+            assert shape == factory and repr(shape) == repr(factory)
+            assert shape.eval(2.0) == value
+
     def test_nan_log_arguments_are_refused_by_every_family(self):
         # one guard for every family, so a family added to the table is covered
         for family in shapes_module._TABLE:
