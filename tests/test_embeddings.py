@@ -189,6 +189,12 @@ class TestSequences:
                 with pytest.raises(SpecParseError, match=f"^a {kind} sequence takes no {name}$"):
                     SequenceSpec(kind, **taken, **{name: value})
 
+    def test_an_unknown_kind_is_refused(self):
+        # the JSON reader refuses an unknown kind first, so only a constructor
+        # call reaches this check
+        with pytest.raises(SpecParseError, match="^unknown sequence kind 'bogus'$"):
+            SequenceSpec("bogus")
+
     @pytest.mark.parametrize("kind", list(_SEQUENCE_KEYS))
     def test_domain_start_is_derived_not_set(self, kind):
         with pytest.raises(TypeError, match="domain_start"):

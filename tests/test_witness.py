@@ -91,6 +91,12 @@ class TestSpecValidation:
     def test_flat_ratio_is_rejected_at_build(self):
         with pytest.raises(NotInvertible):
             build_witness(WitnessSpec(identity(), qa_psi(), N=2, c=0.5))
+        # identity's gamma is constant, so it does not decrease at a given mu1
+        with pytest.raises(NotInvertible, match="^gamma is not strictly decreasing at mu1$"):
+            build_witness(WitnessSpec(identity(), qa_psi(), 3, 0.5, mu1=0.25))
+        # constant_one's gamma = 1/t decreases, but its heights stay equal
+        with pytest.raises(NotInvertible, match="^heights failed to increase; phi not monotone"):
+            build_witness(WitnessSpec(constant_one(), qa_psi(), 3, 0.5))
 
     def test_layer_count_enforced(self):
         w = sqrt_witness()
