@@ -8,7 +8,8 @@ l1_norm_exact, distribution at fixed levels, and the canonical forms of abs_,
 scale and add) on random_functions(11, 500) and both edge_corpus sets, the
 functions read from json_edge_specs() (breakpoints, to_json, rearrange and
 l1_norm_exact), the corpora random_functions(11, 500) and
-layer_corpus(200, seed=7) from tests/corpora.py, the 50-200 layer functions
+layer_corpus(200, seed=7) from tests/corpora.py (their layer cakes read off rearrange: heights,
+rounded levels and superlevel measures), the 50-200 layer functions
 of deep_corpus(20) for the long searches, the two edge_corpus sets
 (non-dyadic grids, and values from 5e-324 to 1.7e308), the bounds engine's
 group weights (every group of layer_corpus(200, seed=7) and
@@ -24,7 +25,8 @@ reciprocal and a sampled sequence (also with a psi sampled only up to 10),
 iterated-log profiles, two of whose products leave the float range and two
 whose log terms overflow with opposite signs, a
 fixed list of CLI argvs, among them ranges too narrow for their points (exit code, argparse's SystemExit code for a
-refused command line, stdout and stderr), `selftest` at three
+refused command line, or the type and message of an exception that escapes
+main; stdout and stderr), `selftest` at three
 seeds, lorentz_norm, qa_bounds and rearrange on functions that are only
 0.0 and -0.0 or carry -0.0 pieces, the ladders gamma_exp(phi) priced by another phi
 and by their own (phi_s, the ladder's values around where it ends, its
@@ -70,7 +72,7 @@ from corpora import (  # noqa: E402
     random_functions,
     tie_corpus,
 )
-from qaspace import embeddings, lorentz_norm, nested_form, qa_bounds, qa_upper  # noqa: E402
+from qaspace import embeddings, lorentz_norm, qa_bounds, qa_upper  # noqa: E402
 from qaspace.cli import main as cli_main  # noqa: E402
 from qaspace.embeddings import SequenceSpec  # noqa: E402
 from qaspace.errors import ToolkitError  # noqa: E402
@@ -250,6 +252,13 @@ CLI_ARGVS = [
     ["omega", "--phi-x", '{"family": "identity"}', "--phi", QA_PHI, "--psi", QA_PSI,
      "--c", "0.5", "--N", "3"],
     ["selftest", "--seed", "7"],
+    # a step ratio past the float range, and a phi(t) that underflows to 0
+    ["check-seq", "--seq", json.dumps({"kind": "gamma_exp", "phi": {
+        "family": "alpha_beta", "alpha": 0.999999, "beta": 1e-12}}),
+     "--phi", '{"family": "constant_one"}', "--psi", QA_PSI, "--xmin", "2", "--xmax", "1000",
+     "--points", "3"],
+    ["tau", "--phi", json.dumps({"family": "piecewise", "points": [[0, 0], [0.5, 1e-300]]}),
+     "--psi", QA_PSI, "--tmin", "1e-30", "--tmax", "0.5", "--points", "5"],
 ]
 LADDER_ARGV = ["check-seq", "--seq", '{"kind": "gamma_exp"}', "--phi",
                json.dumps(LADDER_P.to_json()), "--psi", QA_PSI, "--xmax", "10"]
@@ -443,6 +452,17 @@ def _fn(f) -> tuple:
     return tuple(str(b) for b in f.breakpoints), f.values
 
 
+def _cake(f) -> tuple:
+    """The layer cake of f, read off f* = rearrange(f): its heights (f*'s values
+    without the zero level), their rounded differences, the measures of the
+    superlevel sets (f*'s breakpoints after 0) and f* itself."""
+    g = rearrange(f)
+    n = g.pieces - (g.values[-1] == 0)
+    heights = g.values[:n]
+    levels = tuple(a - b for a, b in zip(heights, (*heights[1:], 0.0)))
+    return heights, levels, tuple(map(str, g.breakpoints[1:n + 1])), _fn(g)
+
+
 def _bounds(b) -> tuple:
     return b.lower, b.upper, b.lower_source, tuple(_fn(g) for g in b.upper_witness.pieces)
 
@@ -467,6 +487,8 @@ def _cli(argv) -> tuple:
             code = cli_main(list(argv))
         except SystemExit as exc:  # argparse's refusal of the command line
             code = exc.code
+        except Exception as exc:  # a crash: its type and message stand in for the code
+            code = type(exc).__name__, str(exc)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -476,10 +498,7 @@ def groups():
     yield "stepfn", list(map(_stepfn, [*random_functions(11, 500), *edges]))
     yield "stepfn.json", list(map(_json_stepfn, json_edge_specs()))
     corpus = [*random_functions(11, 500), *layer_corpus(200, seed=7)]
-    yield "nested_form", [
-        (nf.heights, nf.levels, tuple(str(m) for m in nf.measures), _fn(nf.reconstruct()))
-        for nf in map(nested_form, corpus)
-    ]
+    yield "nested_form", list(map(_cake, corpus))
     yield "lorentz_norm", [_lorentz(f, phi) for phi, _ in SHAPE_PAIRS for f in corpus]
     for strategy in UPPER_STRATEGIES:
         yield f"qa_upper.{strategy}", [
