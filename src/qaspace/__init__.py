@@ -77,7 +77,6 @@ _EXPORTS = {
         "shape_to_json",
     ),
     "stepfn": (
-        "NestedForm",
         "StepFunction",
         "abs_",
         "add",
@@ -87,7 +86,6 @@ _EXPORTS = {
         "l1_norm",
         "l1_norm_exact",
         "linf_norm",
-        "nested_form",
         "random_step_function",
         "rearrange",
         "scale",

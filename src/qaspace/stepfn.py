@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import lt, mul, ne, sub
 
-from .errors import NegativePiece, SpecParseError, ZeroFunction
+from .errors import SpecParseError
 from .errors import spec_keys, spec_list, spec_number, spec_read
 
 _ONE = Fraction(1)
@@ -207,61 +207,6 @@ def _layers(values, grid) -> tuple:
     return den, heights, list(accumulate(map(mass.__getitem__, heights)))
 
 
-@dataclass(frozen=True)
-class NestedForm:
-    """The layer cake of a non-negative step function, the public exact view.
-
-    heights: the distinct positive values of f*, strictly decreasing.
-    measures: Fractions, measures[k] the exact measure of {f >= heights[k]}.
-    The layer-cake sum is sum_k levels[k] * indicator([0, measures[k])),
-    with levels[k] the rounded difference heights[k] - heights[k+1] (0 below
-    the last height) and rings[k] the exact measure of {f == heights[k]}.
-    reconstruct() rebuilds f* from the heights, so it returns rearrange(f)
-    bitwise for a form built by nested_form(f).
-    """
-
-    heights: tuple
-    measures: tuple
-
-    def __post_init__(self):
-        heights = tuple(float(h) for h in self.heights)
-        measures = tuple(m if isinstance(m, Fraction) else Fraction(m) for m in self.measures)
-        object.__setattr__(self, "heights", heights)
-        object.__setattr__(self, "measures", measures)
-        if len(heights) != len(measures) or not heights:
-            raise ValueError("heights and measures must be non-empty and equal length")
-        if not all(a > b for a, b in zip(heights, (*heights[1:], 0.0))):
-            raise ValueError("heights must be positive and strictly decreasing")
-        if not all(a < b for a, b in zip(measures, measures[1:])):
-            raise ValueError("measures must be strictly increasing")
-        if measures[-1] > 1:
-            raise ValueError("measures cannot exceed 1")
-
-    @property
-    def layers(self) -> int:
-        return len(self.heights)
-
-    @property
-    def levels(self) -> tuple:
-        """Rounded layer thicknesses heights[k] - heights[k+1]."""
-        return tuple(a - b for a, b in zip(self.heights, (*self.heights[1:], 0.0)))
-
-    @property
-    def rings(self) -> tuple:
-        """Exact level-set measures measures[k] - measures[k-1]."""
-        return tuple(b - a for a, b in zip((_ZERO, *self.measures), self.measures))
-
-    def reconstruct(self) -> StepFunction:
-        """Rebuild the decreasing step function; the heights are distinct and
-        positive, so it is canonical as built."""
-        bps = [_ZERO, *self.measures]
-        vals = list(self.heights)
-        if self.measures[-1] != _ONE:
-            bps.append(_ONE)
-            vals.append(0.0)
-        return StepFunction(tuple(bps), tuple(vals))
-
-
 def indicator(a, b, height: float = 1.0) -> StepFunction:
     """height * indicator([a, b)) as a canonical step function."""
     message = "need 0 <= a < b <= 1"
@@ -304,17 +249,6 @@ def rearrange(f: StepFunction) -> StepFunction:
         cum.append(den)
     # distinct finite values: canonical as built
     return _on_grid((den, (0, *cum)), tuple(heights))
-
-
-def nested_form(f: StepFunction) -> NestedForm:
-    """Layer cake of a non-negative f, read off its value distribution: the
-    distinct positive values as heights, the superlevel-set measures exact."""
-    if min(f.values) < 0:
-        raise NegativePiece("nested form needs f >= 0")
-    den, heights, cum = _layers(f.values, f._grid)
-    if not heights:
-        raise ZeroFunction("nested form is undefined for f == 0")
-    return NestedForm(tuple(heights), tuple(Fraction(c, den) for c in cum))
 
 
 def l1_norm_exact(f: StepFunction) -> Fraction:

@@ -898,7 +898,7 @@ class TestEntryPoint:
 # the package's exported names, each loaded from its home module on first use
 PUBLIC = [
     "AssumptionReport", "Decomposition", "DomainError", "EmptyInput", "EquivalenceReport",
-    "IllegalSpec", "LorentzNorm", "NegativePiece", "NestedForm", "NonPositiveValue",
+    "IllegalSpec", "LorentzNorm", "NegativePiece", "NonPositiveValue",
     "NormBounds", "NotInvertible", "PhiSValue", "SeqConditionReport", "SequenceSpec",
     "ShapeFunction", "SpecParseError", "StepFunction", "TooManyLayers", "ToolkitError",
     "WitnessFunction", "WitnessSpec", "ZeroFunction", "abs_", "add",
@@ -907,7 +907,7 @@ PUBLIC = [
     "gamma", "gamma_exp", "gamma_inv", "identity", "indicator", "is_concave",
     "is_quasiconcave", "iterated_log_profile", "l1_norm", "l1_norm_exact",
     "least_concave_majorant", "linf_norm", "log_tau", "lorentz_norm", "lower_bound_value",
-    "nested_form", "omega_n", "parse_shape", "phi_s", "piece_cost", "piecewise", "psi_gamma",
+    "omega_n", "parse_shape", "phi_s", "piece_cost", "piecewise", "psi_gamma",
     "qa_bounds", "qa_lower", "qa_phi", "qa_psi", "qa_upper", "random_step_function",
     "rearrange", "reciprocal", "sample_sequence", "scale", "shape_to_json", "tau",
     "witness_lorentz_norm", "witness_qa_upper",

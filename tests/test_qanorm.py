@@ -38,7 +38,7 @@ from qaspace import stepfn
 from qaspace.logs import LOG_ZERO, logsumexp
 from qaspace.lorentz import fact_bound, nonneg_fsum, weighted_sup_bound
 from qaspace.qanorm import STRATEGIES, _LayerTable, _search
-from qaspace.stepfn import abs_, nested_form
+from qaspace.stepfn import abs_
 from qaspace.witness import _LogLayerTable
 from conftest import brute_force_upper, layer_corpus, random_functions, step_functions
 from corpora import (
@@ -450,7 +450,7 @@ class TestLayerWeights:
             for f in corpus():
                 table = _LayerTable(abs_(f), phi)
                 n = len(table.vals)
-                rings = nested_form(abs_(table.f)).rings if n else ()
+                rings = rearrange(table.f).piece_measures()[:n]  # without the zero level
                 for i, j in groups(n):
                     got, want = table.weight(i, j), fraction_weight(table, rings, i, j)
                     assert struct.pack("<d", got) == struct.pack("<d", want), (f, i, j)

@@ -11,11 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaspace import (
-    NegativePiece,
-    NestedForm,
     SpecParseError,
     StepFunction,
-    ZeroFunction,
     abs_,
     add,
     constant,
@@ -24,14 +21,13 @@ from qaspace import (
     l1_norm,
     l1_norm_exact,
     linf_norm,
-    nested_form,
     random_step_function,
     rearrange,
     scale,
 )
 from qaspace import stepfn
 from qaspace.stepfn import _canonical, _distribution_exact, _ticks
-from conftest import layer_corpus, random_functions, step_functions
+from conftest import layer_corpus, step_functions
 from corpora import (
     EXTREME_VALUES,
     deep_corpus,
@@ -234,6 +230,13 @@ class TestRearrange:
         assert r.breakpoints == (F0, F(1, 4), F(3, 4), F1)
 
     @given(step_functions(signed=True))
+    @example(StepFunction((F0, F(1, 64), F1), (1.7930279632133748, 5.945792950634114)))
+    @example(
+        StepFunction(
+            (F0, F(1, 64), F(1, 32), F1),
+            (3.0, 0.9851638668647811, 0.22175325674386498),
+        )
+    )
     @settings(max_examples=60, deadline=None)
     def test_decreasing_and_idempotent(self, f):
         r = rearrange(f)
@@ -246,110 +249,6 @@ class TestRearrange:
         r = rearrange(f)
         assert l1_norm_exact(r) == l1_norm_exact(f)
         assert linf_norm(r) == linf_norm(f)
-
-
-class TestNestedForm:
-    def test_hand_case(self):
-        nf = nested_form(three_layer())
-        assert nf.heights == (3.0, 2.0, 1.0)
-        assert nf.levels == (1.0, 1.0, 1.0)
-        assert nf.measures == (F(1, 4), F(3, 4), F1)
-        assert nf.layers == 3
-        nf = NestedForm((3.0, 1.0), (F(1, 4), F1))
-        assert nf.levels == (2.0, 1.0)
-        assert nf.rings == (F(1, 4), F(3, 4))
-        assert nf.reconstruct().values == (3.0, 1.0)
-
-    def test_reconstruct_matches_rearrangement(self):
-        # The seeded corpora hold functions whose rounded level differences
-        # do not fsum back to their top value, so an inexact rebuild fails here
-        # on every run, whatever hypothesis draws.  rearrange appends the zero
-        # level that the layer cake leaves out, as 0.0 also where f has -0.0,
-        # just where reconstruct does: the signed corpus has both cases.
-        zero_pieces = {True: 0, False: 0}
-        for f in [three_layer(), *random_functions(11, 500), *signed_layer_corpus()]:
-            got, want = rearrange(f), nf_roundtrip(abs_(f))
-            assert got.breakpoints == want.breakpoints, f
-            assert [v.hex() for v in got.values] == [v.hex() for v in want.values], f
-            zero_pieces[0.0 in f.values] += 1
-        assert min(zero_pieces.values()) > 50, zero_pieces
-
-    @given(step_functions())
-    @example(StepFunction((F0, F(1, 64), F1), (1.7930279632133748, 5.945792950634114)))
-    @example(
-        StepFunction(
-            (F0, F(1, 64), F(1, 32), F1),
-            (3.0, 0.9851638668647811, 0.22175325674386498),
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_reconstruct_roundtrip(self, f):
-        if all(v == 0.0 for v in f.values):
-            return
-        assert nf_roundtrip(f) == rearrange(f)
-
-    @pytest.mark.parametrize("name", EXACT_CORPORA)
-    def test_matches_fraction_reference(self, name):
-        for f in EXACT_CORPORA[name]:
-            fa = abs_(f)
-            if not any(fa.values):
-                continue
-            mass = {}
-            for v, m in zip(fa.values, fraction_measures(fa)):
-                if v > 0:
-                    mass[v] = mass.get(v, F0) + m
-            heights = sorted(mass, reverse=True)
-            nf = nested_form(fa)
-            assert nf.heights == tuple(heights)
-            assert nf.measures == tuple(accumulate(mass[v] for v in heights))
-            assert all(type(m) is F for m in nf.measures)
-            # the form is built trusted; the validating constructor agrees
-            assert NestedForm(nf.heights, nf.measures) == nf
-
-    def test_rejects_negative_and_zero(self):
-        with pytest.raises(NegativePiece):
-            nested_form(StepFunction((F0, F1), (-1.0,)))
-        with pytest.raises(ZeroFunction):
-            nested_form(constant(0.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NestedForm((1.0, -1.0), (F(1, 4), F(1, 2)))
-        with pytest.raises(ValueError):
-            NestedForm((1.0,), (F(3, 2),))
-        with pytest.raises(ValueError):
-            NestedForm((1.0, 2.0), (F(1, 4), F(1, 2)))
-        with pytest.raises(ValueError):
-            NestedForm((2.0, 2.0), (F(1, 4), F(1, 2)))
-        unequal = "^heights and measures must be non-empty and equal length$"
-        for heights, measures in (((2.0, 1.0), (F(1, 4),)), ((), ())):
-            with pytest.raises(ValueError, match=unequal):
-                NestedForm(heights, measures)
-        for measures in ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2))):
-            with pytest.raises(ValueError, match="^measures must be strictly increasing$"):
-                NestedForm((2.0, 1.0), measures)
-
-
-def nf_roundtrip(f):
-    return nested_form(f).reconstruct()
-
-
-def signed_layer_corpus():
-    """Signed functions, some with 0.0 or -0.0 pieces (scale by -1 turns a
-    0.0 piece into -0.0), on dyadic and non-dyadic grids."""
-    quarters = (F0, F(1, 4), F(1, 2), F(3, 4), F1)
-    layers = layer_corpus(200, seed=7)
-    return [
-        *random_functions(11, 300, signed=True),
-        *layers,
-        *(scale(f, -1.0) for f in layers),
-        *edge_corpus(31),
-        *float_edge_corpus(),
-        StepFunction(quarters, (3.0, -0.0, 2.0, 0.0)),
-        StepFunction(quarters, (-0.0, -1.5, 0.0, 1.5)),
-        StepFunction(quarters, (2.5, -2.5, 1.0, -1.0)),
-    ]
-
 
 
 class TestArithmetic:
