@@ -379,7 +379,7 @@ def check_seq_conditions(
     if n_hi >= n_lo:
         # a running maximum over neighbouring terms, which holds two at a time
         lg = (log_gamma(phi, seq.log_value(float(n))) for n in range(n_lo, n_hi + 2))
-        constant = max(math.exp(g1 - g0) for g0, g1 in pairwise(lg))
+        constant = exp_or_inf(max(g1 - g0 for g0, g1 in pairwise(lg)))
 
     return SeqConditionReport(
         monotone_decreasing=dec,

@@ -819,6 +819,16 @@ class TestBeyondFloatRange:
         assert main(["lorentz-norm", *argv]) == 0
         assert '"value": Infinity' in capsys.readouterr().out
 
+    def test_a_step_ratio_past_the_float_range_prints_infinity(self, capsys):
+        # this exited 1 with an OverflowError traceback
+        seq = {"kind": "gamma_exp", "phi": {"family": "alpha_beta", "alpha": 0.999999,
+                                            "beta": 1e-12}}
+        assert main(["check-seq", "--seq", json.dumps(seq), "--phi", '{"family": "constant_one"}',
+                     "--psi", QA_PSI, "--xmin", "2", "--xmax", "1000", "--points", "3"]) == 0
+        text = capsys.readouterr().out
+        assert '"step_ratio_constant": Infinity' in text
+        assert json.loads(text)["result"]["passed"] is False
+
 
 # one argv per subcommand, drawn as the cli workload draws them
 ENTRY_F = '{"breakpoints": [0, 0.125, 0.5, 0.75, 1], "values": [-4.5, 0, 7.25, 1.5]}'

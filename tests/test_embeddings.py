@@ -584,6 +584,14 @@ class TestSeqConditions:
         message = "gamma_exp sequence ends at 2.6094379124341, got 2.628140703517588"
         assert json.loads(line)["error"] == {"type": "DomainError", "message": message}
 
+    def test_a_step_ratio_past_the_float_range_is_infinite(self):
+        # log gamma climbs by more than log(DBL_MAX) in one step: exp of that
+        # step overflowed, and the scan raised OverflowError
+        seq = gamma_exp(alpha_beta(0.999999, 1e-12))
+        rep = check_seq_conditions(constant_one(), qa_psi(), seq, [2.0, 501.0, 1000.0])
+        assert rep.step_ratio_constant == math.inf
+        assert not rep.passed
+
     def test_reciprocal_needs_a_long_grid(self):
         # the product phi(1/x) decays like log(x)/x: ten-fold decay
         # only shows up once the grid reaches past x ~ 60
