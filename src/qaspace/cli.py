@@ -26,7 +26,7 @@ from dataclasses import asdict
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, SpecParseError, ToolkitError
+from .errors import DomainError, NonPositiveValue, SpecParseError, ToolkitError
 from .errors import spec_kind, spec_number, spec_read, spec_whole
 
 OUT_DIR_VAR = "QASPACE_OUT_DIR"
@@ -157,6 +157,8 @@ def _cmd_tau(args) -> dict:
     rows = []
     for t in embeddings.log_grid(args.tmin, args.tmax, args.points):
         tv, pv = embeddings.tau(args.phi, args.psi, t), args.phi.eval(t)
+        if not pv > 0.0:  # phi(t) underflowed: the ratio tau/phi is undefined
+            raise NonPositiveValue(f"the ratio tau/phi needs phi(t) > 0, got {pv!r} at t={t!r}")
         rows.append({"t": t, "tau": tv, "phi": pv, "ratio": tv / pv})
     return {"rows": rows}
 

@@ -340,6 +340,21 @@ class TestErrors:
                 "got t_min=0.5, t_max=0.5000000000000001, points=5")
         assert json.loads(captured.err) == {"error": {"type": "ValueError", "message": want}}
 
+    # phi(1e-30) underflows to 0.0: tau / phi raised ZeroDivisionError and this
+    # exited 1 with a traceback; equivalence already refused the same pair
+    def test_tau_refuses_a_phi_that_underflows(self, capsys):
+        phi = {"family": "piecewise", "points": [[0, 0], [0.5, 1e-300]]}
+        tail = ["--tmin", "1e-30", "--tmax", "0.5", "--points", "5"]
+        assert main(["tau", "--phi", json.dumps(phi), "--psi", QA_PSI, *tail]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = "the ratio tau/phi needs phi(t) > 0, got 0.0 at t=1e-30"
+        assert captured.err == json.dumps(
+            {"error": {"message": want, "type": "NonPositiveValue"}}) + "\n"
+        assert main(["equivalence", "--a", json.dumps({"kind": "tau", "phi": phi, "psi": PSI}),
+                     "--b", json.dumps({"kind": "shape", "spec": phi}), *tail]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "NonPositiveValue"
+
     # an empty range, and one an ulp wide, whose grid repeats a point, were
     # refused as "x_grid must be at least 3 strictly increasing points", which
     # named no flag and not where the grid starts
