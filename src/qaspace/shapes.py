@@ -565,11 +565,16 @@ def check_assumptions(
     n_max: int = 256,
     grid_points: int = 1000,
 ) -> AssumptionReport:
-    """Test the two growth assumptions on finite grids and report the best pair.
+    """Sample two growth conditions on finite grids and report the best pair.
 
-    For each candidate (c, p), phi(t)/t^c is sampled on a 10^3-point log grid
-    in (0, p]; the best passing pair maximizes c, then p.  The psi constant is
-    the empirical max of psi(n^2)/psi(n) for n up to n_max.
+    The two conditions, and all that is sampled:
+    - phi(t)/t^c monotone (nondecreasing, to 1e-10 in logs) on a log grid of
+      grid_points points over the nine decades up to p, for each candidate
+      (c, p); the best passing pair maximizes c, then p;
+    - the largest psi(n^2)/psi(n) over n = 1..n_max, the psi constant.
+
+    It certifies neither that phi is concave nor that phi or psi is
+    monotone: no grid here tests either.
     """
     cs = sorted(set(float(c) for c in c_candidates), reverse=True)
     ps = sorted(set(float(p) for p in p_candidates), reverse=True)
