@@ -8,9 +8,9 @@ l1_norm_exact, distribution at fixed levels, and the canonical forms of abs_,
 scale and add) on random_functions(11, 500) and both edge_corpus sets, the
 functions read from json_edge_specs() (breakpoints, to_json, rearrange and
 l1_norm_exact), the corpora random_functions(11, 500) and
-layer_corpus(200, seed=7) from tests/corpora.py (their layer cakes read off rearrange: heights,
-rounded levels and superlevel measures), the 50-200 layer functions
-of deep_corpus(20) for the long searches, the two edge_corpus sets
+layer_corpus(200, seed=7) from tests/corpora.py (their layer cakes, read
+off rearrange: heights, rounded levels and superlevel measures), the 50-200
+layer functions of deep_corpus(20) for the long searches, the two edge_corpus sets
 (non-dyadic grids, and values from 5e-324 to 1.7e308), the bounds engine's
 group weights (every group of layer_corpus(200, seed=7) and
 float_edge_corpus(), and the group_sample of deep_corpus(4)), every group of
