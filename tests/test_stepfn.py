@@ -27,7 +27,7 @@ from qaspace import (
 )
 from qaspace import stepfn
 from qaspace.stepfn import _canonical, _distribution_exact, _ticks
-from conftest import layer_corpus, step_functions
+from conftest import layer_corpus, random_functions, step_functions
 from corpora import (
     EXTREME_VALUES,
     deep_corpus,
@@ -249,6 +249,87 @@ class TestRearrange:
         r = rearrange(f)
         assert l1_norm_exact(r) == l1_norm_exact(f)
         assert linf_norm(r) == linf_norm(f)
+
+
+def layer_cake(f):
+    """The layer cake of |f| read off rearrange(f) as README gives it:
+    heights, levels, superlevel measures and rings."""
+    r = rearrange(f)
+    n = r.pieces - (r.values[-1] == 0)  # without f*'s zero level
+    heights = r.values[:n]
+    levels = tuple(a - b for a, b in zip(heights, (*heights[1:], 0.0)))
+    return heights, levels, r.breakpoints[1 : n + 1], r.piece_measures()[:n]
+
+
+def signed_layer_corpus():
+    """Signed functions, some with 0.0 or -0.0 pieces (scale by -1 turns a
+    0.0 piece into -0.0), on dyadic and non-dyadic grids."""
+    quarters = (F0, F(1, 4), F(1, 2), F(3, 4), F1)
+    layers = layer_corpus(200, seed=7)
+    return [
+        *random_functions(11, 300, signed=True),
+        *layers,
+        *(scale(f, -1.0) for f in layers),
+        *edge_corpus(31),
+        *float_edge_corpus(),
+        StepFunction(quarters, (3.0, -0.0, 2.0, 0.0)),
+        StepFunction(quarters, (-0.0, -1.5, 0.0, 1.5)),
+        StepFunction(quarters, (2.5, -2.5, 1.0, -1.0)),
+    ]
+
+
+class TestLayerCake:
+    def test_hand_case(self):
+        heights, levels, measures, rings = layer_cake(three_layer())
+        assert heights == (3.0, 2.0, 1.0)
+        assert levels == (1.0, 1.0, 1.0)
+        assert measures == (F(1, 4), F(3, 4), F1)
+        assert rings == (F(1, 4), F(1, 2), F(1, 4))
+        f = StepFunction((F0, F(1, 4), F(1, 2), F1), (-3.0, 0.0, 1.0))
+        assert layer_cake(f) == ((3.0, 1.0), (2.0, 1.0), (F(1, 4), F(3, 4)), (F(1, 4), F(1, 2)))
+        assert rearrange(f).values == (3.0, 1.0, 0.0)
+
+    def test_zero_function_has_no_layers(self):
+        for f in (constant(0.0), constant(-0.0), StepFunction((F0, F(1, 3), F1), (-0.0, 0.0))):
+            r = rearrange(f)
+            assert r.breakpoints == (F0, F1)
+            assert [v.hex() for v in r.values] == ["0x0.0p+0"], f
+            assert layer_cake(f) == ((), (), (), ())
+
+    def test_zero_level_on_signed_corpus(self):
+        # f* carries one zero level, as 0.0 also where f has only -0.0, just
+        # where |f| vanishes on a set of positive measure, and then that set's
+        # measure; above it the heights fall strictly, so every level is
+        # positive.  The signed corpus holds both cases.
+        zero_pieces = {True: 0, False: 0}
+        for f in [three_layer(), *signed_layer_corpus()]:
+            r = rearrange(f)
+            heights, levels, measures, rings = layer_cake(f)
+            zero_set = sum((m for v, m in zip(f.values, fraction_measures(f)) if v == 0), F0)
+            assert (r.values[-1] == 0) == (zero_set > 0), f
+            if zero_set:
+                assert math.copysign(1.0, r.values[-1]) == 1.0, f
+                assert r.piece_measures()[-1] == zero_set == F1 - measures[-1], f
+            else:
+                assert measures[-1] == F1, f
+            assert min(heights) > 0 and min(levels) > 0, f
+            assert sum(rings) == measures[-1], f
+            zero_pieces[zero_set > 0] += 1
+        assert min(zero_pieces.values()) > 50, zero_pieces
+
+    @pytest.mark.parametrize("name", EXACT_CORPORA)
+    def test_matches_fraction_reference(self, name):
+        for f in EXACT_CORPORA[name]:
+            mass = {}
+            for v, m in zip(map(abs, f.values), fraction_measures(f)):
+                if v > 0:
+                    mass[v] = mass.get(v, F0) + m
+            heights = sorted(mass, reverse=True)
+            got = layer_cake(f)
+            assert got[0] == tuple(heights), f
+            assert got[2] == tuple(accumulate(mass[v] for v in heights)), f
+            assert got[3] == tuple(mass[v] for v in heights), f
+            assert all(type(m) is F for m in (*got[2], *got[3])), f
 
 
 class TestArithmetic:
