@@ -12,7 +12,11 @@ groups consecutive layers, and a group of layers i..j collapses into the
 single piece clamp(|f| - a_{j+1}, 0, a_i - a_{j+1}), whose cost depends only
 on the value distribution.  Searching consecutive groupings does not certify
 the true infimum; the results are upper bounds, paired with the rigorous
-lower bound max(psi(1) * lorentz, phi(1)psi(1) * l1).
+lower bound psi(1) * lorentz, the Lorentz functional of lorentz_norm.  Every
+shape this package builds has phi(t)/t nonincreasing (the guarantees below
+shapes._TABLE), so phi(t) >= t phi(1), and the functional is at least
+phi(1) * l1(f): the plain-integral floor is never the better bound, but by
+rounding.
 
 Strategies: "singleton" covers |f| by itself, one piece and nothing else;
 "layers" uses one piece per layer; "local_search" greedily merges adjacent
@@ -23,14 +27,14 @@ runs "exhaustive" up to the cap and "local_search" beyond it.  Every strategy
 but "singleton" also considers the one piece and the layer split, so its
 upper bound is never above either.
 
-Group weights and the lower bound read one _LayerTable.  Every l1 is summed
-in integers and divided once, so the lower bound's l1 is l1_norm(f) bitwise.
-A group's l1 comes from prefix sums, less the exact error of each difference
-that rounds (see _LayerTable), so a weight costs O(rounded terms).
+Group weights and qa_upper's lower bound read one _LayerTable.  A group's l1
+is summed in integers and divided once: it comes from prefix sums, less the
+exact error of each difference that rounds (see _LayerTable), so a weight
+costs O(rounded terms).
 
 The weight of a single layer is the layer's Lorentz term
 (lorentz.layer_weights), so the layer split's weights are priced once, with
-the table, and the lower bound sums them.
+the table, and the lower bound sums them: the same float as lorentz_norm.
 
 One optimizer, _search, runs every strategy over a layer table: any object
 with layer_weights, the weights of its n single layers, and weight(i, j), the
@@ -54,7 +58,7 @@ from operator import itemgetter, mul, neg, sub
 
 from . import stepfn
 from .errors import NegativePiece, TooManyLayers
-from .lorentz import fact_bound, layer_weights, nonneg_fsum, weighted_sup_bound
+from .lorentz import fact_bound, layer_weights, lorentz_norm, nonneg_fsum, weighted_sup_bound
 from .shapes import ShapeFunction
 from .stepfn import StepFunction
 
@@ -78,7 +82,13 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class NormBounds:
-    """lower <= norm <= upper, with the winning lower source and the cover."""
+    """lower <= norm <= upper, with the lower bound's source and the cover.
+
+    lower is psi(1) * lorentz_norm(f, phi).value and lower_source is always
+    "lorentz".  ratio is upper / lower: 1.0 when both are 0, and inf when only
+    lower is 0 or when upper is past the float range, which certifies no
+    finite tightness (inf / inf would be nan).
+    """
 
     lower: float
     upper: float
@@ -89,7 +99,7 @@ class NormBounds:
     def ratio(self) -> float:
         if self.lower == 0.0:
             return 1.0 if self.upper == 0.0 else math.inf
-        return self.upper / self.lower
+        return math.inf if self.upper == math.inf else self.upper / self.lower
 
 
 def piece_cost(g: StepFunction, n: int, phi: ShapeFunction, psi: ShapeFunction) -> float:
@@ -102,8 +112,11 @@ def piece_cost(g: StepFunction, n: int, phi: ShapeFunction, psi: ShapeFunction) 
 
 
 def qa_lower(f: StepFunction, phi: ShapeFunction, psi: ShapeFunction) -> float:
-    """Rigorous lower bound: max of the Lorentz route and the l1 route."""
-    return _LayerTable(f, phi).lower(psi)[0]
+    """Rigorous lower bound psi(1) * lorentz_norm(f, phi).value.  By the
+    guarantees below shapes._TABLE a cover's piece g costs at least psi(1)
+    times the functional of g, which is subadditive, and the bound is at
+    least phi(1) psi(1) l1(f), up to rounding."""
+    return psi.eval(1.0) * lorentz_norm(f, phi).value
 
 
 class _LayerTable:
@@ -138,7 +151,8 @@ class _LayerTable:
     layer_weights[k] is weight(k, k), computed once with the table.  A single
     layer's piece is its height on the top cum[k] ticks, so its l1/linf is
     cum[k] / den, one rounding, and its weight is the k-th term of the
-    Lorentz sum (lorentz.layer_weights) bit for bit; lower() sums them.
+    Lorentz sum (lorentz.layer_weights) bit for bit, and their fsum is
+    lorentz_norm's value.
     """
 
     def __init__(self, f: StepFunction, phi: ShapeFunction):
@@ -161,13 +175,6 @@ class _LayerTable:
         self._by_rank = (
             itemgetter(*rank) if len(rank) > 1 else lambda by_layer: (by_layer[rank[0]],)
         )
-
-    def lower(self, psi: ShapeFunction) -> tuple:
-        """(max(psi(1) * lorentz, phi(1)psi(1) * l1), the route that won)."""
-        psi1 = psi.eval(1.0)
-        via_lorentz = psi1 * nonneg_fsum(self.layer_weights)
-        via_l1 = self.phi.eval(1.0) * psi1 * (self._mass[-1] / (self._den << self._shift))
-        return (via_l1, "l1") if via_l1 > via_lorentz else (via_lorentz, "lorentz")
 
     def weight(self, i: int, j: int) -> float:
         vals, above, mass, shift = self.vals, self._above, self._mass, self._shift
@@ -311,7 +318,7 @@ def qa_upper(
 ) -> NormBounds:
     """Upper bound from the requested search strategy, with the lower bound attached."""
     table = _LayerTable(f, phi)
-    lower, source = table.lower(psi)
+    lower = psi.eval(1.0) * nonneg_fsum(table.layer_weights)
     psi_at = [psi.eval(float(r + 1)) for r in range(len(table.vals))]
 
     def price(ws) -> float:
@@ -319,7 +326,7 @@ def qa_upper(
 
     best_total, best_groups = _search(table, price, strategy)
     pieces = tuple(table.materialize(i, j) for i, j in best_groups)
-    return NormBounds(lower, best_total, source, Decomposition(pieces, best_total))
+    return NormBounds(lower, best_total, "lorentz", Decomposition(pieces, best_total))
 
 
 def qa_bounds(f: StepFunction, phi: ShapeFunction, psi: ShapeFunction) -> NormBounds:
