@@ -16,8 +16,9 @@ A decreasing sequence s gives two more profiles:
 which agree with tau up to constants for good sequences; the sequence
 s(x) = gamma_inv(e^{x-1}) makes alpha_s and tau coincide wherever
 phi(t)/t >= 1.  s_n does not increase, phi(t)/t does not increase and psi does
-not decrease, so the truncated phi_s is in closed form: with k the first index
-where s_k < t, the least of the terms before k and t * gamma(s_k) * psi(k).
+not decrease (the guarantees stated below shapes._TABLE), so the truncated
+phi_s is in closed form: with k the first index where s_k < t, the least of
+the terms before k and t * gamma(s_k) * psi(k).
 `check_seq_conditions` reports grid evidence for the four conditions a
 sequence must satisfy, including the empirical step-growth constant for
 phi(s_n)/s_n.
@@ -138,15 +139,16 @@ class SequenceSpec:
             out["points"] = [list(p) for p in self.samples]
         return out
 
-    def _check_x(self, x: float):
+    def _check_x(self, x: float) -> float:
+        """x on the domain; an x less than 1e-12 below domain_start reads as it."""
         if not x >= self.domain_start - 1e-12:  # NaN too
             raise DomainError(f"sequence defined from {self.domain_start}, got {x!r}")
         if x > (end := self.domain_end):
             raise DomainError(f"{self.kind.removesuffix('s')} sequence ends at {end}, got {x!r}")
+        return max(x, self.domain_start)
 
     def value(self, x: float) -> float:
-        x = float(x)
-        self._check_x(x)
+        x = self._check_x(float(x))
         if self.kind == "reciprocal":
             return 1.0 / x
         if self.kind == "gamma_exp":
@@ -160,8 +162,7 @@ class SequenceSpec:
                 return s1 if x == x1 else max(s, min(s0, s1))
 
     def log_value(self, x: float) -> float:
-        x = float(x)
-        self._check_x(x)
+        x = self._check_x(float(x))
         if self.kind == "reciprocal":
             return -math.log(x)
         if self.kind == "gamma_exp":
@@ -315,7 +316,8 @@ class SeqConditionReport:
     monotone_decreasing / tends_to_zero cover s itself; the product fields
     cover phi(s(x)) * psi(x) (decay, and non-increase beyond the located
     tail start); step_ratio_constant is the empirical max of
-    gamma(s(n+1))/gamma(s(n)) over integer steps in the grid span.
+    gamma(s(n+1))/gamma(s(n)) over integer steps in the grid span, None when
+    the span holds no step, and passed is False then.
     """
 
     monotone_decreasing: bool
@@ -323,7 +325,7 @@ class SeqConditionReport:
     product_tends_to_zero: bool
     product_tail_start: float | None
     product_tail_monotone: bool
-    step_ratio_constant: float
+    step_ratio_constant: float | None
     grid: tuple
 
     @property
@@ -333,6 +335,7 @@ class SeqConditionReport:
             and self.tends_to_zero
             and self.product_tends_to_zero
             and self.product_tail_monotone
+            and self.step_ratio_constant is not None
             and math.isfinite(self.step_ratio_constant)
         )
 
@@ -375,7 +378,7 @@ def check_seq_conditions(
     prod_zero = tail_monotone and (max(log_prod) - log_prod[-1]) >= math.log(10.0)
 
     n_hi = math.floor(xs[-1] + 1e-12) - 1
-    constant = math.nan
+    constant = None
     if n_hi >= n_lo:
         # a running maximum over neighbouring terms, which holds two at a time
         lg = (log_gamma(phi, seq.log_value(float(n))) for n in range(n_lo, n_hi + 2))

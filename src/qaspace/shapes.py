@@ -2,10 +2,12 @@
 
 Two kinds of shapes appear throughout the toolkit:
 
-* phi-kind: non-decreasing on [0,1], zero at 0, with phi(t)/t non-increasing
-  (quasiconcave).  They weigh layer measures.
-* psi-kind: non-decreasing on [0, inf), zero at 0.  They weigh positions in a
+* phi-kind: on [0,1], zero at 0.  They weigh layer measures.
+* psi-kind: on [0, inf), zero at 0.  They weigh positions in a
   decomposition, evaluated at any real argument >= 0.
+
+What every member guarantees, monotone and, for a phi, concave with phi(t)/t
+non-increasing, is stated once, with its proofs, below `_TABLE`.
 
 Families (JSON `family` tag in parentheses):
 
@@ -383,6 +385,26 @@ _TABLE = {
         "phi", (), lambda s: (lambda t: 1.0, lambda x: 0.0, lambda x: -x, _constant_one_inv), 1.0),
     "piecewise": _Family("phi", (("points", "points", spec_pairs),), _piecewise),
 }
+"""The shape guarantees, stated once for every member of every family.
+
+(G1) Every member is nondecreasing on its domain.
+(G2) Every phi-kind member is concave on (0, 1], with phi(t)/t nonincreasing.
+
+The ratio follows from concavity: with phi(0+) >= 0, the chord from (0,
+phi(0+)) gives phi(s) >= (s/t) phi(t) for s < t.  Per family:
+- alpha_beta(a, b): with L = 1 - log t, phi' = t^(a-1) L^(b-1) (aL - b) >= 0
+  for L >= b/a, and phi'' = t^(a-2) L^(b-2) Q(L), Q(L) = a(a-1)L^2 +
+  b(1-2a)L - b(1-b) <= Q(b/a) = -b <= 0 there (Q is concave, Q'(b/a) = -b);
+  above t = e^(1-b/a), where L < b/a, it is its constant top.  qa_phi is (1, 1).
+- psi_gamma(g): t up to 1, then (1 + log t)^g, continuous at 1 and increasing
+  for g >= 0; as a phi it is t.  qa_psi is g = 1.
+- identity: t.  constant_one: 0 at 0, then 1.
+- piecewise: chords through samples that _piecewise has checked start at
+  (0, 0), do not decrease, and are concave (is_concave, to _SAMPLE_TOL).
+No family lacks a guarantee, so _Family carries no flag for one.  The qanorm
+bounds rest on these facts, not on check_assumptions, which samples other
+conditions; tests/test_shapes.py TestGuarantees checks them for every family.
+"""
 # the JSON keys of each family: its parameters, and an optional domain
 _KEYS = {
     name: (tuple(key for _, key, _ in fam.params), ("domain",)) for name, fam in _TABLE.items()
@@ -493,22 +515,25 @@ def least_concave_majorant(samples) -> ShapeFunction:
     return piecewise(tuple(hull))
 
 
-def is_concave(samples, tol: float = 1e-12) -> bool:
-    """Finite check: chord slopes non-increasing left to right.  Each comparison
-    must hold, and the first is with inf, so a NaN sample fails."""
+_SAMPLE_TOL = 1e-12  # is_concave's and is_quasiconcave's relative slack
+
+
+def is_concave(samples) -> bool:
+    """Finite check: chord slopes non-increasing left to right, to _SAMPLE_TOL.
+    Each comparison must hold, and the first is with inf, so a NaN sample fails."""
     pts = [(float(t), float(y)) for t, y in samples]
     slopes = [
         (y1 - y0) / (t1 - t0) for (t0, y0), (t1, y1) in zip(pts, pts[1:])
     ]
     for s0, s1 in zip([math.inf, *slopes], slopes):
-        if not s1 <= s0 + tol * max(1.0, abs(s0)):
+        if not s1 <= s0 + _SAMPLE_TOL * max(1.0, abs(s0)):
             return False
     return True
 
 
-def is_quasiconcave(samples, tol: float = 1e-12) -> bool:
+def is_quasiconcave(samples) -> bool:
     """Finite check: zero at 0, positive after, non-decreasing, y/t
-    non-increasing.  As in is_concave, a NaN sample fails."""
+    non-increasing, each to _SAMPLE_TOL.  As in is_concave, a NaN sample fails."""
     pts = [(float(t), float(y)) for t, y in samples]
     ratios = []
     for t, y in pts:
@@ -521,17 +546,17 @@ def is_quasiconcave(samples, tol: float = 1e-12) -> bool:
         ratios.append(y / t)
     ys = [y for _, y in pts]
     for y0, y1 in zip(ys, ys[1:]):
-        if not y1 >= y0 - tol * max(1.0, abs(y0)):
+        if not y1 >= y0 - _SAMPLE_TOL * max(1.0, abs(y0)):
             return False
     for r0, r1 in zip([math.inf, *ratios], ratios):
-        if not r1 <= r0 * (1.0 + tol):
+        if not r1 <= r0 * (1.0 + _SAMPLE_TOL):
             return False
     return True
 
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Grid evidence for the growth assumptions behind the lower-bound machinery.
+    """Grid evidence for two growth conditions of a (phi, psi) pair.
 
     phi_ratio_monotone: phi(t)/t^c never decreased along the grid in (0, p].
     psi_square_constant: empirical max of psi(n^2)/psi(n) over tested n.
@@ -546,11 +571,14 @@ class AssumptionReport:
     grid: tuple
 
 
-def _ratio_monotone_on_grid(phi: ShapeFunction, c: float, p: float, points: int) -> tuple:
+_GRID_POINTS = 1000  # check_assumptions' points per (c, p) grid
+
+
+def _ratio_monotone_on_grid(phi: ShapeFunction, c: float, p: float) -> tuple:
     # log-spaced grid over nine decades up to p; monotonicity read off in logs
     log_p = math.log(p)
     lo = log_p + math.log(1e-9)
-    grid = [math.exp(lo + (log_p - lo) * i / (points - 1)) for i in range(points)]
+    grid = [math.exp(lo + (log_p - lo) * i / (_GRID_POINTS - 1)) for i in range(_GRID_POINTS)]
     grid[-1] = p
     h = [phi.log_eval(math.log(t)) - c * math.log(t) for t in grid]
     ok = all(h1 >= h0 - 1e-10 for h0, h1 in zip(h, h[1:]))
@@ -563,18 +591,18 @@ def check_assumptions(
     c_candidates,
     p_candidates,
     n_max: int = 256,
-    grid_points: int = 1000,
 ) -> AssumptionReport:
     """Sample two growth conditions on finite grids and report the best pair.
 
     The two conditions, and all that is sampled:
     - phi(t)/t^c monotone (nondecreasing, to 1e-10 in logs) on a log grid of
-      grid_points points over the nine decades up to p, for each candidate
+      _GRID_POINTS points over the nine decades up to p, for each candidate
       (c, p); the best passing pair maximizes c, then p;
     - the largest psi(n^2)/psi(n) over n = 1..n_max, the psi constant.
 
     It certifies neither that phi is concave nor that phi or psi is
-    monotone: no grid here tests either.
+    monotone: no grid here tests either.  Those hold for every shape by
+    construction (the statement below _TABLE).
     """
     cs = sorted(set(float(c) for c in c_candidates), reverse=True)
     ps = sorted(set(float(p) for p in p_candidates), reverse=True)
@@ -589,13 +617,13 @@ def check_assumptions(
     best_grid = None
     passed = False
     for c, p in product(cs, ps):
-        ok, grid = _ratio_monotone_on_grid(phi, c, p, grid_points)
+        ok, grid = _ratio_monotone_on_grid(phi, c, p)
         if ok:
             best, best_grid, passed = (c, p), grid, True
             break  # candidates are scanned best first
     if best is None:
         best = (cs[0], ps[0])
-        _, best_grid = _ratio_monotone_on_grid(phi, *best, grid_points)
+        _, best_grid = _ratio_monotone_on_grid(phi, *best)
 
     ratios = [psi.eval(float(n * n)) / psi.eval(float(n)) for n in range(1, n_max + 1)]
     constant = max(ratios)

@@ -845,6 +845,30 @@ class TestBeyondFloatRange:
         assert json.loads(text)["result"]["passed"] is False
 
 
+class TestNoNaN:
+    """A report prints Infinity or null where a quotient has no finite value."""
+
+    def test_a_ratio_over_an_infinite_upper_prints_infinity(self, capsys):
+        # both bounds overflow, and inf / inf printed "ratio": NaN
+        argv = ["qa-bounds", "--phi", '{"family": "constant_one"}',
+                "--psi", '{"family": "alpha_beta", "alpha": 1e-300, "beta": 1}',
+                "--input", '{"breakpoints": [0, 0.109375, 1], "values": [5e-324, -1e+308]}']
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "NaN" not in text and '"ratio": Infinity' in text
+        out = json.loads(text)["result"]
+        assert out["lower"] == out["upper"] == out["ratio"] == math.inf
+
+    def test_a_grid_with_no_integer_step_prints_null(self, capsys):
+        # [1, 1.5] spans no step n -> n + 1: this printed "step_ratio_constant": NaN
+        argv = ["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI, "--psi", QA_PSI,
+                "--xmin", "1", "--xmax", "1.5", "--points", "5"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "NaN" not in text and '"step_ratio_constant": null' in text
+        assert json.loads(text)["result"]["passed"] is False
+
+
 # one argv per subcommand, drawn as the cli workload draws them
 ENTRY_F = '{"breakpoints": [0, 0.125, 0.5, 0.75, 1], "values": [-4.5, 0, 7.25, 1.5]}'
 ENTRY_PHI = '{"family": "alpha_beta", "alpha": 0.75, "beta": 0.8}'

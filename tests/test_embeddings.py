@@ -5,7 +5,7 @@ import pickle
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -329,6 +329,16 @@ class TestSequences:
                 x - 1.0, rel=1e-11, abs=1e-11
             )
 
+    @pytest.mark.parametrize("seq", [reciprocal(), sample_sequence([(1, 1), (2, 0.5)])],
+                             ids=["reciprocal", "samples"])
+    def test_an_x_within_the_start_slack_reads_as_the_start(self, seq):
+        # the formulas read x as given: 1/x and the first chord rose above 1
+        for x in (1 - 1e-13, math.nextafter(1.0, 0.0)):
+            assert seq.value(x) == seq.value(1.0) == 1.0
+            assert seq.log_value(x) == seq.log_value(1.0) == 0.0
+        with pytest.raises(DomainError, match="sequence defined from 1.0"):
+            seq.value(1 - 1e-11)
+
     def test_gamma_exp_starts_at_one(self):
         # x - 1 at the domain start can round past log gamma(1); s is 1 there
         grid = [round(0.05 * k, 2) for k in range(21)]
@@ -591,6 +601,18 @@ class TestSeqConditions:
         rep = check_seq_conditions(constant_one(), qa_psi(), seq, [2.0, 501.0, 1000.0])
         assert rep.step_ratio_constant == math.inf
         assert not rep.passed
+
+    def test_a_grid_start_within_the_slack_is_the_sequence_start(self):
+        # s(1 - 1e-13) was 1.0000000000001, which qa_phi refused as past 1
+        phi, psi = qa_phi(), qa_psi()
+        rep = check_seq_conditions(phi, psi, reciprocal(), [1 - 1e-13, 2, 3])
+        want = check_seq_conditions(phi, psi, reciprocal(), [1.0, 2, 3])
+        assert rep.grid[0] == 1 - 1e-13
+        assert rep == replace(want, grid=rep.grid)
+
+    def test_a_grid_with_no_integer_step_has_no_step_ratio(self):
+        rep = check_seq_conditions(qa_phi(), qa_psi(), reciprocal(), [1.0, 1.25, 1.5])
+        assert rep.step_ratio_constant is None and not rep.passed
 
     def test_reciprocal_needs_a_long_grid(self):
         # the product phi(1/x) decays like log(x)/x: ten-fold decay

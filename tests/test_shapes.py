@@ -1,10 +1,12 @@
 import math
 import pickle
+import random
 import re
 import sys
 from dataclasses import fields
 from decimal import Decimal, localcontext
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -695,6 +697,151 @@ class TestJsonForms:
             parse_shape({"family": "alpha_beta", "alpha": 2.0, "beta": 0.5})
         with pytest.raises(SpecParseError):
             parse_shape({"family": "psi_gamma"})
+
+
+FAMILIES = ("alpha_beta", "qa_phi", "psi_gamma", "qa_psi", "identity", "constant_one", "piecewise")
+PARAM_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+GUARANTEE_TOL = 1e-12  # float slack, relative to the values compared
+
+
+def _concave_samples(rng, t_max):
+    """Seeded samples from (0, 0): up to 5 abscissae in (0, t_max), then t_max,
+    joined by positive slopes that fall, the last one sometimes 0."""
+    ts = sorted(rng.uniform(0.0, t_max) for _ in range(rng.randint(1, 5)))
+    ts = [t for t in ts if t > 0.0] + [t_max]
+    slopes = sorted((rng.lognormvariate(0.0, 2.0) for _ in ts), reverse=True)
+    slopes[-1] *= rng.random() < 0.7
+    pts = [(0.0, 0.0)]
+    for t, s in zip(ts, slopes):
+        (t0, y0) = pts[-1]
+        pts.append((t, y0 + s * (t - t0)))
+    return tuple(pts)
+
+
+def guarantee_members(family):
+    """Members of one family on a parameter grid, in both domains."""
+    rng = random.Random(27)
+    params = {
+        "alpha_beta": [dict(alpha=a, beta=b) for a in (0.05, *PARAM_GRID[1:]) for b in PARAM_GRID],
+        "psi_gamma": [dict(exponent=g) for g in PARAM_GRID],
+        "piecewise": [dict(points=_concave_samples(rng, 1.0)) for _ in range(10)],
+    }.get(family, [{}])
+    members = [ShapeFunction(family, domain_kind=kind, **kw) for kw in params for kind in ("phi", "psi")]
+    if family == "piecewise":  # psi samples reach past 1
+        members += [ShapeFunction(family, points=_concave_samples(rng, 100.0), domain_kind="psi")
+                    for _ in range(10)]
+    return members
+
+
+def _domain_end(shape):
+    return shape.points[-1][0] if shape.family == "piecewise" else (
+        1.0 if shape.domain_kind == "phi" else 1e300)
+
+
+def _scan_grid(end):
+    """Log-spaced from 1e-300 to end, and evenly spaced on (0, min(end, 100)]."""
+    lo, hi = math.log(1e-300), math.log(end)
+    pts = {math.exp(lo + (hi - lo) * k / 1200) for k in range(1201)}
+    pts.update(min(end, 100.0) * k / 1000 for k in range(1, 1001))
+    return sorted(t for t in pts if 0.0 < t <= end) + [end] * (end not in pts)
+
+
+def guarantee_violations(f, ts, concave):
+    """Where the floats f(t) on ts break a guarantee beyond GUARANTEE_TOL:
+    f(0) = 0 <= f(t), nondecreasing, and if concave, chord slopes and f(t)/t
+    nonincreasing.  A list of (fact, t), empty when all hold."""
+    ys = [f(t) for t in ts]
+    out = [("nonnegative", t) for t, y in zip(ts, ys) if not y >= 0.0]
+    out += [("nondecreasing", t1) for t1, y0, y1 in zip(ts[1:], ys, ys[1:])
+            if not y1 >= y0 * (1.0 - GUARANTEE_TOL)]
+    if concave:
+        ratios = [y / t for t, y in zip(ts, ys)]
+        out += [("ratio", t1) for t1, r0, r1 in zip(ts[1:], ratios, ratios[1:])
+                if not r1 <= r0 * (1.0 + GUARANTEE_TOL)]
+        # each slope is off by at most a few ulps of its two values over its step
+        d = [b - a for a, b in zip(ts, ts[1:])]
+        s = [(y1 - y0) / dt for y0, y1, dt in zip(ys, ys[1:], d)]
+        out += [("concave", t) for t, s0, s1, d0, d1, y2 in zip(ts[1:], s, s[1:], d, d[1:], ys[2:])
+                if not s1 - s0 <= GUARANTEE_TOL * y2 * (2.0 / d0 + 2.0 / d1)]
+    return out
+
+
+def _exact(shape):
+    """The shape's formula at mpmath's working precision, from its float parameters."""
+    mpf, log, e = mpmath.mpf, mpmath.log, mpmath.e
+    family = shape.family
+    if family in ("alpha_beta", "qa_phi"):
+        a, b = (mpf(shape.alpha), mpf(shape.beta)) if family == "alpha_beta" else (mpf(1), mpf(1))
+        top = e ** (a - b) * (b / a) ** b if b else None
+
+        def ab(t):
+            big_l = 1 - log(t)
+            return top if b and big_l <= b / a else t**a * big_l**b
+        return ab
+    if family in ("psi_gamma", "qa_psi"):
+        g = mpf(shape.exponent) if family == "psi_gamma" else mpf(1)
+        return lambda t: t if t < 1 else (1 + log(t)) ** g
+    if family == "identity":
+        return lambda t: t
+    if family == "constant_one":
+        return lambda t: mpf(1)
+    pts = [(mpf(t), mpf(y)) for t, y in shape.points]
+
+    def chords(t):
+        for (t0, y0), (t1, y1) in zip(pts, pts[1:]):
+            if t <= t1:
+                return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
+    return chords
+
+
+SPOT_TS = (1e-300, 1e-100, 1e-20, 1e-6, 1e-3, 0.01, 0.1, 0.2, 0.3, 1 / 3, 0.5, 0.7, 0.9, 0.99,
+           1.0, 1.5, 2.0, 3.0, 10.0, 100.0, 1e6, 1e100, 1e300)
+
+
+class TestGuarantees:
+    """The two facts stated below shapes._TABLE, for every family on a parameter
+    grid: (G1) every member is nondecreasing, (G2) a phi-kind member is
+    concave on (0, 1] with phi(t)/t nonincreasing.  A float scan over 2,200
+    points per member, with GUARANTEE_TOL, and a 60-digit mpmath spot check
+    of the exact formulas, which the floats must also match."""
+
+    def test_every_family_is_covered(self):
+        assert set(FAMILIES) == set(shapes_module._TABLE)
+
+    def test_the_scan_catches_a_violation(self):
+        ts = _scan_grid(1.0)
+        assert {fact for fact, _ in guarantee_violations(lambda t: t * t, ts, True)} == {
+            "ratio", "concave"}
+        assert guarantee_violations(lambda t: 1.0 - t, ts, False)[0][0] == "nondecreasing"
+        assert guarantee_violations(lambda t: t * (1.0 - math.log(t)), ts, True) == []
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_float_scan(self, family):
+        members = guarantee_members(family)
+        assert len(members) >= 2
+        for shape in members:
+            ts = _scan_grid(_domain_end(shape))
+            assert shape.eval(0.0) == 0.0
+            assert guarantee_violations(shape.eval, ts, shape.domain_kind == "phi") == [], shape
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_mpmath_spot_check(self, family):
+        with mpmath.workdps(60):
+            tol = mpmath.mpf(10) ** -50
+            for shape in guarantee_members(family):
+                f = _exact(shape)
+                ts = [t for t in SPOT_TS if t <= _domain_end(shape)]
+                exact_ts = [mpmath.mpf(t) for t in ts]  # each float read exactly
+                ys = list(map(f, exact_ts))
+                for t, y in zip(ts, ys):
+                    assert abs(shape.eval(t) - y) <= 1e-12 * y, (shape, t)
+                assert all(y1 >= y0 * (1 - tol) for y0, y1 in zip(ys, ys[1:])), shape
+                if shape.domain_kind == "phi":
+                    ratios = [y / t for t, y in zip(exact_ts, ys)]
+                    assert all(r1 <= r0 * (1 + tol) for r0, r1 in zip(ratios, ratios[1:])), shape
+                    s = [(y1 - y0) / (t1 - t0)
+                         for t0, t1, y0, y1 in zip(exact_ts, exact_ts[1:], ys, ys[1:])]
+                    assert all(s1 <= s0 + tol * abs(s0) for s0, s1 in zip(s, s[1:])), shape
 
 
 def _outcome(f, x):
