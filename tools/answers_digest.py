@@ -44,6 +44,17 @@ finite, and of the two witness specs that build_witness refuses.  Every float is
 hashed through repr, every Fraction exactly, so a digest stays the same only
 if every answer in its group is bitwise the same.  Run it in two checkouts and
 diff the output.  Standard library only; takes no options.
+
+The first line is the platform fingerprint (the Python implementation and
+version, platform.libc_ver() and the machine): the hashes rest on the host's
+libm.  tests/answers_digest.txt is this script's output, committed, and
+tests/test_answers_digest.py runs the script and names every group that moved.
+A change that moves answers regenerates the file,
+
+    python3 tools/answers_digest.py > tests/answers_digest.txt
+
+and declares the moved groups.  On another fingerprint that test fails and
+asks for the file to be regenerated there.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ import hashlib
 import io
 import json
 import math
+import platform
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -736,10 +748,24 @@ def _log_weights(phi, psi, n, c, groups) -> tuple:
     return tuple(table.weight(i, j) for i, j in groups(len(table.layer_weights)))
 
 
-def main() -> int:
+def fingerprint() -> str:
+    """The platform line: the hashes hold only where it reads the same."""
+    libc = " ".join(filter(None, platform.libc_ver())) or "unknown libc"
+    return (f"# platform: {platform.python_implementation()} {platform.python_version()},"
+            f" {libc}, {platform.machine()}")
+
+
+def lines():
+    """One line per group: its name, its record count and the sha256 of its records."""
     for name, records in groups():
         digest = hashlib.sha256("\n".join(map(repr, records)).encode()).hexdigest()
-        print(f"{name:<24} {len(records):>5} {digest}")
+        yield f"{name:<24} {len(records):>5} {digest}"
+
+
+def main() -> int:
+    print(fingerprint())
+    for line in lines():
+        print(line)
     return 0
 
 
