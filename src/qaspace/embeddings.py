@@ -410,7 +410,13 @@ class EquivalenceReport:
 
     @property
     def spread(self) -> float:
-        return self.ratio_max / self.ratio_min
+        return _spread(self.ratio_min, self.ratio_max)
+
+
+def _spread(lo: float, hi: float) -> float:
+    """hi / lo; inf once a ratio has left the float range (lo 0, hi inf), where
+    no finite spread is certified and the quotient is nan or divides by zero."""
+    return hi / lo if 0.0 < lo and hi < math.inf else math.inf
 
 
 def log_grid(t_min: float, t_max: float, points: int) -> list:
@@ -444,7 +450,7 @@ def equivalence(
             raise NonPositiveValue(f"need positive finite samples, got {va!r}/{vb!r} at t={t!r}")
         ratios.append(va / vb)
     rmin, rmax = min(ratios), max(ratios)
-    verdict = None if threshold is None else (rmax / rmin) <= threshold
+    verdict = None if threshold is None else _spread(rmin, rmax) <= threshold
     return EquivalenceReport(rmin, rmax, tuple(grid), verdict)
 
 

@@ -845,6 +845,10 @@ class TestBeyondFloatRange:
         assert json.loads(text)["result"]["passed"] is False
 
 
+# a shape expression through (0, 0) and (1, y)
+LINE = '{"kind": "shape", "spec": {"family": "piecewise", "points": [[0, 0], [1, %s]]}}'
+
+
 class TestNoNaN:
     """A report prints Infinity or null where a quotient has no finite value."""
 
@@ -858,6 +862,18 @@ class TestNoNaN:
         assert "NaN" not in text and '"ratio": Infinity' in text
         out = json.loads(text)["result"]
         assert out["lower"] == out["upper"] == out["ratio"] == math.inf
+
+    @pytest.mark.parametrize("a, b", [
+        ('{"kind": "shape", "spec": {"family": "constant_one"}}', LINE % "1e-300"),
+        (LINE % "1e-300", LINE % "1e300"),
+    ], ids=["inf", "zero"])
+    def test_a_spread_past_the_float_range_prints_infinity(self, capsys, a, b):
+        # every ratio overflowed (spread NaN) or underflowed (ZeroDivisionError)
+        argv = ["equivalence", "--a", a, "--b", b, "--tmin", "1e-10", "--tmax", "1e-9",
+                "--points", "3"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "NaN" not in text and '"spread": Infinity' in text
 
     def test_a_grid_with_no_integer_step_prints_null(self, capsys):
         # [1, 1.5] spans no step n -> n + 1: this printed "step_ratio_constant": NaN

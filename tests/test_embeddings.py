@@ -666,6 +666,14 @@ class TestEquivalence:
         two = lambda t: 2.0 * math.sqrt(t)
         assert equivalence(f, two, 1e-4, 1.0, threshold=1.5).equivalent is True
 
+    @pytest.mark.parametrize("a, b", [(1e300, 1e-300), (1e-310, 1e300)], ids=["inf", "zero"])
+    def test_ratios_past_the_float_range_spread_infinitely(self, a, b):
+        # every a/b overflows to inf or underflows to 0: the spread was
+        # inf / inf = nan, or divided by zero, and so did the verdict
+        rep = equivalence(lambda t: a, lambda t: b, 1e-6, 1.0, threshold=2.0)
+        assert rep.ratio_min == rep.ratio_max == a / b
+        assert rep.spread == math.inf and rep.equivalent is False
+
     def test_grid_endpoints_exact(self):
         rep = equivalence(math.sqrt, math.sqrt, 1e-6, 0.5, points=17)
         assert rep.grid[0] == 1e-6 and rep.grid[-1] == 0.5
