@@ -45,6 +45,7 @@ _EXPORTS = {
     "errors": (
         "DomainError",
         "EmptyInput",
+        "FrozenInstanceError",
         "IllegalSpec",
         "NegativePiece",
         "NonPositiveValue",
@@ -57,6 +58,7 @@ _EXPORTS = {
     "logs": (),
     "lorentz": ("LorentzNorm", "fact_bound", "fundamental", "lorentz_norm"),
     "qanorm": ("Decomposition", "NormBounds", "piece_cost", "qa_bounds", "qa_lower", "qa_upper"),
+    "records": (),
     "shapes": (
         "AssumptionReport",
         "ShapeFunction",

@@ -22,11 +22,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, NonPositiveValue, SpecParseError, ToolkitError
+from .errors import DomainError, NonPositiveValue, SpecParseError, TooManyLayers, ToolkitError
 from .errors import spec_kind, spec_number, spec_read, spec_whole
 
 OUT_DIR_VAR = "QASPACE_OUT_DIR"
@@ -134,14 +133,17 @@ def _cmd_rearrange(args) -> dict:
 def _cmd_lorentz(args) -> dict:
     from . import lorentz
 
-    return asdict(lorentz.lorentz_norm(args.input, args.phi))
+    return lorentz.lorentz_norm(args.input, args.phi)._asdict()
 
 
 def _cmd_qa_bounds(args) -> dict:
     from . import qanorm
 
     strategy = _STRATEGY_ALIASES[args.strategy]
-    bounds = qanorm.qa_upper(args.input, args.phi, args.psi, strategy=strategy)
+    try:
+        bounds = qanorm.qa_upper(args.input, args.phi, args.psi, strategy=strategy)
+    except TooManyLayers as exc:  # its advice names the library's strategy, not the flag's value
+        raise TooManyLayers(str(exc).replace("use local_search", "use --strategy local")) from None
     return {
         "lower": bounds.lower,
         "upper": bounds.upper,
@@ -176,7 +178,7 @@ def _cmd_check_seq(args) -> dict:
                           f"and the sequence's first x) by room for --points {args.points} "
                           f"strictly increasing points, got {args.xmax!r}")
     report = embeddings.check_seq_conditions(args.phi, args.psi, args.seq, xs)
-    result = {**asdict(report), "passed": report.passed}
+    result = {**report._asdict(), "passed": report.passed}
     del result["grid"]
     return result
 
@@ -187,7 +189,7 @@ def _cmd_equivalence(args) -> dict:
     report = embeddings.equivalence(
         args.a.fn, args.b.fn, args.tmin, args.tmax, args.points, threshold=args.threshold
     )
-    result = {**asdict(report), "spread": report.spread}
+    result = {**report._asdict(), "spread": report.spread}
     del result["grid"]
     return result
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import pairwise
 from typing import Callable, NamedTuple
@@ -36,6 +35,7 @@ from typing import Callable, NamedTuple
 from .errors import DomainError, NonPositiveValue, NotInvertible, SpecParseError
 from .errors import spec_kind, spec_pairs, spec_read
 from .logs import LOG_ZERO, exp_or_inf
+from .records import Record
 from .shapes import ShapeFunction, log_gamma, log_gamma_inv, parse_shape
 
 
@@ -61,8 +61,7 @@ def log_tau(phi: ShapeFunction, psi: ShapeFunction, log_t: float) -> float:
     return phi.log_eval(log_t) + math.log(psi.eval(_psi_arg(phi, log_t)))
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(Record):
     """A decreasing sequence of measures in (0,1], evaluated on [domain_start, domain_end].
 
     kinds: "reciprocal" is s(x) = 1/x; "gamma_exp" is s(x) = gamma_inv(e^{x-1})
@@ -107,14 +106,10 @@ class SequenceSpec:
         object.__setattr__(self, "domain_start", start)
         object.__setattr__(self, "domain_end", end)
         # hashed once, as a ShapeFunction is: _term_table's cache key hashes it per call
-        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
+        object.__setattr__(self, "_hash", hash(self._astuple()))
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        # pickle the fields, so that the hash is recomputed where it is loaded
-        return SequenceSpec, tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def from_json(cls, obj, phi: ShapeFunction | None = None) -> "SequenceSpec":
@@ -309,8 +304,7 @@ def alpha_s(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, t: float)
     return phi.eval(t) * psi.eval(seq.inverse(t))
 
 
-@dataclass(frozen=True)
-class SeqConditionReport:
+class SeqConditionReport(Record):
     """Grid evidence for the four sequence conditions.
 
     monotone_decreasing / tends_to_zero cover s itself; the product fields
@@ -395,8 +389,7 @@ def check_seq_conditions(
     )
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     """Ratio statistics of two positive functions over a log grid.
 
     equivalent is None unless the caller supplies a threshold; the library

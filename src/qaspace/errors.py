@@ -59,6 +59,11 @@ class NonPositiveValue(ToolkitError):
     """A strictly positive sample was required."""
 
 
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, an attribute of an immutable object:
+    a record (`records.Record`) or a StepFunction."""
+
+
 def _show(value) -> str:
     try:
         return json.dumps(value, default=repr)

@@ -15,17 +15,16 @@ keeps as the weights of its single layers, so the two read the same floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import stepfn
 from .errors import ZeroFunction
+from .records import Record
 from .shapes import ShapeFunction
 from .stepfn import StepFunction
 
 
-@dataclass(frozen=True)
-class LorentzNorm:
+class LorentzNorm(Record):
     """Value of the functional with its jump/integral split."""
 
     value: float
@@ -38,7 +37,7 @@ def lorentz_norm(f: StepFunction, phi: ShapeFunction) -> LorentzNorm:
     den, heights, cum = stepfn._layers(map(abs, f.values), f._grid)
     value = nonneg_fsum(layer_weights(heights, den, cum, phi))
     jump = heights[0] * phi.zero_limit() if heights else 0.0
-    return LorentzNorm(value=value, jump_part=jump, integral_part=value - jump)
+    return LorentzNorm(value, jump, value - jump)
 
 
 def layer_weights(heights, den, cum, phi: ShapeFunction) -> list:

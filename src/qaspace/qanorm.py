@@ -52,13 +52,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import itemgetter, mul, neg, sub
 
 from . import stepfn
 from .errors import NegativePiece, TooManyLayers
 from .lorentz import fact_bound, layer_weights, lorentz_norm, nonneg_fsum, weighted_sup_bound
+from .records import Record
 from .shapes import ShapeFunction
 from .stepfn import StepFunction
 
@@ -67,8 +67,7 @@ STRATEGIES = ("singleton", "layers", "local_search", "exhaustive", "auto")
 _EXHAUSTIVE_CAP = 10
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """A concrete cover; pieces are listed in assignment order (position = n)."""
 
     pieces: tuple
@@ -80,8 +79,7 @@ class Decomposition:
         )
 
 
-@dataclass(frozen=True)
-class NormBounds:
+class NormBounds(Record):
     """lower <= norm <= upper, with the lower bound's source and the cover.
 
     lower is psi(1) * lorentz_norm(f, phi).value and lower_source is always

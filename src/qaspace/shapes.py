@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -48,10 +47,10 @@ from .errors import (
     spec_pairs,
     spec_read,
 )
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ShapeFunction:
+class ShapeFunction(Record):
     """One member of a shape family; immutable and hashable.
 
     Only the parameters that the family's `_TABLE` entry lists may be set, each
@@ -95,18 +94,14 @@ class ShapeFunction:
         object.__setattr__(self, "log_eval", _log_domain(log_eval, log_hi))
         object.__setattr__(self, "log_gamma_eval", _log_domain(log_gamma_eval, log_hi))
         object.__setattr__(self, "_log_gamma_inv", inverse)
-        # hashed once: the generated __hash__ rebuilds the field tuple per call
-        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
+        # hashed once: Record.__hash__ rebuilds the field tuple per call
+        object.__setattr__(self, "_hash", hash(self._astuple()))
 
     def __hash__(self):
         return self._hash
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
-
-    def __reduce__(self):
-        # the bound formulas are closures: pickle the fields and rebuild them
-        return ShapeFunction, tuple(getattr(self, f.name) for f in fields(self))
 
     def zero_limit(self) -> float:
         """Limit from the right at 0 (nonzero only for constant_one)."""
@@ -554,8 +549,7 @@ def is_quasiconcave(samples) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(Record):
     """Grid evidence for two growth conditions of a (phi, psi) pair.
 
     phi_ratio_monotone: phi(t)/t^c never decreased along the grid in (0, p].

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import lt, mul, ne, sub
 
-from .errors import SpecParseError
+from .errors import FrozenInstanceError, SpecParseError
 from .errors import spec_keys, spec_list, spec_number, spec_read
 
 _ONE = Fraction(1)

@@ -20,7 +20,6 @@ step function's layer table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -28,6 +27,7 @@ from . import stepfn
 from .errors import DomainError, IllegalSpec, NotInvertible
 from .logs import LOG_ZERO, exp_or_inf, logdiffexp, logsumexp
 from .qanorm import _search
+from .records import Record
 from .shapes import ShapeFunction, log_gamma, log_gamma_inv
 
 _HALVING_SLACK = 1e-9
@@ -47,8 +47,7 @@ def _number(name: str, value) -> float:
         raise IllegalSpec(f"{name} is an int too large for a float") from None
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
+class WitnessSpec(Record):
     """Parameters of the extremal construction.
 
     c in (0,1) and p in (0,1] are the shape hypotheses' constants; mu1 is the
@@ -97,8 +96,7 @@ class WitnessSpec:
         ) / self.c
 
 
-@dataclass(frozen=True)
-class WitnessFunction:
+class WitnessFunction(Record):
     """The built extremal function, stored as (log mu_j, log a_j) pairs.
 
     log_mu decreases (each step at least halves the measure), log_a increases,

@@ -117,6 +117,18 @@ class TestQaBounds:
         )
         assert json.loads(proc.stdout)["result"]["upper"] > 0.0
 
+    def test_exhaustive_cap_names_a_strategy_the_flag_takes(self, capsys):
+        f12 = json.dumps({"breakpoints": [k / 16 for k in range(12)] + [1],
+                          "values": list(range(1, 13))})
+        argv = ["qa-bounds", "--phi", QA_PHI, "--psi", QA_PSI, "--input", f12, "--strategy"]
+        assert main([*argv, "exhaustive"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "TooManyLayers",
+            "message": "12 layers exceed the exhaustive cap 10; use --strategy local",
+        }
+        assert main([*argv, "local"]) == 0  # the value the advice names is taken
+        assert json.loads(capsys.readouterr().out)["config"]["strategy"] == "local"
+
     def test_qa_phi_as_psi_weight_is_alpha_beta_one_one(self, capsys):
         # qa_phi is the a = b = 1 member of alpha_beta, so as a psi weight it
         # holds its maximum past t = 1 and the bounds stay ordered
@@ -959,11 +971,26 @@ class TestEntryPoint:
         assert code == "0", proc.stderr
         assert {m.removeprefix("qaspace.") for m in loaded}.isdisjoint(unloaded), loaded
 
+    def test_no_subcommand_imports_dataclasses(self):
+        # dataclasses, and the inspect it imports, cost a CLI process about 5 ms
+        script = "\n".join([
+            "import contextlib, io, json, sys",
+            "from qaspace.cli import main",
+            "for argv in json.loads(sys.argv[1]):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) == 0, argv",
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        ])
+        argvs = [[sub, *argv] for sub, argv in ENTRY_ARGVS.items()]
+        proc = fresh_python("-c", script, json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
 
 # the package's exported names, each loaded from its home module on first use
 PUBLIC = [
     "AssumptionReport", "Decomposition", "DomainError", "EmptyInput", "EquivalenceReport",
-    "IllegalSpec", "LorentzNorm", "NegativePiece", "NonPositiveValue",
+    "FrozenInstanceError", "IllegalSpec", "LorentzNorm", "NegativePiece", "NonPositiveValue",
     "NormBounds", "NotInvertible", "PhiSValue", "SeqConditionReport", "SequenceSpec",
     "ShapeFunction", "SpecParseError", "StepFunction", "TooManyLayers", "ToolkitError",
     "WitnessFunction", "WitnessSpec", "ZeroFunction", "abs_", "add",

@@ -198,6 +198,13 @@ class TestUpper:
         # local search still runs
         assert qa_upper(f, qa_phi(), qa_psi(), strategy="local_search").upper > 0.0
 
+    def test_exhaustive_layer_cap_names_a_strategy_qa_upper_takes(self):
+        f = StepFunction(tuple(F(k, 12) for k in range(13)), tuple(map(float, range(1, 13))))
+        message = "12 layers exceed the exhaustive cap 10; use local_search"
+        with pytest.raises(TooManyLayers, match=f"^{message}$"):
+            qa_upper(f, qa_phi(), qa_psi(), strategy="exhaustive")
+        assert "local_search" in STRATEGIES
+
     def test_auto_choice(self):
         vals = tuple(float(k) for k in range(1, 13))
         wide = StepFunction(tuple(F(k, 12) for k in range(13)), vals)

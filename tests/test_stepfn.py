@@ -1,7 +1,6 @@
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from functools import reduce
 from itertools import accumulate
@@ -11,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaspace import (
+    FrozenInstanceError,
     SpecParseError,
     StepFunction,
     abs_,
