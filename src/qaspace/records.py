@@ -11,7 +11,7 @@ object.__setattr__).  _fields names the fields, _astuple() and _asdict() give
 their values.
 """
 
-from operator import itemgetter
+from operator import attrgetter
 
 from .errors import FrozenInstanceError
 
@@ -26,8 +26,8 @@ class Record:
         cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
         cls._field_set = frozenset(names)
         cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-        get = itemgetter(*names)  # the field values out of a dict, in order
-        cls._get = staticmethod(get if len(names) > 1 else lambda d: (get(d),))
+        get = attrgetter(*names)  # a record's field tuple
+        cls._get = staticmethod(get if len(names) > 1 else lambda rec: (get(rec),))
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -37,8 +37,11 @@ class Record:
             if (len(args) > len(names) or given.keys() != self._field_set
                     or args and not kwargs.keys().isdisjoint(names[: len(args)])):
                 raise self._unbound(args, kwargs)
-            args = self._get(given)
-        self.__dict__.update(zip(names, args))
+            args = map(given.__getitem__, names)
+        # one attribute at a time, never through __dict__: an instance whose
+        # __dict__ was never read keeps the interpreter's fast attribute reads
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
         self.__post_init__()
 
     @classmethod
@@ -66,26 +69,26 @@ class Record:
         pass
 
     def _astuple(self) -> tuple:
-        return self._get(self.__dict__)
+        return self._get(self)
 
     def _asdict(self) -> dict:
-        return dict(zip(self._fields, self._get(self.__dict__)))
+        return dict(zip(self._fields, self._get(self)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._get(self.__dict__) == other._get(other.__dict__)
+        return self._get(self) == other._get(other)
 
     def __hash__(self):
-        return hash(self._get(self.__dict__))
+        return hash(self._get(self))
 
     def __repr__(self):
-        shown = ", ".join(map("{}={!r}".format, self._fields, self._get(self.__dict__)))
+        shown = ", ".join(map("{}={!r}".format, self._fields, self._get(self)))
         return f"{self.__class__.__qualname__}({shown})"
 
     def __reduce__(self):
         # rebuilt through __init__, so that __post_init__ derives what it derives
-        return self.__class__, self._get(self.__dict__)
+        return self.__class__, self._get(self)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
