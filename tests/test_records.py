@@ -155,14 +155,6 @@ class TestRecord:
         )
 
 
-def test_sequence_spec_refuses_domain_start_as_python_does():
-    with pytest.raises(TypeError) as info:
-        SequenceSpec("reciprocal", domain_start=1.0)
-    assert str(info.value) == (
-        "SequenceSpec.__init__() got an unexpected keyword argument 'domain_start'"
-    )
-
-
 def test_frozen_instance_error_is_an_attribute_error():
     assert issubclass(FrozenInstanceError, AttributeError)
     with pytest.raises(FrozenInstanceError):
