@@ -6,11 +6,12 @@
 Each revision is exported with `git archive` into its own temporary
 directory, so the pairs never run the working tree.  For each workload and
 seed, `bench/run.py --workload W --seed S --seconds T --trace 0` runs once on
-each side, one run at a time; the first pair of each workload runs the base
-first, and the side that goes first alternates from pair to pair.  The file
-holds every pair, each side's median of every metric, how many pairs the head
-won on each end-to-end metric, the base's interquartile range, and the host and
-Python version.  Standard library only; run it from inside the repository.
+each side, one run at a time, T being the `run_seconds` of the base's
+BENCHMARK.json; the first pair of each workload runs the base first, and the
+side that goes first alternates from pair to pair.  The file holds every pair,
+each side's median of every metric, how many pairs the head won on each
+end-to-end metric, the base's interquartile range, and the host and Python
+version.  Standard library only; run it from inside the repository.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True,
                         help="a workload of bench/run.py; repeat, each with its --seeds")
     parser.add_argument("--seeds", action="append", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=int, default=15)
     parser.add_argument("--out", required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
     if len(args.seeds) != len(args.workload):
@@ -100,7 +100,8 @@ def main(argv=None) -> int:
 
     spec = json.loads(git("show", f"{args.base}:BENCHMARK.json"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    record = {"seconds": args.seconds, "python": sys.version, "host": host(), "workloads": {}}
+    seconds = spec["run_seconds"]
+    record = {"seconds": seconds, "python": sys.version, "host": host(), "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         copies = {side: Path(tmp, side) for side in ("base", "head")}
         for side, rev in (("base", args.base), ("head", args.head)):
@@ -111,7 +112,7 @@ def main(argv=None) -> int:
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run(copies[side], workload, seed, args.seconds)
+                    pair[side] = run(copies[side], workload, seed, seconds)
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps(pair[side]['metrics'], sort_keys=True)}", file=sys.stderr)
                 pairs.append(pair)
