@@ -93,7 +93,7 @@ class SequenceSpec(Record):
             # the last x with x - 1 <= top: 1 + top, rounded down if it rounded up
             end = math.nextafter(1.0 + top, 0.0) if (1.0 + top) - 1.0 > top else 1.0 + top
         if self.kind == "samples":
-            pts = spec_read(vars(self), "samples", spec_pairs)
+            pts = spec_read({"samples": self.samples}, "samples", spec_pairs)
             if len(pts) < 2:
                 raise SpecParseError("sample sequences need at least two points")
             object.__setattr__(self, "samples", pts)

@@ -82,9 +82,9 @@ class ShapeFunction(Record):
         if stray := [name for name in _UNREAD[self.family] if getattr(self, name) is not None]:
             raise IllegalSpec(f"the {self.family} family takes no {' or '.join(stray)}")
         for name, _, read in _TABLE[self.family].params:
-            if getattr(self, name) is not None:  # its JSON reader checks it and makes floats
+            if (value := getattr(self, name)) is not None:  # its reader checks it, makes floats
                 try:
-                    object.__setattr__(self, name, spec_read(vars(self), name, read))
+                    object.__setattr__(self, name, spec_read({name: value}, name, read))
                 except SpecParseError as exc:
                     raise IllegalSpec(f"the {self.family} family's {exc}") from None
         # the one domain guard, around formulas that trust their argument
