@@ -83,7 +83,8 @@ def _expression(obj) -> _Profile:
     echo["seq"] = seq.to_json()
     if kind == "alpha_s":
         return _Profile(lambda t: embeddings.alpha_s(phi, psi, seq, t), echo)
-    n_max = echo["n_max"] = spec_read(obj, "n_max", spec_whole) if "n_max" in obj else 10_000
+    n_max = echo["n_max"] = (spec_read(obj, "n_max", spec_whole) if "n_max" in obj
+                             else embeddings._N_MAX_DEFAULT)
     return _Profile(lambda t: embeddings.phi_s(phi, psi, seq, t, n_max=n_max).value, echo)
 
 

@@ -105,11 +105,6 @@ class SequenceSpec(Record):
             start, end = xs[0], xs[-1]
         object.__setattr__(self, "domain_start", start)
         object.__setattr__(self, "domain_end", end)
-        # hashed once, as a ShapeFunction is: _term_table's cache key hashes it per call
-        object.__setattr__(self, "_hash", hash(self._astuple()))
-
-    def __hash__(self):
-        return self._hash
 
     @classmethod
     def from_json(cls, obj, phi: ShapeFunction | None = None) -> "SequenceSpec":
@@ -199,6 +194,8 @@ _SEQUENCE_KEYS = {"reciprocal": ((), ()), "gamma_exp": ((), ("phi",)), "samples"
 # phi_s's cap on n_max, and check_seq_conditions' on the integers its step-ratio
 # scan reads: a reciprocal term table this long takes about 3.7 s, the scan 1.6 s
 _N_MAX_CAP = 1_000_000
+# phi_s's n_max when none is given; the CLI echoes it
+_N_MAX_DEFAULT = 10_000
 
 
 def reciprocal() -> SequenceSpec:
@@ -263,7 +260,7 @@ def phi_s(
     psi: ShapeFunction,
     seq: SequenceSpec,
     t: float,
-    n_max: int = 10_000,
+    n_max: int = _N_MAX_DEFAULT,
 ) -> PhiSValue:
     """Infimum over n <= n_max of max{s_n, t} * gamma(s_n) * psi(n), exactly.
 
@@ -474,6 +471,8 @@ def iterated_log_profile(alpha: float, beta: float, exponent: float) -> Callable
     alpha, beta, exponent = float(alpha), float(beta), float(exponent)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0,1]")
+    if not math.isfinite(beta) or not math.isfinite(exponent):
+        raise ValueError("beta and exponent must be finite")
     if alpha == 1.0 and beta == 0.0:
         raise ValueError("alpha=1, beta=0 has no iterated-log profile")
 

@@ -60,8 +60,8 @@ class NonPositiveValue(ToolkitError):
 
 
 class FrozenInstanceError(AttributeError):
-    """An assignment to, or deletion of, an attribute of an immutable object:
-    a record (`records.Record`) or a StepFunction."""
+    """An assignment to, or deletion of, an attribute of a frozen record
+    (`records.Record`)."""
 
 
 def _show(value) -> str:

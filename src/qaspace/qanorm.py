@@ -10,9 +10,13 @@ argument), which prunes all assignment permutations.
 Candidate covers are built from the layer-cake form of |f|: every candidate
 groups consecutive layers, and a group of layers i..j collapses into the
 single piece clamp(|f| - a_{j+1}, 0, a_i - a_{j+1}), whose cost depends only
-on the value distribution.  Searching consecutive groupings does not certify
-the true infimum; the results are upper bounds, paired with the rigorous
-lower bound psi(1) * lorentz, the Lorentz functional of lorentz_norm.  Every
+on the value distribution.  The results are upper bounds, paired with the
+rigorous lower bound psi(1) * lorentz, the Lorentz functional of lorentz_norm.
+"exhaustive" is optimal over the covers made of full-width slabs of f*, under a
+concave phi (every shape's): a piece's cost is the perspective of phi in the
+heights it takes of the slabs, jointly concave, so a best cover gives each slab
+whole to one piece, a set partition of the layers; that none beats the best
+consecutive grouping is tested up to 8 layers, not proven.  Every
 shape this package builds has phi(t)/t nonincreasing (the guarantees below
 shapes._TABLE), so phi(t) >= t phi(1), and the functional is at least
 phi(1) * l1(f): the plain-integral floor is never the better bound, but by

@@ -1,14 +1,15 @@
-"""The one base class of the package's frozen records.
+"""The one base class of the package's frozen value types.
 
 A subclass declares its fields as class annotations, in order, each with an
 optional default as its class attribute.  It gets what a frozen dataclass
 would, with no code generated: an __init__ that binds the fields, by position
 or keyword with the checks and TypeError texts of a signature, and then calls
-__post_init__; __eq__ and __hash__ over the field tuple; the dataclass
-__repr__; pickling through __init__; and FrozenInstanceError on any
-assignment or deletion (__post_init__ sets attributes with
-object.__setattr__).  _fields names the fields, _astuple() and _asdict() give
-their values.
+__post_init__; __eq__ and __hash__ over the field tuple, the hash computed on
+first use and kept as _hash; the dataclass __repr__; pickling through
+__init__; and FrozenInstanceError on any assignment or deletion
+(__post_init__ sets attributes with object.__setattr__).  _fields names the
+fields, _astuple() and _asdict() give their values.  A subclass may declare
+__slots__, with a "_hash" slot, and its own __init__, as StepFunction does.
 """
 
 from operator import attrgetter
@@ -17,6 +18,7 @@ from .errors import FrozenInstanceError
 
 
 class Record:
+    __slots__ = ()
     _fields: tuple = ()
     _field_set: frozenset = frozenset()
     _defaults: dict = {}  # the defaults of the fields that have one
@@ -80,7 +82,12 @@ class Record:
         return self._get(self) == other._get(other)
 
     def __hash__(self):
-        return hash(self._get(self))
+        try:
+            return self._hash
+        except AttributeError:  # hashed once, on first use: a cache key hashes per call
+            value = hash(self._get(self))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self):
         shown = ", ".join(map("{}={!r}".format, self._fields, self._get(self)))

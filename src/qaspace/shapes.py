@@ -94,11 +94,6 @@ class ShapeFunction(Record):
         object.__setattr__(self, "log_eval", _log_domain(log_eval, log_hi))
         object.__setattr__(self, "log_gamma_eval", _log_domain(log_gamma_eval, log_hi))
         object.__setattr__(self, "_log_gamma_inv", inverse)
-        # hashed once: Record.__hash__ rebuilds the field tuple per call
-        object.__setattr__(self, "_hash", hash(self._astuple()))
-
-    def __hash__(self):
-        return self._hash
 
     def __call__(self, t: float) -> float:
         return self.eval(t)

@@ -27,15 +27,15 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import lt, mul, ne, sub
 
-from .errors import FrozenInstanceError, SpecParseError
-from .errors import spec_keys, spec_list, spec_number, spec_read
+from .errors import SpecParseError, spec_keys, spec_list, spec_number, spec_read
+from .records import Record
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
-class StepFunction:
-    """Piecewise-constant function on [0,1].
+class StepFunction(Record):
+    """Piecewise-constant function on [0,1]; a frozen record of its two fields.
 
     breakpoints: m+1 strictly increasing Fractions from 0 to 1.
     values: m finite floats, values[i] taken on [breakpoints[i], breakpoints[i+1]).
@@ -44,18 +44,22 @@ class StepFunction:
 
     The grid is kept as integer ticks, _grid = (den, ticks), breakpoints[k] ==
     ticks[k] / den, computed once per function; breakpoints is a view of it,
-    built on first read.  Equality, hashing and repr are those of the frozen
-    (breakpoints, values) pair, whatever den the ticks are kept over.
+    built on first read.  Equality, hashing, repr and pickling are the
+    record's, over (breakpoints, values), whatever den the ticks are kept over.
     """
 
-    __slots__ = ("_grid", "values", "_breakpoints")
+    __slots__ = ("_grid", "values", "_breakpoints", "_hash")
+    breakpoints: tuple
+    values: tuple
 
-    def __new__(cls, breakpoints, values):
+    def __init__(self, breakpoints, values):
         bps = tuple(b if isinstance(b, Fraction) else _fraction(b, "breakpoints must be finite")
                     for b in breakpoints)
         grid, vals = _ticks(bps), tuple(float(v) for v in values)
         _check(grid, vals)
-        return _on_grid(grid, vals, bps)
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_breakpoints", bps)
 
     @property
     def breakpoints(self) -> tuple:
@@ -63,26 +67,6 @@ class StepFunction:
             den, ticks = self._grid
             object.__setattr__(self, "_breakpoints", tuple(Fraction(t, den) for t in ticks))
         return self._breakpoints
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.breakpoints, self.values) == (other.breakpoints, other.values)
-
-    def __hash__(self):
-        return hash((self.breakpoints, self.values))
-
-    def __repr__(self):
-        return f"StepFunction(breakpoints={self.breakpoints!r}, values={self.values!r})"
-
-    def __reduce__(self):
-        return StepFunction, (self.breakpoints, self.values)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def pieces(self) -> int:
@@ -230,6 +214,8 @@ def constant(c: float) -> StepFunction:
 
 
 def _distribution_exact(f: StepFunction, s: float) -> Fraction:
+    if s != s:  # no |f(x)| exceeds NaN, and none fails to: the level names no set
+        raise ValueError("the level must not be NaN")
     den, ticks = f._grid
     above = (b - a for v, a, b in zip(f.values, ticks, ticks[1:]) if abs(v) > s)
     return Fraction(sum(above), den)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import importlib
+import inspect
 import io
 import json
 import math
@@ -23,6 +24,7 @@ from qaspace import (
     equivalence,
     iterated_log_profile,
     parse_shape,
+    phi_s,
     qa_phi,
     qa_psi,
     qa_upper,
@@ -241,6 +243,12 @@ class TestEquivalence:
         assert out["ratio_min"] == want.ratio_min
         assert out["ratio_max"] == want.ratio_max
         assert out["equivalent"] is True
+
+    def test_a_phi_s_without_n_max_echoes_phi_s_default(self, capsys):
+        expr = {"kind": "phi_s", "phi": PHI, "psi": PSI, "seq": {"kind": "reciprocal"}}
+        assert main(equivalence_argv(expr)) == 0
+        echo = json.loads(capsys.readouterr().out)["config"]["a"]["n_max"]
+        assert echo == inspect.signature(phi_s).parameters["n_max"].default == 10_000
 
 
 class TestWitness:

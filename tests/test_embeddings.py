@@ -749,6 +749,14 @@ class TestIteratedLogProfile:
         with pytest.raises(DomainError):
             prof(2.0)
 
+    # a NaN beta or exponent was taken, and the profile answered nan
+    @pytest.mark.parametrize("alpha, beta, exponent", [
+        (0.5, math.nan, 1.0), (1.0, 1.0, math.nan), (0.5, math.inf, 1.0), (1.0, 1.0, -math.inf),
+    ])
+    def test_a_beta_or_exponent_that_is_not_finite_is_refused(self, alpha, beta, exponent):
+        with pytest.raises(ValueError, match="^beta and exponent must be finite$"):
+            iterated_log_profile(alpha, beta, exponent)
+
 
 class TestOmega:
     @staticmethod

@@ -446,6 +446,64 @@ class TestAgainstBruteForce:
             assert ls >= ex
 
 
+def set_partitions(n):
+    """Every set partition of layers 0..n-1 (Bell(n) of them), each a list of
+    bitmasks, one per block."""
+    parts = [[]]
+    for bit in (1 << k for k in range(n)):
+        parts = [*(p[:i] + [block | bit] + p[i + 1 :] for p in parts for i, block in enumerate(p)),
+                 *(p + [bit] for p in parts)]
+    return parts
+
+
+def slab_weights(f, phi):
+    """The psi-free cost of every set S of f*'s layers taken as one piece, by
+    bitmask: the slab piece sum_{l in S} h_l 1{|f| >= vals[l]}, whose sup is H
+    = sum h_l and whose l1 is L = sum h_l cum[l] / den, costs H phi(L / H); h_l
+    is vals[l] - vals[l + 1], the last layer's floor 0.  In floats."""
+    den, vals, cum = stepfn._layers(map(abs, f.values), f._grid)
+    h = list(map(operator.sub, vals, [*vals[1:], 0.0]))
+    sums, weights = [(0.0, 0.0)], [0.0]
+    for mask in range(1, 1 << len(vals)):
+        low = mask & -mask
+        l = low.bit_length() - 1
+        rest_h, rest_l = sums[mask ^ low]
+        height, l1 = rest_h + h[l], rest_l + h[l] * (cum[l] / den)
+        sums.append((height, l1))
+        weights.append(height * phi.eval(min(l1 / height, 1.0)))
+    return weights
+
+
+SLAB_SHAPES = [
+    (qa_phi(), qa_psi()),
+    (alpha_beta(0.7, 0.75), psi_gamma(0.5)),
+    (alpha_beta(1.0, 0.8), psi_gamma(0.2)),
+    (piecewise([(0, 0), (0.1, 0.5), (0.4, 0.8), (1, 1)]), qa_psi()),
+]
+
+
+# Covers built from f*'s full-width slabs are set partitions of its layers (the
+# cost is concave in how each slab is shared, so a best cover gives each slab
+# to one piece); exhaustive searches the consecutive ones, and no other wins.
+@pytest.mark.parametrize("phi, psi", SLAB_SHAPES)
+def test_no_set_partition_of_the_layers_beats_exhaustive(phi, psi):
+    partitions = {n: set_partitions(n) for n in range(2, 9)}
+    cases = 0
+    for f in [*layer_corpus(200, 7), *random_functions(11, 300)]:
+        weights = slab_weights(f, phi)
+        n = (len(weights) - 1).bit_length()
+        if n not in partitions:
+            continue
+        psi_at = [psi.eval(float(r + 1)) for r in range(n)]
+        best = min(sum(map(operator.mul, psi_at, sorted(map(weights.__getitem__, blocks),
+                                                         reverse=True)))
+                   for blocks in partitions[n])
+        exhaustive = qa_upper(f, phi, psi, strategy="exhaustive").upper
+        assert exhaustive * (1 - 1e-12) <= best <= exhaustive * (1 + 1e-12), f
+        cases += 1
+    assert cases == 380
+
+
 def fraction_weight(table, rings, i, j):
     """Reference group weight: the l1 summed as Fractions, term by term."""
     vals = table.vals

@@ -1,9 +1,10 @@
 """The frozen-record contract, class by class (qaspace.records.Record).
 
-Each of the ten record classes builds by position and by keyword, prints the
-dataclass repr (the answers digest stores records as repr text), compares and
-hashes by its field tuple, refuses assignment and deletion, pickles, and binds
-its arguments with the checks and TypeError texts of a Python signature.
+Each of the eleven record classes, StepFunction among them, builds by position
+and by keyword, prints the dataclass repr (the answers digest stores records as
+repr text), compares and hashes by its field tuple, refuses assignment and
+deletion, pickles, and binds its arguments with the checks and TypeError texts
+of a Python signature.
 """
 
 import pickle
@@ -82,6 +83,10 @@ CASES = {
         "WitnessFunction(log_mu=(-1.0, -2.0, -3.0, -4.0), log_a=(0.5, 1.5, 2.5, 3.5), "
         "log_gamma=(0.25, 0.5, 0.75, 1.0), N=2, c=0.5, p=1.0)",
     ),
+    StepFunction: (
+        ((Fraction(0), Fraction(1)), (1.0,)),
+        "StepFunction(breakpoints=(Fraction(0, 1), Fraction(1, 1)), values=(1.0,))",
+    ),
 }
 CLASSES = list(CASES)
 # each class: a field, and another value for it that the class accepts
@@ -96,6 +101,7 @@ CHANGED = {
     LorentzNorm: ("jump_part", 0.5),
     WitnessSpec: ("N", 5),
     WitnessFunction: ("p", 0.5),
+    StepFunction: ("values", (2.0,)),
 }
 
 
@@ -153,6 +159,12 @@ class TestRecord:
         assert str(info.value) == (
             f"{cls.__qualname__}.__init__() got an unexpected keyword argument 'domain_start'"
         )
+
+
+def test_a_step_function_keeps_its_slots():
+    f = build(StepFunction)
+    assert not hasattr(f, "__dict__") and not hasattr(f, "_hash")
+    assert hash(f) == f._hash == hash(f._astuple())  # its slot caches the hash on first use
 
 
 def test_frozen_instance_error_is_an_attribute_error():

@@ -217,6 +217,14 @@ class TestDistribution:
         assert distribution(f, 2.0) == 0.25
         assert distribution(f, 3.0) == 0.0
 
+    # a NaN level answered 0.0, though it names no set
+    def test_a_nan_level_is_refused_and_an_infinite_one_is_not(self):
+        f = three_layer()
+        with pytest.raises(ValueError, match="^the level must not be NaN$"):
+            distribution(f, math.nan)
+        assert distribution(f, math.inf) == 0.0
+        assert distribution(f, -math.inf) == 1.0
+
     @given(step_functions(signed=True), st.floats(0.0, 9.0))
     @settings(max_examples=60, deadline=None)
     def test_invariant_under_rearrangement(self, f, s):
