@@ -268,8 +268,11 @@ def phi_s(
     the first index with s_k < t, and the answer is the least of the terms
     before k and t * gamma(s_k) * psi(k), past which no term is smaller.
     A psi that refuses an index is an error only when k reaches that index.
-    An n_max above 1,000,000 is refused before any term is built.
+    An n_max that is not an int, or is above 1,000,000, is refused before any
+    term is built.
     """
+    if not isinstance(n_max, int) or isinstance(n_max, bool):
+        raise DomainError(f"n_max must be an integer, not {n_max!r}")
     if n_max > _N_MAX_CAP:
         raise DomainError(f"n_max is capped at {_N_MAX_CAP} terms")
     t = float(t)

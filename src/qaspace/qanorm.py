@@ -106,7 +106,7 @@ class NormBounds(Record):
 
 def piece_cost(g: StepFunction, n: int, phi: ShapeFunction, psi: ShapeFunction) -> float:
     """psi(n) * linf(g) * phi(l1(g)/linf(g)) for a non-negative piece at slot n."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("slot n must be a positive integer")
     if any(v < 0 for v in g.values):
         raise NegativePiece("decomposition pieces must be non-negative")

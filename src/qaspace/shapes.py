@@ -459,7 +459,10 @@ def log_gamma_inv(shape: ShapeFunction, target: float, log_hi: float = 0.0) -> f
     of the ratio's log; a ratio constant on the whole domain (identity,
     alpha_beta(1, 0), psi_gamma as a phi); or an answer below the most negative
     float, where the message names the largest invertible target.
+    DomainError: a NaN target.
     """
+    if target != target:
+        raise DomainError("argument nan outside domain")
     g_hi = shape.log_gamma_eval(log_hi)
     if not target >= g_hi:
         raise NotInvertible(f"target {target!r} below attainable minimum {g_hi!r}")

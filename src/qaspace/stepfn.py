@@ -135,14 +135,13 @@ def _check(grid, values) -> None:
         raise ValueError("values must be finite")
 
 
-def _on_grid(grid, values, breakpoints=None) -> StepFunction:
+def _on_grid(grid, values) -> StepFunction:
     """The StepFunction on grid = (den, ticks) with values, from fields the
-    library built and checked: no check runs.  breakpoints, when given, are
-    the Fractions of the grid, kept as its view."""
+    library built and checked: no check runs."""
     f = object.__new__(StepFunction)
     object.__setattr__(f, "_grid", grid)
     object.__setattr__(f, "values", values)
-    object.__setattr__(f, "_breakpoints", breakpoints)
+    object.__setattr__(f, "_breakpoints", None)
     return f
 
 

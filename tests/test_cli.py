@@ -994,6 +994,23 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == []
 
+    def test_bounds_records_built_by_position_compile_no_binder(self):
+        # a record compiles its signature binder only when built by keyword or
+        # with a default; the records of every bounds op are built by position
+        script = "\n".join([
+            "import contextlib, io, json, sys",
+            "from qaspace.cli import main",
+            "from qaspace import Decomposition, LorentzNorm, NormBounds",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert main(json.loads(sys.argv[1])) == 0",
+            "print(json.dumps([c.__name__ for c in (NormBounds, Decomposition, LorentzNorm)",
+            "                  if '_binder' in c.__dict__]))",
+        ])
+        argv = ["qa-bounds", *ENTRY_ARGVS["qa-bounds"]]
+        proc = fresh_python("-c", script, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
 
 # the package's exported names, each loaded from its home module on first use
 PUBLIC = [

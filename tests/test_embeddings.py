@@ -454,6 +454,11 @@ class TestPhiS:
         with pytest.raises(DomainError):
             phi_s(qa_phi(), qa_psi(), reciprocal(), 1.5)
 
+    @pytest.mark.parametrize("n_max", [50.5, 50.0, math.nan, True, "50"])
+    def test_n_max_that_is_not_an_int_is_refused(self, n_max):
+        with pytest.raises(DomainError, match="^n_max must be an integer, not "):
+            phi_s(qa_phi(), qa_psi(), reciprocal(), 0.5, n_max=n_max)
+
     def test_n_max_below_the_first_index(self):
         with pytest.raises(DomainError, match="n_max -5"):
             phi_s(qa_phi(), qa_psi(), reciprocal(), 0.5, n_max=-5)

@@ -91,6 +91,8 @@ class TestPieceCost:
             piece_cost(g, 0, qa_phi(), qa_psi())
         with pytest.raises(ValueError):
             piece_cost(g, 1.5, qa_phi(), qa_psi())
+        with pytest.raises(ValueError, match="^slot n must be a positive integer$"):
+            piece_cost(g, True, qa_phi(), qa_psi())
 
     def test_rejects_negative_pieces(self):
         f = StepFunction((F(0), F(1, 2), F(1)), (-1.0, 1.0))

@@ -187,10 +187,17 @@ def witness_init(self, phi, psi, N, c, p=1.0, mu1=None):
     pass
 
 
+def shape_init(self, family, alpha=None, beta=None, exponent=None, points=None,
+               domain_kind=None):
+    pass
+
+
 sequence_init.__qualname__ = "SequenceSpec.__init__"
 lorentz_init.__qualname__ = "LorentzNorm.__init__"
 witness_init.__qualname__ = "WitnessSpec.__init__"
-REFERENCES = {SequenceSpec: sequence_init, LorentzNorm: lorentz_init, WitnessSpec: witness_init}
+shape_init.__qualname__ = "ShapeFunction.__init__"
+REFERENCES = {SequenceSpec: sequence_init, LorentzNorm: lorentz_init, WitnessSpec: witness_init,
+              ShapeFunction: shape_init}
 BAD_CALLS = [
     ((), {}),
     ((1.0,), {}),

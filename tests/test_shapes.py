@@ -550,13 +550,16 @@ class TestClosedFormInverse:
             (alpha_beta(1.0, 0.0), 0.0, "constant below log t = 0.0"),
             (psi_gamma(0.5), 0.0, "constant below log t = 0.0"),
             (qa_phi(), -1.0, "below attainable minimum 0.0"),
-            (qa_phi(), math.nan, "target nan below attainable minimum"),
             (constant_one(), math.inf, "target inf beyond the largest invertible target"),
         ],
     )
     def test_refusals_name_their_reason(self, shape, target, message):
         with pytest.raises(NotInvertible, match=re.escape(message)):
             log_gamma_inv(shape, target)
+
+    def test_a_nan_target_is_outside_the_domain(self):
+        with pytest.raises(DomainError, match="^argument nan outside domain$"):
+            log_gamma_inv(qa_phi(), math.nan)
 
 
 class TestConcavityHelpers:
