@@ -204,6 +204,7 @@ def _witness_from_args(args):
 
 def _cmd_witness(args) -> dict:
     from . import witness
+    from .qanorm import bound_ratio
 
     spec, w = _witness_from_args(args)
     lor = witness.witness_lorentz_norm(w, spec.phi)
@@ -216,10 +217,10 @@ def _cmd_witness(args) -> dict:
         "lorentz_norm": lor,
         "qa_upper": upper,
         "lower_bound": floor,
-        "ratios": {
-            "qa_upper_over_lower_bound": upper / floor,
-            "qa_upper_over_lorentz_norm": upper / lor,
-            "qa_upper_over_psi_at_N": upper / psi_n,
+        "ratios": {  # a floor that rounds to 0 (a tiny c) gives inf
+            "qa_upper_over_lower_bound": bound_ratio(upper, floor),
+            "qa_upper_over_lorentz_norm": bound_ratio(upper, lor),
+            "qa_upper_over_psi_at_N": bound_ratio(upper, psi_n),
         },
     }
 

@@ -99,9 +99,15 @@ class NormBounds(Record):
 
     @property
     def ratio(self) -> float:
-        if self.lower == 0.0:
-            return 1.0 if self.upper == 0.0 else math.inf
-        return math.inf if self.upper == math.inf else self.upper / self.lower
+        return bound_ratio(self.upper, self.lower)
+
+
+def bound_ratio(upper: float, lower: float) -> float:
+    """upper / lower for upper >= lower >= 0: 1.0 for 0/0, and inf for x/0 or an
+    infinite upper (inf / inf would be nan)."""
+    if lower == 0.0:
+        return 1.0 if upper == 0.0 else math.inf
+    return math.inf if upper == math.inf else upper / lower
 
 
 def piece_cost(g: StepFunction, n: int, phi: ShapeFunction, psi: ShapeFunction) -> float:

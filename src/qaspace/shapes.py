@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from itertools import product
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -63,6 +62,9 @@ class ShapeFunction(Record):
     inverse behind the module's `log_gamma_inv`, which alone checks the target
     against hi and clamps to it.  log_gamma_eval is formed per family:
     log_eval(log_t) - log_t cancels to zero once |log_t| dwarfs the ratio's log.
+    The member's growth facts (G3) and (G4), stated below `_TABLE`, are bound
+    beside them for `check_assumptions`: _ratio_exponent(p) = c(p), and
+    _square_constant = K, None where psi(n^2) leaves the domain.
     """
 
     family: str
@@ -88,12 +90,14 @@ class ShapeFunction(Record):
                 except SpecParseError as exc:
                     raise IllegalSpec(f"the {self.family} family's {exc}") from None
         # the one domain guard, around formulas that trust their argument
-        formula, log_eval, log_gamma_eval, inverse = _TABLE[self.family].build(self)
+        formula, log_eval, log_gamma_eval, inverse, c_of_p, k = _TABLE[self.family].build(self)
         log_hi = 0.0 if self.domain_kind == "phi" else math.inf
         object.__setattr__(self, "eval", _on_domain(formula, log_hi))
         object.__setattr__(self, "log_eval", _log_domain(log_eval, log_hi))
         object.__setattr__(self, "log_gamma_eval", _log_domain(log_gamma_eval, log_hi))
         object.__setattr__(self, "_log_gamma_inv", inverse)
+        object.__setattr__(self, "_ratio_exponent", c_of_p)
+        object.__setattr__(self, "_square_constant", k if self.domain_kind == "psi" else None)
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
@@ -228,7 +232,9 @@ def _alpha_beta(a, b) -> tuple:
         x -= residual / (am1 - b / (1.0 - x))
         return max(x, _LOG_T_MIN)
 
-    return formula, log_eval, log_gamma_eval, log_gamma_inv if am1 or b else _flat
+    return (formula, log_eval, log_gamma_eval, log_gamma_inv if am1 or b else _flat,
+            lambda p: max(0.0, a - b / (1.0 - math.log(p))),
+            formula(4.0) / formula(2.0) if b else math.inf)
 
 
 def _psi_gamma(g) -> tuple:
@@ -260,7 +266,7 @@ def _psi_gamma(g) -> tuple:
 
     # log gamma is g log1p(x) - x above 1; at x = inf that is inf - inf, so take its limit
     log_gamma_eval = lambda x: 0.0 if x < 0.0 else -math.inf if x == math.inf else log_eval(x) - x  # noqa: E731
-    return formula, log_eval, log_gamma_eval, log_gamma_inv
+    return formula, log_eval, log_gamma_eval, log_gamma_inv, lambda p: 1.0, 2.0**g
 
 
 def _piecewise(shape: ShapeFunction) -> tuple:
@@ -319,11 +325,13 @@ def _piecewise(shape: ShapeFunction) -> tuple:
     # point nearest t = 1, so that its answers near log t = 0 do not cancel.
     ratios = [-math.log(y / t) for t, y in pts[1:]]  # non-decreasing
     anchors = []
+    elasticities = []  # (t_k, s t_k / y_k): (G3)'s least elasticity on the chord leaving t_k
     for (ta, ya), (tb, yb) in zip(pts[1:], pts[2:]):
         s = (yb - ya) / (tb - ta)
         c = ya - s * ta
         tk, yk = (tb, yb) if tb <= 1.0 else (ta, ya) if ta >= 1.0 else (1.0, ya + s * (1.0 - ta))
         anchors.append((math.log(tk), math.log(yk / tk), yk / c) if c > 0 else None)
+        elasticities.append((ta, s * ta / ya))
 
     def log_gamma_inv(target, hi):
         m = bisect_right(ratios, -target)  # samples 1..m have log gamma >= target
@@ -344,7 +352,12 @@ def _piecewise(shape: ShapeFunction) -> tuple:
         # expm1(d) q past the float range: its log1p is d + log q + log1p((1/q - 1) e^-d)
         return log_tk - (d + math.log(q) + math.log1p((1.0 / q - 1.0) * math.exp(-d)))
 
-    return formula, log_eval, log_gamma_eval, log_gamma_inv
+    def ratio_exponent(p):
+        formula(p)  # refuses a p past the last sample
+        return min([1.0, *(e for t, e in elasticities if t < p)])
+
+    # psi(n^2) leaves the samples for a large n, so the shape has no K
+    return formula, log_eval, log_gamma_eval, log_gamma_inv, ratio_exponent, None
 
 
 def _constant_one_inv(target, _hi):
@@ -358,7 +371,7 @@ class _Family(NamedTuple):
     formulas, which trust their argument; ShapeFunction guards the domain."""
     kind: str  # the default domain kind
     params: tuple  # (ShapeFunction field, JSON key, reader of the JSON value)
-    build: Callable  # shape -> (eval for t > 0, log_eval, log_gamma_eval, _log_gamma_inv)
+    build: Callable  # shape -> (eval for t > 0, log_eval, log_gamma_eval, _log_gamma_inv, c(p), K)
     zero_limit: float = 0.0  # the limit at 0 from the right
 
 
@@ -370,9 +383,10 @@ _TABLE = {
     "psi_gamma": _Family(
         "psi", (("exponent", "gamma", spec_number),), lambda s: _psi_gamma(s.exponent)),
     "qa_psi": _Family("psi", (), lambda s: _psi_gamma(1.0)),
-    "identity": _Family("phi", (), lambda s: (lambda t: t, lambda x: x, lambda x: 0.0, _flat)),
-    "constant_one": _Family(
-        "phi", (), lambda s: (lambda t: 1.0, lambda x: 0.0, lambda x: -x, _constant_one_inv), 1.0),
+    "identity": _Family("phi", (), lambda s: (
+        lambda t: t, lambda x: x, lambda x: 0.0, _flat, lambda p: 1.0, math.inf)),
+    "constant_one": _Family("phi", (), lambda s: (
+        lambda t: 1.0, lambda x: 0.0, lambda x: -x, _constant_one_inv, lambda p: 0.0, 1.0), 1.0),
     "piecewise": _Family("phi", (("points", "points", spec_pairs),), _piecewise),
 }
 """The shape guarantees, stated once for every member of every family.
@@ -392,8 +406,31 @@ phi(0+)) gives phi(s) >= (s/t) phi(t) for s < t.  Per family:
 - piecewise: chords through samples that _piecewise has checked start at
   (0, 0), do not decrease, and are concave (is_concave, to _SAMPLE_TOL).
 No family lacks a guarantee, so _Family carries no flag for one.  The qanorm
-bounds rest on these facts, not on check_assumptions, which samples other
-conditions; tests/test_shapes.py TestGuarantees checks them for every family.
+bounds rest on these facts; tests/test_shapes.py TestGuarantees checks them
+for every family.
+
+The paper's two growth conditions are facts of the same kind, in closed form:
+(G3) c(p), the largest c with phi(t)/t^c nondecreasing on (0, p], is the least
+  elasticity t phi'(t)/phi(t) on (0, p] (from the right at a kink), since
+  log(phi(t)/t^c) has derivative (elasticity - c)/t.
+  - alpha_beta(a, b): the elasticity a - b/(1 - log t) falls in t up to the
+    flat point and is 0 past it: c(p) = max(0, a - b/(1 - log p)).  qa_phi is (1, 1).
+  - psi_gamma, qa_psi and identity are t on (0, 1]: c(p) = 1.  constant_one: 0.
+  - piecewise: on a chord y = y_k + s_k (t - t_k) the elasticity s_k t/y rises
+    in t, as the chord's intercept is >= 0 (concavity from (0, 0)); it is 1 on
+    the chord from the origin.  So c(p) = min(1, s_k t_k/y_k over the samples
+    0 < t_k < p), and a p past the last sample is refused (DomainError).
+(G4) K = sup over n >= 1 of psi(n^2)/psi(n), for a psi-kind member:
+  - psi_gamma(g): 1 at n = 1, then ((1 + 2 log n)/(1 + log n))^g, which rises
+    to 2^g and never reaches it.  qa_psi: 2.
+  - alpha_beta(a, b), b > 0: constant from e^(1 - b/a) < 3 on, so the ratio is
+    1 at n = 1 and from n = 3 on, and K = psi(4)/psi(2).  With b = 0 it is
+    n^a, unbounded (inf), as identity's n is.  constant_one: 1.
+  - piecewise ends at its last sample, and a phi-kind member at 1, so psi(n^2)
+    leaves the domain: no K (None).
+Both are these formulas evaluated in floats, so a candidate c within rounding
+of c(p) may fall on either side; tests/test_shapes.py TestGrowthFacts checks
+them against a float scan and 60-digit mpmath.
 """
 # the JSON keys of each family: its parameters, and an optional domain
 _KEYS = {
@@ -548,11 +585,13 @@ def is_quasiconcave(samples) -> bool:
 
 
 class AssumptionReport(Record):
-    """Grid evidence for two growth conditions of a (phi, psi) pair.
+    """The paper's two growth conditions for a (phi, psi) pair, as facts.
 
-    phi_ratio_monotone: phi(t)/t^c never decreased along the grid in (0, p].
-    psi_square_constant: empirical max of psi(n^2)/psi(n) over tested n.
-    The flags are evidence on the stated finite grids, not proofs.
+    c, p: the best candidate pair with phi(t)/t^c nondecreasing on (0, p],
+    that is with c <= c(p) of (G3) below `_TABLE`; phi_ratio_monotone says
+    whether any candidate pair holds (if none, c and p are the largest ones).
+    psi_square_constant: K = sup over n >= 1 of psi(n^2)/psi(n), (G4), inf
+    when psi(n^2)/psi(n) is unbounded, and psi_square_bounded says K < inf.
     """
 
     c: float
@@ -560,41 +599,21 @@ class AssumptionReport(Record):
     phi_ratio_monotone: bool
     psi_square_constant: float
     psi_square_bounded: bool
-    grid: tuple
 
 
-_GRID_POINTS = 1000  # check_assumptions' points per (c, p) grid
+def check_assumptions(phi: ShapeFunction, psi: ShapeFunction, c_candidates, p_candidates
+                      ) -> AssumptionReport:
+    """The best candidate pair (c, p) for phi's growth condition, and psi's K.
 
+    Both answers come from the families' closed forms, (G3) and (G4) below
+    `_TABLE`, evaluated in floats; nothing is sampled.  The best pair
+    maximizes c, then p, among the candidate pairs with c <= c(p).  That phi
+    is concave and phi and psi are monotone is (G1) and (G2), which hold for
+    every shape by construction.
 
-def _ratio_monotone_on_grid(phi: ShapeFunction, c: float, p: float) -> tuple:
-    # log-spaced grid over nine decades up to p; monotonicity read off in logs
-    log_p = math.log(p)
-    lo = log_p + math.log(1e-9)
-    grid = [math.exp(lo + (log_p - lo) * i / (_GRID_POINTS - 1)) for i in range(_GRID_POINTS)]
-    grid[-1] = p
-    h = [phi.log_eval(math.log(t)) - c * math.log(t) for t in grid]
-    ok = all(h1 >= h0 - 1e-10 for h0, h1 in zip(h, h[1:]))
-    return ok, tuple(grid)
-
-
-def check_assumptions(
-    phi: ShapeFunction,
-    psi: ShapeFunction,
-    c_candidates,
-    p_candidates,
-    n_max: int = 256,
-) -> AssumptionReport:
-    """Sample two growth conditions on finite grids and report the best pair.
-
-    The two conditions, and all that is sampled:
-    - phi(t)/t^c monotone (nondecreasing, to 1e-10 in logs) on a log grid of
-      _GRID_POINTS points over the nine decades up to p, for each candidate
-      (c, p); the best passing pair maximizes c, then p;
-    - the largest psi(n^2)/psi(n) over n = 1..n_max, the psi constant.
-
-    It certifies neither that phi is concave nor that phi or psi is
-    monotone: no grid here tests either.  Those hold for every shape by
-    construction (the statement below _TABLE).
+    ValueError: no candidate for c or p, or a c outside (0, 1) or p outside (0, 1].
+    DomainError: a piecewise phi sampled short of a candidate p, or a psi
+    whose domain ends (a piecewise or phi-kind one), which has no K.
     """
     cs = sorted(set(float(c) for c in c_candidates), reverse=True)
     ps = sorted(set(float(p) for p in p_candidates), reverse=True)
@@ -602,31 +621,14 @@ def check_assumptions(
         raise ValueError("need at least one candidate for c and for p")
     if any(not 0 < c < 1 for c in cs) or any(not 0 < p <= 1 for p in ps):
         raise ValueError("candidates need c in (0,1), p in (0,1]")
-    if n_max < 4:
-        raise ValueError("n_max must be at least 4")
-
-    best = None
-    best_grid = None
-    passed = False
-    for c, p in product(cs, ps):
-        ok, grid = _ratio_monotone_on_grid(phi, c, p)
-        if ok:
-            best, best_grid, passed = (c, p), grid, True
-            break  # candidates are scanned best first
-    if best is None:
-        best = (cs[0], ps[0])
-        _, best_grid = _ratio_monotone_on_grid(phi, *best)
-
-    ratios = [psi.eval(float(n * n)) / psi.eval(float(n)) for n in range(1, n_max + 1)]
-    constant = max(ratios)
-    return AssumptionReport(
-        c=best[0],
-        p=best[1],
-        phi_ratio_monotone=passed,
-        psi_square_constant=constant,
-        psi_square_bounded=math.isfinite(constant),
-        grid=best_grid,
-    )
+    c_at = [phi._ratio_exponent(p) for p in ps]
+    best = next(((c, p) for c in cs for p, c_p in zip(ps, c_at) if c <= c_p), None)
+    if (k := psi._square_constant) is None:
+        raise DomainError(f"the {psi.domain_kind}-kind {psi.family} shape ends before"
+                          " some n^2, so psi(n^2)/psi(n) is not defined for every n")
+    c, p = best or (cs[0], ps[0])
+    return AssumptionReport(c=c, p=p, phi_ratio_monotone=best is not None,
+                            psi_square_constant=k, psi_square_bounded=k < math.inf)
 
 
 def parse_shape(obj, expected_kind: str | None = None) -> ShapeFunction:

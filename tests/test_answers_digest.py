@@ -6,7 +6,8 @@ regenerates it with `python3 tools/answers_digest.py >
 tests/answers_digest.txt` and declares the moved groups in CHANGES.md.  The
 hashes rest on the host's libm, so on a platform whose fingerprint differs
 the test fails with a request to regenerate the file there: it never passes
-without comparing.
+without comparing.  `python3 tools/answers_digest.py --check
+tests/answers_digest.txt` compares on any platform and names the moved groups.
 """
 
 import importlib.util
@@ -24,10 +25,6 @@ def _digest_tool():
     return module
 
 
-def _by_group(lines) -> dict:
-    return {line.split()[0]: line for line in lines}
-
-
 def test_every_group_prints_as_committed():
     tool = _digest_tool()
     committed, *expected = EXPECTED.read_text(encoding="utf-8").splitlines()
@@ -36,6 +33,19 @@ def test_every_group_prints_as_committed():
         f"tests/answers_digest.txt was made on {committed!r}, not here ({here!r}); "
         "regenerate it on this platform: python3 tools/answers_digest.py > tests/answers_digest.txt"
     )
-    want, got = _by_group(expected), _by_group(tool.lines())
-    moved = [name for name in {**want, **got} if want.get(name) != got.get(name)]
+    moved = tool.moved_groups(expected)
     assert not moved, f"answers moved in {len(moved)} group(s): {', '.join(moved)}"
+
+
+def test_check_names_each_moved_group_whatever_the_platform(tmp_path, monkeypatch, capsys):
+    tool = _digest_tool()
+    monkeypatch.setattr(tool, "lines", lambda: iter(["a 1 x", "b 1 y", "c 1 z"]))
+    saved = tmp_path / "digest.txt"
+    saved.write_text("# platform: elsewhere\na 1 x\nb 1 moved\nd 1 gone\n", encoding="utf-8")
+    assert tool.main(["--check", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "saved: # platform: elsewhere", f"here:  {tool.fingerprint()}",
+        "moved: b", "moved: d", "moved: c", "3 group(s) moved"]
+    saved.write_text("# platform: elsewhere\na 1 x\nb 1 y\nc 1 z\n", encoding="utf-8")
+    assert tool.main(["--check", str(saved)]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["all 3 groups match"]

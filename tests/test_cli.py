@@ -267,6 +267,16 @@ class TestWitness:
         assert out["qa_upper"] == witness_qa_upper(w, qa_phi(), qa_psi())
         assert out["ratios"]["qa_upper_over_lower_bound"] > 1.0
 
+    def test_a_floor_that_rounds_to_zero_gives_infinite_ratios(self, capsys):
+        # 2^c rounds to 1 at c = 1e-30, so the floor (2^c - 1)/8 psi(N) is 0.0:
+        # upper / floor exited 1 with ZeroDivisionError
+        argv = ["witness", "--phi", '{"family": "alpha_beta", "alpha": 0.1, "beta": 0.5}',
+                "--psi", '{"family": "psi_gamma", "gamma": 1e-12}', "--c", "1e-30", "--N", "20"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "NaN" not in text and '"qa_upper_over_lower_bound": Infinity' in text
+        assert json.loads(text)["result"]["lower_bound"] == 0.0
+
 
 class TestOmega:
     def test_report(self):

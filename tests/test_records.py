@@ -46,9 +46,9 @@ CASES = {
         "domain_kind='phi')",
     ),
     AssumptionReport: (
-        (0.5, 1.0, True, 2.0, True, (0.5, 1.0)),
+        (0.5, 1.0, True, 2.0, True),
         "AssumptionReport(c=0.5, p=1.0, phi_ratio_monotone=True, psi_square_constant=2.0, "
-        "psi_square_bounded=True, grid=(0.5, 1.0))",
+        "psi_square_bounded=True)",
     ),
     SequenceSpec: (
         ("samples", None, ((1.0, 0.5), (2.0, 0.25))),

@@ -633,21 +633,35 @@ class TestAssumptionChecks:
         only_one = check_assumptions(qa_phi(), qa_psi(), [0.5], [1.0])
         assert not only_one.phi_ratio_monotone
 
-    def test_psi_square_constant(self):
-        rep = check_assumptions(qa_phi(), qa_psi(), [0.5], [0.25])
-        assert rep.psi_square_bounded
-        want = max(
-            (1.0 + math.log(n * n)) / (1.0 + math.log(n)) for n in range(1, 257)
-        )
-        assert rep.psi_square_constant == want
+    def test_a_dip_narrower_than_a_grid_step_fails(self):
+        # qa_phi's elasticity 1 - 1/(1 - log t) is 0 at t = 1, so no c > 0 holds
+        # up to p = 1; a 1,000-point grid once passed c = 0.01 there
+        rep = check_assumptions(qa_phi(), qa_psi(), [0.01], [1.0])
+        assert (rep.c, rep.p, rep.phi_ratio_monotone) == (0.01, 1.0, False)
+
+    @pytest.mark.parametrize("psi, constant, bounded", [
+        (qa_psi(), 2.0, True),
+        (psi_gamma(0.5), 2**0.5, True),
+        (identity("psi"), math.inf, False),  # psi(n^2)/psi(n) = n
+        (constant_one("psi"), 1.0, True),
+    ], ids=["qa_psi", "psi_gamma", "identity", "constant_one"])
+    def test_psi_square_constant_is_the_supremum(self, psi, constant, bounded):
+        rep = check_assumptions(qa_phi(), psi, [0.5], [0.25])
+        assert (rep.psi_square_constant, rep.psi_square_bounded) == (constant, bounded)
+
+    def test_a_shape_that_ends_is_refused(self):
+        with pytest.raises(DomainError, match="^the phi-kind qa_phi shape ends before some n"):
+            check_assumptions(qa_phi(), qa_phi(), [0.5], [0.25])
+        with pytest.raises(DomainError, match="^the psi-kind piecewise shape ends before some n"):
+            check_assumptions(qa_phi(), piecewise([(0, 0), (1, 1), (1e6, 2)], "psi"), [0.5], [0.25])
+        with pytest.raises(DomainError, match="^piecewise shape sampled only up to 0.5, got 0.75$"):
+            check_assumptions(piecewise([(0, 0), (0.5, 1)]), qa_psi(), [0.5], [0.75, 0.25])
 
     def test_candidate_validation(self):
         with pytest.raises(ValueError):
             check_assumptions(qa_phi(), qa_psi(), [], [0.5])
         with pytest.raises(ValueError):
             check_assumptions(qa_phi(), qa_psi(), [1.5], [0.5])
-        with pytest.raises(ValueError, match="^n_max must be at least 4$"):
-            check_assumptions(qa_phi(), qa_psi(), [0.5], [0.5], n_max=3)
 
 
 class TestJsonForms:
@@ -801,8 +815,8 @@ SPOT_TS = (1e-300, 1e-100, 1e-20, 1e-6, 1e-3, 0.01, 0.1, 0.2, 0.3, 1 / 3, 0.5, 0
 
 
 class TestGuarantees:
-    """The two facts stated below shapes._TABLE, for every family on a parameter
-    grid: (G1) every member is nondecreasing, (G2) a phi-kind member is
+    """The first two facts stated below shapes._TABLE, for every family on a
+    parameter grid: (G1) every member is nondecreasing, (G2) a phi-kind member is
     concave on (0, 1] with phi(t)/t nonincreasing.  A float scan over 2,200
     points per member, with GUARANTEE_TOL, and a 60-digit mpmath spot check
     of the exact formulas, which the floats must also match."""
@@ -844,6 +858,94 @@ class TestGuarantees:
                     s = [(y1 - y0) / (t1 - t0)
                          for t0, t1, y0, y1 in zip(exact_ts, exact_ts[1:], ys, ys[1:])]
                     assert all(s1 <= s0 + tol * abs(s0) for s0, s1 in zip(s, s[1:])), shape
+
+
+GROWTH_PS = (1e-6, 0.01, 0.1, 1 / math.e, 0.5, 0.9, 1.0)
+GROWTH_STEP = 1e-4  # the scan adds t(1 + step) at each kink and p(1 - step), where (G3) puts c(p)
+GROWTH_NS = (*range(1, 2001), *(10**k for k in range(4, 151)))  # n^2 up to 1e300
+GROWTH_LOG_NS = tuple(10.0**k for k in range(3, 300, 6))  # log n past the float range of n
+
+
+def _kinks(shape, p):
+    """The samples of a piecewise shape in (0, p): where (G3) takes its least elasticity."""
+    return [t for t, _ in shape.points[1:] if t < p] if shape.family == "piecewise" else []
+
+
+def _log_ratio_drops(shape, c, ts):
+    """Where log(shape(t)/t^c) falls along ts by more than float rounding explains."""
+    h = [shape.log_eval(math.log(t)) - c * math.log(t) for t in ts]
+    return [t for t, h0, h1 in zip(ts[1:], h, h[1:])
+            if h1 < h0 - 1e-12 * (1.0 + abs(h0) + abs(h1))]
+
+
+class TestGrowthFacts:
+    """(G3) c(p) and (G4) K, stated below shapes._TABLE, for every family on the
+    TestGuarantees parameter grid: a float scan, which must find phi(t)/t^c
+    nondecreasing at c = c(p) and falling at c(p) + 1e-3, and psi(n^2)/psi(n) at
+    most K and reaching it, and a 60-digit mpmath check of the exact formulas."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_float_scan_of_c(self, family):
+        for shape in guarantee_members(family):
+            for p in GROWTH_PS:
+                c = shape._ratio_exponent(p)
+                assert 0.0 <= c <= 1.0
+                near = [p * (1.0 - GROWTH_STEP), *(t * s for t in _kinks(shape, p)
+                                                   for s in (1.0, 1.0 + GROWTH_STEP))]
+                ts = sorted({*_scan_grid(p), *(t for t in near if t <= p)})
+                assert _log_ratio_drops(shape, c, ts) == [], (shape, p)
+                assert _log_ratio_drops(shape, c + 1e-3, ts) != [], (shape, p)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_float_scan_of_k(self, family):
+        for shape in guarantee_members(family):
+            k = shape._square_constant
+            if shape.domain_kind == "phi" or shape.family == "piecewise":
+                assert k is None  # psi(n^2) leaves the domain
+                with pytest.raises(DomainError):
+                    shape.eval(float(GROWTH_NS[-1] ** 2))
+                continue
+            ratios = [shape.eval(float(n * n)) / shape.eval(float(n)) for n in GROWTH_NS]
+            # in logs a ratio carries the rounding of two logs up to 690 (2.3e-13 each)
+            log_ratios = [shape.log_eval(2.0 * x) - shape.log_eval(x) for x in GROWTH_LOG_NS]
+            assert max(ratios) <= k * (1.0 + 1e-15), shape
+            assert max(log_ratios) <= math.log(k) + 1e-12, shape
+            if k < math.inf:
+                assert max(math.log(max(ratios)), max(log_ratios)) >= math.log(k) - 1e-12, shape
+            else:
+                assert max(log_ratios) > 700.0, shape
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_mpmath_check(self, family):
+        with mpmath.workdps(60):
+            tol = mpmath.mpf(10) ** -12
+            step = mpmath.mpf(10) ** -30
+            for shape in guarantee_members(family)[::2]:  # c(p) is the same in both domains
+                f = _exact(shape)
+
+                def elasticity(t, step):
+                    """d log f / d log t at t, from the side of step's sign, to about step."""
+                    return (mpmath.log(f(t * (1 + step))) - mpmath.log(f(t))) / mpmath.log1p(step)
+
+                for p in (0.01, 1 / math.e, 1.0):
+                    # at p from the left, at each kink from the right, and spread below p
+                    slopes = [elasticity(mpmath.mpf(p), -step),
+                              *(elasticity(mpmath.mpf(t), step) for t in _kinks(shape, p)),
+                              *(elasticity(p * mpmath.exp(-d), step) for d in (0.5, 3, 20, 200))]
+                    c = shape._ratio_exponent(p)
+                    assert abs(min(slopes) - c) <= tol, (shape, p)
+            for shape in guarantee_members(family):
+                if (k := shape._square_constant) is None:
+                    continue
+                f = _exact(shape)
+                ns = [mpmath.mpf(n) for n in (1, 2, 3, 4, 5, 10, 1000, 10**6)]
+                ns.append(mpmath.mpf(10) ** (10**20))  # where psi_gamma's ratio is 2^g to 1e-20
+                ratios = [f(n * n) / f(n) for n in ns]
+                if k < math.inf:
+                    assert max(ratios) <= k * (1 + mpmath.mpf(2) ** -52), shape
+                    assert max(ratios) >= k * (1 - tol), shape
+                else:
+                    assert ratios[-1] > mpmath.mpf(10) ** 100, shape
 
 
 def _outcome(f, x):

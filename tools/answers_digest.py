@@ -1,6 +1,7 @@
 """Print one sha256 per group of qaspace answers, to show which answers moved.
 
     python3 tools/answers_digest.py
+    python3 tools/answers_digest.py --check tests/answers_digest.txt
 
 The answers are computed by the qaspace package of the checkout this script
 sits in, on fixed seeded inputs: the step-function operations (rearrange,
@@ -20,7 +21,9 @@ grid of witness specs and two deep ones (their upper bounds, Lorentz norms and
 log-domain group weights), every shape family in both domains on fixed
 argument grids (with the error of each malformed shape spec, and the repr and
 value at 2.0, or the error, of the two psi families built with their default
-domain), the profiles of three phi shapes on a gamma_exp, a
+domain), the growth-condition report (check_assumptions) of each of those
+shapes as phi at each candidate p of a fixed grid and as psi, the profiles
+of three phi shapes on a gamma_exp, a
 reciprocal and a sampled sequence (also with a psi sampled only up to 10),
 iterated-log profiles, two of whose products leave the float range and two
 whose log terms overflow with opposite signs, a
@@ -43,7 +46,12 @@ constructor, `indicator` and `eval_at` call given a number that is not
 finite, and of the two witness specs that build_witness refuses.  Every float is
 hashed through repr, every Fraction exactly, so a digest stays the same only
 if every answer in its group is bitwise the same.  Run it in two checkouts and
-diff the output.  Standard library only; takes no options.
+diff the output.  Standard library only, so it runs under any interpreter
+the package supports.
+
+With --check FILE it compares its groups with FILE, this script's saved
+output: it prints both platform lines, names each group that moved (or is
+in one only) and exits 1 if any did, whatever the platforms.
 
 The first line is the platform fingerprint (the Python implementation and
 version, platform.libc_ver() and the machine): the hashes rest on the host's
@@ -59,6 +67,7 @@ asks for the file to be regenerated there.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -93,6 +102,7 @@ from qaspace.shapes import (  # noqa: E402
     _TABLE,
     ShapeFunction,
     alpha_beta,
+    check_assumptions,
     constant_one,
     identity,
     log_gamma_inv,
@@ -155,6 +165,8 @@ SHAPES = [
     # target less its anchor, times the anchor's ratio, leaves the float range
     piecewise([(0, 0), (1e-320, 1e-13), (1, 2e-13)]),
 ]
+ASSUMPTION_CS = (0.05, 0.25, 0.5, 0.75, 0.95)
+ASSUMPTION_PS = (1e-6, 0.01, 0.1, 1 / math.e, 0.5, 1.0)
 EVAL_ARGS = (-0.0, 0.0, 5e-324, 1e-300, 1e-9, 0.1, 0.25, 1 / math.e, 0.5, 0.9, 1.0,
              1.5, math.e, 10.0, 1e10, 1e300, -1e-9, -1.7e308, math.inf, math.nan)
 LOG_ARGS = (-0.0, 0.0, -1.7e308, -1e300, -1e15, -1e9, -745.0, -40.0, -3.0, -1.0, -0.5,
@@ -571,6 +583,12 @@ def groups():
         *(_shape_answer(lambda: _default_domain(family, params))
           for family, params in DEFAULT_DOMAIN_SHAPES),
     ]
+    yield "assumptions", [
+        *(_answer(lambda: repr(check_assumptions(shape, qa_psi(), ASSUMPTION_CS, [p])))
+          for shape in SHAPES for p in ASSUMPTION_PS),
+        *(_answer(lambda: repr(check_assumptions(qa_phi(), shape, ASSUMPTION_CS, ASSUMPTION_PS)))
+          for shape in SHAPES),
+    ]
     yield "profiles", [
         *(_profile(phi, psi, seq)
           for phi, psi in PROFILE_PAIRS
@@ -762,7 +780,33 @@ def lines():
         yield f"{name:<24} {len(records):>5} {digest}"
 
 
-def main() -> int:
+def moved_groups(saved) -> list:
+    """The names of the groups whose line in saved (this script's output less
+    its platform line) differs from this checkout's, or is on one side only."""
+    want = {line.split()[0]: line for line in saved}
+    got = {line.split()[0]: line for line in lines()}
+    return [name for name in {**want, **got} if want.get(name) != got.get(name)]
+
+
+def check(path) -> int:
+    """Compare with the saved output at path: 1 if a group moved, else 0."""
+    platform_line, *saved = Path(path).read_text(encoding="utf-8").splitlines()
+    moved = moved_groups(saved)
+    print(f"saved: {platform_line}")
+    print(f"here:  {fingerprint()}")
+    for name in moved:
+        print(f"moved: {name}")
+    print(f"{len(moved)} group(s) moved" if moved else f"all {len(saved)} groups match")
+    return 1 if moved else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="One sha256 per group of qaspace answers.")
+    parser.add_argument("--check", metavar="FILE", help="compare with FILE, this script's"
+                        " saved output, and exit 1 if a group moved")
+    args = parser.parse_args(argv)
+    if args.check:
+        return check(args.check)
     print(fingerprint())
     for line in lines():
         print(line)
