@@ -15,6 +15,11 @@ def logsumexp(values) -> float:
 
     Accepts any non-empty iterable.  -inf entries are legal and contribute
     nothing; the result is -inf only if every entry is -inf.
+
+    The result is never below max(values), in floats as in reals: each of the
+    n - 1 expm1 terms besides the max's 0.0 is at least -1, so their fsum,
+    rounded once, is at least -(n - 1); log1p of the non-negative sum with
+    n - 1 is then non-negative, and adding it to the max cannot round below it.
     """
     xs = list(values)
     if not xs:

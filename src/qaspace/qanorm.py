@@ -47,9 +47,16 @@ group weights and a price for a list of them, given in descending order, so
 that a price pairs the n-th weight with psi(n) as it reads them.  The greedy
 keeps its current weights sorted and builds each candidate from them by
 removing the two merged weights and inserting the merged one, not by a sort.
+A price also gets a bound, the price that it must beat: the least one found so
+far, the greedy's current total, or inf for a first price.  It may answer any
+number above the bound once it can tell that its true price exceeds it, since
+_search keeps a candidate only when it is strictly cheaper than one it holds;
+so an early answer never wins or ties, and the result is the same as with every
+price in full (branch-and-bound's bounding step, Land and Doig, 1960).
 qa_upper prices _LayerTable's weights in floats (fsum of psi(n) * weight, inf
-past the float range); the witness module prices its log-domain table, for
-layers far beyond the float range, in logs.
+past the float range) and ignores the bound; the witness module prices its
+log-domain table, for layers far beyond the float range, in logs, and answers
+early with the largest term when that is above the bound.
 """
 
 from __future__ import annotations
@@ -252,13 +259,19 @@ def _search(table, price, strategy: str) -> tuple:
     """Best consecutive grouping of the table's layers 0..n-1.
 
     The table gives the weight of each group of layers i..j (inclusive), and
-    is asked for each at most once; price(ws) prices a grouping from the
-    list of its group weights, given in descending order, so a price reads
-    the slot of each weight off its position.  The two are all that the
-    float and the log-domain searches differ in.  Every strategy puts its
-    candidates in one list, "singleton" the one piece alone, every other the
-    one piece, the layer split, then its own; cost prices each, and the first
-    of the cheapest wins.
+    is asked for each at most once; price(ws, bound) prices a grouping from
+    the list of its group weights, given in descending order, so a price reads
+    the slot of each weight off its position.  bound is the price to beat: inf
+    for the first candidate and for the greedy's start, then the least price
+    so far, or the greedy's current total for a merge.  A price may answer
+    any number above bound once its true price is known to exceed it; a
+    candidate is kept only when strictly cheaper than the one held, so such an
+    answer is never kept, and every answer kept is a true price.  The table
+    and the price are all that the float and the log-domain searches differ
+    in.  Every strategy puts its candidates in one list, "singleton" the one
+    piece alone, every other the one piece, the layer split, then its own;
+    cost prices each against the best so far, and the first of the cheapest
+    wins.
     The greedy keeps its current weights sorted beside them, and a candidate
     merge is that sorted list less the two merged weights, with the merged
     group's weight inserted in order.  Equal weights are equal floats, or
@@ -274,10 +287,10 @@ def _search(table, price, strategy: str) -> tuple:
     if strategy == "auto":
         strategy = "exhaustive" if n <= _EXHAUSTIVE_CAP else "local_search"
     if n == 0:
-        return price([]), []
+        return price([], math.inf), []
 
-    def cost(groups) -> float:
-        return price(sorted([weights[g] for g in groups], reverse=True))
+    def cost(groups, bound) -> float:
+        return price(sorted([weights[g] for g in groups], reverse=True), bound)
 
     layers = [(k, k) for k in range(n)]
     candidates = [[(0, n - 1)]] if strategy == "singleton" else [[(0, n - 1)], layers]
@@ -294,7 +307,7 @@ def _search(table, price, strategy: str) -> tuple:
         groups = layers
         ws = [weights[g] for g in groups]
         desc = sorted(ws, reverse=True)
-        total = price(desc)
+        total = price(desc, math.inf)
         while len(groups) > 1:
             for idx in range(len(groups) - 1):
                 merged = (groups[idx][0], groups[idx + 1][1])
@@ -303,7 +316,7 @@ def _search(table, price, strategy: str) -> tuple:
                 cand.remove(ws[idx])
                 cand.remove(ws[idx + 1])
                 insort(cand, w, key=neg)
-                t = price(cand)
+                t = price(cand, total)
                 if t < total:
                     groups = groups[:idx] + [merged] + groups[idx + 2 :]
                     ws = ws[:idx] + [w] + ws[idx + 2 :]
@@ -313,9 +326,13 @@ def _search(table, price, strategy: str) -> tuple:
                 break
         candidates.append(groups)
 
-    best = min(candidates, key=cost)
+    best, total = candidates[0], cost(candidates[0], math.inf)
+    for groups in candidates[1:]:
+        t = cost(groups, total)
+        if t < total:
+            best, total = groups, t
     # every candidate lists its groups in layer order, and the sort is stable
-    return cost(best), sorted(best, key=lambda g: -weights[g])
+    return total, sorted(best, key=lambda g: -weights[g])
 
 
 def qa_upper(
@@ -329,7 +346,7 @@ def qa_upper(
     lower = psi.eval(1.0) * nonneg_fsum(table.layer_weights)
     psi_at = [psi.eval(float(r + 1)) for r in range(len(table.vals))]
 
-    def price(ws) -> float:
+    def price(ws, bound) -> float:
         return nonneg_fsum(map(mul, psi_at, ws))
 
     best_total, best_groups = _search(table, price, strategy)

@@ -14,13 +14,16 @@ log domain; materializing an actual step function is offered only for
 shallow instances.  The function's layer cake is kept in logs as well
 (_LogLayerTable): the Lorentz norm sums its single-layer weights, and the
 upper bound runs qanorm's grouping search over it, as qa_upper does over a
-step function's layer table.
+step function's layer table.  The two share one table per (witness, phi),
+which _LogLayerTable.from_witness keeps in a small cache, so a report that
+asks for both builds the 2N layer weights once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 
 from . import stepfn
@@ -32,8 +35,9 @@ from .shapes import ShapeFunction, log_gamma, log_gamma_inv
 
 _HALVING_SLACK = 1e-9
 _RESIDUAL_TOL = 1e-8
-# the cap on N: `witness --N 500` takes about 0.7 s, most of it the grouping
-# search over the 2N layers, which grows faster than N^2
+# the cap on N: `witness --N 500` takes about 0.3 s (alpha_beta(0.7, 0.75),
+# qa_psi, c = 0.5), most of it the grouping search over the 2N layers, which
+# grows faster than N^2
 _N_CAP = 500
 
 
@@ -102,7 +106,9 @@ class WitnessFunction(Record):
     log_mu decreases (each step at least halves the measure), log_a increases,
     and log_a[j] = -log(2N) - log(phi(mu_j)) exactly as stored.  The support
     sets are consecutive intervals packed from 0; their total measure is at
-    most 2*mu1 <= 1, so only the measures are kept.
+    most 2*mu1 <= 1, so only the measures are kept.  The three are kept as
+    tuples, whatever sequences they are given as, so that a witness is a
+    cache key (_LogLayerTable.from_witness).
 
     log_gamma holds the recurrence targets log(phi(mu_j)/mu_j).  They stay
     moderate while log_mu runs off to -1e17 and beyond, and at that depth
@@ -118,6 +124,8 @@ class WitnessFunction(Record):
     p: float
 
     def __post_init__(self):
+        for name in ("log_mu", "log_a", "log_gamma"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         n2 = 2 * self.N
         if any(len(arr) != n2 for arr in (self.log_mu, self.log_a, self.log_gamma)):
             raise IllegalSpec("witness needs exactly 2N layers")
@@ -226,17 +234,19 @@ class _LogLayerTable:
     def __init__(self, log_vals, log_rings, log_masses, phi: ShapeFunction):
         self.log_vals, self.log_rings, self.log_masses = log_vals, log_rings, log_masses
         self.phi = phi
-        self.layer_weights = [self.weight(k, k) for k in range(len(log_vals))]
+        self.layer_weights = tuple(self.weight(k, k) for k in range(len(log_vals)))
 
     @classmethod
+    @lru_cache(maxsize=4)
     def from_witness(cls, w: WitnessFunction, phi: ShapeFunction) -> _LogLayerTable:
-        """The table of the built function.  The mass of layer j is a_j * mu_j
+        """The table of the built function, of tuples, cached by (w, phi) and
+        shared by its callers.  The mass of layer j is a_j * mu_j
         = 1/(2N gamma(mu_j)), formed from the stored gamma targets; summing
         the stored logs instead loses it entirely once they exceed 1e16 or so.
         """
         norm = math.log(2.0 * w.N)
-        log_masses = [-norm - lg for lg in reversed(w.log_gamma)]
-        return cls(list(reversed(w.log_a)), list(reversed(w.log_mu)), log_masses, phi)
+        log_masses = tuple(-norm - lg for lg in reversed(w.log_gamma))
+        return cls(w.log_a[::-1], w.log_mu[::-1], log_masses, phi)
 
     def weight(self, i: int, j: int) -> float:
         """Log cost of merging layers i..j into one piece.
@@ -287,12 +297,17 @@ def witness_qa_upper(
     """Best layer-grouping upper bound on the decomposition quasi-norm of the
     built function, computed in the log domain: qanorm's search over its
     _LogLayerTable, a grouping priced as the logsumexp of log psi(n) plus
-    the log weight of its n-th group; inf past the float range, as qa_upper."""
+    the log weight of its n-th group; inf past the float range, as qa_upper.
+    A price whose largest term is above the bound answers that term: the
+    logsumexp is never below its largest term (logs.logsumexp), so the true
+    price is above the bound too."""
     table = _LogLayerTable.from_witness(w, phi)
     log_psi_at = [math.log(psi.eval(float(r + 1))) for r in range(len(table.layer_weights))]
 
-    def price(ws) -> float:
-        return logsumexp(map(add, log_psi_at, ws))
+    def price(ws, bound) -> float:
+        terms = list(map(add, log_psi_at, ws))
+        top = max(terms)
+        return top if top > bound else logsumexp(terms)
 
     return exp_or_inf(_search(table, price, strategy)[0])
 

@@ -303,12 +303,43 @@ class CountingTable:
 
 def float_price(psi, n):
     psi_at = [psi.eval(float(r + 1)) for r in range(n)]
-    return lambda ws: nonneg_fsum(map(operator.mul, psi_at, ws))
+    return lambda ws, bound: nonneg_fsum(map(operator.mul, psi_at, ws))
 
 
 def log_price(psi, n):
     log_psi_at = [math.log(psi.eval(float(r + 1))) for r in range(n)]
-    return lambda ws: logsumexp(map(operator.add, log_psi_at, ws))
+    return lambda ws, bound: logsumexp(map(operator.add, log_psi_at, ws))
+
+
+# what an early log price answers in place of its true price: the largest
+# term, as witness_qa_upper's price does, or the least float above the bound
+EARLY_ANSWERS = {
+    "top": lambda top, bound: top,
+    "next_above_bound": lambda top, bound: math.nextafter(bound, math.inf),
+}
+
+
+class EarlyLogPrice:
+    """The log price of log_psi_at, but once the largest term is above the
+    bound it answers early, by the rule answer(top, bound); counts those
+    answers in early."""
+
+    def __init__(self, log_psi_at, answer):
+        self.log_psi_at = log_psi_at
+        self.answer = answer
+        self.early = 0
+
+    @classmethod
+    def of(cls, psi, n, answer):
+        return cls([math.log(psi.eval(float(r + 1))) for r in range(n)], answer)
+
+    def __call__(self, ws, bound):
+        terms = list(map(operator.add, self.log_psi_at, ws))
+        top = max(terms)
+        if top > bound:
+            self.early += 1
+            return self.answer(top, bound)
+        return logsumexp(terms)
 
 
 def group_list_greedy(n, total):
@@ -362,18 +393,18 @@ class TestGreedy:
         psi_at = [1.0 + math.log(r) for r in range(1, 41)]
         log_psi_at = [math.log(p) for p in psi_at]
         pricings = {
-            False: lambda ws: nonneg_fsum([p * w for p, w in zip(psi_at, ws)]),
-            True: lambda ws: logsumexp([p + w for p, w in zip(log_psi_at, ws)]),
+            False: lambda ws, bound: nonneg_fsum([p * w for p, w in zip(psi_at, ws)]),
+            True: lambda ws, bound: logsumexp([p + w for p, w in zip(log_psi_at, ws)]),
         }
         ends, seen = set(), set()
 
         def descending(price):
-            def checked(ws):
+            def checked(ws, bound):
                 assert all(map(operator.ge, ws, ws[1:])), ws
                 if len(set(ws)) < len(ws):
                     seen.add("tie")
                 seen.update(w for w in ws if math.isinf(w))
-                return price(ws)
+                return price(ws, bound)
 
             return checked
 
@@ -381,7 +412,7 @@ class TestGreedy:
             for n, weights in self.tables(log):
 
                 def total(groups):
-                    return price(sorted([weights[g] for g in groups], reverse=True))
+                    return price(sorted([weights[g] for g in groups], reverse=True), math.inf)
 
                 want_total, want_groups = group_list_greedy(n, total)
                 table = CountingTable([weights[k, k] for k in range(n)], lambda i, j: weights[i, j])
@@ -397,6 +428,19 @@ class TestGreedy:
         assert {(log, True, False) for log in pricings} <= ends, ends
         assert any(end[2] for end in ends), ends
         assert seen == {"tie", math.inf, LOG_ZERO}, seen
+
+    @pytest.mark.parametrize("answer", EARLY_ANSWERS)
+    def test_a_log_price_that_exits_early_ends_at_the_same_grouping(self, answer):
+        log_psi_at = [math.log(1.0 + math.log(r)) for r in range(1, 41)]
+        full = lambda ws, bound: logsumexp([p + w for p, w in zip(log_psi_at, ws)])
+        early = EarlyLogPrice(log_psi_at, EARLY_ANSWERS[answer])
+        for n, weights in self.tables(True):
+            table = CountingTable([weights[k, k] for k in range(n)], lambda i, j: weights[i, j])
+            want_total, want_groups = _search(table, full, "local_search")
+            got_total, got_groups = _search(table, early, "local_search")
+            assert got_groups == want_groups, n
+            assert bits(got_total) == bits(want_total), n
+        assert early.early > 100, early.early
 
 
 class TestSearchAsksOnce:
@@ -431,6 +475,27 @@ class TestSearchAsksOnce:
         # every strategy asks for merged groups in both domains (at least the one piece)
         every = {(log, s) for log in (False, True) for s in STRATEGIES}
         assert {key for key, count in asked.items() if count} == every, asked
+
+    @pytest.mark.parametrize("answer", EARLY_ANSWERS)
+    def test_a_log_price_that_exits_early_asks_the_same_and_ends_the_same(self, answer):
+        exits = 0
+        for phi, psi in ((qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4))):
+            for n in (2, 5, 8):
+                inner = _LogLayerTable.from_witness(build_witness(WitnessSpec(phi, psi, N=n, c=0.5)), phi)
+                k = len(inner.layer_weights)
+                for strategy in STRATEGIES:
+                    if strategy == "exhaustive" and k > 10:
+                        continue
+                    full = CountingTable(inner.layer_weights, inner.weight)
+                    want_total, want_groups = _search(full, log_price(psi, k), strategy)
+                    early = EarlyLogPrice.of(psi, k, EARLY_ANSWERS[answer])
+                    table = CountingTable(inner.layer_weights, inner.weight)
+                    got_total, got_groups = _search(table, early, strategy)
+                    assert got_groups == want_groups, (n, strategy)
+                    assert bits(got_total) == bits(want_total), (n, strategy)
+                    assert table.asked == full.asked, (n, strategy)
+                    exits += early.early
+        assert exits > 100, exits
 
 
 class TestAgainstBruteForce:
@@ -710,6 +775,20 @@ class TestLogDomainMirror:
             assert got == pytest.approx(want, rel=1e-12)
         lorentz = math.exp(logsumexp(table.layer_weights))
         assert lorentz == pytest.approx(lorentz_norm(three_layer(), qa_phi()).value, rel=1e-12)
+
+    @pytest.mark.parametrize("answer", EARLY_ANSWERS)
+    def test_a_log_price_that_exits_early_gives_the_same_bits(self, answer):
+        vals = [3.0, 2.0, 1.0]
+        rings = [F(1, 4), F(1, 2), F(1, 4)]
+        lv = [math.log(v) for v in vals]
+        lr = [math.log(float(r)) for r in rings]
+        lm = [math.log(v * float(r)) for v, r in zip(vals, rings)]
+        table = _LogLayerTable(lv, lr, lm, qa_phi())
+        for strategy in STRATEGIES:
+            want_total, want_groups = _search(table, log_price(qa_psi(), 3), strategy)
+            got_total, got_groups = _search(table, EarlyLogPrice.of(qa_psi(), 3, EARLY_ANSWERS[answer]), strategy)
+            assert got_groups == want_groups, strategy
+            assert bits(got_total) == bits(want_total), strategy
 
 
 class TestBeyondFloatRange:

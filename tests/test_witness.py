@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qaspace import (
     DomainError,
@@ -20,13 +22,15 @@ from qaspace import (
     l1_norm_exact,
     lower_bound_value,
     lorentz_norm,
+    psi_gamma,
     qa_phi,
     qa_psi,
     qa_upper,
     witness_lorentz_norm,
     witness_qa_upper,
 )
-from qaspace.logs import LOG_ZERO, logdiffexp, logsumexp
+from qaspace.logs import LOG_ZERO, exp_or_inf, logdiffexp, logsumexp
+from qaspace.qanorm import STRATEGIES, _search
 from qaspace.witness import _LogLayerTable
 from corpora import all_groups, group_sample
 
@@ -311,6 +315,85 @@ class TestLogLayerWeights:
                 assert got.hex() == want.hex(), (table.log_vals, i, j)
                 weights += 1
         assert weights > 2000, weights
+
+
+@st.composite
+def log_terms(draw):
+    """Non-empty lists of logs: finite ones up to 1e300 in magnitude, -inf,
+    and repeats of drawn entries, so that the largest term can tie."""
+    entry = st.floats(-1e300, 1e300) | st.floats(-50.0, 50.0) | st.just(LOG_ZERO)
+    xs = draw(st.lists(entry, min_size=1, max_size=12))
+    repeats = draw(st.lists(st.sampled_from(xs), max_size=6))
+    return draw(st.permutations(xs + repeats))
+
+
+class TestLogSumExpBound:
+    """logsumexp is never below its largest term, bit for bit: the fact that
+    lets witness_qa_upper's price answer with its largest term."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(log_terms())
+    @example([0.0])
+    @example([1e300])
+    @example([-1e300])
+    @example([LOG_ZERO])
+    @example([LOG_ZERO, LOG_ZERO])
+    @example([LOG_ZERO, -1e300])
+    @example([1e300, 1e300, 1e300])
+    @example([-1e300, 1e300])
+    @example([0.1] * 1000)
+    @example([-745.0, 0.0, -745.0, 5e-324])
+    def test_never_below_the_largest_term(self, xs):
+        assert logsumexp(xs) >= max(xs)
+
+
+class TestSharedLogTable:
+    def test_one_table_for_the_norm_and_the_upper_bound(self, monkeypatch):
+        built = []
+        init = _LogLayerTable.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(_LogLayerTable, "__init__", counted)
+        phi, psi = alpha_beta(0.6, 0.3), qa_psi()
+        # a mu1 that no other test builds from, so no cached table is reused
+        w = build_witness(WitnessSpec(phi, psi, N=6, c=0.45, mu1=0.2))
+        lorentz = witness_lorentz_norm(w, phi)
+        uppers = [witness_qa_upper(w, phi, psi, s) for s in ("auto", "local_search")]
+        assert len(built) == 1
+        assert lorentz == math.exp(logsumexp(built[0].layer_weights))
+        assert lorentz <= min(uppers)
+
+    def test_a_witness_given_lists_keeps_tuples_and_is_a_cache_key(self):
+        w = qa_witness(3)
+        again = WitnessFunction(list(w.log_mu), list(w.log_a), list(w.log_gamma), w.N, w.c, w.p)
+        assert again == w and type(again.log_mu) is tuple
+        assert witness_lorentz_norm(again, qa_phi()) == witness_lorentz_norm(w, qa_phi())
+        assert witness_qa_upper(again, qa_phi(), qa_psi()) == witness_qa_upper(w, qa_phi(), qa_psi())
+
+
+class TestEarlyPrice:
+    def test_the_upper_bound_is_the_full_pricings_bit_for_bit(self):
+        # witness_qa_upper's price answers early above its bound; a price
+        # that always sums in full must find the same total
+        for phi, psi in ((qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4)),
+                         (alpha_beta(0.7, 0.75), qa_psi())):
+            for n in (2, 3, 5, 8):
+                w = build_witness(WitnessSpec(phi, psi, N=n, c=0.5))
+                table = _LogLayerTable.from_witness(w, phi)
+                log_psi_at = [math.log(psi.eval(float(r + 1))) for r in range(2 * n)]
+
+                def full(ws, bound):
+                    return logsumexp(map(operator.add, log_psi_at, ws))
+
+                for strategy in STRATEGIES:
+                    if strategy == "exhaustive" and 2 * n > 10:
+                        continue
+                    want = exp_or_inf(_search(table, full, strategy)[0])
+                    got = witness_qa_upper(w, phi, psi, strategy)
+                    assert got.hex() == want.hex(), (phi, psi, n, strategy)
 
 
 class TestSerialization:

@@ -9,9 +9,11 @@ seed, `bench/run.py --workload W --seed S --seconds T --trace 0` runs once on
 each side, one run at a time, T being the `run_seconds` of the base's
 BENCHMARK.json; the first pair of each workload runs the base first, and the
 side that goes first alternates from pair to pair.  The file holds every pair,
-each side's median of every metric, how many pairs the head won on each
-end-to-end metric, the base's interquartile range, and the host and Python
-version.  Standard library only; run it from inside the repository.
+each side's median of every metric and of the ops attempted (so a metric that
+grows with the op count, such as peak_rss_mb, can be read against it), how
+many pairs the head won on each end-to-end metric, the base's interquartile
+range, and the host and Python version.  Standard library only; run it from
+inside the repository.
 """
 
 from __future__ import annotations
@@ -56,12 +58,13 @@ def run(copy: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def summary(pairs: list, better: dict) -> dict:
-    """Per metric: each side's median, the head's relative change, the base's
-    interquartile range, and for an end-to-end metric the pairs the head won."""
+    """Per metric, and for the ops attempted: each side's median, the head's
+    relative change, the base's interquartile range, and for an end-to-end
+    metric the pairs the head won."""
     out = {}
-    for name in pairs[0]["base"]["metrics"]:
-        base = [p["base"]["metrics"][name] for p in pairs]
-        head = [p["head"]["metrics"][name] for p in pairs]
+    for name in ("attempted", *pairs[0]["base"]["metrics"]):
+        base, head = ([p[side][name] if name == "attempted" else p[side]["metrics"][name]
+                       for p in pairs] for side in ("base", "head"))
         row = {"base": statistics.median(base), "head": statistics.median(head)}
         row["change"] = row["head"] / row["base"] - 1.0 if row["base"] else None
         if len(base) > 1:
