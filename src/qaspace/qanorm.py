@@ -242,19 +242,6 @@ class _Memo(dict):
         return value
 
 
-def _compositions(n: int):
-    """All partitions of layers 0..n-1 into consecutive groups."""
-    for mask in range(1 << (n - 1)):
-        groups = []
-        start = 0
-        for pos in range(n - 1):
-            if mask & (1 << pos):
-                groups.append((start, pos))
-                start = pos + 1
-        groups.append((start, n - 1))
-        yield groups
-
-
 def _search(table, price, strategy: str) -> tuple:
     """Best consecutive grouping of the table's layers 0..n-1.
 
@@ -268,10 +255,12 @@ def _search(table, price, strategy: str) -> tuple:
     candidate is kept only when strictly cheaper than the one held, so such an
     answer is never kept, and every answer kept is a true price.  The table
     and the price are all that the float and the log-domain searches differ
-    in.  Every strategy puts its candidates in one list, "singleton" the one
-    piece alone, every other the one piece, the layer split, then its own;
-    cost prices each against the best so far, and the first of the cheapest
-    wins.
+    in.  Every strategy lists each of its candidates once, and cost prices
+    each against the best so far; the first of the cheapest wins.  The list
+    holds the one piece, the layer split (but for "singleton" or one layer),
+    then "exhaustive"'s every other grouping by ascending mask (bit p set: a
+    group ends at layer p), or the greedy's end if it merged some layers but
+    not all.  So a tie goes to the one piece, the layer split, the lowest mask.
     The greedy keeps its current weights sorted beside them, and a candidate
     merge is that sorted list less the two merged weights, with the merged
     group's weight inserted in order.  Equal weights are equal floats, or
@@ -293,13 +282,20 @@ def _search(table, price, strategy: str) -> tuple:
         return price(sorted([weights[g] for g in groups], reverse=True), bound)
 
     layers = [(k, k) for k in range(n)]
-    candidates = [[(0, n - 1)]] if strategy == "singleton" else [[(0, n - 1)], layers]
+    candidates = [[(0, n - 1)]] if strategy == "singleton" or n == 1 else [[(0, n - 1)], layers]
     if strategy == "exhaustive":
         if n > _EXHAUSTIVE_CAP:
             raise TooManyLayers(
                 f"{n} layers exceed the exhaustive cap {_EXHAUSTIVE_CAP}; use local_search"
             )
-        candidates.extend(_compositions(n))
+        for mask in range(1, (1 << (n - 1)) - 1):  # not the one piece or the layer split
+            groups, start = [], 0
+            for p in range(n - 1):
+                if mask >> p & 1:
+                    groups.append((start, p))
+                    start = p + 1
+            groups.append((start, n - 1))
+            candidates.append(groups)
     elif strategy == "local_search":
         # one weight per current group, kept beside the groups, so that a
         # candidate merge is priced without looking its groups up again,
@@ -324,7 +320,8 @@ def _search(table, price, strategy: str) -> tuple:
                     break
             else:
                 break
-        candidates.append(groups)
+        if 1 < len(groups) < n:
+            candidates.append(groups)
 
     best, total = candidates[0], cost(candidates[0], math.inf)
     for groups in candidates[1:]:

@@ -229,7 +229,7 @@ class TestUpper:
     def test_a_tie_goes_to_the_one_piece(self, strategy):
         # under a constant psi the one piece (weight 1.5) and the layer split
         # (weights 0.5 and 1.0) both cost 1.5; the first of the cheapest wins,
-        # and exhaustive's mask order lists the layer split again, last
+        # and every pool lists the one piece first
         f = StepFunction((F(0), F(1, 2), F(1)), (2.0, 1.0))
         table = _LayerTable(f, identity())
         assert list(table.layer_weights) == [0.5, 1.0] and table.weight(0, 1) == 1.5
@@ -475,6 +475,47 @@ class TestSearchAsksOnce:
         # every strategy asks for merged groups in both domains (at least the one piece)
         every = {(log, s) for log in (False, True) for s in STRATEGIES}
         assert {key for key, count in asked.items() if count} == every, asked
+
+    def test_the_pool_prices_each_grouping_once(self):
+        # exhaustive prices the 2^(n-1) consecutive groupings, layers the one
+        # piece and the layer split (one grouping on one layer), singleton the
+        # one piece; the pool once held the one piece and the layer split twice
+        few_layers = [
+            indicator(F(0), F(1, 3)),
+            constant(2.5),
+            StepFunction((F(0), F(1, 2), F(1)), (2.0, 1.0)),
+        ]
+        tables = [
+            (False, _LayerTable(f, phi), psi)
+            for phi, psi in ((qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4)))
+            for f in (*layer_corpus(20, seed=7), *few_layers)
+        ]
+        tables += [
+            (True, _LogLayerTable.from_witness(build_witness(WitnessSpec(phi, psi, N=n, c=0.5)), phi), psi)
+            for phi, psi in ((qa_phi(), qa_psi()), (alpha_beta(0.5, 0.7), psi_gamma(0.4)))
+            for n in (2, 5)
+        ]
+        tables.append((True, CountingTable([math.log(0.75)], None), qa_psi()))  # one log layer
+        sizes = set()
+        for log, table, psi in tables:
+            n = len(table.layer_weights)
+            priced = Counter()
+            inner = (log_price if log else float_price)(psi, n)
+
+            def price(ws, bound):
+                priced[strategy] += 1
+                return inner(ws, bound)
+
+            for strategy in ("exhaustive", "layers", "singleton"):
+                if n <= 10 or strategy != "exhaustive":
+                    _search(table, price, strategy)
+            want = {"exhaustive": 1 << (n - 1), "layers": 1 if n == 1 else 2, "singleton": 1}
+            if n > 10:
+                del want["exhaustive"]
+            assert priced == want, (log, n, priced)
+            sizes.add((log, min(n, 3)))
+        # one layer, two and more in floats; one and more in logs
+        assert sizes == {(False, 1), (False, 2), (False, 3), (True, 1), (True, 3)}, sizes
 
     @pytest.mark.parametrize("answer", EARLY_ANSWERS)
     def test_a_log_price_that_exits_early_asks_the_same_and_ends_the_same(self, answer):
