@@ -26,7 +26,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, NonPositiveValue, SpecParseError, TooManyLayers, ToolkitError
-from .errors import spec_kind, spec_number, spec_read, spec_whole
+from .errors import nests_deeper, spec_kind, spec_number, spec_read, spec_whole
 
 OUT_DIR_VAR = "QASPACE_OUT_DIR"
 
@@ -171,6 +171,7 @@ def _cmd_check_seq(args) -> dict:
 
     if args.points < 3:
         raise DomainError(f"check-seq needs at least 3 points, got {args.points}")
+    embeddings._check_points(args.points)
     xmin = args.xmin = max(args.xmin, args.seq.domain_start)
     xs = [xmin + (args.xmax - xmin) * (i / (args.points - 1)) for i in range(args.points)]
     xs[-1] = args.xmax  # pinned, as log_grid pins its ends: the product can round past it
@@ -258,15 +259,19 @@ def _finite(option, value, args):
 
 def _spec(decode, option, text, args):
     """Read a JSON spec flag, inline or the file it names, through decode,
-    which gets the JSON and the arguments read before it."""
+    which gets the JSON and the arguments read before it.  JSON that nests
+    deeper than errors.SPEC_DEPTH is refused before decode sees it."""
     try:
         if text.strip().startswith(("{", "[")):
             obj = json.loads(text)
         else:
             with open(text, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-    except RecursionError:
-        raise SpecParseError(f"{option}: the JSON nests too deeply to read") from None
+        deep = nests_deeper(obj)
+    except RecursionError:  # CPython 3.11's reader stops near 1,000 levels
+        deep = True
+    if deep:
+        raise SpecParseError(f"{option}: the JSON nests too deeply to read")
     return decode(obj, args)
 
 

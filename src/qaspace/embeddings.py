@@ -412,9 +412,17 @@ def _spread(lo: float, hi: float) -> float:
     return hi / lo if 0.0 < lo and hi < math.inf else math.inf
 
 
+def _check_points(points: int) -> None:
+    """Refuse a grid of more than _N_MAX_CAP points, before any is built."""
+    if points > _N_MAX_CAP:
+        raise DomainError(f"a grid is capped at {_N_MAX_CAP} points, got {points}")
+
+
 def log_grid(t_min: float, t_max: float, points: int) -> list:
     """points log-spaced from t_min to t_max, both ends exact; ValueError
-    unless they strictly increase (a range a few ulps wide repeats points)."""
+    unless they strictly increase (a range a few ulps wide repeats points),
+    and DomainError past _check_points' cap."""
+    _check_points(points)
     if 0.0 < t_min < t_max and points >= 2:
         lo, hi = math.log(t_min), math.log(t_max)
         grid = [math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]

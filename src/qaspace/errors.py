@@ -64,11 +64,36 @@ class FrozenInstanceError(AttributeError):
     (`records.Record`)."""
 
 
+# The deepest nesting of lists and objects that a spec may hold, and the most
+# characters of a value that an error message quotes.  No spec kind nests past
+# 4 levels; CPython 3.11's JSON reader and writer recurse past their limit near
+# 1,000, and 3.13's not by 5,000, so these bounds, not the interpreter, decide.
+SPEC_DEPTH = 100
+SHOW_LENGTH = 200
+
+
+def nests_deeper(value) -> bool:
+    """Whether value holds lists or objects (or tuples) more than SPEC_DEPTH
+    levels deep; one level at a time, with no recursion."""
+    level = [value]
+    for _ in range(SPEC_DEPTH + 1):
+        level = [x for x in level if isinstance(x, (list, tuple, dict))]
+        if not level:
+            return False
+        level = [item for x in level for item in (x.values() if isinstance(x, dict) else x)]
+    return True
+
+
+def _cut(text: str) -> str:
+    """text, or its first SHOW_LENGTH characters, the last three "..."."""
+    return text if len(text) <= SHOW_LENGTH else text[: SHOW_LENGTH - 3] + "..."
+
+
 def _show(value) -> str:
-    try:
-        return json.dumps(value, default=repr)
-    except RecursionError:
+    """value as JSON, _cut; one too deep for a spec is not rendered."""
+    if nests_deeper(value):
         return "a value that nests too deeply to show"
+    return _cut(json.dumps(value, default=repr))
 
 
 def spec_read(obj, key, read, *args):
@@ -89,7 +114,7 @@ def spec_keys(obj, what: str, required, optional=()) -> dict:
             raise SpecParseError(f"missing from the {what} spec", key)
     extra = set(obj).difference(required, optional)
     if extra:
-        raise SpecParseError(f"unknown keys for the {what} spec: {sorted(extra)}")
+        raise SpecParseError(f"unknown keys for the {what} spec: {_cut(str(sorted(extra)))}")
     return obj
 
 

@@ -131,14 +131,7 @@ class WitnessFunction(Record):
             raise IllegalSpec("witness needs exactly 2N layers")
 
     def to_json(self) -> dict:
-        return {
-            "log_mu": list(self.log_mu),
-            "log_a": list(self.log_a),
-            "log_gamma": list(self.log_gamma),
-            "N": self.N,
-            "c": self.c,
-            "p": self.p,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
     def to_step_function(self) -> stepfn.StepFunction:
         """Materialize as an actual step function, intervals packed from 0.

@@ -611,6 +611,33 @@ class TestErrors:
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    # a 150-deep spec was decoded and its error quoted 300 brackets; a
+    # 100,000-item list, or object, was quoted whole on one stderr line
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 150 + "]" * 150, "--input: the JSON nests too deeply to read"),
+        (json.dumps([1] * 100_000), "step function spec must be an object, got "
+         + json.dumps([1] * 100)[:197] + "..."),
+        (json.dumps({"breakpoints": [0, 1], "values": [1],
+                     **{f"k{i:06}": 0 for i in range(100_000)}}),
+         "unknown keys for the step function spec: "
+         + str([f"k{i:06}" for i in range(100)])[:197] + "..."),
+    ], ids=["150-deep", "100000-item list", "100000-key object"])
+    def test_deep_or_long_specs_get_a_short_message(self, capsys, text, message):
+        assert main(["rearrange", "--input", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {"type": "SpecParseError", "message": message}}
+        assert len(captured.err) < 400
+
+    # the linear grid was built in full before any check: a huge --points
+    # ran out of memory (1,000,001 points still build quickly)
+    def test_check_seq_caps_its_grid_points(self, capsys):
+        argv = ["check-seq", "--seq", '{"kind": "reciprocal"}', "--phi", QA_PHI, "--psi", QA_PSI,
+                "--xmax", "2e6", "--points", "1000001"]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": {
+            "type": "DomainError", "message": "a grid is capped at 1000000 points, got 1000001"}}
+
     def test_main_in_process(self, capsys):
         code = main(["qa-bounds", "--phi", '{"family": "nope"}', "--psi", QA_PSI, "--input", F3])
         assert code == 2

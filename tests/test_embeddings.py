@@ -655,6 +655,13 @@ class TestSeqConditions:
 
 
 class TestEquivalence:
+    def test_log_grid_caps_its_points(self):
+        # the grid was built in full before any check: a huge points ran out
+        # of memory (1,000,001 points still build quickly)
+        with pytest.raises(DomainError) as info:
+            log_grid(1e-6, 1.0, 1_000_001)
+        assert str(info.value) == "a grid is capped at 1000000 points, got 1000001"
+
     def test_identical_functions(self):
         rep = equivalence(math.sqrt, math.sqrt, 1e-6, 1.0)
         assert rep.ratio_min == rep.ratio_max == 1.0
