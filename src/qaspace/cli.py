@@ -26,7 +26,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, NonPositiveValue, SpecParseError, TooManyLayers, ToolkitError
-from .errors import nests_deeper, spec_kind, spec_number, spec_read, spec_whole
+from .errors import _cut, nests_deeper, spec_kind, spec_number, spec_read, spec_whole
 
 OUT_DIR_VAR = "QASPACE_OUT_DIR"
 
@@ -173,8 +173,10 @@ def _cmd_check_seq(args) -> dict:
         raise DomainError(f"check-seq needs at least 3 points, got {args.points}")
     embeddings._check_points(args.points)
     xmin = args.xmin = max(args.xmin, args.seq.domain_start)
-    xs = [xmin + (args.xmax - xmin) * (i / (args.points - 1)) for i in range(args.points)]
-    xs[-1] = args.xmax  # pinned, as log_grid pins its ends: the product can round past it
+    # the ends are exact, as log_grid's: the interior's last product can round past --xmax
+    n = args.points - 1
+    interior = (xmin + (args.xmax - xmin) * (i / n) for i in range(1, n))
+    xs = [xmin, *interior, args.xmax]
     if not all(a < b for a, b in zip(xs, xs[1:])):  # an empty range, or one ulps wide
         raise DomainError(f"--xmax must exceed the grid's start {xmin!r} (the larger of --xmin "
                           f"and the sequence's first x) by room for --points {args.points} "
@@ -378,7 +380,9 @@ def main(argv=None) -> int:
                       encoding="utf-8") as fh:
                 fh.write(text)
     except (ToolkitError, ValueError, OSError) as exc:
-        diagnostic = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        # an OSError quotes the path it was given, which may be any length
+        message = _cut(str(exc)) if isinstance(exc, OSError) else str(exc)
+        diagnostic = {"error": {"type": type(exc).__name__, "message": message}}
         sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
         return 2
     return 1 if args.subcommand == "selftest" and not result["passed"] else 0

@@ -420,13 +420,14 @@ def _check_points(points: int) -> None:
 
 def log_grid(t_min: float, t_max: float, points: int) -> list:
     """points log-spaced from t_min to t_max, both ends exact; ValueError
-    unless they strictly increase (a range a few ulps wide repeats points),
-    and DomainError past _check_points' cap."""
+    unless they strictly increase (a range a few ulps wide repeats points, and
+    an interior point that rounds past the float range is inf), and
+    DomainError past _check_points' cap."""
     _check_points(points)
     if 0.0 < t_min < t_max and points >= 2:
         lo, hi = math.log(t_min), math.log(t_max)
-        grid = [math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
-        grid[0], grid[-1] = t_min, t_max
+        interior = (exp_or_inf(lo + (hi - lo) * i / (points - 1)) for i in range(1, points - 1))
+        grid = [t_min, *interior, t_max]
         if all(a < b for a, b in pairwise(grid)):
             return grid
     raise ValueError("need 0 < t_min < t_max and at least two points that strictly increase, "

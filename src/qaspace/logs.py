@@ -1,4 +1,4 @@
-"""Accurate sums and differences of numbers carried in the log domain.
+"""Accurate sums of numbers carried in the log domain, and exp past the float range.
 
 Quantities like the extremal layer heights overflow or underflow float64 by
 hundreds of orders of magnitude, so they are represented by their natural
@@ -40,13 +40,3 @@ def exp_or_inf(x: float) -> float:
     except OverflowError:
         return math.inf
 
-
-def logdiffexp(x: float, y: float) -> float:
-    """log(exp(x) - exp(y)) for x >= y; equal arguments give -inf."""
-    if y == LOG_ZERO:
-        return x
-    if y > x:
-        raise ValueError(f"logdiffexp needs x >= y, got x={x!r} y={y!r}")
-    if y == x:
-        return LOG_ZERO
-    return x + math.log1p(-math.exp(y - x))

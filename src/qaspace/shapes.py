@@ -167,6 +167,8 @@ def _beyond_float_range(target: float, edge: float) -> NotInvertible:
 def _alpha_beta(a, b) -> tuple:
     if a is None or b is None or not (0 < a <= 1) or not (0 <= b <= 1):
         raise IllegalSpec("alpha_beta needs alpha in (0,1], beta in [0,1]")
+    if b / a == math.inf:  # top and log_top would be inf, and phi inf everywhere
+        raise IllegalSpec(f"alpha_beta({a!r}, {b!r}) has beta/alpha above the largest float")
     am1 = a - 1.0
     # with b = 0 the formula increases everywhere and never flattens
     flat = top = log_top = math.inf

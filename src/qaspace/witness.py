@@ -28,7 +28,7 @@ from operator import add
 
 from . import stepfn
 from .errors import DomainError, IllegalSpec, NotInvertible
-from .logs import LOG_ZERO, exp_or_inf, logdiffexp, logsumexp
+from .logs import LOG_ZERO, exp_or_inf, logsumexp
 from .qanorm import _search
 from .records import Record
 from .shapes import ShapeFunction, log_gamma, log_gamma_inv
@@ -252,12 +252,9 @@ class _LogLayerTable:
         """
         log_vals, log_rings, log_masses = self.log_vals, self.log_rings, self.log_masses
         lfloor = log_vals[j + 1] if j + 1 < len(log_vals) else LOG_ZERO
-        # log(1 - floor / vals[m]) for the layers m = i..j; the rings l < i
-        # sit at the height of layer i and share its damping
-        if lfloor > LOG_ZERO:
-            damps = [math.log1p(-math.exp(lfloor - lv)) for lv in log_vals[i : j + 1]]
-        else:
-            damps = [0.0] * (j + 1 - i)
+        # log(1 - floor / vals[m]) for the layers m = i..j, -0.0 on a zero
+        # floor; the rings l < i sit at the height of layer i and share its damping
+        damps = [math.log1p(-math.exp(lfloor - lv)) for lv in log_vals[i : j + 1]]
         # log((vals[max(l, i)] - floor) * ring_l), mass-based to survive depth
         head, ring, damp = log_masses[i], log_rings[i], damps[0]
         terms = [head + (lr - ring) + damp for lr in log_rings[:i]]
@@ -265,8 +262,8 @@ class _LogLayerTable:
         log_l1 = logsumexp(terms)
         if log_l1 == LOG_ZERO:
             return LOG_ZERO
-        log_linf = logdiffexp(log_vals[i], lfloor)
-        log_ratio = min(0.0, log_l1 - log_linf)
+        # log(vals[i] - floor), the group's height
+        log_ratio = min(0.0, log_l1 - (log_vals[i] + damp))
         return log_l1 + self.phi.log_gamma_eval(log_ratio)
 
 

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qaspace
@@ -32,8 +32,9 @@ from qaspace import (
     tau,
     witness_qa_upper,
 )
-from qaspace import selftest
-from qaspace.cli import main
+from qaspace import cli, embeddings, selftest, shapes
+from qaspace.cli import OUT_DIR_VAR, main
+from qaspace.errors import SHOW_LENGTH
 
 F3 = '{"breakpoints": [0, 0.25, 0.5, 1], "values": [3, 1, 2]}'
 QA_PHI = '{"family": "qa_phi"}'
@@ -384,6 +385,43 @@ class TestErrors:
         assert main(["equivalence", "--a", json.dumps({"kind": "tau", "phi": phi, "psi": PSI}),
                      "--b", json.dumps({"kind": "shape", "spec": phi}), *tail]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "NonPositiveValue"
+
+    # the grid's last point was computed before it was pinned to --tmax:
+    # exp(log 1e-30 + (log tmax - log 1e-30)) rounds past the largest float,
+    # and this exited 1 with an OverflowError traceback
+    def test_a_grid_ending_at_the_largest_float_exits_2(self, capsys):
+        argv = ["tau", "--phi", QA_PHI, "--psi", QA_PSI, "--tmin", "1e-30",
+                "--tmax", repr(sys.float_info.max), "--points", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {"error": {"type": "DomainError",
+                                              "message": "tau needs t in [0,1]"}}
+
+    # an OSError quoted the whole path it was given: 100,000 characters made a
+    # 100,079-byte stderr line; a message of SHOW_LENGTH or fewer is kept whole
+    @pytest.mark.parametrize("flag", ["--input", "--output"])
+    @pytest.mark.parametrize("length", [10, 100_000])
+    def test_an_os_error_names_at_most_a_cut_path(self, capsys, monkeypatch, tmp_path, flag,
+                                                   length):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(OUT_DIR_VAR, raising=False)
+        path = os.path.join("missing", "x" * length)
+        with pytest.raises(OSError) as info:
+            open(path, "w")
+        whole = str(info.value)
+        argv = {"--input": ["rearrange", "--input", path],
+                "--output": ["rearrange", "--input", F3, "--output", path]}[flag]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        message = whole if len(whole) <= SHOW_LENGTH else whole[: SHOW_LENGTH - 3] + "..."
+        assert json.loads(line) == {"error": {"type": type(info.value).__name__,
+                                              "message": message}}
+        assert len(line) < 400
+        assert list(tmp_path.iterdir()) == []
 
     # an empty range, and one an ulp wide, whose grid repeats a point, were
     # refused as "x_grid must be at least 3 strictly increasing points", which
@@ -799,6 +837,104 @@ def spec_argvs(draw):
     return [json.dumps(spec) if arg == "S" else arg for arg in template], malformed
 
 
+# ROADMAP item 17's pool of float edges, and 0.5 and 10, so that a spec
+# with one edge among ordinary values gets past its checks
+FLOAT_EDGES = (5e-324, 1e-300, 1e-30, 1e-12, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1e300,
+               sys.float_info.max, 0.0, -0.0, -5e-324, -1.0, -sys.float_info.max, 0.5, 10.0)
+# half of the numbers are edges in (0, 1], which most parameters need; a
+# float flag may also be non-finite, which argparse reads
+UNIT_EDGES = st.sampled_from([x for x in FLOAT_EDGES if 0 < x <= 1])
+EDGE = st.one_of(UNIT_EDGES, st.sampled_from(FLOAT_EDGES))
+FLAG_FLOAT = st.one_of(UNIT_EDGES, st.sampled_from((*FLOAT_EDGES, math.inf, -math.inf, math.nan)))
+# the work caps have their own tests: a small N, n_max and grid keep each argv quick
+INT_CAPS = {"N": 10, "points": 20, "n_max": 20}
+
+
+@st.composite
+def edge_pairs(draw):
+    """[x, y] pairs with edge coordinates and increasing x, often after (0, 0)
+    and often with y in order, so that some are valid samples."""
+    xs = sorted(set(draw(st.lists(EDGE, min_size=1, max_size=4))))
+    ys = draw(st.lists(EDGE, min_size=len(xs), max_size=len(xs)))
+    if draw(st.booleans()):
+        ys.sort(reverse=draw(st.booleans()))
+    pairs = [[x, y] for x, y in zip(xs, ys)]
+    return [[0.0, 0.0], *pairs] if draw(st.booleans()) else pairs
+
+
+@st.composite
+def edge_step_functions(draw):
+    cuts = sorted(set(draw(st.lists(st.sampled_from([x for x in FLOAT_EDGES if 0 < x < 1]),
+                                    max_size=3))))
+    values = draw(st.lists(EDGE, min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    return {"breakpoints": [0.0, *cuts, 1.0], "values": values}
+
+
+def edge_value(key):
+    """A value for a spec key: a nested spec, a whole number, pairs or an edge."""
+    if key in ("phi", "psi", "spec"):
+        return edge_specs("family", shapes._KEYS)
+    if key == "seq":
+        return edge_specs("kind", embeddings._SEQUENCE_KEYS)
+    if key == "points":
+        return edge_pairs()
+    return st.sampled_from(range(-1, INT_CAPS[key] + 1)) if key in INT_CAPS else EDGE
+
+
+@st.composite
+def edge_specs(draw, tag, kinds):
+    """A spec of any kind in kinds (kind -> (required keys, optional keys)),
+    with every required key and some optional ones; a shape's domain is left
+    to its flag (TestExitContract's specs test a conflicting one)."""
+    kind = draw(st.sampled_from(sorted(kinds)))
+    required, optional = kinds[kind]
+    keys = [*required, *(key for key in optional if key != "domain" and draw(st.booleans()))]
+    return {tag: kind, **{key: draw(edge_value(key)) for key in keys}}
+
+
+# each JSON flag's specs; a new JSON flag needs an entry here
+JSON_FLAGS = {
+    "phi": edge_specs("family", shapes._KEYS),
+    "phi-x": edge_specs("family", shapes._KEYS),
+    "psi": edge_specs("family", shapes._KEYS),
+    "seq": edge_specs("kind", embeddings._SEQUENCE_KEYS),
+    "a": edge_specs("kind", cli._EXPRESSION_KEYS),
+    "b": edge_specs("kind", cli._EXPRESSION_KEYS),
+    "input": edge_step_functions(),
+}
+
+
+def flag_values(name):
+    """The text of a value for the flag, from its argparse keywords."""
+    keywords = cli._FLAGS[name][0]
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if keywords.get("type") is float:
+        return FLAG_FLOAT.map(repr)
+    if keywords.get("type") is int:
+        return st.sampled_from(range(-1, INT_CAPS[name] + 1)).map(str)
+    return JSON_FLAGS[name].map(json.dumps)
+
+
+@st.composite
+def edge_argvs(draw):
+    """An argv of any subcommand but selftest (its own tests run it): every
+    required flag and some optional ones but --output, each as "--flag value"
+    or "--flag=value"."""
+    name = draw(st.sampled_from([sub for sub in cli._SUBCOMMANDS if sub != "selftest"]))
+    argv = [name]
+    for flag in cli._SUBCOMMANDS[name][2].split():
+        if cli._FLAGS[flag][0].get("required") or draw(st.booleans()):
+            value = draw(flag_values(flag))
+            argv += [f"--{flag}={value}"] if draw(st.booleans()) else [f"--{flag}", value]
+    return argv
+
+
+def _no_nan(token):
+    assert token != "NaN", "NaN in the report"
+    return float(token)
+
+
 class TestExitContract:
     """User grids are validated in full: every input exits 0, or 2 with one
     JSON error line on stderr, and a malformed one always exits 2."""
@@ -837,6 +973,42 @@ class TestExitContract:
         error = json.loads(line)["error"]
         # a well-formed spec may still fail in the answer, but never in the decoder
         assert (error["type"] == "SpecParseError") == malformed, (error, argv)
+
+    # 1,000 argvs take about 5 s on a 2-vCPU host
+    @given(edge_argvs())
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    # a grid end computed past the float range raised OverflowError (exit 1),
+    # and a subnormal alpha printed a NaN step ratio (exit 0)
+    @example(["tau", "--phi", QA_PHI, "--psi", QA_PSI, "--tmin", "1e-30",
+              "--tmax", "1.7976931348623157e308", "--points", "2"])
+    @example(["check-seq", "--seq", '{"kind": "reciprocal"}',
+              "--phi", '{"family": "alpha_beta", "alpha": 5e-324, "beta": 1.0}',
+              "--psi", '{"family": "psi_gamma", "gamma": 0.9}', "--xmin", "1e-300",
+              "--xmax", "10.0"])
+    def test_edge_numbers_exit_0_without_nan_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code, usage = main(argv), False
+            except SystemExit as exc:  # argparse refuses the argv with its usage
+                code, usage = exc.code, True
+        text = out.getvalue()
+        if code == 0:
+            assert err.getvalue() == ""
+            if text.startswith("# config: "):  # tau's CSV
+                config, _, *rows = text.splitlines()
+                json.loads(config.removeprefix("# config: "), parse_constant=_no_nan)
+                assert not any(math.isnan(float(x)) for row in rows for x in row.split(","))
+            else:
+                json.loads(text, parse_constant=_no_nan)
+            return
+        assert code == 2, (code, argv)
+        assert text == ""
+        if usage:
+            assert err.getvalue().startswith(f"usage: qaspace {argv[0]} "), argv
+            return
+        (line,) = err.getvalue().splitlines()
+        assert set(json.loads(line)["error"]) == {"type", "message"}
 
 
 class TestOutputRouting:

@@ -662,6 +662,14 @@ class TestEquivalence:
             log_grid(1e-6, 1.0, 1_000_001)
         assert str(info.value) == "a grid is capped at 1000000 points, got 1000001"
 
+    # the ends were computed and then overwritten: the last was exp(lo + (hi -
+    # lo)), which rounds one ulp past log(t_max) and raised OverflowError
+    def test_log_grid_ends_at_the_largest_float_exactly(self):
+        grid = log_grid(1e-30, sys.float_info.max, 5)
+        assert len(grid) == 5
+        assert grid[0] == 1e-30 and grid[-1] == sys.float_info.max
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+
     def test_identical_functions(self):
         rep = equivalence(math.sqrt, math.sqrt, 1e-6, 1.0)
         assert rep.ratio_min == rep.ratio_max == 1.0

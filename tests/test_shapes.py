@@ -102,6 +102,15 @@ class TestValidation:
         with pytest.raises(IllegalSpec):
             alpha_beta(0.5, -0.1)
 
+    # a subnormal alpha made beta/alpha inf: phi was inf everywhere, and
+    # check-seq printed a NaN step ratio with exit 0
+    def test_alpha_beta_refuses_a_ratio_past_the_float_range(self):
+        message = "alpha_beta(5e-309, 1.0) has beta/alpha above the largest float"
+        with pytest.raises(IllegalSpec, match=f"^{re.escape(message)}$"):
+            alpha_beta(5e-309, 1.0)
+        assert math.isfinite(alpha_beta(5.6e-309, 1.0).eval(0.5))
+        assert alpha_beta(5e-324, 0.0).eval(0.5) == 0.5**5e-324
+
     def test_psi_gamma_range(self):
         with pytest.raises(IllegalSpec):
             psi_gamma(1.5)
@@ -531,6 +540,18 @@ class TestClosedFormInverse:
         with pytest.raises(NotInvertible, match="not reached within float range"):
             _bisection_log_gamma_inv(phi, between)
         assert log_gamma_inv(phi, between) < -(2.0**1023)
+
+    # from 1e299 on, the Newton residual's rounding error of am1 * x is taken
+    # as 0 (Dekker's split would overflow), and for the smaller betas the
+    # Lambert-W argument overflows, so x is target / am1
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.5, 0.1), (0.3, 0.05), (0.9, 0.01)])
+    def test_deep_targets_round_trip_exactly(self, a, b):
+        phi = alpha_beta(a, b)
+        edge = log_gamma(phi, -sys.float_info.max)
+        for target in [*(t for t in (10.0**k for k in range(299, 309)) if t < edge), edge]:
+            x = log_gamma_inv(phi, target)
+            assert math.isfinite(x)
+            assert log_gamma(phi, x) == target, (target, x)
 
     @pytest.mark.parametrize("g", [1.0, 0.4])
     @pytest.mark.parametrize("target", [-1e-300, -1e-12, -5.0, -1e5, -1.7e308])
