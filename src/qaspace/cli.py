@@ -175,7 +175,7 @@ def _cmd_check_seq(args) -> dict:
     xmin = args.xmin = max(args.xmin, args.seq.domain_start)
     # the ends are exact, as log_grid's: the interior's last product can round past --xmax
     n = args.points - 1
-    interior = (xmin + (args.xmax - xmin) * (i / n) for i in range(1, n))
+    interior = [xmin + (args.xmax - xmin) * (i / n) for i in range(1, n)]
     xs = [xmin, *interior, args.xmax]
     if not all(a < b for a, b in zip(xs, xs[1:])):  # an empty range, or one ulps wide
         raise DomainError(f"--xmax must exceed the grid's start {xmin!r} (the larger of --xmin "

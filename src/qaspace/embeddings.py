@@ -426,7 +426,7 @@ def log_grid(t_min: float, t_max: float, points: int) -> list:
     _check_points(points)
     if 0.0 < t_min < t_max and points >= 2:
         lo, hi = math.log(t_min), math.log(t_max)
-        interior = (exp_or_inf(lo + (hi - lo) * i / (points - 1)) for i in range(1, points - 1))
+        interior = [exp_or_inf(lo + (hi - lo) * i / (points - 1)) for i in range(1, points - 1)]
         grid = [t_min, *interior, t_max]
         if all(a < b for a, b in pairwise(grid)):
             return grid
