@@ -30,13 +30,6 @@ from .errors import _cut, nests_deeper, spec_kind, spec_number, spec_read, spec_
 
 OUT_DIR_VAR = "QASPACE_OUT_DIR"
 
-_STRATEGY_ALIASES = {
-    "layers": "layers",
-    "local": "local_search",
-    "exhaustive": "exhaustive",
-    "auto": "auto",
-}
-
 
 class _Profile(NamedTuple):
     """A positive function of t for `equivalence`, with its expression's echo."""
@@ -140,7 +133,7 @@ def _cmd_lorentz(args) -> dict:
 def _cmd_qa_bounds(args) -> dict:
     from . import qanorm
 
-    strategy = _STRATEGY_ALIASES[args.strategy]
+    strategy = "local_search" if args.strategy == "local" else args.strategy
     try:
         bounds = qanorm.qa_upper(args.input, args.phi, args.psi, strategy=strategy)
     except TooManyLayers as exc:  # its advice names the library's strategy, not the flag's value
@@ -300,7 +293,7 @@ _FLAGS = {
     "b": ({"required": True}, _EXPRESSION),
     "phi-x": _PHI,
     "points": ({"type": int, "default": 200}, None),
-    "strategy": ({"choices": sorted(_STRATEGY_ALIASES), "default": "auto"}, None),
+    "strategy": ({"choices": ["auto", "exhaustive", "layers", "local"], "default": "auto"}, None),
     "out": ({"choices": ["csv", "json"], "default": "csv"}, None),
     "c": ({"type": float, "required": True}, None),
     "p": ({"type": float, "default": 1.0}, None),

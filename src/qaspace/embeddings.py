@@ -175,9 +175,8 @@ class SequenceSpec(Record):
             x = 1.0 + log_gamma(self.phi, math.log(t))
             if x < self.domain_start - 1e-9:
                 raise DomainError(f"{t!r} is above the sequence's first value")
-            x = max(x, self.domain_start)
-            self._check_x(x)  # a t below a bounded ladder's last value has no x
-            return x
+            # a t below a bounded ladder's last value has no x
+            return self._check_x(max(x, self.domain_start))
         pts = self.samples
         ss = [s for _, s in pts]
         if any(not b < a for a, b in zip(ss, ss[1:])):

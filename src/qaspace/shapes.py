@@ -302,6 +302,7 @@ def _piecewise(shape: ShapeFunction) -> tuple:
     # so gamma is y1/t1 there, down to t = 0
     log_first = math.log(ts[1])
     log_first_gamma = math.log(ys[1] / ts[1])
+    log_last = math.log(ts[-1])
 
     def formula(t):
         if t > ts[-1]:
@@ -315,6 +316,8 @@ def _piecewise(shape: ShapeFunction) -> tuple:
     def log_eval(log_t):
         if log_t < log_first:
             return log_t + log_first_gamma
+        if log_t <= log_last:  # exp of the last sample's log can round one ulp past it
+            return math.log(formula(min(math.exp(log_t), ts[-1])))
         # past the float range t is past every sample: formula refuses it as inf
         return math.log(formula(math.exp(log_t) if log_t <= _LOG_MAX else math.inf))
 
@@ -339,11 +342,10 @@ def _piecewise(shape: ShapeFunction) -> tuple:
         m = bisect_right(ratios, -target)  # samples 1..m have log gamma >= target
         if not m:
             raise NotInvertible(f"target {target!r} above {-ratios[0]!r}, the largest log gamma")
-        if -ratios[m - 1] == target:
+        # m == len(ratios) only where log gamma at hi rounds below the last sample's
+        if m == len(ratios) or -ratios[m - 1] == target:
             x = math.log(pts[m][0])  # gamma is flat before sample m if m is on the first chord
             return _flat(target, hi) if ratios[0] == ratios[m - 1] and x >= hi else x
-        if m == len(ratios):
-            raise NotInvertible(f"target {target!r} below {-ratios[-1]!r}, the least log gamma")
         if anchors[m - 1] is None:  # samples collinear with the origin up to rounding
             raise NotInvertible("shape(t)/t is not strictly decreasing between the samples")
         # t = c / (e^target - s), written about the anchor (log t_k, log gamma_k, y_k / c)
@@ -484,15 +486,19 @@ def log_gamma(shape: ShapeFunction, log_t: float) -> float:
 
 
 def log_gamma_inv(shape: ShapeFunction, target: float, log_hi: float = 0.0) -> float:
-    """The largest x <= log_hi with log_gamma(shape, x) == target.
+    """The x <= log_hi where log_gamma(shape, x) meets target: log_hi itself
+    at target == log_gamma(shape, log_hi), else the exact inverse, the largest
+    such x in reals, to within rounding.
 
-    Every family inverts its ratio in closed form (bound when the shape is
-    built); alpha_beta with 0 < a < 1 and b > 0 solves a Lambert-W equation
-    by Newton's method and psi_gamma used as a psi solves g log1p(x) - x =
-    target the same way.  For qa_phi, alpha_beta, constant_one and piecewise
-    phis the answer is within 4 ulp of the exact inverse of log_gamma_eval's
-    formulas (tests/test_shapes.py checks it against a 60-digit oracle for
-    targets from 1e-12 to 709.5).
+    No float need hit the target: past 1e299 most targets of an alpha_beta
+    fall between the log gammas of two adjacent floats.  Every family inverts
+    its ratio in closed form (bound when the shape is built); alpha_beta with
+    0 < a < 1 and b > 0 solves a Lambert-W equation by Newton's method and
+    psi_gamma used as a psi solves g log1p(x) - x = target the same way.  For
+    qa_phi, alpha_beta, constant_one and piecewise phis the answer is within
+    4 ulp of the exact inverse of log_gamma_eval's formulas
+    (tests/test_shapes.py checks it against a 60-digit oracle for targets
+    from 1e-12 to 709.5, and for alpha_beta from 1e299 to the float range).
 
     NotInvertible: target below log_gamma(shape, log_hi), or above every value
     of the ratio's log; a ratio constant on the whole domain (identity,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import add
 
 from . import stepfn
@@ -87,9 +88,8 @@ class WitnessSpec(Record):
             object.__setattr__(self, "mu1", mu1)
             if not 0.0 < mu1 <= self.p / 2.0:
                 raise IllegalSpec("mu1 must lie in (0, p/2]")
-        growth = (self.N**3) * self.psi.eval(float(self.N))
-        if growth < 2.0 * self.psi.eval(1.0):
-            raise IllegalSpec("need N^3 psi(N) >= 2 psi(1) for a well-defined sequence")
+        # refuses a psi that stops short of N; N^3 psi(N) >= 8 psi(1) by (G1)
+        self.psi.eval(float(self.N))
 
     def log_growth(self) -> float:
         """(1/c) * log(N^3 psi(N)/psi(1)), the log-gamma step per index."""
@@ -140,16 +140,10 @@ class WitnessFunction(Record):
         constructions raise DomainError and must stay in the log domain.
         """
         mus = [math.exp(lm) for lm in self.log_mu]
-        try:
-            heights = [math.exp(la) for la in self.log_a]
-        except OverflowError:
-            heights = [math.inf]
-        if min(mus) == 0.0 or math.inf in heights:
+        values = [exp_or_inf(la) for la in self.log_a]
+        if min(mus) == 0.0 or math.inf in values:
             raise DomainError("witness values exceed the float range; keep it in log form")
-        bps = [Fraction(0)]
-        for m in mus:
-            bps.append(bps[-1] + Fraction(m))
-        values = list(heights)
+        bps = list(accumulate(map(Fraction, mus), initial=Fraction(0)))
         if bps[-1] < 1:
             bps.append(Fraction(1))
             values.append(0.0)
@@ -205,9 +199,7 @@ def build_witness(spec: WitnessSpec) -> WitnessFunction:
     log_a = [-norm - phi.log_eval(lm) for lm in log_mu]
     if any(not b > a for a, b in zip(log_a, log_a[1:])):
         raise NotInvertible("heights failed to increase; phi not monotone on the range")
-    return WitnessFunction(
-        tuple(log_mu), tuple(log_a), tuple(log_g), spec.N, spec.c, spec.p
-    )
+    return WitnessFunction(log_mu, log_a, log_g, spec.N, spec.c, spec.p)
 
 
 class _LogLayerTable:

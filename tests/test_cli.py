@@ -42,6 +42,7 @@ QA_PSI = '{"family": "qa_psi"}'
 
 
 PHI, PSI = json.loads(QA_PHI), json.loads(QA_PSI)
+PIECEWISE_PHI = '{"family": "piecewise", "points": [[0, 0], [0.34, 0.5]]}'
 
 
 def equivalence_argv(expr_a):
@@ -177,6 +178,15 @@ class TestTauCurve:
         out = json.loads(run_cli(*self.args, "--out", "json").stdout)
         assert len(out["result"]["rows"]) == 50
 
+    # exp(log 0.34) is 0.3400000000000001, past the last sample: this exited 2
+    def test_a_piecewise_phi_up_to_its_last_sample(self, capsys):
+        argv = ["tau", "--phi", PIECEWISE_PHI, "--psi", QA_PSI,
+                "--tmin", "0.01", "--tmax", "0.34", "--points", "3"]
+        assert main(argv) == 0
+        t, tv = capsys.readouterr().out.splitlines()[-1].split(",")[:2]
+        phi = parse_shape(json.loads(PIECEWISE_PHI))
+        assert (float(t), float(tv)) == (0.34, tau(phi, qa_psi(), 0.34))
+
 
 class TestCheckSeq:
     def test_passing_report(self):
@@ -244,6 +254,14 @@ class TestEquivalence:
         assert out["ratio_min"] == want.ratio_min
         assert out["ratio_max"] == want.ratio_max
         assert out["equivalent"] is True
+
+    def test_a_piecewise_phi_up_to_its_last_sample(self, capsys):
+        phi = json.loads(PIECEWISE_PHI)
+        argv = ["equivalence", "--a", json.dumps({"kind": "tau", "phi": phi, "psi": PSI}),
+                "--b", json.dumps({"kind": "shape", "spec": phi}),
+                "--tmin", "0.01", "--tmax", "0.34", "--points", "3"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["ratio_min"] > 1.0
 
     def test_a_phi_s_without_n_max_echoes_phi_s_default(self, capsys):
         expr = {"kind": "phi_s", "phi": PHI, "psi": PSI, "seq": {"kind": "reciprocal"}}
@@ -1276,6 +1294,14 @@ class TestPackageSurface:
             qaspace.no_such_name
         with pytest.raises(ImportError):
             from qaspace import no_such_name  # noqa: F401
+
+    def test_a_module_read_imports_it_on_first_use(self, monkeypatch):
+        # as in a fresh interpreter, where the package's __getattr__ imports
+        # it (test_names_load_on_first_use reads qaspace.stepfn there)
+        monkeypatch.delattr(qaspace, "logs")
+        monkeypatch.delitem(sys.modules, "qaspace.logs")
+        logs = qaspace.logs
+        assert logs.__name__ == "qaspace.logs" and sys.modules["qaspace.logs"] is logs
 
     def test_names_load_on_first_use(self):
         proc = fresh_python("-c", LAZY_SURFACE)

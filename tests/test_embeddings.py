@@ -80,6 +80,18 @@ class TestTau:
         got = math.exp(log_tau(qa_phi(), qa_psi(), math.log(t)))
         assert got == pytest.approx(tau(qa_phi(), qa_psi(), t), rel=1e-12)
 
+    # exp(log t) rounds one ulp past t for 71 of these t, and tau and log_tau
+    # refused the shape's own last sample there
+    def test_a_piecewise_phi_is_defined_up_to_its_last_sample(self):
+        psi = qa_psi()
+        for k in range(1, 1000):
+            t = k / 1000
+            phi = piecewise([(0, 0), (t, 0.5)])
+            got = math.exp(log_tau(phi, psi, math.log(t)))
+            assert got == pytest.approx(tau(phi, psi, t), rel=1e-12), t
+        with pytest.raises(DomainError, match="^piecewise shape sampled only up to 0.34, got "):
+            piecewise([(0, 0), (0.34, 0.5)]).log_eval(math.log(0.34) + 1e-12)
+
     def test_log_form_refuses_nan(self):
         with pytest.raises(DomainError, match="^argument nan outside domain$"):
             log_tau(qa_phi(), qa_psi(), math.nan)

@@ -553,6 +553,46 @@ class TestClosedFormInverse:
             assert math.isfinite(x)
             assert log_gamma(phi, x) == target, (target, x)
 
+    # past 1e299 most targets fall between the log gammas of two adjacent
+    # floats, so no x hits them exactly: the answer is held to the oracle
+    @pytest.mark.parametrize("a, b", [(0.9, 0.01), (0.3, 0.05), (0.5, 0.5), (0.7, 0.75), (0.5, 0.1)])
+    def test_deep_targets_are_within_4_ulp_of_the_oracle(self, a, b):
+        phi = alpha_beta(a, b)
+        rng = random.Random(35)
+        lo, hi = math.log(1e299), math.log(log_gamma(phi, -sys.float_info.max))
+        for target in (math.exp(rng.uniform(lo, hi)) for _ in range(400)):
+            x = log_gamma_inv(phi, target)
+            exact = _exact_log_gamma_inv(phi, target)
+            assert abs(Decimal(x) - exact) <= 4 * Decimal(math.ulp(float(exact))), (target, x)
+
+    # exp of a sample's log can round past the sample, and log gamma there can
+    # round below the last sample's ratio; both refused this round trip
+    def test_piecewise_round_trips_at_every_sample_past_the_first(self):
+        rng = random.Random(35)
+        trips = 0
+        for _ in range(3000):
+            k = rng.randint(2, 4)
+            ts = sorted(t / 1e6 for t in rng.sample(range(1, 10**6 + 1), k))
+            slopes = sorted((rng.uniform(0.01, 5.0) for _ in range(k)), reverse=True)
+            pts = [(0.0, 0.0)]
+            for t, s in zip(ts, slopes):  # falling slopes: concave
+                pts.append((t, pts[-1][1] + s * (t - pts[-1][0])))
+            phi = piecewise(pts)
+            for t, _ in pts[2:]:
+                x = math.log(t)
+                assert log_gamma_inv(phi, phi.log_gamma_eval(x), x) == x, (pts, t)
+                trips += 1
+        assert trips > 6000
+
+    def test_piecewise_answers_a_target_below_its_last_sample_with_it(self):
+        # log_gamma_inv has refused any target below log gamma at hi, so the
+        # family's inverse sees one below the last sample's only by rounding
+        two = piecewise([(0, 0), (0.25, 0.5), (0.5, 0.75)])
+        assert two._log_gamma_inv(-1.0, math.log(0.5)) == math.log(0.5)
+        one = piecewise([(0, 0), (0.5, 0.5)])  # flat up to its one sample
+        with pytest.raises(NotInvertible, match=re.escape(f"constant below log t = {math.log(0.5)!r}")):
+            one._log_gamma_inv(-1.0, math.log(0.5))
+
     @pytest.mark.parametrize("g", [1.0, 0.4])
     @pytest.mark.parametrize("target", [-1e-300, -1e-12, -5.0, -1e5, -1.7e308])
     def test_psi_gamma_as_psi_from_the_origin_to_the_float_edge(self, g, target):

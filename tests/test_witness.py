@@ -22,6 +22,7 @@ from qaspace import (
     l1_norm_exact,
     lower_bound_value,
     lorentz_norm,
+    piecewise,
     psi_gamma,
     qa_phi,
     qa_psi,
@@ -31,6 +32,7 @@ from qaspace import (
 )
 from qaspace.logs import LOG_ZERO, exp_or_inf, logsumexp
 from qaspace.qanorm import STRATEGIES, _search
+from qaspace import witness as witness_module
 from qaspace.witness import _LogLayerTable
 from corpora import all_groups, group_sample
 
@@ -92,6 +94,16 @@ class TestSpecValidation:
             WitnessSpec(qa_phi(), Unread(), N=n, c=0.5)
         assert WitnessSpec(qa_phi(), qa_psi(), N=500, c=0.5).N == 500
 
+    @pytest.mark.parametrize("psi, message", [
+        (qa_phi(), "phi-kind shapes live on [0,1], got 3.0"),
+        (piecewise([(0, 0), (1, 1), (2, 1.5)], "psi"), "piecewise shape sampled only up to 2.0, got 3.0"),
+    ])
+    def test_a_psi_that_stops_short_of_n_is_refused(self, psi, message):
+        # N^3 psi(N) >= 2 psi(1) holds for every shape that reaches N, by (G1)
+        with pytest.raises(DomainError) as info:
+            WitnessSpec(qa_phi(), psi, N=3, c=0.5)
+        assert str(info.value) == message
+
     def test_flat_ratio_is_rejected_at_build(self):
         with pytest.raises(NotInvertible):
             build_witness(WitnessSpec(identity(), qa_psi(), N=2, c=0.5))
@@ -106,6 +118,24 @@ class TestSpecValidation:
         w = sqrt_witness()
         with pytest.raises(IllegalSpec):
             WitnessFunction(w.log_mu[:-1], w.log_a, w.log_gamma, 2, 0.5, 1.0)
+
+
+class TestBuildChecks:
+    """build_witness's checks on each answer of log_gamma_inv.  No stock shape
+    trips them, so a stand-in inverse does."""
+
+    def test_a_measure_that_does_not_halve_is_refused(self, monkeypatch):
+        monkeypatch.setattr(witness_module, "log_gamma_inv", lambda phi, target, log_hi: log_hi)
+        with pytest.raises(NotInvertible, match="^measure sequence failed to halve; gamma too flat$"):
+            qa_witness(2)
+
+    def test_a_measure_off_its_ratio_target_is_refused(self, monkeypatch):
+        # one more e-fold down halves the measure but misses log gamma's target
+        inverse = witness_module.log_gamma_inv
+        monkeypatch.setattr(witness_module, "log_gamma_inv",
+                            lambda phi, target, log_hi: inverse(phi, target, log_hi) - 1.0)
+        with pytest.raises(NotInvertible, match=r"^recurrence residual \d\.\d{3}e-\d+ out of tolerance$"):
+            qa_witness(2)
 
 
 class TestClosedFormFamily:
