@@ -96,7 +96,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("psi, message", [
         (qa_phi(), "phi-kind shapes live on [0,1], got 3.0"),
-        (piecewise([(0, 0), (1, 1), (2, 1.5)], "psi"), "piecewise shape sampled only up to 2.0, got 3.0"),
+        (piecewise([(0, 0), (1, 1), (2, 1.5)], "psi"),
+         "piecewise shape sampled only up to 2.0, got 3.0"),
     ])
     def test_a_psi_that_stops_short_of_n_is_refused(self, psi, message):
         # N^3 psi(N) >= 2 psi(1) holds for every shape that reaches N, by (G1)
@@ -121,12 +122,13 @@ class TestSpecValidation:
 
 
 class TestBuildChecks:
-    """build_witness's checks on each answer of log_gamma_inv.  No stock shape
-    trips them, so a stand-in inverse does."""
+    """build_witness's safety checks on each answer of log_gamma_inv.  No shape
+    in the suite trips them, so a stand-in inverse does."""
 
     def test_a_measure_that_does_not_halve_is_refused(self, monkeypatch):
         monkeypatch.setattr(witness_module, "log_gamma_inv", lambda phi, target, log_hi: log_hi)
-        with pytest.raises(NotInvertible, match="^measure sequence failed to halve; gamma too flat$"):
+        message = "^measure sequence failed to halve; gamma too flat$"
+        with pytest.raises(NotInvertible, match=message):
             qa_witness(2)
 
     def test_a_measure_off_its_ratio_target_is_refused(self, monkeypatch):
@@ -134,7 +136,8 @@ class TestBuildChecks:
         inverse = witness_module.log_gamma_inv
         monkeypatch.setattr(witness_module, "log_gamma_inv",
                             lambda phi, target, log_hi: inverse(phi, target, log_hi) - 1.0)
-        with pytest.raises(NotInvertible, match=r"^recurrence residual \d\.\d{3}e-\d+ out of tolerance$"):
+        message = r"^recurrence residual \d\.\d{3}e-\d+ out of tolerance$"
+        with pytest.raises(NotInvertible, match=message):
             qa_witness(2)
 
 

@@ -78,7 +78,7 @@ def main(argv: list) -> int:
 
     os.chdir(ROOT)
     src = os.path.join(ROOT, "src")
-    sys.path.insert(0, src)  # and for the subprocess tests, as tier-1's PYTHONPATH=src
+    sys.path.insert(0, src)  # and PYTHONPATH for the subprocess tests, which read it
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     status, ran = trace_lines(lambda: pytest.main(argv or ["-q", "tests"], plugins=[_Profile]))
     missed = []
