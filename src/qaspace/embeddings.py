@@ -79,7 +79,7 @@ class SequenceSpec(Record):
     samples: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("reciprocal", "gamma_exp", "samples"):
+        if not isinstance(self.kind, str) or self.kind not in _SEQUENCE_KEYS:
             raise SpecParseError(f"unknown sequence kind {self.kind!r}")
         for name, owner in (("phi", "gamma_exp"), ("samples", "samples")):
             if (getattr(self, name) is None) == (self.kind == owner):

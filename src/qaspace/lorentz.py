@@ -34,7 +34,7 @@ class LorentzNorm(Record):
 
 def lorentz_norm(f: StepFunction, phi: ShapeFunction) -> LorentzNorm:
     """Layer-cake sum sum_k levels[k] * phi(measures[k]) over |f|."""
-    den, heights, cum = stepfn._layers(map(abs, f.values), f._grid)
+    den, heights, cum = stepfn._layers(f)
     value = nonneg_fsum(layer_weights(heights, den, cum, phi))
     jump = heights[0] * phi.zero_limit() if heights else 0.0
     return LorentzNorm(value, jump, value - jump)

@@ -137,7 +137,7 @@ def qa_lower(f: StepFunction, phi: ShapeFunction, psi: ShapeFunction) -> float:
 class _LayerTable:
     """Group weights and pieces over the layer cake of |f|.
 
-    vals and den come from stepfn._layers(|f|), the layer cake: vals are its
+    vals and den come from stepfn._layers(f), the layer cake: vals are its
     heights, empty for f == 0, and the ring measures are differences of its
     ticks over den.  weight(i, j) is the psi-free cost of collapsing layers
     i..j into one piece.  Its l1 is the sum of ring * fl(v - floor) over the
@@ -173,7 +173,7 @@ class _LayerTable:
     def __init__(self, f: StepFunction, phi: ShapeFunction):
         self.f = f
         self.phi = phi
-        self._den, self.vals, cum = stepfn._layers(map(abs, f.values), f._grid)
+        self._den, self.vals, cum = stepfn._layers(f)
         self.layer_weights = layer_weights(self.vals, self._den, cum, phi)
         self._above = above = [0, *cum]  # _above[i]: rings 0..i-1
         rings = map(sub, above[1:], above)

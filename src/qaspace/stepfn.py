@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import lt, mul, ne, sub
 
-from .errors import SpecParseError, spec_keys, spec_list, spec_number, spec_read
+from .errors import SpecParseError, _show, spec_keys, spec_list, spec_number, spec_read
 from .records import Record
 
 _ONE = Fraction(1)
@@ -53,9 +53,9 @@ class StepFunction(Record):
     values: tuple
 
     def __init__(self, breakpoints, values):
-        bps = tuple(b if isinstance(b, Fraction) else _fraction(b, "breakpoints must be finite")
-                    for b in breakpoints)
-        grid, vals = _ticks(bps), tuple(float(v) for v in values)
+        bps = tuple(b if isinstance(b, Fraction) else
+                    _fraction(b, "breakpoints", "breakpoints must be finite") for b in breakpoints)
+        grid, vals = _ticks(bps), tuple(float(_number(v, "values")) for v in values)
         _check(grid, vals)
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "values", vals)
@@ -79,13 +79,11 @@ class StepFunction(Record):
     def eval_at(self, x) -> float:
         """Value at x in [0,1]; the right endpoint belongs to the last piece."""
         message = "step functions live on [0,1]"
-        xf = x if isinstance(x, Fraction) else _fraction(x, message)
+        xf = x if isinstance(x, Fraction) else _fraction(x, "x", message)
         if xf < 0 or xf > 1:
             raise ValueError(message)
-        if xf == _ONE:
-            return self.values[-1]
-        idx = bisect_right(self.breakpoints, xf) - 1
-        return self.values[idx]
+        # the search stops below the last breakpoint, so 1 lands in the last piece
+        return self.values[bisect_right(self.breakpoints, xf, 0, len(self.values)) - 1]
 
     def piece_measures(self) -> tuple:
         """Exact lengths of the pieces, as Fractions."""
@@ -114,12 +112,21 @@ class StepFunction(Record):
         return _on_grid(grid, vals)
 
 
-def _fraction(x, message: str) -> Fraction:
-    """Fraction(x); a float that is not finite gets message, where Fraction
-    would raise an OverflowError or ValueError that names no argument."""
+def _number(x, name: str):
+    """x, once it is not text or a bool, which Fraction and float would read
+    as numbers; a ValueError names the argument name otherwise."""
+    if isinstance(x, (str, bytes, bytearray, bool)):
+        raise ValueError(f"{name}: expected a number, got {_show(x)}")
+    return x
+
+
+def _fraction(x, name: str, message: str) -> Fraction:
+    """Fraction(x) of the number x (_number); a float that is not finite gets
+    message, where Fraction would raise an OverflowError or ValueError that
+    names no argument."""
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(message)
-    return Fraction(x)
+    return Fraction(_number(x, name))
 
 
 def _check(grid, values) -> None:
@@ -175,16 +182,15 @@ def _canonical(grid, values) -> StepFunction:
     return _on_grid((den, (*compress(ticks, starts), ticks[-1])), vals)
 
 
-def _layers(values, grid) -> tuple:
-    """(den, heights, cum): the one layer cake, which every reader uses.  heights
-    are the distinct nonzero values, descending, and cum[k] the measure of the
-    pieces whose value is at least heights[k], in ticks over den, the grid's
-    (den, ticks)."""
-    den, ticks = grid
+def _layers(f: StepFunction) -> tuple:
+    """(den, heights, cum): the layer cake of |f|, which every reader uses.
+    heights are the distinct nonzero values of |f|, descending, and cum[k] the
+    measure where |f| is at least heights[k], in ticks over f's den."""
+    den, ticks = f._grid
     mass = {}
-    for v, w in zip(values, map(sub, ticks[1:], ticks)):
+    for v, w in zip(map(abs, f.values), map(sub, ticks[1:], ticks)):
         mass[v] = mass.get(v, 0) + w
-    mass.pop(0.0, None)  # the zero level, also when it is -0.0
+    mass.pop(0.0, None)  # the zero level
     heights = sorted(mass, reverse=True)
     return den, heights, list(accumulate(map(mass.__getitem__, heights)))
 
@@ -192,24 +198,15 @@ def _layers(values, grid) -> tuple:
 def indicator(a, b, height: float = 1.0) -> StepFunction:
     """height * indicator([a, b)) as a canonical step function."""
     message = "need 0 <= a < b <= 1"
-    af, bf = _fraction(a, message), _fraction(b, message)
+    af, bf = _fraction(a, "a", message), _fraction(b, "b", message)
     if not 0 <= af < bf <= 1:
         raise ValueError(message)
-    bps = [_ZERO]
-    vals = []
-    if af > 0:
-        bps.append(af)
-        vals.append(0.0)
-    bps.append(bf)
-    vals.append(float(height))
-    if bf < 1:
-        bps.append(_ONE)
-        vals.append(0.0)
-    return _canonical(_ticks(bps), vals)
+    height, bps = float(_number(height, "height")), sorted({_ZERO, af, bf, _ONE})
+    return _canonical(_ticks(bps), [height if af <= t < bf else 0.0 for t in bps[:-1]])
 
 
 def constant(c: float) -> StepFunction:
-    return StepFunction((_ZERO, _ONE), (float(c),))
+    return StepFunction((_ZERO, _ONE), (c,))
 
 
 def _distribution_exact(f: StepFunction, s: float) -> Fraction:
@@ -227,7 +224,7 @@ def distribution(f: StepFunction, s: float) -> float:
 
 def rearrange(f: StepFunction) -> StepFunction:
     """Decreasing rearrangement: same value distribution, sorted descending."""
-    den, heights, cum = _layers(map(abs, f.values), f._grid)
+    den, heights, cum = _layers(f)
     if not cum or cum[-1] != den:
         heights.append(0.0)
         cum.append(den)

@@ -251,9 +251,7 @@ class _LogLayerTable:
         head, ring, damp = log_masses[i], log_rings[i], damps[0]
         terms = [head + (lr - ring) + damp for lr in log_rings[:i]]
         terms += map(add, log_masses[i : j + 1], damps)
-        log_l1 = logsumexp(terms)
-        if log_l1 == LOG_ZERO:
-            return LOG_ZERO
+        log_l1 = logsumexp(terms)  # finite: log1p(-1.0) raises before a damp is -inf
         # log(vals[i] - floor), the group's height
         log_ratio = min(0.0, log_l1 - (log_vals[i] + damp))
         return log_l1 + self.phi.log_gamma_eval(log_ratio)

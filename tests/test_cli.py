@@ -7,9 +7,11 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -54,15 +56,21 @@ def equivalence_argv(expr_a):
     ]
 
 
+def tree_env(**extra):
+    """This process's environment and extra, with the qaspace under test
+    first on PYTHONPATH: a child interpreter runs this tree however the
+    suite was started."""
+    src = os.path.dirname(os.path.dirname(qaspace.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, **extra, "PYTHONPATH": path}
+
+
 def run_cli(*args, env_extra=None, check=True):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-c", "from qaspace.cli import main; raise SystemExit(main())", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=tree_env(**(env_extra or {})),
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
@@ -1036,6 +1044,19 @@ class TestOutputRouting:
         assert proc.stdout == ""
         assert json.loads(dest.read_text())["result"]["value"] == 2.5623351446188085
 
+    # in process, where a line tracer (tools/unexecuted.py) sees the file read
+    # and the file write that the subprocess tests run
+    def test_spec_file_and_output_file_in_process(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv(OUT_DIR_VAR, raising=False)
+        spec, dest = tmp_path / "f.json", tmp_path / "out.json"
+        spec.write_text(F3)
+        assert main(["lorentz-norm", "--phi", QA_PHI, "--input", str(spec),
+                     "--output", str(dest)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["lorentz-norm", "--phi", QA_PHI, "--input", F3]) == 0
+        inline = json.loads(capsys.readouterr().out)
+        assert json.loads(dest.read_text())["result"] == inline["result"]
+
     def test_out_dir_env(self, tmp_path):
         run_cli(
             "lorentz-norm", "--phi", QA_PHI, "--input", F3,
@@ -1171,10 +1192,7 @@ print(code, *sorted(m for m in sys.modules if m.startswith("qaspace.")))
 
 def fresh_python(*args):
     """A fresh interpreter with the qaspace under test first on its path."""
-    src = os.path.dirname(os.path.dirname(qaspace.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, check=False)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=tree_env(), check=False)
 
 
 class TestEntryPoint:
@@ -1186,6 +1204,20 @@ class TestEntryPoint:
         proc = fresh_python("-m", "qaspace", *argv)
         assert main(argv) == 0
         assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out.encode())
+
+    # in process, where a line tracer (tools/unexecuted.py) sees the guards
+    # that the subprocess tests run; run_module is what `python -m` calls
+    @pytest.mark.parametrize("module", ["qaspace", "qaspace.cli"])
+    def test_module_guard_runs_main_in_process(self, capsys, monkeypatch, module):
+        argv = ["rearrange", "--input", F3]
+        monkeypatch.setattr(sys, "argv", [module, *argv])
+        with warnings.catch_warnings():  # qaspace.cli is imported already: runpy warns
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as exited:
+                runpy.run_module(module, run_name="__main__")
+        out = capsys.readouterr().out
+        assert (exited.value.code, main(argv)) == (0, 0)
+        assert out == capsys.readouterr().out
 
     def test_bare_import_loads_no_submodule(self):
         code = "import sys, qaspace; print(*[m for m in sys.modules if m.startswith('qaspace.')])"

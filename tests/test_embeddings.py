@@ -206,6 +206,13 @@ class TestSequences:
         with pytest.raises(SpecParseError, match="^unknown sequence kind 'bogus'$"):
             SequenceSpec("bogus")
 
+    # the check looks the kind up in _SEQUENCE_KEYS, where an unhashable
+    # kind would raise TypeError
+    @pytest.mark.parametrize("kind", [["samples"], {"kind": "samples"}, None, 1.5])
+    def test_a_kind_that_is_no_string_is_unknown(self, kind):
+        with pytest.raises(SpecParseError, match=f"^unknown sequence kind {re.escape(repr(kind))}$"):
+            SequenceSpec(kind)
+
     @pytest.mark.parametrize("kind", list(_SEQUENCE_KEYS))
     def test_domain_start_is_derived_not_set(self, kind):
         with pytest.raises(TypeError, match="domain_start"):

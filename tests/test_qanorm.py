@@ -569,7 +569,7 @@ def slab_weights(f, phi):
     bitmask: the slab piece sum_{l in S} h_l 1{|f| >= vals[l]}, whose sup is H
     = sum h_l and whose l1 is L = sum h_l cum[l] / den, costs H phi(L / H); h_l
     is vals[l] - vals[l + 1], the last layer's floor 0.  In floats."""
-    den, vals, cum = stepfn._layers(map(abs, f.values), f._grid)
+    den, vals, cum = stepfn._layers(f)
     h = list(map(operator.sub, vals, [*vals[1:], 0.0]))
     sums, weights = [(0.0, 0.0)], [0.0]
     for mask in range(1, 1 << len(vals)):
@@ -733,7 +733,7 @@ class TestLayerWeightsAreLorentzTerms:
         for phi in (qa_phi(), alpha_beta(0.5, 0.7)):
             for f in (*merged_by_abs_corpus(), *float_edge_corpus(), *deep_corpus(4)):
                 table = _LayerTable(f, phi)
-                den, heights, cum = stepfn._layers(map(abs, f.values), f._grid)
+                den, heights, cum = stepfn._layers(f)
                 floors = [*heights[1:], 0.0]
                 terms = [(a - b) * phi.eval(c / den) for a, b, c in zip(heights, floors, cum)]
                 assert list(map(bits, table.layer_weights)) == list(map(bits, terms)), f

@@ -595,6 +595,16 @@ class TestClosedFormInverse:
         with pytest.raises(NotInvertible, match=re.escape(message)):
             one._log_gamma_inv(-1.0, math.log(0.5))
 
+    def test_piecewise_refuses_a_chord_through_the_origin(self):
+        # the samples lie on y = 0.9086524737219139 t up to rounding: y / t
+        # falls by one ulp after the first, and both chords meet the origin,
+        # so a target between the first two log ratios has no answer
+        pts = [(0, 0), (0.2885955212063478, 0.262233034249213),
+               (0.5176759245386915, 0.4703875094183609), (1.0, 0.9086524737219139)]
+        message = "shape(t)/t is not strictly decreasing between the samples"
+        with pytest.raises(NotInvertible, match=re.escape(message)):
+            log_gamma_inv(piecewise(pts), -0.09579257504409606)
+
     @pytest.mark.parametrize("g", [1.0, 0.4])
     @pytest.mark.parametrize("target", [-1e-300, -1e-12, -5.0, -1e5, -1.7e308])
     def test_psi_gamma_as_psi_from_the_origin_to_the_float_edge(self, g, target):

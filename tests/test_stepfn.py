@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 from fractions import Fraction as F
 from functools import reduce
 from itertools import accumulate
@@ -89,6 +90,25 @@ class TestConstruction:
             with pytest.raises(ValueError, match=r"^need 0 <= a < b <= 1$"):
                 indicator(a, b)
 
+    # Fraction and float read these as numbers: a string as a literal, a
+    # bool as 0 or 1
+    @pytest.mark.parametrize("build, message", [
+        (lambda: StepFunction((0, "1/2", 1), (1.0, 2.0)), 'breakpoints: expected a number, got "1/2"'),
+        (lambda: StepFunction((0, True), (1.0,)), "breakpoints: expected a number, got true"),
+        (lambda: StepFunction((0, 1), ("2.5",)), 'values: expected a number, got "2.5"'),
+        (lambda: StepFunction((0, 1), (b"2.5",)), 'values: expected a number, got "b\'2.5\'"'),
+        (lambda: StepFunction((0, 1), (True,)), "values: expected a number, got true"),
+        (lambda: constant(False), "values: expected a number, got false"),
+        (lambda: indicator(0, "1/2", 2.0), 'b: expected a number, got "1/2"'),
+        (lambda: indicator(False, 1), "a: expected a number, got false"),
+        (lambda: indicator(0, 1, "2"), 'height: expected a number, got "2"'),
+        (lambda: three_layer().eval_at("1/2"), 'x: expected a number, got "1/2"'),
+        (lambda: three_layer().eval_at(True), "x: expected a number, got true"),
+    ])
+    def test_refuses_strings_and_bools(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_canonical_merges_equal_neighbours(self):
         f = StepFunction((F0, F(1, 4), F(1, 2), F1), (2.0, 2.0, 1.0))
         g = f.canonical()
@@ -125,6 +145,12 @@ class TestConstruction:
         assert f.eval_at(1) == 2.0
         with pytest.raises(ValueError):
             f.eval_at(1.5)
+
+    def test_eval_at_every_breakpoint_and_at_one(self):
+        # a piece holds its left end; 1 belongs to the last piece
+        for f in (*deep_corpus(2), *layer_corpus(20, seed=3)):
+            assert [f.eval_at(b) for b in f.breakpoints[:-1]] == list(f.values)
+            assert f.eval_at(F1) == f.eval_at(1) == f.eval_at(1.0) == f.values[-1]
 
     def test_piece_measures_exact(self):
         assert three_layer().piece_measures() == (F(1, 4), F(1, 4), F(1, 2))
@@ -183,6 +209,23 @@ class TestBuilders:
         assert g.eval_at(0) == 0.0
         assert g.eval_at(F(3, 4)) == 0.0
         assert l1_norm_exact(g) == F(3, 4)
+
+    # a zero height merges with the zero pieces around it, and the merged
+    # piece keeps the first piece's value, so its sign
+    @pytest.mark.parametrize("a, b, height, bps, values", [
+        (F(1, 4), F(1, 2), 3.0, (F0, F(1, 4), F(1, 2), F1), (0.0, 3.0, 0.0)),
+        (0, F(1, 2), 3.0, (F0, F(1, 2), F1), (3.0, 0.0)),
+        (F(1, 4), 1, 3.0, (F0, F(1, 4), F1), (0.0, 3.0)),
+        (0.25, 1.0, -2.0, (F0, F(1, 4), F1), (0.0, -2.0)),
+        (F(1, 4), F(1, 2), 0.0, (F0, F1), (0.0,)),
+        (F(1, 4), F(1, 2), -0.0, (F0, F1), (0.0,)),
+        (F(1, 4), 1, -0.0, (F0, F1), (0.0,)),
+        (0, F(1, 2), -0.0, (F0, F1), (-0.0,)),
+        (0, 1, -0.0, (F0, F1), (-0.0,)),
+    ])
+    def test_indicator_equals_the_function_built_by_hand(self, a, b, height, bps, values):
+        g, want = indicator(a, b, height), StepFunction(bps, values)
+        assert (g.breakpoints, list(map(repr, g.values))) == (bps, list(map(repr, want.values)))
 
     def test_indicator_full_interval_is_constant(self):
         assert indicator(0, 1, height=2.0) == constant(2.0)

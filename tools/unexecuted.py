@@ -8,7 +8,7 @@ only frames whose code lives in src/qaspace.  Then it prints each
 executable line that never ran, as `path:line`, one per line, and a count.
 The executable lines are those the compiled code of each file names in its
 line table.  The tracer sees this process alone, so a line that only a
-subprocess test runs (the CLI's `__main__` guard, `__main__.py`) is listed.
+subprocess test runs is listed.
 Hypothesis runs with no deadline, since tracing slows every example, and
 derandomized with no database, so that two runs list the same lines.
 
@@ -77,9 +77,8 @@ def main(argv: list) -> int:
     import pytest
 
     os.chdir(ROOT)
-    src = os.path.join(ROOT, "src")
-    sys.path.insert(0, src)  # and PYTHONPATH for the subprocess tests, which read it
-    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    # each subprocess test puts the tree under test on its own path
+    sys.path.insert(0, os.path.join(ROOT, "src"))
     status, ran = trace_lines(lambda: pytest.main(argv or ["-q", "tests"], plugins=[_Profile]))
     missed = []
     for name in sorted(os.listdir(PACKAGE)):
@@ -87,7 +86,8 @@ def main(argv: list) -> int:
             path = os.path.join(PACKAGE, name)
             missed += [f"src/qaspace/{name}:{line}"
                        for line in sorted(executable_lines(path) - ran.get(path, set()))]
-    print(*missed, sep="\n")
+    for line in missed:
+        print(line)
     print(f"{len(missed)} executable lines in src/qaspace that no test ran")
     return int(status)
 
