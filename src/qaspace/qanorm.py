@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import itemgetter, mul, neg, sub
 
 from . import stepfn
@@ -139,8 +139,9 @@ class _LayerTable:
 
     vals and den come from stepfn._layers(f), the layer cake: vals are its
     heights, empty for f == 0, and the ring measures are differences of its
-    ticks over den.  weight(i, j) is the psi-free cost of collapsing layers
-    i..j into one piece.  Its l1 is the sum of ring * fl(v - floor) over the
+    ticks over den; _levels are the heights, then the zero level below them.
+    weight(i, j) is the psi-free cost of collapsing layers i..j into one
+    piece, above the floor _levels[j + 1].  Its l1 is the sum of ring * fl(v - floor) over the
     layers, in exact integers: the rings in ticks, and every float as an
     integer multiple of 2^-shift, shift being the largest power-of-two
     exponent of the heights' denominators (the difference of two such floats
@@ -155,9 +156,10 @@ class _LayerTable:
     is -floor modulo u, and the error takes one value across a binade of
     v - floor, but for the one binade where v - floor ties and rounds by v's
     parity.  So the loop keeps a running error and the first layer of its
-    run, and scales an error to an integer, times the run's rings (from the
-    prefix sums _above), once per run: the same integer sum, regrouped, and
-    exact however the runs fall.  l1/linf is then one correctly rounded
+    run, up to the bisection's level, whose error 0 closes the last run, and
+    scales an error to an integer, times the run's rings (from the prefix
+    sums _above), once per run: the same integer sum, regrouped, and exact
+    however the runs fall.  l1/linf is then one correctly rounded
     integer division, the same float as float(Fraction(l1) / Fraction(linf))
     over any common denominator.  The l1 uses the same rounded differences
     as the materialized piece, so costs recompute bit for bit from the
@@ -175,16 +177,15 @@ class _LayerTable:
         self.phi = phi
         self._den, self.vals, cum = stepfn._layers(f)
         self.layer_weights = layer_weights(self.vals, self._den, cum, phi)
+        self._levels = levels = [*self.vals, 0.0]  # _levels[j + 1]: the floor below layer j
         self._above = above = [0, *cum]  # _above[i]: rings 0..i-1
         rings = map(sub, above[1:], above)
-        self._shift, sv = stepfn._dyadic(self.vals)
+        self._shift, self._sv = stepfn._dyadic(levels)  # the scaled levels
         # _mass[i]: scaled heights times rings over layers 0..i-1
-        self._mass = [0, *accumulate(map(mul, sv, rings))]
-        self._sv = [*sv, 0]  # _sv[j + 1]: the scaled floor below layer j
+        self._mass = [0, *accumulate(map(mul, self._sv, rings))]
         self._neg_heights = [-h for h in self.vals]  # ascending, for bisect
-        layer = {v: l for l, v in enumerate(self.vals)}
-        # each piece's layer by |value|; zero pieces one past the last layer
-        rank = list(map(layer.get, map(abs, f.values), repeat(len(self.vals))))
+        # each piece's layer by |value|; zero pieces on the zero level
+        rank = list(map({v: l for l, v in enumerate(levels)}.__getitem__, map(abs, f.values)))
         # _by_rank(by_layer): the pieces' values, each read off its layer (an
         # itemgetter of one index returns the bare item, not a 1-tuple)
         self._by_rank = (
@@ -192,9 +193,9 @@ class _LayerTable:
         )
 
     def weight(self, i: int, j: int) -> float:
-        vals, above, mass, shift = self.vals, self._above, self._mass, self._shift
-        floor = vals[j + 1] if j + 1 < len(vals) else 0.0
-        linf = vals[i] - floor
+        levels, above, mass, shift = self._levels, self._above, self._mass, self._shift
+        floor = levels[j + 1]
+        linf = levels[i] - floor
         num, d = linf.as_integer_ratio()
         top = num << (shift + 1 - d.bit_length())
         # l1 * den * 2^shift: the rings above i at the full height, then the
@@ -202,18 +203,16 @@ class _LayerTable:
         # rounds; only the layers above 2 * floor can round (Sterbenz)
         l1 = top * above[i] + mass[j + 1] - mass[i] - self._sv[j + 1] * (above[j + 1] - above[i])
         hi = bisect_left(self._neg_heights, -2.0 * floor, i, j + 1)
-        # one correction per run of equal errors, its err times the run's rings
+        # one correction per run of equal errors, its err times the run's rings;
+        # level hi is at most 2 * floor or is the floor: its err 0 closes the last run
         run, start = 0.0, i
-        for l, v in enumerate(vals[i:hi], i):
+        for l, v in enumerate(levels[i : hi + 1], i):
             err = -floor - ((v - floor) - v)
             if err != run:
                 if run:
                     num, d = run.as_integer_ratio()
                     l1 -= (num << (shift + 1 - d.bit_length())) * (above[l] - above[start])
                 run, start = err, l
-        if run:
-            num, d = run.as_integer_ratio()
-            l1 -= (num << (shift + 1 - d.bit_length())) * (above[hi] - above[start])
         return weighted_sup_bound(linf, l1 / (top * self._den), self.phi)
 
     def materialize(self, i: int, j: int) -> StepFunction:
@@ -221,11 +220,11 @@ class _LayerTable:
         off each piece's layer: the height on layers 0..i, vals[l] - floor on
         i+1..j, 0.0 below j; rounding is monotone, so these are the clamp's floats.
         """
-        vals = self.vals
-        floor = vals[j + 1] if j + 1 < len(vals) else 0.0
-        height = vals[i] - floor
-        by_layer = [height] * (i + 1) + [v - floor for v in vals[i + 1 : j + 1]]
-        by_layer += [0.0] * (len(vals) - j)
+        levels = self._levels
+        floor = levels[j + 1]
+        height = levels[i] - floor
+        by_layer = [height] * (i + 1) + [v - floor for v in levels[i + 1 : j + 1]]
+        by_layer += [0.0] * (len(levels) - j - 1)
         return stepfn._canonical(self.f._grid, self._by_rank(by_layer))
 
 
@@ -261,7 +260,7 @@ def _search(table, price, strategy: str) -> tuple:
     then "exhaustive"'s every other grouping by ascending mask (bit p set: a
     group ends at layer p), or the greedy's end if it merged some layers but
     not all.  So a tie goes to the one piece, the layer split, the lowest mask.
-    The greedy keeps its current weights sorted beside them, and a candidate
+    The greedy keeps its current weights sorted, each read off the memo, and a candidate
     merge is that sorted list less the two merged weights, with the merged
     group's weight inserted in order.  Equal weights are equal floats, or
     zeros of either sign that no price tells apart, so which of them a
@@ -297,25 +296,20 @@ def _search(table, price, strategy: str) -> tuple:
             groups.append((start, n - 1))
             candidates.append(groups)
     elif strategy == "local_search":
-        # one weight per current group, kept beside the groups, so that a
-        # candidate merge is priced without looking its groups up again,
-        # and the same weights sorted descending, for the price
+        # the current groups' weights sorted descending, for the price
         groups = layers
-        ws = [weights[g] for g in groups]
-        desc = sorted(ws, reverse=True)
+        desc = sorted(table.layer_weights, reverse=True)
         total = price(desc, math.inf)
         while len(groups) > 1:
             for idx in range(len(groups) - 1):
                 merged = (groups[idx][0], groups[idx + 1][1])
-                w = weights[merged]
                 cand = desc.copy()
-                cand.remove(ws[idx])
-                cand.remove(ws[idx + 1])
-                insort(cand, w, key=neg)
+                cand.remove(weights[groups[idx]])
+                cand.remove(weights[groups[idx + 1]])
+                insort(cand, weights[merged], key=neg)
                 t = price(cand, total)
                 if t < total:
                     groups = groups[:idx] + [merged] + groups[idx + 2 :]
-                    ws = ws[:idx] + [w] + ws[idx + 2 :]
                     desc, total = cand, t
                     break
             else:

@@ -53,8 +53,7 @@ class StepFunction(Record):
     values: tuple
 
     def __init__(self, breakpoints, values):
-        bps = tuple(b if isinstance(b, Fraction) else
-                    _fraction(b, "breakpoints", "breakpoints must be finite") for b in breakpoints)
+        bps = tuple(_fraction(b, "breakpoints", "breakpoints must be finite") for b in breakpoints)
         grid, vals = _ticks(bps), tuple(float(_number(v, "values")) for v in values)
         _check(grid, vals)
         object.__setattr__(self, "_grid", grid)
@@ -256,14 +255,8 @@ def add(f: StepFunction, g: StepFunction) -> StepFunction:
     fticks = [t * (den // fden) for t in fticks]
     gticks = [t * (den // gden) for t in gticks]
     grid = sorted(set(fticks).union(gticks))
-    vals = []
-    fi = gi = 0
-    for left in grid[:-1]:
-        while fticks[fi + 1] <= left:
-            fi += 1
-        while gticks[gi + 1] <= left:
-            gi += 1
-        vals.append(f.values[fi] + g.values[gi])
+    vals = [f.values[bisect_right(fticks, left) - 1] + g.values[bisect_right(gticks, left) - 1]
+            for left in grid[:-1]]
     return _canonical((den, grid), vals)
 
 
