@@ -446,11 +446,11 @@ _UNREAD = {name: sorted({field for fam in _TABLE.values() for field, _, _ in fam
 
 
 def alpha_beta(alpha: float, beta: float) -> ShapeFunction:
-    return ShapeFunction("alpha_beta", alpha=float(alpha), beta=float(beta))
+    return ShapeFunction("alpha_beta", alpha=alpha, beta=beta)
 
 
 def psi_gamma(exponent: float) -> ShapeFunction:
-    return ShapeFunction("psi_gamma", exponent=float(exponent))
+    return ShapeFunction("psi_gamma", exponent=exponent)
 
 
 def qa_phi() -> ShapeFunction:

@@ -209,6 +209,7 @@ def constant(c: float) -> StepFunction:
 
 
 def _distribution_exact(f: StepFunction, s: float) -> Fraction:
+    _number(s, "s")
     if s != s:  # no |f(x)| exceeds NaN, and none fails to: the level names no set
         raise ValueError("the level must not be NaN")
     den, ticks = f._grid
@@ -261,7 +262,8 @@ def add(f: StepFunction, g: StepFunction) -> StepFunction:
 
 
 def scale(f: StepFunction, a: float) -> StepFunction:
-    return _canonical(f._grid, [float(a) * v for v in f.values])
+    a = float(_number(a, "a"))
+    return _canonical(f._grid, [a * v for v in f.values])
 
 
 def abs_(f: StepFunction) -> StepFunction:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import mpmath
@@ -46,6 +47,15 @@ class TestLorentzNorm:
         assert fundamental(qa_phi(), 1.0) == 1.0
         with pytest.raises(ValueError):
             fundamental(qa_phi(), 1.5)
+
+    @pytest.mark.parametrize("t, message", [
+        ("0.5", 't: expected a number, got "0.5"'),
+        (True, "t: expected a number, got true"),
+    ])
+    def test_fundamental_refuses_strings_and_bools(self, t, message):
+        # float(t) read these as 0.5 and 1.0
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fundamental(qa_phi(), t)
 
     def test_constant_one_reads_off_sup(self):
         f = three_layer()

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -114,6 +115,28 @@ class TestValidation:
     def test_psi_gamma_range(self):
         with pytest.raises(IllegalSpec):
             psi_gamma(1.5)
+
+    # the builders pass their arguments to the family's reader unconverted,
+    # where float() read text and bools as numbers and raised a bare
+    # OverflowError past the float range; a Fraction is refused as in a
+    # ShapeFunction call
+    @pytest.mark.parametrize("build, message", [
+        (lambda: alpha_beta("0.5", 0.5), "alpha_beta family's 'alpha': expected a number, got \"0.5\""),
+        (lambda: alpha_beta(True, 0.5), "alpha_beta family's 'alpha': expected a number, got true"),
+        (lambda: alpha_beta(0.5, False), "alpha_beta family's 'beta': expected a number, got false"),
+        (lambda: alpha_beta(10**400, 1), "alpha_beta family's 'alpha': int too large to convert to float"),
+        (lambda: alpha_beta(Fraction(1, 2), 1.0),
+         "alpha_beta family's 'alpha': expected a number, got \"Fraction(1, 2)\""),
+        (lambda: psi_gamma("1"), "psi_gamma family's 'exponent': expected a number, got \"1\""),
+        (lambda: psi_gamma(True), "psi_gamma family's 'exponent': expected a number, got true"),
+    ])
+    def test_builders_refuse_what_the_reader_refuses(self, build, message):
+        with pytest.raises(IllegalSpec, match=f"^the {re.escape(message)}$"):
+            build()
+
+    def test_builders_read_ints_as_floats(self):
+        assert alpha_beta(1, 1) == ShapeFunction("alpha_beta", alpha=1.0, beta=1.0)
+        assert repr(psi_gamma(1)) == repr(psi_gamma(1.0))
 
     def test_unknown_family(self):
         with pytest.raises(IllegalSpec):

@@ -397,7 +397,9 @@ class TestArithmetic:
     @settings(max_examples=60, deadline=None)
     def test_add_pointwise(self, f, g):
         h = add(f, g)
-        for x in (F0, F(1, 7), F(1, 3), F(2, 3), F(63, 64), F1):
+        # fixed points, then the left end of every cell of the merged grid
+        lefts = sorted({*f.breakpoints[:-1], *g.breakpoints[:-1]})
+        for x in (F0, F(1, 7), F(1, 3), F(2, 3), F(63, 64), F1, *lefts):
             assert h.eval_at(x) == f.eval_at(x) + g.eval_at(x)
 
     def test_scale_and_abs(self):
@@ -405,6 +407,17 @@ class TestArithmetic:
         assert scale(f, -2.0).values == (4.0, -2.0)
         assert abs_(f).values == (2.0, 1.0)
         assert scale(f, 0.0) == constant(0.0)
+
+    # float read these as numbers: a string as a literal, a bool as 0 or 1
+    @pytest.mark.parametrize("build, message", [
+        (lambda: scale(indicator(0, F(1, 2), 2.0), "3"), 'a: expected a number, got "3"'),
+        (lambda: scale(indicator(0, F(1, 2), 2.0), True), "a: expected a number, got true"),
+        (lambda: distribution(indicator(0, F(1, 2), 2.0), True), "s: expected a number, got true"),
+        (lambda: distribution(indicator(0, F(1, 2), 2.0), "1"), 's: expected a number, got "1"'),
+    ])
+    def test_scale_and_distribution_refuse_strings_and_bools(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     @pytest.mark.parametrize(
         "build",

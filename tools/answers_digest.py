@@ -40,7 +40,9 @@ expression kinds, the last two read through `check-seq` and `equivalence`),
 the error type each malformed spec gets, and the error (type and message)
 of each library constructor call that passes a parameter its shape family or
 sequence kind does not take, or leaves out one it needs, or that passes one
-of the wrong type or a number past the float range, or builds the piecewise
+of the wrong type (text or a bool to a step-function builder, `scale`,
+`distribution`, `fundamental` or a shape builder among them) or a number
+past the float range, or builds the piecewise
 shape with no sample after the origin, and of each step-function
 constructor, `indicator` and `eval_at` call given a number that is not
 finite, and of the two witness specs that build_witness refuses.  Every float is
@@ -93,7 +95,7 @@ from corpora import (  # noqa: E402
     random_functions,
     tie_corpus,
 )
-from qaspace import embeddings, lorentz_norm, qa_bounds, qa_upper  # noqa: E402
+from qaspace import embeddings, fundamental, lorentz_norm, qa_bounds, qa_upper  # noqa: E402
 from qaspace.cli import main as cli_main  # noqa: E402
 from qaspace.embeddings import SequenceSpec  # noqa: E402
 from qaspace.errors import ToolkitError  # noqa: E402
@@ -445,6 +447,20 @@ MISTYPED_CONSTRUCTORS = [
     (WitnessSpec, (qa_phi(), "qa_psi", 3, 0.5), {}),
     (WitnessSpec, (qa_phi(), qa_psi(), 3, "0.5"), {}),
     (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5), {"mu1": "0.25"}),
+    (StepFunction, ((0, "1/2", 1), (1.0, 2.0)), {}),
+    (StepFunction, ((0, True), (1.0,)), {}),
+    (StepFunction, ((0, 1), ("2.5",)), {}),
+    (StepFunction, ((0, 1), (True,)), {}),
+    (indicator, (0, "1/2", 2.0), {}),
+    (constant, (True,), {}),
+    (scale, (indicator(0, 0.5, 2.0), "3"), {}),
+    (scale, (indicator(0, 0.5, 2.0), True), {}),
+    (distribution, (indicator(0, 0.5, 2.0), True), {}),
+    (fundamental, (qa_phi(), "0.5"), {}),
+    (alpha_beta, ("0.5", 0.5), {}),
+    (alpha_beta, (True, 0.5), {}),
+    (alpha_beta, (10**400, 1), {}),
+    (psi_gamma, ("1",), {}),
 ]
 # constructor calls whose numbers leave the float range: a sample ratio y/t
 # that underflows to 0 or overflows to inf, and an int past the largest float;
