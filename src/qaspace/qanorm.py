@@ -141,15 +141,15 @@ class _LayerTable:
     heights, empty for f == 0, and the ring measures are differences of its
     ticks over den; _levels are the heights, then the zero level below them.
     weight(i, j) is the psi-free cost of collapsing layers i..j into one
-    piece, above the floor _levels[j + 1].  Its l1 is the sum of ring * fl(v - floor) over the
-    layers, in exact integers: the rings in ticks, and every float as an
-    integer multiple of 2^-shift, shift being the largest power-of-two
-    exponent of the heights' denominators (the difference of two such floats
-    rounds to a multiple of it).  The sum is not taken term by term: _mass
-    holds the prefix sums of the scaled heights _sv times the rings, which
-    give the exact differences v - floor, and each layer whose difference
-    rounds then gives back its error err = -floor - (fl(v - floor) - v),
-    exact by Fast2Sum since v >= floor.
+    piece, above the floor _levels[j + 1].  Its l1 is the sum of ring *
+    fl(v - floor) over the layers, in exact integers: the rings in ticks, and
+    every float as an integer multiple of 2^-shift, shift being the largest
+    power-of-two exponent of the heights' denominators (the difference of two
+    such floats rounds to a multiple of it).  The sum is not taken term by
+    term: _mass holds the prefix sums of the scaled heights _sv times the
+    rings, which give the exact differences v - floor, and each layer whose
+    difference rounds then gives back its error err = -floor - (fl(v -
+    floor) - v), exact by Fast2Sum since v >= floor.
     By Sterbenz's lemma no v <= 2 * floor rounds, so a bisection bounds the
     layers that can (none can where 2 * floor overflows).  Their errors come
     in runs: every such v is a multiple of u = ulp(v - floor), so v - floor
@@ -260,9 +260,9 @@ def _search(table, price, strategy: str) -> tuple:
     then "exhaustive"'s every other grouping by ascending mask (bit p set: a
     group ends at layer p), or the greedy's end if it merged some layers but
     not all.  So a tie goes to the one piece, the layer split, the lowest mask.
-    The greedy keeps its current weights sorted, each read off the memo, and a candidate
-    merge is that sorted list less the two merged weights, with the merged
-    group's weight inserted in order.  Equal weights are equal floats, or
+    The greedy keeps its current weights sorted, each read off the memo, and
+    a candidate merge is that sorted list less the two merged weights, with
+    the merged group's weight inserted in order.  Equal weights are equal floats, or
     zeros of either sign that no price tells apart, so which of them a
     removal takes does not change the price.
     Returns (best price, best groups), the groups in slot order: weight

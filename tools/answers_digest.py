@@ -42,8 +42,8 @@ of each library constructor call that passes a parameter its shape family or
 sequence kind does not take, or leaves out one it needs, or that passes one
 of the wrong type (text or a bool to a step-function builder, `scale`,
 `distribution`, `fundamental` or a shape builder among them) or a number
-past the float range, or builds the piecewise
-shape with no sample after the origin, and of each step-function
+past the float range, or builds the piecewise shape with no sample after
+the origin, and of each step-function
 constructor, `indicator` and `eval_at` call given a number that is not
 finite, and of the two witness specs that build_witness refuses.  Every float is
 hashed through repr, every Fraction exactly, so a digest stays the same only
