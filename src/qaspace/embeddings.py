@@ -33,32 +33,30 @@ from itertools import pairwise
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, NonPositiveValue, NotInvertible, SpecParseError
-from .errors import spec_kind, spec_pairs, spec_read
+from .errors import _number, spec_kind, spec_pairs, spec_read
 from .logs import LOG_ZERO, exp_or_inf
 from .records import Record
 from .shapes import ShapeFunction, log_gamma, log_gamma_inv, parse_shape
 
 
-def _psi_arg(phi: ShapeFunction, log_t: float) -> float:
-    """1 + max(0, log(phi(t)/t)), the slot index priced into tau."""
-    return 1.0 + max(0.0, log_gamma(phi, log_t))
-
-
 def tau(phi: ShapeFunction, psi: ShapeFunction, t: float) -> float:
-    t = float(t)
+    """phi(t) * psi(1 + max(0, log(phi(t)/t))); text or a bool is a ValueError."""
+    if type(t) is not float:
+        t = float(_number(t, "t"))
     if not 0.0 <= t <= 1.0:
         raise DomainError("tau needs t in [0,1]")
     if t == 0.0:
         return 0.0
-    lt = math.log(t)
-    return phi.eval(t) * psi.eval(_psi_arg(phi, lt))
+    return phi.eval(t) * psi.eval(1.0 + max(0.0, phi.log_gamma_eval(math.log(t))))
 
 
 def log_tau(phi: ShapeFunction, psi: ShapeFunction, log_t: float) -> float:
     """log(tau(exp(log_t))), usable at depths where t itself underflows."""
+    if type(log_t) is not float:
+        _number(log_t, "log_t")
     if log_t > 0.0:
         raise DomainError("tau needs log_t <= 0")
-    return phi.log_eval(log_t) + math.log(psi.eval(_psi_arg(phi, log_t)))
+    return phi.log_eval(log_t) + math.log(psi.eval(1.0 + max(0.0, phi.log_gamma_eval(log_t))))
 
 
 class SequenceSpec(Record):
@@ -89,7 +87,9 @@ class SequenceSpec(Record):
         if self.kind == "gamma_exp":
             if not isinstance(self.phi, ShapeFunction):
                 raise SpecParseError(f"expected a shape, got {self.phi!r}", "phi")
-            start, top = max(1.0, 1.0 + log_gamma(self.phi, 0.0)), log_gamma(self.phi, -math.inf)
+            g1 = self.phi.log_gamma_eval(0.0)  # log gamma(1), where s is 1
+            object.__setattr__(self, "_log_gamma_1", g1)
+            start, top = max(1.0, 1.0 + g1), self.phi.log_gamma_eval(-math.inf)
             # the last x with x - 1 <= top: 1 + top, rounded down if it rounded up
             end = math.nextafter(1.0 + top, 0.0) if (1.0 + top) - 1.0 > top else 1.0 + top
         if self.kind == "samples":
@@ -130,7 +130,10 @@ class SequenceSpec(Record):
         return out
 
     def _check_x(self, x: float) -> float:
-        """x on the domain; an x less than 1e-12 below domain_start reads as it."""
+        """float(x) on the domain; an x less than 1e-12 below domain_start reads
+        as it, and text or a bool is a ValueError."""
+        if type(x) is not float:
+            x = float(_number(x, "x"))
         if not x >= self.domain_start - 1e-12:  # NaN too
             raise DomainError(f"sequence defined from {self.domain_start}, got {x!r}")
         if x > (end := self.domain_end):
@@ -138,7 +141,7 @@ class SequenceSpec(Record):
         return max(x, self.domain_start)
 
     def value(self, x: float) -> float:
-        x = self._check_x(float(x))
+        x = self._check_x(x)
         if self.kind == "reciprocal":
             return 1.0 / x
         if self.kind == "gamma_exp":
@@ -152,27 +155,29 @@ class SequenceSpec(Record):
                 return s1 if x == x1 else max(s, min(s0, s1))
 
     def log_value(self, x: float) -> float:
-        x = self._check_x(float(x))
+        x = self._check_x(x)
         if self.kind == "reciprocal":
             return -math.log(x)
         if self.kind == "gamma_exp":
             # s is 1 up to x = 1 + log gamma(1); x - 1 there can round a few
             # ulp past log gamma(1), the least target the inverse accepts
-            g1 = log_gamma(self.phi, 0.0)
+            g1 = self._log_gamma_1
             return log_gamma_inv(self.phi, g1 if x <= 1.0 + g1 else x - 1.0)
         return math.log(self.value(x))
 
     def inverse(self, t: float) -> float:
         """x with s(x) = t; monotone inversion.  DomainError when no x in the
         domain has s(x) = t: t outside (0, 1], above the first value, or below
-        the last (a sampled sequence, or a ladder whose ratio is bounded)."""
-        t = float(t)
+        the last (a sampled sequence, or a ladder whose ratio is bounded);
+        ValueError for text or a bool."""
+        if type(t) is not float:
+            t = float(_number(t, "t"))
         if not 0.0 < t <= 1.0:
             raise DomainError("sequence values live in (0,1]")
         if self.kind == "reciprocal":
             return 1.0 / t
         if self.kind == "gamma_exp":
-            x = 1.0 + log_gamma(self.phi, math.log(t))
+            x = 1.0 + self.phi.log_gamma_eval(math.log(t))
             if x < self.domain_start - 1e-9:
                 raise DomainError(f"{t!r} is above the sequence's first value")
             # a t below a bounded ladder's last value has no x
@@ -212,6 +217,9 @@ def sample_sequence(pairs) -> SequenceSpec:
 class PhiSValue(NamedTuple):
     value: float
     n: int
+
+
+_new_tuple = tuple.__new__  # PhiSValue's own __new__ is a Python-level call
 
 
 @lru_cache(maxsize=16)
@@ -254,6 +262,22 @@ def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max
     return n_start, tuple(rows), tuple(-ls for ls, _ in rows), tuple(head), cut
 
 
+# phi_s's last (phi, psi, seq, n_max, table), one tuple so that a reader sees one
+# snapshot: a call on the same three objects reuses the table without hashing
+# them as _term_table's key.  The n_max of None matches no call.
+_last_table = (None, None, None, None, None)
+
+
+def _clear_term_tables(clear=_term_table.cache_clear) -> None:
+    """_term_table.cache_clear, which forgets phi_s's last table too."""
+    global _last_table
+    _last_table = (None, None, None, None, None)
+    clear()
+
+
+_term_table.cache_clear = _clear_term_tables
+
+
 def phi_s(
     phi: ShapeFunction,
     psi: ShapeFunction,
@@ -268,19 +292,25 @@ def phi_s(
     before k and t * gamma(s_k) * psi(k), past which no term is smaller.
     A psi that refuses an index is an error only when k reaches that index.
     An n_max that is not an int, or is above 1,000,000, is refused before any
-    term is built.
+    term is built, and a t that is text or a bool is a ValueError.
     """
+    global _last_table
     if not isinstance(n_max, int) or isinstance(n_max, bool):
         raise DomainError(f"n_max must be an integer, not {n_max!r}")
     if n_max > _N_MAX_CAP:
         raise DomainError(f"n_max is capped at {_N_MAX_CAP} terms")
-    t = float(t)
+    if type(t) is not float:
+        t = float(_number(t, "t"))
     if t == 0.0:
         return PhiSValue(0.0, 0)
     if not 0.0 < t <= 1.0:
         raise DomainError("phi_s needs t in [0,1]")
     lt = math.log(t)
-    n_start, rows, neg_log_s, head, cut = _term_table(phi, psi, seq, n_max)
+    last_phi, last_psi, last_seq, last_n_max, table = _last_table
+    if not (last_phi is phi and last_psi is psi and last_seq is seq and last_n_max == n_max):
+        table = _term_table(phi, psi, seq, n_max)  # a table that raised is not kept
+        _last_table = (phi, psi, seq, n_max, table)
+    n_start, rows, neg_log_s, head, cut = table
     if n_max < n_start:
         raise DomainError(f"n_max {n_max} is below the sequence's first index {n_start}")
     k = bisect_right(neg_log_s, -lt)
@@ -289,13 +319,14 @@ def phi_s(
     if not rows:
         raise DomainError(f"the sequence has no value at an index from {n_start} to {n_max}")
     best, r = min(head[k], (lt + rows[k][1], k)) if k < len(rows) else head[k]
-    return PhiSValue(math.exp(best), n_start + r)
+    return _new_tuple(PhiSValue, (math.exp(best), n_start + r))
 
 
 def alpha_s(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, t: float) -> float:
     """phi(t) * psi(s_inverse(t)); for the gamma_exp sequence this equals tau
-    wherever phi(t)/t >= 1, bit for bit."""
-    t = float(t)
+    wherever phi(t)/t >= 1, bit for bit; text or a bool is a ValueError."""
+    if type(t) is not float:
+        t = float(_number(t, "t"))
     if t == 0.0:
         return 0.0
     if not 0.0 < t <= 1.0:

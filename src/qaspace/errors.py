@@ -96,6 +96,14 @@ def _show(value) -> str:
     return _cut(json.dumps(value, default=repr))
 
 
+def _number(x, name: str):
+    """x, once it is not text or a bool, which Fraction and float would read
+    as numbers; a ValueError names the argument name otherwise."""
+    if isinstance(x, (str, bytes, bytearray, bool)):
+        raise ValueError(f"{name}: expected a number, got {_show(x)}")
+    return x
+
+
 def spec_read(obj, key, read, *args):
     """read(obj[key], *args), naming key in the path of a SpecParseError it raises."""
     try:

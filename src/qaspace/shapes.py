@@ -41,6 +41,7 @@ from .errors import (
     IllegalSpec,
     NotInvertible,
     SpecParseError,
+    _number,
     spec_kind,
     spec_number,
     spec_pairs,
@@ -58,9 +59,9 @@ class ShapeFunction(Record):
     eval(t), log_eval(log_t) = log(self(e^log_t)) and log_gamma_eval(log_t) =
     log(self(t)/t) are bound to the member's constants when it is built, each
     behind the one domain guard (DomainError for NaN, a negative or infinite t,
-    and t > 1 or log t > 0 on a phi), and so is the private closed-form
-    inverse behind the module's `log_gamma_inv`, which alone checks the target
-    against hi and clamps to it.  log_gamma_eval is formed per family:
+    and t > 1 or log t > 0 on a phi; eval's ValueError for a t that is text or
+    a bool), and so is the private closed-form inverse behind the module's
+    `log_gamma_inv`, which alone checks the target against hi and clamps to it.  log_gamma_eval is formed per family:
     log_eval(log_t) - log_t cancels to zero once |log_t| dwarfs the ratio's log.
     The member's growth facts (G3) and (G4), stated below `_TABLE`, are bound
     beside them for `check_assumptions`: _ratio_exponent(p) = c(p), and
@@ -111,18 +112,21 @@ class ShapeFunction(Record):
 
 
 def _on_domain(formula, log_hi: float):
-    """eval from the formula for t > 0: 0 at 0, DomainError off [0, e^log_hi]."""
-    t_hi = math.exp(log_hi)
+    """eval from the formula for t > 0: 0 at 0, DomainError off [0, e^log_hi],
+    ValueError for text or a bool (_number).  A float in (0, t_end), t_end the
+    float after e^log_hi (inf for a psi), passes in one comparison."""
+    t_end = math.nextafter(math.exp(log_hi), math.inf)
 
     def eval_(t):
-        t = float(t)
-        if t < 0 or not math.isfinite(t):
-            raise DomainError(f"argument {t!r} outside domain")
-        if t > t_hi:
-            raise DomainError(f"phi-kind shapes live on [0,1], got {t!r}")
+        if type(t) is not float:
+            t = float(_number(t, "t"))
+        if 0.0 < t < t_end:
+            return formula(t)
         if t == 0.0:
             return 0.0
-        return formula(t)
+        if t < 0 or not math.isfinite(t):
+            raise DomainError(f"argument {t!r} outside domain")
+        raise DomainError(f"phi-kind shapes live on [0,1], got {t!r}")
 
     return eval_
 

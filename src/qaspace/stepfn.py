@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import lt, mul, ne, sub
 
-from .errors import SpecParseError, _show, spec_keys, spec_list, spec_number, spec_read
+from .errors import SpecParseError, _number, spec_keys, spec_list, spec_number, spec_read
 from .records import Record
 
 _ONE = Fraction(1)
@@ -109,14 +109,6 @@ class StepFunction(Record):
         except ValueError as exc:
             raise SpecParseError(str(exc)) from exc
         return _on_grid(grid, vals)
-
-
-def _number(x, name: str):
-    """x, once it is not text or a bool, which Fraction and float would read
-    as numbers; a ValueError names the argument name otherwise."""
-    if isinstance(x, (str, bytes, bytearray, bool)):
-        raise ValueError(f"{name}: expected a number, got {_show(x)}")
-    return x
 
 
 def _fraction(x, name: str, message: str) -> Fraction:

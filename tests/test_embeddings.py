@@ -14,6 +14,7 @@ from qaspace import (
     DomainError,
     NonPositiveValue,
     NotInvertible,
+    PhiSValue,
     SequenceSpec,
     SpecParseError,
     alpha_beta,
@@ -45,6 +46,8 @@ from qaspace.shapes import log_gamma, log_gamma_inv
 P = piecewise([(0, 0), (0.1, 0.5), (1, 1)])
 # (the phi priced, the phi whose ladder gives s_n): each ladder priced by another phi
 MISMATCHED = [(alpha_beta(0.5, 0.5), qa_phi()), (P, qa_phi()), (qa_phi(), P)]
+# what float() reads as a number but a profile refuses, each a ValueError naming it
+TEXT_AND_BOOLS = ["0.5", b"0.5", bytearray(b"0.5"), True, False]
 
 
 class TestTau:
@@ -96,6 +99,16 @@ class TestTau:
         with pytest.raises(DomainError, match="^argument nan outside domain$"):
             log_tau(qa_phi(), qa_psi(), math.nan)
 
+    @pytest.mark.parametrize("t", TEXT_AND_BOOLS, ids=repr)
+    def test_refuses_text_and_bools(self, t):
+        with pytest.raises(ValueError, match="^t: expected a number, got "):
+            tau(qa_phi(), qa_psi(), t)
+
+    @pytest.mark.parametrize("log_t", ["-0.5", b"-0.5", True, False], ids=repr)
+    def test_log_form_refuses_text_and_bools(self, log_t):
+        with pytest.raises(ValueError, match="^log_t: expected a number, got "):
+            log_tau(qa_phi(), qa_psi(), log_t)
+
     @pytest.mark.parametrize("log_t", [1e-9, 1.0, math.inf])
     def test_log_form_refuses_t_above_one(self, log_t):
         with pytest.raises(DomainError, match=r"^tau needs log_t <= 0$"):
@@ -111,6 +124,20 @@ class TestTau:
 
 
 class TestSequences:
+    @pytest.mark.parametrize("seq", [reciprocal(), gamma_exp(qa_phi()),
+                                     sample_sequence([(1, 0.9), (2.5, 0.5)])],
+                             ids=["reciprocal", "gamma_exp", "samples"])
+    @pytest.mark.parametrize("bad", TEXT_AND_BOOLS, ids=repr)
+    def test_value_and_inverse_refuse_text_and_bools(self, seq, bad):
+        for method, name in ((seq.value, "x"), (seq.log_value, "x"), (seq.inverse, "t")):
+            with pytest.raises(ValueError, match=f"^{name}: expected a number, got "):
+                method(bad)
+
+    def test_value_and_inverse_read_ints_as_floats(self):
+        seq = gamma_exp(qa_phi())
+        assert seq.value(2) == seq.value(2.0) and seq.log_value(2) == seq.log_value(2.0)
+        assert seq.inverse(1) == seq.inverse(1.0)
+
     @pytest.mark.parametrize("spec", [
         {"kind": "reciprocal"},
         {"kind": "gamma_exp", "phi": {"family": "alpha_beta", "alpha": 0.5, "beta": 0.7}},
@@ -564,6 +591,45 @@ class TestPhiS:
         with pytest.raises(DomainError, match="rises at index 2"):
             phi_s(qa_phi(), qa_psi(), seq, 0.01, n_max=3)
 
+    @pytest.mark.parametrize("t", TEXT_AND_BOOLS, ids=repr)
+    def test_refuses_text_and_bools(self, t):
+        with pytest.raises(ValueError, match="^t: expected a number, got "):
+            phi_s(qa_phi(), qa_psi(), gamma_exp(qa_phi()), t)
+
+    @pytest.mark.parametrize("family, a, b, g", [("qa_phi", 1.0, 1.0, 1.0),
+                                                ("alpha_beta", 0.5, 0.7, 0.4),
+                                                ("alpha_beta", 1.0, 0.6, 0.8)])
+    def test_equal_objects_give_the_answers_of_the_same_objects(self, family, a, b, g):
+        # the last table is reused only for the same objects; equal ones,
+        # alternating so that each call replaces it, must answer bit for bit alike
+        def key():
+            phi = qa_phi() if family == "qa_phi" else alpha_beta(a, b)
+            return phi, psi_gamma(g), gamma_exp(phi)
+
+        same, keys = key(), [key(), key()]
+        for i, t in enumerate(log_grid(1e-300, 1.0, 60)):
+            want = phi_s(*same, t, n_max=500)
+            got = phi_s(*keys[i % 2], t, n_max=500)
+            assert type(got) is PhiSValue and (got.value.hex(), got.n) == (want.value.hex(), want.n)
+
+    def test_a_cleared_cache_leaves_no_table_to_reuse(self):
+        phi, psi = alpha_beta(0.6, 0.3), psi_gamma(0.7)
+        seq = gamma_exp(phi)
+        phi_s(phi, psi, seq, 0.1, n_max=400)
+        phi_s(phi, psi, seq, 0.2, n_max=400)
+        _term_table.cache_clear()
+        misses = _term_table.cache_info().misses
+        phi_s(phi, psi, seq, 0.1, n_max=400)
+        assert _term_table.cache_info().misses == misses + 1
+
+    def test_a_table_that_raised_is_not_kept(self):
+        seq = sample_sequence([(1.0, 0.5), (2.0, 0.6), (3.0, 0.1)])
+        for _ in range(2):
+            misses = _term_table.cache_info().misses
+            with pytest.raises(DomainError, match="rises at index 2"):
+                phi_s(qa_phi(), qa_psi(), seq, 0.01, n_max=3)
+            assert _term_table.cache_info().misses == misses + 1
+
     def test_psi_sampled_short_is_refused_only_past_its_end(self):
         # psi ends at 10 and s_n = 1/n: t = 0.5 reads the terms up to k = 3,
         # t = 0.01 needs the one at n = 101, which psi cannot price
@@ -591,6 +657,11 @@ class TestAlphaS:
         # psi is not priced at an x past the ladder's end
         with pytest.raises(DomainError, match="gamma_exp sequence ends at"):
             alpha_s(P, qa_psi(), gamma_exp(P), t)
+
+    @pytest.mark.parametrize("t", TEXT_AND_BOOLS, ids=repr)
+    def test_refuses_text_and_bools(self, t):
+        with pytest.raises(ValueError, match="^t: expected a number, got "):
+            alpha_s(qa_phi(), qa_psi(), gamma_exp(qa_phi()), t)
 
     def test_edges(self):
         assert alpha_s(qa_phi(), qa_psi(), reciprocal(), 0.0) == 0.0

@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 import re
+import struct
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -92,6 +93,45 @@ class TestEval:
 
     def test_callable(self):
         assert qa_phi()(0.5) == qa_phi().eval(0.5)
+
+    @pytest.mark.parametrize("t", ["0.5", b"0.5", bytearray(b"0.5"), True, False], ids=repr)
+    def test_refuses_text_and_bools(self, t):
+        for shape in (qa_phi(), qa_psi()):
+            with pytest.raises(ValueError, match="^t: expected a number, got "):
+                shape.eval(t)
+            with pytest.raises(ValueError, match="^t: expected a number, got "):
+                shape(t)
+
+
+def _four_check_eval(formula, log_hi, t):
+    """eval as the guard was before its one-comparison fast path, the reference."""
+    t_hi = math.exp(log_hi)
+    t = float(t)
+    if t < 0 or not math.isfinite(t):
+        raise DomainError(f"argument {t!r} outside domain")
+    if t > t_hi:
+        raise DomainError(f"phi-kind shapes live on [0,1], got {t!r}")
+    if t == 0.0:
+        return 0.0
+    return formula(t)
+
+
+def _bits(f, t):
+    """f(t) as its value's bits, or the type and message of what it raised."""
+    try:
+        return struct.pack("<d", f(t))
+    except Exception as exc:  # both sides' records are compared whole
+        return type(exc).__name__, str(exc)
+
+
+class TestGuard:
+    @pytest.mark.parametrize("shape, log_hi", [(alpha_beta(0.5, 0.7), 0.0),
+                                               (psi_gamma(0.4), math.inf)], ids=["phi", "psi"])
+    @pytest.mark.parametrize("t", [0.0, -0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), 1e308,
+                                   math.inf, -math.inf, math.nan, -1.0, 0, 1, 3], ids=repr)
+    def test_the_fast_path_answers_as_the_four_checks(self, shape, log_hi, t):
+        formula = shapes_module._TABLE[shape.family].build(shape)[0]
+        assert _bits(shape.eval, t) == _bits(lambda t: _four_check_eval(formula, log_hi, t), t)
 
 
 class TestValidation:
