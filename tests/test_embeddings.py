@@ -600,17 +600,17 @@ class TestPhiS:
                                                 ("alpha_beta", 0.5, 0.7, 0.4),
                                                 ("alpha_beta", 1.0, 0.6, 0.8)])
     def test_equal_objects_give_the_answers_of_the_same_objects(self, family, a, b, g):
-        # the last table is reused only for the same objects; equal ones,
-        # alternating so that each call replaces it, must answer bit for bit alike
+        # the same objects reuse the last table from the second call on; two
+        # equal copies, alternating, replace it on every call and so read the cache
         def key():
             phi = qa_phi() if family == "qa_phi" else alpha_beta(a, b)
             return phi, psi_gamma(g), gamma_exp(phi)
 
-        same, keys = key(), [key(), key()]
-        for i, t in enumerate(log_grid(1e-300, 1.0, 60)):
-            want = phi_s(*same, t, n_max=500)
-            got = phi_s(*keys[i % 2], t, n_max=500)
-            assert type(got) is PhiSValue and (got.value.hex(), got.n) == (want.value.hex(), want.n)
+        grid, same, copies = log_grid(1e-300, 1.0, 60), key(), (key(), key())
+        want = [phi_s(*same, t, n_max=500) for t in grid]
+        got = [phi_s(*copies[i % 2], t, n_max=500) for i, t in enumerate(grid)]
+        assert all(type(v) is PhiSValue for v in want + got)
+        assert [(v.value.hex(), v.n) for v in got] == [(v.value.hex(), v.n) for v in want]
 
     def test_a_cleared_cache_leaves_no_table_to_reuse(self):
         phi, psi = alpha_beta(0.6, 0.3), psi_gamma(0.7)
