@@ -61,8 +61,9 @@ class ShapeFunction(Record):
     behind the one domain guard (DomainError for NaN, a negative or infinite t,
     and t > 1 or log t > 0 on a phi; eval's ValueError for a t that is text or
     a bool), and so is the private closed-form inverse behind the module's
-    `log_gamma_inv`, which alone checks the target against hi and clamps to it.  log_gamma_eval is formed per family:
-    log_eval(log_t) - log_t cancels to zero once |log_t| dwarfs the ratio's log.
+    `log_gamma_inv`, which alone checks the target against hi and clamps to it.
+    log_gamma_eval is formed per family: log_eval(log_t) - log_t cancels to
+    zero once |log_t| dwarfs the ratio's log.
     The member's growth facts (G3) and (G4), stated below `_TABLE`, are bound
     beside them for `check_assumptions`: _ratio_exponent(p) = c(p), and
     _square_constant = K, None where psi(n^2) leaves the domain.

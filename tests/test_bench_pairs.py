@@ -1,6 +1,7 @@
 """The verdict rule of tools/bench_pairs.py, on pairs made up here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -54,8 +55,30 @@ def test_a_lower_is_better_metric_wins_when_it_falls():
     assert rows["op_ref_p50"]["head_wins"] == 10 and rows["op_ref_p50"]["head_losses"] == 0
 
 
-def test_without_aa_pairs_there_is_no_verdict():
-    row = bench_pairs.summary(pairs(BASE, BASE), BETTER, [])["ops_per_kref"]
-    assert "aa_spread" not in row and row["verdict"] is None
-    line = bench_pairs.verdict_line("profiles", "ops_per_kref", row, len(BASE))
-    assert line.endswith("no A/A pairs: -")
+def test_a_median_of_zero_is_within_noise():
+    zero = [side(0.0, 1.0) for _ in BASE]
+    row = bench_pairs.summary(pairs(zero, BASE), BETTER, pairs(zero, zero, ("base", "copy")))
+    row = row["ops_per_kref"]
+    assert row["change"] is None and row["aa_spread"] == 0.0
+    assert row["verdict"] == "within noise" and row["head_wins"] == 10
+
+
+def test_every_pair_is_followed_by_its_aa_pair(monkeypatch, tmp_path):
+    spec = {"run_seconds": 15, "end_to_end": [{"name": n, "better": b} for n, b in BETTER.items()]}
+    calls = []
+
+    def run(copy, workload, seed, seconds):
+        calls.append((copy.name, seed))
+        return side(100.0, 1.0)
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: json.dumps(spec).encode())
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: rev)
+    monkeypatch.setattr(bench_pairs, "run", run)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["B", "H", "--workload", "profiles", "--seeds", "1", "2",
+                             "--out", str(out)]) == 0
+    assert calls == [("base", 1), ("head", 1), ("base", 1), ("copy", 1),
+                     ("head", 2), ("base", 2), ("copy", 2), ("base", 2)]
+    record = json.loads(out.read_text())["workloads"]["profiles"]
+    assert [p["first"] for p in record["aa_pairs"]] == ["base", "copy"]
+    assert record["medians"]["ops_per_kref"]["verdict"] == "within noise"

@@ -1,7 +1,7 @@
 """Run benchmark A/B pairs between two revisions and write them to one JSON file.
 
     python3 tools/bench_pairs.py BASE HEAD --workload cli --seeds 2801 2802 \\
-        --workload bounds-small --seeds 2811 2812 --out BENCH_28.json [--aa]
+        --workload bounds-small --seeds 2811 2812 --out BENCH_28.json
 
 Each revision is exported with `git archive` into its own temporary
 directory, so the pairs never run the working tree.  For each workload and
@@ -15,18 +15,19 @@ many pairs the head won and lost on each end-to-end metric, the base's
 interquartile range, and the host and Python version.  Standard library only;
 run it from inside the repository.
 
-With --aa each pair is followed by an A/A pair with the same seed: the base
-against a second export of itself (the "copy"), the side that goes first
-alternating as in the pairs, so both kinds share the host's state.  A
-metric's A/A spread is the largest |copy / base - 1| over its A/A pairs, and
-each end-to-end metric gets one verdict by one rule:
+Each pair is followed by an A/A pair with the same seed: the base against a
+second export of itself (the "copy"), the side that goes first alternating
+as in the pairs, so both kinds share the host's state.  A metric's A/A
+spread is the largest |copy / base - 1| over its A/A pairs (a base run that
+reads 0 has no relative difference and is left out), and each end-to-end
+metric gets one verdict by one rule:
 
     win           the head's median is better than the base's by more than
                   the A/A spread, and the head is better in at least 90% of
                   the pairs;
     loss          it is worse by more than the A/A spread, and the head is
                   worse in at least 90% of the pairs;
-    within noise  otherwise.
+    within noise  otherwise, and always where the base's median is 0.
 
 The verdicts are printed beside the medians, one line per metric, and kept
 in the file.  They are read beside BENCHMARK.json's bounds, never in place
@@ -82,12 +83,9 @@ def values(pairs: list, side: str, name: str) -> list:
     return [p[side][name] if name == "attempted" else p[side]["metrics"][name] for p in pairs]
 
 
-def verdict(row: dict, better: str, pairs: int) -> str | None:
-    """The module docstring's rule on an end-to-end metric's row; None
-    without an A/A spread or a change."""
-    spread, change = row.get("aa_spread"), row["change"]
-    if spread is None or change is None:
-        return None
+def verdict(row: dict, better: str, pairs: int) -> str:
+    """The module docstring's rule on an end-to-end metric's row."""
+    spread, change = row["aa_spread"], row["change"] or 0.0
     gain = change if better == "higher" else -change
     need = VERDICT_SHARE * pairs
     if gain > spread and row["head_wins"] >= need:
@@ -109,9 +107,8 @@ def summary(pairs: list, better: dict, aa_pairs: list) -> dict:
         if len(base) > 1:
             q1, _, q3 = statistics.quantiles(base, n=4)
             row["base_iqr"] = q3 - q1
-        if aa_pairs and all(aa_base := values(aa_pairs, "base", name)):
-            row["aa_spread"] = max(abs(c / b - 1.0)
-                                   for b, c in zip(aa_base, values(aa_pairs, "copy", name)))
+        row["aa_spread"] = max((abs(c / b - 1.0) for b, c in zip(
+            values(aa_pairs, "base", name), values(aa_pairs, "copy", name)) if b), default=0.0)
         if name in better:
             sign = 1.0 if better[name] == "higher" else -1.0
             row["head_wins"] = sum(sign * (h - b) > 0 for b, h in zip(base, head))
@@ -124,11 +121,9 @@ def summary(pairs: list, better: dict, aa_pairs: list) -> dict:
 def verdict_line(workload: str, name: str, row: dict, pairs: int) -> str:
     """One metric's medians, pairs, A/A spread and verdict, as printed."""
     change = "" if row["change"] is None else f" ({row['change']:+.1%})"
-    spread = row.get("aa_spread")
-    spread = "no A/A pairs" if spread is None else f"A/A spread {spread:.1%}"
     return (f"{workload} {name}: {row['base']:.4g} -> {row['head']:.4g}{change}; "
             f"head better in {row['head_wins']} of {pairs}, worse in {row['head_losses']}; "
-            f"{spread}: {row['verdict'] or '-'}")
+            f"A/A spread {row['aa_spread']:.1%}: {row['verdict']}")
 
 
 def run_pair(copies: dict, sides: tuple, i: int, workload: str, seed: int, seconds: int) -> dict:
@@ -163,8 +158,6 @@ def main(argv=None) -> int:
                         help="a workload of bench/run.py; repeat, each with its --seeds")
     parser.add_argument("--seeds", action="append", type=int, nargs="+", required=True)
     parser.add_argument("--out", required=True, help="the JSON file to write")
-    parser.add_argument("--aa", action="store_true",
-                        help="follow each pair with an A/A pair of the base against itself")
     args = parser.parse_args(argv)
     if len(args.seeds) != len(args.workload):
         parser.error("give one --seeds list after each --workload")
@@ -178,18 +171,15 @@ def main(argv=None) -> int:
         copies = {side: Path(tmp, side) for side in ("base", "head", "copy")}
         for side, rev in (("base", args.base), ("head", args.head)):
             record[side] = {"rev": rev, "commit": export(rev, copies[side])}
-        if args.aa:
-            export(args.base, copies["copy"])
+        export(args.base, copies["copy"])
         for workload, seeds in zip(args.workload, args.seeds):
             pairs, aa_pairs = [], []
             for i, seed in enumerate(seeds):
                 pairs.append(run_pair(copies, ("base", "head"), i, workload, seed, seconds))
-                if args.aa:
-                    aa_pairs.append(run_pair(copies, ("base", "copy"), i, workload, seed, seconds))
+                aa_pairs.append(run_pair(copies, ("base", "copy"), i, workload, seed, seconds))
             medians = summary(pairs, better, aa_pairs)
-            record["workloads"][workload] = {"pairs": pairs, "medians": medians}
-            if args.aa:
-                record["workloads"][workload]["aa_pairs"] = aa_pairs
+            record["workloads"][workload] = {"pairs": pairs, "aa_pairs": aa_pairs,
+                                             "medians": medians}
             lines += [verdict_line(workload, name, medians[name], len(pairs))
                       for name in medians if name in better]
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
