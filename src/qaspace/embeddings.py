@@ -200,6 +200,8 @@ _SEQUENCE_KEYS = {"reciprocal": ((), ()), "gamma_exp": ((), ("phi",)), "samples"
 _N_MAX_CAP = 1_000_000
 # phi_s's n_max when none is given; the CLI echoes it
 _N_MAX_DEFAULT = 10_000
+# the log of the least positive float: a term table ends at the first s_n below it
+_LOG_TINY = math.log(5e-324)
 
 
 def reciprocal() -> SequenceSpec:
@@ -257,7 +259,7 @@ def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max
             break
         head.append(min(head[-1], (ls + base, len(rows))))
         rows.append((ls, base))
-        if ls < math.log(5e-324):
+        if ls < _LOG_TINY:
             break
     return n_start, tuple(rows), tuple(-ls for ls, _ in rows), tuple(head), cut
 
@@ -295,10 +297,15 @@ def phi_s(
     term is built, and a t that is text or a bool is a ValueError.
     """
     global _last_table
-    if not isinstance(n_max, int) or isinstance(n_max, bool):
-        raise DomainError(f"n_max must be an integer, not {n_max!r}")
-    if n_max > _N_MAX_CAP:
-        raise DomainError(f"n_max is capped at {_N_MAX_CAP} terms")
+    last_phi, last_psi, last_seq, last_n_max, table = _last_table
+    # the last table's n_max passed the checks below: an int equal to it needs none
+    if not (last_phi is phi and last_psi is psi and last_seq is seq
+            and type(n_max) is int and n_max == last_n_max):
+        if not isinstance(n_max, int) or isinstance(n_max, bool):
+            raise DomainError(f"n_max must be an integer, not {n_max!r}")
+        if n_max > _N_MAX_CAP:
+            raise DomainError(f"n_max is capped at {_N_MAX_CAP} terms")
+        table = None
     if type(t) is not float:
         t = float(_number(t, "t"))
     if t == 0.0:
@@ -306,8 +313,7 @@ def phi_s(
     if not 0.0 < t <= 1.0:
         raise DomainError("phi_s needs t in [0,1]")
     lt = math.log(t)
-    last_phi, last_psi, last_seq, last_n_max, table = _last_table
-    if not (last_phi is phi and last_psi is psi and last_seq is seq and last_n_max == n_max):
+    if table is None:
         table = _term_table(phi, psi, seq, n_max)  # a table that raised is not kept
         _last_table = (phi, psi, seq, n_max, table)
     n_start, rows, neg_log_s, head, cut = table
@@ -318,7 +324,9 @@ def phi_s(
         raise cut.with_traceback(None)
     if not rows:
         raise DomainError(f"the sequence has no value at an index from {n_start} to {n_max}")
-    best, r = min(head[k], (lt + rows[k][1], k)) if k < len(rows) else head[k]
+    best, r = head[k]  # head's row is below k, so on a tie it stays, as min's would
+    if k < len(rows) and (term := lt + rows[k][1]) < best:
+        best, r = term, k
     return _new_tuple(PhiSValue, (math.exp(best), n_start + r))
 
 
@@ -448,16 +456,19 @@ def _check_points(points: int) -> None:
         raise DomainError(f"a grid is capped at {_N_MAX_CAP} points, got {points}")
 
 
-def log_grid(t_min: float, t_max: float, points: int) -> list:
+@lru_cache(maxsize=1, typed=True)
+def log_grid(t_min: float, t_max: float, points: int) -> tuple:
     """points log-spaced from t_min to t_max, both ends exact; ValueError
     unless they strictly increase (a range a few ulps wide repeats points, and
     an interior point that rounds past the float range is inf), and
-    DomainError past _check_points' cap."""
+    DomainError past _check_points' cap.  The last grid is kept, keyed by each
+    argument's value and type, so points=200.0 does not read 200's grid; a
+    grid that raised is not kept."""
     _check_points(points)
     if 0.0 < t_min < t_max and points >= 2:
         lo, hi = math.log(t_min), math.log(t_max)
         interior = [exp_or_inf(lo + (hi - lo) * i / (points - 1)) for i in range(1, points - 1)]
-        grid = [t_min, *interior, t_max]
+        grid = (t_min, *interior, t_max)
         if all(a < b for a, b in pairwise(grid)):
             return grid
     raise ValueError("need 0 < t_min < t_max and at least two points that strictly increase, "
@@ -478,12 +489,12 @@ def equivalence(
     ratios = []
     for t in grid:
         va, vb = fn_a(t), fn_b(t)
-        if not (math.isfinite(va) and math.isfinite(vb)) or va <= 0.0 or vb <= 0.0:
+        if not (0.0 < va < math.inf and 0.0 < vb < math.inf):  # NaN fails both too
             raise NonPositiveValue(f"need positive finite samples, got {va!r}/{vb!r} at t={t!r}")
         ratios.append(va / vb)
     rmin, rmax = min(ratios), max(ratios)
     verdict = None if threshold is None else _spread(rmin, rmax) <= threshold
-    return EquivalenceReport(rmin, rmax, tuple(grid), verdict)
+    return EquivalenceReport(rmin, rmax, grid, verdict)
 
 
 def omega_n(phi_x: ShapeFunction, phi: ShapeFunction, witness) -> float:
@@ -508,7 +519,8 @@ def iterated_log_profile(alpha: float, beta: float, exponent: float) -> Callable
     alpha = 1 (and beta != 0) it uses the triple log.  Matches the deep-t
     behaviour of tau for the stock families.  Where the product leaves the
     float range it is formed from its log: a value past the range is inf,
-    also where two of the log's terms overflow with opposite signs.
+    also where two of the log's terms overflow with opposite signs.  The
+    profile refuses a t that is text or a bool with a ValueError.
     """
     alpha, beta, exponent = float(alpha), float(beta), float(exponent)
     if not 0.0 < alpha <= 1.0:
@@ -519,7 +531,8 @@ def iterated_log_profile(alpha: float, beta: float, exponent: float) -> Callable
         raise ValueError("alpha=1, beta=0 has no iterated-log profile")
 
     def profile(t: float) -> float:
-        t = float(t)
+        if type(t) is not float:
+            t = float(_number(t, "t"))
         if not 0.0 <= t <= 1.0:
             raise DomainError("profile defined on [0,1]")
         if t == 0.0:

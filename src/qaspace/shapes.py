@@ -59,8 +59,8 @@ class ShapeFunction(Record):
     eval(t), log_eval(log_t) = log(self(e^log_t)) and log_gamma_eval(log_t) =
     log(self(t)/t) are bound to the member's constants when it is built, each
     behind the one domain guard (DomainError for NaN, a negative or infinite t,
-    and t > 1 or log t > 0 on a phi; eval's ValueError for a t that is text or
-    a bool), and so is the private closed-form inverse behind the module's
+    and t > 1 or log t > 0 on a phi; a ValueError for a t or log t that is text
+    or a bool), and so is the private closed-form inverse behind the module's
     `log_gamma_inv`, which alone checks the target against hi and clamps to it.
     log_gamma_eval is formed per family: log_eval(log_t) - log_t cancels to
     zero once |log_t| dwarfs the ratio's log.
@@ -133,8 +133,11 @@ def _on_domain(formula, log_hi: float):
 
 
 def _log_domain(formula, log_hi: float):
-    """The formula of log t, refusing NaN and log t > log_hi."""
+    """The formula of log t, refusing NaN and log t > log_hi, and text or a
+    bool with _number's ValueError (a float pays one comparison for it)."""
     def checked(log_t):
+        if type(log_t) is not float:
+            _number(log_t, "log_t")
         if log_t <= log_hi:
             return formula(log_t)
         raise DomainError("phi-kind shapes live on [0,1]" if log_t > log_hi
@@ -479,8 +482,10 @@ def piecewise(points, kind: str = "phi") -> ShapeFunction:
 
 
 def gamma(shape: ShapeFunction, t: float) -> float:
-    """shape(t)/t, the per-measure cost of an indicator of measure t."""
-    t = float(t)
+    """shape(t)/t, the per-measure cost of an indicator of measure t; text or
+    a bool is a ValueError."""
+    if type(t) is not float:
+        t = float(_number(t, "t"))
     if not 0 < t <= 1:
         raise DomainError("gamma needs t in (0, 1]")
     return shape.eval(t) / t
@@ -521,8 +526,9 @@ def log_gamma_inv(shape: ShapeFunction, target: float, log_hi: float = 0.0) -> f
 
 
 def gamma_inv(shape: ShapeFunction, y: float) -> float:
-    """Inverse of t -> shape(t)/t on (0, 1]."""
-    y = float(y)
+    """Inverse of t -> shape(t)/t on (0, 1]; text or a bool is a ValueError."""
+    if type(y) is not float:
+        y = float(_number(y, "y"))
     if y <= 0 or not math.isfinite(y):
         raise DomainError("gamma_inv needs a finite positive target")
     return math.exp(log_gamma_inv(shape, math.log(y)))

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -505,6 +507,51 @@ class TestPhiS:
         with pytest.raises(DomainError, match="^n_max must be an integer, not "):
             phi_s(qa_phi(), qa_psi(), reciprocal(), 0.5, n_max=n_max)
 
+    # the last table's n_max is not checked again: an == equal n_max of another
+    # type, or one past the cap, must not pass for it
+    @pytest.mark.parametrize("good, bad, message", [
+        (1, True, "n_max must be an integer, not True"),
+        (1000, 1000.0, "n_max must be an integer, not 1000.0"),
+        (1000, 1_000_001, "n_max is capped at 1000000 terms"),
+        (1_000_000, 1_000_001, "n_max is capped at 1000000 terms"),
+    ], ids=repr)
+    def test_a_bad_n_max_is_refused_right_after_a_good_one(self, good, bad, message):
+        phi, psi = qa_phi(), qa_psi()
+        seq = gamma_exp(phi)  # eight rows, whatever n_max
+        want = phi_s(qa_phi(), psi, seq, 0.5, n_max=8)
+        for t in (0.5, 0.0, "0.5"):
+            assert phi_s(phi, psi, seq, 0.5, n_max=good) == want
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                phi_s(phi, psi, seq, t, n_max=bad)
+
+    @pytest.mark.parametrize("family, a, b, g", [("qa_phi", 1.0, 1.0, 1.0),
+                                                ("alpha_beta", 0.5, 0.7, 0.4),
+                                                ("alpha_beta", 1.0, 0.6, 0.8)])
+    @pytest.mark.parametrize("kind", ["gamma_exp", "reciprocal", "samples"])
+    def test_the_term_is_picked_as_the_min_of_tuples(self, family, a, b, g, kind):
+        # the table's least term before k against the term at k, as
+        # min((value, row), (value, row)) picked it: the earlier row on a tie
+        phi = qa_phi() if family == "qa_phi" else alpha_beta(a, b)
+        psi = psi_gamma(g)
+        seq = {"gamma_exp": gamma_exp(phi), "reciprocal": reciprocal(),
+               "samples": sample_sequence([(1.0, 1.0), (2.0, 0.5), (3.0, 0.5), (6.0, 1e-9),
+                                           (40.0, 1e-250)])}[kind]
+        n_start, rows, neg_log_s, head, _ = _term_table(phi, psi, seq, 1000)
+        for t in [*log_grid(1e-300, 1.0, 200), 0.5, 1e-9, 1e-250]:
+            lt = math.log(t)
+            k = bisect_right(neg_log_s, -lt)
+            best, r = min(head[k], (lt + rows[k][1], k)) if k < len(rows) else head[k]
+            got = phi_s(phi, psi, seq, t, n_max=1000)
+            assert (got.value.hex(), got.n) == (math.exp(best).hex(), n_start + r)
+
+    @pytest.mark.parametrize("seq, t, n", [
+        (reciprocal(), 0.25, 4), (reciprocal(), 0.5, 2),
+        (sample_sequence([(1.0, 1.0), (2.0, 0.5), (3.0, 0.5), (6.0, 0.25)]), 0.5, 2),
+    ], ids=["1/4", "1/2", "flat samples"])
+    def test_a_tie_goes_to_the_earlier_index(self, seq, t, n):
+        # every term is max{s_n, t}: the term at k, t, ties the least before it, s_(k-1) = t
+        assert phi_s(identity(), psi_gamma(0.0), seq, t, n_max=100) == (t, n)
+
     def test_n_max_below_the_first_index(self):
         with pytest.raises(DomainError, match="n_max -5"):
             phi_s(qa_phi(), qa_psi(), reciprocal(), 0.5, n_max=-5)
@@ -792,6 +839,48 @@ class TestEquivalence:
         with pytest.raises(NonPositiveValue):
             equivalence(lambda t: 0.0, math.sqrt, 1e-6, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0], ids=repr)
+    def test_each_sample_that_is_not_positive_and_finite_is_refused(self, bad):
+        with pytest.raises(NonPositiveValue) as info:
+            equivalence(lambda t: bad, lambda t: 0.5, 0.25, 1.0, points=3)
+        assert str(info.value) == f"need positive finite samples, got {bad!r}/0.5 at t=0.25"
+        with pytest.raises(NonPositiveValue) as info:
+            equivalence(lambda t: 0.5, lambda t: bad, 0.25, 1.0, points=3)
+        assert str(info.value) == f"need positive finite samples, got 0.5/{bad!r} at t=0.25"
+
+    def test_equal_arguments_give_equal_grids(self):
+        first = log_grid(1e-9, 1.0, 30)
+        assert list(log_grid(1e-9, 1.0, 30)) == list(first)
+        assert list(log_grid(1e-9, 0.5, 30)) != list(first)
+        assert list(log_grid(1e-9, 1.0, 30)) == list(first)
+
+    def test_points_of_another_type_are_refused(self):
+        log_grid(1e-9, 1.0, 200)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            log_grid(1e-9, 1.0, 200.0)
+        with pytest.raises(ValueError, match="points=True"):
+            log_grid(1e-9, 1.0, True)
+        log_grid(1e-9, 1.0, 2)
+        with pytest.raises(ValueError, match="points=True"):
+            log_grid(1e-9, 1.0, True)
+
+    def test_a_grid_that_raised_is_not_kept(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="points=5"):
+                log_grid(0.5, 0.5000000000000001, 5)
+            assert len(log_grid(1e-9, 1.0, 5)) == 5
+
+    def test_a_caller_cannot_change_a_later_grid(self):
+        grid = log_grid(1e-9, 1.0, 5)
+        want = [x.hex() for x in grid]
+        with contextlib.suppress(TypeError, AttributeError):
+            grid[0] = 0.5
+        with contextlib.suppress(TypeError, AttributeError):
+            grid.append(2.0)
+        assert [x.hex() for x in log_grid(1e-9, 1.0, 5)] == want
+        rep = equivalence(math.sqrt, math.sqrt, 1e-9, 1.0, points=5)
+        assert [x.hex() for x in rep.grid] == want
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             equivalence(math.sqrt, math.sqrt, 0.5, 0.1)
@@ -858,6 +947,12 @@ class TestIteratedLogProfile:
         assert prof(0.0) == 0.0
         with pytest.raises(DomainError):
             prof(2.0)
+
+    # float(t) read text and bools: profile("0.5") answered 0.9258341663288155
+    @pytest.mark.parametrize("t", TEXT_AND_BOOLS, ids=repr)
+    def test_the_profile_refuses_text_and_bools(self, t):
+        with pytest.raises(ValueError, match="^t: expected a number, got "):
+            iterated_log_profile(1.0, 0.5, 1.0)(t)
 
     # a NaN beta or exponent was taken, and the profile answered nan
     @pytest.mark.parametrize("alpha, beta, exponent", [

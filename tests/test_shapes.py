@@ -103,6 +103,49 @@ class TestEval:
                 shape(t)
 
 
+TEXT_AND_BOOLS = ["0.5", b"0.5", bytearray(b"0.5"), "-1", True, False]
+
+
+# each read text or a bool as a number, or raised a bare TypeError for text
+# (gamma(qa_phi(), "0.5") answered 1.6931471805599454, log_eval("-1") compared a
+# str with a float); each now refuses it, naming the argument
+class TestTextAndBools:
+    @pytest.mark.parametrize("t", TEXT_AND_BOOLS, ids=repr)
+    def test_gamma(self, t):
+        with pytest.raises(ValueError, match="^t: expected a number, got "):
+            gamma(qa_phi(), t)
+
+    @pytest.mark.parametrize("y", TEXT_AND_BOOLS, ids=repr)
+    def test_gamma_inv(self, y):
+        with pytest.raises(ValueError, match="^y: expected a number, got "):
+            gamma_inv(qa_phi(), y)
+
+    @pytest.mark.parametrize("log_t", TEXT_AND_BOOLS, ids=repr)
+    def test_log_eval(self, log_t):
+        for shape in (qa_phi(), qa_psi()):
+            with pytest.raises(ValueError, match="^log_t: expected a number, got "):
+                shape.log_eval(log_t)
+
+    @pytest.mark.parametrize("log_t", TEXT_AND_BOOLS, ids=repr)
+    def test_log_gamma_eval(self, log_t):
+        for shape in (qa_phi(), qa_psi()):
+            with pytest.raises(ValueError, match="^log_t: expected a number, got "):
+                shape.log_gamma_eval(log_t)
+
+    @pytest.mark.parametrize("log_t", TEXT_AND_BOOLS, ids=repr)
+    def test_log_gamma(self, log_t):
+        with pytest.raises(ValueError, match="^log_t: expected a number, got "):
+            log_gamma(qa_phi(), log_t)
+
+    def test_numbers_are_still_read(self):
+        phi = qa_phi()
+        assert gamma(phi, 1) == gamma(phi, 1.0) == 1.0
+        assert gamma(phi, Fraction(1, 2)) == gamma(phi, 0.5)
+        assert gamma_inv(phi, 2) == gamma_inv(phi, 2.0)
+        assert phi.log_eval(-1) == phi.log_eval(-1.0)
+        assert phi.log_gamma_eval(-1) == log_gamma(phi, -1.0)
+
+
 def _four_check_eval(formula, log_hi, t):
     """eval as the guard was before its one-comparison fast path, the reference."""
     t_hi = math.exp(log_hi)
