@@ -224,7 +224,8 @@ class PhiSValue(NamedTuple):
 _new_tuple = tuple.__new__  # PhiSValue's own __new__ is a Python-level call
 
 
-@lru_cache(maxsize=16)
+# two tables, each up to ~260 MB: an equivalence of two phi_s expressions alternates two keys
+@lru_cache(maxsize=2)
 def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max: int):
     """phi_s's columns for n from n_start up to n_max: rows of (log s_n, base_n),
     base_n = log(gamma(s_n) * psi(n)); -log s_n, for bisect; and head[r], the
@@ -384,7 +385,7 @@ def check_seq_conditions(
     spans 1,000,000 integers or more is refused with DomainError before any
     term is evaluated.
     """
-    xs = [float(x) for x in x_grid]
+    xs = [float(_number(x, "x_grid")) for x in x_grid]
     if len(xs) < 3 or any(not b > a for a, b in zip(xs, xs[1:])):
         raise ValueError("x_grid must be at least 3 strictly increasing points")
     n_lo = max(1, math.ceil(max(seq.domain_start, xs[0]) - 1e-12))
@@ -483,9 +484,9 @@ def equivalence(
     points: int = 200,
     threshold: float | None = None,
 ) -> EquivalenceReport:
-    if threshold is not None and math.isnan(threshold):
+    if threshold is not None and math.isnan(_number(threshold, "threshold")):
         raise DomainError("the equivalence threshold is nan")
-    grid = log_grid(t_min, t_max, points)
+    grid = log_grid(_number(t_min, "t_min"), _number(t_max, "t_max"), points)
     ratios = []
     for t in grid:
         va, vb = fn_a(t), fn_b(t)
@@ -519,10 +520,11 @@ def iterated_log_profile(alpha: float, beta: float, exponent: float) -> Callable
     alpha = 1 (and beta != 0) it uses the triple log.  Matches the deep-t
     behaviour of tau for the stock families.  Where the product leaves the
     float range it is formed from its log: a value past the range is inf,
-    also where two of the log's terms overflow with opposite signs.  The
-    profile refuses a t that is text or a bool with a ValueError.
+    also where two of the log's terms overflow with opposite signs.  Text or
+    a bool, as alpha, beta, exponent or the profile's t, is a ValueError.
     """
-    alpha, beta, exponent = float(alpha), float(beta), float(exponent)
+    alpha, beta, exponent = (float(_number(value, name)) for value, name in
+                             ((alpha, "alpha"), (beta, "beta"), (exponent, "exponent")))
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0,1]")
     if not math.isfinite(beta) or not math.isfinite(exponent):

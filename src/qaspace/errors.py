@@ -97,8 +97,8 @@ def _show(value) -> str:
 
 
 def _number(x, name: str):
-    """x, once it is not text or a bool, which Fraction and float would read
-    as numbers; a ValueError names the argument name otherwise."""
+    """The call-time number rule: x, once it is not text or a bool, which
+    Fraction and float would read as numbers; else a ValueError names it."""
     if isinstance(x, (str, bytes, bytearray, bool)):
         raise ValueError(f"{name}: expected a number, got {_show(x)}")
     return x
@@ -111,6 +111,14 @@ def spec_read(obj, key, read, *args):
     except SpecParseError as exc:
         exc.path.insert(0, key)
         raise
+
+
+def spec_param(owner: str, name: str, value, read):
+    """The record-parameter rule: read(value), as in a JSON spec; IllegalSpec names both."""
+    try:
+        return spec_read({name: value}, name, read)
+    except SpecParseError as exc:
+        raise IllegalSpec(f"{owner}'s {exc}") from None
 
 
 def spec_keys(obj, what: str, required, optional=()) -> dict:

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from . import stepfn
-from .errors import ZeroFunction
+from .errors import ZeroFunction, _number
 from .records import Record
 from .shapes import ShapeFunction
 from .stepfn import StepFunction
@@ -50,7 +50,7 @@ def layer_weights(heights, den, cum, phi: ShapeFunction) -> list:
 
 def fundamental(phi: ShapeFunction, t) -> float:
     """Value on an indicator of measure t; coincides with lorentz_norm of one."""
-    tf = float(stepfn._number(t, "t"))
+    tf = float(_number(t, "t"))
     if not 0.0 <= tf <= 1.0:
         raise ValueError("fundamental needs t in [0,1]")
     return phi.eval(tf)

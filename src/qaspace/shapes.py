@@ -45,6 +45,7 @@ from .errors import (
     spec_kind,
     spec_number,
     spec_pairs,
+    spec_param,
     spec_read,
 )
 from .records import Record
@@ -85,12 +86,10 @@ class ShapeFunction(Record):
             raise IllegalSpec("domain_kind must be 'phi' or 'psi'")
         if stray := [name for name in _UNREAD[self.family] if getattr(self, name) is not None]:
             raise IllegalSpec(f"the {self.family} family takes no {' or '.join(stray)}")
+        owner = f"the {self.family} family"
         for name, _, read in _TABLE[self.family].params:
             if (value := getattr(self, name)) is not None:  # its reader checks it, makes floats
-                try:
-                    object.__setattr__(self, name, spec_read({name: value}, name, read))
-                except SpecParseError as exc:
-                    raise IllegalSpec(f"the {self.family} family's {exc}") from None
+                object.__setattr__(self, name, spec_param(owner, name, value, read))
         # the one domain guard, around formulas that trust their argument
         formula, log_eval, log_gamma_eval, inverse, c_of_p, k = _TABLE[self.family].build(self)
         log_hi = 0.0 if self.domain_kind == "phi" else math.inf
@@ -514,8 +513,10 @@ def log_gamma_inv(shape: ShapeFunction, target: float, log_hi: float = 0.0) -> f
     of the ratio's log; a ratio constant on the whole domain (identity,
     alpha_beta(1, 0), psi_gamma as a phi); or an answer below the most negative
     float, where the message names the largest invertible target.
-    DomainError: a NaN target.
+    DomainError: a NaN target.  ValueError: a target that is text or a bool.
     """
+    if type(target) is not float:
+        _number(target, "target")
     if target != target:
         raise DomainError("argument nan outside domain")
     g_hi = shape.log_gamma_eval(log_hi)
@@ -541,7 +542,7 @@ def least_concave_majorant(samples) -> ShapeFunction:
     The result is the upper convex hull, so it touches the samples and is
     linear in between.
     """
-    pts = [(float(t), float(y)) for t, y in samples]
+    pts = [(float(_number(t, "samples")), float(_number(y, "samples"))) for t, y in samples]
     if not pts:
         raise EmptyInput("no samples")
     if pts[0] != (0.0, 0.0):
@@ -570,7 +571,7 @@ _SAMPLE_TOL = 1e-12  # is_concave's and is_quasiconcave's relative slack
 def is_concave(samples) -> bool:
     """Finite check: chord slopes non-increasing left to right, to _SAMPLE_TOL.
     Each comparison must hold, and the first is with inf, so a NaN sample fails."""
-    pts = [(float(t), float(y)) for t, y in samples]
+    pts = [(float(_number(t, "samples")), float(_number(y, "samples"))) for t, y in samples]
     slopes = [
         (y1 - y0) / (t1 - t0) for (t0, y0), (t1, y1) in zip(pts, pts[1:])
     ]
@@ -583,7 +584,7 @@ def is_concave(samples) -> bool:
 def is_quasiconcave(samples) -> bool:
     """Finite check: zero at 0, positive after, non-decreasing, y/t
     non-increasing, each to _SAMPLE_TOL.  As in is_concave, a NaN sample fails."""
-    pts = [(float(t), float(y)) for t, y in samples]
+    pts = [(float(_number(t, "samples")), float(_number(y, "samples"))) for t, y in samples]
     ratios = []
     for t, y in pts:
         if t == 0.0:
@@ -634,8 +635,8 @@ def check_assumptions(phi: ShapeFunction, psi: ShapeFunction, c_candidates, p_ca
     DomainError: a piecewise phi sampled short of a candidate p, or a psi
     whose domain ends (a piecewise or phi-kind one), which has no K.
     """
-    cs = sorted(set(float(c) for c in c_candidates), reverse=True)
-    ps = sorted(set(float(p) for p in p_candidates), reverse=True)
+    cs = sorted({float(_number(c, "c_candidates")) for c in c_candidates}, reverse=True)
+    ps = sorted({float(_number(p, "p_candidates")) for p in p_candidates}, reverse=True)
     if not cs or not ps:
         raise ValueError("need at least one candidate for c and for p")
     if any(not 0 < c < 1 for c in cs) or any(not 0 < p <= 1 for p in ps):

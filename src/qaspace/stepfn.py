@@ -271,13 +271,14 @@ def random_step_function(
     signed: bool = False,
 ) -> StepFunction:
     """Seeded random step function; breakpoints on a uniform rational grid."""
+    _number(vmax, "vmax")
     m = rng.randint(1, max_pieces)
     cuts = sorted(rng.sample(range(1, denominator), min(m - 1, denominator - 1)))
     ticks = [0, *cuts, denominator]
     vals = []
     for _ in range(len(ticks) - 1):
         if value_pool is not None:
-            v = float(rng.choice(value_pool))
+            v = float(_number(rng.choice(value_pool), "value_pool"))
         else:
             v = rng.uniform(0.0, vmax)
         if signed and rng.random() < 0.5:

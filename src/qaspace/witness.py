@@ -28,7 +28,7 @@ from itertools import accumulate
 from operator import add
 
 from . import stepfn
-from .errors import DomainError, IllegalSpec, NotInvertible
+from .errors import DomainError, IllegalSpec, NotInvertible, spec_number, spec_param
 from .logs import LOG_ZERO, exp_or_inf, logsumexp
 from .qanorm import _search
 from .records import Record
@@ -42,16 +42,6 @@ _RESIDUAL_TOL = 1e-8
 _N_CAP = 500
 
 
-def _number(name: str, value) -> float:
-    """value as a float, once it is an int or a float (a bool is not) that a float holds."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise IllegalSpec(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int past the largest float
-        raise IllegalSpec(f"{name} is an int too large for a float") from None
-
-
 class WitnessSpec(Record):
     """Parameters of the extremal construction.
 
@@ -59,7 +49,7 @@ class WitnessSpec(Record):
     starting measure (None selects it automatically as the largest probe
     point <= p/2 where gamma certifies as strictly decreasing).  N is an
     integer from 2 to 500; a larger one is refused before any work.  phi and
-    psi must be shapes, c, p and mu1 numbers: IllegalSpec names one that is not.
+    psi must be shapes, c, p and mu1 finite numbers (IllegalSpec names one that is not).
     """
 
     phi: ShapeFunction
@@ -77,17 +67,15 @@ class WitnessSpec(Record):
         for name, value in (("phi", self.phi), ("psi", self.psi)):
             if not isinstance(value, ShapeFunction):
                 raise IllegalSpec(f"{name} must be a shape, got {value!r}")
-        object.__setattr__(self, "c", _number("c", self.c))
-        object.__setattr__(self, "p", _number("p", self.p))
+        for name in ("c", "p") if self.mu1 is None else ("c", "p", "mu1"):
+            value = spec_param("the witness spec", name, getattr(self, name), spec_number)
+            object.__setattr__(self, name, value)
         if not 0.0 < self.c < 1.0:
             raise IllegalSpec("c must lie in (0,1)")
         if not 0.0 < self.p <= 1.0:
             raise IllegalSpec("p must lie in (0,1]")
-        if self.mu1 is not None:
-            mu1 = _number("mu1", self.mu1)
-            object.__setattr__(self, "mu1", mu1)
-            if not 0.0 < mu1 <= self.p / 2.0:
-                raise IllegalSpec("mu1 must lie in (0, p/2]")
+        if self.mu1 is not None and not 0.0 < self.mu1 <= self.p / 2.0:
+            raise IllegalSpec("mu1 must lie in (0, p/2]")
         # refuses a psi that stops short of N; N^3 psi(N) >= 8 psi(1) by (G1)
         self.psi.eval(float(self.N))
 

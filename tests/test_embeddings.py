@@ -669,6 +669,16 @@ class TestPhiS:
         phi_s(phi, psi, seq, 0.1, n_max=400)
         assert _term_table.cache_info().misses == misses + 1
 
+    def test_two_keys_that_alternate_build_two_tables(self):
+        # an equivalence of two phi_s expressions alternates two keys: the
+        # cache holds both, so no table is built after the first two
+        seq = reciprocal()
+        keys = [(qa_phi(), qa_psi(), seq), (alpha_beta(0.6, 0.3), psi_gamma(0.7), seq)]
+        _term_table.cache_clear()
+        for i, t in enumerate(log_grid(1e-6, 1.0, 60)):
+            phi_s(*keys[i % 2], t, n_max=500)
+        assert _term_table.cache_info().misses == 2
+
     def test_a_table_that_raised_is_not_kept(self):
         seq = sample_sequence([(1.0, 0.5), (2.0, 0.6), (3.0, 0.1)])
         for _ in range(2):

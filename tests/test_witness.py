@@ -69,14 +69,20 @@ class TestSpecValidation:
     @pytest.mark.parametrize("args, kwargs, message", [
         (("qa_phi", qa_psi(), 3, 0.5), {}, "phi must be a shape, got 'qa_phi'"),
         ((qa_phi(), "qa_psi", 3, 0.5), {}, "psi must be a shape, got 'qa_psi'"),
-        ((qa_phi(), qa_psi(), 3, "0.5"), {}, "c must be a number, got '0.5'"),
-        ((qa_phi(), qa_psi(), 3, None), {}, "c must be a number, got None"),
-        ((qa_phi(), qa_psi(), 3, 0.5), {"p": True}, "p must be a number, got True"),
-        ((qa_phi(), qa_psi(), 3, 0.5), {"mu1": "0.25"}, "mu1 must be a number, got '0.25'"),
+        ((qa_phi(), qa_psi(), 3, "0.5"), {},
+         "the witness spec's 'c': expected a number, got \"0.5\""),
+        ((qa_phi(), qa_psi(), 3, None), {}, "the witness spec's 'c': expected a number, got null"),
+        ((qa_phi(), qa_psi(), 3, 0.5), {"p": True},
+         "the witness spec's 'p': expected a number, got true"),
+        ((qa_phi(), qa_psi(), 3, 0.5), {"mu1": "0.25"},
+         "the witness spec's 'mu1': expected a number, got \"0.25\""),
         # ints past the float range
-        ((qa_phi(), qa_psi(), 3, 10**400), {}, "c is an int too large for a float"),
-        ((qa_phi(), qa_psi(), 3, 0.5, 10**400), {}, "p is an int too large for a float"),
-        ((qa_phi(), qa_psi(), 3, 0.5), {"mu1": 10**400}, "mu1 is an int too large for a float"),
+        ((qa_phi(), qa_psi(), 3, 10**400), {},
+         "the witness spec's 'c': int too large to convert to float"),
+        ((qa_phi(), qa_psi(), 3, 0.5, 10**400), {},
+         "the witness spec's 'p': int too large to convert to float"),
+        ((qa_phi(), qa_psi(), 3, 0.5), {"mu1": 10**400},
+         "the witness spec's 'mu1': int too large to convert to float"),
     ])
     def test_parameters_of_the_wrong_type_are_refused_by_name(self, args, kwargs, message):
         with pytest.raises(IllegalSpec) as info:

@@ -41,7 +41,10 @@ the error type each malformed spec gets, and the error (type and message)
 of each library constructor call that passes a parameter its shape family or
 sequence kind does not take, or leaves out one it needs, or that passes one
 of the wrong type (text or a bool to a step-function builder, `scale`,
-`distribution`, `fundamental` or a shape builder among them) or a number
+`distribution`, `fundamental`, a shape builder, `log_gamma_inv`,
+`check_seq_conditions`, the sample checks, `check_assumptions`,
+`iterated_log_profile`, `equivalence` or `random_step_function` among them),
+a witness `c` or `p` that is not finite, or a number
 past the float range, or builds the piecewise shape with no sample after
 the origin, and of each step-function
 constructor, `indicator` and `eval_at` call given a number that is not
@@ -76,6 +79,7 @@ import io
 import json
 import math
 import platform
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -107,6 +111,9 @@ from qaspace.shapes import (  # noqa: E402
     check_assumptions,
     constant_one,
     identity,
+    is_concave,
+    is_quasiconcave,
+    least_concave_majorant,
     log_gamma_inv,
     parse_shape,
     piecewise,
@@ -122,6 +129,7 @@ from qaspace.stepfn import (  # noqa: E402
     distribution,
     indicator,
     l1_norm_exact,
+    random_step_function,
     rearrange,
     scale,
 )
@@ -461,6 +469,24 @@ MISTYPED_CONSTRUCTORS = [
     (alpha_beta, (True, 0.5), {}),
     (alpha_beta, (10**400, 1), {}),
     (psi_gamma, ("1",), {}),
+    # calls that read a number with a bare float(), or not at all, before the
+    # two input rules of errors.py covered them
+    (log_gamma_inv, (qa_phi(), "2"), {}),
+    (log_gamma_inv, (qa_phi(), True), {}),
+    (embeddings.check_seq_conditions,
+     (qa_phi(), qa_psi(), embeddings.reciprocal(), ["1", "2", "3"]), {}),
+    (least_concave_majorant, ([(0, 0), ("0.5", 0.5), (1, 0.75)],), {}),
+    (is_concave, ([(0, 0), ("0.5", 0.5), (1, 0.75)],), {}),
+    (is_quasiconcave, ([(0, 0), (0.5, True)],), {}),
+    (check_assumptions, (qa_phi(), qa_psi(), ["0.5"], [1.0]), {}),
+    (check_assumptions, (qa_phi(), qa_psi(), [0.5], [True]), {}),
+    (embeddings.iterated_log_profile, ("1", "0.5", True), {}),
+    (embeddings.equivalence, (qa_phi(), qa_psi(), True, 0.5), {}),
+    (embeddings.equivalence, (qa_phi(), qa_psi(), 0.1, 0.5), {"threshold": True}),
+    (random_step_function, (random.Random(1),), {"vmax": "10"}),
+    (random_step_function, (random.Random(1),), {"value_pool": ["2.5"]}),
+    (WitnessSpec, (qa_phi(), qa_psi(), 3, math.nan), {}),
+    (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5), {"p": math.inf}),
 ]
 # constructor calls whose numbers leave the float range: a sample ratio y/t
 # that underflows to 0 or overflows to inf, and an int past the largest float;
