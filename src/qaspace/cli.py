@@ -283,6 +283,9 @@ _FLAGS = {
     "tmin": ({"type": float, "required": True}, _finite),
     "tmax": ({"type": float, "required": True}, _finite),
     "threshold": ({"type": float, "default": None}, _finite),
+    "c": ({"type": float, "required": True}, _finite),
+    "p": ({"type": float, "default": 1.0}, _finite),
+    "mu1": ({"type": float, "default": None}, _finite),
     "phi": _PHI,
     "psi": ({"required": True}, partial(_spec, lambda obj, args: _shape(obj, "psi"))),
     "input": ({"required": True, "help": "step function JSON (inline or path)"},
@@ -295,10 +298,7 @@ _FLAGS = {
     "points": ({"type": int, "default": 200}, None),
     "strategy": ({"choices": ["auto", "exhaustive", "layers", "local"], "default": "auto"}, None),
     "out": ({"choices": ["csv", "json"], "default": "csv"}, None),
-    "c": ({"type": float, "required": True}, None),
-    "p": ({"type": float, "default": 1.0}, None),
     "N": ({"type": int, "required": True}, None),
-    "mu1": ({"type": float, "default": None}, None),
     "seed": ({"type": int, "default": 0}, None),
     "output": ({"default": None, "help": "file path, or - for stdout"}, None),
 }

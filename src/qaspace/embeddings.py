@@ -36,7 +36,7 @@ from .errors import DomainError, NonPositiveValue, NotInvertible, SpecParseError
 from .errors import _number, spec_kind, spec_pairs, spec_read
 from .logs import LOG_ZERO, exp_or_inf
 from .records import Record
-from .shapes import ShapeFunction, log_gamma, log_gamma_inv, parse_shape
+from .shapes import ShapeFunction, log_gamma, parse_shape
 
 
 def tau(phi: ShapeFunction, psi: ShapeFunction, t: float) -> float:
@@ -47,7 +47,8 @@ def tau(phi: ShapeFunction, psi: ShapeFunction, t: float) -> float:
         raise DomainError("tau needs t in [0,1]")
     if t == 0.0:
         return 0.0
-    return phi.eval(t) * psi.eval(1.0 + max(0.0, phi.log_gamma_eval(math.log(t))))
+    # a float t in (0, 1] passes phi's guard: its formulas take t and log t directly
+    return phi._eval(t) * psi.eval(1.0 + max(0.0, phi._log_gamma_eval(math.log(t))))
 
 
 def log_tau(phi: ShapeFunction, psi: ShapeFunction, log_t: float) -> float:
@@ -145,7 +146,7 @@ class SequenceSpec(Record):
         if self.kind == "reciprocal":
             return 1.0 / x
         if self.kind == "gamma_exp":
-            return math.exp(self.log_value(x))
+            return math.exp(self._log_at(x))
         pts = self.samples
         for (x0, s0), (x1, s1) in zip(pts, pts[1:]):  # _check_x put x in one of them
             if x <= x1:
@@ -155,15 +156,38 @@ class SequenceSpec(Record):
                 return s1 if x == x1 else max(s, min(s0, s1))
 
     def log_value(self, x: float) -> float:
-        x = self._check_x(x)
+        return self._log_at(self._check_x(x))
+
+    def _log_at(self, x: float) -> float:
+        """log s(x) at an x that _check_x has passed."""
         if self.kind == "reciprocal":
             return -math.log(x)
         if self.kind == "gamma_exp":
             # s is 1 up to x = 1 + log gamma(1); x - 1 there can round a few
             # ulp past log gamma(1), the least target the inverse accepts
             g1 = self._log_gamma_1
-            return log_gamma_inv(self.phi, g1 if x <= 1.0 + g1 else x - 1.0)
+            target = g1 if x <= 1.0 + g1 else x - 1.0
+            # shapes.log_gamma_inv(phi, target), whose checks pass: target is
+            # no NaN and >= g1, log gamma at its log_hi 0, where it answers 0
+            # only after the inverse has run (which refuses a flat phi)
+            log_s = self.phi._log_gamma_inv(target, 0.0)
+            return 0.0 if target == g1 else min(log_s, 0.0)
         return math.log(self.value(x))
+
+    def _log_ladder(self, n_start: int, n_max: int):
+        """log_value(float(n)) for the integers n from n_start, which is at
+        least domain_start - 1e-12, up to n_max or domain_end, whichever comes
+        first, with the domain checked once for them all; -inf (LOG_ZERO) where
+        the gamma_exp inverse is NotInvertible."""
+        start, end = self.domain_start, self.domain_end
+        log_at = self._log_at
+        for n in range(n_start, (n_max if end >= n_max else math.floor(end)) + 1):
+            x = float(n)
+            try:
+                log_s = log_at(x if x >= start else start)  # as _check_x reads an x just below
+            except NotInvertible:
+                log_s = LOG_ZERO
+            yield log_s
 
     def inverse(self, t: float) -> float:
         """x with s(x) = t; monotone inversion.  DomainError when no x in the
@@ -177,7 +201,7 @@ class SequenceSpec(Record):
         if self.kind == "reciprocal":
             return 1.0 / t
         if self.kind == "gamma_exp":
-            x = 1.0 + self.phi.log_gamma_eval(math.log(t))
+            x = 1.0 + self.phi._log_gamma_eval(math.log(t))  # log t <= 0 passes phi's guard
             if x < self.domain_start - 1e-9:
                 raise DomainError(f"{t!r} is above the sequence's first value")
             # a t below a bounded ladder's last value has no x
@@ -242,23 +266,24 @@ def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max
     """
     n_start = max(1, math.ceil(seq.domain_start - 1e-12))
     own = seq.phi == phi  # a ladder built from phi: its log gamma(s_n) is n - 1
-    rows, head, cut = [], [(math.inf, 0)], None
-    for n in range(n_start, n_max + 1):
-        try:
-            ls = seq.log_value(float(n))
-        except NotInvertible:
-            ls = LOG_ZERO
-        except DomainError:
-            break
-        lg = n - 1.0 if own else log_gamma(phi, ls)
+    # the raw formulas where the guard would pass them: phi's log gamma at log
+    # s_n <= 0, and a psi-kind psi at a float n >= 1 (a phi-kind one refuses n > 1)
+    log_gamma_at = phi._log_gamma_eval
+    psi_at = psi._eval if psi.domain_kind == "psi" else psi.eval
+    best, best_row = math.inf, 0
+    rows, head, cut = [], [(best, best_row)], None
+    for n, ls in enumerate(seq._log_ladder(n_start, n_max), n_start):
+        lg = n - 1.0 if own else log_gamma_at(ls)
         if rows and ls > rows[-1][0]:
             raise DomainError(f"phi_s needs a non-increasing sequence, but s rises at index {n}")
         try:
-            base = lg + math.log(psi.eval(float(n)))
+            base = lg + math.log(psi_at(float(n)))
         except DomainError as exc:
             cut = exc
             break
-        head.append(min(head[-1], (ls + base, len(rows))))
+        if ls + base < best:  # else the earlier row stays, as on a tie (a NaN never wins)
+            best, best_row = ls + base, len(rows)
+        head.append((best, best_row))
         rows.append((ls, base))
         if ls < _LOG_TINY:
             break
@@ -340,7 +365,7 @@ def alpha_s(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, t: float)
         return 0.0
     if not 0.0 < t <= 1.0:
         raise DomainError("alpha_s needs t in [0,1]")
-    return phi.eval(t) * psi.eval(seq.inverse(t))
+    return phi._eval(t) * psi.eval(seq.inverse(t))  # a float t in (0, 1] passes phi's guard
 
 
 class SeqConditionReport(Record):

@@ -65,6 +65,14 @@ class ShapeFunction(Record):
     `log_gamma_inv`, which alone checks the target against hi and clamps to it.
     log_gamma_eval is formed per family: log_eval(log_t) - log_t cancels to
     zero once |log_t| dwarfs the ratio's log.
+    The raw formulas are bound beside the guarded methods, as _eval (t > 0),
+    _log_gamma_eval and _log_gamma_inv, for the internal callers that have
+    already established the guard's pass condition, a float inside the
+    domain, so that it would pass: `embeddings`' tau and alpha_s (phi at a
+    float t in (0, 1]), SequenceSpec's inverse and log_value (phi's log gamma
+    at a float log t <= 0, and its inverse at a target >= log gamma(1)) and
+    phi_s's term table (phi's log gamma at log s_n <= 0, and a psi-kind psi
+    at a float index n >= 1).  Every other caller goes through the guard.
     The member's growth facts (G3) and (G4), stated below `_TABLE`, are bound
     beside them for `check_assumptions`: _ratio_exponent(p) = c(p), and
     _square_constant = K, None where psi(n^2) leaves the domain.
@@ -96,6 +104,8 @@ class ShapeFunction(Record):
         object.__setattr__(self, "eval", _on_domain(formula, log_hi))
         object.__setattr__(self, "log_eval", _log_domain(log_eval, log_hi))
         object.__setattr__(self, "log_gamma_eval", _log_domain(log_gamma_eval, log_hi))
+        object.__setattr__(self, "_eval", formula)
+        object.__setattr__(self, "_log_gamma_eval", log_gamma_eval)
         object.__setattr__(self, "_log_gamma_inv", inverse)
         object.__setattr__(self, "_ratio_exponent", c_of_p)
         object.__setattr__(self, "_square_constant", k if self.domain_kind == "psi" else None)
@@ -382,7 +392,7 @@ class _Family(NamedTuple):
     formulas, which trust their argument; ShapeFunction guards the domain."""
     kind: str  # the default domain kind
     params: tuple  # (ShapeFunction field, JSON key, reader of the JSON value)
-    build: Callable  # shape -> (eval for t > 0, log_eval, log_gamma_eval, _log_gamma_inv, c(p), K)
+    build: Callable  # shape -> (_eval for t > 0, log_eval, log_gamma_eval, _log_gamma_inv, c(p), K)
     zero_limit: float = 0.0  # the limit at 0 from the right
 
 
@@ -568,10 +578,23 @@ def least_concave_majorant(samples) -> ShapeFunction:
 _SAMPLE_TOL = 1e-12  # is_concave's and is_quasiconcave's relative slack
 
 
+def _check_samples(samples) -> list:
+    """is_concave's and is_quasiconcave's samples as float pairs; a DomainError
+    names two neighbours at one abscissa (0 and -0.0 are one), where no chord
+    has a slope."""
+    pts = [(float(_number(t, "samples")), float(_number(y, "samples"))) for t, y in samples]
+    for (t0, _), (t1, _) in zip(pts, pts[1:]):
+        if t1 == t0:
+            raise DomainError(f"samples: two neighbouring samples share the abscissa {t1!r}")
+    return pts
+
+
 def is_concave(samples) -> bool:
     """Finite check: chord slopes non-increasing left to right, to _SAMPLE_TOL.
-    Each comparison must hold, and the first is with inf, so a NaN sample fails."""
-    pts = [(float(_number(t, "samples")), float(_number(y, "samples"))) for t, y in samples]
+    Each comparison must hold, and the first is with inf, so a NaN sample fails.
+    Two neighbouring samples at one abscissa are refused (DomainError), as in
+    is_quasiconcave."""
+    pts = _check_samples(samples)
     slopes = [
         (y1 - y0) / (t1 - t0) for (t0, y0), (t1, y1) in zip(pts, pts[1:])
     ]
@@ -583,8 +606,9 @@ def is_concave(samples) -> bool:
 
 def is_quasiconcave(samples) -> bool:
     """Finite check: zero at 0, positive after, non-decreasing, y/t
-    non-increasing, each to _SAMPLE_TOL.  As in is_concave, a NaN sample fails."""
-    pts = [(float(_number(t, "samples")), float(_number(y, "samples"))) for t, y in samples]
+    non-increasing, each to _SAMPLE_TOL.  As in is_concave, a NaN sample fails,
+    and two neighbouring samples at one abscissa are refused (DomainError)."""
+    pts = _check_samples(samples)
     ratios = []
     for t, y in pts:
         if t == 0.0:

@@ -197,7 +197,7 @@ def indicator(a, b, height: float = 1.0) -> StepFunction:
 
 
 def constant(c: float) -> StepFunction:
-    return StepFunction((_ZERO, _ONE), (c,))
+    return StepFunction((_ZERO, _ONE), (_number(c, "c"),))
 
 
 def _distribution_exact(f: StepFunction, s: float) -> Fraction:

@@ -102,6 +102,8 @@ class WitnessFunction(Record):
     moderate while log_mu runs off to -1e17 and beyond, and at that depth
     log_a[j] rounds to exactly -log_mu[j], so the layer's mass
     a_j * mu_j = 1/(2N gamma(mu_j)) is recoverable only through them.
+    c and p are finite numbers, read as WitnessSpec reads them (IllegalSpec
+    names one that is not).
     """
 
     log_mu: tuple
@@ -114,6 +116,9 @@ class WitnessFunction(Record):
     def __post_init__(self):
         for name in ("log_mu", "log_a", "log_gamma"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("c", "p"):  # finite numbers, as WitnessSpec reads them
+            value = spec_param("the witness function", name, getattr(self, name), spec_number)
+            object.__setattr__(self, name, value)
         n2 = 2 * self.N
         if any(len(arr) != n2 for arr in (self.log_mu, self.log_a, self.log_gamma)):
             raise IllegalSpec("witness needs exactly 2N layers")

@@ -632,6 +632,11 @@ class TestErrors:
                 "--points", "5"], flag) for flag in ("tmin", "tmax")),
             *((equivalence_argv({"kind": "shape", "spec": PHI}), flag)
               for flag in ("tmin", "tmax", "threshold")),
+            # the witness numbers are named as flags, not as the spec's parameters
+            *((["witness", "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5", "--N", "3"], flag)
+              for flag in ("c", "p", "mu1")),
+            *((["omega", "--phi-x", QA_PHI, "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5",
+                "--N", "3"], flag) for flag in ("c", "p", "mu1")),
         ],
     )
     def test_non_finite_flags_are_refused_by_name(self, capsys, argv, flag, value):

@@ -19,6 +19,7 @@ from qaspace import (
     PhiSValue,
     SequenceSpec,
     SpecParseError,
+    ToolkitError,
     alpha_beta,
     alpha_s,
     check_seq_conditions,
@@ -724,6 +725,120 @@ class TestAlphaS:
         assert alpha_s(qa_phi(), qa_psi(), reciprocal(), 0.0) == 0.0
         with pytest.raises(DomainError):
             alpha_s(qa_phi(), qa_psi(), reciprocal(), 2.0)
+
+
+def _outcome(call, *args):
+    """repr of call(*args), which tells every float's bits apart (0.0 from
+    -0.0), or its error's type and message."""
+    try:
+        return repr(call(*args))
+    except (ToolkitError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _guarded_log_value(seq, x):
+    """SequenceSpec.log_value with the gamma_exp inverse through shapes.log_gamma_inv."""
+    if seq.phi is None:
+        return seq.log_value(x)
+    x = seq._check_x(x)
+    g1 = seq.phi.log_gamma_eval(0.0)
+    return log_gamma_inv(seq.phi, g1 if x <= 1.0 + g1 else x - 1.0)
+
+
+def _guarded_inverse(seq, t):
+    """SequenceSpec.inverse with phi's log gamma through its guard."""
+    if seq.phi is None:
+        return seq.inverse(t)
+    if not 0.0 < t <= 1.0:
+        raise DomainError("sequence values live in (0,1]")
+    x = 1.0 + seq.phi.log_gamma_eval(math.log(t))
+    if x < seq.domain_start - 1e-9:
+        raise DomainError(f"{t!r} is above the sequence's first value")
+    return seq._check_x(max(x, seq.domain_start))
+
+
+def _guarded_term_table(phi, psi, seq, n_max):
+    """_term_table's loop with every call guarded and its head kept by a tuple min."""
+    n_start = max(1, math.ceil(seq.domain_start - 1e-12))
+    own = seq.phi == phi
+    rows, head, cut = [], [(math.inf, 0)], None
+    for n in range(n_start, n_max + 1):
+        try:
+            ls = _guarded_log_value(seq, float(n))
+        except NotInvertible:
+            ls = -math.inf
+        except DomainError:
+            break
+        lg = n - 1.0 if own else log_gamma(phi, ls)
+        if rows and ls > rows[-1][0]:
+            raise DomainError(f"phi_s needs a non-increasing sequence, but s rises at index {n}")
+        try:
+            base = lg + math.log(psi.eval(float(n)))
+        except DomainError as exc:
+            cut = exc
+            break
+        head.append(min(head[-1], (ls + base, len(rows))))
+        rows.append((ls, base))
+        if ls < math.log(5e-324):
+            break
+    return n_start, tuple(rows), tuple(-ls for ls, _ in rows), tuple(head), cut
+
+
+class TestRawFormulaPaths:
+    """tau, alpha_s, SequenceSpec's log_value and inverse, and phi_s's term
+    table call the family formulas where the guard would pass their argument:
+    each answers and refuses bit for bit as the guarded calls do."""
+
+    # the benchmark's three key families, a flat ratio (no inverse, the -inf
+    # sentinel), the degenerate ends and a ladder that ends (gamma at most 5)
+    PHIS = [qa_phi(), alpha_beta(0.5, 0.7), alpha_beta(0.7, 0.75), alpha_beta(0.3, 0.0),
+            alpha_beta(1.0, 0.4), alpha_beta(1.0, 0.9), alpha_beta(1.0, 0.0),
+            identity(), constant_one(), P]
+    # psi_gamma exponents, a psi sampled only up to 10 (the table's cut), a
+    # phi-kind psi, which refuses every index past 1, and a flat psi, whose
+    # terms all tie under constant_one's phi on the reciprocal ladder
+    PSIS = [psi_gamma(0.3), psi_gamma(0.65), psi_gamma(1.0),
+            piecewise([(0, 0), (1, 1), (10, 2)], kind="psi"), qa_phi(), constant_one("psi")]
+    SEQS = [reciprocal(), sample_sequence([(1, 1.0), (3, 0.2), (40, 1e-6)]),
+            sample_sequence([(2.0000000000001, 0.9), (9, 0.1)]),  # starts just past 2
+            sample_sequence([(1, 0.5), (2, 0.25), (3, 0.5)]),  # rises
+            gamma_exp(qa_phi()), gamma_exp(alpha_beta(0.5, 0.7))]  # ladders priced by any phi
+    TS = [5e-324, 1e-300, 1e-20, 0.01, 0.3, 0.5, 1.0]
+
+    def test_tau_and_alpha_s(self):
+        for phi in self.PHIS:
+            for psi in self.PSIS:
+                for t in self.TS:
+                    want = _outcome(lambda: phi.eval(t) * psi.eval(
+                        1.0 + max(0.0, phi.log_gamma_eval(math.log(t)))))
+                    assert _outcome(tau, phi, psi, t) == want, (phi, psi, t)
+                    for seq in [*self.SEQS, gamma_exp(phi)]:
+                        want = _outcome(lambda: phi.eval(t) * psi.eval(_guarded_inverse(seq, t)))
+                        assert _outcome(alpha_s, phi, psi, seq, t) == want, (phi, psi, seq, t)
+
+    def test_log_value_and_inverse(self):
+        for phi in self.PHIS:
+            seq = gamma_exp(phi)
+            xs = [seq.domain_start, seq.domain_start - 1e-13, *map(float, range(1, 60))]
+            for x in xs:
+                assert _outcome(seq.log_value, x) == _outcome(_guarded_log_value, seq, x), (phi, x)
+            for t in self.TS:
+                assert _outcome(seq.inverse, t) == _outcome(_guarded_inverse, seq, t), (phi, t)
+
+    def test_term_table(self):
+        def outcome(build, *args):
+            try:
+                *table, cut = build(*args)
+            except DomainError as exc:
+                return type(exc), str(exc)
+            return repr(table), cut and (type(cut), str(cut))
+
+        for phi in self.PHIS:
+            for psi in self.PSIS:
+                for seq in [*self.SEQS, gamma_exp(phi)]:
+                    args = phi, psi, seq, 120
+                    want = outcome(_guarded_term_table, *args)
+                    assert outcome(_term_table.__wrapped__, *args) == want, args
 
 
 class TestSeqConditions:

@@ -21,11 +21,13 @@ import pytest
 
 import qaspace
 from qaspace import (
+    DomainError,
     IllegalSpec,
     SequenceSpec,
     ShapeFunction,
     SpecParseError,
     StepFunction,
+    WitnessFunction,
     WitnessSpec,
     alpha_beta,
     alpha_s,
@@ -106,6 +108,7 @@ ROWS = [
     ("gamma_inv", "y", lambda x: gamma_inv(PHI, x), CALL, "y"),
     ("is_concave", "samples", lambda x: is_concave([(0, 0), (x, 0.5)]), CALL, "samples"),
     ("is_quasiconcave", "samples", lambda x: is_quasiconcave([(0, 0), (0.5, x)]), CALL, "samples"),
+    # two neighbouring samples at one abscissa: REPEATED_ABSCISSA below
     ("least_concave_majorant", "samples",
      lambda x: least_concave_majorant([(0, 0), (x, 0.5)]), CALL, "samples"),
     ("parse_shape", "obj", lambda x: parse_shape({"family": "alpha_beta", "alpha": x, "beta": 1}),
@@ -113,8 +116,7 @@ ROWS = [
     ("StepFunction", "breakpoints", lambda x: StepFunction((0, x, 1), (1.0, 2.0)),
      CALL, "breakpoints"),
     ("StepFunction", "values", lambda x: StepFunction((0, 1), (x,)), CALL, "values"),
-    # constant(c) is StepFunction((0, 1), (c,)), whose message names its values
-    ("constant", "c", lambda x: constant(x), CALL, "values"),
+    ("constant", "c", lambda x: constant(x), CALL, "c"),
     ("distribution", "s", lambda x: distribution(F, x), CALL, "s"),
     ("indicator", "a", lambda x: indicator(x, 1), CALL, "a"),
     ("indicator", "b", lambda x: indicator(0, x), CALL, "b"),
@@ -128,6 +130,10 @@ ROWS = [
     ("WitnessSpec", "p", lambda x: WitnessSpec(PHI, PSI, 3, 0.5, x), RECORD, "witness spec's 'p'"),
     ("WitnessSpec", "mu1", lambda x: WitnessSpec(PHI, PSI, 3, 0.5, mu1=x),
      RECORD, "witness spec's 'mu1'"),
+    ("WitnessFunction", "c", lambda x: WitnessFunction(*[[0.0] * 4] * 3, 2, x, 1.0),
+     RECORD, "witness function's 'c'"),
+    ("WitnessFunction", "p", lambda x: WitnessFunction(*[[0.0] * 4] * 3, 2, 0.5, x),
+     RECORD, "witness function's 'p'"),
 ]
 # functions that an export reaches, with a number of their own
 EXTRA_ROWS = [
@@ -141,7 +147,7 @@ READS_NO_NUMBER = {
     "ZeroFunction",
     # result records, which hold what the library computed and check nothing
     "AssumptionReport", "Decomposition", "EquivalenceReport", "LorentzNorm", "NormBounds",
-    "PhiSValue", "SeqConditionReport", "WitnessFunction",
+    "PhiSValue", "SeqConditionReport",
     # piece_cost's one number is the slot n, an integer with its own reader
     "piece_cost",
     # functions of shapes, sequences, step functions, specs and built witnesses alone
@@ -164,6 +170,21 @@ def test_text_bytes_and_bools_are_refused_by_the_rule_of_their_kind(call, rule, 
     assert type(info.value) is error
     shown = json.dumps(value, default=repr)
     assert str(info.value) == f"{prefix.format(name)}expected a number, got {shown}"
+
+
+# is_concave and is_quasiconcave refuse two neighbouring samples at one
+# abscissa by name; is_concave's chord slope over them divided by zero
+REPEATED_ABSCISSA = [
+    pytest.param(check, t, id=f"{check.__name__}({t!r})")
+    for check in (is_concave, is_quasiconcave) for t in (0.0, -0.0)
+]
+
+
+@pytest.mark.parametrize("check, t", REPEATED_ABSCISSA)
+def test_a_repeated_abscissa_is_refused_by_name(check, t):
+    with pytest.raises(DomainError) as info:
+        check([(0, 0), (t, 0.5)])
+    assert str(info.value) == f"samples: two neighbouring samples share the abscissa {t!r}"
 
 
 def test_every_export_is_in_the_table_or_reads_no_number():

@@ -98,7 +98,7 @@ class TestConstruction:
         (lambda: StepFunction((0, 1), ("2.5",)), 'values: expected a number, got "2.5"'),
         (lambda: StepFunction((0, 1), (b"2.5",)), 'values: expected a number, got "b\'2.5\'"'),
         (lambda: StepFunction((0, 1), (True,)), "values: expected a number, got true"),
-        (lambda: constant(False), "values: expected a number, got false"),
+        (lambda: constant(False), "c: expected a number, got false"),
         (lambda: indicator(0, "1/2", 2.0), 'b: expected a number, got "1/2"'),
         (lambda: indicator(False, 1), "a: expected a number, got false"),
         (lambda: indicator(0, 1, "2"), 'height: expected a number, got "2"'),

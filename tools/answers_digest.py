@@ -44,7 +44,9 @@ of the wrong type (text or a bool to a step-function builder, `scale`,
 `distribution`, `fundamental`, a shape builder, `log_gamma_inv`,
 `check_seq_conditions`, the sample checks, `check_assumptions`,
 `iterated_log_profile`, `equivalence` or `random_step_function` among them),
-a witness `c` or `p` that is not finite, or a number
+a witness `c` or `p` that is not finite, a witness function's `c` or `p`
+that is text or a bool, two neighbouring samples at one abscissa for the
+sample checks, or a number
 past the float range, or builds the piecewise shape with no sample after
 the origin, and of each step-function
 constructor, `indicator` and `eval_at` call given a number that is not
@@ -134,6 +136,7 @@ from qaspace.stepfn import (  # noqa: E402
     scale,
 )
 from qaspace.witness import (  # noqa: E402
+    WitnessFunction,
     WitnessSpec,
     _LogLayerTable,
     build_witness,
@@ -293,6 +296,10 @@ CLI_ARGVS = [
      "--points", "3"],
     ["tau", "--phi", json.dumps({"family": "piecewise", "points": [[0, 0], [0.5, 1e-300]]}),
      "--psi", QA_PSI, "--tmin", "1e-30", "--tmax", "0.5", "--points", "5"],
+    # non-finite witness numbers, refused as flags
+    ["witness", "--phi", QA_PHI, "--psi", QA_PSI, "--c", "nan", "--N", "3"],
+    ["omega", "--phi-x", QA_PHI, "--phi", QA_PHI, "--psi", QA_PSI, "--c", "0.5", "--N", "3",
+     "--mu1", "inf"],
 ]
 LADDER_ARGV = ["check-seq", "--seq", '{"kind": "gamma_exp"}', "--phi",
                json.dumps(LADDER_P.to_json()), "--psi", QA_PSI, "--xmax", "10"]
@@ -487,6 +494,12 @@ MISTYPED_CONSTRUCTORS = [
     (random_step_function, (random.Random(1),), {"value_pool": ["2.5"]}),
     (WitnessSpec, (qa_phi(), qa_psi(), 3, math.nan), {}),
     (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5), {"p": math.inf}),
+    # a witness function's c and p, read by no rule before the record rule;
+    # and samples with two neighbours at one abscissa (a ZeroDivisionError)
+    (WitnessFunction, ([0.0] * 4, [0.0] * 4, [0.0] * 4, 2, "0.5", True), {}),
+    (is_concave, ([(0, 0), (0.0, 0.5)],), {}),
+    (is_concave, ([(0, 0), (-0.0, 0.5)],), {}),
+    (is_quasiconcave, ([(0, 0), (0.0, 0.5)],), {}),
 ]
 # constructor calls whose numbers leave the float range: a sample ratio y/t
 # that underflows to 0 or overflows to inf, and an int past the largest float;
