@@ -48,15 +48,21 @@ def tau(phi: ShapeFunction, psi: ShapeFunction, t: float) -> float:
     if t == 0.0:
         return 0.0
     # a float t in (0, 1] passes phi's guard: its formulas take t and log t directly
-    return phi._eval(t) * psi.eval(1.0 + max(0.0, phi._log_gamma_eval(math.log(t))))
+    value, g = phi._eval(t), phi._log_gamma_eval(math.log(t))
+    x = 1.0 + g if g > 0.0 else 1.0  # 1 + max(0, g): a NaN g reads as 0, as max reads it
+    # a psi-kind psi's guard passes a finite x >= 1
+    return value * (psi._eval(x) if x < math.inf and psi.domain_kind == "psi" else psi.eval(x))
 
 
 def log_tau(phi: ShapeFunction, psi: ShapeFunction, log_t: float) -> float:
-    """log(tau(exp(log_t))), usable at depths where t itself underflows."""
+    """log(tau(exp(log_t))), usable at depths where t itself underflows;
+    -inf at log t = -inf, where tau(0) is 0, for every phi."""
     if type(log_t) is not float:
         _number(log_t, "log_t")
     if log_t > 0.0:
         raise DomainError("tau needs log_t <= 0")
+    if log_t == -math.inf:  # phi's log gamma there can be inf, which psi refuses
+        return -math.inf
     return phi.log_eval(log_t) + math.log(psi.eval(1.0 + max(0.0, phi.log_gamma_eval(log_t))))
 
 
@@ -70,7 +76,9 @@ class SequenceSpec(Record):
     gamma(1)) or the first sample's x; domain_end is inf, 1 + log gamma(0+) (no
     s(x) once x - 1 passes gamma's largest log) or the last sample's x.  The
     samples need not decrease (the condition check reports that); inverse()
-    needs strict decrease.
+    needs strict decrease.  The kind is bound at construction, as a shape's
+    family is: its ends and its formulas for s, log s and the inverse, so no
+    method reads the kind per call.
     """
 
     kind: str
@@ -84,28 +92,10 @@ class SequenceSpec(Record):
             if (getattr(self, name) is None) == (self.kind == owner):
                 verb = "needs" if self.kind == owner else "takes no"
                 raise SpecParseError(f"a {self.kind} sequence {verb} {name}")
-        start, end = 1.0, math.inf
-        if self.kind == "gamma_exp":
-            if not isinstance(self.phi, ShapeFunction):
-                raise SpecParseError(f"expected a shape, got {self.phi!r}", "phi")
-            g1 = self.phi.log_gamma_eval(0.0)  # log gamma(1), where s is 1
-            object.__setattr__(self, "_log_gamma_1", g1)
-            start, top = max(1.0, 1.0 + g1), self.phi.log_gamma_eval(-math.inf)
-            # the last x with x - 1 <= top: 1 + top, rounded down if it rounded up
-            end = math.nextafter(1.0 + top, 0.0) if (1.0 + top) - 1.0 > top else 1.0 + top
-        if self.kind == "samples":
-            pts = spec_read({"samples": self.samples}, "samples", spec_pairs)
-            if len(pts) < 2:
-                raise SpecParseError("sample sequences need at least two points")
-            object.__setattr__(self, "samples", pts)
-            xs = [x for x, _ in pts]
-            if any(not b > a for a, b in zip(xs, xs[1:])):
-                raise SpecParseError("sample abscissae must strictly increase")
-            if any(not 0.0 < s <= 1.0 for _, s in pts):
-                raise SpecParseError("sample values must lie in (0,1]")
-            start, end = xs[0], xs[-1]
-        object.__setattr__(self, "domain_start", start)
-        object.__setattr__(self, "domain_end", end)
+        # the formulas trust their argument: an x that _check_x has passed, a float t in (0, 1]
+        names = ("domain_start", "domain_end", "_value_at", "_log_at", "_inverse_at")
+        for name, value in zip(names, _SEQUENCE_FORMULAS[self.kind](self)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_json(cls, obj, phi: ShapeFunction | None = None) -> "SequenceSpec":
@@ -131,48 +121,17 @@ class SequenceSpec(Record):
         return out
 
     def _check_x(self, x: float) -> float:
-        """float(x) on the domain; an x less than 1e-12 below domain_start reads
-        as it, and text or a bool is a ValueError."""
+        """float(x) on the domain (_x_on_domain); text or a bool is a ValueError."""
         if type(x) is not float:
             x = float(_number(x, "x"))
-        if not x >= self.domain_start - 1e-12:  # NaN too
-            raise DomainError(f"sequence defined from {self.domain_start}, got {x!r}")
-        if x > (end := self.domain_end):
-            raise DomainError(f"{self.kind.removesuffix('s')} sequence ends at {end}, got {x!r}")
-        return max(x, self.domain_start)
+        start, end = self.domain_start, self.domain_end
+        return x if start <= x <= end else _x_on_domain(x, start, end, self.kind)
 
     def value(self, x: float) -> float:
-        x = self._check_x(x)
-        if self.kind == "reciprocal":
-            return 1.0 / x
-        if self.kind == "gamma_exp":
-            return math.exp(self._log_at(x))
-        pts = self.samples
-        for (x0, s0), (x1, s1) in zip(pts, pts[1:]):  # _check_x put x in one of them
-            if x <= x1:
-                # monotone in x, but it can round below the lower sample (to 0
-                # beside a tiny one): it is held there, and is s1 at x1
-                s = s0 + (s1 - s0) * (x - x0) / (x1 - x0)
-                return s1 if x == x1 else max(s, min(s0, s1))
+        return self._value_at(self._check_x(x))
 
     def log_value(self, x: float) -> float:
         return self._log_at(self._check_x(x))
-
-    def _log_at(self, x: float) -> float:
-        """log s(x) at an x that _check_x has passed."""
-        if self.kind == "reciprocal":
-            return -math.log(x)
-        if self.kind == "gamma_exp":
-            # s is 1 up to x = 1 + log gamma(1); x - 1 there can round a few
-            # ulp past log gamma(1), the least target the inverse accepts
-            g1 = self._log_gamma_1
-            target = g1 if x <= 1.0 + g1 else x - 1.0
-            # shapes.log_gamma_inv(phi, target), whose checks pass: target is
-            # no NaN and >= g1, log gamma at its log_hi 0, where it answers 0
-            # only after the inverse has run (which refuses a flat phi)
-            log_s = self.phi._log_gamma_inv(target, 0.0)
-            return 0.0 if target == g1 else min(log_s, 0.0)
-        return math.log(self.value(x))
 
     def _log_ladder(self, n_start: int, n_max: int):
         """log_value(float(n)) for the integers n from n_start, which is at
@@ -198,27 +157,98 @@ class SequenceSpec(Record):
             t = float(_number(t, "t"))
         if not 0.0 < t <= 1.0:
             raise DomainError("sequence values live in (0,1]")
-        if self.kind == "reciprocal":
-            return 1.0 / t
-        if self.kind == "gamma_exp":
-            x = 1.0 + self.phi._log_gamma_eval(math.log(t))  # log t <= 0 passes phi's guard
-            if x < self.domain_start - 1e-9:
-                raise DomainError(f"{t!r} is above the sequence's first value")
-            # a t below a bounded ladder's last value has no x
-            return self._check_x(max(x, self.domain_start))
-        pts = self.samples
-        ss = [s for _, s in pts]
-        if any(not b < a for a, b in zip(ss, ss[1:])):
+        return self._inverse_at(t)
+
+
+def _reciprocal_formulas(seq: SequenceSpec) -> tuple:
+    """(domain_start, domain_end, s, log s, inverse) of 1/x."""
+    return 1.0, math.inf, lambda x: 1.0 / x, lambda x: -math.log(x), lambda t: 1.0 / t
+
+
+def _gamma_exp_formulas(seq: SequenceSpec) -> tuple:
+    """(domain_start, domain_end, s, log s, inverse) of gamma_inv(e^{x-1}) for seq's phi."""
+    phi = seq.phi
+    if not isinstance(phi, ShapeFunction):
+        raise SpecParseError(f"expected a shape, got {phi!r}", "phi")
+    g1 = phi.log_gamma_eval(0.0)  # log gamma(1), where s is 1
+    start, top = max(1.0, 1.0 + g1), phi.log_gamma_eval(-math.inf)
+    # the last x with x - 1 <= top: 1 + top, rounded down if it rounded up
+    end = math.nextafter(1.0 + top, 0.0) if (1.0 + top) - 1.0 > top else 1.0 + top
+    log_gamma, log_gamma_inv = phi._log_gamma_eval, phi._log_gamma_inv
+
+    def log_at(x):
+        # s is 1 up to x = 1 + log gamma(1); x - 1 there can round a few
+        # ulp past log gamma(1), the least target the inverse accepts
+        target = g1 if x <= 1.0 + g1 else x - 1.0
+        # shapes.log_gamma_inv(phi, target), whose checks pass: target is
+        # no NaN and >= g1, log gamma at its log_hi 0, where it answers 0
+        # only after the inverse has run (which refuses a flat phi)
+        log_s = log_gamma_inv(target, 0.0)
+        return 0.0 if target == g1 else min(log_s, 0.0)
+
+    def inverse_at(t):
+        x = 1.0 + log_gamma(math.log(t))  # log t <= 0 passes phi's guard
+        if start <= x <= end:  # what _check_x passes unchanged
+            return x
+        if x < start - 1e-9:
+            raise DomainError(f"{t!r} is above the sequence's first value")
+        # NaN, an x within 1e-9 below the start, which reads as it, or an x
+        # past a bounded ladder's end (a t below its last value has no x)
+        return _x_on_domain(max(x, start), start, end, "gamma_exp")
+
+    return start, end, lambda x: math.exp(log_at(x)), log_at, inverse_at
+
+
+def _x_on_domain(x: float, start: float, end: float, kind: str) -> float:
+    """The float x on a kind's domain [start, end]: an x less than 1e-12
+    below start reads as it, and a DomainError refuses NaN and any other x."""
+    if not x >= start - 1e-12:  # NaN too
+        raise DomainError(f"sequence defined from {start}, got {x!r}")
+    if x > end:
+        raise DomainError(f"{kind.removesuffix('s')} sequence ends at {end}, got {x!r}")
+    return max(x, start)
+
+
+def _sample_formulas(seq: SequenceSpec) -> tuple:
+    """(domain_start, domain_end, s, log s, inverse) interpolating seq's samples."""
+    pts = spec_read({"samples": seq.samples}, "samples", spec_pairs)
+    if len(pts) < 2:
+        raise SpecParseError("sample sequences need at least two points")
+    object.__setattr__(seq, "samples", pts)
+    xs = [x for x, _ in pts]
+    if any(not b > a for a, b in zip(xs, xs[1:])):
+        raise SpecParseError("sample abscissae must strictly increase")
+    if any(not 0.0 < s <= 1.0 for _, s in pts):
+        raise SpecParseError("sample values must lie in (0,1]")
+    segments = tuple(zip(pts, pts[1:]))
+    ss = [s for _, s in pts]
+    decreasing = all(b < a for a, b in zip(ss, ss[1:]))
+
+    def value_at(x):
+        for (x0, s0), (x1, s1) in segments:  # _check_x put x in one of them
+            if x <= x1:
+                # monotone in x, but it can round below the lower sample (to 0
+                # beside a tiny one): it is held there, and is s1 at x1
+                s = s0 + (s1 - s0) * (x - x0) / (x1 - x0)
+                return s1 if x == x1 else max(s, min(s0, s1))
+
+    def inverse_at(t):
+        if not decreasing:
             raise NotInvertible("sample sequence is not strictly decreasing")
         if not ss[-1] <= t <= ss[0]:
             raise DomainError(f"{t!r} outside sampled range [{ss[-1]}, {ss[0]}]")
-        for (x0, s0), (x1, s1) in zip(pts, pts[1:]):  # t >= ss[-1]: one of them holds t
+        for (x0, s0), (x1, s1) in segments:  # t >= ss[-1]: one of them holds t
             if t >= s1:
                 return x0 + (x1 - x0) * (s0 - t) / (s0 - s1)
+
+    return xs[0], xs[-1], value_at, lambda x: math.log(value_at(x)), inverse_at
 
 
 # the JSON keys of each sequence kind besides "kind": (required, optional)
 _SEQUENCE_KEYS = {"reciprocal": ((), ()), "gamma_exp": ((), ("phi",)), "samples": (("points",), ())}
+# each kind's builder: the sequence -> (domain_start, domain_end, s, log s, inverse)
+_SEQUENCE_FORMULAS = {"reciprocal": _reciprocal_formulas, "gamma_exp": _gamma_exp_formulas,
+                      "samples": _sample_formulas}
 # phi_s's cap on n_max, and check_seq_conditions' on the integers its step-ratio
 # scan reads: a reciprocal term table this long takes about 3.7 s, the scan 1.6 s
 _N_MAX_CAP = 1_000_000
@@ -251,9 +281,10 @@ _new_tuple = tuple.__new__  # PhiSValue's own __new__ is a Python-level call
 # two tables, each up to ~260 MB: an equivalence of two phi_s expressions alternates two keys
 @lru_cache(maxsize=2)
 def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max: int):
-    """phi_s's columns for n from n_start up to n_max: rows of (log s_n, base_n),
-    base_n = log(gamma(s_n) * psi(n)); -log s_n, for bisect; and head[r], the
-    least log s_n + base_n over the first r rows with its row (the first on ties).
+    """phi_s's columns for the rows n from n_start up to n_max, each filled as
+    its row is built: -log s_n, for bisect; base_n = log(gamma(s_n) * psi(n));
+    and head[r], the least log s_n + base_n over the first r rows with its row
+    (the first on ties, and a NaN never least, as min picks them).
 
     The table ends at the sequence's domain_end, and at the first s_n below the
     least positive float: every float t > 0 exceeds it, and later rows have no
@@ -270,24 +301,26 @@ def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max
     # s_n <= 0, and a psi-kind psi at a float n >= 1 (a phi-kind one refuses n > 1)
     log_gamma_at = phi._log_gamma_eval
     psi_at = psi._eval if psi.domain_kind == "psi" else psi.eval
-    best, best_row = math.inf, 0
-    rows, head, cut = [], [(best, best_row)], None
+    best, best_row, last = math.inf, 0, math.inf  # no log s_n exceeds the first row's last
+    neg_log_s, bases, head, cut = [], [], [(best, best_row)], None
     for n, ls in enumerate(seq._log_ladder(n_start, n_max), n_start):
         lg = n - 1.0 if own else log_gamma_at(ls)
-        if rows and ls > rows[-1][0]:
+        if ls > last:
             raise DomainError(f"phi_s needs a non-increasing sequence, but s rises at index {n}")
+        last = ls
         try:
             base = lg + math.log(psi_at(float(n)))
         except DomainError as exc:
             cut = exc
             break
-        if ls + base < best:  # else the earlier row stays, as on a tie (a NaN never wins)
-            best, best_row = ls + base, len(rows)
+        if (term := ls + base) < best:  # else the earlier row stays, as on a tie (a NaN never wins)
+            best, best_row = term, len(bases)
         head.append((best, best_row))
-        rows.append((ls, base))
+        neg_log_s.append(-ls)
+        bases.append(base)
         if ls < _LOG_TINY:
             break
-    return n_start, tuple(rows), tuple(-ls for ls, _ in rows), tuple(head), cut
+    return n_start, tuple(neg_log_s), tuple(bases), tuple(head), cut
 
 
 # phi_s's last (phi, psi, seq, n_max, table), one tuple so that a reader sees one
@@ -342,16 +375,16 @@ def phi_s(
     if table is None:
         table = _term_table(phi, psi, seq, n_max)  # a table that raised is not kept
         _last_table = (phi, psi, seq, n_max, table)
-    n_start, rows, neg_log_s, head, cut = table
+    n_start, neg_log_s, bases, head, cut = table
     if n_max < n_start:
         raise DomainError(f"n_max {n_max} is below the sequence's first index {n_start}")
     k = bisect_right(neg_log_s, -lt)
-    if k == len(rows) and cut is not None:
+    if k == (rows := len(bases)) and cut is not None:
         raise cut.with_traceback(None)
     if not rows:
         raise DomainError(f"the sequence has no value at an index from {n_start} to {n_max}")
     best, r = head[k]  # head's row is below k, so on a tie it stays, as min's would
-    if k < len(rows) and (term := lt + rows[k][1]) < best:
+    if k < rows and (term := lt + bases[k]) < best:
         best, r = term, k
     return _new_tuple(PhiSValue, (math.exp(best), n_start + r))
 
@@ -365,7 +398,11 @@ def alpha_s(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, t: float)
         return 0.0
     if not 0.0 < t <= 1.0:
         raise DomainError("alpha_s needs t in [0,1]")
-    return phi._eval(t) * psi.eval(seq.inverse(t))  # a float t in (0, 1] passes phi's guard
+    # t is checked once: a float t in (0, 1] passes phi's guard and seq's inverse's
+    value, x = phi._eval(t), seq._inverse_at(t)
+    # a psi-kind psi's guard passes a finite x >= 1
+    raw = 1.0 <= x < math.inf and psi.domain_kind == "psi"
+    return value * (psi._eval(x) if raw else psi.eval(x))
 
 
 class SeqConditionReport(Record):

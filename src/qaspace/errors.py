@@ -98,9 +98,17 @@ def _show(value) -> str:
 
 def _number(x, name: str):
     """The call-time number rule: x, once it is not text or a bool, which
-    Fraction and float would read as numbers; else a ValueError names it."""
-    if isinstance(x, (str, bytes, bytearray, bool)):
-        raise ValueError(f"{name}: expected a number, got {_show(x)}")
+    Fraction and float would read as numbers, nor an int past the float
+    range, which float cannot hold; else a ValueError names it.  A float
+    passes in one comparison."""
+    if type(x) is not float:
+        if isinstance(x, (str, bytes, bytearray, bool)):
+            raise ValueError(f"{name}: expected a number, got {_show(x)}")
+        if isinstance(x, int):
+            try:
+                float(x)
+            except OverflowError as exc:  # the words spec_number gives the same int
+                raise ValueError(f"{name}: {exc}") from None
     return x
 
 

@@ -69,10 +69,11 @@ class ShapeFunction(Record):
     _log_gamma_eval and _log_gamma_inv, for the internal callers that have
     already established the guard's pass condition, a float inside the
     domain, so that it would pass: `embeddings`' tau and alpha_s (phi at a
-    float t in (0, 1]), SequenceSpec's inverse and log_value (phi's log gamma
-    at a float log t <= 0, and its inverse at a target >= log gamma(1)) and
-    phi_s's term table (phi's log gamma at log s_n <= 0, and a psi-kind psi
-    at a float index n >= 1).  Every other caller goes through the guard.
+    float t in (0, 1], and a psi-kind psi at a finite float x >= 1),
+    SequenceSpec's inverse and log_value (phi's log gamma at a float log t
+    <= 0, and its inverse at a target >= log gamma(1)) and phi_s's term
+    table (phi's log gamma at log s_n <= 0, and a psi-kind psi at a float
+    index n >= 1).  Every other caller goes through the guard.
     The member's growth facts (G3) and (G4), stated below `_TABLE`, are bound
     beside them for `check_assumptions`: _ratio_exponent(p) = c(p), and
     _square_constant = K, None where psi(n^2) leaves the domain.

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,7 @@ from qaspace import (
 )
 from qaspace.cli import main as cli_main
 from qaspace.embeddings import _SEQUENCE_KEYS, _term_table, log_grid
+from qaspace.errors import _number
 from qaspace.shapes import log_gamma, log_gamma_inv
 
 
@@ -116,6 +119,13 @@ class TestTau:
     def test_log_form_refuses_t_above_one(self, log_t):
         with pytest.raises(DomainError, match=r"^tau needs log_t <= 0$"):
             log_tau(qa_phi(), qa_psi(), log_t)
+
+    # phi's log gamma at log t = -inf is inf for the first two, and psi's
+    # guard refused it (DomainError: argument inf outside domain)
+    @pytest.mark.parametrize("phi", [qa_phi(), alpha_beta(0.5, 0.7), identity()], ids=repr)
+    def test_log_form_at_zero_is_minus_inf_for_every_phi(self, phi):
+        assert log_tau(phi, qa_psi(), -math.inf) == -math.inf
+        assert tau(phi, qa_psi(), 0.0) == 0.0
 
     def test_log_form_below_float_range(self):
         lt = -1e6
@@ -537,11 +547,11 @@ class TestPhiS:
         seq = {"gamma_exp": gamma_exp(phi), "reciprocal": reciprocal(),
                "samples": sample_sequence([(1.0, 1.0), (2.0, 0.5), (3.0, 0.5), (6.0, 1e-9),
                                            (40.0, 1e-250)])}[kind]
-        n_start, rows, neg_log_s, head, _ = _term_table(phi, psi, seq, 1000)
+        n_start, neg_log_s, bases, head, _ = _term_table(phi, psi, seq, 1000)
         for t in [*log_grid(1e-300, 1.0, 200), 0.5, 1e-9, 1e-250]:
             lt = math.log(t)
             k = bisect_right(neg_log_s, -lt)
-            best, r = min(head[k], (lt + rows[k][1], k)) if k < len(rows) else head[k]
+            best, r = min(head[k], (lt + bases[k], k)) if k < len(bases) else head[k]
             got = phi_s(phi, psi, seq, t, n_max=1000)
             assert (got.value.hex(), got.n) == (math.exp(best).hex(), n_start + r)
 
@@ -563,7 +573,7 @@ class TestPhiS:
         phi = piecewise([(0, 0), (0.25, 0.5), (1, 1)])
         seq = gamma_exp(phi)
         assert phi_s(phi, qa_psi(), seq, 0.01, n_max=50) == (1.0, 1)
-        assert _term_table(phi, qa_psi(), seq, 50)[1] == ((0.0, 0.0),)
+        assert _term_table(phi, qa_psi(), seq, 50)[1:3] == ((-0.0,), (0.0,))  # -log s_1, base_1
 
     def test_a_ladder_priced_by_its_own_bounded_phi_ends_with_it(self):
         # gamma(s_3) = e^2 would pass gamma's largest value, 5
@@ -582,9 +592,9 @@ class TestPhiS:
         # n = 711 (e^710 overflows) log s_n itself is, so brute_phi_s takes -inf
         phi, psi = qa_phi(), qa_psi()
         seq = gamma_exp(phi)
-        rows = _term_table(phi, psi, seq, 800)[1]
-        assert len(rows) == 8
-        assert rows[-1][0] < math.log(5e-324) <= rows[-2][0]
+        neg_log_s = _term_table(phi, psi, seq, 800)[1]
+        assert len(neg_log_s) == 8
+        assert -neg_log_s[-1] < math.log(5e-324) <= -neg_log_s[-2]
         for t in (5e-324, 1e-300, 1e-20, 0.01, 1.0):
             assert phi_s(phi, psi, seq, t, n_max=800) == brute_phi_s(phi, psi, seq, t, 800)
 
@@ -736,29 +746,116 @@ def _outcome(call, *args):
         return type(exc), str(exc)
 
 
+def _guarded_check_x(seq, x):
+    """SequenceSpec._check_x with the kind read at the call."""
+    if type(x) is not float:
+        x = float(_number(x, "x"))
+    if not x >= seq.domain_start - 1e-12:
+        raise DomainError(f"sequence defined from {seq.domain_start}, got {x!r}")
+    if x > seq.domain_end:
+        raise DomainError(
+            f"{seq.kind.removesuffix('s')} sequence ends at {seq.domain_end}, got {x!r}")
+    return max(x, seq.domain_start)
+
+
+def _guarded_value(seq, x):
+    """SequenceSpec.value dispatched on the kind at each call."""
+    x = _guarded_check_x(seq, x)
+    if seq.kind == "reciprocal":
+        return 1.0 / x
+    if seq.kind == "gamma_exp":
+        return math.exp(_guarded_log_value(seq, x))
+    pts = seq.samples
+    for (x0, s0), (x1, s1) in zip(pts, pts[1:]):
+        if x <= x1:
+            s = s0 + (s1 - s0) * (x - x0) / (x1 - x0)
+            return s1 if x == x1 else max(s, min(s0, s1))
+
+
 def _guarded_log_value(seq, x):
-    """SequenceSpec.log_value with the gamma_exp inverse through shapes.log_gamma_inv."""
-    if seq.phi is None:
-        return seq.log_value(x)
-    x = seq._check_x(x)
+    """SequenceSpec.log_value dispatched on the kind at each call, with the
+    gamma_exp inverse through shapes.log_gamma_inv."""
+    x = _guarded_check_x(seq, x)
+    if seq.kind == "reciprocal":
+        return -math.log(x)
+    if seq.kind == "samples":
+        return math.log(_guarded_value(seq, x))
     g1 = seq.phi.log_gamma_eval(0.0)
     return log_gamma_inv(seq.phi, g1 if x <= 1.0 + g1 else x - 1.0)
 
 
 def _guarded_inverse(seq, t):
-    """SequenceSpec.inverse with phi's log gamma through its guard."""
-    if seq.phi is None:
-        return seq.inverse(t)
+    """SequenceSpec.inverse dispatched on the kind at each call, with phi's
+    log gamma through its guard and the answer through _check_x."""
+    if type(t) is not float:
+        t = float(_number(t, "t"))
     if not 0.0 < t <= 1.0:
         raise DomainError("sequence values live in (0,1]")
-    x = 1.0 + seq.phi.log_gamma_eval(math.log(t))
-    if x < seq.domain_start - 1e-9:
-        raise DomainError(f"{t!r} is above the sequence's first value")
-    return seq._check_x(max(x, seq.domain_start))
+    if seq.kind == "reciprocal":
+        return 1.0 / t
+    if seq.kind == "gamma_exp":
+        x = 1.0 + seq.phi.log_gamma_eval(math.log(t))
+        if x < seq.domain_start - 1e-9:
+            raise DomainError(f"{t!r} is above the sequence's first value")
+        return _guarded_check_x(seq, max(x, seq.domain_start))
+    pts = seq.samples
+    ss = [s for _, s in pts]
+    if any(not b < a for a, b in zip(ss, ss[1:])):
+        raise NotInvertible("sample sequence is not strictly decreasing")
+    if not ss[-1] <= t <= ss[0]:
+        raise DomainError(f"{t!r} outside sampled range [{ss[-1]}, {ss[0]}]")
+    for (x0, s0), (x1, s1) in zip(pts, pts[1:]):
+        if t >= s1:
+            return x0 + (x1 - x0) * (s0 - t) / (s0 - s1)
 
 
-def _guarded_term_table(phi, psi, seq, n_max):
-    """_term_table's loop with every call guarded and its head kept by a tuple min."""
+def _guarded_tau(phi, psi, t):
+    """tau with t read and checked, and phi and psi through their guards."""
+    if type(t) is not float:
+        t = float(_number(t, "t"))
+    if not 0.0 <= t <= 1.0:
+        raise DomainError("tau needs t in [0,1]")
+    if t == 0.0:
+        return 0.0
+    return phi.eval(t) * psi.eval(1.0 + max(0.0, phi.log_gamma_eval(math.log(t))))
+
+
+def _guarded_alpha_s(phi, psi, seq, t):
+    """alpha_s with t checked again by the guarded inverse, and psi through its guard."""
+    if type(t) is not float:
+        t = float(_number(t, "t"))
+    if t == 0.0:
+        return 0.0
+    if not 0.0 < t <= 1.0:
+        raise DomainError("alpha_s needs t in [0,1]")
+    return phi.eval(t) * psi.eval(_guarded_inverse(seq, t))
+
+
+def _guarded_phi_s(phi, psi, seq, t, n_max):
+    """phi_s over _guarded_rows' row tuples, its term picked by a tuple min."""
+    if type(t) is not float:
+        t = float(_number(t, "t"))
+    if t == 0.0:
+        return PhiSValue(0.0, 0)
+    if not 0.0 < t <= 1.0:
+        raise DomainError("phi_s needs t in [0,1]")
+    n_start, rows, head, cut = _guarded_rows(phi, psi, seq, n_max)
+    if n_max < n_start:
+        raise DomainError(f"n_max {n_max} is below the sequence's first index {n_start}")
+    lt = math.log(t)
+    k = bisect_right([-ls for ls, _ in rows], -lt)
+    if k == len(rows) and cut is not None:
+        raise cut
+    if not rows:
+        raise DomainError(f"the sequence has no value at an index from {n_start} to {n_max}")
+    best, r = min(head[k], (lt + rows[k][1], k)) if k < len(rows) else head[k]
+    return PhiSValue(math.exp(best), n_start + r)
+
+
+@functools.cache  # phi_s asks for one key's rows at many t
+def _guarded_rows(phi, psi, seq, n_max):
+    """_term_table's loop with every call guarded, its rows kept as (log s_n,
+    base_n) tuples and its head by a tuple min: (n_start, rows, head, cut)."""
     n_start = max(1, math.ceil(seq.domain_start - 1e-12))
     own = seq.phi == phi
     rows, head, cut = [], [(math.inf, 0)], None
@@ -781,49 +878,77 @@ def _guarded_term_table(phi, psi, seq, n_max):
         rows.append((ls, base))
         if ls < math.log(5e-324):
             break
-    return n_start, tuple(rows), tuple(-ls for ls, _ in rows), tuple(head), cut
+    return n_start, rows, head, cut
+
+
+def _guarded_term_table(phi, psi, seq, n_max):
+    """_guarded_rows read as _term_table's columns."""
+    n_start, rows, head, cut = _guarded_rows(phi, psi, seq, n_max)
+    return n_start, tuple(-ls for ls, _ in rows), tuple(b for _, b in rows), tuple(head), cut
 
 
 class TestRawFormulaPaths:
-    """tau, alpha_s, SequenceSpec's log_value and inverse, and phi_s's term
-    table call the family formulas where the guard would pass their argument:
-    each answers and refuses bit for bit as the guarded calls do."""
+    """tau, alpha_s, SequenceSpec's value, log_value and inverse, phi_s from a
+    cold and a warm table, and the term table itself check each argument
+    once, call the family formulas where the guard would pass their
+    argument, and call the formulas each sequence bound for its kind when it
+    was built.  Each answers and refuses bit for bit as the guarded route
+    does: every shape through its guard, the kind read at each call, the
+    inverse checking t again and its answer through _check_x, and the term
+    table built of row tuples with a tuple min."""
 
     # the benchmark's three key families, a flat ratio (no inverse, the -inf
-    # sentinel), the degenerate ends and a ladder that ends (gamma at most 5)
+    # sentinel), the degenerate ends and a ladder that ends (gamma at most 5),
+    # so that a t below its last value is refused
     PHIS = [qa_phi(), alpha_beta(0.5, 0.7), alpha_beta(0.7, 0.75), alpha_beta(0.3, 0.0),
             alpha_beta(1.0, 0.4), alpha_beta(1.0, 0.9), alpha_beta(1.0, 0.0),
             identity(), constant_one(), P]
     # psi_gamma exponents, a psi sampled only up to 10 (the table's cut), a
     # phi-kind psi, which refuses every index past 1, and a flat psi, whose
     # terms all tie under constant_one's phi on the reciprocal ladder
-    PSIS = [psi_gamma(0.3), psi_gamma(0.65), psi_gamma(1.0),
+    PSIS = [psi_gamma(0.3), psi_gamma(0.65), psi_gamma(1.0), qa_psi(),
             piecewise([(0, 0), (1, 1), (10, 2)], kind="psi"), qa_phi(), constant_one("psi")]
     SEQS = [reciprocal(), sample_sequence([(1, 1.0), (3, 0.2), (40, 1e-6)]),
             sample_sequence([(2.0000000000001, 0.9), (9, 0.1)]),  # starts just past 2
             sample_sequence([(1, 0.5), (2, 0.25), (3, 0.5)]),  # rises
+            # its inverse is below 1 for t near 1, and 0 or below from t = 0.75
+            # up, where a psi's guard refuses it
+            sample_sequence([(-1, 1.0), (3, 0.2), (40, 1e-6)]),
             gamma_exp(qa_phi()), gamma_exp(alpha_beta(0.5, 0.7))]  # ladders priced by any phi
-    TS = [5e-324, 1e-300, 1e-20, 0.01, 0.3, 0.5, 1.0]
+    TS = [5e-324, 1e-300, 1e-20, 0.01, 0.3, 0.5, math.nextafter(1.0, 0.0), 1.0,
+          0.0, -0.0, math.nan, math.inf, -math.inf, 2.0, 1, Fraction(1, 2), "0.5", True]
 
     def test_tau_and_alpha_s(self):
         for phi in self.PHIS:
             for psi in self.PSIS:
                 for t in self.TS:
-                    want = _outcome(lambda: phi.eval(t) * psi.eval(
-                        1.0 + max(0.0, phi.log_gamma_eval(math.log(t)))))
-                    assert _outcome(tau, phi, psi, t) == want, (phi, psi, t)
+                    assert _outcome(tau, phi, psi, t) == _outcome(_guarded_tau, phi, psi, t), (
+                        phi, psi, t)
                     for seq in [*self.SEQS, gamma_exp(phi)]:
-                        want = _outcome(lambda: phi.eval(t) * psi.eval(_guarded_inverse(seq, t)))
+                        want = _outcome(_guarded_alpha_s, phi, psi, seq, t)
                         assert _outcome(alpha_s, phi, psi, seq, t) == want, (phi, psi, seq, t)
 
-    def test_log_value_and_inverse(self):
-        for phi in self.PHIS:
-            seq = gamma_exp(phi)
-            xs = [seq.domain_start, seq.domain_start - 1e-13, *map(float, range(1, 60))]
+    def test_value_log_value_and_inverse(self):
+        for seq in [*self.SEQS, *map(gamma_exp, self.PHIS)]:
+            start = seq.domain_start
+            xs = [start, start - 1e-13, start - 1e-9, *map(float, range(1, 60)), 1e6,
+                  math.nan, math.inf, -math.inf, 0.0, 3, Fraction(3, 2), "2", True]
             for x in xs:
-                assert _outcome(seq.log_value, x) == _outcome(_guarded_log_value, seq, x), (phi, x)
+                assert _outcome(seq.value, x) == _outcome(_guarded_value, seq, x), (seq, x)
+                assert _outcome(seq.log_value, x) == _outcome(_guarded_log_value, seq, x), (seq, x)
             for t in self.TS:
-                assert _outcome(seq.inverse, t) == _outcome(_guarded_inverse, seq, t), (phi, t)
+                assert _outcome(seq.inverse, t) == _outcome(_guarded_inverse, seq, t), (seq, t)
+
+    def test_phi_s_from_a_cold_and_a_warm_table(self):
+        for phi in self.PHIS:
+            for psi in self.PSIS:
+                for seq in [*self.SEQS, gamma_exp(phi)]:
+                    for t in self.TS:
+                        want = _outcome(_guarded_phi_s, phi, psi, seq, t, 120)
+                        _term_table.cache_clear()
+                        for _ in "cold", "warm":
+                            got = _outcome(phi_s, phi, psi, seq, t, 120)
+                            assert got == want, (phi, psi, seq, t)
 
     def test_term_table(self):
         def outcome(build, *args):

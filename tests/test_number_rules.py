@@ -1,14 +1,15 @@
 """The two input rules for a number, checked from one table.
 
 A number passed at call time is read by errors._number: text, bytes, a
-bytearray or a bool, which float() and Fraction() would read as numbers, is a
-ValueError that names the argument.  A record's parameter is read by
+bytearray or a bool, which float() and Fraction() would read as numbers, and
+an int past the float range, which float() cannot hold, are a ValueError that
+names the argument.  A record's parameter is read by
 errors.spec_param, as its JSON form would be: the same values are an
 IllegalSpec that names the record and the parameter.  A JSON spec reader
 (parse_shape) and SequenceSpec's samples raise their documented
 SpecParseError, which names the key path.
 
-Each row feeds each wrong value into one numeric argument of a callable that
+Each row feeds each wrong value, and +-10**400, into one numeric argument of a callable that
 the package exports (or, under EXTRA_ROWS, of a function that one of them
 reaches), and test_every_export_is_in_the_table_or_reads_no_number fails
 when an export is in neither ROWS nor READS_NO_NUMBER.
@@ -38,6 +39,7 @@ from qaspace import (
     equivalence,
     fundamental,
     gamma,
+    gamma_exp,
     gamma_inv,
     indicator,
     is_concave,
@@ -60,6 +62,8 @@ from qaspace import (
 from qaspace.shapes import log_gamma_inv
 
 WRONG = ["0.5", b"0.5", bytearray(b"0.5"), True]
+# ints past the float range, which each rule refuses with float()'s own words
+HUGE = [10**400, -10**400]
 PHI, PSI, F = qa_phi(), qa_psi(), indicator(0, 0.5, 2.0)
 CALL = (ValueError, "{}: ")  # errors._number
 RECORD = (IllegalSpec, "the {}: ")  # errors.spec_param; the owner is in the name
@@ -139,6 +143,12 @@ ROWS = [
 EXTRA_ROWS = [
     ("shapes.log_gamma_inv", "target", lambda x: log_gamma_inv(PHI, x), CALL, "target"),
     ("iterated_log_profile(...)", "t", lambda x: iterated_log_profile(1.0, 0.5, 1.0)(x), CALL, "t"),
+    ("ShapeFunction.eval", "t", lambda x: PHI.eval(x), CALL, "t"),
+    ("ShapeFunction.log_eval", "log_t", lambda x: PHI.log_eval(x), CALL, "log_t"),
+    ("ShapeFunction.log_gamma_eval", "log_t", lambda x: PHI.log_gamma_eval(x), CALL, "log_t"),
+    ("SequenceSpec.value", "x", lambda x: reciprocal().value(x), CALL, "x"),
+    ("SequenceSpec.inverse", "t", lambda x: gamma_exp(PHI).inverse(x), CALL, "t"),
+    ("StepFunction.eval_at", "x", lambda x: F.eval_at(x), CALL, "x"),
 ]
 READS_NO_NUMBER = {
     # the error types, which take a message
@@ -170,6 +180,22 @@ def test_text_bytes_and_bools_are_refused_by_the_rule_of_their_kind(call, rule, 
     assert type(info.value) is error
     shown = json.dumps(value, default=repr)
     assert str(info.value) == f"{prefix.format(name)}expected a number, got {shown}"
+
+
+# a call-time int past the float range ended in a bare OverflowError, or was
+# read exactly (a step function's breakpoint, distribution's level), or was
+# compared as an int (log_tau's log_t, log_gamma_inv's target)
+@pytest.mark.parametrize("value", HUGE, ids=["+10**400", "-10**400"])
+@pytest.mark.parametrize("call, rule, name", [
+    pytest.param(call, rule, name, id=f"{export}.{argument}")
+    for export, argument, call, rule, name in ROWS + EXTRA_ROWS
+])
+def test_an_int_past_the_float_range_is_refused_by_the_rule_of_its_kind(call, rule, name, value):
+    error, prefix = rule
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == f"{prefix.format(name)}int too large to convert to float"
 
 
 # is_concave and is_quasiconcave refuse two neighbouring samples at one

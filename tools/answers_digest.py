@@ -47,7 +47,8 @@ of the wrong type (text or a bool to a step-function builder, `scale`,
 a witness `c` or `p` that is not finite, a witness function's `c` or `p`
 that is text or a bool, two neighbouring samples at one abscissa for the
 sample checks, or a number
-past the float range, or builds the piecewise shape with no sample after
+past the float range (a call-time int among them: `tau`, `alpha_s`, `scale`,
+`gamma` and `distribution`), or asks `log_tau` for log t = -inf, or builds the piecewise shape with no sample after
 the origin, and of each step-function
 constructor, `indicator` and `eval_at` call given a number that is not
 finite, and of the two witness specs that build_witness refuses.  Every float is
@@ -112,6 +113,7 @@ from qaspace.shapes import (  # noqa: E402
     alpha_beta,
     check_assumptions,
     constant_one,
+    gamma,
     identity,
     is_concave,
     is_quasiconcave,
@@ -515,6 +517,15 @@ OUT_OF_RANGE_CONSTRUCTORS = [
     (WitnessSpec, (qa_phi(), qa_psi(), 3, 10**400), {}),
     (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5, 10**400), {}),
     (WitnessSpec, (qa_phi(), qa_psi(), 3, 0.5), {"mu1": 10**400}),
+    # call-time ints past the float range, which ended in a bare OverflowError
+    # or were read exactly (distribution's level); and log_tau at log t = -inf
+    (embeddings.tau, (qa_phi(), qa_psi(), 10**400), {}),
+    (embeddings.alpha_s, (qa_phi(), qa_psi(), embeddings.gamma_exp(qa_phi()), -10**400), {}),
+    (scale, (indicator(0, 0.5, 2.0), 10**400), {}),
+    (gamma, (qa_phi(), 10**400), {}),
+    (distribution, (indicator(0, 0.5, 2.0), 10**400), {}),
+    *((embeddings.log_tau, (phi, qa_psi(), -math.inf), {})
+      for phi in (qa_phi(), alpha_beta(0.5, 0.7), identity())),
 ]
 # step-function calls given a breakpoint or abscissa that is not finite
 NON_FINITE_STEPFN_CALLS = [
