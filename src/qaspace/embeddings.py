@@ -301,7 +301,7 @@ def _term_table(phi: ShapeFunction, psi: ShapeFunction, seq: SequenceSpec, n_max
     # s_n <= 0, and a psi-kind psi at a float n >= 1 (a phi-kind one refuses n > 1)
     log_gamma_at = phi._log_gamma_eval
     psi_at = psi._eval if psi.domain_kind == "psi" else psi.eval
-    best, best_row, last = math.inf, 0, math.inf  # no log s_n exceeds the first row's last
+    best, best_row, last = math.inf, 0, math.inf  # last: the previous row's log s_n
     neg_log_s, bases, head, cut = [], [], [(best, best_row)], None
     for n, ls in enumerate(seq._log_ladder(n_start, n_max), n_start):
         lg = n - 1.0 if own else log_gamma_at(ls)

@@ -914,7 +914,10 @@ class TestRawFormulaPaths:
             # its inverse is below 1 for t near 1, and 0 or below from t = 0.75
             # up, where a psi's guard refuses it
             sample_sequence([(-1, 1.0), (3, 0.2), (40, 1e-6)]),
-            gamma_exp(qa_phi()), gamma_exp(alpha_beta(0.5, 0.7))]  # ladders priced by any phi
+            gamma_exp(qa_phi()), gamma_exp(alpha_beta(0.5, 0.7)),  # ladders priced by any phi
+            # one row, the -inf sentinel: priced by a phi whose log gamma is
+            # inf at -inf, its term is NaN, which never becomes the least
+            gamma_exp(identity())]
     TS = [5e-324, 1e-300, 1e-20, 0.01, 0.3, 0.5, math.nextafter(1.0, 0.0), 1.0,
           0.0, -0.0, math.nan, math.inf, -math.inf, 2.0, 1, Fraction(1, 2), "0.5", True]
 
@@ -928,16 +931,22 @@ class TestRawFormulaPaths:
                         want = _outcome(_guarded_alpha_s, phi, psi, seq, t)
                         assert _outcome(alpha_s, phi, psi, seq, t) == want, (phi, psi, seq, t)
 
-    def test_value_log_value_and_inverse(self):
+    def xs(self, seq):
+        start = seq.domain_start
+        return [start, start - 1e-13, start - 1e-9, *map(float, range(1, 60)), 1e6,
+                math.nan, math.inf, -math.inf, 0.0, 3, Fraction(3, 2), "2", True]
+
+    def test_log_value_and_inverse(self):
         for seq in [*self.SEQS, *map(gamma_exp, self.PHIS)]:
-            start = seq.domain_start
-            xs = [start, start - 1e-13, start - 1e-9, *map(float, range(1, 60)), 1e6,
-                  math.nan, math.inf, -math.inf, 0.0, 3, Fraction(3, 2), "2", True]
-            for x in xs:
-                assert _outcome(seq.value, x) == _outcome(_guarded_value, seq, x), (seq, x)
+            for x in self.xs(seq):
                 assert _outcome(seq.log_value, x) == _outcome(_guarded_log_value, seq, x), (seq, x)
             for t in self.TS:
                 assert _outcome(seq.inverse, t) == _outcome(_guarded_inverse, seq, t), (seq, t)
+
+    def test_value(self):
+        for seq in [*self.SEQS, *map(gamma_exp, self.PHIS)]:
+            for x in self.xs(seq):
+                assert _outcome(seq.value, x) == _outcome(_guarded_value, seq, x), (seq, x)
 
     def test_phi_s_from_a_cold_and_a_warm_table(self):
         for phi in self.PHIS:
