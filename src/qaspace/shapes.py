@@ -62,7 +62,8 @@ class ShapeFunction(Record):
     behind the one domain guard (DomainError for NaN, a negative or infinite t,
     and t > 1 or log t > 0 on a phi; a ValueError for a t or log t that is text
     or a bool), and so is the private closed-form inverse behind the module's
-    `log_gamma_inv`, which alone checks the target against hi and clamps to it.
+    `log_gamma_inv`, which alone refuses a hi above 0, checks the target against
+    hi and clamps to it.
     log_gamma_eval is formed per family: log_eval(log_t) - log_t cancels to
     zero once |log_t| dwarfs the ratio's log.
     The raw formulas are bound beside the guarded methods, as _eval (t > 0),
@@ -264,25 +265,10 @@ def _psi_gamma(g) -> tuple:
     log_eval = lambda x: x if x < 0.0 else (g * math.log1p(x) if g else 0.0)  # noqa: E731
 
     def log_gamma_inv(target, hi):
-        # the ratio is 1 up to t = 1, then falls: log gamma = g log1p(x) - x
+        # the ratio is 1 on all of (0, 1], where log_gamma_inv inverts it
         if target > 0.0:
             raise NotInvertible(f"target {target!r} above 0.0, the largest log gamma")
-        if not target:
-            return 0.0 if hi > 0.0 else _flat(target, hi)
-        if not g:
-            return -target
-        # x - g log1p(x) + target is convex and increasing for x > 0, so after
-        # one Newton step the iterates fall to the root.  The start solves the
-        # quadratic (1 - g/2) x^2 + (1 - g + target) x + target = 0 that lies
-        # below it (log1p(x) <= x (2 + x) / (2 + 2x)); -target if that overflows
-        p = 1.0 - g + target
-        d = math.hypot(p, 2.0 * math.sqrt((0.5 * g - 1.0) * target))
-        x = -2.0 * target / (p + d) if p >= 0.0 else (d - p) / (2.0 - g)
-        step = lambda x: x - (x - g * math.log1p(x) + target) / (((1.0 - g) + x) / (1.0 + x))  # noqa: E731
-        x = step(x if x < math.inf else -target)
-        while (nxt := step(x)) < x:
-            x = nxt
-        return x
+        return _flat(target, hi)
 
     # log gamma is g log1p(x) - x above 1; at x = inf that is inf - inf, so take its limit
     log_gamma_eval = lambda x: 0.0 if x < 0.0 else -math.inf if x == math.inf else log_eval(x) - x  # noqa: E731
@@ -508,28 +494,33 @@ def log_gamma(shape: ShapeFunction, log_t: float) -> float:
 def log_gamma_inv(shape: ShapeFunction, target: float, log_hi: float = 0.0) -> float:
     """The x <= log_hi where log_gamma(shape, x) meets target: log_hi itself
     at target == log_gamma(shape, log_hi), else the exact inverse, the largest
-    such x in reals, to within rounding.
+    such x in reals, to within rounding.  The ratio is inverted on (0, 1] only,
+    so log_hi <= 0, as the witness recurrence and the gamma_exp ladder need.
 
     No float need hit the target: past 1e299 most targets of an alpha_beta
     fall between the log gammas of two adjacent floats.  Every family inverts
     its ratio in closed form (bound when the shape is built); alpha_beta with
-    0 < a < 1 and b > 0 solves a Lambert-W equation by Newton's method and
-    psi_gamma used as a psi solves g log1p(x) - x = target the same way.  For
+    0 < a < 1 and b > 0 solves a Lambert-W equation by Newton's method.  For
     qa_phi, alpha_beta, constant_one and piecewise phis the answer is within
     4 ulp of the exact inverse of log_gamma_eval's formulas
     (tests/test_shapes.py checks it against a 60-digit oracle for targets
     from 1e-12 to 709.5, and for alpha_beta from 1e299 to the float range).
 
     NotInvertible: target below log_gamma(shape, log_hi), or above every value
-    of the ratio's log; a ratio constant on the whole domain (identity,
-    alpha_beta(1, 0), psi_gamma as a phi); or an answer below the most negative
-    float, where the message names the largest invertible target.
-    DomainError: a NaN target.  ValueError: a target that is text or a bool.
+    of the ratio's log; a ratio constant up to log_hi (identity, alpha_beta(1,
+    0), psi_gamma and qa_psi, which are t on (0, 1]); or an answer below the
+    most negative float, where the message names the largest invertible target.
+    DomainError: a NaN target, or a log_hi above 0 or NaN, which names log_hi.
+    ValueError: a target or log_hi that is text or a bool.
     """
     if type(target) is not float:
         _number(target, "target")
     if target != target:
         raise DomainError("argument nan outside domain")
+    if type(log_hi) is not float:
+        _number(log_hi, "log_hi")
+    if not log_hi <= 0.0:
+        raise DomainError(f"log_hi: the ratio is inverted on log t <= 0 only, got {log_hi!r}")
     g_hi = shape.log_gamma_eval(log_hi)
     if not target >= g_hi:
         raise NotInvertible(f"target {target!r} below attainable minimum {g_hi!r}")

@@ -287,5 +287,6 @@ def witness_qa_upper(
 
 def lower_bound_value(spec: WitnessSpec) -> float:
     """(2^c - 1)/8 * psi(N), the proven floor under the quasi-norm of the
-    witness built from the spec."""
-    return (2.0**spec.c - 1.0) / 8.0 * spec.psi.eval(float(spec.N))
+    witness built from the spec; 2^c - 1 is expm1(c log 2), which does not
+    cancel at a small c."""
+    return math.expm1(spec.c * math.log(2.0)) / 8.0 * spec.psi.eval(float(spec.N))

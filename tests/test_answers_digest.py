@@ -7,7 +7,8 @@ tests/answers_digest.txt` and declares the moved groups in CHANGES.md.  The
 hashes rest on the host's libm, so on a platform whose fingerprint differs
 the test fails with a request to regenerate the file there: it never passes
 without comparing.  `python3 tools/answers_digest.py --check
-tests/answers_digest.txt` compares on any platform and names the moved groups.
+tests/answers_digest.txt` compares on any platform and names the moved groups,
+and `--records GROUP` prints one group's records, to diff between checkouts.
 """
 
 import importlib.util
@@ -49,3 +50,14 @@ def test_check_names_each_moved_group_whatever_the_platform(tmp_path, monkeypatc
     saved.write_text("# platform: elsewhere\na 1 x\nb 1 y\nc 1 z\n", encoding="utf-8")
     assert tool.main(["--check", str(saved)]) == 0
     assert capsys.readouterr().out.splitlines()[2:] == ["all 3 groups match"]
+
+
+def test_records_prints_one_group_a_repr_a_line(monkeypatch, capsys):
+    tool = _digest_tool()
+    monkeypatch.setattr(tool, "groups", lambda: iter([
+        ("a", [1.5]), ("b", [("ok", 0.1), ("error", "DomainError", "x")]), ("c", [2])]))
+    assert tool.main(["--records", "b"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "('ok', 0.1)", "('error', 'DomainError', 'x')"]
+    assert tool.main(["--records", "d"]) == 2
+    assert capsys.readouterr().err == "no group named 'd'\n"

@@ -27,6 +27,7 @@ from qaspace import (
     iterated_log_profile,
     parse_shape,
     phi_s,
+    psi_gamma,
     qa_phi,
     qa_psi,
     qa_upper,
@@ -295,14 +296,18 @@ class TestWitness:
         assert out["ratios"]["qa_upper_over_lower_bound"] > 1.0
 
     def test_a_floor_that_rounds_to_zero_gives_infinite_ratios(self, capsys):
-        # 2^c rounds to 1 at c = 1e-30, so the floor (2^c - 1)/8 psi(N) is 0.0:
-        # upper / floor exited 1 with ZeroDivisionError
+        # 2^c rounds to 1 at c = 1e-30, so (2.0**c - 1)/8 psi(N) rounds to 0.0,
+        # and upper / floor exited 1 with ZeroDivisionError; expm1(c log 2)
+        # keeps the floor positive, and the ratios are Infinity from the upper bound
         argv = ["witness", "--phi", '{"family": "alpha_beta", "alpha": 0.1, "beta": 0.5}',
                 "--psi", '{"family": "psi_gamma", "gamma": 1e-12}', "--c", "1e-30", "--N", "20"]
         assert main(argv) == 0
         text = capsys.readouterr().out
         assert "NaN" not in text and '"qa_upper_over_lower_bound": Infinity' in text
-        assert json.loads(text)["result"]["lower_bound"] == 0.0
+        result = json.loads(text)["result"]
+        assert result["qa_upper"] == math.inf
+        assert result["lower_bound"] == pytest.approx(math.log(2.0) / 8.0 * 1e-30
+                                                      * psi_gamma(1e-12)(20.0), rel=1e-12)
 
 
 class TestOmega:

@@ -12,11 +12,15 @@ SpecParseError, which names the key path.
 Each row feeds each wrong value, and +-10**400, into one numeric argument of a callable that
 the package exports (or, under EXTRA_ROWS, of a function that one of them
 reaches), and test_every_export_is_in_the_table_or_reads_no_number fails
-when an export is in neither ROWS nor READS_NO_NUMBER.
+when an export is in neither ROWS nor READS_NO_NUMBER.  Each row also takes
+every float of FLOAT_EDGES, and must answer with no NaN in its answer or
+refuse with a ToolkitError or a ValueError.
 """
 
 import json
+import math
 import random
+import sys
 
 import pytest
 
@@ -28,6 +32,7 @@ from qaspace import (
     ShapeFunction,
     SpecParseError,
     StepFunction,
+    ToolkitError,
     WitnessFunction,
     WitnessSpec,
     alpha_beta,
@@ -59,9 +64,14 @@ from qaspace import (
     scale,
     tau,
 )
+from qaspace.records import Record
 from qaspace.shapes import log_gamma_inv
 
 WRONG = ["0.5", b"0.5", bytearray(b"0.5"), True]
+# the floats at the edges of every range: NaN, the infinities, the zeros, the
+# least subnormal and normal, the largest float, and a few plain values
+FLOAT_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e-300, sys.float_info.max, -1.0, 1.0, 2.0]
 # ints past the float range, which each rule refuses with float()'s own words
 HUGE = [10**400, -10**400]
 PHI, PSI, F = qa_phi(), qa_psi(), indicator(0, 0.5, 2.0)
@@ -142,6 +152,7 @@ ROWS = [
 # functions that an export reaches, with a number of their own
 EXTRA_ROWS = [
     ("shapes.log_gamma_inv", "target", lambda x: log_gamma_inv(PHI, x), CALL, "target"),
+    ("shapes.log_gamma_inv", "log_hi", lambda x: log_gamma_inv(PHI, 1.0, x), CALL, "log_hi"),
     ("iterated_log_profile(...)", "t", lambda x: iterated_log_profile(1.0, 0.5, 1.0)(x), CALL, "t"),
     ("ShapeFunction.eval", "t", lambda x: PHI.eval(x), CALL, "t"),
     ("ShapeFunction.log_eval", "log_t", lambda x: PHI.log_eval(x), CALL, "log_t"),
@@ -196,6 +207,28 @@ def test_an_int_past_the_float_range_is_refused_by_the_rule_of_its_kind(call, ru
         call(value)
     assert type(info.value) is error
     assert str(info.value) == f"{prefix.format(name)}int too large to convert to float"
+
+
+def _holds_nan(value) -> bool:
+    """Whether value is a NaN, or holds one in a tuple, a list or a record's fields."""
+    if isinstance(value, float):
+        return value != value
+    if isinstance(value, Record):
+        value = value._astuple()
+    return isinstance(value, (tuple, list)) and any(map(_holds_nan, value))
+
+
+@pytest.mark.parametrize("value", FLOAT_EDGES, ids=repr)
+@pytest.mark.parametrize("call", [
+    pytest.param(call, id=f"{export}.{argument}")
+    for export, argument, call, _, _ in ROWS + EXTRA_ROWS
+])
+def test_a_float_at_the_edge_gives_an_answer_without_nan_or_a_refusal(call, value):
+    try:
+        answer = call(value)
+    except (ToolkitError, ValueError):
+        return
+    assert not _holds_nan(answer), answer
 
 
 # is_concave and is_quasiconcave refuse two neighbouring samples at one

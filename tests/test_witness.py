@@ -439,9 +439,13 @@ class TestEarlyPrice:
 
 class TestSerialization:
     def test_floor_value(self):
-        spec = WitnessSpec(qa_phi(), qa_psi(), N=2, c=0.5, p=1.0)
-        want = (2.0**0.5 - 1.0) / 8.0 * qa_psi().eval(2.0)
-        assert lower_bound_value(spec) == want
+        # (2^c - 1)/8 psi(2) to 50 digits; 2.0**c - 1.0 cancelled at a small c,
+        # to 0.0 from about c = 1e-16
+        for c in (0.5, 1e-9, 1e-30):
+            got = lower_bound_value(WitnessSpec(qa_phi(), qa_psi(), N=2, c=c, p=1.0))
+            with mpmath.workdps(50):
+                want = mpmath.expm1(c * mpmath.log(2)) / 8 * (1 + mpmath.log(2))
+                assert abs(got - want) <= math.ulp(got), c
 
     def test_json_roundtrip(self):
         w = qa_witness(2)

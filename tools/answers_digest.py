@@ -2,6 +2,7 @@
 
     python3 tools/answers_digest.py
     python3 tools/answers_digest.py --check tests/answers_digest.txt
+    python3 tools/answers_digest.py --records GROUP
 
 The answers are computed by the qaspace package of the checkout this script
 sits in, on fixed seeded inputs: the step-function operations (rearrange,
@@ -59,7 +60,10 @@ the package supports.
 
 With --check FILE it compares its groups with FILE, this script's saved
 output: it prints both platform lines, names each group that moved (or is
-in one only) and exits 1 if any did, whatever the platforms.
+in one only) and exits 1 if any did, whatever the platforms.  With
+--records GROUP it prints that group's records instead, one repr per line,
+in the order they are hashed (exit 2 if no group has that name); diff two
+checkouts' output to see which records of a moved group moved.
 
 The first line is the platform fingerprint (the Python implementation and
 version, platform.libc_ver() and the machine): the hashes rest on the host's
@@ -866,13 +870,28 @@ def check(path) -> int:
     return 1 if moved else 0
 
 
+def print_records(name) -> int:
+    """Print the named group's records, one repr per line; 2 if no group has that name."""
+    for group, found in groups():
+        if group == name:
+            for record in found:
+                print(repr(record))
+            return 0
+    print(f"no group named {name!r}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="One sha256 per group of qaspace answers.")
     parser.add_argument("--check", metavar="FILE", help="compare with FILE, this script's"
                         " saved output, and exit 1 if a group moved")
+    parser.add_argument("--records", metavar="GROUP", help="print GROUP's records, one repr"
+                        " per line in the order they are hashed, to diff two checkouts")
     args = parser.parse_args(argv)
     if args.check:
         return check(args.check)
+    if args.records:
+        return print_records(args.records)
     print(fingerprint())
     for line in lines():
         print(line)
